@@ -1639,27 +1639,34 @@ func BenchmarkFaults(b *testing.B) {
 
 // --- Micro-benchmarks of the substrates (real work, real ns/op) ---------
 
-// BenchmarkAAL5Segment measures cell segmentation throughput.
+// BenchmarkAAL5Segment measures cell segmentation throughput on the path
+// the UDP fabric ships: AppendCells into a reused datagram buffer.
 func BenchmarkAAL5Segment(b *testing.B) {
 	payload := make([]byte, 8192)
 	vc := atm.VC{VCI: 100}
+	var cells []byte
 	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := atm.Segment(vc, payload); err != nil {
+		var err error
+		if cells, err = atm.AppendCells(cells[:0], vc, payload); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkAAL5Reassemble measures the receive path incl. CRC verify.
+// BenchmarkAAL5Reassemble measures the receive path incl. HEC and CRC
+// verify as shipped: PushWire over a frame's wire cells.
 func BenchmarkAAL5Reassemble(b *testing.B) {
 	payload := make([]byte, 8192)
 	vc := atm.VC{VCI: 100}
-	cells, _ := atm.Segment(vc, payload)
+	cells, _ := atm.AppendCells(nil, vc, payload)
+	r := atm.NewReassembler(vc)
 	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := atm.Reassemble(vc, cells); err != nil {
-			b.Fatal(err)
+		if _, _, done, err := r.PushWire(cells); !done || err != nil {
+			b.Fatalf("done=%v err=%v", done, err)
 		}
 	}
 }

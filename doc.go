@@ -21,7 +21,10 @@
 // reverse data flows. The send system thread drains bursts and hands
 // same-destination runs to carriers through transport.BatchSender (one
 // scheduler post on Mem, one writev on real TCP, MTU-bounded cell-train
-// datagrams on UDP/ATM), and Thread.RecvInto/Channel.RecvInto — the
+// datagrams on UDP/ATM — which the receiving end reassembles a train at a
+// time, straight out of the datagram buffer, HEC-verifying every header
+// except one byte-identical to the last it verified on that VC), and
+// Thread.RecvInto/Channel.RecvInto — the
 // paper's receive-into-buffer call — recycles pooled receive frames so
 // steady-state traffic allocates nothing.
 //

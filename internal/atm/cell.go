@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Cell geometry.
@@ -63,6 +64,7 @@ var (
 	ErrLength     = errors.New("atm: AAL5 length field mismatch")
 	ErrTooLong    = errors.New("atm: AAL5 payload exceeds 65535 octets")
 	ErrNoFrame    = errors.New("atm: cell outside any frame")
+	ErrVC         = errors.New("atm: cell for another VC")
 )
 
 // hecTable is the CRC-8 table for polynomial x^8 + x^2 + x + 1 (0x07), the
@@ -110,18 +112,28 @@ func (h Header) headerBytes() ([4]byte, error) {
 	return out, nil
 }
 
+// wire packs the full 5-octet wire header: four octets and their HEC.
+func (h Header) wire() (out [HeaderSize]byte, err error) {
+	h4, err := h.headerBytes()
+	if err != nil {
+		return out, err
+	}
+	copy(out[:], h4[:])
+	out[4] = HEC(h4)
+	return out, nil
+}
+
 // Encode serializes the cell into dst, which must be at least CellSize long.
 func (c *Cell) Encode(dst []byte) error {
 	if len(dst) < CellSize {
 		return ErrCellSize
 	}
-	h4, err := c.Header.headerBytes()
+	hdr, err := c.Header.wire()
 	if err != nil {
 		return err
 	}
-	copy(dst[:4], h4[:])
-	dst[4] = HEC(h4)
-	copy(dst[5:CellSize], c.Payload[:])
+	copy(dst, hdr[:])
+	copy(dst[HeaderSize:CellSize], c.Payload[:])
 	return nil
 }
 
@@ -134,53 +146,42 @@ func (c *Cell) Bytes() []byte {
 	return out
 }
 
+// DecodeHeader parses the 5-octet wire header at the front of src,
+// verifying the HEC. src may run on past the header (a whole cell, or a
+// train of them).
+func DecodeHeader(src []byte) (h Header, err error) {
+	err = h.decode(src)
+	return h, err
+}
+
+// decode is DecodeHeader in place: DecodeCell unpacks straight into the
+// cell it returns.
+func (h *Header) decode(src []byte) error {
+	if len(src) < HeaderSize {
+		return ErrCellSize
+	}
+	h4 := [4]byte(src)
+	if HEC(h4) != src[4] {
+		return ErrHEC
+	}
+	h.GFC = h4[0] >> 4
+	h.VPI = h4[0]<<4 | h4[1]>>4
+	h.VCI = uint16(h4[1]&0xF)<<12 | uint16(h4[2])<<4 | uint16(h4[3]>>4)
+	h.PT = h4[3] >> 1 & 0x7
+	h.CLP = h4[3]&1 != 0
+	return nil
+}
+
 // DecodeCell parses a 53-octet wire cell, verifying the HEC.
-func DecodeCell(src []byte) (Cell, error) {
-	var c Cell
+func DecodeCell(src []byte) (c Cell, err error) {
 	if len(src) != CellSize {
 		return c, ErrCellSize
 	}
-	var h4 [4]byte
-	copy(h4[:], src[:4])
-	if HEC(h4) != src[4] {
-		return c, ErrHEC
+	if err = c.Header.decode(src); err != nil {
+		return c, err
 	}
-	c.Header.GFC = h4[0] >> 4
-	c.Header.VPI = h4[0]<<4 | h4[1]>>4
-	c.Header.VCI = uint16(h4[1]&0xF)<<12 | uint16(h4[2])<<4 | uint16(h4[3]>>4)
-	c.Header.PT = h4[3] >> 1 & 0x7
-	c.Header.CLP = h4[3]&1 != 0
-	copy(c.Payload[:], src[5:])
+	copy(c.Payload[:], src[HeaderSize:])
 	return c, nil
-}
-
-// aal5Table drives the AAL5 CRC-32 byte-at-a-time.
-var aal5Table [256]uint32
-
-func init() {
-	for i := 0; i < 256; i++ {
-		crc := uint32(i) << 24
-		for b := 0; b < 8; b++ {
-			if crc&0x80000000 != 0 {
-				crc = crc<<1 ^ 0x04C11DB7
-			} else {
-				crc <<= 1
-			}
-		}
-		aal5Table[i] = crc
-	}
-}
-
-// aal5crc32 computes the AAL5 CRC-32 (generator 0x04C11DB7, init all-ones,
-// final complement) over p. Implemented directly rather than via
-// hash/crc32 because AAL5 processes bits MSB-first, unlike the reflected
-// IEEE 802.3 byte order hash/crc32 implements.
-func aal5crc32(p []byte) uint32 {
-	crc := ^uint32(0)
-	for _, b := range p {
-		crc = crc<<8 ^ aal5Table[byte(crc>>24)^b]
-	}
-	return ^crc
 }
 
 // trailerSize is the CPCS-PDU trailer: UU(1) CPI(1) Length(2) CRC(4).
@@ -189,41 +190,55 @@ const trailerSize = 8
 // MaxPDU is the largest AAL5 payload (16-bit length field).
 const MaxPDU = 65535
 
-// buildTrailer computes the CPCS-PDU geometry and trailer for payload:
-// the zero-pad length and the 8-octet trailer (UU, CPI, Length, CRC-32).
-// The CRC is computed streaming over payload ++ pad ++ trailer[0:4], so no
+// maxReassembly is the longest CPCS-PDU (payload ++ pad ++ trailer) a
+// legal frame can occupy; a cell stream that runs past it without an
+// end-of-frame cell is mis-framed or hostile.
+const maxReassembly = (MaxPDU + trailerSize + PayloadSize - 1) / PayloadSize * PayloadSize
+
+// zeroPad is the longest pad run (PayloadSize-1 octets) as CRC input.
+var zeroPad [PayloadSize]byte
+
+// pdu is the geometry of one CPCS-PDU — payload ++ pad zeros ++ trailer,
+// a whole number of cell payloads — and the one walker that lays it into
+// cells. The CRC is computed streaming over the three runs, so no
 // contiguous PDU buffer is ever materialized.
-func buildTrailer(payload []byte) (pad int, trailer [trailerSize]byte, err error) {
-	if len(payload) > MaxPDU {
-		return 0, trailer, ErrTooLong
-	}
-	padded := len(payload) + trailerSize
-	pad = (PayloadSize - padded%PayloadSize) % PayloadSize
-	binary.BigEndian.PutUint16(trailer[2:], uint16(len(payload)))
-	crc := ^uint32(0)
-	for _, b := range payload {
-		crc = crc<<8 ^ aal5Table[byte(crc>>24)^b]
-	}
-	for i := 0; i < pad; i++ {
-		crc = crc<<8 ^ aal5Table[byte(crc>>24)]
-	}
-	for _, b := range trailer[:4] {
-		crc = crc<<8 ^ aal5Table[byte(crc>>24)^b]
-	}
-	binary.BigEndian.PutUint32(trailer[4:], ^crc)
-	return pad, trailer, nil
+type pdu struct {
+	payload []byte
+	trailer [trailerSize]byte // UU, CPI, Length, CRC-32
+	cells   int
 }
 
-// pduByte returns octet off of the logical PDU payload ++ pad ++ trailer.
-func pduByte(payload []byte, pad int, trailer *[trailerSize]byte, off int) byte {
-	if off < len(payload) {
-		return payload[off]
+func newPDU(payload []byte) (pdu, error) {
+	p := pdu{payload: payload}
+	if len(payload) > MaxPDU {
+		return p, ErrTooLong
 	}
-	off -= len(payload)
-	if off < pad {
-		return 0
+	p.cells = CellCount(len(payload))
+	pad := p.cells*PayloadSize - len(payload) - trailerSize
+	binary.BigEndian.PutUint16(p.trailer[2:], uint16(len(payload)))
+	crc := crcUpdate(^uint32(0), payload)
+	crc = crcUpdate(crc, zeroPad[:pad])
+	crc = crcUpdate(crc, p.trailer[:4])
+	binary.BigEndian.PutUint32(p.trailer[4:], ^crc)
+	return p, nil
+}
+
+// fill writes the PayloadSize octets of cell i into dst: the cell's run of
+// payload, then zeros, and — in the last cell, whose final octets the
+// trailer always occupies because the pad is shorter than a cell — the
+// trailer.
+func (p *pdu) fill(dst []byte, i int) {
+	dst = dst[:PayloadSize]
+	n := 0
+	if base := i * PayloadSize; base < len(p.payload) {
+		if n = copy(dst, p.payload[base:]); n == PayloadSize {
+			return
+		}
 	}
-	return trailer[off-pad]
+	clear(dst[n:])
+	if i == p.cells-1 {
+		copy(dst[PayloadSize-trailerSize:], p.trailer[:])
+	}
 }
 
 // SegmentInto builds the AAL5 CPCS-PDU for payload and appends its cells on
@@ -232,33 +247,18 @@ func pduByte(payload []byte, pad int, trailer *[trailerSize]byte, off int) byte 
 // (pure-pad PDU). Passing a scratch slice (cells[:0]) makes segmentation
 // allocation-free once the slice has grown to the working set.
 func SegmentInto(cells []Cell, vc VC, payload []byte) ([]Cell, error) {
-	pad, trailer, err := buildTrailer(payload)
+	p, err := newPDU(payload)
 	if err != nil {
 		return nil, err
 	}
-	pduLen := len(payload) + pad + trailerSize
-	nCells := pduLen / PayloadSize
-	for i := 0; i < nCells; i++ {
-		var c Cell
-		c.Header = Header{VPI: vc.VPI, VCI: vc.VCI}
-		if i == nCells-1 {
+	cells = slices.Grow(cells, p.cells)
+	for i := 0; i < p.cells; i++ {
+		cells = append(cells, Cell{Header: Header{VPI: vc.VPI, VCI: vc.VCI}})
+		c := &cells[len(cells)-1]
+		if i == p.cells-1 {
 			c.Header.PT = ptAAL5End
 		}
-		base := i * PayloadSize
-		lim := len(payload) - base
-		if lim > PayloadSize {
-			lim = PayloadSize
-		}
-		if lim > 0 {
-			// Fast path: straight copy of the payload run.
-			copy(c.Payload[:lim], payload[base:])
-		} else {
-			lim = 0
-		}
-		for j := lim; j < PayloadSize; j++ {
-			c.Payload[j] = pduByte(payload, pad, &trailer, base+j)
-		}
-		cells = append(cells, c)
+		p.fill(c.Payload[:], i)
 	}
 	return cells, nil
 }
@@ -272,42 +272,31 @@ func Segment(vc VC, payload []byte) ([]Cell, error) {
 // AppendCells segments payload exactly as SegmentInto but appends the
 // cells' 53-octet wire form directly onto dst — the shape the UDP fabric
 // wants (a datagram is a frame's cells laid end to end), with no
-// intermediate []Cell or per-cell Bytes allocation.
+// intermediate []Cell or per-cell Bytes allocation. dst grows at most
+// once, to the frame's full length.
 func AppendCells(dst []byte, vc VC, payload []byte) ([]byte, error) {
-	pad, trailer, err := buildTrailer(payload)
+	p, err := newPDU(payload)
 	if err != nil {
 		return nil, err
 	}
-	pduLen := len(payload) + pad + trailerSize
-	nCells := pduLen / PayloadSize
-	h := Header{VPI: vc.VPI, VCI: vc.VCI}
-	h4, err := h.headerBytes()
+	// Two headers serve the whole frame: every cell but the last, and the
+	// end-of-frame cell.
+	hdr, err := Header{VPI: vc.VPI, VCI: vc.VCI}.wire()
 	if err != nil {
 		return nil, err
 	}
-	hec := HEC(h4)
-	for i := 0; i < nCells; i++ {
-		if i == nCells-1 {
-			h.PT = ptAAL5End
-			if h4, err = h.headerBytes(); err != nil {
-				return nil, err
-			}
-			hec = HEC(h4)
+	end, err := Header{VPI: vc.VPI, VCI: vc.VCI, PT: ptAAL5End}.wire()
+	if err != nil {
+		return nil, err
+	}
+	dst = slices.Grow(dst, p.cells*CellSize)
+	for i := 0; i < p.cells; i++ {
+		if i == p.cells-1 {
+			hdr = end
 		}
-		dst = append(dst, h4[0], h4[1], h4[2], h4[3], hec)
-		base := i * PayloadSize
-		lim := len(payload) - base
-		if lim > PayloadSize {
-			lim = PayloadSize
-		}
-		if lim > 0 {
-			dst = append(dst, payload[base:base+lim]...)
-		} else {
-			lim = 0
-		}
-		for j := lim; j < PayloadSize; j++ {
-			dst = append(dst, pduByte(payload, pad, &trailer, base+j))
-		}
+		dst = append(dst, hdr[:]...)
+		dst = dst[:len(dst)+PayloadSize]
+		p.fill(dst[len(dst)-PayloadSize:], i)
 	}
 	return dst, nil
 }
@@ -321,11 +310,23 @@ func CellCount(n int) int {
 // Reassembler rebuilds CPCS-PDUs from the cell stream of one VC. Cells from
 // different VCs must go to different Reassemblers (the per-VC state the
 // SBA-200's i960 keeps).
+//
+// Cells enter either decoded (Push) or in wire form, a run at a time
+// (PushWire); both feed the same append/finish core, so every frame gets
+// the same checks whichever way its cells arrived, and the two may be
+// mixed on one Reassembler.
 type Reassembler struct {
 	vc      VC
 	buf     []byte
 	active  bool
 	dropped int
+
+	// verified is the last wire header PushWire passed through the HEC and
+	// VC checks (valid once haveVerified). A header byte-identical to it is
+	// known good — the one shortcut the receive path takes, worth taking
+	// because every cell of a frame but the last carries the same header.
+	verified     [HeaderSize]byte
+	haveVerified bool
 }
 
 // NewReassembler returns a reassembler for the given VC.
@@ -338,48 +339,114 @@ func NewReassembler(vc VC) *Reassembler {
 func (r *Reassembler) Dropped() int { return r.dropped }
 
 // Push adds the next cell. When the cell completes a frame, Push returns the
-// verified payload (done=true). Cells for other VCs are rejected.
+// verified payload (done=true). Cells for other VCs are rejected with an
+// error wrapping ErrVC.
 //
 // The returned payload aliases the reassembler's internal buffer and is
-// valid only until the next Push: the buffer grows once to the VC's working
-// set and is then reused for every frame (the per-VC buffer recycling the
-// SBA-200's i960 does in hardware). Callers that retain the payload must
-// copy it.
+// valid only until the next Push or PushWire: the buffer grows once to the
+// VC's working set and is then reused for every frame (the per-VC buffer
+// recycling the SBA-200's i960 does in hardware). Callers that retain the
+// payload must copy it.
+//
+// A frame longer than any legal CPCS-PDU (no end-of-frame cell within
+// CellCount(MaxPDU) cells) is dropped with ErrTooLong, so a mis-framed or
+// hostile stream cannot grow the buffer without bound.
 func (r *Reassembler) Push(c Cell) (payload []byte, done bool, err error) {
 	if c.Header.VC() != r.vc {
-		return nil, false, fmt.Errorf("atm: cell for VC %v pushed to reassembler for %v", c.Header.VC(), r.vc)
+		return nil, false, fmt.Errorf("%w: cell for VC %v pushed to reassembler for %v", ErrVC, c.Header.VC(), r.vc)
 	}
+	return r.add(c.Payload[:], c.Header.EndOfFrame())
+}
+
+// PushWire is Push for cells still in wire form: it consumes 53-octet cells
+// from the front of src — a datagram's cell train, say — until one
+// completes a frame, one is rejected, or fewer than CellSize octets remain,
+// and returns the octets consumed. Each header is verified exactly as
+// DecodeCell would (a header byte-identical to the last one this
+// reassembler verified is known good; anything else goes through HEC) and
+// each payload is appended straight from src, with no Cell value built.
+//
+// A cell with a corrupt header is consumed and reported as ErrHEC; frame
+// errors (ErrCRC, ErrLength, ErrTooLong) are reported on the cell that
+// raised them, as from Push. A cell for another VC is not consumed: n stops
+// short of it and err is ErrVC, so the caller can hand src[n:] to that VC's
+// reassembler. After any return the caller continues with src[n:].
+func (r *Reassembler) PushWire(src []byte) (n int, payload []byte, done bool, err error) {
+	for len(src)-n >= CellSize {
+		cell := src[n : n+CellSize]
+		eof, herr := r.verify(cell)
+		if herr == ErrVC {
+			return n, nil, false, herr
+		}
+		n += CellSize
+		if herr != nil {
+			return n, nil, false, herr
+		}
+		if payload, done, err = r.add(cell[HeaderSize:], eof); done || err != nil {
+			return n, payload, done, err
+		}
+	}
+	return n, nil, false, nil
+}
+
+// verify checks the wire header at the front of cell — HEC, then VC — and
+// reports whether it marks the end of a frame.
+func (r *Reassembler) verify(cell []byte) (eof bool, _ error) {
+	hdr := [HeaderSize]byte(cell)
+	if !r.haveVerified || hdr != r.verified {
+		var h Header
+		if err := h.decode(cell); err != nil {
+			return false, err
+		}
+		if h.VC() != r.vc {
+			return false, ErrVC
+		}
+		r.verified, r.haveVerified = hdr, true
+	}
+	// PT occupies bits 3..1 of the fourth octet.
+	return hdr[3]>>1&ptAAL5End != 0, nil
+}
+
+// add is the reassembly core both entry points share: it appends one cell
+// payload to the frame under assembly and finishes the frame on its
+// end-of-frame cell.
+func (r *Reassembler) add(p []byte, eof bool) (payload []byte, done bool, err error) {
 	if !r.active {
 		r.buf = r.buf[:0]
+		r.active = true
 	}
-	r.buf = append(r.buf, c.Payload[:]...)
-	r.active = true
-	if !c.Header.EndOfFrame() {
-		return nil, false, nil
+	if len(r.buf) >= maxReassembly {
+		return r.drop(ErrTooLong)
 	}
+	r.buf = append(r.buf, p...)
+	if eof {
+		return r.finish()
+	}
+	return nil, false, nil
+}
+
+// finish verifies the assembled CPCS-PDU — CRC-32, length, pad fits the
+// last cell — and returns its payload.
+func (r *Reassembler) finish() (payload []byte, done bool, err error) {
 	pdu := r.buf
-	r.active = false
-	if len(pdu) < trailerSize {
-		r.dropped++
-		return nil, false, ErrLength
-	}
 	tr := pdu[len(pdu)-trailerSize:]
 	n := int(binary.BigEndian.Uint16(tr[2:]))
-	wantCRC := binary.BigEndian.Uint32(tr[4:])
-	if aal5crc32(pdu[:len(pdu)-4]) != wantCRC {
-		r.dropped++
-		return nil, false, ErrCRC
-	}
-	if n > len(pdu)-trailerSize {
-		r.dropped++
-		return nil, false, ErrLength
+	if aal5crc32(pdu[:len(pdu)-4]) != binary.BigEndian.Uint32(tr[4:]) {
+		return r.drop(ErrCRC)
 	}
 	// Pad must fit within the final cell (otherwise the sender mis-framed).
-	if len(pdu)-(n+trailerSize) >= PayloadSize {
-		r.dropped++
-		return nil, false, ErrLength
+	if n > len(pdu)-trailerSize || len(pdu)-(n+trailerSize) >= PayloadSize {
+		return r.drop(ErrLength)
 	}
+	r.active = false
 	return pdu[:n], true, nil
+}
+
+// drop discards the frame under assembly.
+func (r *Reassembler) drop(err error) ([]byte, bool, error) {
+	r.active = false
+	r.dropped++
+	return nil, false, err
 }
 
 // Reassemble is a convenience that reassembles a complete, ordered cell

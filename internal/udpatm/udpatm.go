@@ -7,6 +7,15 @@
 // burst is in flight, so a burst costs one syscall per train instead of
 // one per frame (AAL5 end-of-frame cells delimit the frames inside).
 //
+// The receiver works a train at a time too: the reader resolves a VC's
+// reassembly state once per run of same-VC cells and hands the run, still
+// in the datagram buffer, to atm.Reassembler.PushWire, which appends each
+// 48-octet payload straight from the buffer. Every header is still
+// HEC-verified — the one shortcut is identity: a header byte-identical to
+// the last one that reassembler verified is known good, so a frame costs
+// two HEC computations (its first and its end-of-frame cell), not one per
+// cell — and every frame still passes CRC-32, length and pad checks.
+//
 // This substitutes for the paper's FORE SBA-200 + ATM switch fabric: the
 // cell framing, HEC protection, per-VC reassembly and CRC-32 verification
 // all execute exactly as they would on the adapter; only the physical
@@ -21,6 +30,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/atm"
@@ -70,8 +80,16 @@ type vcTx struct {
 
 	frames list.FIFO[*wire.Buf]
 
-	cellsSent int64
-	policed   int64
+	// Written by the writer goroutine without txMu (see writeLoop).
+	cellsSent atomic.Int64
+	policed   atomic.Int64
+}
+
+// vcRx is one VC's receive state: cell reassembly (AAL5 frames) feeding
+// chunk assembly (messages). Both tiers reuse grow-once buffers.
+type vcRx struct {
+	reasm *atm.Reassembler
+	asm   wire.Assembler
 }
 
 // Endpoint is one process's ATM-over-UDP attachment.
@@ -108,11 +126,8 @@ type Endpoint struct {
 	// mirroring nic.SimATM. Touched only by the writer goroutine.
 	linkClock time.Duration
 
-	// Receive-side state, touched only by the reader goroutine: per-VC
-	// cell reassembly (AAL5 frames) feeding per-VC chunk assembly
-	// (messages). Both tiers reuse grow-once buffers.
-	reasm map[atm.VC]*atm.Reassembler
-	asm   map[atm.VC]*wire.Assembler
+	// Receive-side per-VC state, touched only by the reader goroutine.
+	rx map[atm.VC]*vcRx
 
 	// Receive-side fault injection (guarded by mu): each arriving datagram
 	// — one AAL5 frame, data or control alike — is dropped independently
@@ -125,9 +140,12 @@ type Endpoint struct {
 	// blackhole, while set, drops every arriving frame (SetBlackhole).
 	blackhole bool
 
-	cellsSent int64 // guarded by txMu (writer updates, accessors read)
-	cellsRecv int64
-	badCells  int64
+	// Cell counters: cellsSent is the writer goroutine's, cellsRecv and
+	// badCells the reader's; accessors on any goroutine read them without a
+	// lock.
+	cellsSent atomic.Int64
+	cellsRecv atomic.Int64
+	badCells  atomic.Int64
 
 	// Cell-train accounting (guarded by txMu): datagrams that carried more
 	// than one AAL5 frame, the total frames they carried, and the largest
@@ -161,8 +179,7 @@ func (n *Network) Attach(proc transport.ProcID, rt *mts.Runtime) (*Endpoint, err
 		txByVC:     make(map[atm.VC]*vcTx),
 		writerDone: make(chan struct{}),
 		epoch:      time.Now(),
-		reasm:      make(map[atm.VC]*atm.Reassembler),
-		asm:        make(map[atm.VC]*wire.Assembler),
+		rx:         make(map[atm.VC]*vcRx),
 		closed:     make(chan struct{}),
 	}
 	e.txCond = sync.NewCond(&e.txMu)
@@ -255,11 +272,7 @@ func (e *Endpoint) dropArrival() bool {
 }
 
 // CellsSent returns transmitted cell count.
-func (e *Endpoint) CellsSent() int64 {
-	e.txMu.Lock()
-	defer e.txMu.Unlock()
-	return e.cellsSent
-}
+func (e *Endpoint) CellsSent() int64 { return e.cellsSent.Load() }
 
 // TrainStats reports cell-train coalescing: how many datagrams carried
 // more than one AAL5 frame, the total frames those trains carried, and the
@@ -271,10 +284,10 @@ func (e *Endpoint) TrainStats() (trains, frames, maxCells int64) {
 }
 
 // CellsReceived returns received cell count.
-func (e *Endpoint) CellsReceived() int64 { return e.cellsRecv }
+func (e *Endpoint) CellsReceived() int64 { return e.cellsRecv.Load() }
 
 // BadCells returns cells rejected by HEC or reassembly checks.
-func (e *Endpoint) BadCells() int64 { return e.badCells }
+func (e *Endpoint) BadCells() int64 { return e.badCells.Load() }
 
 // addrOf resolves a peer's UDP address.
 func (e *Endpoint) addrOf(p transport.ProcID) *net.UDPAddr {
@@ -343,7 +356,7 @@ func (e *Endpoint) VCStats(vc atm.VC) (cellsSent, policed int64) {
 	e.txMu.Lock()
 	defer e.txMu.Unlock()
 	if q, ok := e.txByVC[vc]; ok {
-		return q.cellsSent, q.policed
+		return q.cellsSent.Load(), q.policed.Load()
 	}
 	return 0, 0
 }
@@ -557,29 +570,31 @@ func (e *Endpoint) writeLoop() {
 			dgram = dgram[:w]
 			kept = w / atm.CellSize
 		}
+		// Account before the write: once the kernel has the datagram the
+		// peer may act on it, and whoever learns of its arrival must already
+		// find its cells counted.
+		q.cellsSent.Add(int64(kept))
+		q.policed.Add(int64(dropped))
+		e.cellsSent.Add(int64(kept))
 		if len(dgram) > 0 {
 			if _, err := e.conn.WriteToUDP(dgram, dst); err != nil {
 				select {
 				case <-e.closed:
-					wire.PutBuf(fb)
-					e.txMu.Lock()
-					continue
+					// Not handed to the kernel after all.
+					q.cellsSent.Add(-int64(kept))
+					e.cellsSent.Add(-int64(kept))
 				default:
 					panic("udpatm: write: " + err.Error())
 				}
 			}
 		}
 		wire.PutBuf(fb)
-
 		e.txMu.Lock()
-		q.cellsSent += int64(kept)
-		q.policed += int64(dropped)
-		e.cellsSent += int64(kept)
 	}
 }
 
-// readLoop receives datagrams, validates and reassembles cells, and posts
-// completed messages into the runtime.
+// readLoop receives datagrams and hands each — after the per-datagram
+// fault-injection draw — to receiveTrain.
 func (e *Endpoint) readLoop() {
 	buf := make([]byte, 64*1024)
 	for {
@@ -593,54 +608,68 @@ func (e *Endpoint) readLoop() {
 			}
 		}
 		if n%atm.CellSize != 0 {
-			e.badCells++
+			e.badCells.Add(1)
 			continue
 		}
 		if e.dropArrival() {
 			continue
 		}
-		for off := 0; off < n; off += atm.CellSize {
-			cell, err := atm.DecodeCell(buf[off : off+atm.CellSize])
+		e.receiveTrain(buf[:n])
+	}
+}
+
+// receiveTrain validates and reassembles one datagram's cells. The VC's
+// receive state resolves once per run of same-VC cells — in the common
+// case once per datagram — and the run is reassembled in place by PushWire;
+// completed frames go on to deliverChunk.
+func (e *Endpoint) receiveTrain(train []byte) {
+	var rx *vcRx
+	for len(train) >= atm.CellSize {
+		if rx == nil {
+			h, err := atm.DecodeHeader(train)
 			if err != nil {
-				e.badCells++
+				e.badCells.Add(1)
+				train = train[atm.CellSize:]
 				continue
 			}
-			e.cellsRecv++
-			e.pushCell(cell)
+			if rx = e.rx[h.VC()]; rx == nil {
+				rx = &vcRx{reasm: atm.NewReassembler(h.VC())}
+				e.rx[h.VC()] = rx
+			}
+		}
+		n, chunk, done, err := rx.reasm.PushWire(train)
+		train = train[n:]
+		// Count before delivering: whoever learns a message arrived must
+		// already find its cells counted.
+		cells := int64(n / atm.CellSize)
+		if err == atm.ErrHEC {
+			cells-- // consumed, but never a valid cell
+		}
+		e.cellsRecv.Add(cells)
+		switch {
+		case done:
+			if !e.deliverChunk(rx, chunk) {
+				e.badCells.Add(1)
+			}
+		case err == atm.ErrVC:
+			rx = nil // the next cell opens another VC's run
+		case err != nil:
+			e.badCells.Add(1)
 		}
 	}
 }
 
-// pushCell runs per validated cell: AAL5 reassembly per VC, then chunk
-// assembly per VC; a completed message is decoded (copying its payload out
-// of the reused assembly buffer) and posted into the runtime.
-func (e *Endpoint) pushCell(cell atm.Cell) {
-	vc := cell.Header.VC()
-	r := e.reasm[vc]
-	if r == nil {
-		r = atm.NewReassembler(vc)
-		e.reasm[vc] = r
-	}
-	chunk, done, err := r.Push(cell)
+// deliverChunk runs per reassembled AAL5 frame: chunk assembly on the
+// frame's VC; a completed message is decoded (copying its payload out of
+// the reused assembly buffer) and posted into the runtime. It reports false
+// if the chunk or the message it completed was malformed.
+func (e *Endpoint) deliverChunk(rx *vcRx, chunk []byte) bool {
+	msgWire, done, err := rx.asm.Push(chunk)
 	if err != nil {
-		e.badCells++
-		return
+		return false
 	}
 	if !done {
-		return
-	}
-	a := e.asm[vc]
-	if a == nil {
-		a = &wire.Assembler{}
-		e.asm[vc] = a
-	}
-	msgWire, done, err := a.Push(chunk)
-	if err != nil {
-		e.badCells++
-		return
-	}
-	if !done {
-		return
+		return true
 	}
 	// Copy the completed message out of the reused assembly buffer into a
 	// pooled frame that travels with it; the consumer recycles it
@@ -651,8 +680,7 @@ func (e *Endpoint) pushCell(cell atm.Cell) {
 	m, err := wire.UnmarshalPooled(fb)
 	if err != nil {
 		wire.PutBuf(fb)
-		e.badCells++
-		return
+		return false
 	}
 	e.rt.Post(func() {
 		e.mu.Lock()
@@ -662,4 +690,5 @@ func (e *Endpoint) pushCell(cell atm.Cell) {
 			h(m)
 		}
 	})
+	return true
 }
