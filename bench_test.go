@@ -1671,29 +1671,47 @@ func BenchmarkAAL5Reassemble(b *testing.B) {
 	}
 }
 
-// BenchmarkContextSwitch measures one NCS_MTS cooperative switch.
+// BenchmarkContextSwitch measures one NCS_MTS cooperative switch between two
+// yielding threads under each driver: "run" is Run, where the yielding
+// thread's goroutine dispatches its peer itself — the path every real-mode
+// proc rides — and "step" is Dispatch, the sim engine's step driver, where
+// each switch returns to the caller.
 func BenchmarkContextSwitch(b *testing.B) {
-	rt := mts.New(mts.Config{Name: "bench"})
-	stop := false
-	for i := 0; i < 2; i++ {
-		rt.Create("spinner", mts.PrioDefault, func(t *mts.Thread) {
-			for !stop {
-				t.Yield()
-			}
-		})
-	}
-	b.ResetTimer()
-	go func() {
+	b.Run("run", func(b *testing.B) {
+		rt := mts.New(mts.Config{Name: "bench"})
+		for i := 0; i < 2; i++ {
+			// Every Yield is one switch; b.N of them between the two.
+			yields := (b.N + i) / 2
+			rt.Create("spinner", mts.PrioDefault, func(t *mts.Thread) {
+				for j := 0; j < yields; j++ {
+					t.Yield()
+				}
+			})
+		}
+		b.ResetTimer()
+		rt.Run()
+	})
+	b.Run("step", func(b *testing.B) {
+		rt := mts.New(mts.Config{Name: "bench"})
+		stop := false
+		for i := 0; i < 2; i++ {
+			rt.Create("spinner", mts.PrioDefault, func(t *mts.Thread) {
+				for !stop {
+					t.Yield()
+				}
+			})
+		}
+		b.ResetTimer()
 		// Each Dispatch is one switch; run b.N of them.
-	}()
-	for i := 0; i < b.N; i++ {
-		rt.Dispatch()
-	}
-	b.StopTimer()
-	stop = true
-	for rt.HasRunnable() {
-		rt.Dispatch()
-	}
+		for i := 0; i < b.N; i++ {
+			rt.Dispatch()
+		}
+		b.StopTimer()
+		stop = true
+		for rt.HasRunnable() {
+			rt.Dispatch()
+		}
+	})
 }
 
 // BenchmarkMemTransportRoundtrip measures message marshal+deliver latency

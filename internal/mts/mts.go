@@ -9,21 +9,39 @@
 // ready rings and blocked queue, Figure 9) and synchronization.
 //
 // This package reproduces those semantics on top of goroutines. Each Thread
-// is carried by a goroutine, but a per-Runtime scheduler owns a single CPU
-// token: exactly one thread executes at any instant, context switches happen
-// only at explicit calls (Yield, Park, Exit, and the messaging calls layered
-// above), and the dispatch order is the paper's deterministic priority +
-// round-robin. Go's preemptive parallelism is deliberately not inherited —
-// the whole point of the paper's overlap argument is the behaviour of
-// cooperative threads on a single 1995-era processor.
+// is carried by a goroutine, but a Runtime has a single CPU token: exactly
+// one thread executes at any instant, context switches happen only at
+// explicit calls (Yield, Park, Exit, and the messaging calls layered above),
+// and the dispatch order is the paper's deterministic priority + round-robin.
+// Go's preemptive parallelism is deliberately not inherited — the whole
+// point of the paper's overlap argument is the behaviour of cooperative
+// threads on a single 1995-era processor.
+//
+// As in QuickThreads, a switch is a call made by the thread that is giving
+// up the processor, not a trip through a scheduler of its own. Whoever holds
+// the token owns all scheduler state (ready rings, blocked queue, thread
+// fields) and passes ownership on with the token; each hand-off is a channel
+// operation, which is the happens-before edge every scheduler-domain access
+// relies on.
 //
 // A Runtime can be driven two ways:
 //
-//   - Run(): a self-contained real-time loop (used by examples and real-mode
-//     tests). External completions (network I/O, timers) enter through Post.
+//   - Run(): the real-time mode used by examples, real-mode procs and tests.
+//     Run dispatches the first thread and then only waits for the last one to
+//     finish; there is no scheduler goroutine. The goroutine whose thread
+//     parks, yields or exits runs the dispatcher itself: it runs pending
+//     Post/PostAsync functions, picks the next thread, and either carries on
+//     (it picked its own thread: no goroutine hand-off), signals the chosen
+//     thread's goroutine and waits for its own turn (one hand-off), or — with
+//     nothing runnable — waits for the next Post right there, so an external
+//     completion wakes the goroutine most likely to run next.
 //   - Dispatch()/DispatchThread(): single-step primitives used by the
 //     discrete-event simulation engine (internal/sim), which interleaves
-//     thread execution with virtual-time network events.
+//     thread execution with virtual-time network events. The caller holds the
+//     token between steps; a parking thread hands it straight back.
+//
+// The two drivers share the switch accounting and must not be mixed on one
+// Runtime at the same time.
 package mts
 
 import (
@@ -31,6 +49,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/list"
@@ -161,23 +180,33 @@ type Runtime struct {
 	live    int // threads not yet Done
 	cur     *Thread
 
-	parked      chan struct{} // thread -> scheduler handoff
+	// running is set while Run is active. Under Run a goroutine giving up
+	// the CPU runs the dispatcher itself; otherwise it hands the token back
+	// to the Dispatch caller through parked.
+	running atomic.Bool
+	parked  chan struct{} // step mode: thread -> Dispatch caller hand-back
+	// done carries Run's outcome from the goroutine that observed it to
+	// Run's caller: "" when the last thread retired, else the deadlock report.
+	done chan string
+
 	external    chan func()
 	idleTimeout time.Duration
-	onSwitch    func(t *Thread)
+	// idle bounds every wait for an external event; one reusable timer,
+	// because a fresh time.After per wait would put garbage on the hot path.
+	idle     *time.Timer
+	onSwitch func(t *Thread)
 
 	// asyncQ is the unbounded companion to external: PostAsync appends under
 	// asyncMu and signals asyncTok (cap 1, non-blocking send), so producers
 	// that must never stall — the NCS lane engines, which may be holding a
 	// lane lock a scheduler-domain thread wants — have a wait-free entry
-	// point. Run and drainExternal drain it alongside external.
+	// point. The dispatcher drains it alongside external.
 	asyncMu    sync.Mutex
 	asyncQ     []func()
 	asyncSpare []func() // recycled drain buffer, so steady state allocates nothing
 	asyncTok   chan struct{}
 
 	switches int
-	running  bool
 
 	// wg tracks thread goroutines so Kill can wait for clean unwinding.
 	wg sync.WaitGroup
@@ -192,6 +221,7 @@ func New(cfg Config) *Runtime {
 		name:        cfg.Name,
 		clock:       cfg.Clock,
 		parked:      make(chan struct{}, 1),
+		done:        make(chan string, 1),
 		external:    make(chan func(), 1024),
 		asyncTok:    make(chan struct{}, 1),
 		idleTimeout: cfg.IdleTimeout,
@@ -215,8 +245,8 @@ func (rt *Runtime) Switches() int { return rt.switches }
 // Live returns the number of threads that have not finished.
 func (rt *Runtime) Live() int { return rt.live }
 
-// Current returns the currently running thread, or nil when the scheduler
-// itself holds the CPU.
+// Current returns the currently running thread, or nil between dispatches
+// (while Post/PostAsync functions run, or the step driver holds the CPU).
 func (rt *Runtime) Current() *Thread { return rt.cur }
 
 // Threads returns all threads ever created, in creation order.
@@ -274,9 +304,11 @@ func (rt *Runtime) nextRunnable() *Thread {
 }
 
 // Dispatch runs the next runnable thread until it parks, yields, or exits.
-// It returns false if no thread was runnable. It must be called from the
-// scheduler domain (the goroutine running Run, or the sim engine).
+// It returns false if no thread was runnable. It is the step driver: the
+// caller (the sim engine) holds the CPU token between calls, and it panics
+// if Run is driving the runtime.
 func (rt *Runtime) Dispatch() bool {
+	rt.mustBeStepping("Dispatch")
 	t := rt.nextRunnable()
 	if t == nil {
 		return false
@@ -290,6 +322,7 @@ func (rt *Runtime) Dispatch() bool {
 // "held" it across a modelled compute burst (non-preemptive semantics).
 // It panics if the thread is not runnable.
 func (rt *Runtime) DispatchThread(t *Thread) {
+	rt.mustBeStepping("DispatchThread")
 	if t.state != StateRunnable {
 		panic(fmt.Sprintf("mts(%s): DispatchThread of %s thread %q", rt.name, t.state, t.name))
 	}
@@ -297,7 +330,25 @@ func (rt *Runtime) DispatchThread(t *Thread) {
 	rt.runThread(t)
 }
 
+// mustBeStepping rejects a second driver on the CPU token: a step (or a Kill)
+// while Run's threads are dispatching each other would edit the ready rings
+// under them.
+func (rt *Runtime) mustBeStepping(op string) {
+	if rt.running.Load() {
+		panic(fmt.Sprintf("mts(%s): %s called while Run is active", rt.name, op))
+	}
+}
+
+// runThread is one step of the step driver: t runs until it gives the CPU up.
 func (rt *Runtime) runThread(t *Thread) {
+	rt.switchIn(t)
+	rt.resume(t)
+	<-rt.parked
+}
+
+// switchIn accounts for a dispatch of t. Every dispatch under either driver
+// goes through here, including a thread resuming itself.
+func (rt *Runtime) switchIn(t *Thread) {
 	t.state = StateRunning
 	t.dispatches++
 	rt.switches++
@@ -305,37 +356,43 @@ func (rt *Runtime) runThread(t *Thread) {
 	if rt.onSwitch != nil {
 		rt.onSwitch(t)
 	}
-	if !t.spawned {
-		t.spawned = true
-		rt.wg.Add(1)
-		go func() {
-			defer rt.wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(killedSignal); ok {
-						// Clean unwind of a killed thread: mark done
-						// and hand the CPU back.
-						t.retire()
-						rt.parked <- struct{}{}
-						return
-					}
-					panic(r)
-				}
-			}()
-			<-t.gate
-			t.body(t)
-			t.retire()
-			rt.parked <- struct{}{}
-		}()
+}
+
+// resume passes the CPU token to t's goroutine, starting it at the thread's
+// first dispatch. The caller must not touch scheduler state afterwards.
+func (rt *Runtime) resume(t *Thread) {
+	if t.spawned {
+		t.gate <- struct{}{}
+		return
 	}
-	t.gate <- struct{}{}
-	<-rt.parked
-	rt.cur = nil
+	t.spawned = true
+	rt.wg.Add(1)
+	go t.main()
+}
+
+// main is the thread's goroutine, started holding the CPU token.
+func (t *Thread) main() {
+	defer t.rt.wg.Done()
+	t.runBody()
+	t.retire()
+	t.rt.relinquish(nil)
+}
+
+// runBody runs the thread body; a Kill unwinds it cleanly to here.
+func (t *Thread) runBody() {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(killedSignal); !ok {
+				panic(r)
+			}
+		}
+	}()
+	t.body(t)
 }
 
 // retire marks the thread finished and wakes any joiners. It runs in the
-// thread's goroutine while it still conceptually holds the CPU, so touching
-// scheduler state is safe.
+// thread's goroutine while it still holds the CPU, so touching scheduler
+// state is safe.
 func (t *Thread) retire() {
 	t.state = StateDone
 	t.rt.live--
@@ -345,15 +402,63 @@ func (t *Thread) retire() {
 	t.joiners = nil
 }
 
-// park suspends the current thread with the given state transition already
-// applied, hands the CPU to the scheduler, and returns when redispatched.
+// relinquish is called by a goroutine whose thread has just parked or
+// yielded (self, already on its queue) or exited (self == nil). Under the
+// step driver it hands the CPU token back to the Dispatch caller. Under Run
+// the goroutine becomes the dispatcher; relinquish then reports whether it
+// dispatched self again, in which case the caller still holds the token and
+// carries on instead of waiting at its gate.
+func (rt *Runtime) relinquish(self *Thread) bool {
+	rt.cur = nil
+	if !rt.running.Load() {
+		rt.parked <- struct{}{}
+		return false
+	}
+	return rt.dispatch(self)
+}
+
+// dispatch is Run's scheduler, executed by whichever goroutine holds the CPU
+// token with no thread running: self's goroutine after self parked or
+// yielded, a retired thread's goroutine, or Run's caller before the first
+// thread (the latter two pass nil). It runs pending external completions
+// first, so I/O wakeups take effect at the earliest switch point, then
+// dispatches the next thread by priority + round-robin. It returns true if
+// that is self, which then simply continues. Otherwise the token has left
+// this goroutine when it returns: to another thread's goroutine, or — with
+// the outcome on rt.done — to Run's caller, because the last thread retired
+// or because nothing became runnable within IdleTimeout.
+func (rt *Runtime) dispatch(self *Thread) bool {
+	for rt.live > 0 {
+		rt.drainExternal()
+		if t := rt.nextRunnable(); t != nil {
+			rt.switchIn(t)
+			if t == self {
+				return true
+			}
+			rt.resume(t)
+			return false
+		}
+		// Nothing runnable: wait for the outside world on this goroutine.
+		if !rt.waitExternal() {
+			rt.done <- fmt.Sprintf("mts(%s): deadlock — %d live threads, none runnable after %v\n%s",
+				rt.name, rt.live, rt.idleTimeout, rt.DumpState())
+			return false
+		}
+	}
+	rt.done <- ""
+	return false
+}
+
+// park gives up the CPU with the thread's state transition already applied
+// and returns when the thread is dispatched again.
 func (t *Thread) park() {
-	t.rt.parked <- struct{}{}
+	if t.rt.relinquish(t) {
+		return
+	}
 	<-t.gate
 	if t.killed {
 		panic(killedSignal{})
 	}
-	t.state = StateRunning
 }
 
 // Yield moves the current thread to the back of its priority ring and
@@ -397,11 +502,15 @@ func (rt *Runtime) Unblock(t *Thread, front bool) bool {
 	return true
 }
 
-// Post schedules fn to run in the scheduler domain. It is the only Runtime
-// entry point that is safe to call from foreign goroutines (UDP readers,
-// timers): fn executes between dispatches inside Run. In sim mode, the
-// engine never needs Post because events already fire in the engine
-// goroutine.
+// Post schedules fn to run in the scheduler domain. Post and PostAsync are
+// the only Runtime entry points that are safe to call from foreign
+// goroutines (UDP readers, timers). Under Run, fn executes between
+// dispatches on the goroutine that holds the CPU token at that moment: the
+// goroutine of the thread that just parked, yielded or exited, before it
+// picks the next thread — with Current() == nil, one function at a time. If
+// every thread is blocked, that goroutine is already waiting for the Post.
+// In sim mode, the engine never needs Post because events already fire in
+// the engine goroutine.
 func (rt *Runtime) Post(fn func()) {
 	rt.external <- fn
 }
@@ -410,10 +519,10 @@ func (rt *Runtime) Post(fn func()) {
 // appended to an unbounded queue instead of a bounded channel. It exists
 // for producers that may hold a lock a scheduler-domain thread also takes
 // (the sharded NCS lane engines): if such a producer blocked on a full
-// external channel while Run waited on the thread that wants the lock, the
-// process would deadlock. fn still executes in the scheduler domain,
-// between dispatches, with the same ordering guarantees as Post relative
-// to other PostAsync calls.
+// external channel while the thread that wants the lock held the CPU, the
+// process would deadlock. fn still executes in the scheduler domain, on the
+// same goroutine and under the same rules as a Post function, in PostAsync
+// order relative to other PostAsync calls.
 func (rt *Runtime) PostAsync(fn func()) {
 	rt.asyncMu.Lock()
 	rt.asyncQ = append(rt.asyncQ, fn)
@@ -445,9 +554,10 @@ func (rt *Runtime) drainAsync() {
 	}
 }
 
-// After runs fn in the scheduler domain once d of real time has elapsed.
-// Only meaningful under a real clock; the sim engine provides virtual-time
-// timers instead.
+// After runs fn in the scheduler domain once d of real time has elapsed: a
+// Go timer Posts it, so it executes where a Post function does. Only
+// meaningful under a real clock; the sim engine provides virtual-time timers
+// instead.
 func (rt *Runtime) After(d time.Duration, fn func()) {
 	time.AfterFunc(d, func() { rt.Post(fn) })
 }
@@ -462,63 +572,56 @@ func (t *Thread) Sleep(d time.Duration) {
 }
 
 // Run executes threads until all have finished: the paper's NCS_start. It
-// drains externally Posted wakeups between dispatches and waits for them
-// when no thread is runnable. It panics on deadlock (blocked threads, no
-// runnable work, and no external event within IdleTimeout).
+// dispatches the first thread and then blocks while the threads' own
+// goroutines pass the CPU among themselves (see dispatch), running
+// externally Posted wakeups between dispatches and waiting for them when no
+// thread is runnable. It panics, on the caller's goroutine, on deadlock
+// (blocked threads, no runnable work, and no external event within
+// IdleTimeout); the blocked threads are then parked at their gates, where
+// Kill can reap them.
 func (rt *Runtime) Run() {
-	if rt.running {
+	if !rt.running.CompareAndSwap(false, true) {
 		panic("mts: Run called reentrantly")
 	}
-	rt.running = true
-	defer func() { rt.running = false }()
+	defer rt.running.Store(false)
+	rt.dispatch(nil)
+	if report := <-rt.done; report != "" {
+		panic(report)
+	}
+}
 
-	// One reusable timer bounds every idle wait; allocating a fresh
-	// time.After per wait would put garbage on the scheduler's hot path.
-	var idle *time.Timer
-	for rt.live > 0 {
-		// Drain pending external completions first so I/O wakeups take
-		// effect at the earliest switch point.
-		rt.drainExternal()
-		if rt.Dispatch() {
-			continue
-		}
-		// Nothing runnable: wait for the outside world.
-		if rt.idleTimeout > 0 {
-			if idle == nil {
-				idle = time.NewTimer(rt.idleTimeout)
-			} else {
-				idle.Reset(rt.idleTimeout)
-			}
-			select {
-			case fn := <-rt.external:
-				if !idle.Stop() {
-					// Drain a concurrent expiry so the next Reset is
-					// clean (harmless no-op under Go 1.23+ semantics).
-					select {
-					case <-idle.C:
-					default:
-					}
-				}
-				fn()
-			case <-rt.asyncTok:
-				if !idle.Stop() {
-					select {
-					case <-idle.C:
-					default:
-					}
-				}
-				rt.drainAsync()
-			case <-idle.C:
-				panic(fmt.Sprintf("mts(%s): deadlock — %d live threads, none runnable after %v\n%s",
-					rt.name, rt.live, rt.idleTimeout, rt.DumpState()))
-			}
+// waitExternal blocks until a Post or PostAsync arrives and runs it. It
+// returns false if IdleTimeout passed first.
+func (rt *Runtime) waitExternal() bool {
+	var expired <-chan time.Time // nil: wait forever
+	if rt.idleTimeout > 0 {
+		if rt.idle == nil {
+			rt.idle = time.NewTimer(rt.idleTimeout)
 		} else {
-			select {
-			case fn := <-rt.external:
-				fn()
-			case <-rt.asyncTok:
-				rt.drainAsync()
-			}
+			rt.idle.Reset(rt.idleTimeout)
+		}
+		expired = rt.idle.C
+	}
+	select {
+	case fn := <-rt.external:
+		rt.stopIdle()
+		fn()
+	case <-rt.asyncTok:
+		rt.stopIdle()
+		rt.drainAsync()
+	case <-expired:
+		return false
+	}
+	return true
+}
+
+// stopIdle disarms the idle timer, draining a concurrent expiry so the next
+// Reset is clean (a harmless no-op under Go 1.23+ timer semantics).
+func (rt *Runtime) stopIdle() {
+	if rt.idle != nil && !rt.idle.Stop() {
+		select {
+		case <-rt.idle.C:
+		default:
 		}
 	}
 }
@@ -536,10 +639,12 @@ func (rt *Runtime) drainExternal() {
 }
 
 // Kill terminates all unfinished threads by unwinding their goroutines, then
-// waits for them to exit. It must be called from the scheduler domain with
-// no thread running. It exists so tests and tools can tear down a runtime
-// whose threads are parked forever.
+// waits for them to exit. It must be called with no driver active — by the
+// step driver's goroutine between steps, or after Run has returned or
+// panicked. It exists so tests and tools can tear down a runtime whose
+// threads are parked forever.
 func (rt *Runtime) Kill() {
+	rt.mustBeStepping("Kill")
 	for _, t := range rt.threads {
 		if t.state == StateDone || !t.spawned {
 			if t.state != StateDone {

@@ -238,12 +238,14 @@ func (e *TCPEndpoint) acceptLoop() {
 
 func (e *TCPEndpoint) readLoop(conn *net.TCPConn) {
 	defer conn.Close()
-	var hello [4]byte
-	if _, err := io.ReadFull(conn, hello[:]); err != nil {
+	// One header buffer for the hello and every frame: it escapes through
+	// io.ReadFull's interface argument, so declared inside the loop it would
+	// be a heap allocation per received frame.
+	var hdr [4]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil { // the dialer's hello
 		return
 	}
 	for {
-		var hdr [4]byte
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 			return
 		}
