@@ -38,10 +38,13 @@
 // sharding. Application sends complete inline; arrivals flow through a
 // per-lane MPSC ring (internal/ring) into the engine goroutine, which
 // runs the flow/error tiers and posts wakeups back to the cooperative
-// scheduler — which in real mode is no goroutine of its own: the thread
-// that parks dispatches its successor, or waits for the post itself
-// (internal/mts). Lane=1 passes the full test suite unchanged, and the
-// suite itself runs both models in CI (-cpu=1,4 under the race detector).
+// scheduler; a short frame that finds its lane's engine asleep and the
+// lane free gets that pass from the delivering goroutine instead, one
+// goroutine hand-off per message rather than two. The scheduler in real
+// mode is no goroutine of its own: the thread that parks dispatches its
+// successor, or waits for the post itself (internal/mts). Lane=1 passes
+// the full test suite unchanged, and the suite itself runs both models in
+// CI (-cpu=1,4 under the race detector).
 //
 // Channels also open dynamically by signaling, the paper's switched
 // virtual circuits: Proc.OpenCall runs a blocking SETUP/CONNECT handshake

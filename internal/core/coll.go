@@ -119,12 +119,14 @@ type Group struct {
 
 	// addrScratch and idxScratch are per-op scratch (member-thread only);
 	// packBuf is Gather's concatenation buffer; laneScratch dedupes the
-	// lanes a sharded fan-out touched. All retain capacity across calls so
+	// lanes a sharded fan-out touched; held keeps Reduce's received
+	// messages until the fold is done. All retain capacity across calls so
 	// steady-state collectives allocate nothing beyond payloads.
 	addrScratch []Addr
 	idxScratch  []int
 	packBuf     []byte
 	laneScratch []*lane
+	held        []*wireMessage
 
 	// lane is the group's trace timeline (empty without a Tracer): Comm
 	// while a collective holds the member thread, with per-round marks
@@ -667,19 +669,45 @@ func (g *Group) Reduce(t *Thread, root int, own []byte, fn func(acc, next []byte
 	acc := own
 	kids := g.kidIdxs(rel, root)
 	g.traceRound("reduce", 0, g.relSub[rel])
+	// fn may return acc or next, so the partial can alias any received
+	// payload until the fold is complete and its result has been used.
+	held := g.held[:0]
 	if len(kids) > 0 {
 		g.collectAnyOf(t, collTag(collOpReduce, 0), kids, func(_ int, m *wireMessage) {
 			acc = fn(acc, m.Data)
+			held = append(held, m)
 		})
 	}
 	if rel != 0 {
 		pa := g.abs(g.relParent[rel], root)
 		g.chans[pa].SendTagged(t, collTag(collOpReduce, 0), g.members[pa].Thread, acc)
-		g.traceIdle()
-		return nil
+		acc = nil
+	} else {
+		acc = ownedResult(acc, own)
 	}
+	releaseAll(held)
+	g.held = held[:0]
 	g.traceIdle()
 	return acc
+}
+
+// ownedResult makes a fold's result safe to return once the received
+// messages are released: the caller's own buffer as it is, anything else
+// (a received payload, or a slice fn built from one) as one owned copy.
+func ownedResult(acc, own []byte) []byte {
+	if len(acc) == 0 || (len(own) > 0 && &acc[0] == &own[0]) {
+		return acc
+	}
+	return append([]byte(nil), acc...)
+}
+
+// releaseAll recycles the pooled frames of a completed fold and clears the
+// slice so it pins nothing.
+func releaseAll(held []*wireMessage) {
+	for i, m := range held {
+		m.Release()
+		held[i] = nil
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -133,7 +133,6 @@ func TestPeerCrashFaultFailsGatedSends(t *testing.T) {
 		exs = append(exs, err)
 		exMu.Unlock()
 	})
-	ready := make(chan struct{})
 	var openErr error
 	sent := -1
 	procs[0].TCreate("dial", mts.PrioDefault, func(th *Thread) {
@@ -143,7 +142,10 @@ func TestPeerCrashFaultFailsGatedSends(t *testing.T) {
 			return
 		}
 		srv := dialRendezvous(th, ch)
-		close(ready)
+		// The host dies before the first gated send, by construction: the
+		// sends cannot all complete ahead of the kill however fast a
+		// credit comes back.
+		mem.KillHost(1)
 		for k := 0; k < 4; k++ {
 			// Message 1 fills the window; the rest park on the flow gate
 			// until the failure sweep fails them and unblocks this thread.
@@ -154,10 +156,6 @@ func TestPeerCrashFaultFailsGatedSends(t *testing.T) {
 			}
 		}
 	})
-	go func() {
-		<-ready
-		mem.KillHost(1)
-	}()
 	runReal(procs)
 	if openErr != nil {
 		t.Fatalf("OpenCall: %v", openErr)

@@ -50,10 +50,14 @@ func (t *Thread) AllToAll(group []Addr, self int, data [][]byte) [][]byte {
 func (t *Thread) Reduce(list []Addr, own []byte, fn func(acc, next []byte) []byte) []byte {
 	acc := own
 	pending := append([]Addr(nil), list...)
+	held := make([]*wireMessage, 0, len(list))
 	for len(pending) > 0 {
 		m, i := t.recvAnyOf(0, Any, pending)
 		acc = fn(acc, m.Data)
+		held = append(held, m)
 		pending = append(pending[:i], pending[i+1:]...)
 	}
+	acc = ownedResult(acc, own)
+	releaseAll(held)
 	return acc
 }

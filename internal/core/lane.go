@@ -29,23 +29,62 @@ import (
 //     words, counters' non-atomic neighbors, the lane's queues and
 //     freelists) is guarded by lane.mu. Senders enter it inline (lane.send
 //     locks, enqueues, services, unlocks — no system-thread hop at all);
-//     arriving frames enter through a multi-producer ring drained by the
-//     lane engine goroutine; timers enter through Channel.wrapTimer.
+//     arriving frames enter through a multi-producer ring drained by an
+//     engine pass; timers enter through Channel.wrapTimer.
 //   - Scheduler domain: thread wakeups, receive matching (waiters/store),
 //     barrier state, and exception handlers stay where they always were.
 //     Lane code never calls them directly — it appends to the lane's
 //     out-queues (wake/fans/deliver/errs) and schedules a drain via
 //     Runtime.PostAsync, which runs between dispatches.
 //
-// Lock order: Proc.chanMu (channel table) before lane.mu, never the
-// reverse. Lane engines never block while holding lane.mu (PostAsync and
-// ring pushes are non-blocking by construction), so a scheduler-domain
-// thread waiting on lane.mu always makes progress.
+// Who runs a pass. An engine pass (ingestLocked: batch → rxq → processLocked
+// → serviceLocked → drain posted) belongs to whoever holds the ring's
+// consumer role (package ring). Its home is the lane's engine goroutine,
+// asleep on the empty ring (in virtual mode, the step event). In real mode
+// the goroutine delivering a frame takes the role itself instead of waking
+// the engine when the engine is asleep (so the ring is empty and the frame
+// overtakes nothing), the payload is at most inlinePassMax, and lane.mu is
+// free: it runs the pass over that one frame and gives the role back. That
+// is Figure 8's receive step — demultiplex, wake the thread blocked in
+// NCS_recv — in one goroutine hand-off (deliverer → receiving thread)
+// instead of two (deliverer → engine → thread). Everything else is the
+// engine's: long frames, a lane in use, bursts (a frame arriving during an
+// inline pass queues, and the claimant's Release wakes the engine for it),
+// and engine-posted functions, which only Drain returns.
+//
+// inlinePassMax (4 KB) is measured, not tuned per workload. The pass costs
+// the same at any size (it copies no payload), but the hop it saves is worth
+// about what the sender spends marshalling 4-8 KB; past that the engine
+// earns its wake by running while the sender copies its next frame and by
+// taking a window of frames in one pass. Measured on a 2-vCPU host, parent
+// → this rule: pingpong_mem (64 B) op_p50_us 3.13-3.43 → 2.52-2.71 over
+// ten pairs; and BenchmarkScaleMesh/gmp=2/sharded (8 KB and 32 KB windowed
+// classes on two Ps) 54.3-56.9 → 52.4-55.1 µs/op over four rounds, in which
+// a limit of 8 KB (the 8 KB class inline too) read 56.0-59.2.
+//
+// Lock order: Proc.chanMu (channel table) is a leaf — every hold is one map
+// access — so it may be taken under a lane.mu (routeFrame does) and no
+// lane.mu is ever awaited under it. Nothing blocks while holding lane.mu
+// (PostAsync and ring operations are non-blocking by construction), so a
+// scheduler-domain thread waiting on lane.mu always makes progress. Lanes
+// nest: Mem delivers in the sender's goroutine, so the receiver's inline
+// pass runs under the sender's lane.mu (flushRunLocked → Send → routeFrame),
+// and a credit or ack it sends straight back re-enters the sender's
+// routeFrame with that lock held up-stack. Hence: while holding one lane's
+// mu, a second lane's mu may be TryLocked, never Locked. passInline is the
+// only such acquisition, and a failed TryLock sends the frame down the
+// engine path. (addChannel Locks a lane to register a default channel on
+// first contact; what a pass sends back is for channels the peer already
+// holds, so the nested routeFrame only looks channels up.)
 //
 // Lane count defaults to min(GOMAXPROCS, 4); a single lane keeps the
 // classic two-system-thread path byte for byte (New only builds lanes when
 // the resolved count exceeds one), which is the paper-faithful baseline the
 // benches A/B against.
+
+// inlinePassMax is the largest payload whose arrival the delivering
+// goroutine may process itself (see "Who runs a pass" above).
+const inlinePassMax = 4 << 10
 
 // rxItem is one arriving message routed to a lane: the decoded frame plus
 // its channel, resolved in the *sender's* goroutine so the engine never
@@ -67,7 +106,8 @@ type lane struct {
 	idx int
 
 	// rx is the MPSC hand-off ring: transports (any goroutine) push, the
-	// engine drains.
+	// engine drains; a deliverer that finds the engine asleep may consume
+	// its own frame instead (passInline).
 	rx *ring.MPSC[rxItem]
 
 	// mu guards everything below it, plus all state of every channel
@@ -108,6 +148,8 @@ type lane struct {
 	migratedIn      int64
 	migratedOut     int64
 	steals          int64
+	enginePasses    int64
+	inlinePasses    int64
 
 	// Load tracking for the hot-lane rebalancer: loadAcc accumulates
 	// enqueued bytes since the last rebalance tick (atomic — senders add
@@ -117,8 +159,10 @@ type lane struct {
 	ewma    atomic.Int64
 
 	// fnScratch batches engine-posted functions out of a drained ring
-	// batch (engine goroutine only).
-	fnScratch []func()
+	// batch; inlineItem is the one-frame batch of an inline pass. Both
+	// belong to the ring's consumer.
+	fnScratch  []func()
+	inlineItem [1]rxItem
 
 	// Per-lane freelists: the classic proc-level pools, sharded so lanes
 	// never contend on recycling.
@@ -335,9 +379,11 @@ func (p *Proc) initLanes(n int, fc transport.FrameCarrier) {
 // resolves its channel — and the channels of any cross-channel
 // piggybacked control words — in the *calling* goroutine (a peer's lane
 // engine or scheduler thread), then hands the message to the owning
-// lane's ring. The engine itself therefore never takes the channel-table
-// lock. A channel may migrate between the load and the push; the stale
-// lane's processLocked re-routes such items to the current owner.
+// lane's ring — or, for a short frame whose lane engine is asleep, runs
+// the engine's pass on it right here (passInline). A pass therefore never
+// takes the channel-table lock. A channel may migrate between the load and
+// the push; the stale lane's processLocked re-routes such items to the
+// current owner.
 func (p *Proc) routeFrame(fb *wire.Buf) {
 	m, err := wire.UnmarshalPooled(fb)
 	if err != nil {
@@ -358,17 +404,81 @@ func (p *Proc) routeFrame(fb *wire.Buf) {
 		ln = c.lnp.Load()
 	}
 	p.statRingPush.Add(1)
-	ln.rx.Push(rxItem{m: m, c: c, cc: cc, ca: ca})
-	ln.kick()
+	it := rxItem{m: m, c: c, cc: cc, ca: ca}
+	if ln.vd != nil || len(m.Data) > inlinePassMax {
+		ln.rx.Push(it)
+		ln.kick()
+	} else if ln.rx.ClaimOrPush(it) {
+		ln.passInline(it)
+	}
 }
 
 // ---------------------------------------------------------------------------
 // Engine
 
-// engine is the lane's goroutine: drain the ring, process arrivals in
-// priority order, service the send queue the processing may have fed
-// (credit releases, acks opening windows, retransmissions), then hand
-// scheduler-domain completions over in one PostAsync.
+// ingestLocked is the one engine pass body, run under ln.mu by whoever holds
+// the ring's consumer role: queue a drained batch by priority, process the
+// arrivals, then service the send queue the processing may have fed (credit
+// releases, acks opening windows, retransmissions). It reports whether the
+// out-queues need a drain scheduled.
+func (ln *lane) ingestLocked(items []rxItem) bool {
+	ln.p.statRingDrain.Add(int64(len(items)))
+	for i := range items {
+		it := items[i]
+		items[i] = rxItem{}
+		if it.fn != nil {
+			// Engine-posted work (rebalancing) runs outside the lock, after
+			// the batch it arrived in.
+			ln.fnScratch = append(ln.fnScratch, it.fn)
+			continue
+		}
+		level := ctrlLevel
+		if it.m.Tag >= 0 && it.c != nil {
+			level = it.c.priority
+		}
+		ln.rxq.push(level, it)
+	}
+	ln.processLocked()
+	ln.serviceLocked()
+	return ln.queueDrainLocked()
+}
+
+// pass runs one engine pass over a batch and hands its scheduler-domain
+// completions over. The caller is the ring's consumer and holds ln.mu, which
+// pass releases. The two drivers differ only in how that hand-over is
+// scheduled: real mode posts the drain to the proc's runtime; virtual mode
+// already runs in the scheduler domain (the simulation engine's goroutine,
+// which never services PostAsync) and drains inline.
+func (ln *lane) pass(items []rxItem) {
+	if tr := ln.p.cfg.Tracer; tr != nil {
+		tr.Set(ln.traceName, trace.Comm)
+		tr.Mark(ln.traceName, fmt.Sprintf("q=%d", len(items)))
+	}
+	post := ln.ingestLocked(items)
+	ln.mu.Unlock()
+	if post {
+		if ln.vd != nil {
+			ln.runDrain()
+		} else {
+			ln.p.cfg.RT.PostAsync(ln.drainFn)
+		}
+	}
+	for i, fn := range ln.fnScratch {
+		fn()
+		ln.fnScratch[i] = nil
+	}
+	ln.fnScratch = ln.fnScratch[:0]
+	// During shutdown the keeper thread parks until every lane is quiescent;
+	// a frame the pass just consumed (the peer's last ack or credit) may have
+	// been the very thing it was waiting out, so re-run the shutdown check in
+	// the scheduler domain (virtual mode does it once per step, directly).
+	if ln.vd == nil && ln.p.closing.Load() {
+		ln.p.cfg.RT.PostAsync(ln.p.shutdownFn)
+	}
+}
+
+// engine is the lane's goroutine and the home of its ring's consumer role:
+// drain the ring, run a pass, sleep when the ring is empty.
 func (ln *lane) engine() {
 	defer ln.p.laneWG.Done()
 	tr := ln.p.cfg.Tracer
@@ -386,62 +496,38 @@ func (ln *lane) engine() {
 			}
 			continue
 		}
-		if tr != nil {
-			tr.Set(ln.traceName, trace.Comm)
-			tr.Mark(ln.traceName, fmt.Sprintf("q=%d", len(items)))
-		}
-		ln.p.statRingDrain.Add(int64(len(items)))
-		fns := ln.fnScratch[:0]
 		ln.mu.Lock()
-		for i := range items {
-			it := items[i]
-			if it.fn != nil {
-				// Engine-posted work (rebalancing) runs outside the lock,
-				// after the batch it arrived in.
-				fns = append(fns, it.fn)
-				items[i] = rxItem{}
-				continue
-			}
-			level := ctrlLevel
-			if it.m.Tag >= 0 && it.c != nil {
-				level = it.c.priority
-			}
-			ln.rxq.push(level, it)
-			items[i] = rxItem{}
-		}
-		ln.processLocked()
-		ln.serviceLocked()
-		post := ln.queueDrainLocked()
-		ln.mu.Unlock()
-		if post {
-			ln.p.cfg.RT.PostAsync(ln.drainFn)
-		}
-		for i, fn := range fns {
-			fn()
-			fns[i] = nil
-		}
-		ln.fnScratch = fns[:0]
-		// During shutdown the keeper thread parks until every lane is
-		// quiescent; a frame the engine just consumed (the peer's last
-		// ack or credit) may have been the very thing it was waiting out,
-		// so re-run the shutdown check in the scheduler domain.
-		if ln.p.closing.Load() {
-			ln.p.cfg.RT.PostAsync(ln.p.shutdownFn)
-		}
+		ln.enginePasses++
+		ln.pass(items)
 	}
 }
 
-// step is the virtual-mode engine body: one event callback doing what one
-// wakeup of the engine goroutine does — drain the ring, process arrivals,
-// service the send scheduler — repeated until the ring is empty. It differs
-// from engine() in exactly the ways the discrete-event loop requires: it
-// runs in the simulation engine's goroutine (scheduler domain) at a definite
-// virtual instant, so the deferred out-queue drain runs inline instead of
-// through Runtime.PostAsync (which the sim engine never services), and the
-// closing-time shutdown re-check calls the predicate directly.
+// passInline is the delivering goroutine's turn as the ring's consumer
+// (routeFrame's claim was granted): the pass the engine would have been
+// woken for, over the one frame in hand, without the wake. The goroutine may
+// hold another lane's lock up-stack, so it only TryLocks this one; if that
+// fails the frame goes into the ring and Release wakes the engine for it.
+func (ln *lane) passInline(it rxItem) {
+	if ln.mu.TryLock() {
+		ln.inlinePasses++
+		ln.inlineItem[0] = it
+		ln.pass(ln.inlineItem[:])
+		if tr := ln.p.cfg.Tracer; tr != nil {
+			tr.Set(ln.traceName, trace.Idle)
+		}
+	} else {
+		ln.rx.Push(it)
+	}
+	ln.rx.Release()
+}
+
+// step is the virtual-mode engine: one event callback doing what one wakeup
+// of the engine goroutine does, repeated until the ring is empty. It runs in
+// the simulation engine's goroutine (scheduler domain) at a definite virtual
+// instant, so the closing-time shutdown re-check calls the predicate
+// directly.
 func (ln *lane) step() {
 	ln.stepArmed.Store(false)
-	tr := ln.p.cfg.Tracer
 	worked := false
 	for {
 		items := ln.rx.Drain()
@@ -449,44 +535,17 @@ func (ln *lane) step() {
 			break
 		}
 		worked = true
-		if tr != nil {
-			tr.Set(ln.traceName, trace.Comm)
-			tr.Mark(ln.traceName, fmt.Sprintf("q=%d", len(items)))
-		}
-		ln.p.statRingDrain.Add(int64(len(items)))
-		fns := ln.fnScratch[:0]
 		ln.mu.Lock()
-		for i := range items {
-			it := items[i]
-			if it.fn != nil {
-				fns = append(fns, it.fn)
-				items[i] = rxItem{}
-				continue
-			}
-			level := ctrlLevel
-			if it.m.Tag >= 0 && it.c != nil {
-				level = it.c.priority
-			}
-			ln.rxq.push(level, it)
-			items[i] = rxItem{}
-		}
-		ln.processLocked()
-		ln.serviceLocked()
-		post := ln.queueDrainLocked()
-		ln.mu.Unlock()
-		if post {
-			ln.runDrain()
-		}
-		for i, fn := range fns {
-			fn()
-			fns[i] = nil
-		}
-		ln.fnScratch = fns[:0]
+		ln.enginePasses++
+		ln.pass(items)
 	}
-	if tr != nil && worked {
+	if !worked {
+		return
+	}
+	if tr := ln.p.cfg.Tracer; tr != nil {
 		tr.Set(ln.traceName, trace.Idle)
 	}
-	if worked && ln.p.closing.Load() {
+	if ln.p.closing.Load() {
 		ln.p.shutdownFn()
 	}
 }

@@ -243,6 +243,11 @@ type LaneStats struct {
 	// Load is the lane's current load EWMA (bytes per rebalance
 	// interval).
 	Load int64
+	// EnginePasses / InlinePasses count the lane's engine passes by who ran
+	// them: the lane's own engine (goroutine, or virtual-mode step), or a
+	// delivering goroutine that found the engine asleep and the lane free.
+	EnginePasses int64
+	InlinePasses int64
 }
 
 // LaneStats returns a per-lane scheduler snapshot, nil on a classic
@@ -265,6 +270,8 @@ func (p *Proc) LaneStats() []LaneStats {
 			MigratedOut:     ln.migratedOut,
 			Steals:          ln.steals,
 			Load:            ln.ewma.Load(),
+			EnginePasses:    ln.enginePasses,
+			InlinePasses:    ln.inlinePasses,
 		}
 		ln.mu.Unlock()
 		if t := st.CtrlPiggybacked + st.CtrlStandalone; t > 0 {

@@ -5,23 +5,40 @@
 // hot path: zero steady-state allocation and no producer-side blocking —
 // a push is one short mutex hold plus, at most, one non-blocking channel
 // send to wake a sleeping consumer.
+//
+// Consuming is a role, and only its home is the engine goroutine. While the
+// engine sleeps on an empty ring the role is free, and a producer may take
+// it with ClaimOrPush instead of waking the engine: it keeps its item,
+// consumes that one item itself, and ends its turn with Release, which puts
+// the ring back to asleep if it is still empty and otherwise wakes the
+// engine for what was pushed meanwhile. A claimant never drains, so Drain's
+// swap buffers stay the engine's alone; the sleeping flag is the role's
+// free bit, and q.mu (or the wake channel) orders every transfer of it, so
+// successive consumers are ordered by happens-before.
 package ring
 
 import "sync"
 
 // MPSC is a multi-producer single-consumer queue of T. Producers call Push
-// from any goroutine; the single consumer alternates Drain and Sleep. Two
-// backing slices are swapped between producer and consumer so steady-state
-// operation reuses their capacity and allocates nothing.
+// or ClaimOrPush from any goroutine; the engine alternates Drain and Sleep.
+// Two backing slices are swapped between producer and consumer so
+// steady-state operation reuses their capacity and allocates nothing.
 type MPSC[T any] struct {
-	mu       sync.Mutex
-	buf      []T // producer side: pending items
-	spare    []T // consumer side: recycled after each Drain
-	sleeping bool
+	mu    sync.Mutex
+	buf   []T // producer side: pending items
+	spare []T // consumer side: recycled after each Drain
 
-	// wake has capacity 1 and only ever receives a value when a producer
-	// observes sleeping==true (clearing it in the same critical section),
-	// so the send can never block.
+	// sleeping: the engine is parked in Sleep, the ring is empty and nobody
+	// holds the consumer role. The producer that clears it owes the engine
+	// one wake token, unless it is a claimant whose Release sets the flag
+	// again.
+	sleeping bool
+	// stopped: Sleep has returned false. The role is never free again, so
+	// late items stay in the ring.
+	stopped bool
+
+	// wake has capacity 1 and receives exactly one value per clearing of
+	// sleeping that Release does not undo, so the send can never block.
 	wake chan struct{}
 }
 
@@ -38,6 +55,35 @@ func (q *MPSC[T]) Push(v T) {
 	q.sleeping = false
 	q.mu.Unlock()
 	if doWake {
+		q.wake <- struct{}{}
+	}
+}
+
+// ClaimOrPush takes the consumer role if the engine is asleep — v is not
+// queued: the caller consumes it and then calls Release — and otherwise
+// appends v behind the active consumer, which will find it without being
+// woken. A claimant that cannot consume v after all pushes it and releases.
+func (q *MPSC[T]) ClaimOrPush(v T) (claimed bool) {
+	q.mu.Lock()
+	if claimed = q.sleeping; claimed {
+		q.sleeping = false
+	} else {
+		q.buf = append(q.buf, v)
+	}
+	q.mu.Unlock()
+	return claimed
+}
+
+// Release ends a claimant's turn: the ring goes back to asleep if it is
+// still empty, else the engine is woken for what was pushed meanwhile. After
+// a stop the engine is woken regardless — it waits in Sleep for the role to
+// come home before it reports the stop — and pending items stay in the ring.
+func (q *MPSC[T]) Release() {
+	q.mu.Lock()
+	asleep := len(q.buf) == 0 && !q.stopped
+	q.sleeping = asleep
+	q.mu.Unlock()
+	if !asleep {
 		q.wake <- struct{}{}
 	}
 }
@@ -59,14 +105,18 @@ func (q *MPSC[T]) Drain() []T {
 }
 
 // Sleep blocks until a producer pushes or stop is closed. It returns true
-// if woken by a push (or if items raced in before sleeping), false if stop
-// fired. Consumer-only. A spurious true (empty Drain afterwards) is
-// possible and harmless.
+// if woken by a push or by a claimant's Release (or if items raced in before
+// sleeping), false if stop fired or had fired before. Consumer-only. A
+// spurious true (empty Drain afterwards) is possible and harmless.
 func (q *MPSC[T]) Sleep(stop <-chan struct{}) bool {
 	q.mu.Lock()
 	if len(q.buf) > 0 {
 		q.mu.Unlock()
 		return true
+	}
+	if q.stopped {
+		q.mu.Unlock()
+		return false
 	}
 	q.sleeping = true
 	q.mu.Unlock()
@@ -74,15 +124,17 @@ func (q *MPSC[T]) Sleep(stop <-chan struct{}) bool {
 	case <-q.wake:
 		return true
 	case <-stop:
-		// A racing producer may have claimed the sleeping flag and sent a
-		// wake token; absorb it so a future Sleep doesn't wake spuriously
-		// and the producer's send never dangles.
 		q.mu.Lock()
+		taken := !q.sleeping
 		q.sleeping = false
+		q.stopped = true
 		q.mu.Unlock()
-		select {
-		case <-q.wake:
-		default:
+		if taken {
+			// A producer cleared the flag before the stop: it owes one
+			// token — at once if it pushed, at its Release if it claimed —
+			// and absorbing it here means no token outlives the stop and no
+			// claimant is still at work when Sleep returns.
+			<-q.wake
 		}
 		return false
 	}
