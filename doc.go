@@ -42,7 +42,14 @@
 // lane free gets that pass from the delivering goroutine instead, one
 // goroutine hand-off per message rather than two. The scheduler in real
 // mode is no goroutine of its own: the thread that parks dispatches its
-// successor, or waits for the post itself (internal/mts). Lane=1 passes
+// successor, or waits for the post itself (internal/mts). Which engine a
+// proc runs follows from its carrier: Mem and real TCP hand over raw frames
+// (transport.FrameCarrier) and ride the lane engine at lane counts above
+// one; udpatm, SimTCP and SimATM deliver decoded messages and keep the
+// classic pair. Real TCP's frames arrive on the connection reader a peer's
+// blocked write waits for (transport.ReaderDelivery), so there the reader
+// only decodes, looks the channel up and pushes onto the lane's ring —
+// never a pass, a lane lock or a send. Lane=1 passes
 // the full test suite unchanged, and the suite itself runs both models in
 // CI (-cpu=1,4 under the race detector).
 //

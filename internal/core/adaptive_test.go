@@ -254,6 +254,46 @@ func TestCrossChannelCoalesce(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Hot-lane rebalancing (tentpole layer 3)
 
+// TestRebalancerStartsWithSecondChannel: in real mode the rebalance ticker
+// goroutine is not part of building a proc — with fewer than two channels
+// there is nothing to migrate — and the proc's second channel, however it
+// comes to be registered, starts it exactly once. A disabled rebalancer
+// never starts.
+func TestRebalancerStartsWithSecondChannel(t *testing.T) {
+	build := func(interval time.Duration) *Proc {
+		rt := mts.New(mts.Config{Name: "node0", IdleTimeout: 10 * time.Second})
+		return New(Config{
+			ID: 0, RT: rt, Endpoint: transport.NewMem().Attach(0, rt),
+			SendLanes: 2, RecvLanes: 2, RebalanceInterval: interval,
+		})
+	}
+	p := build(0)
+	if p.rebalOn.Load() {
+		t.Fatal("rebalancer running on a proc with no channels")
+	}
+	p.DefaultChannel(1)
+	p.DefaultChannel(1)
+	if p.rebalOn.Load() {
+		t.Fatal("rebalancer running on a proc with one channel")
+	}
+	p.Open(1, ChannelConfig{ID: 5})
+	if !p.rebalOn.Load() {
+		t.Fatal("second channel did not start the rebalancer")
+	}
+	off := build(-1)
+	off.DefaultChannel(1)
+	off.DefaultChannel(2)
+	if off.rebalOn.Load() {
+		t.Fatal("disabled rebalancer started")
+	}
+	// Run both to completion: the ticker goroutine leaves on the first tick
+	// after the proc starts closing.
+	for _, q := range []*Proc{p, off} {
+		q.TCreate("noop", mts.PrioDefault, func(*Thread) {})
+	}
+	runReal([]*Proc{p, off})
+}
+
 // TestHotLaneRebalance forces every channel onto lane 0 through a skewed
 // Config.LaneHash, drives bursty reliable traffic with natural idle
 // windows, and checks that the rebalancer migrates channels off the hot

@@ -257,10 +257,7 @@ func (p *Proc) Open(peer ProcID, cfg ChannelConfig) *Channel {
 // DefaultChannel returns the implicit channel 0 toward peer, creating it on
 // first use from the process-wide Config.Flow/Config.Error templates.
 func (p *Proc) DefaultChannel(peer ProcID) *Channel {
-	p.chanMu.RLock()
-	c, ok := p.channels[chanKey{peer: peer}]
-	p.chanMu.RUnlock()
-	if ok {
+	if c := p.openChannel(peer, 0); c != nil {
 		return c
 	}
 	fc := p.cfg.Flow
@@ -307,7 +304,9 @@ func (p *Proc) addChannel(key chanKey, prio, laneHint, weight int, fc FlowContro
 		panic(fmt.Sprintf("core(proc %d): channel %d to proc %d already open", p.cfg.ID, key.id, key.peer))
 	}
 	p.channels[key] = c
+	n := len(p.channels)
 	p.chanMu.Unlock()
+	p.channelAdded(n)
 	if p.closing.Load() {
 		// Opened after the user threads finished (unusual, but legal from
 		// an exception handler): give the disciplines their shutdown signal
@@ -329,15 +328,20 @@ func (p *Proc) addChannel(key chanKey, prio, laneHint, weight int, fc FlowContro
 	return c
 }
 
+// openChannel returns the channel (peer, id) if it is in the table, else nil.
+func (p *Proc) openChannel(peer ProcID, id ChannelID) *Channel {
+	p.chanMu.RLock()
+	c := p.channels[chanKey{peer: peer, id: id}]
+	p.chanMu.RUnlock()
+	return c
+}
+
 // lookupChannel returns the channel a message belongs to. The default
 // channel (id 0) is created on first reference — any peer may talk to us
 // unannounced on it — while a nonzero channel must have been opened
 // explicitly: ok is false for one nobody opened.
 func (p *Proc) lookupChannel(peer ProcID, id ChannelID) (*Channel, bool) {
-	p.chanMu.RLock()
-	c, ok := p.channels[chanKey{peer: peer, id: id}]
-	p.chanMu.RUnlock()
-	if ok {
+	if c := p.openChannel(peer, id); c != nil {
 		return c, true
 	}
 	if id == 0 {

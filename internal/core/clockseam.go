@@ -15,8 +15,9 @@ import "time"
 // cfg.After, whose one-shot timers would allocate every interval and show
 // up in the steady-state allocation pins. (Virtual mode has no allocation
 // pins to protect and no goroutines to spare: startRebalance runs the tick
-// as a chain of virtual-timer events instead.) The goroutine exits on the
-// first tick after the process starts closing.
+// as a chain of virtual-timer events instead.) It is started by the proc's
+// second channel (channelAdded) and exits on the first tick after the
+// process starts closing.
 func (p *Proc) rebalanceLoop() {
 	tk := time.NewTicker(p.rebalEvery)
 	defer tk.Stop()

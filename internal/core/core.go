@@ -51,7 +51,8 @@
 //     data frame toward the same peer, and flush timers share one
 //     per-lane wheel instead of one timer per channel.
 //   - Hot-lane rebalancing (rebalance.go): per-lane load EWMAs drive a
-//     periodic tick (Config.RebalanceInterval; negative disables) that
+//     periodic tick (Config.RebalanceInterval; negative disables; in real
+//     mode it starts with the proc's second channel) that
 //     migrates idle-safe sequenced channels from the hottest lane to the
 //     coldest, plus an enqueue-time steal under extreme skew.
 //     Config.LaneHash overrides initial placement; ChannelConfig.Lane
@@ -179,10 +180,12 @@ type Config struct {
 	// send/recv engine). A resolved count of 1 — always the case on a
 	// single-core GOMAXPROCS — keeps the paper's classic two-system-thread
 	// path exactly. Sharding also requires a transport.FrameCarrier
-	// endpoint and engages in real mode (no RecvCharge, ArrivalPollDelay,
-	// or custom After hook) or under a VirtualTime discrete-event loop;
-	// the classic sim harnesses' RecvCharge/poll machinery remains
-	// scheduler-domain by construction and keeps the classic path.
+	// endpoint (Mem, real TCP, SimMesh; udpatm, SimTCP and SimATM keep the
+	// classic path at any lane count) and engages in real mode (no
+	// RecvCharge, ArrivalPollDelay, or custom After hook) or under a
+	// VirtualTime discrete-event loop; the classic sim harnesses'
+	// RecvCharge/poll machinery remains scheduler-domain by construction
+	// and keeps the classic path.
 	SendLanes int
 	RecvLanes int
 	// RebalanceInterval is the hot-lane rebalancer's scan period (sharded
@@ -331,6 +334,7 @@ type Proc struct {
 	// counter migration cooldowns compare against.
 	rebalEvery time.Duration
 	rebalTick  atomic.Int64
+	rebalOn    atomic.Bool // the real-mode ticker goroutine has been started
 
 	// channels holds every open channel, keyed by (peer, channel ID).
 	// Default channels (ID 0) are created lazily from the Config
@@ -356,6 +360,11 @@ type Proc struct {
 	laneWG     sync.WaitGroup
 	laneBS     transport.BatchSender
 	shutdownFn func()
+	// readerDelivers records the carrier's transport.ReaderDelivery
+	// declaration: frames arrive on the goroutine a blocked Send waits for,
+	// so routeFrame neither runs a pass nor registers a channel (lane.go,
+	// "Lock order").
+	readerDelivers bool
 
 	// bars holds root-collected barrier state machines keyed by group
 	// membership hash (see barrier.go); groupSeq numbers Groups for their
@@ -1183,10 +1192,7 @@ func (p *Proc) rxLevel(m *transport.Message) int {
 	if m.Tag < 0 {
 		return ctrlLevel
 	}
-	p.chanMu.RLock()
-	c, ok := p.channels[chanKey{peer: m.From, id: m.Channel}]
-	p.chanMu.RUnlock()
-	if ok {
+	if c := p.openChannel(m.From, m.Channel); c != nil {
 		return c.priority
 	}
 	return 0

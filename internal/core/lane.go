@@ -62,20 +62,47 @@ import (
 // classes on two Ps) 54.3-56.9 → 52.4-55.1 µs/op over four rounds, in which
 // a limit of 8 KB (the 8 KB class inline too) read 56.0-59.2.
 //
-// Lock order: Proc.chanMu (channel table) is a leaf — every hold is one map
-// access — so it may be taken under a lane.mu (routeFrame does) and no
-// lane.mu is ever awaited under it. Nothing blocks while holding lane.mu
-// (PostAsync and ring operations are non-blocking by construction), so a
-// scheduler-domain thread waiting on lane.mu always makes progress. Lanes
-// nest: Mem delivers in the sender's goroutine, so the receiver's inline
-// pass runs under the sender's lane.mu (flushRunLocked → Send → routeFrame),
-// and a credit or ack it sends straight back re-enters the sender's
-// routeFrame with that lock held up-stack. Hence: while holding one lane's
-// mu, a second lane's mu may be TryLocked, never Locked. passInline is the
-// only such acquisition, and a failed TryLock sends the frame down the
-// engine path. (addChannel Locks a lane to register a default channel on
-// first contact; what a pass sends back is for channels the peer already
-// holds, so the nested routeFrame only looks channels up.)
+// Lock order. Proc.chanMu (channel table) is a leaf — every hold is one map
+// access — so it may be taken under a lane.mu and no lane.mu is ever awaited
+// under it. Under lane.mu, PostAsync and ring operations never block; the
+// one thing that can is the carrier's Send (flushRunLocked), and what is
+// sound there depends on the carrier:
+//
+//   - A carrier that delivers in the sender's goroutine and never blocks
+//     (Mem; SimMesh under virtual time is single-goroutine anyway). Send
+//     returns without waiting for anybody, so a scheduler-domain thread
+//     waiting on lane.mu always makes progress. But lanes nest: the
+//     receiver's inline pass runs under the sender's lane.mu (flushRunLocked
+//     → Send → routeFrame), and a credit or ack it sends straight back
+//     re-enters the sender's routeFrame with that lock held up-stack. Hence:
+//     while holding one lane's mu, a second lane's mu may be TryLocked, never
+//     Locked. passInline is the only such acquisition, and a failed TryLock
+//     sends the frame down the engine path. (addChannel Locks a lane to
+//     register a default channel on first contact; what a pass sends back is
+//     for channels the peer already holds, so the nested routeFrame only
+//     looks channels up.)
+//   - A carrier whose Send can block on the peer and whose frames arrive on
+//     the goroutine that relieves that backpressure (real TCP: a Write into a
+//     full socket waits for the peer's reader). It says so once
+//     (transport.ReaderDelivery → Proc.readerDelivers), and a lane.mu may
+//     then be held across a blocked Send because the goroutine it waits for
+//     never waits back: a reader-delivered frame is decoded, its channel
+//     looked up (chanMu only) and the item pushed onto the lane's ring for
+//     the engine — no inline pass, which would end in serviceLocked → Send on
+//     the reader (a credit releasing a window of deferred bulk sends), and no
+//     first-contact addChannel, which Locks a lane: an item for a default
+//     channel nobody has opened yet travels with c == nil and the engine
+//     registers the channel before it takes its own lock
+//     (adoptFirstContact). Four procs in a ring on two lanes, each sending
+//     more than the sockets hold before it receives, is the case that
+//     deadlocks otherwise: every sender parked in Write, holding the lane
+//     its reader is queued on. Giving up the inline pass costs about 0.5 µs
+//     of a 25 µs rpc_tcp round trip (measured, four pairs); a receive-only
+//     inline pass would win it back and is not built.
+//
+// Everything else that takes lane.mu — engines, timers, the drain, sending
+// threads — may wait for it, and behind a blocking carrier waits at most for
+// the peer's reader.
 //
 // Lane count defaults to min(GOMAXPROCS, 4); a single lane keeps the
 // classic two-system-thread path byte for byte (New only builds lanes when
@@ -213,7 +240,8 @@ type lane struct {
 // compiles down to a single nil check in real mode.
 
 type engineDriver interface {
-	// start launches (real) or wires (virtual) one lane's engine.
+	// start launches (real: from laneLoop, on the runtime's first dispatch)
+	// or wires (virtual: from initLanes) one lane's engine.
 	start(ln *lane)
 	// stop tears the engines down at shutdown; runs in the scheduler domain.
 	stop(p *Proc)
@@ -363,40 +391,74 @@ func (p *Proc) initLanes(n int, fc transport.FrameCarrier) {
 			p.wakeIfIdle(p.laneThread, "lanes idle")
 		}
 	}
+	if rd, ok := fc.(transport.ReaderDelivery); ok {
+		p.readerDelivers = rd.DeliversFromReader()
+	}
 	fc.SetFrameHandler(p.routeFrame)
 	p.laneThread = p.cfg.RT.Create(fmt.Sprintf("ncs%d-lanes", p.cfg.ID), mts.PrioSystem, p.laneLoop)
 	if p.cfg.VirtualTime {
+		// A step event has to be wired before the first frame can arrive.
 		p.laneDriver = &virtualDriver{after: p.cfg.After}
+		p.startEngines()
 	} else {
+		// Goroutines can wait until the runtime first runs the lanes'
+		// supervisor (laneLoop): building a proc then spawns nothing, as on
+		// the classic engine, and a frame that arrives earlier sits in its
+		// ring — the engine drains before it first sleeps.
 		p.laneDriver = goroutineDriver{}
 	}
+}
+
+func (p *Proc) startEngines() {
 	for _, ln := range p.lanes {
 		p.laneDriver.start(ln)
 	}
 }
 
+// chanAddressed reports whether a frame with this tag belongs to a channel:
+// everything but barrier control and signaling, which are proc-level.
+func chanAddressed(tag int) bool {
+	return tag != tagBarrier && tag != tagBarrierRel && !isSigTag(tag)
+}
+
+// frameChannel resolves a channel for an arriving frame in the deliverer's
+// goroutine. A default channel is created on first reference — unless the
+// deliverer is a carrier's reader, which may not take the lane lock that
+// registration needs (see "Lock order"): it only looks the table up, and a
+// channel-0 item it leaves unresolved is the engine's (adoptFirstContact).
+func (p *Proc) frameChannel(peer ProcID, id ChannelID) *Channel {
+	c := p.openChannel(peer, id)
+	if c == nil && id == 0 && !p.readerDelivers {
+		c = p.DefaultChannel(peer)
+	}
+	return c
+}
+
 // routeFrame is the transport's frame handler: it decodes the frame and
 // resolves its channel — and the channels of any cross-channel
 // piggybacked control words — in the *calling* goroutine (a peer's lane
-// engine or scheduler thread), then hands the message to the owning
-// lane's ring — or, for a short frame whose lane engine is asleep, runs
-// the engine's pass on it right here (passInline). A pass therefore never
-// takes the channel-table lock. A channel may migrate between the load and
-// the push; the stale lane's processLocked re-routes such items to the
-// current owner.
+// engine or scheduler thread, a socket reader), then hands the message to
+// the owning lane's ring — or, for a short frame whose lane engine is asleep
+// and whose deliverer may, runs the engine's pass on it right here
+// (passInline). A pass therefore never takes the channel-table lock. A
+// channel may migrate between the load and the push; the stale lane's
+// processLocked re-routes such items to the current owner.
+//
+// A frame that does not decode is a bug in the carrier: one that reads
+// untrusted bytes validates them before it calls (transport.FrameCarrier).
 func (p *Proc) routeFrame(fb *wire.Buf) {
 	m, err := wire.UnmarshalPooled(fb)
 	if err != nil {
-		panic("core: self-produced message failed to decode: " + err.Error())
+		panic("core: carrier delivered a frame that fails to decode: " + err.Error())
 	}
 	var c, cc, ca *Channel
-	if m.Tag != tagBarrier && m.Tag != tagBarrierRel && !isSigTag(m.Tag) {
-		c, _ = p.lookupChannel(m.From, m.Channel)
+	if chanAddressed(m.Tag) {
+		c = p.frameChannel(m.From, m.Channel)
 		if m.HasCredit && m.CreditChan != m.Channel {
-			cc, _ = p.lookupChannel(m.From, m.CreditChan)
+			cc = p.frameChannel(m.From, m.CreditChan)
 		}
 		if m.HasAck && m.AckChan != m.Channel {
-			ca, _ = p.lookupChannel(m.From, m.AckChan)
+			ca = p.frameChannel(m.From, m.AckChan)
 		}
 	}
 	ln := p.lanes[p.laneIndex(m.From, 0)]
@@ -405,11 +467,25 @@ func (p *Proc) routeFrame(fb *wire.Buf) {
 	}
 	p.statRingPush.Add(1)
 	it := rxItem{m: m, c: c, cc: cc, ca: ca}
-	if ln.vd != nil || len(m.Data) > inlinePassMax {
+	if ln.vd != nil || p.readerDelivers || len(m.Data) > inlinePassMax {
 		ln.rx.Push(it)
 		ln.kick()
 	} else if ln.rx.ClaimOrPush(it) {
 		ln.passInline(it)
+	}
+}
+
+// adoptFirstContact finishes what a reader's routeFrame may not do: an item
+// on channel 0 without a channel is a peer's first word on a default channel
+// nobody here has opened, pushed to the lane that channel will hash to. The
+// engine creates the channel before it takes its own lock (addChannel locks
+// the channel's lane to register it).
+func (p *Proc) adoptFirstContact(items []rxItem) {
+	for i := range items {
+		it := &items[i]
+		if it.c == nil && it.m != nil && it.m.Channel == 0 && chanAddressed(it.m.Tag) {
+			it.c = p.DefaultChannel(it.m.From)
+		}
 	}
 }
 
@@ -495,6 +571,9 @@ func (ln *lane) engine() {
 				return
 			}
 			continue
+		}
+		if ln.p.readerDelivers {
+			ln.p.adoptFirstContact(items)
 		}
 		ln.mu.Lock()
 		ln.enginePasses++
@@ -1210,6 +1289,9 @@ func (p *Proc) mayShutdownSharded() bool {
 // paths (the lane engines themselves run outside the mts scheduler — as
 // plain goroutines in real mode, as clock events in virtual mode).
 func (p *Proc) laneLoop(st *mts.Thread) {
+	if !p.cfg.VirtualTime {
+		p.startEngines()
+	}
 	for !p.mayShutdownSharded() {
 		st.Park("lanes idle")
 	}

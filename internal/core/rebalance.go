@@ -48,11 +48,13 @@ const rebalMinGap = 8192
 // it may move again.
 const rebalCooldownTicks = 2
 
-// startRebalance starts the rebalance cadence on a sharded proc: a wall
-// ticker goroutine in real mode (clockseam.go), a self-rescheduling chain
-// of virtual-timer events under a discrete-event loop. The chain stops
-// re-arming once the process starts closing, so a finished simulation's
-// event queue drains instead of ticking forever.
+// startRebalance resolves the rebalance cadence on a sharded proc. Under a
+// discrete-event loop it starts it too: a self-rescheduling chain of
+// virtual-timer events from time zero (a run's timeline includes them), which
+// stops re-arming once the process starts closing, so a finished simulation's
+// event queue drains instead of ticking forever. In real mode the cadence is
+// a goroutine with a wall ticker, and it waits for something to balance
+// (channelAdded).
 func (p *Proc) startRebalance() {
 	if p.rebalEvery <= 0 || len(p.lanes) < 2 {
 		p.rebalEvery = 0
@@ -68,9 +70,19 @@ func (p *Proc) startRebalance() {
 			p.cfg.After(p.rebalEvery, tick)
 		}
 		p.cfg.After(p.rebalEvery, tick)
-		return
 	}
-	go p.rebalanceLoop()
+}
+
+// channelAdded runs when the channel table grows to n entries. The
+// real-mode rebalancer starts with the proc's second channel: with fewer
+// there is nothing to migrate, and a proc that never gets there — most of
+// them: one peer, the default channel — is spared the goroutine and its
+// ticker (a third of what building a lane-mode proc cost).
+func (p *Proc) channelAdded(n int) {
+	if n >= 2 && p.sharded() && p.rebalEvery > 0 && !p.cfg.VirtualTime && !p.closing.Load() &&
+		p.rebalOn.CompareAndSwap(false, true) {
+		go p.rebalanceLoop()
+	}
 }
 
 // rebalanceTick folds each lane's load accumulator into its EWMA and, if

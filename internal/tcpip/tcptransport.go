@@ -1,11 +1,14 @@
 package tcpip
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/mts"
 	"repro/internal/transport"
@@ -18,7 +21,8 @@ import (
 // performance for the standard protocol stack.
 //
 // Topology: every endpoint listens; connections are dialed lazily per
-// (src, dst) pair and cached. Messages are length-prefixed wire messages.
+// (src, dst) pair and cached. A connection opens with the dialer's 4-byte
+// proc id (the hello) and then carries length-prefixed wire messages one way.
 type TCPNetwork struct {
 	mu        sync.Mutex
 	endpoints map[transport.ProcID]*TCPEndpoint
@@ -29,7 +33,28 @@ func NewTCPNetwork() *TCPNetwork {
 	return &TCPNetwork{endpoints: make(map[transport.ProcID]*TCPEndpoint)}
 }
 
-// TCPEndpoint is one process's NSM attachment.
+const (
+	// maxFrame is the largest length prefix a reader accepts.
+	maxFrame = 64 << 20
+	// readBufSize is each inbound connection's read buffer: one read
+	// syscall brings in the length prefix, the header and — for anything up
+	// to a few KB, or several pipelined frames — the bodies behind them.
+	// Larger bodies bypass the buffer once it is empty.
+	readBufSize = 16 << 10
+	// inboxMax bounds the decoded messages waiting for the scheduler domain
+	// on the Handler path; a reader that finds the inbox full waits, and the
+	// socket's own window pushes back on the peer.
+	inboxMax = 1024
+)
+
+// errBadFrame marks a frame the reader refused: the stream is dropped and
+// the refusal counted (BadFrames).
+var errBadFrame = errors.New("tcpip: bad frame")
+
+// TCPEndpoint is one process's NSM attachment. It delivers either decoded
+// messages into the runtime's scheduler domain (SetHandler: the classic
+// engine, the p4 baseline) or raw frames on its reader goroutines
+// (SetFrameHandler: the lane engine, see transport.FrameCarrier).
 type TCPEndpoint struct {
 	net  *TCPNetwork
 	proc transport.ProcID
@@ -38,19 +63,52 @@ type TCPEndpoint struct {
 
 	mu      sync.Mutex
 	handler transport.Handler
-	conns   map[transport.ProcID]*net.TCPConn
+	conns   map[transport.ProcID]*net.TCPConn // dialed, by destination
+	inbound map[*net.TCPConn]struct{}         // accepted, each with a readLoop
 	seq     uint32
-	closed  bool
 
-	// batchBufs/batchVecs stage one SendBatch run's pooled frames and the
-	// writev vector over them. Only the owning process's send system
-	// thread calls Send/SendBatch, so no lock guards them.
-	batchBufs []*wire.Buf
-	batchVecs net.Buffers
+	// closed is set once, under mu (so that a reader is either counted in wg
+	// before Close waits or never started), and read without it by the send
+	// path, waiting readers and the drain.
+	closed atomic.Bool
+	// wg counts acceptLoop and every readLoop; Close waits for it.
+	wg sync.WaitGroup
+
+	// frameH, when set, replaces the Handler path: every reader hands its
+	// frames to it directly.
+	frameH atomic.Pointer[transport.FrameHandler]
+
+	// Handler path: readers decode and queue, one pre-bound drain per
+	// non-empty inbox carries the batch into the scheduler domain. The two
+	// slices swap between producer and consumer, so steady-state delivery
+	// allocates nothing.
+	inmu     sync.Mutex
+	inFree   sync.Cond // readers wait here while the inbox is full
+	inbox    []*transport.Message
+	inSpare  []*transport.Message
+	draining bool // a drain is posted or running
+	drainFn  func()
+
+	badFrames atomic.Int64
+	sendDrops atomic.Int64
 }
 
+// tcpScratch stages one SendBatch call's pooled frames and the writev
+// vector over them. Pooled rather than per-endpoint because under the lane
+// engine several lanes run SendBatch on one endpoint concurrently; wv is the
+// slice header WriteTo consumes, kept here so that taking its address does
+// not allocate.
+type tcpScratch struct {
+	bufs []*wire.Buf
+	vecs net.Buffers
+	wv   net.Buffers
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(tcpScratch) }}
+
 // Attach creates an endpoint for proc listening on an ephemeral loopback
-// port. Deliveries are Posted into rt's scheduler domain.
+// port. Deliveries are Posted into rt's scheduler domain unless a frame
+// handler is installed.
 func (n *TCPNetwork) Attach(proc transport.ProcID, rt *mts.Runtime) (*TCPEndpoint, error) {
 	ln, err := net.ListenTCP("tcp4", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -63,6 +121,8 @@ func (n *TCPNetwork) Attach(proc transport.ProcID, rt *mts.Runtime) (*TCPEndpoin
 		ln:    ln,
 		conns: make(map[transport.ProcID]*net.TCPConn),
 	}
+	e.inFree.L = &e.inmu
+	e.drainFn = e.drainInbox
 	n.mu.Lock()
 	if _, dup := n.endpoints[proc]; dup {
 		n.mu.Unlock()
@@ -71,25 +131,40 @@ func (n *TCPNetwork) Attach(proc transport.ProcID, rt *mts.Runtime) (*TCPEndpoin
 	}
 	n.endpoints[proc] = e
 	n.mu.Unlock()
+	e.wg.Add(1)
 	go e.acceptLoop()
 	return e, nil
 }
 
-// Close shuts the listener and all connections.
+// Close shuts the listener and every connection, dialed and accepted, and
+// returns once acceptLoop and all readLoops have exited: no frame handler
+// call is in progress or begins after that, and the drain drops what is
+// still queued for the Handler path instead of delivering it. Frames in
+// flight are lost, and a Send after Close drops its frame (SendDrops).
+// Idempotent.
 func (e *TCPEndpoint) Close() error {
 	e.mu.Lock()
-	if e.closed {
+	if e.closed.Load() {
 		e.mu.Unlock()
+		e.wg.Wait()
 		return nil
 	}
-	e.closed = true
-	conns := e.conns
-	e.conns = map[transport.ProcID]*net.TCPConn{}
+	e.closed.Store(true)
+	conns, inbound := e.conns, e.inbound
+	e.conns, e.inbound = map[transport.ProcID]*net.TCPConn{}, nil
 	e.mu.Unlock()
+	err := e.ln.Close()
 	for _, c := range conns {
 		c.Close()
 	}
-	return e.ln.Close()
+	for c := range inbound {
+		c.Close()
+	}
+	e.inmu.Lock()
+	e.inFree.Broadcast()
+	e.inmu.Unlock()
+	e.wg.Wait()
+	return err
 }
 
 // Proc implements transport.Endpoint.
@@ -102,26 +177,54 @@ func (e *TCPEndpoint) SetHandler(h transport.Handler) {
 	e.handler = h
 }
 
+// SetFrameHandler implements transport.FrameCarrier. Must be installed
+// before any peer sends. Every frame handed over has passed the reader's
+// checks (see readFrame), so the handler's decode cannot fail.
+func (e *TCPEndpoint) SetFrameHandler(h transport.FrameHandler) {
+	e.frameH.Store(&h)
+}
+
+// DeliversFromReader implements transport.ReaderDelivery: the frame handler
+// runs on the connection's reader goroutine, and a peer's Send blocked on a
+// full socket waits for exactly that goroutine to read on.
+func (e *TCPEndpoint) DeliversFromReader() bool { return true }
+
+// BadFrames counts inbound streams dropped because a frame failed the
+// reader's checks.
+func (e *TCPEndpoint) BadFrames() int64 { return e.badFrames.Load() }
+
+// SendDrops counts frames Send and SendBatch dropped because there was no
+// connection to write them to: the endpoint closed, the peer gone or
+// refusing, the connection reset.
+func (e *TCPEndpoint) SendDrops() int64 { return e.sendDrops.Load() }
+
 // Send implements transport.Endpoint: blocking socket write, exactly the
 // p4-era semantics (the calling goroutine — and so the cooperative
-// runtime — is held only for the kernel copy on loopback).
+// runtime — is held only for the kernel copy on loopback). Safe for
+// concurrent callers: a frame leaves in one Write, which the net package
+// serializes per connection, so frames stay whole on the stream. A write
+// that fails loses the frame like any frame on a dead link — counted, the
+// connection forgotten, the next Send re-dials — which is what the NCS
+// error-control and heartbeat tiers already expect of a silent carrier.
 func (e *TCPEndpoint) Send(t *mts.Thread, m *transport.Message) {
 	if m.From != e.proc {
 		panic(fmt.Sprintf("tcpip: proc %d sending as %d", e.proc, m.From))
 	}
-	conn, err := e.connTo(m.To)
-	if err != nil {
-		panic("tcpip: " + err.Error())
+	conn := e.connTo(m.To)
+	if conn == nil {
+		e.sendDrops.Add(1)
+		return
 	}
 	e.mu.Lock()
 	e.seq++
 	m.Seq = e.seq
 	e.mu.Unlock()
 	wb := frameMessage(m)
-	_, err = conn.Write(wb.B)
+	_, err := conn.Write(wb.B)
 	wire.PutBuf(wb)
 	if err != nil {
-		panic("tcpip: write: " + err.Error())
+		e.sendDrops.Add(1)
+		e.forget(m.To, conn)
 	}
 }
 
@@ -140,24 +243,20 @@ func frameMessage(m *transport.Message) *wire.Buf {
 // SendBatch implements transport.BatchSender: every frame of a
 // same-destination run is length-prefixed into its own pooled buffer and
 // the whole run leaves in a single writev (net.Buffers.WriteTo) — one
-// syscall for the burst instead of one per message.
+// syscall for the burst instead of one per message. Safe for concurrent
+// callers, and as forgiving of a dead connection, as Send.
 func (e *TCPEndpoint) SendBatch(t *mts.Thread, ms []*transport.Message) {
 	if len(ms) == 0 {
 		return
 	}
-	conn, err := e.connTo(ms[0].To)
-	if err != nil {
-		panic("tcpip: " + err.Error())
-	}
-	bufs := e.batchBufs[:0]
-	vecs := e.batchVecs[:0]
+	to := ms[0].To
 	e.mu.Lock()
 	for _, m := range ms {
 		if m.From != e.proc {
 			e.mu.Unlock()
 			panic(fmt.Sprintf("tcpip: proc %d sending as %d", e.proc, m.From))
 		}
-		if m.To != ms[0].To {
+		if m.To != to {
 			e.mu.Unlock()
 			panic("tcpip: SendBatch run mixes destinations")
 		}
@@ -165,115 +264,249 @@ func (e *TCPEndpoint) SendBatch(t *mts.Thread, ms []*transport.Message) {
 		m.Seq = e.seq
 	}
 	e.mu.Unlock()
+	conn := e.connTo(to)
+	if conn == nil {
+		e.sendDrops.Add(int64(len(ms)))
+		return
+	}
+	sc := scratchPool.Get().(*tcpScratch)
 	for _, m := range ms {
 		wb := frameMessage(m)
-		bufs = append(bufs, wb)
-		vecs = append(vecs, wb.B)
+		sc.bufs = append(sc.bufs, wb)
+		sc.vecs = append(sc.vecs, wb.B)
 	}
-	// Keep the (possibly re-grown) scratch arrays before WriteTo consumes
-	// the vector in place by advancing its slice header.
-	e.batchBufs = bufs
-	e.batchVecs = vecs
-	_, err = vecs.WriteTo(conn)
-	for i, wb := range e.batchBufs {
+	// WriteTo consumes its receiver in place by advancing the slice header,
+	// so it gets a copy of the header and vecs keeps the array.
+	sc.wv = sc.vecs
+	_, err := sc.wv.WriteTo(conn)
+	for i, wb := range sc.bufs {
 		wire.PutBuf(wb)
-		e.batchBufs[i] = nil
-		e.batchVecs[i] = nil
+		sc.bufs[i] = nil
+		sc.vecs[i] = nil
 	}
-	e.batchBufs = e.batchBufs[:0]
-	e.batchVecs = e.batchVecs[:0]
+	sc.bufs, sc.vecs, sc.wv = sc.bufs[:0], sc.vecs[:0], nil
+	scratchPool.Put(sc)
 	if err != nil {
-		panic("tcpip: writev: " + err.Error())
+		e.sendDrops.Add(int64(len(ms)))
+		e.forget(to, conn)
 	}
 }
 
-// connTo returns (dialing if needed) the connection toward dst.
-func (e *TCPEndpoint) connTo(dst transport.ProcID) (*net.TCPConn, error) {
+// connTo returns (dialing if needed) the connection toward dst, or nil when
+// there is none to be had: this endpoint is closed, or the peer is not
+// listening. A destination nobody ever attached is a bug and panics.
+func (e *TCPEndpoint) connTo(dst transport.ProcID) *net.TCPConn {
 	e.mu.Lock()
-	if c, ok := e.conns[dst]; ok {
-		e.mu.Unlock()
-		return c, nil
-	}
+	c, ok := e.conns[dst]
 	e.mu.Unlock()
+	if ok || e.closed.Load() {
+		return c
+	}
 
 	e.net.mu.Lock()
 	peer, ok := e.net.endpoints[dst]
 	e.net.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("unknown destination proc %d", dst)
+		panic(fmt.Sprintf("tcpip: unknown destination proc %d", dst))
 	}
-	raddr := peer.ln.Addr().(*net.TCPAddr)
-	conn, err := net.DialTCP("tcp4", nil, raddr)
+	conn, err := net.DialTCP("tcp4", nil, peer.ln.Addr().(*net.TCPAddr))
 	if err != nil {
-		return nil, err
+		return nil
 	}
 	// Identify ourselves so the acceptor can map the inbound stream.
 	var hello [4]byte
 	binary.BigEndian.PutUint32(hello[:], uint32(int32(e.proc)))
 	if _, err := conn.Write(hello[:]); err != nil {
 		conn.Close()
-		return nil, err
+		return nil
 	}
 	e.mu.Lock()
-	if existing, ok := e.conns[dst]; ok {
-		// Lost a dial race; keep the established one.
-		e.mu.Unlock()
+	defer e.mu.Unlock()
+	if existing, ok := e.conns[dst]; ok || e.closed.Load() {
+		// Lost a dial race (keep the established one), or Close ran
+		// meanwhile (existing is nil).
 		conn.Close()
-		return existing, nil
+		return existing
 	}
 	e.conns[dst] = conn
+	return conn
+}
+
+// forget closes a connection a write failed on and drops it from the cache,
+// unless a newer one already took its place.
+func (e *TCPEndpoint) forget(dst transport.ProcID, conn *net.TCPConn) {
+	e.mu.Lock()
+	if e.conns[dst] == conn {
+		delete(e.conns, dst)
+	}
 	e.mu.Unlock()
-	return conn, nil
+	conn.Close()
 }
 
 func (e *TCPEndpoint) acceptLoop() {
+	defer e.wg.Done()
 	for {
 		conn, err := e.ln.AcceptTCP()
 		if err != nil {
 			return
 		}
+		e.mu.Lock()
+		if e.closed.Load() {
+			e.mu.Unlock()
+			conn.Close()
+			return
+		}
+		if e.inbound == nil {
+			e.inbound = make(map[*net.TCPConn]struct{})
+		}
+		e.inbound[conn] = struct{}{}
+		e.wg.Add(1)
+		e.mu.Unlock()
 		go e.readLoop(conn)
 	}
 }
 
+// readLoop serves one inbound connection until it ends, fails a check, or
+// the endpoint closes.
 func (e *TCPEndpoint) readLoop(conn *net.TCPConn) {
-	defer conn.Close()
-	// One header buffer for the hello and every frame: it escapes through
-	// io.ReadFull's interface argument, so declared inside the loop it would
-	// be a heap allocation per received frame.
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil { // the dialer's hello
-		return
+	defer e.wg.Done()
+	defer func() {
+		e.mu.Lock()
+		delete(e.inbound, conn)
+		e.mu.Unlock()
+		conn.Close()
+	}()
+	if e.serve(conn) == errBadFrame {
+		e.badFrames.Add(1)
 	}
+}
+
+// serve reads r — the dialer's hello, then frames — and delivers each frame
+// on this goroutine: to the frame handler when one is installed, else
+// decoded into the inbox. It returns why the stream ended.
+func (e *TCPEndpoint) serve(r io.Reader) error {
+	br := bufio.NewReaderSize(r, readBufSize)
+	hello, err := br.Peek(4)
+	if err != nil {
+		return err
+	}
+	peer := transport.ProcID(int32(binary.BigEndian.Uint32(hello)))
+	br.Discard(4)
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n > 64<<20 {
-			return // implausible frame; drop the stream
-		}
 		// The pooled frame travels with the message (zero-copy payload
 		// alias); it recycles when the consumer copies the payload out —
 		// RecvInto, a control handler — closing the pool loop.
-		fb := wire.GetBuf(int(n))
-		fb.B = fb.B[:n]
-		if _, err := io.ReadFull(conn, fb.B); err != nil {
-			wire.PutBuf(fb)
-			return
+		fb, err := e.readFrame(br, peer)
+		if err != nil {
+			return err
+		}
+		if hp := e.frameH.Load(); hp != nil {
+			(*hp)(fb)
+			continue
 		}
 		m, err := wire.UnmarshalPooled(fb)
 		if err != nil {
 			wire.PutBuf(fb)
+			return errBadFrame
+		}
+		if !e.enqueue(m) {
+			return net.ErrClosed
+		}
+	}
+}
+
+// readFrame reads one length-prefixed frame. The peer is not trusted: the
+// buffer is sized only after the prefix and the 36-byte wire header behind
+// it have been read and checked — a plausible length, the magic, room for
+// the control words the flags announce (wire.PeekHeader), addressed to this
+// proc, and from the proc the connection's hello named (a forged From on
+// channel 0 would otherwise mint a default channel per claimed peer) — and a
+// body longer than the pool's largest class is grown as its bytes arrive, so
+// memory committed follows bytes received, never a claimed length.
+func (e *TCPEndpoint) readFrame(br *bufio.Reader, peer transport.ProcID) (*wire.Buf, error) {
+	head, err := br.Peek(4)
+	if err != nil {
+		return nil, err
+	}
+	n := int(binary.BigEndian.Uint32(head))
+	if n < wire.HeaderSize || n > maxFrame {
+		return nil, errBadFrame
+	}
+	if head, err = br.Peek(4 + wire.HeaderSize); err != nil {
+		return nil, err
+	}
+	from, to, err := wire.PeekHeader(head[4:], n)
+	if err != nil || to != e.proc || from != peer {
+		return nil, errBadFrame
+	}
+	br.Discard(4)
+	fb := wire.GetBuf(min(n, wire.MaxPooled))
+	for len(fb.B) < n {
+		if len(fb.B) == cap(fb.B) {
+			grown := make([]byte, len(fb.B), min(n, 2*cap(fb.B)))
+			copy(grown, fb.B)
+			fb.B = grown
+		}
+		end := min(n, cap(fb.B))
+		if _, err := io.ReadFull(br, fb.B[len(fb.B):end]); err != nil {
+			wire.PutBuf(fb)
+			return nil, err
+		}
+		fb.B = fb.B[:end]
+	}
+	return fb, nil
+}
+
+// enqueue queues a decoded message for the scheduler domain and posts the
+// drain if none is pending. It reports false once the endpoint has closed.
+func (e *TCPEndpoint) enqueue(m *transport.Message) bool {
+	e.inmu.Lock()
+	for len(e.inbox) >= inboxMax && !e.closed.Load() {
+		e.inFree.Wait()
+	}
+	if e.closed.Load() {
+		e.inmu.Unlock()
+		m.Release()
+		return false
+	}
+	e.inbox = append(e.inbox, m)
+	post := !e.draining
+	e.draining = true
+	e.inmu.Unlock()
+	if post {
+		// PostAsync, not Post: the reader must be able to exit when the
+		// endpoint closes, whatever state the runtime is in.
+		e.rt.PostAsync(e.drainFn)
+	}
+	return true
+}
+
+// drainInbox delivers everything queued, in order. Scheduler domain.
+func (e *TCPEndpoint) drainInbox() {
+	for {
+		e.inmu.Lock()
+		batch := e.inbox
+		if len(batch) == 0 {
+			e.draining = false
+			e.inmu.Unlock()
 			return
 		}
-		e.rt.Post(func() {
-			e.mu.Lock()
-			h := e.handler
-			e.mu.Unlock()
-			if h != nil {
+		e.inbox, e.inSpare = e.inSpare[:0], nil
+		e.inFree.Broadcast()
+		e.inmu.Unlock()
+		e.mu.Lock()
+		h := e.handler
+		e.mu.Unlock()
+		for i, m := range batch {
+			if h == nil || e.closed.Load() {
+				m.Release()
+			} else {
 				h(m)
 			}
-		})
+			batch[i] = nil
+		}
+		e.inmu.Lock()
+		e.inSpare = batch[:0]
+		e.inmu.Unlock()
 	}
 }

@@ -10,6 +10,9 @@
 //     runtime's scheduler domain.
 //   - internal/tcpip.SimTCP: the simulated TCP/IP path used for the paper's
 //     Approach-1 benchmarks (NSM tier).
+//   - internal/tcpip.TCPEndpoint: the same tier over real TCP loopback
+//     connections; a FrameCarrier whose frames arrive on its connection
+//     readers (ReaderDelivery).
 //   - internal/nic.SimATM: the simulated ATM-API path (HSM tier,
 //     Approach 2).
 //   - internal/udpatm.UDP: AAL5 cells over UDP loopback, the "fake ATM
@@ -86,9 +89,9 @@ type BatchSender interface {
 }
 
 // FrameHandler consumes one marshalled wire frame. Unlike Handler it may be
-// invoked from any goroutine — the sender's, a timer's — not just the
-// destination's scheduler domain; the consumer owns the pooled buffer and
-// is responsible for decoding and recycling it.
+// invoked from any goroutine — the sender's, a timer's, a socket reader's —
+// not just the destination's scheduler domain; the consumer owns the pooled
+// buffer and is responsible for decoding and recycling it.
 type FrameHandler func(fb *wire.Buf)
 
 // FrameCarrier is the optional raw-frame delivery path used by the sharded
@@ -97,11 +100,41 @@ type FrameHandler func(fb *wire.Buf)
 // straight to the handler, which routes them onto per-lane MPSC rings
 // without a scheduler hop. Installing a frame handler replaces the
 // Handler-based delivery path for that endpoint; per-channel ordering must
-// be preserved exactly as for Send/SendBatch. Carriers that cannot make
-// that guarantee simply don't implement the interface and the core falls
-// back to the classic two-thread path.
+// be preserved exactly as for Send/SendBatch, and Send/SendBatch must be
+// safe to call from several goroutines at once (every lane sends for
+// itself). Carriers that cannot make those guarantees simply don't implement
+// the interface and the core falls back to the classic two-thread path.
+//
+// Untrusted frames. The handler decodes without a second opinion: a frame
+// that fails wire.Unmarshal is a bug to it, and it panics. Mem and SimMesh
+// hand over frames they marshalled themselves. A carrier that reads bytes a
+// peer produced (real TCP) must therefore pass a frame on only after
+// wire.PeekHeader has accepted its header for the frame's length — the same
+// check the decoder makes — and after whatever the connection lets it verify
+// about the addresses; what fails is the carrier's to drop and count, and
+// the handler never sees it.
+//
+// Mem, SimMesh and the real-TCP endpoint implement it; udpatm, SimTCP and
+// SimATM do not and keep the classic engine.
 type FrameCarrier interface {
 	SetFrameHandler(h FrameHandler)
+}
+
+// ReaderDelivery is the declaration a FrameCarrier makes, beside
+// SetFrameHandler, when its frames arrive on the very goroutine its own Send
+// may be waiting for: a carrier whose Send can block on the peer (a full
+// socket) and whose handler runs on the peer-facing reader that relieves
+// that backpressure. The core sends while holding a lane lock, so for such a
+// carrier the handler's goroutine must never wait on a lane lock and never
+// call Send — or a ring of procs, each blocked in Send holding the lane its
+// reader is queued on, stops for good. The core reads the declaration once,
+// when it installs the handler, and keeps deliveries to "decode, look the
+// channel up, push onto the lane's ring" (see the lock rules in
+// internal/core/lane.go). It is a property of the carrier, not a setting:
+// Mem delivers in the sender's goroutine and never blocks, SimMesh delivers
+// as clock events, and neither declares it.
+type ReaderDelivery interface {
+	DeliversFromReader() bool
 }
 
 // ChannelRouter is the optional per-call VC management seam: carriers that

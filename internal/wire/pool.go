@@ -18,6 +18,11 @@ const (
 	numClasses   = maxClassBits - minClassBits + 1
 )
 
+// MaxPooled is the capacity of the largest size class: the most a caller
+// that does not yet trust a claimed length can ask GetBuf for and still get
+// a recycled buffer.
+const MaxPooled = 1 << maxClassBits
+
 var pools [numClasses]sync.Pool
 
 // classFor returns the pool index whose buffers have capacity >= n, or -1

@@ -279,31 +279,54 @@ func Uint32(b []byte) uint32 {
 // newer: a duplicate advertisement is stale by definition.
 func SeqNewer(a, b uint32) bool { return int32(a-b) > 0 }
 
-func checkWire(b []byte) error {
-	if len(b) < HeaderSize {
+// checkWire validates a complete frame before it is decoded.
+func checkWire(b []byte) error { return checkHeader(b, len(b)) }
+
+// checkHeader validates a frame of frameLen bytes from its leading bytes
+// alone (hdr may be the whole frame or just its first HeaderSize bytes):
+// the magic, and room in the frame for the base header and for every
+// optional control word the flags announce.
+func checkHeader(hdr []byte, frameLen int) error {
+	if len(hdr) < HeaderSize || frameLen < HeaderSize {
 		return ErrShortMessage
 	}
-	if binary.BigEndian.Uint32(b[0:]) != wireMagic {
+	if binary.BigEndian.Uint32(hdr[0:]) != wireMagic {
 		return ErrMagic
 	}
-	// The optional control words the flags announce must be present too.
 	need := HeaderSize
 	words := 0
-	if b[34]&flagCredit != 0 {
+	if hdr[34]&flagCredit != 0 {
 		need += 4
 		words++
 	}
-	if b[34]&flagAck != 0 {
+	if hdr[34]&flagAck != 0 {
 		need += 4
 		words++
 	}
-	if b[34]&flagChans != 0 {
+	if hdr[34]&flagChans != 0 {
 		need += words
 	}
-	if len(b) < need {
+	if frameLen < need {
 		return ErrShortMessage
 	}
 	return nil
+}
+
+// PeekHeader validates a frame of frameLen bytes whose first HeaderSize
+// bytes are hdr, before the rest has been read, and returns the addresses it
+// claims. A stream carrier facing an untrusted peer calls it on the header
+// alone, so that it commits memory for the body — and hands the frame to a
+// consumer, whose Unmarshal then cannot fail — only once the header is known
+// to be well-formed and addressed as the connection allows. The header
+// carries no payload length: whatever of frameLen the header and its control
+// words leave is the payload.
+func PeekHeader(hdr []byte, frameLen int) (from, to ProcID, err error) {
+	if err := checkHeader(hdr, frameLen); err != nil {
+		return 0, 0, err
+	}
+	from = ProcID(int32(binary.BigEndian.Uint32(hdr[4:])))
+	to = ProcID(int32(binary.BigEndian.Uint32(hdr[8:])))
+	return from, to, nil
 }
 
 // Unmarshal decodes a wire message. Data is copied out of b, so the caller
