@@ -28,30 +28,32 @@
 // paper's receive-into-buffer call — recycles pooled receive frames so
 // steady-state traffic allocates nothing.
 //
-// Threading model: the paper's one-send-one-receive system-thread pair
-// per process is the lanes=1 configuration, still the default on a
-// single-core host. On multicore (or with Config.SendLanes/RecvLanes),
-// the pair shards into min(GOMAXPROCS, 4) lane engines; every channel is
+// Threading model: the send/recv protocol is implemented once, over lanes
+// (internal/core/lane.go), and a driver executes them. The paper's
+// one-send-one-receive system-thread pair per process is the lanes=1
+// configuration — one lane, run by two mts threads — still the default on
+// a single-core host. On multicore (or with Config.SendLanes/RecvLanes),
+// a proc has min(GOMAXPROCS, 4) lane engines; every channel is
 // pinned to one lane for life (peer-hash by default, ChannelConfig.Lane
 // to choose), so FIFO within a channel, strict priority among channels
-// sharing a lane, and single-owner discipline state all survive the
-// sharding. Application sends complete inline; arrivals flow through a
+// sharing a lane, and single-owner discipline state hold at any lane
+// count. There application sends complete inline; arrivals flow through a
 // per-lane MPSC ring (internal/ring) into the engine goroutine, which
 // runs the flow/error tiers and posts wakeups back to the cooperative
 // scheduler; a short frame that finds its lane's engine asleep and the
 // lane free gets that pass from the delivering goroutine instead, one
 // goroutine hand-off per message rather than two. The scheduler in real
 // mode is no goroutine of its own: the thread that parks dispatches its
-// successor, or waits for the post itself (internal/mts). Which engine a
-// proc runs follows from its carrier: Mem and real TCP hand over raw frames
-// (transport.FrameCarrier) and ride the lane engine at lane counts above
-// one; udpatm, SimTCP and SimATM deliver decoded messages and keep the
-// classic pair. Real TCP's frames arrive on the connection reader a peer's
+// successor, or waits for the post itself (internal/mts). Which driver a
+// proc gets follows from its carrier: Mem and real TCP hand over raw frames
+// (transport.FrameCarrier) and get engine goroutines at lane counts above
+// one; udpatm, SimTCP and SimATM deliver decoded messages and get the
+// system-thread pair. Real TCP's frames arrive on the connection reader a peer's
 // blocked write waits for (transport.ReaderDelivery), so there the reader
 // only decodes, looks the channel up and pushes onto the lane's ring —
-// never a pass, a lane lock or a send. Lane=1 passes
-// the full test suite unchanged, and the suite itself runs both models in
-// CI (-cpu=1,4 under the race detector).
+// never a pass, a lane lock or a send. The suite runs under both in CI
+// (-cpu=1,4 under the race detector), and TestEngineMatrix runs one table
+// of scenarios over every driver.
 //
 // Channels also open dynamically by signaling, the paper's switched
 // virtual circuits: Proc.OpenCall runs a blocking SETUP/CONNECT handshake

@@ -364,3 +364,64 @@ func TestPiggybackAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestRetransmissionReqsRecycle pins where a retransmission's sendReq comes
+// from: the freelist it returns to. A lossy Mem pair on two lanes forces
+// well over a hundred retransmissions under each error-control discipline;
+// in steady state none of them allocates a request, so after the run the
+// sender's lanes hold no more pooled requests than its windows could ever
+// have had in flight. (Drawn from a different pool than they retire into —
+// as the timers once did — every retransmission allocates and the lane
+// freelist grows by one each time.)
+func TestRetransmissionReqsRecycle(t *testing.T) {
+	const msgs, window = 400, 8
+	for name, mk := range map[string]func() ErrorControl{
+		"go-back-n":        func() ErrorControl { return NewGoBackN(window, 2*time.Millisecond) },
+		"selective-repeat": func() ErrorControl { return NewSelectiveRepeat(window, 2*time.Millisecond) },
+	} {
+		mem := transport.NewMem()
+		mem.SetDropRate(0.3, 42)
+		procs := make([]*Proc, 2)
+		for i := range procs {
+			rt := mts.New(mts.Config{Name: name, IdleTimeout: 10 * time.Second})
+			procs[i] = New(Config{
+				ID: ProcID(i), RT: rt, Endpoint: mem.Attach(ProcID(i), rt),
+				Error: mk(), SendLanes: 2, RecvLanes: 2,
+			})
+		}
+		procs[0].OnException(func(error) {}) // trailing-ack give-up after peer exit
+		procs[0].TCreate("sender", mts.PrioDefault, func(th *Thread) {
+			for k := 0; k < msgs; k++ {
+				th.Send(0, 1, []byte{byte(k)})
+			}
+		})
+		procs[1].TCreate("recv", mts.PrioDefault, func(th *Thread) {
+			for k := 0; k < msgs; k++ {
+				th.Recv(Any, Any)
+			}
+		})
+		runReal(procs)
+
+		var retrans int64
+		switch ec := procs[0].DefaultChannel(1).Error().(type) {
+		case *GoBackN:
+			retrans = ec.Retransmissions()
+		case *SelectiveRepeat:
+			retrans = ec.Retransmissions()
+		}
+		pooled := 0
+		for _, ln := range procs[0].lanes {
+			pooled += len(ln.reqFree)
+		}
+		t.Logf("%s: %d retransmissions, %d sendReqs pooled", name, retrans, pooled)
+		if retrans < 100 {
+			t.Fatalf("%s: only %d retransmissions — test proves nothing", name, retrans)
+		}
+		// One window of raw retransmissions, one of deferred sends, the
+		// sender's own request and the control frames between them.
+		if pooled > 4*window {
+			t.Fatalf("%s: %d sendReqs pooled after %d retransmissions, want <= %d: retransmissions allocate",
+				name, pooled, retrans, 4*window)
+		}
+	}
+}

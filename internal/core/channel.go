@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/list"
 	"repro/internal/mts"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -67,21 +66,19 @@ type ChannelConfig struct {
 	// NoErrorControl). Instances hold per-channel state and must not be
 	// shared.
 	Error ErrorControl
-	// Lane pins the channel to a specific send/recv lane in the sharded
-	// configuration: 1-based (wrapped into the lane count), 0 selects the
-	// default placement — a hash of the peer. Channels sharing a lane
-	// serialize against each other; channels on different lanes run
-	// concurrently. An explicitly pinned channel is never moved by the
-	// hot-lane rebalancer; hash-placed channels are. Ignored in the classic
-	// single-lane configuration.
+	// Lane pins the channel to a specific send/recv lane: 1-based (wrapped
+	// into the lane count), 0 selects the default placement — a hash of the
+	// peer. Channels sharing a lane serialize against each other; channels
+	// on different lanes run concurrently. An explicitly pinned channel is
+	// never moved by the hot-lane rebalancer; hash-placed channels are.
+	// Moot on a single-lane proc.
 	Lane int
 	// Weight is the channel's deficit-round-robin service weight within its
-	// lane (sharded configuration only): each round a backlogged channel
-	// earns Weight quanta of transmission, so two channels sharing a lane
-	// split bandwidth Weight-proportionally instead of the higher priority
-	// starving the lower. 0 selects Priority+1, so by default higher
-	// priority also means a larger share. The classic single-lane path
-	// keeps the paper's strict priority and ignores Weight.
+	// lane: each round a backlogged channel earns Weight quanta of
+	// transmission, so two channels sharing a lane split bandwidth
+	// Weight-proportionally instead of the higher priority starving the
+	// lower. 0 selects Priority+1, so by default higher priority also means
+	// a larger share.
 	Weight int
 }
 
@@ -134,11 +131,10 @@ type Channel struct {
 	deadErr  *PeerDeadError
 	idleOver time.Duration
 
-	// lnp is the lane the channel currently runs on in the sharded
-	// configuration (nil classically). All mutable channel state below —
-	// discipline state, piggyback words, the closed flag — is guarded by
-	// the *current* lane's mu when set, and by the scheduler domain
-	// otherwise. The hot-lane rebalancer may move an idle-safe channel to
+	// lnp is the lane the channel currently runs on (never nil once the
+	// channel is built). All mutable channel state below — discipline state,
+	// piggyback words, the closed flag — is guarded by the *current* lane's
+	// mu. The hot-lane rebalancer may move an idle-safe channel to
 	// another lane (holding both lane locks), so out-of-lock readers use
 	// lockLane, which loads, locks, and re-checks; in-lock contexts may
 	// Load directly — the pointer cannot change while its lane's lock is
@@ -156,13 +152,12 @@ type Channel struct {
 	pendCreditOn bool
 	pendAcks     []uint32
 
-	// Flush-wheel state (owning lane's lock; scheduler domain classically):
-	// flushOn marks an entry in the wheel, flushAt its deadline, and
-	// flushDeferred that the wheel already granted one extra window waiting
-	// for an imminent same-peer data ride (bounded: the second expiry
-	// always flushes). inPend marks membership in the lane's
-	// pending-control index; mustFlushOn marks a forced advertisement
-	// queued for the end of the current service pass.
+	// Flush-wheel state (owning lane's lock): flushOn marks an entry in the
+	// wheel, flushAt its deadline, and flushDeferred that the wheel already
+	// granted one extra window waiting for an imminent same-peer data ride
+	// (bounded: the second expiry always flushes). inPend marks membership
+	// in the lane's pending-control index; mustFlushOn marks a forced
+	// advertisement queued for the end of the current service pass.
 	flushOn       bool
 	flushAt       time.Duration
 	flushDeferred bool
@@ -186,8 +181,8 @@ type Channel struct {
 	// lane names the channel's trace timeline (empty without a Tracer).
 	lane string
 
-	// Counters are atomic so Stats() can be read while lane engines (or,
-	// classically, the system threads) are still updating them.
+	// Counters are atomic so Stats() can be read while lane engines (or the
+	// system threads) are still updating them.
 	sent, received           atomic.Int64
 	bytesSent, bytesReceived atomic.Int64
 	ctrlPiggy                atomic.Int64 // control words that rode data frames
@@ -213,15 +208,14 @@ type ChannelStats struct {
 	CtrlPiggybacked, CtrlStandalone int64
 	// CtrlCoalesced counts the subset of CtrlPiggybacked that rode a
 	// *different* channel's data frame toward the same peer (lane-aware
-	// cross-channel coalescing, sharded mode only).
+	// cross-channel coalescing).
 	CtrlCoalesced int64
 	// Weight is the channel's DRR service weight and Deficit its current
-	// byte deficit in the lane scheduler (sharded mode; zero classically).
+	// byte deficit in the lane scheduler.
 	Weight  int
 	Deficit int64
-	// Lane is the index of the lane currently serving the channel (-1
-	// classically) and Migrations how many times the hot-lane rebalancer
-	// has moved it.
+	// Lane is the index of the lane currently serving the channel and
+	// Migrations how many times the hot-lane rebalancer has moved it.
 	Lane       int
 	Migrations int64
 	// Flow and Error name the channel's disciplines.
@@ -273,8 +267,8 @@ func (p *Proc) DefaultChannel(peer ProcID) *Channel {
 
 // addChannel builds a channel and publishes it. The channel is fully
 // initialized — lane pinned, disciplines init'd — *before* it enters the
-// table: in sharded mode a foreign goroutine (routeFrame) may resolve it
-// the instant it is visible. Two goroutines may race to create the same
+// table: a foreign goroutine (routeFrame) may resolve it the instant it is
+// visible. Two goroutines may race to create the same
 // default channel; the loser's channel is discarded and the winner's
 // returned. Explicit duplicate Opens still panic.
 func (p *Proc) addChannel(key chanKey, prio, laneHint, weight int, fc FlowControl, ec ErrorControl) *Channel {
@@ -282,14 +276,12 @@ func (p *Proc) addChannel(key chanKey, prio, laneHint, weight int, fc FlowContro
 		weight = prio + 1
 	}
 	c := &Channel{p: p, peer: key.peer, id: key.id, priority: prio, weight: weight, flow: fc, errc: ec}
-	if p.sharded() {
-		c.lnp.Store(p.lanes[p.laneIndex(key.peer, laneHint)])
-		c.pinned = laneHint > 0
-		ln := c.lnp.Load()
-		ln.mu.Lock()
-		ln.chans = append(ln.chans, c)
-		ln.mu.Unlock()
-	}
+	ln := p.lanes[p.laneIndex(key.peer, laneHint)]
+	c.lnp.Store(ln)
+	c.pinned = laneHint > 0
+	ln.mu.Lock()
+	ln.chans = append(ln.chans, c)
+	ln.mu.Unlock()
 	if p.cfg.Tracer != nil {
 		c.lane = fmt.Sprintf("%s/ch%d>%d", p.cfg.TraceName, key.id, key.peer)
 	}
@@ -311,18 +303,14 @@ func (p *Proc) addChannel(key chanKey, prio, laneHint, weight int, fc FlowContro
 		// Opened after the user threads finished (unusual, but legal from
 		// an exception handler): give the disciplines their shutdown signal
 		// immediately so the process can still terminate.
-		if ln := c.lockLane(); ln != nil {
-			fc.shutdown()
-			ec.shutdown()
-			ln.serviceLocked()
-			post := ln.queueDrainLocked()
-			ln.mu.Unlock()
-			if post {
-				p.postScheduler(ln.drainFn)
-			}
-		} else {
-			fc.shutdown()
-			ec.shutdown()
+		ln := c.lockLane()
+		fc.shutdown()
+		ec.shutdown()
+		ln.service()
+		post := ln.queueDrainLocked()
+		ln.mu.Unlock()
+		if post {
+			p.laneDriver.post(p, ln.drainFn)
 		}
 	}
 	return c
@@ -368,23 +356,9 @@ func (p *Proc) lookupChannel(peer ProcID, id ChannelID) (*Channel, bool) {
 // Channels opened through the signaling band (Proc.OpenCall) should use
 // CloseCall instead, which drains both ends and releases the VC.
 func (c *Channel) Close() {
-	if ln := c.lockLane(); ln != nil {
-		if c.closed {
-			ln.mu.Unlock()
-			return
-		}
-		c.flushCtrl()
-		c.closed = true
-		c.state.Store(chanClosed)
-		c.flow.shutdown()
-		c.errc.shutdown()
-		ln.serviceLocked()
-		ln.mu.Unlock()
-		ln.runDrain()
-		c.p.checkShutdownWake()
-		return
-	}
+	ln := c.lockLane()
 	if c.closed {
+		ln.mu.Unlock()
 		return
 	}
 	// Flush pending piggyback control first: the peer's sender role may be
@@ -395,6 +369,7 @@ func (c *Channel) Close() {
 	c.state.Store(chanClosed)
 	c.flow.shutdown()
 	c.errc.shutdown()
+	ln.leave()
 	// Error control may have been holding the only reference that kept the
 	// system threads alive; re-check now that deferred work is failed.
 	c.p.checkShutdownWake()
@@ -424,7 +399,7 @@ func (c *Channel) sendFailErr() error {
 }
 
 // lockLane acquires the channel's *current* lane lock, returning the locked
-// lane (nil classically). Because the rebalancer only moves a channel while
+// lane. Because the rebalancer only moves a channel while
 // holding both the source and destination lane locks, a loaded pointer that
 // still matches after locking is stable until the caller unlocks — the
 // load/lock/re-check loop below is the standard out-of-lock entry into a
@@ -432,9 +407,6 @@ func (c *Channel) sendFailErr() error {
 func (c *Channel) lockLane() *lane {
 	for {
 		ln := c.lnp.Load()
-		if ln == nil {
-			return nil
-		}
 		ln.mu.Lock()
 		if c.lnp.Load() == ln {
 			return ln
@@ -443,19 +415,18 @@ func (c *Channel) lockLane() *lane {
 	}
 }
 
-// laneOf returns the channel's current lane without locking (nil
-// classically). Only in-lock contexts — discipline callbacks, lane engine
+// laneOf returns the channel's current lane without locking. Only in-lock
+// contexts — discipline callbacks, lane engine
 // code — may treat the result as stable.
 func (c *Channel) laneOf() *lane { return c.lnp.Load() }
 
 // laneLock / laneUnlock guard lane-domain discipline state for the public
 // introspection accessors (WindowFlow.Outstanding, GoBackN.Retransmissions,
-// ...): on a sharded channel that state mutates under the lane lock in the
-// engine goroutines, so a reader outside the lane must take it. Both are
-// no-ops on classic channels (scheduler-domain state, scheduler-domain
-// callers) and on a nil receiver (discipline not yet bound). laneUnlock
-// releases the lane laneLock acquired: the channel cannot migrate while its
-// current lane's lock is held, so the loaded pointer still names it.
+// ...): that state mutates under the lane lock, possibly in an engine
+// goroutine, so a reader outside the lane must take it. Both are no-ops on a
+// nil receiver (discipline not yet bound). laneUnlock releases the lane
+// laneLock acquired: the channel cannot migrate while its current lane's
+// lock is held, so the loaded pointer still names it.
 func (c *Channel) laneLock() {
 	if c != nil {
 		c.lockLane()
@@ -463,11 +434,8 @@ func (c *Channel) laneLock() {
 }
 
 func (c *Channel) laneUnlock() {
-	if c == nil {
-		return
-	}
-	if ln := c.lnp.Load(); ln != nil {
-		ln.mu.Unlock()
+	if c != nil {
+		c.lnp.Load().mu.Unlock()
 	}
 }
 
@@ -506,14 +474,13 @@ func (c *Channel) Stats() ChannelStats {
 		BytesSent: c.bytesSent.Load(), BytesReceived: c.bytesReceived.Load(),
 		CtrlPiggybacked: c.ctrlPiggy.Load(), CtrlStandalone: c.ctrlStandalone.Load(),
 		CtrlCoalesced: c.ctrlCoalesced.Load(), Migrations: c.migrations.Load(),
-		Weight: c.weight, Lane: -1,
-		Flow: c.flow.Name(), Error: c.errc.Name(),
+		Weight: c.weight,
+		Flow:   c.flow.Name(), Error: c.errc.Name(),
 	}
-	if ln := c.lockLane(); ln != nil {
-		st.Deficit = c.deficit
-		st.Lane = ln.idx
-		ln.mu.Unlock()
-	}
+	ln := c.lockLane()
+	st.Deficit = c.deficit
+	st.Lane = ln.idx
+	ln.mu.Unlock()
 	return st
 }
 
@@ -550,9 +517,9 @@ func (c *Channel) queueAck(v uint32, cumulative bool) {
 }
 
 // armFlush schedules the standalone fallback for queued control by filing
-// the channel on its flush wheel — one timer per lane (or per proc,
-// classically) serves every channel with pending control, so 256 idle
-// channels cost at most one armed timer each wheel, not 256. A negative
+// the channel on its lane's flush wheel — one timer per lane serves every
+// channel with pending control, so 256 idle channels cost at most one armed
+// timer each wheel, not 256. A negative
 // CtrlFlushDelay disables the piggyback window entirely: control flushes
 // standalone immediately, the pre-piggyback behavior.
 func (c *Channel) armFlush() {
@@ -560,192 +527,78 @@ func (c *Channel) armFlush() {
 		c.flushCtrl()
 		return
 	}
-	if ln := c.lnp.Load(); ln != nil {
-		ln.pendAddLocked(c)
-		if c.flushOn || c.closed {
-			return
-		}
-		c.flushOn = true
-		c.flushAt = time.Duration(c.p.cfg.RT.Now()) + c.p.ctrlFlush
-		ln.flushQ.Push(c)
-		ln.armWheelLocked()
-		return
-	}
+	ln := c.laneOf()
+	ln.pendAddLocked(c)
 	if c.flushOn || c.closed {
 		return
 	}
 	c.flushOn = true
 	c.flushAt = time.Duration(c.p.cfg.RT.Now()) + c.p.ctrlFlush
-	c.p.flushQ.Push(c)
-	c.p.armWheel()
-}
-
-// armWheel schedules the classic proc-level flush wheel for its head
-// deadline. Entries enter with a constant delay, so the queue is in
-// deadline order and one armed timer covers them all.
-func (p *Proc) armWheel() {
-	if p.wheelOn || p.flushQ.Size() == 0 {
-		return
-	}
-	d := p.flushQ.Peek().flushAt - time.Duration(p.cfg.RT.Now())
-	if d < 0 {
-		d = 0
-	}
-	p.wheelOn = true
-	p.flushTimers.Add(1)
-	p.cfg.After(d, p.wheelFn)
-}
-
-// wheelFire is the classic flush wheel: flush every channel whose piggyback
-// window expired, then re-arm for the next deadline.
-func (p *Proc) wheelFire() {
-	p.flushTimers.Add(-1)
-	p.wheelOn = false
-	now := time.Duration(p.cfg.RT.Now())
-	for p.flushQ.Size() > 0 && p.flushQ.Peek().flushAt <= now {
-		c := p.flushQ.Pop()
-		c.flushOn = false
-		if c.closed {
-			continue
-		}
-		c.flushCtrl()
-	}
-	p.armWheel()
+	ln.flushQ.Push(c)
+	ln.armWheelLocked()
 }
 
 // flushCtrl sends whatever control is still pending as standalone frames:
 // one credit advertisement and one (possibly multi-word) ack frame. No-op
-// when a data frame already carried everything. In sharded mode the
-// caller holds the lane lock and is responsible for servicing the lane
-// afterwards (the frames are queued, not yet transmitted).
+// when a data frame already carried everything. The caller holds the lane
+// lock and is responsible for having the lane serviced afterwards (the
+// frames are queued, not yet transmitted).
 func (c *Channel) flushCtrl() {
-	ln := c.lnp.Load()
+	ln := c.laneOf()
 	if c.pendCreditOn {
 		c.pendCreditOn = false
 		c.ctrlStandalone.Add(1)
-		if ln != nil {
-			ln.ctrlStandaloneL++
-		}
-		c.sendCtrl(tagFlowAck, c.pendCredit, true)
+		ln.ctrlStandaloneL++
+		ln.pushCtrlLocked(c.peer, c.id, tagFlowAck, nil, c.pendCredit)
 		c.flow.creditSent(c.pendCredit)
 	}
 	if len(c.pendAcks) > 0 {
 		c.ctrlStandalone.Add(1)
-		if ln != nil {
-			ln.ctrlStandaloneL++
-		}
-		c.sendCtrlVec(tagGBNAck, c.pendAcks)
+		ln.ctrlStandaloneL++
+		ln.pushCtrlLocked(c.peer, c.id, tagGBNAck, nil, c.pendAcks...)
 		c.pendAcks = c.pendAcks[:0]
 	}
-	if ln != nil {
-		ln.pendDropLocked(c)
-	}
+	ln.pendDropLocked(c)
 }
 
-// sendCtrl queues one control frame on this channel's transmit path: the
-// owning lane's queue in sharded mode (the caller holds the lane lock and
-// services it afterwards), the proc-wide send queue classically.
-func (c *Channel) sendCtrl(tag int, payload uint32, withPayload bool) {
-	ln := c.lnp.Load()
-	if ln == nil {
-		c.p.sendCtrl(c.peer, c.id, tag, payload, withPayload)
-		return
-	}
-	m := ln.getCtrlMsg()
-	m.From = c.p.cfg.ID
-	m.To = c.peer
-	m.Channel = c.id
-	m.Tag = tag
-	if withPayload {
-		m.Data = wire.AppendUint32(m.Data[:0], payload)
-	}
-	req := ln.getReq()
-	req.m = m
-	req.ctrl = true
-	ln.pending.push(ctrlLevel, req)
-}
-
-// sendCtrlVec is sendCtrl with a multi-word payload (ack bursts).
-func (c *Channel) sendCtrlVec(tag int, words []uint32) {
-	ln := c.lnp.Load()
-	if ln == nil {
-		c.p.sendCtrlVec(c.peer, c.id, tag, words)
-		return
-	}
-	m := ln.getCtrlMsg()
-	m.From = c.p.cfg.ID
-	m.To = c.peer
-	m.Channel = c.id
-	m.Tag = tag
-	for _, w := range words {
-		m.Data = wire.AppendUint32(m.Data, w)
-	}
-	req := ln.getReq()
-	req.m = m
-	req.ctrl = true
-	ln.pending.push(ctrlLevel, req)
-}
-
-// wrapTimer adapts a discipline timer callback to the channel's execution
-// domain. Classic channels run timers straight in the scheduler domain;
-// sharded ones enter the lane domain — take the lane lock, run the
-// callback, service whatever it queued (retransmissions, credit syncs),
-// then drain the scheduler-domain completions. Timer callbacks fire via
-// Config.After, which is always a scheduler-domain context, so the drain
-// is legal here. The lane is resolved at fire time, not capture time: the
-// rebalancer may have migrated the channel since the timer was armed.
+// wrapTimer adapts a discipline timer callback to the channel's lane domain:
+// take the lane lock, run the callback, have whatever it queued serviced
+// (retransmissions, credit syncs), then drain the scheduler-domain
+// completions. Timer callbacks fire via Config.After, which is always a
+// scheduler-domain context, so the drain is legal here. The lane is resolved
+// at fire time, not capture time: the rebalancer may have migrated the
+// channel since the timer was armed.
 func (c *Channel) wrapTimer(fn func()) func() {
-	if c.lnp.Load() == nil {
-		return fn
-	}
 	return func() {
 		ln := c.lockLane()
 		fn()
-		ln.serviceLocked()
-		ln.mu.Unlock()
-		ln.runDrain()
+		ln.leave()
 	}
 }
 
-// raise reports a channel-context exception: immediately in classic mode,
-// deferred through the lane drain in sharded mode (callers hold the lane
-// lock, and exception handlers are user code that must not run under it).
+// raise reports a channel-context exception, deferred through the lane drain
+// (callers hold the lane lock, and exception handlers are user code that must
+// not run under it).
 func (c *Channel) raise(err error) {
-	if ln := c.lnp.Load(); ln != nil {
-		ln.errs = append(ln.errs, err)
-		return
-	}
-	c.p.exception(err)
-}
-
-// requeueRx re-queues in-order flushes from a buffering error-control
-// discipline (selective repeat) ahead of anything already waiting at the
-// channel's priority level, so release order equals sequence order.
-func (c *Channel) requeueRx(flushed []*transport.Message) {
-	if ln := c.lnp.Load(); ln != nil {
-		ln.requeueRxLocked(c, flushed)
-		return
-	}
-	c.p.rxIn.prependLevel(c.priority, flushed)
+	ln := c.laneOf()
+	ln.errs = append(ln.errs, err)
 }
 
 // attachPiggy moves pending control onto a departing data frame: the
-// credit word and the oldest queued ack ride for free. Runs in the send
-// system thread immediately before the frame is handed to the carrier.
+// credit word and the oldest queued ack ride for free. Runs in the service
+// pass immediately before the frame is handed to the carrier.
 // Slots a previous transmission already occupied are skipped (a go-back-N
 // retransmission re-sends the exact bytes it carried the first time);
 // cross-channel coalescing may then fill the free slot from a sibling
 // channel, so each attached word is stamped with its owning channel.
 func (c *Channel) attachPiggy(m *transport.Message) {
-	ln := c.lnp.Load()
+	ln := c.laneOf()
 	if c.pendCreditOn && !m.HasCredit {
 		m.Credit, m.HasCredit = c.pendCredit, true
 		m.CreditChan = c.id
 		c.pendCreditOn = false
 		c.ctrlPiggy.Add(1)
-		if ln != nil {
-			ln.ctrlPiggyL++
-		}
+		ln.ctrlPiggyL++
 		c.flow.creditSent(c.pendCredit)
 	}
 	if n := len(c.pendAcks); n > 0 && !m.HasAck {
@@ -754,11 +607,9 @@ func (c *Channel) attachPiggy(m *transport.Message) {
 		copy(c.pendAcks, c.pendAcks[1:])
 		c.pendAcks = c.pendAcks[:n-1]
 		c.ctrlPiggy.Add(1)
-		if ln != nil {
-			ln.ctrlPiggyL++
-		}
+		ln.ctrlPiggyL++
 	}
-	if ln != nil && !c.pendCreditOn && len(c.pendAcks) == 0 {
+	if !c.pendCreditOn && len(c.pendAcks) == 0 {
 		ln.pendDropLocked(c)
 	}
 }
@@ -778,19 +629,7 @@ func (c *Channel) SendTagged(t *Thread, tag, toThread int, data []byte) {
 	if t.proc != c.p {
 		panic("core: thread sending on another process's channel")
 	}
-	if c.lnp.Load() != nil {
-		c.laneSend(t, tag, toThread, data)
-		return
-	}
-	m := c.p.getDataMsg()
-	m.From = c.p.cfg.ID
-	m.To = c.peer
-	m.FromThread = t.idx
-	m.ToThread = toThread
-	m.Tag = tag
-	m.Channel = c.id
-	m.Data = data
-	c.p.sendOn(c, t, m)
+	c.laneSend(t, tag, toThread, data)
 }
 
 // Recv receives the next message the peer sent on this channel to the
@@ -821,43 +660,16 @@ func (c *Channel) TryRecv(t *Thread, fromThread int) (data []byte, from Addr, ok
 	return t.tryRecvOn(c.id, fromThread, c.peer)
 }
 
-// sendOn queues m on channel c for the send system thread and parks the
-// calling thread until the transfer is handed to the network — the shared
-// body of Thread.Send and Channel.Send.
-func (p *Proc) sendOn(c *Channel, t *Thread, m *transport.Message) {
-	if pd := p.deadPeers[c.peer]; pd != nil {
-		// Fail fast on a declared-dead peer: see laneSend. A send after
-		// the failure sweep must not feed a resurrected channel.
-		p.putDataMsg(m)
-		p.exception(pd)
-		return
-	}
-	if c.sendUnavailable() {
-		p.putDataMsg(m)
-		p.exception(c.sendFailErr())
-		return
-	}
-	p.traceThread(t, trace.Idle)
-	req := p.getReq()
-	req.m = m
-	req.ch = c
-	req.caller = t.mt
-	p.enqueueSend(req)
-	t.mt.Park("ncs send")
-	p.traceThread(t, trace.Compute)
-	p.sent.Add(1)
-}
-
 // ---------------------------------------------------------------------------
 // Priority queues
 
 // prioQueue fans one logical queue into per-priority head-indexed FIFOs:
 // push files an item under its level, pop drains the highest occupied
-// level first. This is how the send and receive system threads service
-// higher-priority channels ahead of bulk traffic. A bitmask tracks which
-// levels are occupied, so the hot-path empty/pop pair is O(1) (bits.Len16
-// finds the highest set bit) instead of scanning all nine levels on every
-// system-thread iteration.
+// level first. This is how a lane's receive side services higher-priority
+// channels ahead of bulk traffic (its send side is laneSched, drr.go). A
+// bitmask tracks which levels are occupied, so the hot-path empty/pop pair
+// is O(1) (bits.Len16 finds the highest set bit) instead of scanning all
+// nine levels on every iteration.
 type prioQueue[T any] struct {
 	lvl  [numSendLevels]list.FIFO[T]
 	mask uint16 // bit i set ⇔ lvl[i] non-empty

@@ -45,9 +45,9 @@ import (
 // control, and priority like any other traffic; on a lossy carrier the
 // group's channel needs an error-control discipline, exactly as
 // point-to-point traffic does. Hot paths stay pooled: fan-out enqueues
-// every copy before parking once (the send loop batches same-destination
-// runs, and sender-side Message structs recycle through the proc
-// freelist), barrier tokens and BcastInto payloads land via RecvInto
+// every copy before parking once (a service pass batches same-destination
+// runs, and sender-side Message structs recycle through the lane
+// freelists), barrier tokens and BcastInto payloads land via RecvInto
 // semantics so pooled frames recycle, and alloc_test.go pins the
 // per-collective budget.
 
@@ -119,7 +119,7 @@ type Group struct {
 
 	// addrScratch and idxScratch are per-op scratch (member-thread only);
 	// packBuf is Gather's concatenation buffer; laneScratch dedupes the
-	// lanes a sharded fan-out touched; held keeps Reduce's received
+	// lanes a fan-out touched; held keeps Reduce's received
 	// messages until the fold is done. All retain capacity across calls so
 	// steady-state collectives allocate nothing beyond payloads.
 	addrScratch []Addr
@@ -338,61 +338,20 @@ func (g *Group) traceIdle() {
 
 // fanSend transmits one message per member index in idxs — the shared
 // payload when datas is nil, datas[pos] otherwise — enqueuing every copy
-// before parking the caller *once* until the send loop has handed the last
-// one to the carrier. Compared with serial Sends this amortizes the
-// park/unpark pair across the whole fan and lets the carrier's batch path
-// see the run; the payload must stay stable until the wakeup, which is
-// exactly what the single park guarantees (every copy is serialized before
-// the last request retires).
+// before parking the caller *once* until the last one has been handed to the
+// carrier. Compared with serial Sends this amortizes the park/unpark pair
+// across the whole fan and lets the carrier's batch path see the run; the
+// payload must stay stable until the wakeup, which is exactly what the single
+// park guarantees (every copy is serialized before the last request
+// retires). Every copy is staged on its channel's lane (under that lane's
+// lock, from the lane freelists), then each touched lane is serviced once —
+// so a lane sees its whole share of the fan as one burst. fanLeft is
+// scheduler-domain state, decremented by the drains this thread runs inline
+// (runDrain), that post behind its park, or by the send system thread.
 func (g *Group) fanSend(t *Thread, tag int, idxs []int, datas [][]byte, shared []byte) {
 	if len(idxs) == 0 {
 		return
 	}
-	p := g.p
-	if p.sharded() {
-		g.fanSendSharded(t, tag, idxs, datas, shared)
-		return
-	}
-	p.traceThread(t, trace.Idle)
-	t.fanLeft = len(idxs)
-	for pos, ki := range idxs {
-		c := g.chans[ki]
-		if c.closed {
-			panic(fmt.Sprintf("core(proc %d): group send on closed channel %d to proc %d", p.cfg.ID, c.id, c.peer))
-		}
-		m := p.getDataMsg()
-		m.From = p.cfg.ID
-		m.To = c.peer
-		m.FromThread = t.idx
-		m.ToThread = g.members[ki].Thread
-		m.Tag = tag
-		m.Channel = c.id
-		if datas != nil {
-			m.Data = datas[pos]
-		} else {
-			m.Data = shared
-		}
-		req := p.getReq()
-		req.m = m
-		req.ch = c
-		req.fan = t
-		p.enqueueSend(req)
-	}
-	for t.fanLeft > 0 {
-		t.mt.Park("ncs send")
-	}
-	p.traceThread(t, trace.Compute)
-	p.sent.Add(int64(len(idxs)))
-}
-
-// fanSendSharded is fanSend over per-lane engines: every copy is staged on
-// its channel's lane (under that lane's lock, from the lane freelists),
-// then each touched lane is serviced once — so a lane sees its whole share
-// of the fan as one burst and the carrier's batch path still fires. The
-// caller's counter-park loop is identical to the classic path: fanLeft is
-// scheduler-domain state, decremented by the drains this thread runs inline
-// (runDrain) or that post behind its park.
-func (g *Group) fanSendSharded(t *Thread, tag int, idxs []int, datas [][]byte, shared []byte) {
 	p := g.p
 	p.traceThread(t, trace.Idle)
 	t.fanLeft = len(idxs)
@@ -439,9 +398,7 @@ func (g *Group) fanSendSharded(t *Thread, tag int, idxs []int, datas [][]byte, s
 	g.laneScratch = lanes
 	for _, ln := range lanes {
 		ln.mu.Lock()
-		ln.serviceLocked()
-		ln.mu.Unlock()
-		ln.runDrain()
+		ln.leave()
 	}
 	for t.fanLeft > 0 {
 		t.mt.Park("ncs send")

@@ -283,34 +283,36 @@ func TestSingleMemberGroupDegenerates(t *testing.T) {
 	}
 }
 
-// TestConcurrentBarriersSiblingThreads is the satellite bugfix: two
-// threads of one process simultaneously in barriers over *different*
-// groups. The old Proc-global barrier slot panicked ("concurrent Barrier
-// calls"); keyed-by-group state lets both complete.
+// TestConcurrentBarriersSiblingThreads: two threads of one process
+// simultaneously in barriers over *different* groups. Group state is the
+// Group's own and its tokens are addressed to the member thread, so both
+// complete (a proc-global barrier slot once panicked here).
 func TestConcurrentBarriersSiblingThreads(t *testing.T) {
 	eng, procs := simCluster(t, 3, nil)
-	groupA := []ProcID{0, 1}
-	groupB := []ProcID{0, 2}
+	// Star groups rooted at proc 0, whose two member threads are siblings.
+	groupA := []Addr{{Proc: 0, Thread: 0}, {Proc: 1}}
+	groupB := []Addr{{Proc: 0, Thread: 1}, {Proc: 2}}
+	star := GroupConfig{Fanout: 2}
 	done := make([]bool, 4)
 	// Proc 0 runs both barriers from sibling threads; procs 1 and 2 delay
 	// differently so the two barriers are in flight at the same time on
 	// proc 0.
 	procs[0].TCreate("a", mts.PrioDefault, func(th *Thread) {
-		th.Barrier(groupA)
+		th.Proc().NewGroup(groupA, star).Barrier(th)
 		done[0] = true
 	})
 	procs[0].TCreate("b", mts.PrioDefault, func(th *Thread) {
-		th.Barrier(groupB)
+		th.Proc().NewGroup(groupB, star).Barrier(th)
 		done[1] = true
 	})
 	procs[1].TCreate("a", mts.PrioDefault, func(th *Thread) {
 		th.Compute(5*time.Millisecond, nil)
-		th.Barrier(groupA)
+		th.Proc().NewGroup(groupA, star).Barrier(th)
 		done[2] = true
 	})
 	procs[2].TCreate("b", mts.PrioDefault, func(th *Thread) {
 		th.Compute(25*time.Millisecond, nil)
-		th.Barrier(groupB)
+		th.Proc().NewGroup(groupB, star).Barrier(th)
 		done[3] = true
 	})
 	eng.Run()

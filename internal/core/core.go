@@ -34,53 +34,51 @@
 //
 // # Threading model
 //
-// With Config.SendLanes/RecvLanes = 1 (the GOMAXPROCS=1 default) the
-// process runs the paper's exact model: one send and one receive system
-// thread at top priority, strict 9-level priority across channels,
-// per-channel flush timers. At lane counts above one the pair shards into
-// per-lane engines (lane.go), and each lane engine is an adaptive
-// scheduler:
+// There is one send/recv protocol implementation — the lane code in lane.go:
+// admission, piggybacked and coalesced control, deficit round robin across a
+// lane's channels under strictly-first control traffic (drr.go), a per-lane
+// flush wheel, demultiplexing and the scheduler-domain drain — and every Proc
+// runs it over at least one lane. What varies is the lane's execution
+// vehicle, its engineDriver, which New selects per Proc from the carrier's
+// capabilities and the hooks already in Config (there is nothing to set):
 //
-//   - Deficit round robin across the lane's data channels (drr.go):
-//     ChannelConfig.Weight (default priority+1) × 2 KB of service per
-//     round, control strictly above all data, higher priority still
-//     preempting within the round — bounding starvation instead of
-//     permitting it.
-//   - Lane-aware control coalescing (lane.go): an expiring CtrlFlushDelay
-//     window first tries to ride a sibling channel's queued or imminent
-//     data frame toward the same peer, and flush timers share one
-//     per-lane wheel instead of one timer per channel.
-//   - Hot-lane rebalancing (rebalance.go): per-lane load EWMAs drive a
-//     periodic tick (Config.RebalanceInterval; negative disables; in real
-//     mode it starts with the proc's second channel) that
-//     migrates idle-safe sequenced channels from the hottest lane to the
-//     coldest, plus an enqueue-time steal under extreme skew.
-//     Config.LaneHash overrides initial placement; ChannelConfig.Lane
-//     pins a channel immovably.
+//   - Thread driver: the paper's exact model (§4, Figure 8) — one send and
+//     one receive system thread at top priority over a single lane. NCS_send
+//     enqueues, wakes the send thread and parks only the caller; the send
+//     thread hands itself to the carrier. Selected whenever the others cannot
+//     be: a resolved lane count of 1 (the GOMAXPROCS=1 default), a carrier
+//     that is no transport.FrameCarrier (udpatm, SimTCP, SimATM), or a hook
+//     that assumes protocol work happens on a scheduler thread (RecvCharge,
+//     ArrivalPollDelay, a custom After without VirtualTime — the cost-model
+//     sim harnesses).
+//   - Goroutine driver: each lane engine is a goroutine; senders service
+//     their lane inline, the delivering goroutine may run a short frame's
+//     receive pass itself; timers are wall-clock (the rebalance ticker in
+//     clockseam.go — the package's one sanctioned wall-clock contact — and
+//     whatever Config.After supplies). Selected at lane counts above one on
+//     a frame carrier (Mem, real TCP).
+//   - Virtual driver (Config.VirtualTime, requires Config.After): the lane
+//     engines run as event callbacks on a discrete-event engine's clock — no
+//     lane goroutines at all. Events and the threads they dispatch execute
+//     strictly one at a time in the engine's goroutine, ordered by the event
+//     queue's (time, seq) heap, so a run is deterministic: the same workload
+//     and seed reproduce the timeline byte for byte. Code in this package
+//     must therefore never let ordering depend on Go map iteration or
+//     goroutine scheduling (see Proc.channelsOrdered).
 //
-// Proc.LaneStats reports the per-lane view: piggyback share, coalesced
-// control words, DRR rounds, migrations, and steals.
-//
-// # Execution modes
-//
-// The lane engines run in one of two modes, selected per Proc:
-//
-//   - Real mode (default): each lane engine is a goroutine; timers are
-//     wall-clock (the rebalance ticker in clockseam.go — the package's one
-//     sanctioned wall-clock contact — and whatever Config.After supplies).
-//     This is what every live transport and benchmark uses.
-//   - Virtual mode (Config.VirtualTime, requires Config.After): the same
-//     lane code runs as event callbacks on a discrete-event engine's clock
-//     — no lane goroutines at all. Events and the threads they dispatch
-//     execute strictly one at a time in the engine's goroutine, ordered by
-//     the event queue's (time, seq) heap, so a run is deterministic: the
-//     same workload and seed reproduce the timeline byte for byte. Code in
-//     this package must therefore never let ordering depend on Go map
-//     iteration or goroutine scheduling (see Proc.channelsOrdered).
+// With more than one lane each lane is also an adaptive scheduler's unit:
+// hot-lane rebalancing (rebalance.go) — per-lane load EWMAs drive a periodic
+// tick (Config.RebalanceInterval; negative disables; in real mode it starts
+// with the proc's second channel) that migrates idle-safe sequenced channels
+// from the hottest lane to the coldest, plus an enqueue-time steal under
+// extreme skew. Config.LaneHash overrides initial placement;
+// ChannelConfig.Lane pins a channel immovably. Proc.LaneStats reports the
+// per-lane view: piggyback share, coalesced control words, DRR rounds,
+// migrations, and steals.
 //
 // NewVirtualMesh builds the standard virtual-mode arrangement — N procs on
 // one engine over a frame-granular fabric — and TimelineHash fingerprints
-// a run for determinism assertions. The seam between the modes is
+// a run for determinism assertions. The seam between the drivers is
 // engineDriver in lane.go.
 package core
 
@@ -92,11 +90,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/list"
 	"repro/internal/mts"
 	"repro/internal/trace"
 	"repro/internal/transport"
-	"repro/internal/wire"
 	"repro/internal/work"
 )
 
@@ -109,10 +105,8 @@ const Any = transport.Any
 
 // Reserved control tags (negative; user tags are >= 0).
 const (
-	tagFlowAck    = -2
-	tagBarrier    = -3
-	tagBarrierRel = -4
-	tagGBNAck     = -5
+	tagFlowAck = -2
+	tagGBNAck  = -5
 )
 
 // Addr addresses one NCS thread: the paper's (thread, process) pair.
@@ -147,10 +141,10 @@ type Config struct {
 	// After is the simulation engine's virtual timer and every internal
 	// engine (lane steps, the rebalancer tick, drain hand-offs) must ride
 	// it as clock events instead of goroutines, tickers, or PostAsync.
-	// This is what lets the sharded lane hot path run under a sim harness —
+	// This is what lets ring-fed lane engines run under a sim harness —
 	// N procs on one shared clock with a deterministic timeline — instead
-	// of falling back to the classic two-thread path. Requires After;
-	// NewVirtualMesh sets both.
+	// of falling back to the thread driver. Requires After; NewVirtualMesh
+	// sets both.
 	VirtualTime bool
 	// CtrlFlushDelay bounds how long a channel's pending reverse-direction
 	// control (cumulative credit advertisements, acks) may wait to
@@ -174,28 +168,27 @@ type Config struct {
 	// "<TraceName>/t<idx>".
 	Tracer    *trace.Recorder
 	TraceName string
-	// SendLanes and RecvLanes select the sharded multi-core hot path (see
-	// lane.go): 0 defaults to min(GOMAXPROCS, 4), and the larger of the two
-	// resolved values becomes the lane count (each lane is a combined
-	// send/recv engine). A resolved count of 1 — always the case on a
-	// single-core GOMAXPROCS — keeps the paper's classic two-system-thread
-	// path exactly. Sharding also requires a transport.FrameCarrier
-	// endpoint (Mem, real TCP, SimMesh; udpatm, SimTCP and SimATM keep the
-	// classic path at any lane count) and engages in real mode (no
-	// RecvCharge, ArrivalPollDelay, or custom After hook) or under a
-	// VirtualTime discrete-event loop; the classic sim harnesses'
-	// RecvCharge/poll machinery remains scheduler-domain by construction
-	// and keeps the classic path.
+	// SendLanes and RecvLanes ask for a lane count (see lane.go): 0 defaults
+	// to min(GOMAXPROCS, 4), and the larger of the two resolved values is
+	// the count (each lane is a combined send/recv engine, run by its own
+	// goroutine or, under VirtualTime, as clock events). A resolved count
+	// of 1 — always the case on a single-core GOMAXPROCS — builds one lane
+	// under the thread driver: the paper's two system threads, exactly. So
+	// does any count on an endpoint that is no transport.FrameCarrier (Mem,
+	// real TCP and SimMesh are; udpatm, SimTCP and SimATM are not), and any
+	// count beside a hook that assumes the protocol runs on a scheduler
+	// thread (RecvCharge, ArrivalPollDelay, a custom After without
+	// VirtualTime — the cost-model sim harnesses).
 	SendLanes int
 	RecvLanes int
-	// RebalanceInterval is the hot-lane rebalancer's scan period (sharded
-	// mode only): every interval the proc compares per-lane load EWMAs and
+	// RebalanceInterval is the hot-lane rebalancer's scan period (more than
+	// one lane only): every interval the proc compares per-lane load EWMAs and
 	// migrates one idle-safe channel from the hottest lane to the coldest.
 	// 0 selects DefaultRebalanceInterval; negative disables rebalancing
 	// (channels stay on their hash- or pin-assigned lane forever).
 	RebalanceInterval time.Duration
-	// LaneHash overrides the default peer→lane placement hash (sharded
-	// mode only): a channel with no explicit ChannelConfig.Lane lands on
+	// LaneHash overrides the default peer→lane placement hash (more than
+	// one lane only): a channel with no explicit ChannelConfig.Lane lands on
 	// lane LaneHash(peer) mod lane count. Benchmarks use it to reproduce
 	// skewed placements; channels placed through it remain migratable by
 	// the rebalancer (unlike explicit pins).
@@ -231,13 +224,13 @@ type Config struct {
 	Heartbeat Heartbeat
 }
 
-// sendReq is one queued transfer for the send system thread.
+// sendReq is one queued transfer on a lane's send scheduler.
 type sendReq struct {
 	m *transport.Message
 	// ch is the channel the message travels on; nil for control traffic
 	// and raw retransmissions, which bypass admission.
 	ch *Channel
-	// caller is parked until the send thread finishes the transfer; nil
+	// caller is parked until a service pass finishes the transfer; nil
 	// for internally generated traffic (acks, retransmissions).
 	caller *mts.Thread
 	// raw skips flow/error processing: the message was already stamped
@@ -254,10 +247,10 @@ type sendReq struct {
 	// flushed (or failed), since the shared payload must stay stable until
 	// the last copy is serialized.
 	fan *Thread
-	// done, when non-nil, is the sharded inline-send completion flag
-	// (Thread.sendDone): the sender is still inside lane.send holding the
+	// done, when non-nil, is the inline-send completion flag
+	// (Thread.sendDone): the sender is still inside laneSend holding the
 	// lane lock, so completion just sets the flag instead of waking anyone.
-	// Mutually exclusive with caller (see lane.send).
+	// Mutually exclusive with caller (see laneSend).
 	done *bool
 }
 
@@ -284,52 +277,21 @@ type recvWaiter struct {
 type Proc struct {
 	cfg Config
 
-	sendThread *mts.Thread
-	recvThread *mts.Thread
-
-	// sendQ and rxIn are per-priority head-indexed FIFO queues: the send
-	// and receive system threads service higher-priority channels first,
-	// with control traffic (credits, acks, retransmissions) above every
-	// data level.
-	sendQ prioQueue[*sendReq]
-	rxIn  prioQueue[*transport.Message]
-
 	// store holds delivered-but-unclaimed data messages.
 	store   []*transport.Message
 	waiters []*recvWaiter
 
-	// reqFree, waiterFree, ctrlFree, and dataFree recycle the per-call
-	// bookkeeping structs of the send/recv hot paths. All access happens in
-	// the scheduler domain, so no locking is needed. dataFree recycles
-	// sender-side data Message structs: every carrier serializes before
-	// Send returns and both error-control disciplines buffer private
-	// copies, so once flushRun has handed a data frame to the endpoint
-	// nothing references the struct and it can carry the next Send.
-	reqFree    []*sendReq
+	// waiterFree recycles the receive path's per-call bookkeeping structs
+	// (scheduler domain; the send path's freelists are per lane).
 	waiterFree []*recvWaiter
-	ctrlFree   []*transport.Message
-	dataFree   []*transport.Message
 
-	// sendRun and batchMsgs are the send loop's burst scratch: the
-	// same-destination run under accumulation and the message vector
-	// handed to a transport.BatchSender. Only the send system thread
-	// touches them.
-	sendRun   []*sendReq
-	batchMsgs []*transport.Message
-
-	// ctrlFlush is the resolved CtrlFlushDelay.
-	ctrlFlush time.Duration
-
-	// Classic-mode flush wheel: one timer covers every channel whose
-	// piggyback window is running (sharded lanes each carry their own, see
-	// lane.go). flushTimers counts armed flush timers process-wide in both
-	// modes — the per-lane-wheel invariant a test asserts.
-	flushQ      list.FIFO[*Channel]
-	wheelOn     bool
-	wheelFn     func()
+	// ctrlFlush is the resolved CtrlFlushDelay. flushTimers counts armed
+	// flush-wheel timers process-wide (each lane carries one wheel, see
+	// lane.go) — the per-lane-wheel invariant a test asserts.
+	ctrlFlush   time.Duration
 	flushTimers atomic.Int64
 
-	// Hot-lane rebalancer (sharded mode; see rebalance.go): rebalEvery is
+	// Hot-lane rebalancer (more than one lane; see rebalance.go): rebalEvery is
 	// the resolved RebalanceInterval (0 = disabled), rebalTick the tick
 	// counter migration cooldowns compare against.
 	rebalEvery time.Duration
@@ -339,9 +301,8 @@ type Proc struct {
 	// channels holds every open channel, keyed by (peer, channel ID).
 	// Default channels (ID 0) are created lazily from the Config
 	// templates; explicit channels come from Open. chanMu guards the map
-	// in both modes (in sharded mode foreign goroutines resolve channels
-	// in routeFrame); channel *state* is guarded by the owning lane's
-	// mutex in sharded mode and by the scheduler domain classically.
+	// (foreign goroutines resolve channels in routeFrame); channel *state*
+	// is guarded by the owning lane's mutex.
 	chanMu   sync.RWMutex
 	channels map[chanKey]*Channel
 
@@ -350,9 +311,10 @@ type Proc struct {
 	closing  atomic.Bool
 	started  bool
 
-	// Sharded hot path (lane.go); empty in the classic configuration.
-	// laneDriver is the execution seam: goroutine engines in real mode,
-	// vclock event callbacks in virtual mode.
+	// The send/recv engine (lane.go): at least one lane. laneDriver is its
+	// execution vehicle — the two system threads, goroutine engines, or
+	// vclock event callbacks; laneThread, laneStop and laneWG belong to the
+	// latter two.
 	lanes      []*lane
 	laneDriver engineDriver
 	laneThread *mts.Thread
@@ -366,10 +328,7 @@ type Proc struct {
 	// "Lock order").
 	readerDelivers bool
 
-	// bars holds root-collected barrier state machines keyed by group
-	// membership hash (see barrier.go); groupSeq numbers Groups for their
-	// trace lanes (see coll.go).
-	bars     map[uint32]*barrierState
+	// groupSeq numbers Groups for their trace lanes (see coll.go).
 	groupSeq int
 
 	onException func(error)
@@ -391,9 +350,9 @@ type Proc struct {
 	acceptQ   []pendingSetup
 	acceptOn  bool
 
-	// Stats. Atomic: in sharded mode the stats-reading side (tests,
-	// benchmarks) races lane engines updating channel counters, and these
-	// proc-wide totals are read the same way.
+	// Stats. Atomic: the stats-reading side (tests, benchmarks) races lane
+	// engines updating channel counters, and these proc-wide totals are read
+	// the same way.
 	sent, received atomic.Int64
 
 	// Lifecycle balance counters (signal.go): paired ledgers that must
@@ -445,7 +404,6 @@ func New(cfg Config) *Proc {
 	if p.ctrlFlush == 0 {
 		p.ctrlFlush = DefaultCtrlFlushDelay
 	}
-	p.wheelFn = p.wheelFire
 	p.rebalEvery = cfg.RebalanceInterval
 	if p.rebalEvery == 0 {
 		p.rebalEvery = DefaultRebalanceInterval
@@ -460,13 +418,14 @@ func New(cfg Config) *Proc {
 		panic(fmt.Errorf("core(proc %d): unhandled exception: %w", cfg.ID, err))
 	}
 
-	// Sharded mode engages only when it can be transparent: more than one
-	// resolved lane, a frame-capable carrier, and none of the hooks that
-	// assume all protocol work happens in the scheduler domain (receive
-	// charging, arrival polls). A custom After hook normally means a
-	// classic sim harness and keeps the two-thread path, unless the harness
-	// declares VirtualTime — then the lanes themselves run as events on
-	// that timer (see engineDriver in lane.go).
+	// Ring-fed lane engines run outside the scheduler's threads, so they
+	// engage only when that is transparent: more than one resolved lane, a
+	// frame-capable carrier, and none of the hooks that assume all protocol
+	// work happens on a scheduler thread (receive charging, arrival polls). A
+	// custom After hook normally means a cost-model sim harness, unless the
+	// harness declares VirtualTime — then the lanes themselves run as events
+	// on that timer. Everything else gets one lane under the thread driver
+	// (see engineDriver in lane.go).
 	lanes := resolveLanes(cfg.SendLanes)
 	if r := resolveLanes(cfg.RecvLanes); r > lanes {
 		lanes = r
@@ -474,14 +433,10 @@ func New(cfg Config) *Proc {
 	fc, frames := cfg.Endpoint.(transport.FrameCarrier)
 	if lanes > 1 && frames && cfg.RecvCharge == nil && cfg.ArrivalPollDelay == nil && (!customAfter || cfg.VirtualTime) {
 		p.initLanes(lanes, fc)
-		p.startRebalance()
-		p.startHeartbeat()
-		return p
+	} else {
+		p.initThreadLane()
 	}
-
-	cfg.Endpoint.SetHandler(p.deliver)
-	p.sendThread = cfg.RT.Create(fmt.Sprintf("ncs%d-send", cfg.ID), mts.PrioSystem, p.sendLoop)
-	p.recvThread = cfg.RT.Create(fmt.Sprintf("ncs%d-recv", cfg.ID), mts.PrioSystem, p.recvLoop)
+	p.startRebalance()
 	p.startHeartbeat()
 	return p
 }
@@ -529,9 +484,9 @@ type Thread struct {
 	// wakeup regardless of scheduling order.
 	blockPermit bool
 	// fanLeft counts this thread's in-flight fan-out requests (coll.go's
-	// fanSend); the thread parks until the send loop retires the last one.
+	// fanSend); the thread parks until the last one is retired.
 	fanLeft int
-	// sendDone is the sharded inline-send completion flag (lane.send): a
+	// sendDone is the inline-send completion flag (laneSend): a
 	// thread has at most one outstanding send, so one reusable field
 	// avoids a per-send heap escape. Written only under the lane lock.
 	sendDone bool
@@ -582,46 +537,18 @@ func (p *Proc) userDone() {
 		return
 	}
 	p.closing.Store(true)
-	if p.sharded() {
-		for _, c := range p.channelsOrdered() {
-			ln := c.lockLane()
-			c.flushCtrl()
-			c.flow.shutdown()
-			c.errc.shutdown()
-			ln.serviceLocked()
-			ln.mu.Unlock()
-			ln.runDrain()
-		}
-		p.wakeIfIdle(p.laneThread, "lanes idle")
-		return
-	}
 	for _, c := range p.channelsOrdered() {
-		// Control still waiting for a piggyback ride must leave before
-		// the system threads may exit: the peer's sender role may be
-		// blocked on exactly this credit or ack, and the flush timer may
-		// never fire once the runtime winds down.
+		// Control still waiting for a piggyback ride must leave before the
+		// system threads may exit: the peer's sender role may be blocked on
+		// exactly this credit or ack, and the flush timer may never fire once
+		// the runtime winds down.
+		ln := c.lockLane()
 		c.flushCtrl()
 		c.flow.shutdown()
 		c.errc.shutdown()
+		ln.leave()
 	}
-	// Wake the system threads only if they are parked at their idle
-	// points; a thread parked mid-transfer (wire drain, flow credit) will
-	// notice closing when it next returns to its idle check.
-	p.wakeIfIdle(p.sendThread, "send idle")
-	p.wakeIfIdle(p.recvThread, "recv idle")
-}
-
-// postScheduler defers fn into the scheduler domain from a context that may
-// hold a lane lock. In real mode that is Runtime.PostAsync (runs between
-// dispatches); under a virtual-time loop nothing ever drains the PostAsync
-// queue — the sim engine only Dispatches — so fn becomes a zero-delay clock
-// event instead.
-func (p *Proc) postScheduler(fn func()) {
-	if p.cfg.VirtualTime {
-		p.cfg.After(0, fn)
-		return
-	}
-	p.cfg.RT.PostAsync(fn)
+	p.shutdownFn()
 }
 
 // channelsOrdered snapshots the channel table in (peer, id) order. Shutdown
@@ -651,39 +578,15 @@ func (p *Proc) wakeIfIdle(t *mts.Thread, idleReason string) {
 	}
 }
 
-// mayShutdown reports whether system threads are free to exit: user threads
-// are done and no channel's error control has anything awaiting
-// acknowledgement.
-func (p *Proc) mayShutdown() bool {
-	if !p.closing.Load() {
-		return false
-	}
-	for _, c := range p.channels {
-		if c.errc.pending() != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // checkShutdownWake nudges the system threads toward exit once the last
 // in-flight acknowledgement lands (or is abandoned) after the user threads
-// have already finished.
+// have already finished. It may run under a lane lock (an engine processing
+// the last ack) and the shutdown predicate itself takes lane locks, so the
+// check is handed to the driver.
 func (p *Proc) checkShutdownWake() {
-	if p.sharded() {
-		// May run under a lane lock (an engine processing the last ack);
-		// the shutdown predicate itself takes lane locks, so evaluate it
-		// from the scheduler domain instead.
-		if p.closing.Load() {
-			p.postScheduler(p.shutdownFn)
-		}
-		return
+	if p.closing.Load() {
+		p.laneDriver.post(p, p.shutdownFn)
 	}
-	if !p.mayShutdown() {
-		return
-	}
-	p.wakeIfIdle(p.sendThread, "send idle")
-	p.wakeIfIdle(p.recvThread, "recv idle")
 }
 
 func (p *Proc) traceThread(t *Thread, s trace.State) {
@@ -707,10 +610,10 @@ func (p *Proc) traceSys(name string, s trace.State) {
 // ---------------------------------------------------------------------------
 // Sending
 
-// Send transmits data to (toProc, toThread): the paper's NCS_send. It wakes
-// the send system thread and parks the calling thread until the transfer is
-// handed to the network; meanwhile other threads of this process run — the
-// overlap mechanism of Figure 4.
+// Send transmits data to (toProc, toThread): the paper's NCS_send. It blocks
+// only the calling thread, until the transfer is handed to the network;
+// meanwhile other threads of this process run — the overlap mechanism of
+// Figure 4 (see laneSend for who performs the transfer).
 func (t *Thread) Send(toThread int, toProc ProcID, data []byte) {
 	t.SendTagged(0, toThread, toProc, data)
 }
@@ -722,58 +625,7 @@ func (t *Thread) SendTagged(tag int, toThread int, toProc ProcID, data []byte) {
 	if tag < 0 {
 		panic("core: negative tags are reserved")
 	}
-	p := t.proc
-	c := p.DefaultChannel(toProc)
-	if c.lnp.Load() != nil {
-		c.laneSend(t, tag, toThread, data)
-		return
-	}
-	m := p.getDataMsg()
-	m.From = p.cfg.ID
-	m.To = toProc
-	m.FromThread = t.idx
-	m.ToThread = toThread
-	m.Tag = tag
-	m.Data = data
-	p.sendOn(c, t, m)
-}
-
-// getReq draws a sendReq from the freelist (or allocates); putReq returns
-// one once the send loop has finished with it. Deferred requests (owned by
-// a flow/error controller awaiting re-enqueue) are recycled only after
-// they finally transmit.
-func (p *Proc) getReq() *sendReq {
-	if n := len(p.reqFree); n > 0 {
-		req := p.reqFree[n-1]
-		p.reqFree = p.reqFree[:n-1]
-		return req
-	}
-	return &sendReq{}
-}
-
-func (p *Proc) putReq(req *sendReq) {
-	*req = sendReq{}
-	p.reqFree = append(p.reqFree, req)
-}
-
-// failSend completes a gated send without transmitting it: the request is
-// recycled and its caller (a thread parked in Send) unblocks. Disciplines
-// use it at shutdown so a channel closing with deferred requests never
-// leaves a Send hung forever; the caller cannot observe the failure
-// directly (Send returns no error), so the failure is reported through
-// the proc's exception handler.
-func (p *Proc) failSend(req *sendReq) {
-	caller, fan := req.caller, req.fan
-	if !req.ctrl && req.m != nil {
-		p.putDataMsg(req.m)
-	}
-	p.putReq(req)
-	if caller != nil {
-		p.cfg.RT.Unblock(caller, false)
-	}
-	if fan != nil {
-		p.fanDone(fan)
-	}
+	t.proc.DefaultChannel(toProc).laneSend(t, tag, toThread, data)
 }
 
 // failGated fails a batch of gated sends at channel teardown and reports
@@ -783,292 +635,49 @@ func (p *Proc) failGated(c *Channel, reqs []*sendReq, gate string) {
 	if len(reqs) == 0 {
 		return
 	}
-	if ln := c.lnp.Load(); ln != nil {
-		// Lane domain: recycle under the held lane lock, defer wakeups and
-		// the exception to the drain.
-		for _, req := range reqs {
-			ln.failSendLocked(req)
-		}
-		if c.deadErr != nil {
-			ln.errs = append(ln.errs, fmt.Errorf("core: channel %d to proc %d closed with %d sends still gated by %s: %w", c.id, c.peer, len(reqs), gate, c.deadErr))
-		} else {
-			ln.errs = append(ln.errs, fmt.Errorf("core: channel %d to proc %d closed with %d sends still gated by %s", c.id, c.peer, len(reqs), gate))
-		}
-		return
-	}
+	// Lane domain: recycle under the held lane lock, defer the exception
+	// (user code) to the drain.
+	ln := c.laneOf()
 	for _, req := range reqs {
-		p.failSend(req)
+		ln.retireLocked(req)
 	}
+	err := fmt.Errorf("core: channel %d to proc %d closed with %d sends still gated by %s", c.id, c.peer, len(reqs), gate)
 	if c.deadErr != nil {
-		p.exception(fmt.Errorf("core: channel %d to proc %d closed with %d sends still gated by %s: %w", c.id, c.peer, len(reqs), gate, c.deadErr))
-		return
+		err = fmt.Errorf("%w: %w", err, c.deadErr)
 	}
-	p.exception(fmt.Errorf("core: channel %d to proc %d closed with %d sends still gated by %s", c.id, c.peer, len(reqs), gate))
+	ln.errs = append(ln.errs, err)
 }
 
-// enqueueSend queues a request under its channel's priority level and wakes
-// the send thread if it is parked at its idle point. If it is instead
-// parked mid-transfer (wire drain, flow credit, a charged CPU burst), it
-// will find the queue when it loops — a targeted wake there would corrupt
-// whatever it is blocked on. Safe from any scheduler-domain context
-// (threads, event handlers, timers). Control traffic (credits, acks,
-// barrier messages) drains above every data priority: it is what reopens
-// stalled windows, so no amount of queued bulk data may starve it. Raw
-// retransmissions, though they bypass admission, carry full data payloads
-// and drain at their own channel's priority — a lossy bulk channel's
-// go-back-N bursts must not preempt a high-priority stream. They cannot
-// starve behind gated data either: admission never blocks this queue (a
-// non-admitted request is deferred, not waited on).
+// enqueueSend puts a request a discipline owns back on its channel's lane: a
+// deferred send whose credit or window space arrived, or a raw
+// retransmission. The caller (a discipline callback, a retransmission timer)
+// holds the lane lock, and whoever completes the current lane entry has the
+// queue serviced (lane.service). Raw retransmissions, though they bypass
+// admission, carry full data payloads and drain at their own channel's
+// priority — a lossy bulk channel's go-back-N bursts must not preempt a
+// high-priority stream. They cannot starve behind gated data either:
+// admission never blocks the queue (a non-admitted request is deferred, not
+// waited on). Control traffic (credits, acks) drains above every data
+// priority: it is what reopens stalled windows, so no amount of queued bulk
+// data may starve it (lane.pushCtrlLocked).
 func (p *Proc) enqueueSend(req *sendReq) {
-	level := ctrlLevel
-	if req.m.Tag >= 0 && req.ch != nil {
-		level = req.ch.priority
-	}
-	if req.ch != nil {
-		if ln := req.ch.lnp.Load(); ln != nil {
-			// Sharded: the caller (a discipline releasing a deferred
-			// request, a retransmission timer) already holds the channel's
-			// lane lock; the request joins the lane's queue and is serviced
-			// by whoever completes the current lane entry (see lane.go).
-			ln.pending.push(level, req)
-			return
-		}
-	}
-	p.sendQ.push(level, req)
-	p.wakeIfIdle(p.sendThread, "send idle")
+	req.ch.laneOf().pending.push(req.ch.priority, req)
 }
 
-// sendCtrl queues a pooled control message: tag < 0, an optional uint32
-// payload, addressed to the given peer and channel. The message and its
-// 4-byte payload buffer recycle once the endpoint has serialized them, so
-// a steady stream of credits/acks allocates nothing. Flow- and error-
-// control payloads are *cumulative* counters (credit advertisements,
-// cumulative acks) compared wrap-safely with wire.SeqNewer at the
-// receiver, so those control frames survive lossy carriers: any later
-// frame supersedes a dropped one.
-func (p *Proc) sendCtrl(to ProcID, ch ChannelID, tag int, payload uint32, withPayload bool) {
-	m := p.getCtrlMsg()
-	m.From = p.cfg.ID
-	m.To = to
-	m.Channel = ch
-	m.Tag = tag
-	if withPayload {
-		m.Data = wire.AppendUint32(m.Data[:0], payload)
-	}
-	req := p.getReq()
-	req.m = m
-	req.ctrl = true
-	p.enqueueSend(req)
-}
-
-// sendCtrlVec is sendCtrl with a multi-word payload: one control frame
-// carries a whole batch of queued acknowledgements (4 bytes each) — the
-// flush path's framing for selective-repeat ack bursts. Consumers iterate
-// the words with forEachCtrlWord.
-func (p *Proc) sendCtrlVec(to ProcID, ch ChannelID, tag int, words []uint32) {
-	if p.sharded() {
-		// Scheduler-domain control toward a peer (barrier arrivals and
-		// releases): route through the peer's default-channel lane.
-		ln := p.DefaultChannel(to).lockLane()
-		m := ln.getCtrlMsg()
-		m.From = p.cfg.ID
-		m.To = to
-		m.Channel = ch
-		m.Tag = tag
-		for _, w := range words {
-			m.Data = wire.AppendUint32(m.Data, w)
-		}
-		req := ln.getReq()
-		req.m = m
-		req.ctrl = true
-		ln.pending.push(ctrlLevel, req)
-		ln.serviceLocked()
-		ln.mu.Unlock()
-		ln.runDrain()
-		return
-	}
-	m := p.getCtrlMsg()
-	m.From = p.cfg.ID
-	m.To = to
-	m.Channel = ch
-	m.Tag = tag
-	for _, w := range words {
-		m.Data = wire.AppendUint32(m.Data, w)
-	}
-	req := p.getReq()
-	req.m = m
-	req.ctrl = true
-	p.enqueueSend(req)
-}
-
-// getCtrlMsg draws a control message from the freelist; its Data buffer is
-// reset to zero length but keeps its backing array.
-func (p *Proc) getCtrlMsg() *transport.Message {
-	if n := len(p.ctrlFree); n > 0 {
-		m := p.ctrlFree[n-1]
-		p.ctrlFree = p.ctrlFree[:n-1]
-		return m
-	}
-	return &transport.Message{Data: make([]byte, 0, 8)}
-}
-
-func (p *Proc) putCtrlMsg(m *transport.Message) {
-	data := m.Data[:0]
-	*m = transport.Message{Data: data}
-	p.ctrlFree = append(p.ctrlFree, m)
-}
-
-// getDataMsg draws a sender-side data message from the freelist. Unlike
-// control messages its Data field aliases the caller's payload, so put
-// clears it entirely (pinning nothing between sends).
-func (p *Proc) getDataMsg() *transport.Message {
-	if n := len(p.dataFree); n > 0 {
-		m := p.dataFree[n-1]
-		p.dataFree = p.dataFree[:n-1]
-		return m
-	}
-	return &transport.Message{}
-}
-
-func (p *Proc) putDataMsg(m *transport.Message) {
-	*m = transport.Message{}
-	p.dataFree = append(p.dataFree, m)
-}
-
-// maxSendBurst bounds one same-destination run handed to a carrier's
-// batch path, so a saturating bulk stream cannot delay its own callers'
-// wakeups (or a priority preemption point) indefinitely.
-const maxSendBurst = 64
-
-// sendLoop is the send system thread (Figure 8's "S"). It drains the
-// priority queue highest level first — control traffic, then channels in
-// descending priority order — a whole burst per wakeup: admitted requests
-// accumulate into same-destination runs that go to the carrier through
-// transport.BatchSender in one call when it offers batching, so
-// per-message carrier costs (locks, wakeups, syscalls) amortize across
-// the burst.
-func (p *Proc) sendLoop(st *mts.Thread) {
-	bs, batched := p.cfg.Endpoint.(transport.BatchSender)
-	for {
-		if p.sendQ.empty() {
-			if p.mayShutdown() {
-				p.traceSysClose("send")
-				return
-			}
-			p.traceSys("send", trace.Idle)
-			st.Park("send idle")
-			continue
-		}
-		p.traceSys("send", trace.Comm)
-		run := p.sendRun[:0]
-		for !p.sendQ.empty() {
-			req := p.sendQ.pop()
-			// Data messages pass their channel's flow-control and
-			// error-control admission; a controller that cannot admit now
-			// takes ownership of the request and re-enqueues it later, so
-			// this loop never blocks on data while control traffic
-			// (credits, acks, retransmissions — raw requests bypass
-			// admission) is waiting behind it.
-			if req.m.Tag >= 0 && !req.raw {
-				if req.ch.sendUnavailable() {
-					// The channel closed while this request sat queued
-					// (Send raced Close): fail it exactly like shutdown
-					// failed the already-deferred ones, before any
-					// discipline can admit it into a torn-down window.
-					// Read the channel before failSend recycles the
-					// request.
-					c := req.ch
-					p.failSend(req)
-					p.exception(c.sendFailErr())
-					continue
-				}
-				if !req.flowOK {
-					if !req.ch.flow.admit(req) {
-						continue
-					}
-					req.flowOK = true
-				}
-				if !req.ch.errc.admit(req) {
-					continue
-				}
-			}
-			// Reverse-direction control rides along: a departing data
-			// frame (first transmission or retransmission alike) picks up
-			// its channel's pending credit advertisement and ack.
-			if req.m.Tag >= 0 && req.ch != nil {
-				req.ch.attachPiggy(req.m)
-			}
-			if len(run) > 0 && (req.m.To != run[len(run)-1].m.To || len(run) >= maxSendBurst) {
-				run = p.flushRun(st, bs, run)
-			}
-			run = append(run, req)
-			if !batched {
-				run = p.flushRun(st, bs, run)
-			}
-		}
-		p.sendRun = p.flushRun(st, bs, run)
-	}
-}
-
-// flushRun hands one same-destination run to the carrier — a single
-// SendBatch call when it offers batching — then completes the requests:
-// channel counters, caller wakeups, freelist recycling. It returns the
-// emptied run slice for reuse.
-func (p *Proc) flushRun(st *mts.Thread, bs transport.BatchSender, run []*sendReq) []*sendReq {
-	if len(run) == 0 {
-		return run
-	}
-	if p.cfg.Tracer != nil {
-		for _, req := range run {
-			p.traceChan(req.ch, trace.Comm)
-		}
-	}
-	if bs != nil && len(run) > 1 {
-		ms := p.batchMsgs[:0]
-		for _, req := range run {
-			ms = append(ms, req.m)
-		}
-		bs.SendBatch(st, ms)
-		for i := range ms {
-			ms[i] = nil
-		}
-		p.batchMsgs = ms[:0]
-	} else {
-		for _, req := range run {
-			p.cfg.Endpoint.Send(st, req.m)
-		}
-	}
-	for i, req := range run {
-		if req.ch != nil && !req.raw {
-			req.ch.sent.Add(1)
-			req.ch.bytesSent.Add(int64(len(req.m.Data)))
-		}
-		p.traceChan(req.ch, trace.Idle)
-		if req.caller != nil {
-			p.cfg.RT.Unblock(req.caller, false)
-		}
-		if req.fan != nil {
-			p.fanDone(req.fan)
-		}
-		// The transfer is on the wire and the caller woken: nothing
-		// references the request anymore, so it (and its pooled message —
-		// the endpoint serialized it, and the error-control disciplines
-		// buffer private copies for retransmission) returns to the
-		// freelist.
-		if req.ctrl {
-			p.putCtrlMsg(req.m)
-		} else {
-			p.putDataMsg(req.m)
-		}
-		p.putReq(req)
-		run[i] = nil
-	}
-	return run[:0]
+// sendProcCtrl sends one proc-level control frame — signaling, a heartbeat —
+// from the scheduler domain: payload is head followed by words, on channel 0
+// toward the peer (the pre-provisioned default mesh), through the lane of
+// the peer's default channel.
+func (p *Proc) sendProcCtrl(to ProcID, tag int, head []byte, words ...uint32) {
+	ln := p.DefaultChannel(to).lockLane()
+	ln.pushCtrlLocked(to, 0, tag, head, words...)
+	ln.leave()
 }
 
 // fanDone retires one request of a fan-out send (coll.go's fanSend): the
 // owning thread parks once for the whole fan and wakes when the last
-// request has been handed to the carrier — or failed at teardown.
+// request has been handed to the carrier — or failed at teardown. Scheduler
+// domain.
 func (p *Proc) fanDone(t *Thread) {
 	t.fanLeft--
 	if t.fanLeft == 0 {
@@ -1185,112 +794,6 @@ func (p *Proc) matches(m *transport.Message, ch ChannelID, tag, fromThread int, 
 	return true
 }
 
-// rxLevel places an arriving message in the receive priority queue:
-// control above all data, data under its channel's priority (an unopened
-// channel files at the bottom; recvLoop raises the exception).
-func (p *Proc) rxLevel(m *transport.Message) int {
-	if m.Tag < 0 {
-		return ctrlLevel
-	}
-	if c := p.openChannel(m.From, m.Channel); c != nil {
-		return c.priority
-	}
-	return 0
-}
-
-// deliver is the transport handler: it queues the raw message for the
-// receive system thread and wakes it (Figure 8's "R").
-func (p *Proc) deliver(m *transport.Message) {
-	p.rxIn.push(p.rxLevel(m), m)
-	if p.cfg.ArrivalPollDelay != nil {
-		if d := p.cfg.ArrivalPollDelay(); d > 0 {
-			// Poll-discovered arrival: wake the receive thread when the
-			// underlying p4 poll would notice it. An earlier wake (a
-			// later arrival during compute, or a natural switch) finds
-			// this message too — polls inspect the whole queue.
-			p.cfg.After(d, func() { p.wakeIfIdle(p.recvThread, "recv idle") })
-			return
-		}
-	}
-	p.wakeIfIdle(p.recvThread, "recv idle")
-}
-
-// recvLoop is the receive system thread: it demultiplexes arrivals by
-// channel into control handling, parked waiters, or the message store,
-// draining higher-priority channels first.
-func (p *Proc) recvLoop(rt *mts.Thread) {
-	for {
-		if p.rxIn.empty() {
-			if p.mayShutdown() {
-				p.traceSysClose("recv")
-				return
-			}
-			p.traceSys("recv", trace.Idle)
-			rt.Park("recv idle")
-			continue
-		}
-		m := p.rxIn.pop()
-		p.traceSys("recv", trace.Comm)
-
-		// Control traffic is consumed by the channel it belongs to; its
-		// payload is read on the spot, so a pooled frame recycles
-		// immediately — steady credit/ack streams allocate no rx buffers.
-		if m.Tag < 0 {
-			p.handleControl(m)
-			m.Release()
-			continue
-		}
-		c, ok := p.lookupChannel(m.From, m.Channel)
-		if !ok {
-			p.exception(fmt.Errorf("data on unopened channel %d from proc %d", m.Channel, m.From))
-			m.Release()
-			continue
-		}
-		// Piggybacked control applies before anything else: it is the
-		// peer's receiver-role state for this channel and stays valid
-		// whether this data copy turns out fresh, duplicate, or addressed
-		// to a closed channel (standalone control on closed channels is
-		// consumed too, and both words are supersede-safe). A sharded peer
-		// may have coalesced a *sibling* channel's word onto this frame;
-		// the word's stamped channel routes it.
-		if m.HasCredit {
-			cc := c
-			if m.CreditChan != m.Channel {
-				cc, _ = p.lookupChannel(m.From, m.CreditChan)
-			}
-			if cc != nil {
-				cc.flow.onCredit(m.Credit)
-			}
-		}
-		if m.HasAck {
-			ca := c
-			if m.AckChan != m.Channel {
-				ca, _ = p.lookupChannel(m.From, m.AckChan)
-			}
-			if ca != nil {
-				ca.errc.onAck(m.Ack)
-			}
-		}
-		if c.closed {
-			// This end tore the channel down; without teardown signaling
-			// the peer may still be transmitting. Drop, and let its error
-			// control give up as against a dead process.
-			p.exception(fmt.Errorf("data on closed channel %d from proc %d", m.Channel, m.From))
-			m.Release()
-			continue
-		}
-		// Error control may suppress duplicates / out-of-order arrivals.
-		if !c.errc.onData(m) {
-			continue
-		}
-		c.received.Add(1)
-		c.bytesReceived.Add(int64(len(m.Data)))
-		// Flow control acknowledges the delivery (credit return).
-		c.flow.onDelivered(m)
-		p.dispatchData(rt, m)
-	}
-}
-
 // waiterMatches tests an arriving message against a parked waiter's
 // pattern: the usual single-source pattern, or the any-of set used by
 // out-of-order collection.
@@ -1318,7 +821,8 @@ func addrIndex(set []Addr, m *transport.Message) int {
 	return -1
 }
 
-// dispatchData hands a data message to a parked waiter or stores it.
+// dispatchData hands a data message to a parked waiter or stores it
+// (scheduler domain; rt is the draining thread, see lane.drain).
 func (p *Proc) dispatchData(rt *mts.Thread, m *transport.Message) {
 	for i, w := range p.waiters {
 		if p.waiterMatches(w, m) {
@@ -1332,33 +836,6 @@ func (p *Proc) dispatchData(rt *mts.Thread, m *transport.Message) {
 		}
 	}
 	p.store = append(p.store, m)
-}
-
-func (p *Proc) handleControl(m *transport.Message) {
-	switch m.Tag {
-	case tagFlowAck, tagGBNAck:
-		// A closed channel stays in the table and still consumes control:
-		// error control needs late acks to finish draining its in-flight
-		// window, and cumulative credit advertisements are idempotent. A
-		// channel nobody has open is almost always one a signaled close
-		// just finalized out of the table — drop the late word and count.
-		c, ok := p.lookupChannel(m.From, m.Channel)
-		if !ok {
-			p.statLateCtrl.Add(1)
-			return
-		}
-		if m.Tag == tagFlowAck {
-			c.flow.onControl(m)
-		} else {
-			c.errc.onControl(m)
-		}
-	case tagBarrier, tagBarrierRel:
-		p.onBarrierMsg(m)
-	case tagSigSetup, tagSigConnect, tagSigReject, tagSigRelease, tagSigRelComp, tagSigBeat:
-		p.onSigMsg(m)
-	default:
-		p.exception(fmt.Errorf("unknown control tag %d from proc %d", m.Tag, m.From))
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -1398,8 +875,8 @@ func (t *Thread) Unblock(other *Thread) {
 }
 
 // Bcast sends data to every address in list: the paper's NCS_bcast
-// (1-to-many group communication). Transfers are queued in list order
-// through the send system thread. This is the linear O(N) path — the
+// (1-to-many group communication). Transfers are queued in list order.
+// This is the linear O(N) path — the
 // sender serializes one copy per destination; Group.Bcast is the
 // logarithmic tree alternative (and degenerates to this shape at
 // Fanout >= N, which is how the scale benches A/B the two).

@@ -258,28 +258,33 @@ func TestBcastGather(t *testing.T) {
 	}
 }
 
+// TestBarrier runs the same group through six barriers: every generation
+// reuses the group's state, and the stagger rotates so the star's root
+// (member 0) is entered both before the others' arrivals and after them.
 func TestBarrier(t *testing.T) {
-	eng, procs := simCluster(t, 3, nil)
-	group := []ProcID{0, 1, 2}
-	phase := make([]int, 3)
-	for i := 0; i < 3; i++ {
-		i := i
-		procs[i].TCreate("w", mts.PrioDefault, func(th *Thread) {
-			for ph := 0; ph < 3; ph++ {
-				// Stagger arrival times.
-				th.Compute(time.Duration(i+1)*10*time.Millisecond, nil)
-				phase[i] = ph
-				th.Barrier(group)
-				for j := 0; j < 3; j++ {
-					if phase[j] != ph {
-						t.Errorf("after barrier %d: proc %d at phase %d", ph, j, phase[j])
+	for _, fanout := range []int{0, 3} { // dissemination; root-collected star
+		eng, procs := simCluster(t, 3, nil)
+		members := []Addr{{Proc: 0}, {Proc: 1}, {Proc: 2}}
+		phase := make([]int, 3)
+		for i := 0; i < 3; i++ {
+			i := i
+			procs[i].TCreate("w", mts.PrioDefault, func(th *Thread) {
+				g := th.Proc().NewGroup(members, GroupConfig{Fanout: fanout})
+				for ph := 0; ph < 3; ph++ {
+					th.Compute(time.Duration((i+ph)%3+1)*10*time.Millisecond, nil)
+					phase[i] = ph
+					g.Barrier(th)
+					for j := 0; j < 3; j++ {
+						if phase[j] != ph {
+							t.Errorf("fanout %d, after barrier %d: proc %d at phase %d", fanout, ph, j, phase[j])
+						}
 					}
+					g.Barrier(th)
 				}
-				th.Barrier(group)
-			}
-		})
+			})
+		}
+		eng.Run()
 	}
-	eng.Run()
 }
 
 func TestWindowFlowInvariant(t *testing.T) {
@@ -478,7 +483,7 @@ func TestExceptionHandler(t *testing.T) {
 	})
 	procs[0].TCreate("evil", mts.PrioDefault, func(th *Thread) {
 		// Hand-craft a bogus control message.
-		th.proc.sendCtrl(1, 0, -99, 0, false)
+		th.proc.sendProcCtrl(1, -99, nil)
 		th.Send(0, 1, []byte("legit"))
 	})
 	eng.Run()

@@ -6,18 +6,17 @@ import (
 )
 
 // This file is the intra-lane service discipline: deficit round robin (DRR)
-// across a lane's data channels, with control kept strictly above. The
-// classic single-lane path keeps the paper's strict 9-level priority pop
-// untouched (prioQueue in channel.go); inside a sharded lane, strict
-// priority would let one saturating high-priority channel starve a bulk
-// channel on the same lane forever. DRR bounds that: each channel earns
+// across a lane's data channels, with control kept strictly above. Strict
+// priority (the paper's 9-level pop, which the receive side's prioQueue in
+// channel.go still is) would let one saturating high-priority channel starve
+// a bulk channel on the same lane forever. DRR bounds that: each channel earns
 // quantum·weight bytes of service per round, so a priority-0 bulk class
 // still drains at its weight share while a priority-6 stream saturates.
 //
 // Two properties carry over from the strict scheduler:
 //
-//   - Control first. Credits, acks, retransmission re-queues, and barrier
-//     control pop before any data frame — they are what reopen stalled
+//   - Control first. Credits, acks and signaling pop before any data
+//     frame — they are what reopen stalled
 //     windows, so no amount of queued data may starve them. Within control,
 //     FIFO.
 //   - Priority still orders the round. Channels in the active ring are kept
@@ -176,7 +175,7 @@ func (s *laneSched) removeChan(c *Channel) {
 }
 
 // removeCur drops the channel at the cursor from the active ring: its
-// backlog is gone, so its deficit resets (classic DRR — an idle channel
+// backlog is gone, so its deficit resets (textbook DRR — an idle channel
 // banks nothing).
 func (s *laneSched) removeCur() {
 	c := s.active[s.cur]

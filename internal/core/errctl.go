@@ -18,8 +18,8 @@ import (
 // stream channel sharing the process pair.
 //
 // Admission is non-blocking: a full retransmission window defers the
-// request instead of parking the send system thread, which must stay free
-// to carry retransmissions and acknowledgements.
+// request instead of stalling the service pass, which must stay free to
+// carry retransmissions and acknowledgements.
 type ErrorControl interface {
 	// Name identifies the discipline.
 	Name() string
@@ -110,8 +110,8 @@ type GoBackN struct {
 	// Receiver side.
 	expected uint32
 
-	// fireFn is the pre-bound (and, on sharded channels, lane-wrapped)
-	// timer callback, so each re-arm schedules without a fresh closure.
+	// fireFn is the pre-bound, lane-wrapped timer callback, so each re-arm
+	// schedules without a fresh closure.
 	fireFn func()
 
 	retrans   int64
@@ -210,12 +210,14 @@ func (g *GoBackN) timerFire() {
 		g.p.checkShutdownWake()
 		return
 	}
-	// Go-back-N: re-queue every unacked message through the send thread,
-	// bypassing admission so the original sequence numbers are preserved.
+	// Go-back-N: re-queue every unacked message, bypassing admission so the
+	// original sequence numbers are preserved. The request comes from the
+	// freelist it returns to: the lane's, whose lock the timer holds.
+	ln := g.ch.laneOf()
 	for _, m := range g.unacked {
 		cp := *m
 		g.retrans++
-		req := g.p.getReq()
+		req := ln.getReq()
 		req.m = &cp
 		req.ch = g.ch
 		req.raw = true

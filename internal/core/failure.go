@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"time"
-
-	"repro/internal/wire"
 )
 
 // This file is the failure domain: detection, teardown, and recovery when a
@@ -149,28 +147,11 @@ func (p *Proc) heartbeatTick() {
 	}
 }
 
-// sendBeat queues one heartbeat frame (word 0 = ping, 1 = ack) on the
-// channel-0 control level toward the peer — the same route signaling takes
-// (sendSigMsg), minus the marshalled SigMessage a beat doesn't need.
+// sendBeat sends one heartbeat frame (word 0 = ping, 1 = ack) — the same
+// route signaling takes (sendSigMsg), minus the marshalled SigMessage a beat
+// doesn't need.
 func (p *Proc) sendBeat(to ProcID, word uint32) {
-	if p.sharded() {
-		ln := p.DefaultChannel(to).lockLane()
-		m := ln.getCtrlMsg()
-		m.From = p.cfg.ID
-		m.To = to
-		m.Channel = 0
-		m.Tag = tagSigBeat
-		m.Data = wire.AppendUint32(m.Data[:0], word)
-		req := ln.getReq()
-		req.m = m
-		req.ctrl = true
-		ln.pending.push(ctrlLevel, req)
-		ln.serviceLocked()
-		ln.mu.Unlock()
-		ln.runDrain()
-		return
-	}
-	p.sendCtrl(to, 0, tagSigBeat, word, true)
+	p.sendProcCtrl(to, tagSigBeat, nil, word)
 }
 
 // onBeat consumes one arriving heartbeat frame (scheduler domain, routed by
@@ -234,20 +215,13 @@ func (p *Proc) peerDead(peer ProcID, err *PeerDeadError) {
 			continue
 		}
 		p.markFail(fmt.Sprintf("force-close ch%d>%d", c.id, peer))
-		if ln := c.lockLane(); ln != nil {
-			c.deadErr = err
-			if c.state.Load() < chanClosing {
-				c.state.Store(chanClosing)
-			}
-			c.errc.abandon()
-			ln.mu.Unlock()
-		} else {
-			c.deadErr = err
-			if c.state.Load() < chanClosing {
-				c.state.Store(chanClosing)
-			}
-			c.errc.abandon()
+		ln := c.lockLane()
+		c.deadErr = err
+		if c.state.Load() < chanClosing {
+			c.state.Store(chanClosing)
 		}
+		c.errc.abandon()
+		ln.mu.Unlock()
 		p.finalizeChannel(c)
 	}
 	p.failDeadWaiters()

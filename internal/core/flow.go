@@ -187,14 +187,14 @@ func (w *WindowFlow) init(c *Channel) {
 		w.advertEvery = 1
 	}
 	// Pre-bound so each re-arm schedules without a fresh closure; wrapped
-	// so sharded channels run it in their lane's lock domain.
+	// so it runs in the channel's lane domain.
 	w.syncFn = c.wrapTimer(w.syncFire)
 }
 
 func (w *WindowFlow) admit(req *sendReq) bool {
 	// Admission preserves FIFO: while older requests wait for credit,
 	// newer ones queue behind them even if the window has space again.
-	// (The send loop never offers requests on a closed channel.)
+	// (A service pass never offers requests on a closed channel.)
 	if w.deferred.Size() == 0 && w.outstanding() < w.Window {
 		w.sent++
 		return true
@@ -225,24 +225,11 @@ func (w *WindowFlow) onDelivered(m *transport.Message) {
 // advertise flushes the cumulative delivered count to the sender
 // immediately. Absolute, not incremental: losing this frame costs nothing
 // once any later one (or a sync tick's re-advertisement) gets through.
-// On a sharded lane "immediately" means at the end of the current service
-// pass: a data frame queued toward the peer in the same pass carries the
-// advertisement for free (the cross-channel coalescing that keeps the
-// piggyback share high at lane counts above one), and only a count still
-// pending after the pass goes standalone. Classically the standalone
-// frame flushes right here, as before.
+// What "immediately" means is the lane's (forceCtrlLocked).
 func (w *WindowFlow) advertise() {
 	w.c.pendCredit = w.delivered
 	w.c.pendCreditOn = true
-	if ln := w.c.laneOf(); ln != nil {
-		ln.pendAddLocked(w.c)
-		if !w.c.mustFlushOn {
-			w.c.mustFlushOn = true
-			ln.mustFlush = append(ln.mustFlush, w.c)
-		}
-		return
-	}
-	w.c.flushCtrl()
+	w.c.laneOf().forceCtrlLocked(w.c)
 }
 
 // creditSent implements FlowControl: a queued advertisement left the

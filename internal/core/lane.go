@@ -14,28 +14,46 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the sharded multi-core hot path: the per-proc send and
-// receive system threads of the paper's Figure 8 split into independent
-// *lanes*, each owning its own priority queues, freelists, wakeup, and
-// engine goroutine. A channel is pinned to exactly one lane for its
-// lifetime (default: hash of the peer, overridable via ChannelConfig.Lane),
-// so strict priority and per-channel FIFO ordering are preserved within a
-// channel while independent channels run on separate cores.
+// This file is the NCS_MPS send/recv engine: the one implementation of the
+// protocol the paper gives to a send and a receive system thread per process
+// (§4, Figure 8). Its state lives in *lanes*, each owning its own send
+// scheduler, receive queue, freelists, pending-control index and flush
+// wheel; every Proc has at least one. A channel is pinned to exactly one lane
+// at a time (default: hash of the peer, overridable via ChannelConfig.Lane),
+// so priority and per-channel FIFO ordering are preserved within a channel
+// while independent channels run on separate cores.
 //
-// Execution domains. Classic NCS has one domain — the mts scheduler, where
-// exactly one thread runs at a time. Sharded NCS adds one domain per lane:
+// Who executes a lane is the engineDriver's business, not the protocol's.
+// There are three (see "Engine drivers" below): the thread driver — the
+// paper's own two system threads over a single lane, for carriers that
+// charge or park the thread they are handed and for a resolved lane count of
+// one — the goroutine driver (one engine goroutine per lane, senders
+// servicing inline) and the virtual driver (lane engines as events on a
+// discrete-event clock). What differs between them is confined to this
+// file: who runs a service pass (lane.service), which thread the carrier is
+// handed and whether the lane lock is dropped around that call
+// (flushRunLocked), how a finished request's wakeup travels (retireLocked),
+// and when a forced advertisement is built (forceCtrlLocked).
+//
+// Execution domains. The mts scheduler is one domain — exactly one thread
+// runs at a time — and each lane adds one:
 //
 //   - Lane domain: everything a channel owns (discipline state, piggyback
 //     words, counters' non-atomic neighbors, the lane's queues and
-//     freelists) is guarded by lane.mu. Senders enter it inline (lane.send
-//     locks, enqueues, services, unlocks — no system-thread hop at all);
-//     arriving frames enter through a multi-producer ring drained by an
-//     engine pass; timers enter through Channel.wrapTimer.
+//     freelists) is guarded by lane.mu. Senders enter it inline (laneSend
+//     locks, enqueues, services, unlocks); arriving frames enter through a
+//     multi-producer ring drained by an engine pass (the thread driver's
+//     Handler-path messages go straight into rxq); timers enter through
+//     Channel.wrapTimer.
 //   - Scheduler domain: thread wakeups, receive matching (waiters/store),
-//     barrier state, and exception handlers stay where they always were.
-//     Lane code never calls them directly — it appends to the lane's
-//     out-queues (wake/fans/deliver/errs) and schedules a drain via
-//     Runtime.PostAsync, which runs between dispatches.
+//     signaling state, and exception handlers. Lane code never calls them
+//     directly — it appends to the lane's out-queues
+//     (wake/fans/deliver/errs) and a drain runs them: inline when the caller
+//     is already in the scheduler domain, otherwise via Runtime.PostAsync,
+//     which runs between dispatches. Under the thread driver every entry is
+//     in the scheduler domain already — a finished sender is unblocked on the
+//     spot (retireLocked) — and lane.mu, never held across a Park there,
+//     only keeps stats readers out.
 //
 // Who runs a pass. An engine pass (ingestLocked: batch → rxq → processLocked
 // → serviceLocked → drain posted) belongs to whoever holds the ring's
@@ -58,9 +76,9 @@ import (
 // earns its wake by running while the sender copies its next frame and by
 // taking a window of frames in one pass. Measured on a 2-vCPU host, parent
 // → this rule: pingpong_mem (64 B) op_p50_us 3.13-3.43 → 2.52-2.71 over
-// ten pairs; and BenchmarkScaleMesh/gmp=2/sharded (8 KB and 32 KB windowed
-// classes on two Ps) 54.3-56.9 → 52.4-55.1 µs/op over four rounds, in which
-// a limit of 8 KB (the 8 KB class inline too) read 56.0-59.2.
+// ten pairs; and BenchmarkScaleMesh at gmp=2 with two lanes (8 KB and 32 KB
+// windowed classes on two Ps) 54.3-56.9 → 52.4-55.1 µs/op over four rounds,
+// in which a limit of 8 KB (the 8 KB class inline too) read 56.0-59.2.
 //
 // Lock order. Proc.chanMu (channel table) is a leaf — every hold is one map
 // access — so it may be taken under a lane.mu and no lane.mu is ever awaited
@@ -104,10 +122,9 @@ import (
 // threads — may wait for it, and behind a blocking carrier waits at most for
 // the peer's reader.
 //
-// Lane count defaults to min(GOMAXPROCS, 4); a single lane keeps the
-// classic two-system-thread path byte for byte (New only builds lanes when
-// the resolved count exceeds one), which is the paper-faithful baseline the
-// benches A/B against.
+// Lane count defaults to min(GOMAXPROCS, 4). A resolved count of one builds
+// the single lane under the thread driver, which is the paper-faithful
+// baseline the benches A/B against.
 
 // inlinePassMax is the largest payload whose arrival the delivering
 // goroutine may process itself (see "Who runs a pass" above).
@@ -122,9 +139,18 @@ const inlinePassMax = 4 << 10
 // its lock after the batch it arrived in.
 type rxItem struct {
 	m      *transport.Message
-	c      *Channel // nil for barrier control and unknown-channel traffic
+	c      *Channel // nil for signaling and unknown-channel traffic
 	cc, ca *Channel // cross-channel credit / ack targets (usually nil)
 	fn     func()   // engine-posted work (migration); m and c are nil
+}
+
+// level files an arriving item in a lane's receive queue: control above all
+// data, data under its channel's priority.
+func (it rxItem) level() int {
+	if it.m.Tag >= 0 && it.c != nil {
+		return it.c.priority
+	}
+	return ctrlLevel
 }
 
 // lane is one send/recv engine shard.
@@ -134,7 +160,8 @@ type lane struct {
 
 	// rx is the MPSC hand-off ring: transports (any goroutine) push, the
 	// engine drains; a deliverer that finds the engine asleep may consume
-	// its own frame instead (passInline).
+	// its own frame instead (passInline). nil under the thread driver, whose
+	// arrivals are Posted into the scheduler domain and go straight to rxq.
 	rx *ring.MPSC[rxItem]
 
 	// mu guards everything below it, plus all state of every channel
@@ -144,7 +171,7 @@ type lane struct {
 
 	// pending is the lane's send scheduler — control strictly first, then
 	// deficit round robin across the lane's data channels (see drr.go);
-	// rxq is its receive priority queue (the classic rxIn).
+	// rxq is its receive priority queue.
 	pending laneSched
 	rxq     prioQueue[rxItem]
 
@@ -191,13 +218,18 @@ type lane struct {
 	fnScratch  []func()
 	inlineItem [1]rxItem
 
-	// Per-lane freelists: the classic proc-level pools, sharded so lanes
-	// never contend on recycling.
+	// Per-lane freelists recycle the per-call bookkeeping structs of the
+	// send hot path, so lanes never contend on recycling. dataFree holds
+	// sender-side data Message structs: every carrier serializes before Send
+	// returns and both error-control disciplines buffer private copies, so
+	// once flushRunLocked has handed a data frame to the endpoint nothing
+	// references the struct and it can carry the next Send.
 	reqFree  []*sendReq
 	ctrlFree []*transport.Message
 	dataFree []*transport.Message
 
-	// Burst scratch, as in the classic send loop.
+	// Burst scratch of a service pass: the same-destination run under
+	// accumulation and the message vector handed to a transport.BatchSender.
 	sendRun   []*sendReq
 	batchMsgs []*transport.Message
 	rxScratch []rxItem
@@ -226,29 +258,41 @@ type lane struct {
 	vd        *virtualDriver
 	stepFn    func()
 	stepArmed atomic.Bool
+
+	// td is the thread driver when it runs this lane (nil otherwise).
+	td *threadDriver
 }
 
 // ---------------------------------------------------------------------------
 // Engine drivers
 //
 // engineDriver is the seam between a lane's protocol logic and its execution
-// vehicle. Real mode (the default) runs each lane engine as a goroutine that
-// sleeps on its MPSC ring; virtual mode runs the same engine body as event
-// callbacks scheduled on the discrete-event loop's vclock heap, so a whole
-// mesh of procs shares one deterministic clock. The per-lane kick() is the
-// hot-path half of the seam: producers call it after every ring push, and it
-// compiles down to a single nil check in real mode.
+// vehicle. The goroutine driver runs each lane engine as a goroutine that
+// sleeps on its MPSC ring; the virtual driver runs the same engine body as
+// event callbacks scheduled on the discrete-event loop's vclock heap, so a
+// whole mesh of procs shares one deterministic clock; the thread driver runs
+// one lane from the paper's two mts system threads. New picks: goroutine or
+// virtual (Config.VirtualTime) when more than one lane is resolved, the
+// carrier is a transport.FrameCarrier and no hook in Config assumes the
+// protocol runs on a scheduler thread (RecvCharge, ArrivalPollDelay, a custom
+// After without VirtualTime); the thread driver otherwise. The per-lane
+// kick() is the hot-path half of the seam: producers call it after every ring
+// push, and it compiles down to a single nil check in real mode.
 
 type engineDriver interface {
-	// start launches (real: from laneLoop, on the runtime's first dispatch)
-	// or wires (virtual: from initLanes) one lane's engine.
+	// start launches (goroutine: from laneLoop, on the runtime's first
+	// dispatch) or wires (virtual, thread: while New builds the proc) one
+	// lane's engine.
 	start(ln *lane)
 	// stop tears the engines down at shutdown; runs in the scheduler domain.
 	stop(p *Proc)
+	// post defers fn into the scheduler domain from a context that may hold a
+	// lane lock or run on a foreign goroutine.
+	post(p *Proc, fn func())
 }
 
-// goroutineDriver is today's behavior: one engine goroutine per lane,
-// woken by ring pushes, stopped through laneStop.
+// goroutineDriver is one engine goroutine per lane, woken by ring pushes,
+// stopped through laneStop.
 type goroutineDriver struct{}
 
 func (goroutineDriver) start(ln *lane) {
@@ -260,6 +304,9 @@ func (goroutineDriver) stop(p *Proc) {
 	close(p.laneStop)
 	p.laneWG.Wait()
 }
+
+// post is Runtime.PostAsync: fn runs between dispatches.
+func (goroutineDriver) post(p *Proc, fn func()) { p.cfg.RT.PostAsync(fn) }
 
 // virtualDriver runs lane engines as events on the injected Clock: a kick
 // schedules one zero-delay step on the vclock heap, and the step body runs
@@ -281,6 +328,133 @@ func (d *virtualDriver) stop(p *Proc) {
 	// firing after shutdown finds empty queues and does nothing.
 }
 
+// post is a zero-delay clock event: nothing ever drains the PostAsync queue
+// under a virtual-time loop — the sim engine only Dispatches.
+func (d *virtualDriver) post(p *Proc, fn func()) { d.after(0, fn) }
+
+// threadDriver is the paper's own execution vehicle (§4, Figure 8): one send
+// and one receive system thread at top priority, over a single lane. It is
+// what the classic engine survives as — a third way to execute the lane
+// code, not a second copy of the protocol — and it keeps that engine's
+// thread-switch sequence: a sender enqueues, wakes the send thread and parks;
+// the send thread hands *itself* to the carrier, so a cost-model carrier
+// (SimTCP, SimATM) charges and parks the thread the paper says does the
+// transfer, and unblocks each sender as soon as its run is on the wire;
+// arrivals reach the scheduler domain through the carrier's Handler and the
+// receive thread demultiplexes them, charging Config.RecvCharge to itself.
+// Everything runs in the scheduler domain, so lane.mu is uncontended; it is
+// still taken (stats readers are foreign goroutines) but never held across a
+// Park.
+type threadDriver struct {
+	ln         *lane
+	send, recv *mts.Thread
+}
+
+func (d *threadDriver) start(ln *lane) {
+	p := ln.p
+	d.ln, ln.td = ln, d
+	p.cfg.Endpoint.SetHandler(d.deliver)
+	d.send = p.cfg.RT.Create(fmt.Sprintf("ncs%d-send", p.cfg.ID), mts.PrioSystem, d.sendLoop)
+	d.recv = p.cfg.RT.Create(fmt.Sprintf("ncs%d-recv", p.cfg.ID), mts.PrioSystem, d.recvLoop)
+}
+
+func (d *threadDriver) stop(p *Proc) {
+	// The system threads return on their own (idle).
+}
+
+// post runs fn on the spot: the thread driver never leaves the scheduler
+// domain, so there is nowhere to defer to. Its callers allow that — addChannel
+// has released the lane lock, and this driver's shutdownFn (wake) takes none.
+func (d *threadDriver) post(p *Proc, fn func()) { fn() }
+
+// wake is the thread driver's shutdownFn: both system threads re-evaluate the
+// shutdown predicate themselves at their idle points, outside the lane lock,
+// so a caller that holds it only has to get them there.
+func (d *threadDriver) wake() {
+	p := d.ln.p
+	p.wakeIfIdle(d.send, "send idle")
+	p.wakeIfIdle(d.recv, "recv idle")
+}
+
+// idle is a system thread's idle point: it parks the thread until somebody
+// has work for it, or reports that the process may terminate — and then wakes
+// the sibling, whose own queue may have been what held the predicate back.
+func (d *threadDriver) idle(t *mts.Thread, name, reason string) (exit bool) {
+	p := d.ln.p
+	if p.mayShutdown() {
+		p.traceSysClose(name)
+		d.wake()
+		return true
+	}
+	p.traceSys(name, trace.Idle)
+	t.Park(reason)
+	return false
+}
+
+// sendLoop is the send system thread (Figure 8's "S"): park at "send idle"
+// until the lane has something to service, then run the pass.
+func (d *threadDriver) sendLoop(st *mts.Thread) {
+	ln := d.ln
+	for {
+		ln.mu.Lock()
+		if ln.pending.empty() {
+			ln.mu.Unlock()
+			if d.idle(st, "send", "send idle") {
+				return
+			}
+			continue
+		}
+		ln.p.traceSys("send", trace.Comm)
+		ln.serviceLocked()
+		ln.mu.Unlock()
+		ln.drain(st)
+	}
+}
+
+// deliver is the transport handler: it queues the message for the receive
+// system thread and wakes it (Figure 8's "R").
+func (d *threadDriver) deliver(m *transport.Message) {
+	ln, p := d.ln, d.ln.p
+	it := p.itemFor(m)
+	ln.mu.Lock()
+	ln.rxq.push(it.level(), it)
+	ln.mu.Unlock()
+	if p.cfg.ArrivalPollDelay != nil {
+		if delay := p.cfg.ArrivalPollDelay(); delay > 0 {
+			// Poll-discovered arrival: wake the receive thread when the
+			// underlying p4 poll would notice it. An earlier wake (a
+			// later arrival during compute, or a natural switch) finds
+			// this message too — polls inspect the whole queue.
+			p.cfg.After(delay, func() { p.wakeIfIdle(d.recv, "recv idle") })
+			return
+		}
+	}
+	p.wakeIfIdle(d.recv, "recv idle")
+}
+
+// recvLoop is the receive system thread: park at "recv idle", demultiplex
+// everything queued, and complete the deliveries in its own context — the
+// drain charges Config.RecvCharge (the stack-to-application copy) to this
+// thread before it wakes the receiver, with the lane lock released.
+func (d *threadDriver) recvLoop(rt *mts.Thread) {
+	ln := d.ln
+	for {
+		ln.mu.Lock()
+		if ln.rxq.empty() {
+			ln.mu.Unlock()
+			if d.idle(rt, "recv", "recv idle") {
+				return
+			}
+			continue
+		}
+		ln.p.traceSys("recv", trace.Comm)
+		ln.processLocked()
+		ln.service()
+		ln.mu.Unlock()
+		ln.drain(rt)
+	}
+}
+
 // kick notifies the lane's driver that work entered the rx ring. Real mode
 // needs nothing — ring.Push already wakes the sleeping engine goroutine —
 // so this is one predictable branch on the hot path.
@@ -291,8 +465,10 @@ func (ln *lane) kick() {
 }
 
 // ---------------------------------------------------------------------------
-// Lane-local freelists (mirrors of the proc-level ones in core.go; callers
-// hold ln.mu).
+// Lane-local freelists (callers hold ln.mu). A request or message returns to
+// the freelist of the lane that retires it; deferred requests (owned by a
+// flow/error controller awaiting re-enqueue) are recycled only after they
+// finally transmit.
 
 func (ln *lane) getReq() *sendReq {
 	if n := len(ln.reqFree); n > 0 {
@@ -308,6 +484,9 @@ func (ln *lane) putReq(req *sendReq) {
 	ln.reqFree = append(ln.reqFree, req)
 }
 
+// getCtrlMsg draws a control message from the freelist; its Data buffer is
+// reset to zero length but keeps its backing array, so a steady stream of
+// credits/acks allocates nothing.
 func (ln *lane) getCtrlMsg() *transport.Message {
 	if n := len(ln.ctrlFree); n > 0 {
 		m := ln.ctrlFree[n-1]
@@ -323,6 +502,9 @@ func (ln *lane) putCtrlMsg(m *transport.Message) {
 	ln.ctrlFree = append(ln.ctrlFree, m)
 }
 
+// getDataMsg draws a sender-side data message from the freelist. Unlike
+// control messages its Data field aliases the caller's payload, so put
+// clears it entirely (pinning nothing between sends).
 func (ln *lane) getDataMsg() *transport.Message {
 	if n := len(ln.dataFree); n > 0 {
 		m := ln.dataFree[n-1]
@@ -337,20 +519,37 @@ func (ln *lane) putDataMsg(m *transport.Message) {
 	ln.dataFree = append(ln.dataFree, m)
 }
 
+// pushCtrlLocked queues one pooled control frame (tag < 0) toward a peer on
+// the lane's control level: head, if any, then words as uint32s. The message
+// and its payload buffer recycle once the endpoint has serialized them. Flow-
+// and error-control payloads are *cumulative* counters (credit
+// advertisements, cumulative acks) compared wrap-safely with wire.SeqNewer at
+// the receiver, so those control frames survive lossy carriers: any later
+// frame supersedes a dropped one; an ack burst (selective repeat) travels as
+// several words in one frame, which consumers iterate with forEachCtrlWord.
+// The caller has the lane serviced afterwards.
+func (ln *lane) pushCtrlLocked(to ProcID, ch ChannelID, tag int, head []byte, words ...uint32) {
+	m := ln.getCtrlMsg()
+	m.From = ln.p.cfg.ID
+	m.To = to
+	m.Channel = ch
+	m.Tag = tag
+	m.Data = append(m.Data, head...)
+	for _, w := range words {
+		m.Data = wire.AppendUint32(m.Data, w)
+	}
+	req := ln.getReq()
+	req.m = m
+	req.ctrl = true
+	ln.pending.push(ctrlLevel, req)
+}
+
 // ---------------------------------------------------------------------------
 // Proc-side setup
 
-// sharded reports whether the proc runs the multi-lane hot path.
-func (p *Proc) sharded() bool { return len(p.lanes) > 0 }
-
-// Lanes returns the number of active send/recv lanes (1 in the classic
-// two-system-thread configuration).
-func (p *Proc) Lanes() int {
-	if len(p.lanes) == 0 {
-		return 1
-	}
-	return len(p.lanes)
-}
+// Lanes returns the number of active send/recv lanes (1 under the thread
+// driver).
+func (p *Proc) Lanes() int { return len(p.lanes) }
 
 // laneIndex picks the lane for a channel: an explicit ChannelConfig.Lane
 // pins it (1-based, wrapped), otherwise Config.LaneHash (when set) or the
@@ -370,14 +569,12 @@ func (p *Proc) laneIndex(peer ProcID, hint int) int {
 	return int(uint32(peer)) % len(p.lanes)
 }
 
-// initLanes builds the lane engines; called from New when the resolved lane
-// count exceeds one and the endpoint can deliver raw frames.
-func (p *Proc) initLanes(n int, fc transport.FrameCarrier) {
+// buildLanes allocates the proc's n lanes, without an execution vehicle yet.
+func (p *Proc) buildLanes(n int) {
 	p.laneBS, _ = p.cfg.Endpoint.(transport.BatchSender)
-	p.laneStop = make(chan struct{})
 	p.lanes = make([]*lane, n)
 	for i := range p.lanes {
-		ln := &lane{p: p, idx: i, rx: ring.New[rxItem]()}
+		ln := &lane{p: p, idx: i}
 		ln.drainFn = ln.runDrain
 		ln.wheelFn = ln.wheelFire
 		ln.pendCtrl = make(map[ProcID][]*Channel)
@@ -386,8 +583,29 @@ func (p *Proc) initLanes(n int, fc transport.FrameCarrier) {
 		}
 		p.lanes[i] = ln
 	}
+}
+
+// initThreadLane builds the single lane the two system threads execute:
+// whatever SendLanes/RecvLanes say, no ring, no lane goroutine and (one lane)
+// nothing to rebalance.
+func (p *Proc) initThreadLane() {
+	p.buildLanes(1)
+	d := &threadDriver{}
+	p.laneDriver = d
+	p.shutdownFn = d.wake
+	d.start(p.lanes[0])
+}
+
+// initLanes builds n ring-fed lane engines; called from New when the resolved
+// lane count exceeds one and the endpoint can deliver raw frames.
+func (p *Proc) initLanes(n int, fc transport.FrameCarrier) {
+	p.buildLanes(n)
+	p.laneStop = make(chan struct{})
+	for _, ln := range p.lanes {
+		ln.rx = ring.New[rxItem]()
+	}
 	p.shutdownFn = func() {
-		if p.mayShutdownSharded() {
+		if p.mayShutdown() {
 			p.wakeIfIdle(p.laneThread, "lanes idle")
 		}
 	}
@@ -402,9 +620,9 @@ func (p *Proc) initLanes(n int, fc transport.FrameCarrier) {
 		p.startEngines()
 	} else {
 		// Goroutines can wait until the runtime first runs the lanes'
-		// supervisor (laneLoop): building a proc then spawns nothing, as on
-		// the classic engine, and a frame that arrives earlier sits in its
-		// ring — the engine drains before it first sleeps.
+		// supervisor (laneLoop): building a proc then spawns nothing, and a
+		// frame that arrives earlier sits in its ring — the engine drains
+		// before it first sleeps.
 		p.laneDriver = goroutineDriver{}
 	}
 }
@@ -416,10 +634,8 @@ func (p *Proc) startEngines() {
 }
 
 // chanAddressed reports whether a frame with this tag belongs to a channel:
-// everything but barrier control and signaling, which are proc-level.
-func chanAddressed(tag int) bool {
-	return tag != tagBarrier && tag != tagBarrierRel && !isSigTag(tag)
-}
+// everything but signaling, which is proc-level.
+func chanAddressed(tag int) bool { return !isSigTag(tag) }
 
 // frameChannel resolves a channel for an arriving frame in the deliverer's
 // goroutine. A default channel is created on first reference — unless the
@@ -434,39 +650,58 @@ func (p *Proc) frameChannel(peer ProcID, id ChannelID) *Channel {
 	return c
 }
 
+// itemFor resolves an arriving message's channel — and the channels of any
+// cross-channel piggybacked control words — in the *calling* goroutine, so a
+// pass never takes the channel-table lock. (routeFrame keeps its own copy of
+// these lines: see there.)
+func (p *Proc) itemFor(m *transport.Message) rxItem {
+	it := rxItem{m: m}
+	if chanAddressed(m.Tag) {
+		it.c = p.frameChannel(m.From, m.Channel)
+		if m.HasCredit && m.CreditChan != m.Channel {
+			it.cc = p.frameChannel(m.From, m.CreditChan)
+		}
+		if m.HasAck && m.AckChan != m.Channel {
+			it.ca = p.frameChannel(m.From, m.AckChan)
+		}
+	}
+	return it
+}
+
 // routeFrame is the transport's frame handler: it decodes the frame and
-// resolves its channel — and the channels of any cross-channel
-// piggybacked control words — in the *calling* goroutine (a peer's lane
-// engine or scheduler thread, a socket reader), then hands the message to
+// resolves its channels in the *calling* goroutine (a peer's lane engine or
+// scheduler thread, a socket reader), then hands the message to
 // the owning lane's ring — or, for a short frame whose lane engine is asleep
 // and whose deliverer may, runs the engine's pass on it right here
-// (passInline). A pass therefore never takes the channel-table lock. A
-// channel may migrate between the load and the push; the stale lane's
-// processLocked re-routes such items to the current owner.
+// (passInline). A channel may migrate between the load and the push; the
+// stale lane's processLocked re-routes such items to the current owner.
 //
 // A frame that does not decode is a bug in the carrier: one that reads
 // untrusted bytes validates them before it calls (transport.FrameCarrier).
+//
+// The resolution is itemFor's, written out: as a call it cost pingpong_mem
+// 1.5-2 % of op_p50_us (2.79 → 2.83-2.84 µs, four alternated runs), and this
+// is the one caller that is on that path.
 func (p *Proc) routeFrame(fb *wire.Buf) {
 	m, err := wire.UnmarshalPooled(fb)
 	if err != nil {
 		panic("core: carrier delivered a frame that fails to decode: " + err.Error())
 	}
-	var c, cc, ca *Channel
+	it := rxItem{m: m}
 	if chanAddressed(m.Tag) {
-		c = p.frameChannel(m.From, m.Channel)
+		it.c = p.frameChannel(m.From, m.Channel)
 		if m.HasCredit && m.CreditChan != m.Channel {
-			cc = p.frameChannel(m.From, m.CreditChan)
+			it.cc = p.frameChannel(m.From, m.CreditChan)
 		}
 		if m.HasAck && m.AckChan != m.Channel {
-			ca = p.frameChannel(m.From, m.AckChan)
+			it.ca = p.frameChannel(m.From, m.AckChan)
 		}
 	}
 	ln := p.lanes[p.laneIndex(m.From, 0)]
-	if c != nil {
-		ln = c.lnp.Load()
+	if it.c != nil {
+		ln = it.c.lnp.Load()
 	}
 	p.statRingPush.Add(1)
-	it := rxItem{m: m, c: c, cc: cc, ca: ca}
 	if ln.vd != nil || p.readerDelivers || len(m.Data) > inlinePassMax {
 		ln.rx.Push(it)
 		ln.kick()
@@ -508,11 +743,7 @@ func (ln *lane) ingestLocked(items []rxItem) bool {
 			ln.fnScratch = append(ln.fnScratch, it.fn)
 			continue
 		}
-		level := ctrlLevel
-		if it.m.Tag >= 0 && it.c != nil {
-			level = it.c.priority
-		}
-		ln.rxq.push(level, it)
+		ln.rxq.push(it.level(), it)
 	}
 	ln.processLocked()
 	ln.serviceLocked()
@@ -521,10 +752,11 @@ func (ln *lane) ingestLocked(items []rxItem) bool {
 
 // pass runs one engine pass over a batch and hands its scheduler-domain
 // completions over. The caller is the ring's consumer and holds ln.mu, which
-// pass releases. The two drivers differ only in how that hand-over is
-// scheduled: real mode posts the drain to the proc's runtime; virtual mode
+// pass releases. The two ring-fed drivers differ only in how that hand-over
+// is scheduled: real mode posts the drain to the proc's runtime; virtual mode
 // already runs in the scheduler domain (the simulation engine's goroutine,
-// which never services PostAsync) and drains inline.
+// which never services PostAsync) and drains inline. (The thread driver runs
+// no pass: its system threads call processLocked and serviceLocked apart.)
 func (ln *lane) pass(items []rxItem) {
 	if tr := ln.p.cfg.Tracer; tr != nil {
 		tr.Set(ln.traceName, trace.Comm)
@@ -642,10 +874,12 @@ func (ln *lane) queueDrainLocked() bool {
 	return true
 }
 
-// processLocked is the sharded recvLoop body: demultiplex everything queued
-// in rxq — control to the disciplines, data through error/flow control —
-// deferring scheduler-domain work (waiter dispatch, barrier state,
-// exceptions) to the out-queues.
+// processLocked is the receive protocol body: demultiplex everything queued
+// in rxq, higher-priority channels first — control to the disciplines, data
+// through error/flow control — deferring scheduler-domain work (waiter
+// dispatch, signaling, exceptions) to the out-queues. Control payloads are
+// read on the spot, so a pooled frame recycles immediately — steady
+// credit/ack streams allocate no rx buffers.
 func (ln *lane) processLocked() {
 	for !ln.rxq.empty() {
 		it := ln.rxq.pop()
@@ -682,12 +916,9 @@ func (ln *lane) processLocked() {
 					c.errc.onControl(m)
 				}
 				m.Release()
-			case tagBarrier, tagBarrierRel:
-				// Barrier state is proc-level scheduler-domain state.
-				ln.deliver = append(ln.deliver, m)
 			case tagSigSetup, tagSigConnect, tagSigReject, tagSigRelease, tagSigRelComp, tagSigBeat:
-				// Signaling is proc-level scheduler-domain state, like
-				// barriers: the drain dispatches to onSigMsg.
+				// Signaling is proc-level scheduler-domain state: the drain
+				// dispatches to onSigMsg.
 				ln.deliver = append(ln.deliver, m)
 			default:
 				ln.errs = append(ln.errs, fmt.Errorf("unknown control tag %d from proc %d", m.Tag, m.From))
@@ -700,6 +931,12 @@ func (ln *lane) processLocked() {
 			m.Release()
 			continue
 		}
+		// Piggybacked control applies before anything else: it is the peer's
+		// receiver-role state and stays valid whether this data copy turns
+		// out fresh, duplicate, or addressed to a closed channel (standalone
+		// control on closed channels is consumed too, and both words are
+		// supersede-safe). A peer may have coalesced a *sibling* channel's
+		// word onto this frame; the word's stamped channel routes it.
 		if m.HasCredit {
 			if it.cc != nil {
 				ln.applyCrossLocked(it.cc, tagFlowAck, m.Credit)
@@ -715,6 +952,9 @@ func (ln *lane) processLocked() {
 			}
 		}
 		if c.closed {
+			// This end tore the channel down; without teardown signaling the
+			// peer may still be transmitting. Drop, and let its error control
+			// give up as against a dead process.
 			ln.errs = append(ln.errs, fmt.Errorf("data on closed channel %d from proc %d", m.Channel, m.From))
 			m.Release()
 			continue
@@ -731,7 +971,7 @@ func (ln *lane) processLocked() {
 
 // requeueRxLocked re-queues in-order flushes from a buffering discipline
 // (selective repeat) ahead of anything already waiting at the channel's
-// level, exactly as the classic path prepends into rxIn.
+// level, so release order equals sequence order.
 func (ln *lane) requeueRxLocked(c *Channel, flushed []*transport.Message) {
 	items := ln.rxScratch[:0]
 	for _, m := range flushed {
@@ -744,25 +984,62 @@ func (ln *lane) requeueRxLocked(c *Channel, flushed []*transport.Message) {
 // ---------------------------------------------------------------------------
 // Sending
 
-// serviceLocked is the sharded sendLoop body: drain the lane's send
+// service has the lane's send queue serviced from a context that just fed
+// it (a sending thread, a timer, the receive side, channel teardown; caller
+// holds ln.mu). Under the goroutine and virtual drivers that is a pass right
+// here, inline — an uncontended send completes with no context switch at
+// all. Under the thread driver the pass belongs to the send system thread,
+// which parks inside the carrier: if anything is queued, wake it if it is at
+// its idle point; parked mid-transfer it finds the queue when it loops, and a
+// targeted wake there would corrupt whatever it is blocked on.
+func (ln *lane) service() {
+	if ln.td == nil {
+		ln.serviceLocked()
+	} else if !ln.pending.empty() {
+		ln.p.wakeIfIdle(ln.td.send, "send idle")
+	}
+}
+
+// leave ends a scheduler-domain entry into the lane (a thread's, a timer's,
+// channel teardown's; caller holds ln.mu): whatever the entry queued is
+// serviced, the lock released, and the completions that are due run here, in
+// the caller's context.
+func (ln *lane) leave() {
+	ln.service()
+	ln.mu.Unlock()
+	ln.runDrain()
+}
+
+// serviceLocked is the send protocol body, one pass: drain the lane's send
 // scheduler (control first, then DRR across channels) through admission,
 // piggyback attachment, cross-channel coalescing, and same-destination
-// batching. Unlike the classic loop it runs inline in whatever context fed
-// the queue — a sending thread, the engine, a timer — so an uncontended
-// send completes with no context switch at all. Forced credit
-// advertisements queued by the flow tier (mustFlush) are resolved at the
-// end of the pass: a data frame serviced in the same pass carries them for
-// free, anything still pending goes standalone.
+// batching — admitted requests accumulate into same-destination runs that go
+// to the carrier through transport.BatchSender in one call when it offers
+// batching, so per-message carrier costs (locks, wakeups, syscalls) amortize
+// across the burst. Forced credit advertisements queued by the flow tier
+// (mustFlush) are resolved at the end of the pass: a data frame serviced in
+// the same pass carries them for free, anything still pending goes
+// standalone.
 func (ln *lane) serviceLocked() {
 	p := ln.p
 	run := ln.sendRun[:0]
 	for {
 		for !ln.pending.empty() {
 			req := ln.pending.pop()
+			// Data messages pass their channel's flow-control and
+			// error-control admission; a controller that cannot admit now
+			// takes ownership of the request and re-enqueues it later, so a
+			// pass never blocks on data while control traffic (credits, acks,
+			// retransmissions — raw requests bypass admission) waits behind.
 			if req.m.Tag >= 0 && !req.raw {
 				if req.ch.sendUnavailable() {
+					// The channel closed while this request sat queued (Send
+					// raced Close): fail it exactly like shutdown failed the
+					// already-deferred ones, before any discipline can admit
+					// it into a torn-down window. Read the channel before
+					// retireLocked recycles the request.
 					c := req.ch
-					ln.failSendLocked(req)
+					ln.retireLocked(req)
 					ln.errs = append(ln.errs, c.sendFailErr())
 					continue
 				}
@@ -776,6 +1053,10 @@ func (ln *lane) serviceLocked() {
 					continue
 				}
 			}
+			// Reverse-direction control rides along: a departing data frame
+			// (first transmission or retransmission alike) picks up its
+			// channel's pending credit advertisement and ack, then a
+			// sibling's.
 			if req.m.Tag >= 0 && req.ch != nil {
 				req.ch.attachPiggy(req.m)
 				ln.attachCrossLocked(req.ch, req.m)
@@ -941,6 +1222,36 @@ func (ln *lane) rideImminentLocked(c *Channel) bool {
 	return false
 }
 
+// forceCtrlLocked makes c's pending control leave now instead of waiting for
+// a ride or the flush wheel (a window-threshold credit: the peer's window may
+// be running dry). Under the ring-fed drivers "now" is the end of the pass in
+// progress — the caller is inside one, or a timer about to service: a data
+// frame queued toward the peer in the same pass carries the words for free
+// (the cross-channel coalescing that keeps the piggyback share high when a
+// peer's control and data flow on different channels), and only what is
+// still pending after the pass goes standalone (mustFlush, serviceLocked).
+// Under the thread driver the caller is the receive system thread, whose
+// processing no service pass follows, so the frames are built on the spot,
+// with the count as it stands — not as it will stand when the send thread
+// gets to run, a whole cell train of deliveries later. That is the paper's
+// receive thread, and it is measured: built at the send thread's pass
+// instead, a udpatm stream's credit frames are fewer and fresher
+// (core.ctrl_standalone_per_msg 0.39 → 0.25), the sender's window stands
+// fuller, and stream_udpatm reads goodput_MBps +5 % for op_p50_us 185 → 245 —
+// the trade ROADMAP records under "udpatm on the lane engine" as needing its
+// own decision.
+func (ln *lane) forceCtrlLocked(c *Channel) {
+	if ln.td != nil {
+		c.flushCtrl()
+		return
+	}
+	ln.pendAddLocked(c)
+	if !c.mustFlushOn {
+		c.mustFlushOn = true
+		ln.mustFlush = append(ln.mustFlush, c)
+	}
+}
+
 // armWheelLocked schedules the lane's flush wheel for its head deadline.
 // Entries enter with a constant delay, so the queue is in deadline order
 // and one armed timer covers every waiting channel on the lane.
@@ -991,9 +1302,7 @@ func (ln *lane) wheelFire() {
 		c.flushCtrl()
 	}
 	ln.armWheelLocked()
-	ln.serviceLocked()
-	ln.mu.Unlock()
-	ln.runDrain()
+	ln.leave()
 }
 
 // markDecision emits a scheduler-decision mark ("coalesce", "ctrl-defer",
@@ -1004,8 +1313,18 @@ func (ln *lane) markDecision(c *Channel, kind string) {
 	}
 }
 
-// flushRunLocked hands one same-destination run to the carrier and
-// completes the requests: counters, deferred wakeups, freelist recycling.
+// maxSendBurst bounds one same-destination run handed to a carrier's
+// batch path, so a saturating bulk stream cannot delay its own callers'
+// wakeups (or a priority preemption point) indefinitely.
+const maxSendBurst = 64
+
+// flushRunLocked hands one same-destination run to the carrier — a single
+// SendBatch call when it offers batching — then completes the requests:
+// channel counters, wakeups, freelist recycling. It returns the emptied run
+// slice for reuse. Under the thread driver the send system thread (the only
+// caller there) hands itself to the carrier, which may charge and park it;
+// the lane lock is released across that call, so senders keep enqueueing
+// while a frame is on the wire.
 func (ln *lane) flushRunLocked(run []*sendReq) []*sendReq {
 	if len(run) == 0 {
 		return run
@@ -1016,20 +1335,28 @@ func (ln *lane) flushRunLocked(run []*sendReq) []*sendReq {
 			p.traceChan(req.ch, trace.Comm)
 		}
 	}
+	var st *mts.Thread
+	if ln.td != nil {
+		st = ln.td.send
+		ln.mu.Unlock()
+	}
 	if p.laneBS != nil && len(run) > 1 {
 		ms := ln.batchMsgs[:0]
 		for _, req := range run {
 			ms = append(ms, req.m)
 		}
-		p.laneBS.SendBatch(nil, ms)
+		p.laneBS.SendBatch(st, ms)
 		for i := range ms {
 			ms[i] = nil
 		}
 		ln.batchMsgs = ms[:0]
 	} else {
 		for _, req := range run {
-			p.cfg.Endpoint.Send(nil, req.m)
+			p.cfg.Endpoint.Send(st, req.m)
 		}
+	}
+	if st != nil {
+		ln.mu.Lock()
 	}
 	for i, req := range run {
 		if req.ch != nil && !req.raw {
@@ -1040,24 +1367,61 @@ func (ln *lane) flushRunLocked(run []*sendReq) []*sendReq {
 			p.traceChan(req.ch, trace.Idle)
 		}
 		if req.done != nil {
-			// Inline sender still inside lane.send on this lane: it
-			// observes the flag before parking, so no wakeup is needed.
+			// retireLocked's first case, in line: the uncontended send of
+			// the goroutine and virtual drivers retires here, and the call
+			// cost pingpong_mem another 1 % (2.79 → 2.81 µs).
 			*req.done = true
-		} else if req.caller != nil {
-			ln.wake = append(ln.wake, req.caller)
-		}
-		if req.fan != nil {
-			ln.fans = append(ln.fans, req.fan)
-		}
-		if req.ctrl {
-			ln.putCtrlMsg(req.m)
+			if req.ctrl {
+				ln.putCtrlMsg(req.m)
+			} else {
+				ln.putDataMsg(req.m)
+			}
+			ln.putReq(req)
 		} else {
-			ln.putDataMsg(req.m)
+			ln.retireLocked(req)
 		}
-		ln.putReq(req)
 		run[i] = nil
 	}
 	return run[:0]
+}
+
+// retireLocked ends a request's life, transmitted or failed (a discipline
+// shutting down, a channel closing under queued sends — Send returns no
+// error, so whoever fails a request also files the reason in ln.errs): its
+// sender's completion is delivered and the request and its pooled message return to
+// the freelists (the endpoint serialized the message, and the error-control
+// disciplines buffer private copies for retransmission, so nothing references
+// either anymore). How the completion travels is the driver's: a sender still
+// inside laneSend on this lane (done) observes the flag before parking, so no
+// wakeup is needed; under the thread driver the caller is in the scheduler
+// domain, so a parked sender is unblocked on the spot — when *its* run has
+// reached the carrier, not at the end of the pass (Figure 4's overlap: it
+// computes while the next frame transmits); otherwise the wakeup is deferred
+// to the drain.
+func (ln *lane) retireLocked(req *sendReq) {
+	p := ln.p
+	switch {
+	case req.done != nil:
+		*req.done = true
+	case req.caller == nil:
+	case ln.td != nil:
+		p.cfg.RT.Unblock(req.caller, false)
+	default:
+		ln.wake = append(ln.wake, req.caller)
+	}
+	if req.fan != nil {
+		if ln.td != nil {
+			p.fanDone(req.fan)
+		} else {
+			ln.fans = append(ln.fans, req.fan)
+		}
+	}
+	if req.ctrl {
+		ln.putCtrlMsg(req.m)
+	} else if req.m != nil {
+		ln.putDataMsg(req.m)
+	}
+	ln.putReq(req)
 }
 
 // detachChanLocked strips a finalizing channel out of every lane structure
@@ -1068,7 +1432,7 @@ func (ln *lane) flushRunLocked(run []*sendReq) []*sendReq {
 func (ln *lane) detachChanLocked(c *Channel) {
 	for c.sq.Size() > 0 {
 		req := c.sq.Pop()
-		ln.failSendLocked(req)
+		ln.retireLocked(req)
 		ln.errs = append(ln.errs, c.sendFailErr())
 	}
 	ln.pending.removeChan(c)
@@ -1083,32 +1447,18 @@ func (ln *lane) detachChanLocked(c *Channel) {
 	}
 }
 
-// failSendLocked is the lane-domain failSend: recycle the request and
-// defer its caller's wakeup to the drain.
-func (ln *lane) failSendLocked(req *sendReq) {
-	caller, fan, done := req.caller, req.fan, req.done
-	if !req.ctrl && req.m != nil {
-		ln.putDataMsg(req.m)
-	}
-	ln.putReq(req)
-	if done != nil {
-		*done = true
-	} else if caller != nil {
-		ln.wake = append(ln.wake, caller)
-	}
-	if fan != nil {
-		ln.fans = append(ln.fans, fan)
-	}
-}
-
-// laneSend is the sharded Thread.Send/Channel.Send body: build the message
-// and request from the lane's freelists, enqueue, and service the lane
-// inline. If the request flushed during the inline service (the common,
-// uncongested case) the thread never parks — the send completes in the
-// caller's own time slice, which is where the single-core speedup over the
-// classic park/dispatch/park cycle comes from. If a discipline deferred
-// it, the thread parks and the eventual flush (engine or timer) wakes it
-// through the drain.
+// laneSend is the Thread.Send/Channel.Send body — the paper's NCS_send:
+// build the message and request from the lane's freelists, enqueue, and have
+// the lane serviced. If the request flushed during an inline service (the
+// common, uncongested case under the goroutine and virtual drivers) the
+// thread never parks — the send completes in the caller's own time slice,
+// which is where the single-core speedup over a park/dispatch/park cycle
+// comes from. If a discipline deferred it, the thread parks and the eventual
+// flush (engine or timer) wakes it through the drain. Under the thread
+// driver service only wakes the send system thread, so the request is never
+// done here: the caller parks per message until the send thread has put its
+// run on the wire, and other threads of the process run meanwhile — the
+// overlap mechanism of Figure 4.
 func (c *Channel) laneSend(t *Thread, tag, toThread int, data []byte) {
 	p := c.p
 	if pd := p.deadPeers[c.peer]; pd != nil {
@@ -1147,16 +1497,17 @@ func (c *Channel) laneSend(t *Thread, tag, toThread int, data []byte) {
 	t.sendDone = false
 	req.done = &t.sendDone
 	ln.pending.push(c.priority, req)
-	ln.serviceLocked()
+	ln.service()
 	done := t.sendDone
 	if !done {
-		// Deferred inside a discipline: completion happens under this same
-		// lock later, so clearing the flag pointer and installing the
-		// parked caller here is race-free. The engine may flush it before
-		// this thread reaches Park, in which case the wakeup surfaces
-		// either through drain's self-wake detection below or, after the
-		// park, through a Posted drain — which runs only between
-		// dispatches, i.e. strictly after the park takes effect.
+		// Still queued for the send thread, or deferred inside a discipline:
+		// completion happens under this same lock later, so clearing the flag
+		// pointer and installing the parked caller here is race-free. An
+		// engine may flush it before this thread reaches Park, in which case
+		// the wakeup surfaces either through drain's self-wake detection
+		// below or, after the park, through a Posted drain — which runs only
+		// between dispatches, i.e. strictly after the park takes effect (as
+		// does the send system thread).
 		req.done = nil
 		req.caller = t.mt
 	}
@@ -1178,21 +1529,27 @@ func (c *Channel) laneSend(t *Thread, tag, toThread int, data []byte) {
 // Scheduler-domain drain
 
 // runDrain moves the lane's deferred scheduler-domain work into the
-// scheduler: deliver data to waiters/store, route barrier control, wake
-// send callers, retire fan requests, raise exceptions. Runs only in the
-// scheduler domain (a sending thread inline, or PostAsync between
-// dispatches).
+// scheduler: deliver data to waiters/store, route signaling, wake send
+// callers, retire fan requests, raise exceptions. Runs only in the scheduler
+// domain (a thread or timer inline, or PostAsync between dispatches).
 func (ln *lane) runDrain() { ln.drain(nil) }
 
-// drain is runDrain with self-wake detection: a thread draining inline on
-// its own send path passes its own mts thread, and a wakeup addressed to it
-// is reported through the return value instead of a no-op Unblock (the
-// thread is still running — it has not parked yet — so Unblock would lose
-// the wakeup and the thread would park forever). self carries at most one
-// pending wakeup, because a thread has at most one outstanding send.
+// drain is runDrain on behalf of a running thread. It detects a self-wake: a
+// thread draining inline on its own send path passes its own mts thread, and
+// a wakeup addressed to it is reported through the return value instead of a
+// no-op Unblock (the thread is still running — it has not parked yet — so
+// Unblock would lose the wakeup and the thread would park forever). self
+// carries at most one pending wakeup, because a thread has at most one
+// outstanding send. And self is the thread Config.RecvCharge bills for a
+// message handed to a parked receiver: that hook only exists under the thread
+// driver, where the receive system thread is the one drain that ever finds a
+// delivery queued (it drains right behind its own processLocked, and nobody
+// else runs that), so the charge — a Park, taken with the lock released —
+// lands on the thread the paper gives the stack-to-application copy to.
 //
-// Reentrancy: processing a barrier message can send control (sendCtrlVec),
-// which drains a lane inline — possibly this one. The spare swap buffers
+// Reentrancy: processing a signaling message can send control
+// (sendProcCtrl), which drains a lane inline — possibly this one. A receive
+// thread parked in its charge is overtaken the same way. The spare swap buffers
 // are therefore *claimed* (nil'd) while in use so a nested drain allocates
 // fresh scratch instead of aliasing the batch being processed.
 func (ln *lane) drain(self *mts.Thread) (selfWoken bool) {
@@ -1214,14 +1571,10 @@ func (ln *lane) drain(self *mts.Thread) (selfWoken bool) {
 
 		for i, m := range del {
 			if m.Tag < 0 {
-				if isSigTag(m.Tag) {
-					p.onSigMsg(m)
-				} else {
-					p.onBarrierMsg(m)
-				}
+				p.onSigMsg(m)
 				m.Release()
 			} else {
-				p.dispatchData(nil, m)
+				p.dispatchData(self, m)
 			}
 			del[i] = nil
 		}
@@ -1251,10 +1604,10 @@ func (ln *lane) drain(self *mts.Thread) (selfWoken bool) {
 // ---------------------------------------------------------------------------
 // Shutdown
 
-// mayShutdownSharded is the lane-mode shutdown predicate: user threads are
-// done, no channel's error control is awaiting acknowledgement, and every
-// lane has drained its queues.
-func (p *Proc) mayShutdownSharded() bool {
+// mayShutdown is the shutdown predicate — the system threads are free to exit:
+// user threads are done, no channel's error control is awaiting
+// acknowledgement, and every lane has drained its queues.
+func (p *Proc) mayShutdown() bool {
 	if !p.closing.Load() {
 		return false
 	}
@@ -1276,23 +1629,24 @@ func (p *Proc) mayShutdownSharded() bool {
 		ln.mu.Lock()
 		busy := !ln.pending.empty() || !ln.rxq.empty()
 		ln.mu.Unlock()
-		if busy || ln.rx.Len() > 0 {
+		if busy || (ln.rx != nil && ln.rx.Len() > 0) {
 			return false
 		}
 	}
 	return true
 }
 
-// laneLoop is the lanes' shutdown supervisor: a system thread that parks
-// until the process may terminate, then stops the engines and performs the
-// final drain. It replaces the classic send/recv system threads' exit
-// paths (the lane engines themselves run outside the mts scheduler — as
-// plain goroutines in real mode, as clock events in virtual mode).
+// laneLoop is the ring-fed lanes' shutdown supervisor: a system thread that
+// parks until the process may terminate, then stops the engines and performs
+// the final drain. The lane engines themselves run outside the mts scheduler
+// — as plain goroutines in real mode, as clock events in virtual mode — so
+// somebody has to keep the runtime alive for them; the thread driver's send
+// and receive threads do that for themselves.
 func (p *Proc) laneLoop(st *mts.Thread) {
 	if !p.cfg.VirtualTime {
 		p.startEngines()
 	}
-	for !p.mayShutdownSharded() {
+	for !p.mayShutdown() {
 		st.Park("lanes idle")
 	}
 	p.laneDriver.stop(p)

@@ -41,16 +41,7 @@ func TestShardedEngages(t *testing.T) {
 	}
 	procs[0].TCreate("noop", mts.PrioDefault, func(th *Thread) {})
 	runReal(procs)
-
-	// Lane count 1 must select the classic two-thread engine.
-	rt := mts.New(mts.Config{Name: "classic", IdleTimeout: 10 * time.Second})
-	ep := transport.NewMem().Attach(0, rt)
-	p := New(Config{ID: 0, RT: rt, Endpoint: ep, SendLanes: 1, RecvLanes: 1})
-	if p.Lanes() != 1 || p.sharded() {
-		t.Fatalf("SendLanes=1 must run the classic path (lanes=%d sharded=%v)", p.Lanes(), p.sharded())
-	}
-	p.TCreate("noop", mts.PrioDefault, func(th *Thread) {})
-	runReal([]*Proc{p})
+	// What a lane count of 1 selects is TestEngineMatrix's "driver" scenario.
 }
 
 func TestShardedRoundTrip(t *testing.T) {

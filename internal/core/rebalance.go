@@ -48,8 +48,8 @@ const rebalMinGap = 8192
 // it may move again.
 const rebalCooldownTicks = 2
 
-// startRebalance resolves the rebalance cadence on a sharded proc. Under a
-// discrete-event loop it starts it too: a self-rescheduling chain of
+// startRebalance resolves the rebalance cadence (none on a single lane).
+// Under a discrete-event loop it starts it too: a self-rescheduling chain of
 // virtual-timer events from time zero (a run's timeline includes them), which
 // stops re-arming once the process starts closing, so a finished simulation's
 // event queue drains instead of ticking forever. In real mode the cadence is
@@ -77,9 +77,10 @@ func (p *Proc) startRebalance() {
 // real-mode rebalancer starts with the proc's second channel: with fewer
 // there is nothing to migrate, and a proc that never gets there — most of
 // them: one peer, the default channel — is spared the goroutine and its
-// ticker (a third of what building a lane-mode proc cost).
+// ticker (a third of what building a multi-lane proc cost). rebalEvery is
+// zero on a single lane, so there this is inert.
 func (p *Proc) channelAdded(n int) {
-	if n >= 2 && p.sharded() && p.rebalEvery > 0 && !p.cfg.VirtualTime && !p.closing.Load() &&
+	if n >= 2 && p.rebalEvery > 0 && !p.cfg.VirtualTime && !p.closing.Load() &&
 		p.rebalOn.CompareAndSwap(false, true) {
 		go p.rebalanceLoop()
 	}
@@ -200,11 +201,12 @@ func (ln *lane) moveLocked(c *Channel, dst *lane, tick int64) {
 // maybeSteal is the enqueue-time fast path: a sending thread that notices
 // its own lane running far hotter than the coldest one moves its channel
 // there directly, without waiting for tick cadence. Called outside any
-// lane lock, on a sampled subset of sends.
+// lane lock, on a sampled subset of sends (never with rebalancing off, which
+// a single lane implies).
 func (c *Channel) maybeSteal() {
 	p := c.p
 	ln := c.lnp.Load()
-	if ln == nil || c.pinned {
+	if c.pinned {
 		return
 	}
 	var cold *lane
@@ -262,12 +264,9 @@ type LaneStats struct {
 	InlinePasses int64
 }
 
-// LaneStats returns a per-lane scheduler snapshot, nil on a classic
-// (single-lane) proc. Safe to call while traffic is flowing.
+// LaneStats returns a per-lane scheduler snapshot (one entry under the thread
+// driver). Safe to call while traffic is flowing.
 func (p *Proc) LaneStats() []LaneStats {
-	if !p.sharded() {
-		return nil
-	}
 	out := make([]LaneStats, len(p.lanes))
 	for i, ln := range p.lanes {
 		ln.mu.Lock()

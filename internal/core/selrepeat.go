@@ -111,7 +111,7 @@ func (s *SelectiveRepeat) admit(req *sendReq) bool {
 func (s *SelectiveRepeat) armTimer(seq uint32) {
 	// Per-sequence timers need the sequence baked in, so unlike the other
 	// disciplines each arm builds a fresh closure (wrapped into the lane
-	// domain on sharded channels).
+	// domain).
 	s.p.cfg.After(s.Timeout, s.ch.wrapTimer(func() { s.timerFire(seq) }))
 }
 
@@ -131,7 +131,7 @@ func (s *SelectiveRepeat) timerFire(seq uint32) {
 	}
 	cp := *pending.m
 	s.retrans++
-	req := s.p.getReq()
+	req := s.ch.laneOf().getReq()
 	req.m = &cp
 	req.ch = s.ch
 	req.raw = true
@@ -171,7 +171,7 @@ func (s *SelectiveRepeat) onData(m *transport.Message) bool {
 		s.expected++
 		// Flush buffered successors. They must be processed *before*
 		// anything already queued behind the current message — a raw
-		// arrival sitting in rxIn could otherwise match the advanced
+		// arrival sitting in rxq could otherwise match the advanced
 		// expected sequence and leapfrog them — so they are prepended to
 		// the channel's receive level, with sequences cleared so this
 		// discipline passes them through instead of re-filtering them as
@@ -188,7 +188,7 @@ func (s *SelectiveRepeat) onData(m *transport.Message) bool {
 			flushed = append(flushed, next)
 		}
 		if len(flushed) > 0 {
-			s.ch.requeueRx(flushed)
+			s.ch.laneOf().requeueRxLocked(s.ch, flushed)
 		}
 		return true
 	case wire.SeqNewer(m.ESeq, s.expected):
@@ -196,7 +196,7 @@ func (s *SelectiveRepeat) onData(m *transport.Message) bool {
 			// Retained for the in-order flush: ownership (and the pooled
 			// buffer) stays with the message until delivery. The
 			// piggybacked control words were already applied on arrival —
-			// clear them so the flush re-pass through recvLoop does not
+			// clear them so the flush re-pass through processLocked does not
 			// consume them twice (harmless for the protocol, but it would
 			// count phantom stale advertisements).
 			m.HasCredit, m.HasAck = false, false

@@ -15,8 +15,9 @@ import (
 )
 
 // sigCluster builds n real-mode procs over mem with a per-proc Config hook
-// (admission policies, accept hooks, lane counts). Lanes default to 4
-// (sharded); set SendLanes/RecvLanes to 1 in mod for the classic path.
+// (admission policies, accept hooks, lane counts). Lanes default to 4 (the
+// goroutine driver); set SendLanes/RecvLanes to 1 in mod for the thread
+// driver.
 func sigCluster(t *testing.T, n int, mem *transport.Mem, mod func(i int, cfg *Config)) []*Proc {
 	t.Helper()
 	procs := make([]*Proc, n)
@@ -63,8 +64,10 @@ func dialRendezvous(th *Thread, ch *Channel) int {
 	return from.Thread
 }
 
-// TestOpenCallLifecycle is the tentpole end to end, on both execution
-// paths: a signaled call sets up through SETUP/CONNECT, carries windowed
+// TestOpenCallLifecycle is the signaled lifecycle end to end, under the
+// thread driver (lanes=1) and the goroutine driver (lanes=4) —
+// TestEngineMatrix's "callchurn" repeats it over every driver and carrier: a
+// signaled call sets up through SETUP/CONNECT, carries windowed
 // go-back-N data, closes through RELEASE/RELEASE-COMPLETE, and leaves both
 // procs with balanced lifecycle ledgers.
 func TestOpenCallLifecycle(t *testing.T) {
@@ -310,7 +313,7 @@ func TestOpenCallTimeout(t *testing.T) {
 // TestSendAfterCloseTyped: sends on a closed signaled channel raise the
 // same typed *ChannelClosedError through the exception handler regardless
 // of discipline (windowed, rate, go-back-N, selective repeat) and
-// execution path (classic, sharded).
+// driver (thread at lanes=1, goroutine at lanes=4).
 func TestSendAfterCloseTyped(t *testing.T) {
 	cases := []struct {
 		name string

@@ -12,7 +12,7 @@ import (
 	"repro/internal/work"
 )
 
-// This file is the virtual-time mesh harness: N procs — sharded lanes, DRR,
+// This file is the virtual-time mesh harness: N procs — several lanes, DRR,
 // coalescing, rebalancing and all — executing on one discrete-event loop
 // with a shared clock. It is how the modeled scaling results at N ∈ {64,
 // 256, 1024} are produced: lane engines run as vclock events (Config.
@@ -31,8 +31,9 @@ import (
 // VirtualMeshConfig parameterizes NewVirtualMesh. The zero value models the
 // calibrated 1995 NYNET LAN with 2 lanes per proc and default disciplines.
 type VirtualMeshConfig struct {
-	// Lanes is the per-proc lane count (default 2). Values > 1 exercise the
-	// full sharded hot path; 1 builds classic two-system-thread procs.
+	// Lanes is the per-proc lane count (default 2). Values > 1 run the lane
+	// engines as clock events (the virtual driver); 1 builds procs whose one
+	// lane the two system threads execute (the thread driver).
 	Lanes int
 	// Flow and Error are per-channel discipline templates, forked for every
 	// default channel exactly as Config.Flow/Config.Error (nil = none).

@@ -94,8 +94,8 @@ type BatchSender interface {
 // buffer and is responsible for decoding and recycling it.
 type FrameHandler func(fb *wire.Buf)
 
-// FrameCarrier is the optional raw-frame delivery path used by the sharded
-// (multi-lane) NCS core: instead of Posting decoded messages into the
+// FrameCarrier is the optional raw-frame delivery path used by the NCS core
+// at lane counts above one: instead of Posting decoded messages into the
 // destination's scheduler loop, the carrier hands marshalled frames
 // straight to the handler, which routes them onto per-lane MPSC rings
 // without a scheduler hop. Installing a frame handler replaces the
@@ -103,7 +103,8 @@ type FrameHandler func(fb *wire.Buf)
 // be preserved exactly as for Send/SendBatch, and Send/SendBatch must be
 // safe to call from several goroutines at once (every lane sends for
 // itself). Carriers that cannot make those guarantees simply don't implement
-// the interface and the core falls back to the classic two-thread path.
+// the interface, and the core runs its one lane from the send and receive
+// system threads (Handler delivery, Send handed the send thread).
 //
 // Untrusted frames. The handler decodes without a second opinion: a frame
 // that fails wire.Unmarshal is a bug to it, and it panics. Mem and SimMesh
@@ -115,7 +116,8 @@ type FrameHandler func(fb *wire.Buf)
 // the handler never sees it.
 //
 // Mem, SimMesh and the real-TCP endpoint implement it; udpatm, SimTCP and
-// SimATM do not and keep the classic engine.
+// SimATM do not: they deliver through Handler and are sent to by the NCS
+// send system thread, which the two cost-model carriers charge and park.
 type FrameCarrier interface {
 	SetFrameHandler(h FrameHandler)
 }
