@@ -2,163 +2,28 @@ package main
 
 import (
 	"fmt"
-	"math/bits"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/mts"
+	"repro/internal/bench"
 )
 
-// The scale1k experiment is the virtual-time scale sweep by hand: N procs
-// (default 1024) — sharded lanes, DRR, coalescing and all — on one
-// deterministic discrete-event loop, driven through collectives, incast,
-// and a neighbor ring. Every number is modeled (virtual microseconds /
-// MB/s); wall clock only bounds how long the simulation takes to compute.
+// scale1k is bench.Scale by hand at any N (default 1024, ~75 s; the golden
+// test holds N = 64 and 256 at seed 7):
 //
 //	ncsbench -experiment scale1k -n 1024 -seed 7
 //
-// The timeline hash printed per workload is the determinism contract: the
-// same -n and -seed reproduce every hash byte for byte, on any host. The
-// ring workload is run twice to demonstrate it. BenchmarkScale1K measures
-// the same shapes across N ∈ {64, 256, 1024} and archives them in
-// BENCH_scale1k.json; this runner is the interactive single-N view.
-const (
-	scale1kBcast   = 16 << 10
-	scale1kIncast  = 8 << 10
-	scale1kMsgs    = 4
-	scale1kColIter = 4
-)
-
-func scale1k(n int, seed int64) {
+// A diverged same-seed ring rerun is an error: CI runs this command and
+// relies on the exit code.
+func scale1k(n int, seed int64) error {
 	if n < 2 {
-		fmt.Println("scale1k: -n must be at least 2")
-		return
-	}
-	fmt.Printf("Scale sweep — %d procs on one virtual-time event loop (seed %d)\n", n, seed)
-	fmt.Printf("%-22s %14s %14s  %s\n", "workload", "modeled_us/op", "modeled_MB/s", "timeline")
-
-	row := func(name string, us, mbps float64, tl string, wall time.Duration) {
-		usCol, mbCol := "-", "-"
-		if us > 0 {
-			usCol = fmt.Sprintf("%.1f", us)
-		}
-		if mbps > 0 {
-			mbCol = fmt.Sprintf("%.2f", mbps)
-		}
-		fmt.Printf("%-22s %14s %14s  %s  (%v wall)\n", name, usCol, mbCol, tl, wall.Round(time.Millisecond))
-	}
-
-	speedup := map[string]float64{}
-	for _, shape := range []struct {
-		name   string
-		fanout int
-	}{{"tree", 0}, {"linear", 1 << 20}} {
-		for _, op := range []string{"barrier", "bcast"} {
-			payload := 0
-			if op == "bcast" {
-				payload = scale1kBcast
-			}
-			start := time.Now()
-			us, tl := scale1kCollective(op, n, shape.fanout, payload, seed)
-			row(fmt.Sprintf("%s/%s", op, shape.name), us, 0, tl, time.Since(start))
-			if shape.name == "tree" {
-				speedup[op] = us
-			} else if tree := speedup[op]; tree > 0 {
-				speedup[op] = us / tree
-			}
-		}
+		return fmt.Errorf("scale1k: -n must be at least 2, got %d", n)
 	}
 	start := time.Now()
-	mbps, tl := scale1kIncastRun(n, seed)
-	row("incast", 0, mbps, tl, time.Since(start))
-	start = time.Now()
-	mbps, tl = scale1kRing(n, seed)
-	wall := time.Since(start)
-	row("mesh-ring", 0, mbps, tl, wall)
-	start = time.Now()
-	_, tl2 := scale1kRing(n, seed)
-	row("mesh-ring (rerun)", 0, mbps, tl2, time.Since(start))
-
-	verdict := "REPRODUCED"
-	if tl2 != tl {
-		verdict = "DIVERGED — determinism contract violated"
+	res := bench.Scale(n, seed)
+	fmt.Print(bench.RenderScale(res))
+	fmt.Printf("(simulated in %v wall)\n", time.Since(start).Round(time.Millisecond))
+	if !res.Reproduced() {
+		return fmt.Errorf("scale1k: same-seed ring timelines diverged: %s vs %s", res.Ring.Timeline, res.RingRerun.Timeline)
 	}
-	fmt.Printf("\ndeterminism: same seed ring timeline %s\n", verdict)
-	fmt.Printf("tree vs linear (modeled): barrier %.1fx, bcast %.1fx (ceil(log2 %d) = %d parallel hops vs %d serial sends)\n",
-		speedup["barrier"], speedup["bcast"], n, bits.Len(uint(n-1)), n-1)
-}
-
-func scale1kCollective(op string, n, fanout, payload int, seed int64) (float64, string) {
-	vm := core.NewVirtualMesh(n, seed, core.VirtualMeshConfig{})
-	members := make([]core.Addr, n)
-	for i := range members {
-		members[i] = core.Addr{Proc: core.ProcID(i), Thread: 0}
-	}
-	for _, p := range vm.Procs {
-		p := p
-		p.TCreate("coll", mts.PrioDefault, func(t *core.Thread) {
-			g := p.NewGroup(members, core.GroupConfig{Fanout: fanout})
-			var buf []byte
-			if op == "bcast" {
-				buf = make([]byte, payload)
-			}
-			for k := 0; k < scale1kColIter; k++ {
-				switch op {
-				case "barrier":
-					g.Barrier(t)
-				case "bcast":
-					g.BcastInto(t, 0, buf)
-				}
-			}
-		})
-	}
-	vm.Run()
-	return float64(vm.Now().Nanoseconds()) / 1e3 / scale1kColIter, vm.TimelineHash()
-}
-
-func scale1kIncastRun(n int, seed int64) (float64, string) {
-	vm := core.NewVirtualMesh(n, seed, core.VirtualMeshConfig{Flow: core.NewWindowFlow(8)})
-	total := (n - 1) * scale1kMsgs
-	vm.Procs[0].TCreate("sink", mts.PrioDefault, func(t *core.Thread) {
-		for k := 0; k < total; k++ {
-			t.Recv(core.Any, core.Any)
-		}
-	})
-	for i := 1; i < n; i++ {
-		p := vm.Procs[i]
-		p.TCreate("src", mts.PrioDefault, func(t *core.Thread) {
-			payload := make([]byte, scale1kIncast)
-			for k := 0; k < scale1kMsgs; k++ {
-				t.Send(0, 0, payload)
-			}
-		})
-	}
-	vm.Run()
-	return float64(total*scale1kIncast) / 1e6 / vm.Now().Seconds(), vm.TimelineHash()
-}
-
-func scale1kRing(n int, seed int64) (float64, string) {
-	vm := core.NewVirtualMesh(n, seed, core.VirtualMeshConfig{})
-	totalBytes := 0
-	for i, p := range vm.Procs {
-		i, p := i, p
-		rng := vm.Rand(int64(i))
-		sizes := make([]int, scale1kMsgs)
-		for k := range sizes {
-			sizes[k] = 64 + rng.Intn(4096)
-			totalBytes += sizes[k]
-		}
-		p.TCreate("ring", mts.PrioDefault, func(t *core.Thread) {
-			next := core.ProcID((i + 1) % n)
-			prev := core.ProcID((i - 1 + n) % n)
-			for _, sz := range sizes {
-				t.Send(0, next, make([]byte, sz))
-			}
-			for k := 0; k < scale1kMsgs; k++ {
-				t.Recv(core.Any, prev)
-			}
-		})
-	}
-	vm.Run()
-	return float64(totalBytes) / 1e6 / vm.Now().Seconds(), vm.TimelineHash()
+	return nil
 }

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/bench"
@@ -77,8 +78,8 @@ func runProbe(wan bool, hosts, from, to, nbytes int) {
 		net = netsim.NewATMLAN(eng, hosts, pl.ATMLAN)
 	}
 	if from < 0 || from >= hosts || to < 0 || to >= hosts || from == to {
-		fmt.Printf("need distinct hosts in [0,%d)\n", hosts)
-		return
+		fmt.Fprintf(os.Stderr, "nynet: -from %d -to %d: need distinct hosts in [0,%d)\n", from, to, hosts)
+		os.Exit(2)
 	}
 
 	nodes := make([]*sim.Node, hosts)

@@ -83,9 +83,10 @@
 // for chaos testing, Proc.Redial wraps OpenCall in a cause-aware
 // backoff policy for surviving a peer restart, Config.AcceptQueue turns
 // listener overload into bounded backpressure, and
-// CallConfig.IdleTimeout scopes the idle reaper per call. BenchmarkFaults
-// gates modeled detection latency, typed-error coverage, and zero leaks
-// in CI via BENCH_faults.json.
+// CallConfig.IdleTimeout scopes the idle reaper per call. bench.Faults
+// (`ncsbench -experiment faults`) is the 64-proc kill experiment; its
+// modeled detection latency, typed-error coverage and zero leaks are held
+// by internal/bench's golden and floors tests.
 //
 // Group communication is tree-structured and channel-aware: core.Group
 // (Proc.NewGroup) precomputes a q-nomial tree and dissemination-barrier
@@ -99,12 +100,14 @@
 // sender- and receiver-side message structs recycle through pools, so a
 // barrier-plus-broadcast round allocates zero bytes steady-state.
 //
-// bench_test.go in this directory regenerates every table and figure of
-// the paper's evaluation via `go test -bench`, plus a per-channel
-// throughput benchmark that emits BENCH_channels.json, an N-procs ×
-// K-channels mesh benchmark swept across GOMAXPROCS and lane modes that
-// emits BENCH_scale.json, a tree-vs-linear
-// collective benchmark that emits BENCH_collectives.json (wall clock on
-// Mem plus modeled time on the calibrated NYNET simulation), and a
-// many-to-one incast benchmark that emits BENCH_incast.json.
+// internal/bench is the library of modeled experiments — the paper's
+// tables and figures and the repo's own collectives, scale, churn and
+// faults sweeps — each a result struct and a Render function; cmd/ncsbench
+// prints them and TestGoldenModeledOutput holds every one byte for byte on
+// each `go test ./...`. bench_test.go in this directory runs the table and
+// figure functions as Go benchmarks (modeled_s), the substrate
+// micro-benchmarks, and BenchmarkScaleMesh, the lane engines' A/B
+// instrument (`go test -cpu 1,2,4 -bench ScaleMesh .`). Wall-clock
+// performance is measured in one place, the nested bench/ module
+// (`bash bench/run.sh`; metrics declared in BENCHMARK.json).
 package repro

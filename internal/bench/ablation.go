@@ -9,7 +9,7 @@ import (
 )
 
 // Ablations probe the design space around the calibrated configuration.
-// They exist to make one analysis in EXPERIMENTS.md concrete: the paper's
+// They exist to make one analysis concrete: the paper's
 // Table 1 multithreading gains require a much larger communication share
 // than any consistent 1995 TCP/Ethernet cost model produces for 128×128
 // matrices, and the model's NCS advantage indeed grows with communication
@@ -123,7 +123,7 @@ func AblationBuffers(counts []int) []AblationRow {
 
 // AblationContention sweeps the Ethernet CSMA/CD backoff slot for the
 // 8-node p4 JPEG pipeline — the probe for Table 2's anomalous p4 growth
-// with node count (see EXPERIMENTS.md): contention bends p4 upward in the
+// with node count: contention bends p4 upward in the
 // right direction but falls far short of the paper's measured 17 s.
 func AblationContention(slots []time.Duration) []AblationRow {
 	var rows []AblationRow
@@ -151,4 +151,20 @@ func RenderAblation(title string, rows []AblationRow) string {
 		fmt.Fprintf(&b, "%-18s %10.2f %10.2f %7.1f%%\n", r.Label, r.P4, r.NCS, r.Improvement)
 	}
 	return b.String()
+}
+
+// RenderAblations runs and formats all five sweeps.
+func RenderAblations() string {
+	// Real Ethernet's slot time is 51.2 µs; a few slots per backoff is the
+	// physical regime.
+	return RenderAblation("Ablation — matmul(4 nodes) vs communication share (Ethernet)",
+		AblationCommScale([]float64{1, 2, 5, 10})) + "\n" +
+		RenderAblation("Ablation — matmul(4 nodes) vs threads/process (NYNET, comm x4)",
+			AblationThreads([]int{1, 2, 4})) + "\n" +
+		RenderAblation("Ablation — FFT(4 nodes) vs p4 poll quantum (NYNET)",
+			AblationPollQuantum([]time.Duration{0, 25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond})) + "\n" +
+		RenderAblation("Ablation — HSM matmul(4 nodes) vs SBA-200 buffer count",
+			AblationBuffers([]int{1, 2, 4, 8})) + "\n" +
+		RenderAblation("Ablation — JPEG(8 nodes) vs Ethernet contention slot",
+			AblationContention([]time.Duration{0, 51200 * time.Nanosecond, 256 * time.Microsecond, time.Millisecond}))
 }

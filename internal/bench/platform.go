@@ -1,8 +1,10 @@
 // Package bench is the experiment harness: it models the paper's two
 // evaluation platforms (§2), assembles simulated clusters of p4 and NCS
 // processes on them, and regenerates every table and figure of the
-// evaluation section (see the per-experiment index in DESIGN.md and the
-// paper-vs-measured record in EXPERIMENTS.md).
+// evaluation section, plus the repo's own modeled sweeps on the virtual-time
+// mesh (collectives, scale, churn, faults). Every experiment is a result
+// struct and a Render function; `ncsbench -h` is the index, and
+// TestGoldenModeledOutput holds each rendered output byte for byte.
 package bench
 
 import (
@@ -48,7 +50,7 @@ type Platform struct {
 // datapath of Figure 3a plus p4's XDR data conversion on a 33 MHz CPU; the
 // poll quantum reflects p4's select/backoff receive loop. Per-op compute
 // costs are calibrated per experiment from the paper's 1-node columns
-// (EXPERIMENTS.md records the fit).
+// (the constants in tables.go).
 func Ethernet1995() Platform {
 	return Platform{
 		Name: "Ethernet",

@@ -13,7 +13,7 @@ import (
 // Calibration constants. Per-operation compute costs are fitted ONLY to
 // the paper's 1-node columns (Tables 1 and 3) or, for JPEG which has no
 // 1-node column, to the 2-node p4 rows; all other cells are model output.
-// EXPERIMENTS.md records the paper-vs-measured comparison cell by cell.
+// RenderTable prints the paper-vs-modeled comparison cell by cell.
 const (
 	// Table 1: 128×128 matmul. 1-node p4 times: 25.77 s (Ethernet ELC),
 	// 24.89 s (NYNET IPX); 128³ = 2,097,152 multiply-adds.
@@ -252,4 +252,28 @@ func RenderTable(title string, rows []Row, paper []PaperRow) string {
 		}
 	}
 	return b.String()
+}
+
+// RenderTable1 is Table 1 on both platforms beside the published numbers.
+func RenderTable1() string {
+	return RenderTable("Table 1 — matrix multiplication 128x128 (seconds), Ethernet",
+		Table1(Ethernet1995(), []int{1, 2, 4, 8}), PaperTable1Ethernet) + "\n" +
+		RenderTable("Table 1 — matrix multiplication 128x128 (seconds), NYNET",
+			Table1(NYNET1995(), []int{1, 2, 4}), PaperTable1NYNET)
+}
+
+// RenderTable2 is Table 2 on both platforms beside the published numbers.
+func RenderTable2() string {
+	return RenderTable("Table 2 — JPEG pipeline, 600 KB image (seconds), Ethernet",
+		Table2(Ethernet1995(), []int{2, 4, 8}), PaperTable2Ethernet) + "\n" +
+		RenderTable("Table 2 — JPEG pipeline, 600 KB image (seconds), NYNET",
+			Table2(NYNET1995(), []int{2, 4}), PaperTable2NYNET)
+}
+
+// RenderTable3 is Table 3 on both platforms beside the published numbers.
+func RenderTable3() string {
+	return RenderTable("Table 3 — DIF FFT, M=512, 8 sets (seconds), Ethernet",
+		Table3(Ethernet1995(), []int{1, 2, 4, 8}), PaperTable3Ethernet) + "\n" +
+		RenderTable("Table 3 — DIF FFT, M=512, 8 sets (seconds), NYNET",
+			Table3(NYNET1995(), []int{1, 2, 4}), PaperTable3NYNET)
 }

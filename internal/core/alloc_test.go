@@ -365,6 +365,67 @@ func TestPiggybackAllocs(t *testing.T) {
 	}
 }
 
+// TestOneWayWindowedStandaloneShare holds the piggyback protocol's headline
+// number on the shape where nothing flows back to ride: a WindowFlow(8)
+// 32 KB one-way stream beside a priority-7 4 KB one, each proc on its own
+// runtime over Mem. Before piggybacking and threshold-coalesced credits the
+// receiver sent one standalone credit frame per delivery (1.0); now an
+// advertisement is forced once per 3/4 window of deliveries (0.17 under the
+// thread driver, 0.13 under the goroutine driver, where a pass covers more
+// deliveries) and the flush timer adds at most one frame per
+// DefaultCtrlFlushDelay of run time — which is all that makes the count
+// depend on the host (0.25 under -race -cpu=1), so the limit says so. Zero
+// would mean the window never needed an advertisement and the test stopped
+// exercising the path.
+func TestOneWayWindowedStandaloneShare(t *testing.T) {
+	const msgs, videoSize, bulkSize = 2000, 4 << 10, 32 << 10
+	mem := transport.NewMem()
+	mk := func(id ProcID) *Proc {
+		rt := mts.New(mts.Config{Name: "share", IdleTimeout: time.Minute})
+		return New(Config{ID: id, RT: rt, Endpoint: mem.Attach(id, rt)})
+	}
+	procs := []*Proc{mk(0), mk(1)}
+	// stream opens one channel on both ends and moves msgs messages of size
+	// bytes from proc 0 to proc 1's to-th thread; it returns the receiving end.
+	stream := func(to, size int, cfg func() ChannelConfig) *Channel {
+		tx, rx := procs[0].Open(1, cfg()), procs[1].Open(0, cfg())
+		procs[0].TCreate("tx", mts.PrioDefault, func(th *Thread) {
+			buf := make([]byte, size)
+			for k := 0; k < msgs; k++ {
+				tx.Send(th, to, buf)
+			}
+		})
+		procs[1].TCreate("rx", mts.PrioDefault, func(th *Thread) {
+			buf := make([]byte, size)
+			for k := 0; k < msgs; k++ {
+				rx.RecvInto(th, buf, Any)
+			}
+		})
+		return rx
+	}
+	stream(0, videoSize, func() ChannelConfig { return ChannelConfig{ID: 1, Priority: 7} })
+	bulkRx := stream(1, bulkSize, func() ChannelConfig { return ChannelConfig{ID: 2, Flow: NewWindowFlow(8)} })
+	start := time.Now()
+	done := make(chan struct{}, len(procs))
+	for _, p := range procs {
+		p := p
+		go func() { p.Start(); done <- struct{}{} }()
+	}
+	for range procs {
+		<-done
+	}
+	elapsed := time.Since(start)
+	s := bulkRx.Stats()
+	limit := int64(0.25*msgs) + int64(elapsed/DefaultCtrlFlushDelay)
+	t.Logf("bulk receiver: %d standalone / %d piggybacked control frames over %d messages in %v (%.3f per message, limit %d frames)",
+		s.CtrlStandalone, s.CtrlPiggybacked, s.Received, elapsed.Round(time.Millisecond),
+		float64(s.CtrlStandalone)/float64(s.Received), limit)
+	if s.Received != msgs || s.CtrlStandalone == 0 || s.CtrlStandalone > limit {
+		t.Fatalf("%d standalone control frames over %d bulk messages (sent %d), want 1..%d: 0.25 per message plus one per %v of the %v run",
+			s.CtrlStandalone, s.Received, msgs, limit, DefaultCtrlFlushDelay, elapsed.Round(time.Millisecond))
+	}
+}
+
 // TestRetransmissionReqsRecycle pins where a retransmission's sendReq comes
 // from: the freelist it returns to. A lossy Mem pair on two lanes forces
 // well over a hundred retransmissions under each error-control discipline;

@@ -76,9 +76,10 @@ import (
 // earns its wake by running while the sender copies its next frame and by
 // taking a window of frames in one pass. Measured on a 2-vCPU host, parent
 // → this rule: pingpong_mem (64 B) op_p50_us 3.13-3.43 → 2.52-2.71 over
-// ten pairs; and BenchmarkScaleMesh at gmp=2 with two lanes (8 KB and 32 KB
-// windowed classes on two Ps) 54.3-56.9 → 52.4-55.1 µs/op over four rounds,
-// in which a limit of 8 KB (the 8 KB class inline too) read 56.0-59.2.
+// ten pairs; and BenchmarkScaleMesh/sharded at -cpu 2, two lanes (8 KB and
+// 32 KB windowed classes on two Ps) 54.3-56.9 → 52.4-55.1 µs/op over four
+// rounds, in which a limit of 8 KB (the 8 KB class inline too) read
+// 56.0-59.2.
 //
 // Lock order. Proc.chanMu (channel table) is a leaf — every hold is one map
 // access — so it may be taken under a lane.mu and no lane.mu is ever awaited

@@ -1,7 +1,7 @@
 // Package work defines the compute hook that lets one application source
-// run in both execution modes (DESIGN.md §5.2): real mode executes the
-// actual kernel, simulation mode charges calibrated virtual CPU time to the
-// thread's workstation.
+// run in both execution modes: real mode executes the actual kernel,
+// simulation mode charges calibrated virtual CPU time to the thread's
+// workstation.
 package work
 
 import (
