@@ -292,30 +292,11 @@ func runScaleMesh(b *testing.B, lanes int) {
 
 // BenchmarkScaleMesh is the A/B instrument for the lane engines (ROADMAP's
 // evidence rule; lane.go's inlinePassMax). `go test -cpu 1,2,4 -bench
-// ScaleMesh` is the core-count sweep. lane1 and sharded run the 8-proc ring
-// on one lane under the thread driver and on the default lane count; the
-// skewed pair (bench.Mesh: 2 procs, 6 go-back-N channels each way, every
-// one hashed to lane 0) runs with the hot-lane rebalancer off and on — the
-// ratio of the two is the recovery the rebalancer buys, and it means
-// something only where -cpu gives the lanes cores to spread over.
+// ScaleMesh` is the core-count sweep: lane1 and sharded run the 8-proc ring
+// on one lane under the thread driver and on the default lane count.
 func BenchmarkScaleMesh(b *testing.B) {
 	b.Run("lane1", func(b *testing.B) { runScaleMesh(b, 1) })
 	b.Run("sharded", func(b *testing.B) { runScaleMesh(b, 0) })
-	for _, mode := range []struct {
-		name    string
-		norebal bool
-	}{{"skewed-norebal", true}, {"skewed-rebal", false}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			res := bench.Mesh(bench.MeshConfig{Msgs: b.N, Skew: true, NoRebalance: mode.norebal})
-			var migrations int64
-			for _, s := range res.Channels {
-				migrations += s.Migrations
-			}
-			b.ReportMetric(res.MBps(), "agg_MB/s")
-			b.ReportMetric(float64(migrations), "migrations")
-		})
-	}
 }
 
 // --- Micro-benchmarks of the substrates (real work, real ns/op) ---------

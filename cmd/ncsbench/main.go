@@ -8,7 +8,7 @@
 //
 //	ncsbench -experiment all          # everything (default)
 //	ncsbench -experiment table1       # one experiment; -h lists them all
-//	ncsbench -experiment mesh -laneskew -weights 6,1
+//	ncsbench -experiment mesh -weights 6,1
 //	ncsbench -experiment scale1k -n 1024 -seed 7
 //
 // A failed experiment (bad -n or -weights, a diverged determinism rerun)
@@ -41,7 +41,6 @@ func main() {
 func run() error {
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention profile to this file (lane mu hot spots)")
 	blockProfile := flag.String("blockprofile", "", "write a blocking profile to this file (ring sleeps, scheduler waits)")
-	laneSkew := flag.Bool("laneskew", false, "mesh: route every channel to lane 0 (the hot-lane worst case the rebalancer repairs)")
 	weights := flag.String("weights", "", "mesh: comma-separated DRR weights assigned round-robin to the channels (default priority+1)")
 	meshN := flag.Int("n", 1024, "scale1k: number of procs on the virtual-time event loop")
 	seed := flag.Int64("seed", 7, "scale1k: workload seed (same -n and -seed reproduce every timeline hash byte for byte)")
@@ -69,7 +68,7 @@ func run() error {
 		{"collectives", "tree vs linear group ops, modeled, N = 4, 8, 16", text(func() string { return bench.RenderCollectives(bench.Collectives()) })},
 		{"churn", "256 procs, 1,024 signaled calls under admission overload", text(func() string { return bench.RenderChurn(bench.Churn()) })},
 		{"faults", "64 procs, one host killed: detection latency, teardown", text(func() string { return bench.RenderFaults(bench.Faults()) })},
-		{"mesh", "live channel pair (-laneskew, -weights)", func() error { return mesh(*laneSkew, *weights) }},
+		{"mesh", "live channel pair (-weights)", func() error { return mesh(*weights) }},
 		{"scale1k", "virtual-time scale sweep (-n, -seed)", func() error { return scale1k(*meshN, *seed) }},
 	}
 	help := "which experiment to run: all, or one of"

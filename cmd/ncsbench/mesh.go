@@ -8,19 +8,17 @@ import (
 	"repro/internal/bench"
 )
 
-// mesh is bench.Mesh by hand — the pair BenchmarkScaleMesh's skewed cells
-// measure, at four lanes regardless of GOMAXPROCS (the experiment shows the
-// lane schedulers, it does not measure this host):
+// mesh is bench.Mesh by hand, at four lanes regardless of GOMAXPROCS (the
+// experiment shows the lane schedulers, it does not measure this host):
 //
-//	ncsbench -experiment mesh                      # balanced placement
-//	ncsbench -experiment mesh -laneskew            # every channel on lane 0
-//	ncsbench -experiment mesh -laneskew -weights 6,1
-func mesh(skew bool, weightSpec string) error {
+//	ncsbench -experiment mesh                # default weights, priority+1
+//	ncsbench -experiment mesh -weights 6,1
+func mesh(weightSpec string) error {
 	weights, err := parseWeights(weightSpec)
 	if err != nil {
 		return fmt.Errorf("mesh: %w", err)
 	}
-	cfg := bench.MeshConfig{Msgs: 4000, Lanes: 4, Skew: skew, Weights: weights}
+	cfg := bench.MeshConfig{Msgs: 4000, Lanes: 4, Weights: weights}
 	fmt.Print(bench.RenderMesh(cfg, bench.Mesh(cfg)))
 	return nil
 }

@@ -12,11 +12,11 @@ import (
 
 // The mesh experiment drives the real channel layer (no virtual time, so
 // no golden): two NCS processes over the in-process transport, meshChans
-// go-back-N channels per direction, bidirectional traffic. It is the
-// lane-placement scenario — BenchmarkScaleMesh's skewed cells and
-// `ncsbench -experiment mesh` both run it. The classes are go-back-N rather
-// than windowed because only sequenced channels are migration-eligible: the
-// receiver must be able to repair cross-ring reordering.
+// go-back-N channels per direction, bidirectional traffic, behind
+// `ncsbench -experiment mesh`. Every channel of a proc goes to its one peer,
+// so the peer hash puts all six on one lane: the run shows that lane's
+// scheduler — DRR shares under -weights, piggybacked and coalesced control —
+// and the idle lanes beside it.
 
 const (
 	meshChans   = 6
@@ -25,13 +25,9 @@ const (
 
 // MeshConfig selects one run of the pair.
 type MeshConfig struct {
-	Msgs  int // messages per channel per direction
-	Lanes int // Config.SendLanes/RecvLanes; 0 is the default
-	// Skew routes every channel to lane 0 through Config.LaneHash — the
-	// worst-case placement the hot-lane rebalancer exists to repair;
-	// NoRebalance pins it there (the un-repaired baseline).
-	Skew, NoRebalance bool
-	Weights           []int // DRR weights, round-robin over the channels; empty: priority+1
+	Msgs    int   // messages per channel per direction
+	Lanes   int   // Config.SendLanes/RecvLanes; 0 is the default
+	Weights []int // DRR weights, round-robin over the channels; empty: priority+1
 }
 
 // MeshResult is what one run measured.
@@ -57,17 +53,10 @@ func Mesh(cfg MeshConfig) MeshResult {
 	var procs [2]*core.Proc
 	for i := range procs {
 		rt := mts.New(mts.Config{Name: fmt.Sprintf("mesh%d", i), IdleTimeout: time.Minute})
-		pc := core.Config{
+		procs[i] = core.New(core.Config{
 			ID: core.ProcID(i), RT: rt, Endpoint: mem.Attach(core.ProcID(i), rt),
 			SendLanes: cfg.Lanes, RecvLanes: cfg.Lanes,
-		}
-		if cfg.Skew {
-			pc.LaneHash = func(core.ProcID) int { return 0 }
-		}
-		if cfg.NoRebalance {
-			pc.RebalanceInterval = -1
-		}
-		procs[i] = core.New(pc)
+		})
 	}
 	var chans [2][meshChans]*core.Channel
 	for side, p := range procs {
@@ -122,7 +111,6 @@ func Mesh(cfg MeshConfig) MeshResult {
 			s.BytesSent += cs.BytesSent
 			s.CtrlPiggybacked += cs.CtrlPiggybacked
 			s.CtrlStandalone += cs.CtrlStandalone
-			s.Migrations += cs.Migrations
 		}
 	}
 	for side, p := range procs {
@@ -132,27 +120,27 @@ func Mesh(cfg MeshConfig) MeshResult {
 }
 
 // RenderMesh formats one run: per-channel rows, then per-lane scheduler
-// counters (watch migrated/steals under Skew).
+// counters.
 func RenderMesh(cfg MeshConfig, r MeshResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Mesh — 2 procs x %d GBN channels/direction, %d x %d KB each way (lanes=%d, skew=%v)\n",
-		meshChans, cfg.Msgs, meshPayload>>10, r.Lanes, cfg.Skew)
-	fmt.Fprintf(&b, "%-8s %4s %6s %8s %10s %9s %9s %9s\n",
-		"channel", "prio", "weight", "msgs", "MB/s", "piggy", "standal.", "migrated")
+	fmt.Fprintf(&b, "Mesh — 2 procs x %d GBN channels/direction, %d x %d KB each way (lanes=%d)\n",
+		meshChans, cfg.Msgs, meshPayload>>10, r.Lanes)
+	fmt.Fprintf(&b, "%-8s %4s %6s %8s %10s %9s %9s\n",
+		"channel", "prio", "weight", "msgs", "MB/s", "piggy", "standal.")
 	for i, s := range r.Channels {
-		fmt.Fprintf(&b, "%-8d %4d %6d %8d %10.1f %9d %9d %9d\n",
+		fmt.Fprintf(&b, "%-8d %4d %6d %8d %10.1f %9d %9d\n",
 			i+1, i%core.NumChannelPriorities, s.Weight,
 			s.Sent, float64(s.BytesSent)/1e6/r.Elapsed.Seconds(),
-			s.CtrlPiggybacked, s.CtrlStandalone, s.Migrations)
+			s.CtrlPiggybacked, s.CtrlStandalone)
 	}
 	fmt.Fprintf(&b, "aggregate: %.1f MB/s in %v\n\n", r.MBps(), r.Elapsed.Round(time.Millisecond))
-	fmt.Fprintf(&b, "%-12s %6s %6s %10s %10s %8s %8s %7s\n",
-		"lane", "chans", "piggy%", "coalesced", "drr_rnds", "mig_in", "mig_out", "steals")
+	fmt.Fprintf(&b, "%-12s %6s %6s %10s %10s\n",
+		"lane", "chans", "piggy%", "coalesced", "drr_rnds")
 	for side, lanes := range r.Procs {
 		for _, ls := range lanes {
-			fmt.Fprintf(&b, "proc%d/lane%-2d %5d %6.1f %10d %10d %8d %8d %7d\n",
+			fmt.Fprintf(&b, "proc%d/lane%-2d %5d %6.1f %10d %10d\n",
 				side, ls.Lane, ls.Channels, 100*ls.PiggyShare,
-				ls.CtrlCoalesced, ls.DRRRounds, ls.MigratedIn, ls.MigratedOut, ls.Steals)
+				ls.CtrlCoalesced, ls.DRRRounds)
 		}
 	}
 	return b.String()

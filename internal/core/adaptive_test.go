@@ -202,7 +202,6 @@ func TestCrossChannelCoalesce(t *testing.T) {
 		procs[i] = New(Config{
 			ID: ProcID(i), RT: rt, Endpoint: mem.Attach(ProcID(i), rt),
 			SendLanes: 4, RecvLanes: 4,
-			RebalanceInterval: -1, // isolate coalescing from migration
 		})
 	}
 	a0 := procs[0].Open(1, ChannelConfig{ID: 1, Error: NewGoBackN(8, 50*time.Millisecond)})
@@ -252,186 +251,17 @@ func TestCrossChannelCoalesce(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Hot-lane rebalancing (tentpole layer 3)
-
-// TestRebalancerStartsWithSecondChannel: in real mode the rebalance ticker
-// goroutine is not part of building a proc — with fewer than two channels
-// there is nothing to migrate — and the proc's second channel, however it
-// comes to be registered, starts it exactly once. A disabled rebalancer
-// never starts.
-func TestRebalancerStartsWithSecondChannel(t *testing.T) {
-	build := func(interval time.Duration) *Proc {
-		rt := mts.New(mts.Config{Name: "node0", IdleTimeout: 10 * time.Second})
-		return New(Config{
-			ID: 0, RT: rt, Endpoint: transport.NewMem().Attach(0, rt),
-			SendLanes: 2, RecvLanes: 2, RebalanceInterval: interval,
-		})
-	}
-	p := build(0)
-	if p.rebalOn.Load() {
-		t.Fatal("rebalancer running on a proc with no channels")
-	}
-	p.DefaultChannel(1)
-	p.DefaultChannel(1)
-	if p.rebalOn.Load() {
-		t.Fatal("rebalancer running on a proc with one channel")
-	}
-	p.Open(1, ChannelConfig{ID: 5})
-	if !p.rebalOn.Load() {
-		t.Fatal("second channel did not start the rebalancer")
-	}
-	off := build(-1)
-	off.DefaultChannel(1)
-	off.DefaultChannel(2)
-	if off.rebalOn.Load() {
-		t.Fatal("disabled rebalancer started")
-	}
-	// Run both to completion: the ticker goroutine leaves on the first tick
-	// after the proc starts closing.
-	for _, q := range []*Proc{p, off} {
-		q.TCreate("noop", mts.PrioDefault, func(*Thread) {})
-	}
-	runReal([]*Proc{p, off})
-}
-
-// TestHotLaneRebalance forces every channel onto lane 0 through a skewed
-// Config.LaneHash, drives bursty reliable traffic with natural idle
-// windows, and checks that the rebalancer migrates channels off the hot
-// lane — while a concurrent goroutine hammers the stats surfaces (the
-// migration-vs-stats race the -race runs verify) and an explicitly pinned
-// channel stays put.
-func TestHotLaneRebalance(t *testing.T) {
-	const nch, rounds, burst = 8, 30, 10
-	mem := transport.NewMem()
-	procs := make([]*Proc, 2)
-	for i := 0; i < 2; i++ {
-		rt := mts.New(mts.Config{Name: fmt.Sprintf("node%d", i), IdleTimeout: 10 * time.Second})
-		procs[i] = New(Config{
-			ID: ProcID(i), RT: rt, Endpoint: mem.Attach(ProcID(i), rt),
-			SendLanes: 4, RecvLanes: 4,
-			LaneHash:          func(ProcID) int { return 0 }, // maximal skew
-			RebalanceInterval: 200 * time.Microsecond,
-		})
-	}
-	payload := make([]byte, 4096)
-	chans := make([][2]*Channel, nch)
-	for i := 0; i < nch; i++ {
-		mk := func() ChannelConfig {
-			return ChannelConfig{
-				ID:    ChannelID(i + 1),
-				Error: NewGoBackN(16, 50*time.Millisecond),
-			}
-		}
-		chans[i] = [2]*Channel{procs[0].Open(1, mk()), procs[1].Open(0, mk())}
-	}
-	mkPin := func() ChannelConfig {
-		return ChannelConfig{ID: 99, Lane: 2, Error: NewGoBackN(4, 50*time.Millisecond)}
-	}
-	pin0 := procs[0].Open(1, mkPin())
-	procs[1].Open(0, mkPin())
-
-	stop := make(chan struct{})
-	go func() { // stats under migration: -race verifies the locking
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			procs[0].LaneStats()
-			for i := range chans {
-				chans[i][0].Stats()
-				chans[i][1].Stats()
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
-
-	procs[0].OnException(func(error) {})
-	procs[1].OnException(func(error) {})
-	order := make([][]int, nch)
-	for i := 0; i < nch; i++ {
-		i := i
-		tx, rx := chans[i][0], chans[i][1]
-		procs[0].TCreate(fmt.Sprintf("tx%d", i), mts.PrioDefault, func(th *Thread) {
-			tag := 0
-			for r := 0; r < rounds; r++ {
-				for k := 0; k < burst; k++ {
-					tx.SendTagged(th, tag, i, payload)
-					tag++
-				}
-				// Wait for the receiver's echo: the idle window in which
-				// the channel is migration-safe.
-				m := th.recvMsgOn(tx.id, Any, Any, 1)
-				m.Release()
-			}
-		})
-		procs[1].TCreate(fmt.Sprintf("rx%d", i), mts.PrioDefault, func(th *Thread) {
-			for r := 0; r < rounds; r++ {
-				for k := 0; k < burst; k++ {
-					m := th.recvMsgOn(rx.id, Any, Any, 0)
-					order[i] = append(order[i], m.Tag)
-					m.Release()
-				}
-				rx.SendTagged(th, r, i, nil)
-			}
-		})
-	}
-	procs[0].TCreate("pin", mts.PrioDefault, func(th *Thread) {
-		for k := 0; k < 20; k++ {
-			pin0.SendTagged(th, k, nch, payload)
-		}
-	})
-	procs[1].TCreate("pinrx", mts.PrioDefault, func(th *Thread) {
-		for k := 0; k < 20; k++ {
-			m := th.recvMsgOn(99, Any, Any, 0)
-			m.Release()
-		}
-	})
-	runReal(procs)
-	close(stop)
-
-	for i := 0; i < nch; i++ {
-		if len(order[i]) != rounds*burst {
-			t.Fatalf("channel %d: %d messages, want %d", i+1, len(order[i]), rounds*burst)
-		}
-		for k, tag := range order[i] {
-			if tag != k {
-				t.Fatalf("channel %d: position %d saw tag %d (FIFO broken across migration)", i+1, k, tag)
-			}
-		}
-	}
-	var out, in, steals int64
-	for _, l := range procs[0].LaneStats() {
-		out += l.MigratedOut
-		in += l.MigratedIn
-		steals += l.Steals
-	}
-	t.Logf("proc0 lanes: %d migrated out, %d in, %d via steal", out, in, steals)
-	if out == 0 {
-		t.Fatal("hot lane never shed a channel despite maximal skew")
-	}
-	if out != in {
-		t.Fatalf("migration books unbalanced: %d out, %d in", out, in)
-	}
-	if want := procs[0].lanes[1]; pin0.laneOf() != want {
-		t.Fatalf("pinned channel moved to lane %d", pin0.laneOf().idx)
-	}
-	if pin0.Stats().Migrations != 0 {
-		t.Fatal("pinned channel recorded migrations")
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Chaos: DRR weights + rebalancing under loss
+// Chaos: DRR weights under loss
 
 // TestAdaptiveChaosLossy drives a priority (weight 6) and a bulk
 // (weight 2) class — same priority level, so the weighted scheduler, not
-// strict priority, shares the lane — through 20% frame loss with the
-// rebalancer active and every channel hash-skewed onto lane 0, over three
-// seeds. Go-back-N must deliver each class exactly-once in order, and the
-// bulk class must keep at least half its weight share while the priority
-// class saturates (the DRR starvation bound).
+// strict priority, shares the lane (both channels go to the one peer, so the
+// peer hash co-locates them) — through 20% frame loss over three seeds.
+// Go-back-N must deliver each class exactly-once in order, and the bulk class
+// must keep at least half its weight share while the priority class saturates
+// (the DRR starvation bound). A plain goroutine reads LaneStats and
+// Channel.Stats throughout: the -race coverage of those readers against live
+// lane engines.
 func TestAdaptiveChaosLossy(t *testing.T) {
 	const msgs = 150
 	for _, seed := range []int64{3, 41, 2026} {
@@ -446,8 +276,6 @@ func TestAdaptiveChaosLossy(t *testing.T) {
 				procs[i] = New(Config{
 					ID: ProcID(i), RT: rt, Endpoint: mem.Attach(ProcID(i), rt),
 					SendLanes: 4, RecvLanes: 4,
-					LaneHash:          func(ProcID) int { return 0 },
-					RebalanceInterval: 500 * time.Microsecond,
 				})
 				procs[i].OnException(func(error) {})
 			}
@@ -461,11 +289,13 @@ func TestAdaptiveChaosLossy(t *testing.T) {
 			// append runs in that side's scheduler domain (one thread at a
 			// time), so the slice needs no lock.
 			arrivals := [2][]ChannelID{}
+			var chans []*Channel
 			for side := 0; side < 2; side++ {
 				side := side
 				peer := ProcID(1 - side)
 				prio := procs[side].Open(peer, mkCfg(1, 6))
 				bulk := procs[side].Open(peer, mkCfg(2, 2))
+				chans = append(chans, prio, bulk)
 				for ci, c := range []*Channel{prio, bulk} {
 					ci, c := ci, c
 					procs[side].TCreate(fmt.Sprintf("tx%d", ci), mts.PrioDefault, func(th *Thread) {
@@ -482,7 +312,26 @@ func TestAdaptiveChaosLossy(t *testing.T) {
 					})
 				}
 			}
+			stop, stopped := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(stopped)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					procs[0].LaneStats()
+					procs[1].LaneStats()
+					for _, c := range chans {
+						c.Stats()
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+			}()
 			runReal(procs)
+			close(stop)
+			<-stopped
 			if mem.Dropped() == 0 {
 				t.Fatal("no loss injected — chaos proves nothing")
 			}

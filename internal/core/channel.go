@@ -69,9 +69,9 @@ type ChannelConfig struct {
 	// Lane pins the channel to a specific send/recv lane: 1-based (wrapped
 	// into the lane count), 0 selects the default placement — a hash of the
 	// peer. Channels sharing a lane serialize against each other; channels
-	// on different lanes run concurrently. An explicitly pinned channel is
-	// never moved by the hot-lane rebalancer; hash-placed channels are.
-	// Moot on a single-lane proc.
+	// on different lanes run concurrently. Either way the placement is fixed
+	// for the channel's life, so several busy channels to one peer share a
+	// lane unless pinned apart. Moot on a single-lane proc.
 	Lane int
 	// Weight is the channel's deficit-round-robin service weight within its
 	// lane: each round a backlogged channel earns Weight quanta of
@@ -96,7 +96,6 @@ type Channel struct {
 	id       ChannelID
 	priority int
 	weight   int // DRR weight within the lane (Priority+1 by default)
-	pinned   bool
 	flow     FlowControl
 	errc     ErrorControl
 	closed   bool
@@ -131,15 +130,11 @@ type Channel struct {
 	deadErr  *PeerDeadError
 	idleOver time.Duration
 
-	// lnp is the lane the channel currently runs on (never nil once the
-	// channel is built). All mutable channel state below — discipline state,
-	// piggyback words, the closed flag — is guarded by the *current* lane's
-	// mu. The hot-lane rebalancer may move an idle-safe channel to
-	// another lane (holding both lane locks), so out-of-lock readers use
-	// lockLane, which loads, locks, and re-checks; in-lock contexts may
-	// Load directly — the pointer cannot change while its lane's lock is
-	// held.
-	lnp atomic.Pointer[lane]
+	// ln is the lane the channel runs on: set once in addChannel (the peer
+	// hash, or the ChannelConfig.Lane pin) and never changed. All mutable
+	// channel state below — discipline state, piggyback words, the closed
+	// flag — is guarded by its mu.
+	ln *lane
 
 	// Pending reverse-direction control: the receiver role's credit
 	// advertisement and error-control acks wait here for a data frame
@@ -171,13 +166,6 @@ type Channel struct {
 	deficit int64
 	inSched bool
 
-	// Rebalance state: loadAcc accumulates enqueued bytes since the last
-	// rebalance scan (atomic — senders add outside any single lane's
-	// lock); lastMoveTick is the rebalance tick of the last migration
-	// (cooldown, under the lane lock).
-	loadAcc      atomic.Int64
-	lastMoveTick int64
-
 	// lane names the channel's trace timeline (empty without a Tracer).
 	lane string
 
@@ -188,7 +176,6 @@ type Channel struct {
 	ctrlPiggy                atomic.Int64 // control words that rode data frames
 	ctrlStandalone           atomic.Int64 // standalone control frames sent
 	ctrlCoalesced            atomic.Int64 // words that rode another channel's frame
-	migrations               atomic.Int64 // times the rebalancer moved this channel
 }
 
 // ChannelStats is a channel's traffic snapshot.
@@ -214,10 +201,8 @@ type ChannelStats struct {
 	// byte deficit in the lane scheduler.
 	Weight  int
 	Deficit int64
-	// Lane is the index of the lane currently serving the channel and
-	// Migrations how many times the hot-lane rebalancer has moved it.
-	Lane       int
-	Migrations int64
+	// Lane is the index of the lane serving the channel, fixed at open.
+	Lane int
 	// Flow and Error name the channel's disciplines.
 	Flow, Error string
 }
@@ -275,10 +260,8 @@ func (p *Proc) addChannel(key chanKey, prio, laneHint, weight int, fc FlowContro
 	if weight == 0 {
 		weight = prio + 1
 	}
-	c := &Channel{p: p, peer: key.peer, id: key.id, priority: prio, weight: weight, flow: fc, errc: ec}
 	ln := p.lanes[p.laneIndex(key.peer, laneHint)]
-	c.lnp.Store(ln)
-	c.pinned = laneHint > 0
+	c := &Channel{p: p, peer: key.peer, id: key.id, priority: prio, weight: weight, flow: fc, errc: ec, ln: ln}
 	ln.mu.Lock()
 	ln.chans = append(ln.chans, c)
 	ln.mu.Unlock()
@@ -296,9 +279,7 @@ func (p *Proc) addChannel(key chanKey, prio, laneHint, weight int, fc FlowContro
 		panic(fmt.Sprintf("core(proc %d): channel %d to proc %d already open", p.cfg.ID, key.id, key.peer))
 	}
 	p.channels[key] = c
-	n := len(p.channels)
 	p.chanMu.Unlock()
-	p.channelAdded(n)
 	if p.closing.Load() {
 		// Opened after the user threads finished (unusual, but legal from
 		// an exception handler): give the disciplines their shutdown signal
@@ -398,44 +379,31 @@ func (c *Channel) sendFailErr() error {
 	return &ChannelClosedError{Local: c.p.cfg.ID, Peer: c.peer, ID: c.id}
 }
 
-// lockLane acquires the channel's *current* lane lock, returning the locked
-// lane. Because the rebalancer only moves a channel while
-// holding both the source and destination lane locks, a loaded pointer that
-// still matches after locking is stable until the caller unlocks — the
-// load/lock/re-check loop below is the standard out-of-lock entry into a
-// migratable channel's lane domain.
+// lockLane acquires the channel's lane lock and returns the locked lane: the
+// out-of-lock entry into the channel's lane domain.
 func (c *Channel) lockLane() *lane {
-	for {
-		ln := c.lnp.Load()
-		ln.mu.Lock()
-		if c.lnp.Load() == ln {
-			return ln
-		}
-		ln.mu.Unlock()
-	}
+	c.ln.mu.Lock()
+	return c.ln
 }
 
-// laneOf returns the channel's current lane without locking. Only in-lock
-// contexts — discipline callbacks, lane engine
-// code — may treat the result as stable.
-func (c *Channel) laneOf() *lane { return c.lnp.Load() }
+// laneOf returns the channel's lane without locking, for in-lock contexts
+// (discipline callbacks, lane engine code) that need its queues.
+func (c *Channel) laneOf() *lane { return c.ln }
 
 // laneLock / laneUnlock guard lane-domain discipline state for the public
 // introspection accessors (WindowFlow.Outstanding, GoBackN.Retransmissions,
 // ...): that state mutates under the lane lock, possibly in an engine
 // goroutine, so a reader outside the lane must take it. Both are no-ops on a
-// nil receiver (discipline not yet bound). laneUnlock releases the lane
-// laneLock acquired: the channel cannot migrate while its current lane's
-// lock is held, so the loaded pointer still names it.
+// nil receiver (discipline not yet bound).
 func (c *Channel) laneLock() {
 	if c != nil {
-		c.lockLane()
+		c.ln.mu.Lock()
 	}
 }
 
 func (c *Channel) laneUnlock() {
 	if c != nil {
-		c.lnp.Load().mu.Unlock()
+		c.ln.mu.Unlock()
 	}
 }
 
@@ -473,14 +441,13 @@ func (c *Channel) Stats() ChannelStats {
 		Sent: c.sent.Load(), Received: c.received.Load(),
 		BytesSent: c.bytesSent.Load(), BytesReceived: c.bytesReceived.Load(),
 		CtrlPiggybacked: c.ctrlPiggy.Load(), CtrlStandalone: c.ctrlStandalone.Load(),
-		CtrlCoalesced: c.ctrlCoalesced.Load(), Migrations: c.migrations.Load(),
-		Weight: c.weight,
-		Flow:   c.flow.Name(), Error: c.errc.Name(),
+		CtrlCoalesced: c.ctrlCoalesced.Load(),
+		Weight:        c.weight, Lane: c.ln.idx,
+		Flow: c.flow.Name(), Error: c.errc.Name(),
 	}
-	ln := c.lockLane()
+	c.ln.mu.Lock()
 	st.Deficit = c.deficit
-	st.Lane = ln.idx
-	ln.mu.Unlock()
+	c.ln.mu.Unlock()
 	return st
 }
 
@@ -565,9 +532,7 @@ func (c *Channel) flushCtrl() {
 // take the lane lock, run the callback, have whatever it queued serviced
 // (retransmissions, credit syncs), then drain the scheduler-domain
 // completions. Timer callbacks fire via Config.After, which is always a
-// scheduler-domain context, so the drain is legal here. The lane is resolved
-// at fire time, not capture time: the rebalancer may have migrated the
-// channel since the timer was armed.
+// scheduler-domain context, so the drain is legal here.
 func (c *Channel) wrapTimer(fn func()) func() {
 	return func() {
 		ln := c.lockLane()

@@ -379,9 +379,6 @@ func (g *Group) fanSend(t *Thread, tag int, idxs []int, datas [][]byte, shared [
 		req.m = m
 		req.ch = c
 		req.fan = t
-		cost := int64(wire.HeaderSize + len(m.Data))
-		c.loadAcc.Add(cost)
-		ln.loadAcc.Add(cost)
 		ln.pending.push(c.priority, req)
 		ln.mu.Unlock()
 		seen := false

@@ -53,10 +53,9 @@
 //     sim harnesses).
 //   - Goroutine driver: each lane engine is a goroutine; senders service
 //     their lane inline, the delivering goroutine may run a short frame's
-//     receive pass itself; timers are wall-clock (the rebalance ticker in
-//     clockseam.go — the package's one sanctioned wall-clock contact — and
-//     whatever Config.After supplies). Selected at lane counts above one on
-//     a frame carrier (Mem, real TCP).
+//     receive pass itself; timers are whatever Config.After supplies (the
+//     package itself never touches the wall clock). Selected at lane counts
+//     above one on a frame carrier (Mem, real TCP).
 //   - Virtual driver (Config.VirtualTime, requires Config.After): the lane
 //     engines run as event callbacks on a discrete-event engine's clock — no
 //     lane goroutines at all. Events and the threads they dispatch execute
@@ -66,15 +65,12 @@
 //     must therefore never let ordering depend on Go map iteration or
 //     goroutine scheduling (see Proc.channelsOrdered).
 //
-// With more than one lane each lane is also an adaptive scheduler's unit:
-// hot-lane rebalancing (rebalance.go) — per-lane load EWMAs drive a periodic
-// tick (Config.RebalanceInterval; negative disables; in real mode it starts
-// with the proc's second channel) that migrates idle-safe sequenced channels
-// from the hottest lane to the coldest, plus an enqueue-time steal under
-// extreme skew. Config.LaneHash overrides initial placement;
-// ChannelConfig.Lane pins a channel immovably. Proc.LaneStats reports the
-// per-lane view: piggyback share, coalesced control words, DRR rounds,
-// migrations, and steals.
+// Lane placement is static, as in the paper, where a channel's place is fixed
+// when it is opened: a channel runs on the lane its peer hashes to, or on the
+// one ChannelConfig.Lane names, for life. Several busy channels to one peer
+// therefore share a lane unless pinned apart. Proc.LaneStats reports the
+// per-lane view: piggyback share, coalesced control words, DRR rounds and
+// engine passes.
 //
 // NewVirtualMesh builds the standard virtual-mode arrangement — N procs on
 // one engine over a frame-granular fabric — and TimelineHash fingerprints
@@ -139,7 +135,7 @@ type Config struct {
 	After func(d time.Duration, fn func())
 	// VirtualTime declares that the proc executes on a discrete-event loop:
 	// After is the simulation engine's virtual timer and every internal
-	// engine (lane steps, the rebalancer tick, drain hand-offs) must ride
+	// engine (lane steps, drain hand-offs) must ride
 	// it as clock events instead of goroutines, tickers, or PostAsync.
 	// This is what lets ring-fed lane engines run under a sim harness —
 	// N procs on one shared clock with a deterministic timeline — instead
@@ -181,18 +177,6 @@ type Config struct {
 	// VirtualTime — the cost-model sim harnesses).
 	SendLanes int
 	RecvLanes int
-	// RebalanceInterval is the hot-lane rebalancer's scan period (more than
-	// one lane only): every interval the proc compares per-lane load EWMAs and
-	// migrates one idle-safe channel from the hottest lane to the coldest.
-	// 0 selects DefaultRebalanceInterval; negative disables rebalancing
-	// (channels stay on their hash- or pin-assigned lane forever).
-	RebalanceInterval time.Duration
-	// LaneHash overrides the default peer→lane placement hash (more than
-	// one lane only): a channel with no explicit ChannelConfig.Lane lands on
-	// lane LaneHash(peer) mod lane count. Benchmarks use it to reproduce
-	// skewed placements; channels placed through it remain migratable by
-	// the rebalancer (unlike explicit pins).
-	LaneHash func(ProcID) int
 	// Admission judges incoming signaled call setups (Proc.OpenCall at the
 	// peer): nil admits everything. Rejections travel back to the caller
 	// as typed causes; see AdmissionPolicy in signal.go.
@@ -290,13 +274,6 @@ type Proc struct {
 	// lane.go) — the per-lane-wheel invariant a test asserts.
 	ctrlFlush   time.Duration
 	flushTimers atomic.Int64
-
-	// Hot-lane rebalancer (more than one lane; see rebalance.go): rebalEvery is
-	// the resolved RebalanceInterval (0 = disabled), rebalTick the tick
-	// counter migration cooldowns compare against.
-	rebalEvery time.Duration
-	rebalTick  atomic.Int64
-	rebalOn    atomic.Bool // the real-mode ticker goroutine has been started
 
 	// channels holds every open channel, keyed by (peer, channel ID).
 	// Default channels (ID 0) are created lazily from the Config
@@ -404,12 +381,6 @@ func New(cfg Config) *Proc {
 	if p.ctrlFlush == 0 {
 		p.ctrlFlush = DefaultCtrlFlushDelay
 	}
-	p.rebalEvery = cfg.RebalanceInterval
-	if p.rebalEvery == 0 {
-		p.rebalEvery = DefaultRebalanceInterval
-	} else if p.rebalEvery < 0 {
-		p.rebalEvery = 0
-	}
 	p.channels = make(map[chanKey]*Channel)
 	p.onException = func(err error) {
 		// Wrap rather than format: a recovering thread (chaos harnesses,
@@ -436,7 +407,6 @@ func New(cfg Config) *Proc {
 	} else {
 		p.initThreadLane()
 	}
-	p.startRebalance()
 	p.startHeartbeat()
 	return p
 }

@@ -479,8 +479,8 @@ func (e *probeEndpoint) Send(t *mts.Thread, m *transport.Message) {
 
 // TestEngineMatrixThreadDriverInvariants holds what the thread driver
 // promises beyond the common scenarios: it is chosen by the carrier whatever
-// lane count was asked for and builds one lane with no ring, keeper thread,
-// lane goroutine or rebalancer; the carrier is handed the send system thread
+// lane count was asked for and builds one lane with no ring, keeper thread
+// or lane goroutine; the carrier is handed the send system thread
 // and RecvCharge the receive one, neither with the lane lock held (both may
 // park); a sender is unblocked when *its* run has reached the carrier, not at
 // the end of the pass; and a forced advertisement is built on the spot and
@@ -512,12 +512,9 @@ func TestEngineMatrixThreadDriverInvariants(t *testing.T) {
 	if driverName(p) != "thread" || p.Lanes() != 1 {
 		t.Fatalf("driver %s with %d lanes, want the thread driver's one", driverName(p), p.Lanes())
 	}
-	for id := ChannelID(1); id <= 3; id++ {
-		p.Open(1, ChannelConfig{ID: id, Error: NewGoBackN(4, time.Second)}) // sequenced: migratable, were there anywhere to go
-	}
-	if ln.rx != nil || p.laneThread != nil || p.laneStop != nil || p.rebalEvery != 0 || p.rebalOn.Load() {
-		t.Errorf("thread-driver proc built ring=%v keeper=%v stop=%v rebalEvery=%v rebalancer=%v, want none",
-			ln.rx != nil, p.laneThread != nil, p.laneStop != nil, p.rebalEvery, p.rebalOn.Load())
+	if ln.rx != nil || p.laneThread != nil || p.laneStop != nil {
+		t.Errorf("thread-driver proc built ring=%v keeper=%v stop=%v, want none",
+			ln.rx != nil, p.laneThread != nil, p.laneStop != nil)
 	}
 
 	var a, b *Thread

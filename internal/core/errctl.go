@@ -47,12 +47,6 @@ type ErrorControl interface {
 	// — data that will re-emerge, which the flush wheel treats as an
 	// imminent piggyback ride.
 	queued() int
-	// sequenced reports whether the discipline stamps and checks sequence
-	// numbers on data. The hot-lane rebalancer migrates only sequenced
-	// channels: a frame racing the lane handoff may be re-ordered, which a
-	// sequenced receiver repairs (duplicate/gap handling) but an
-	// unsequenced one would deliver out of order.
-	sequenced() bool
 	// shutdown fails admission-deferred requests (their callers unblock)
 	// but leaves the in-flight window draining: already-admitted data
 	// still flushes, timers and all. Idempotent.
@@ -77,7 +71,6 @@ func (NoErrorControl) onControl(*transport.Message)   {}
 func (NoErrorControl) onAck(uint32)                   {}
 func (NoErrorControl) pending() int                   { return 0 }
 func (NoErrorControl) queued() int                    { return 0 }
-func (NoErrorControl) sequenced() bool                { return false }
 func (NoErrorControl) shutdown()                      {}
 func (NoErrorControl) abandon()                       {}
 
@@ -288,9 +281,8 @@ func (g *GoBackN) releaseDeferred() {
 	}
 }
 
-func (g *GoBackN) pending() int    { return len(g.unacked) }
-func (g *GoBackN) queued() int     { return len(g.deferred) }
-func (g *GoBackN) sequenced() bool { return true }
+func (g *GoBackN) pending() int { return len(g.unacked) }
+func (g *GoBackN) queued() int  { return len(g.deferred) }
 
 // shutdown fails deferred requests so a Send gated on window space cannot
 // hang across Channel.Close. The unacked window keeps retransmitting —

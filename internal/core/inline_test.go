@@ -14,15 +14,14 @@ import (
 // Tests of the inline engine pass: the delivering goroutine running a
 // sleeping lane engine's pass for a short frame (routeFrame / passInline).
 
-// inlineCluster builds n two-lane procs over Mem with the rebalancer off,
-// so nothing but traffic ever enters a lane's ring.
+// inlineCluster builds n two-lane procs over Mem.
 func inlineCluster(n int, net *transport.Mem) []*Proc {
 	procs := make([]*Proc, n)
 	for i := range procs {
 		rt := mts.New(mts.Config{Name: fmt.Sprintf("node%d", i), IdleTimeout: 10 * time.Second})
 		procs[i] = New(Config{
 			ID: ProcID(i), RT: rt, Endpoint: net.Attach(ProcID(i), rt),
-			SendLanes: 2, RecvLanes: 2, RebalanceInterval: -1,
+			SendLanes: 2, RecvLanes: 2,
 		})
 	}
 	return procs

@@ -18,10 +18,10 @@ import (
 // protocol the paper gives to a send and a receive system thread per process
 // (§4, Figure 8). Its state lives in *lanes*, each owning its own send
 // scheduler, receive queue, freelists, pending-control index and flush
-// wheel; every Proc has at least one. A channel is pinned to exactly one lane
-// at a time (default: hash of the peer, overridable via ChannelConfig.Lane),
-// so priority and per-channel FIFO ordering are preserved within a channel
-// while independent channels run on separate cores.
+// wheel; every Proc has at least one. A channel lives on exactly one lane,
+// fixed when it is opened (default: hash of the peer, overridable via
+// ChannelConfig.Lane), so priority and per-channel FIFO ordering are preserved
+// within a channel while independent channels run on separate cores.
 //
 // Who executes a lane is the engineDriver's business, not the protocol's.
 // There are three (see "Engine drivers" below): the thread driver — the
@@ -66,9 +66,8 @@ import (
 // is Figure 8's receive step — demultiplex, wake the thread blocked in
 // NCS_recv — in one goroutine hand-off (deliverer → receiving thread)
 // instead of two (deliverer → engine → thread). Everything else is the
-// engine's: long frames, a lane in use, bursts (a frame arriving during an
-// inline pass queues, and the claimant's Release wakes the engine for it),
-// and engine-posted functions, which only Drain returns.
+// engine's: long frames, a lane in use, and bursts (a frame arriving during an
+// inline pass queues, and the claimant's Release wakes the engine for it).
 //
 // inlinePassMax (4 KB) is measured, not tuned per workload. The pass costs
 // the same at any size (it copies no payload), but the hop it saves is worth
@@ -135,14 +134,11 @@ const inlinePassMax = 4 << 10
 // its channel, resolved in the *sender's* goroutine so the engine never
 // touches the channel table. cc/ca name the channels a cross-channel
 // piggybacked credit/ack word belongs to when that differs from the
-// frame's own channel (lane-aware coalescing); fn, when set, is an
-// engine-posted function (hot-lane rebalancing) the engine runs outside
-// its lock after the batch it arrived in.
+// frame's own channel (lane-aware coalescing).
 type rxItem struct {
 	m      *transport.Message
 	c      *Channel // nil for signaling and unknown-channel traffic
 	cc, ca *Channel // cross-channel credit / ack targets (usually nil)
-	fn     func()   // engine-posted work (migration); m and c are nil
 }
 
 // level files an arriving item in a lane's receive queue: control above all
@@ -176,8 +172,7 @@ type lane struct {
 	pending laneSched
 	rxq     prioQueue[rxItem]
 
-	// chans lists every channel currently served by this lane (membership
-	// moves with the rebalancer, under both lane locks).
+	// chans lists every channel served by this lane.
 	chans []*Channel
 
 	// pendCtrl indexes this lane's channels with pending reverse-direction
@@ -200,23 +195,11 @@ type lane struct {
 	ctrlPiggyL      int64
 	ctrlStandaloneL int64
 	ctrlCoalescedL  int64
-	migratedIn      int64
-	migratedOut     int64
-	steals          int64
 	enginePasses    int64
 	inlinePasses    int64
 
-	// Load tracking for the hot-lane rebalancer: loadAcc accumulates
-	// enqueued bytes since the last rebalance tick (atomic — senders add
-	// before taking the lane lock), ewma is the tick-smoothed load the
-	// rebalancer compares lanes by.
-	loadAcc atomic.Int64
-	ewma    atomic.Int64
-
-	// fnScratch batches engine-posted functions out of a drained ring
-	// batch; inlineItem is the one-frame batch of an inline pass. Both
-	// belong to the ring's consumer.
-	fnScratch  []func()
+	// inlineItem is the one-frame batch of an inline pass; it belongs to the
+	// ring's consumer.
 	inlineItem [1]rxItem
 
 	// Per-lane freelists recycle the per-call bookkeeping structs of the
@@ -552,20 +535,66 @@ func (ln *lane) pushCtrlLocked(to ProcID, ch ChannelID, tag int, head []byte, wo
 // driver).
 func (p *Proc) Lanes() int { return len(p.lanes) }
 
+// LaneStats is one lane's scheduler snapshot.
+type LaneStats struct {
+	// Lane is the lane index and Channels how many channels it serves.
+	Lane     int
+	Channels int
+	// CtrlPiggybacked / CtrlStandalone count control words that rode data
+	// frames vs standalone control frames sent by this lane's channels;
+	// CtrlCoalesced is the subset of piggybacked words that rode a
+	// *different* channel's frame. PiggyShare is
+	// piggybacked/(piggybacked+standalone).
+	CtrlPiggybacked int64
+	CtrlStandalone  int64
+	CtrlCoalesced   int64
+	PiggyShare      float64
+	// DRRRounds counts completed deficit-round-robin rounds of the lane's
+	// send scheduler.
+	DRRRounds int64
+	// MigratedOut and Steals are always zero: lane placement is static. They
+	// stay only because bench/ncs.go reads them, and leave with
+	// core.migrations / core.steals in the next benchmark PR.
+	MigratedOut int64
+	Steals      int64
+	// EnginePasses / InlinePasses count the lane's engine passes by who ran
+	// them: the lane's own engine (goroutine, or virtual-mode step), or a
+	// delivering goroutine that found the engine asleep and the lane free.
+	EnginePasses int64
+	InlinePasses int64
+}
+
+// LaneStats returns a per-lane scheduler snapshot (one entry under the thread
+// driver). Safe to call while traffic is flowing.
+func (p *Proc) LaneStats() []LaneStats {
+	out := make([]LaneStats, len(p.lanes))
+	for i, ln := range p.lanes {
+		ln.mu.Lock()
+		st := LaneStats{
+			Lane:            i,
+			Channels:        len(ln.chans),
+			CtrlPiggybacked: ln.ctrlPiggyL,
+			CtrlStandalone:  ln.ctrlStandaloneL,
+			CtrlCoalesced:   ln.ctrlCoalescedL,
+			DRRRounds:       ln.pending.rounds,
+			EnginePasses:    ln.enginePasses,
+			InlinePasses:    ln.inlinePasses,
+		}
+		ln.mu.Unlock()
+		if t := st.CtrlPiggybacked + st.CtrlStandalone; t > 0 {
+			st.PiggyShare = float64(st.CtrlPiggybacked) / float64(t)
+		}
+		out[i] = st
+	}
+	return out
+}
+
 // laneIndex picks the lane for a channel: an explicit ChannelConfig.Lane
-// pins it (1-based, wrapped), otherwise Config.LaneHash (when set) or the
-// peer hash spreads channels so traffic to different peers lands on
-// different lanes.
+// pins it (1-based, wrapped), otherwise the peer hash spreads channels so
+// traffic to different peers lands on different lanes.
 func (p *Proc) laneIndex(peer ProcID, hint int) int {
 	if hint > 0 {
 		return (hint - 1) % len(p.lanes)
-	}
-	if p.cfg.LaneHash != nil {
-		i := p.cfg.LaneHash(peer) % len(p.lanes)
-		if i < 0 {
-			i += len(p.lanes)
-		}
-		return i
 	}
 	return int(uint32(peer)) % len(p.lanes)
 }
@@ -587,8 +616,7 @@ func (p *Proc) buildLanes(n int) {
 }
 
 // initThreadLane builds the single lane the two system threads execute:
-// whatever SendLanes/RecvLanes say, no ring, no lane goroutine and (one lane)
-// nothing to rebalance.
+// whatever SendLanes/RecvLanes say, no ring and no lane goroutine.
 func (p *Proc) initThreadLane() {
 	p.buildLanes(1)
 	d := &threadDriver{}
@@ -674,8 +702,7 @@ func (p *Proc) itemFor(m *transport.Message) rxItem {
 // scheduler thread, a socket reader), then hands the message to
 // the owning lane's ring — or, for a short frame whose lane engine is asleep
 // and whose deliverer may, runs the engine's pass on it right here
-// (passInline). A channel may migrate between the load and the push; the
-// stale lane's processLocked re-routes such items to the current owner.
+// (passInline).
 //
 // A frame that does not decode is a bug in the carrier: one that reads
 // untrusted bytes validates them before it calls (transport.FrameCarrier).
@@ -700,7 +727,7 @@ func (p *Proc) routeFrame(fb *wire.Buf) {
 	}
 	ln := p.lanes[p.laneIndex(m.From, 0)]
 	if it.c != nil {
-		ln = it.c.lnp.Load()
+		ln = it.c.ln
 	}
 	p.statRingPush.Add(1)
 	if ln.vd != nil || p.readerDelivers || len(m.Data) > inlinePassMax {
@@ -719,7 +746,7 @@ func (p *Proc) routeFrame(fb *wire.Buf) {
 func (p *Proc) adoptFirstContact(items []rxItem) {
 	for i := range items {
 		it := &items[i]
-		if it.c == nil && it.m != nil && it.m.Channel == 0 && chanAddressed(it.m.Tag) {
+		if it.c == nil && it.m.Channel == 0 && chanAddressed(it.m.Tag) {
 			it.c = p.DefaultChannel(it.m.From)
 		}
 	}
@@ -738,12 +765,6 @@ func (ln *lane) ingestLocked(items []rxItem) bool {
 	for i := range items {
 		it := items[i]
 		items[i] = rxItem{}
-		if it.fn != nil {
-			// Engine-posted work (rebalancing) runs outside the lock, after
-			// the batch it arrived in.
-			ln.fnScratch = append(ln.fnScratch, it.fn)
-			continue
-		}
 		ln.rxq.push(it.level(), it)
 	}
 	ln.processLocked()
@@ -772,11 +793,6 @@ func (ln *lane) pass(items []rxItem) {
 			ln.p.cfg.RT.PostAsync(ln.drainFn)
 		}
 	}
-	for i, fn := range ln.fnScratch {
-		fn()
-		ln.fnScratch[i] = nil
-	}
-	ln.fnScratch = ln.fnScratch[:0]
 	// During shutdown the keeper thread parks until every lane is quiescent;
 	// a frame the pass just consumed (the peer's last ack or credit) may have
 	// been the very thing it was waiting out, so re-run the shutdown check in
@@ -885,20 +901,6 @@ func (ln *lane) processLocked() {
 	for !ln.rxq.empty() {
 		it := ln.rxq.pop()
 		m, c := it.m, it.c
-		if c != nil && c.lnp.Load() != ln {
-			// The channel migrated after this item was routed; the stale
-			// lane must not touch its state. Forward to the current owner
-			// in pop order (FIFO within the channel is preserved for the
-			// forwarded items; the rebalancer only moves channels whose
-			// error control sequences data, so a frame racing the handoff
-			// is re-ordered at worst into a retransmission, never into a
-			// mis-ordered delivery).
-			dst := c.lnp.Load()
-			ln.p.statRingPush.Add(1)
-			dst.rx.Push(it)
-			dst.kick()
-			continue
-		}
 		if m.Tag < 0 {
 			switch m.Tag {
 			case tagFlowAck, tagGBNAck:
@@ -1152,10 +1154,10 @@ func (ln *lane) attachCrossLocked(c *Channel, m *transport.Message) {
 // applyCrossLocked delivers a cross-channel piggybacked control word to
 // its owning channel: inline when that channel lives on this lane,
 // otherwise as a synthetic standalone control message forwarded to the
-// owner's ring (rare — an explicit cross-lane pin or a migration window,
-// so the allocation stays off the steady-state hot path).
+// owner's ring (rare — the two ends pinned the siblings differently with
+// ChannelConfig.Lane — so the allocation stays off the steady-state hot path).
 func (ln *lane) applyCrossLocked(t *Channel, tag int, v uint32) {
-	if t.lnp.Load() == ln {
+	if t.ln == ln {
 		if tag == tagFlowAck {
 			t.flow.onCredit(v)
 		} else {
@@ -1167,10 +1169,9 @@ func (ln *lane) applyCrossLocked(t *Channel, tag int, v uint32) {
 		From: t.peer, To: ln.p.cfg.ID, Channel: t.id, Tag: tag,
 		Data: wire.AppendUint32(nil, v),
 	}
-	dst := t.lnp.Load()
 	ln.p.statRingPush.Add(1)
-	dst.rx.Push(rxItem{m: m, c: t})
-	dst.kick()
+	t.ln.rx.Push(rxItem{m: m, c: t})
+	t.ln.kick()
 }
 
 // ---------------------------------------------------------------------------
@@ -1306,8 +1307,8 @@ func (ln *lane) wheelFire() {
 	ln.leave()
 }
 
-// markDecision emits a scheduler-decision mark ("coalesce", "ctrl-defer",
-// "migrate") on the lane's trace timeline.
+// markDecision emits a scheduler-decision mark ("coalesce", "ctrl-defer") on
+// the lane's trace timeline.
 func (ln *lane) markDecision(c *Channel, kind string) {
 	if tr := ln.p.cfg.Tracer; tr != nil {
 		tr.Mark(ln.traceName, kind+" "+c.lane)
@@ -1471,13 +1472,7 @@ func (c *Channel) laneSend(t *Thread, tag, toThread int, data []byte) {
 		return
 	}
 	p.traceThread(t, trace.Idle)
-	cost := int64(wire.HeaderSize + len(data))
-	c.loadAcc.Add(cost)
-	if p.rebalEvery > 0 && c.sent.Load()&63 == 0 {
-		c.maybeSteal()
-	}
 	ln := c.lockLane()
-	ln.loadAcc.Add(cost)
 	if c.sendUnavailable() {
 		ln.mu.Unlock()
 		p.exception(c.sendFailErr())

@@ -112,7 +112,8 @@ func TestShardedChannelFIFO(t *testing.T) {
 }
 
 // TestShardedLanePinning checks the ChannelConfig.Lane override and the
-// default peer-hash placement.
+// default peer-hash placement, and that both are for life: a few thousand
+// sends later each channel reports the lane it was opened on.
 func TestShardedLanePinning(t *testing.T) {
 	net := transport.NewMem()
 	procs := shardedCluster(t, 2, net, nil)
@@ -129,8 +130,29 @@ func TestShardedLanePinning(t *testing.T) {
 	if want := p.lanes[(6-1)%4]; wrap.laneOf() != want {
 		t.Fatalf("Lane:6 pinned to lane %d, want %d", wrap.laneOf().idx, want.idx)
 	}
-	procs[0].TCreate("noop", mts.PrioDefault, func(th *Thread) {})
-	procs[1].TCreate("noop", mts.PrioDefault, func(th *Thread) {})
+	const msgs = 2000
+	for ti, c := range []*Channel{pinned, hashed} {
+		ti, c := ti, c
+		before := c.Stats().Lane
+		if before != c.laneOf().idx {
+			t.Fatalf("channel %d: Stats().Lane = %d, want %d", c.id, before, c.laneOf().idx)
+		}
+		procs[1].Open(0, ChannelConfig{ID: c.id})
+		procs[0].TCreate(fmt.Sprintf("tx%d", ti), mts.PrioDefault, func(th *Thread) {
+			payload := make([]byte, 4096)
+			for k := 0; k < msgs; k++ {
+				c.SendTagged(th, k, ti, payload)
+			}
+			if after := c.Stats().Lane; after != before {
+				t.Errorf("channel %d moved from lane %d to lane %d", c.id, before, after)
+			}
+		})
+		procs[1].TCreate(fmt.Sprintf("rx%d", ti), mts.PrioDefault, func(th *Thread) {
+			for k := 0; k < msgs; k++ {
+				th.recvMsgOn(c.id, k, Any, 0).Release()
+			}
+		})
+	}
 	runReal(procs)
 }
 

@@ -26,16 +26,20 @@ func runLossyARQ(t *testing.T, mk func() ErrorControl, msgs int) (got []int, dro
 			data, _ := th.Recv(Any, Any)
 			got = append(got, int(data[0]))
 		}
+		// Count at the last delivery, not at proc exit: once this thread
+		// returns its proc leaves, and a sender whose final acks were among
+		// the dropped retries the tail MaxRetries times into the void — a
+		// cost of the peer being gone, not of the ARQ scheme. The Config
+		// instance is a template; read the live per-channel state machine
+		// (the accessor takes the sender's lane lock).
+		switch ec := procs[0].DefaultChannel(1).Error().(type) {
+		case *GoBackN:
+			retrans = ec.Retransmissions()
+		case *SelectiveRepeat:
+			retrans = ec.Retransmissions()
+		}
 	})
 	runReal(procs)
-	// The Config instance is a template; read the stats off the live
-	// per-channel state machine.
-	switch ec := procs[0].DefaultChannel(1).Error().(type) {
-	case *GoBackN:
-		retrans = ec.Retransmissions()
-	case *SelectiveRepeat:
-		retrans = ec.Retransmissions()
-	}
 	return got, mem.Dropped(), retrans
 }
 

@@ -380,64 +380,6 @@ func TestSendAfterCloseTyped(t *testing.T) {
 	}
 }
 
-// TestCloseRebalanceRace churns signaled go-back-N channels under a hot
-// rebalancer with every channel hash-placed on lane 0, so migration
-// decisions constantly overlap call teardown. The lifecycle state machine
-// must keep mid-handshake and mid-teardown channels off the migration
-// path (idleSafeLocked) — the regression this test pins is a close
-// tearing down lane state while the channel migrates between lanes.
-func TestCloseRebalanceRace(t *testing.T) {
-	const dialers, cycles, msgs = 3, 25, 4
-	mem := transport.NewMem()
-	procs := sigCluster(t, 2, mem, func(i int, cfg *Config) {
-		cfg.RebalanceInterval = 100 * time.Microsecond
-		cfg.LaneHash = func(ProcID) int { return 0 } // force imbalance
-		if i == 1 {
-			cfg.OnAccept = serveCalls(msgs)
-		}
-	})
-	procs[0].OnException(func(error) {})
-	procs[1].OnException(func(error) {})
-	done := 0
-	for d := 0; d < dialers; d++ {
-		procs[0].TCreate(fmt.Sprintf("dial%d", d), mts.PrioDefault, func(th *Thread) {
-			for cyc := 0; cyc < cycles; cyc++ {
-				ch, err := procs[0].OpenCall(th, 1, CallConfig{
-					Error: NewGoBackN(8, 25*time.Millisecond),
-				})
-				if err != nil {
-					t.Errorf("open: %v", err)
-					break
-				}
-				srv := dialRendezvous(th, ch)
-				for k := 0; k < msgs; k++ {
-					ch.Send(th, srv, make([]byte, 512))
-				}
-				ch.Recv(th, Any)
-				if err := ch.CloseCall(th); err != nil {
-					t.Errorf("close: %v", err)
-					break
-				}
-			}
-			done++
-			if done == dialers {
-				th.Send(0, 1, nil)
-			}
-		})
-	}
-	procs[1].TCreate("keeper", mts.PrioDefault, func(th *Thread) { th.Recv(Any, Any) })
-	runReal(procs)
-	for i, p := range procs {
-		if leaks := p.Leaks(); len(leaks) != 0 {
-			t.Errorf("proc %d leaks: %v", i, leaks)
-		}
-	}
-	want := int64(dialers * cycles)
-	if st := procs[0].Lifecycle(); st.Opened != want || st.Closed != want {
-		t.Fatalf("caller opened %d closed %d, want %d/%d", st.Opened, st.Closed, want, want)
-	}
-}
-
 // TestSignaledCallOverSimATM runs the signaled lifecycle above the
 // simulated FORE adapter on a switched NYNET LAN: connecting a call must
 // install the per-channel VC routes (without them the switch discards

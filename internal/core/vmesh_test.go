@@ -116,3 +116,22 @@ func TestVirtualMeshCollectives(t *testing.T) {
 		t.Fatalf("no virtual time elapsed")
 	}
 }
+
+// TestVirtualMeshNowIsTheWorkloadsEnd: a run's last event is the workload's,
+// so Now after Run is the modeled duration every sweep divides by. One 64-byte
+// message between two procs models a few tens of microseconds (an N=64 barrier
+// of six rounds models 243.6 µs); a periodic internal event that outlived the
+// workload would show up here as a round multiple of its period.
+func TestVirtualMeshNowIsTheWorkloadsEnd(t *testing.T) {
+	vm := NewVirtualMesh(2, 1, VirtualMeshConfig{})
+	vm.Procs[0].TCreate("tx", 5, func(th *Thread) { th.Send(0, 1, make([]byte, 64)) })
+	vm.Procs[1].TCreate("rx", 5, func(th *Thread) {
+		if data, _ := th.Recv(Any, 0); len(data) != 64 {
+			t.Errorf("received %d bytes, want 64", len(data))
+		}
+	})
+	vm.Run()
+	if now := vm.Now(); now <= 0 || now >= 2*time.Millisecond {
+		t.Fatalf("one 64-byte message took %v of virtual time, want under 2ms", now)
+	}
+}
