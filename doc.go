@@ -21,7 +21,10 @@
 // reverse data flows. The send system thread drains bursts and hands
 // same-destination runs to carriers through transport.BatchSender (one
 // scheduler post on Mem, one writev on real TCP, MTU-bounded cell-train
-// datagrams on UDP/ATM — which the receiving end reassembles a train at a
+// datagrams on UDP/ATM — each message serialized once, from where its
+// header and payload lie straight into the train that carries it, its AAL5
+// CRC computed by hash/crc32's hardware kernel through a bit reflection
+// (internal/atm/crc.go) — which the receiving end reassembles a train at a
 // time, straight out of the datagram buffer, HEC-verifying every header
 // except one byte-identical to the last it verified on that VC), and
 // Thread.RecvInto/Channel.RecvInto — the

@@ -115,3 +115,54 @@ func TestReassemblerBufferReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendCellsRunsMatchConcat: a payload handed over as runs segments to
+// exactly the cells of its concatenation, wherever the run boundary falls —
+// inside a cell, on a cell edge, in the cell the trailer shares — and with
+// empty runs among them. Every two-run split of payloads 0-200 and of a full
+// udpatm chunk (8184); for the largest PDU, the splits near both ends and a
+// stride across the middle. Three runs are what udpatm sends (chunk header,
+// message header, data).
+func TestAppendCellsRunsMatchConcat(t *testing.T) {
+	vc := VC{VPI: 3, VCI: 777}
+	var want, got []byte
+	check := func(p []byte, runs ...[]byte) {
+		t.Helper()
+		var err error
+		if got, err = AppendCellRuns(got[:0], vc, runs...); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			lens := make([]int, len(runs))
+			for i, r := range runs {
+				lens[i] = len(r)
+			}
+			t.Fatalf("payload %d as runs %v: cells differ from AppendCells on the concatenation", len(p), lens)
+		}
+	}
+	sizes := []int{8184, MaxPDU}
+	for n := 0; n <= 200; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		p := patterned(n)
+		var err error
+		if want, err = AppendCells(want[:0], vc, p); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k <= n; k++ {
+			if n == MaxPDU && k > 100 && k < n-100 && k%997 != 0 {
+				continue
+			}
+			check(p, p[:k], p[k:])
+		}
+		check(p, nil, p, nil)
+		if n >= 44 {
+			check(p, p[:8], p[8:44], p[44:])
+			check(p, p[:8], nil, p[8:])
+		}
+	}
+	if _, err := AppendCellRuns(nil, vc, make([]byte, MaxPDU), []byte{0}); err != ErrTooLong {
+		t.Fatalf("runs totalling MaxPDU+1: err = %v, want ErrTooLong", err)
+	}
+}

@@ -200,45 +200,63 @@ var zeroPad [PayloadSize]byte
 
 // pdu is the geometry of one CPCS-PDU — payload ++ pad zeros ++ trailer,
 // a whole number of cell payloads — and the one walker that lays it into
-// cells. The CRC is computed streaming over the three runs, so no
-// contiguous PDU buffer is ever materialized.
+// cells. The payload is given as runs, consecutive pieces that need not be
+// contiguous in memory (a chunk header built on the stack, then a slice of
+// the caller's message), and the CRC is computed streaming over runs, pad
+// and trailer, so no contiguous PDU buffer is ever materialized.
 type pdu struct {
-	payload []byte
+	runs    [][]byte
 	trailer [trailerSize]byte // UU, CPI, Length, CRC-32
 	cells   int
+
+	// The walker's position: the next payload octet, as (run, offset).
+	run, off int
 }
 
-func newPDU(payload []byte) (pdu, error) {
-	p := pdu{payload: payload}
-	if len(payload) > MaxPDU {
+func newPDU(runs ...[]byte) (pdu, error) {
+	p := pdu{runs: runs}
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	if n > MaxPDU {
 		return p, ErrTooLong
 	}
-	p.cells = CellCount(len(payload))
-	pad := p.cells*PayloadSize - len(payload) - trailerSize
-	binary.BigEndian.PutUint16(p.trailer[2:], uint16(len(payload)))
-	crc := crcUpdate(^uint32(0), payload)
+	p.cells = CellCount(n)
+	pad := p.cells*PayloadSize - n - trailerSize
+	binary.BigEndian.PutUint16(p.trailer[2:], uint16(n))
+	crc := ^uint32(0)
+	for _, r := range runs {
+		crc = crcUpdate(crc, r)
+	}
 	crc = crcUpdate(crc, zeroPad[:pad])
 	crc = crcUpdate(crc, p.trailer[:4])
 	binary.BigEndian.PutUint32(p.trailer[4:], ^crc)
 	return p, nil
 }
 
-// fill writes the PayloadSize octets of cell i into dst: the cell's run of
-// payload, then zeros, and — in the last cell, whose final octets the
-// trailer always occupies because the pad is shorter than a cell — the
-// trailer.
-func (p *pdu) fill(dst []byte, i int) {
+// fill writes the PayloadSize octets of the next cell into dst: the cell's
+// stretch of payload, drawn from as many runs as it spans, then zeros, and —
+// in the last cell — the trailer. The last cell is the first one the payload
+// leaves room for a trailer in (the pad is shorter than a cell); fill reports
+// whether this was it.
+func (p *pdu) fill(dst []byte) (last bool) {
 	dst = dst[:PayloadSize]
 	n := 0
-	if base := i * PayloadSize; base < len(p.payload) {
-		if n = copy(dst, p.payload[base:]); n == PayloadSize {
-			return
+	for p.run < len(p.runs) {
+		c := copy(dst[n:], p.runs[p.run][p.off:])
+		if n += c; n == PayloadSize {
+			p.off += c
+			return false
 		}
+		p.run, p.off = p.run+1, 0
 	}
 	clear(dst[n:])
-	if i == p.cells-1 {
-		copy(dst[PayloadSize-trailerSize:], p.trailer[:])
+	if n > PayloadSize-trailerSize {
+		return false
 	}
+	copy(dst[PayloadSize-trailerSize:], p.trailer[:])
+	return true
 }
 
 // SegmentInto builds the AAL5 CPCS-PDU for payload and appends its cells on
@@ -252,13 +270,12 @@ func SegmentInto(cells []Cell, vc VC, payload []byte) ([]Cell, error) {
 		return nil, err
 	}
 	cells = slices.Grow(cells, p.cells)
-	for i := 0; i < p.cells; i++ {
+	for last := false; !last; {
 		cells = append(cells, Cell{Header: Header{VPI: vc.VPI, VCI: vc.VCI}})
 		c := &cells[len(cells)-1]
-		if i == p.cells-1 {
+		if last = p.fill(c.Payload[:]); last {
 			c.Header.PT = ptAAL5End
 		}
-		p.fill(c.Payload[:], i)
 	}
 	return cells, nil
 }
@@ -273,9 +290,18 @@ func Segment(vc VC, payload []byte) ([]Cell, error) {
 // cells' 53-octet wire form directly onto dst — the shape the UDP fabric
 // wants (a datagram is a frame's cells laid end to end), with no
 // intermediate []Cell or per-cell Bytes allocation. dst grows at most
-// once, to the frame's full length.
+// once, to the frame's full length. It is the one-run view of
+// AppendCellRuns.
 func AppendCells(dst []byte, vc VC, payload []byte) ([]byte, error) {
-	p, err := newPDU(payload)
+	return AppendCellRuns(dst, vc, payload)
+}
+
+// AppendCellRuns is AppendCells for a payload given as consecutive runs: the
+// cells are those of the runs' concatenation, which is never built. A sender
+// that frames a message (a header it just encoded, then bytes it was handed)
+// serializes straight from where the pieces lie. The runs are only read.
+func AppendCellRuns(dst []byte, vc VC, runs ...[]byte) ([]byte, error) {
+	p, err := newPDU(runs...)
 	if err != nil {
 		return nil, err
 	}
@@ -290,13 +316,13 @@ func AppendCells(dst []byte, vc VC, payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	dst = slices.Grow(dst, p.cells*CellSize)
-	for i := 0; i < p.cells; i++ {
-		if i == p.cells-1 {
+	for last := false; !last; {
+		at := len(dst)
+		dst = dst[:at+CellSize]
+		if last = p.fill(dst[at+HeaderSize:]); last {
 			hdr = end
 		}
-		dst = append(dst, hdr[:]...)
-		dst = dst[:len(dst)+PayloadSize]
-		p.fill(dst[len(dst)-PayloadSize:], i)
+		copy(dst[at:], hdr[:])
 	}
 	return dst, nil
 }

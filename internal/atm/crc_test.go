@@ -1,6 +1,7 @@
 package atm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -9,7 +10,11 @@ import (
 // message bit at a time through the generator, MSB first, all-ones preset,
 // final complement — kept here as the reference crcUpdate is held to.
 func crcBitSerial(p []byte) uint32 {
-	crc := ^uint32(0)
+	return ^bitSerialUpdate(^uint32(0), p)
+}
+
+// bitSerialUpdate is the reference in crcUpdate's raw-register form.
+func bitSerialUpdate(crc uint32, p []byte) uint32 {
 	for _, b := range p {
 		crc ^= uint32(b) << 24
 		for i := 0; i < 8; i++ {
@@ -20,7 +25,7 @@ func crcBitSerial(p []byte) uint32 {
 			}
 		}
 	}
-	return ^crc
+	return crc
 }
 
 // TestCRCMatchesBitSerial: slicing-by-8 equals the bit-serial definition on
@@ -45,10 +50,51 @@ func TestCRCMatchesBitSerial(t *testing.T) {
 	}
 }
 
+// TestCRCKernelsAgree calls both kernels directly — whichever of them
+// crcUpdate would pick on this GOARCH — and holds them to each other and to
+// the bit-serial reference: every length through two mirror blocks and
+// beyond, the chunk and frame sizes the datapath produces, three starting
+// registers (the preset, zero, one taken mid-stream), and every two-call
+// split of a run that crosses two block boundaries.
+func TestCRCKernelsAgree(t *testing.T) {
+	buf := patterned(MaxPDU + 4)
+	lengths := []int{8184, 8192, MaxPDU + 4}
+	for n := 0; n <= 2*reflectBlock+64; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, preset := range []uint32{^uint32(0), 0, crcTable(^uint32(0), []byte("mid-stream"))} {
+		// The reference advances octet by octet, so every prefix costs one
+		// step more than the last.
+		ref := make([]uint32, len(buf)+1)
+		ref[0] = preset
+		for i := range buf {
+			ref[i+1] = bitSerialUpdate(ref[i], buf[i:i+1])
+		}
+		for _, n := range lengths {
+			tab, refl := crcTable(preset, buf[:n]), crcReflected(preset, buf[:n])
+			if tab != ref[n] || refl != ref[n] {
+				t.Fatalf("preset %08x len %d: table %08x, reflected %08x, bit-serial %08x", preset, n, tab, refl, ref[n])
+			}
+		}
+		n := 2*reflectBlock + 9
+		for k := 0; k <= n; k++ {
+			tab := crcTable(crcTable(preset, buf[:k]), buf[k:n])
+			refl := crcReflected(crcReflected(preset, buf[:k]), buf[k:n])
+			mixed := crcTable(crcReflected(preset, buf[:k]), buf[k:n])
+			if tab != ref[n] || refl != ref[n] || mixed != ref[n] {
+				t.Fatalf("preset %08x split %d of %d: table %08x, reflected %08x, mixed %08x, bit-serial %08x",
+					preset, k, n, tab, refl, mixed, ref[n])
+			}
+		}
+	}
+}
+
 // FuzzAAL5CRC holds crcUpdate to the bit-serial reference on arbitrary
 // input, both one-shot and streamed across an arbitrary split (the way
 // newPDU runs it over payload, pad and trailer). Seeds: every length 0-17
-// here, longer ones in testdata/fuzz/FuzzAAL5CRC.
+// here, longer ones in testdata/fuzz/FuzzAAL5CRC — among them the lengths
+// around reflectMin and reflectBlock, so plain go test crosses both kernels
+// and the block boundary.
 func FuzzAAL5CRC(f *testing.F) {
 	for n := 0; n <= 17; n++ {
 		f.Add(patterned(n), uint16(n/2))
@@ -67,3 +113,31 @@ func FuzzAAL5CRC(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkAAL5CRC is the instrument reflectMin cites: both kernels called
+// directly, and crcUpdate's choice between them, on the run lengths the
+// datapath sees — a cell payload, short messages around the crossover, and
+// 1 KB / 8 KB chunks. It lives here, not with the root benchmarks, because
+// only this package can reach a kernel.
+func BenchmarkAAL5CRC(b *testing.B) {
+	kernels := []struct {
+		name string
+		fn   func(uint32, []byte) uint32
+	}{{"table", crcTable}, {"reflected", crcReflected}, {"crcUpdate", crcUpdate}}
+	for _, n := range []int{48, 128, 192, 256, 512, 1024, 8192} {
+		p := patterned(n)
+		for _, k := range kernels {
+			b.Run(fmt.Sprintf("%s/%dB", k.name, n), func(b *testing.B) {
+				b.SetBytes(int64(n))
+				b.ReportAllocs()
+				crc := ^uint32(0)
+				for i := 0; i < b.N; i++ {
+					crc = k.fn(crc, p)
+				}
+				crcSink = crc
+			})
+		}
+	}
+}
+
+var crcSink uint32

@@ -166,6 +166,11 @@ type Channel struct {
 	deficit int64
 	inSched bool
 
+	// rawReqs counts the error-control discipline's retransmission requests
+	// between retainStore.resend and retireLocked (owning lane's lock); each
+	// aliases the payload of a retained copy.
+	rawReqs int
+
 	// lane names the channel's trace timeline (empty without a Tracer).
 	lane string
 

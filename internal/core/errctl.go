@@ -74,6 +74,65 @@ func (NoErrorControl) queued() int                    { return 0 }
 func (NoErrorControl) shutdown()                      {}
 func (NoErrorControl) abandon()                       {}
 
+// retainStore keeps the private copies an error-control discipline holds
+// for retransmission, one store per channel, for both disciplines. The copy
+// itself is the contract's price — Send lets the caller reuse its buffer the
+// moment the first transmission is serialized, and collective hot paths
+// (BcastInto, Gather's pack buffer) do exactly that, so an aliased
+// retransmission would carry the *next* operation's bytes under the old
+// sequence number — but the Message and the bytes it lands in are recycled:
+// the ack path refills a freelist that admission draws from, so a loss-free
+// stream allocates nothing per message. Channels without error control pay
+// nothing. Callers hold the lane lock.
+type retainStore struct {
+	ch *Channel
+	// free holds acknowledged copies, at most window of them.
+	free   []*transport.Message
+	window int
+}
+
+// keep returns a private copy of m, payload bytes included.
+func (s *retainStore) keep(m *transport.Message) *transport.Message {
+	var cp *transport.Message
+	if n := len(s.free); n > 0 {
+		cp, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		cp = &transport.Message{}
+	}
+	data := append(cp.Data[:0], m.Data...)
+	*cp = *m
+	cp.Data = data
+	return cp
+}
+
+// release takes back a copy that was acknowledged. A retransmission request
+// aliases the retained bytes (resend), so while any is still queued or on
+// the carrier a released copy may yet be read: it goes to the collector
+// instead of being overwritten by the next admission. Loss is rare; the
+// freelist serves the loss-free path.
+func (s *retainStore) release(m *transport.Message) {
+	if s.ch.rawReqs == 0 && len(s.free) < s.window {
+		s.free = append(s.free, m)
+	}
+}
+
+// resend queues a retransmission of the retained copy m, bypassing admission
+// so the original sequence number is preserved. Request and message header
+// come from the freelists they return to: the lane's, whose lock the timer
+// holds. The header is a copy because the service pass attaches this
+// transmission's piggyback words to it; the payload is m's own.
+func (s *retainStore) resend(m *transport.Message) {
+	ln := s.ch.laneOf()
+	cp := ln.getDataMsg()
+	*cp = *m
+	req := ln.getReq()
+	req.m = cp
+	req.ch = s.ch
+	req.raw = true
+	s.ch.rawReqs++
+	s.ch.p.enqueueSend(req)
+}
+
 // GoBackN is sliding-window ARQ with cumulative acks and a retransmission
 // timer, per channel. ESeq numbers start at 1; an ack carries the highest
 // in-order sequence received.
@@ -94,8 +153,13 @@ type GoBackN struct {
 	nextSeq  uint32               // next ESeq to assign
 	base     uint32               // oldest unacked
 	unacked  []*transport.Message // in-flight copies, base..nextSeq-1
-	deferred []*sendReq           // admission-deferred requests
+	store    retainStore
+	deferred []*sendReq // admission-deferred requests
+	// The timer measures time without progress: progress records that an
+	// ack slid the window since the timer was armed, and a fire that finds
+	// it set only re-arms.
 	timerOn  bool
+	progress bool
 	// stall counts timer firings without base progress; MaxRetries bounds
 	// it so a dead peer cannot keep the process alive forever.
 	stall int
@@ -149,6 +213,7 @@ func (g *GoBackN) init(c *Channel) {
 	}
 	g.ch = c
 	g.p = c.p
+	g.store = retainStore{ch: c, window: g.Window}
 	g.nextSeq = 1
 	g.base = 1
 	g.expected = 1
@@ -162,16 +227,7 @@ func (g *GoBackN) admit(req *sendReq) bool {
 	}
 	req.m.ESeq = g.nextSeq
 	g.nextSeq++
-	// Buffer a private copy for retransmission. The payload bytes are
-	// copied too: Send's contract lets the caller reuse its buffer the
-	// moment the first transmission is serialized, and collective hot
-	// paths (BcastInto, Gather's pack buffer) do exactly that — an aliased
-	// retransmission would carry the *next* operation's bytes under the
-	// old sequence number. The copy is the price of reliability on this
-	// channel; channels without error control pay nothing.
-	cp := *req.m
-	cp.Data = append([]byte(nil), req.m.Data...)
-	g.unacked = append(g.unacked, &cp)
+	g.unacked = append(g.unacked, g.store.keep(req.m))
 	g.armTimer()
 	return true
 }
@@ -181,12 +237,21 @@ func (g *GoBackN) armTimer() {
 		return
 	}
 	g.timerOn = true
+	g.progress = false
 	g.p.cfg.After(g.Timeout, g.fireFn)
 }
 
 func (g *GoBackN) timerFire() {
 	g.timerOn = false
 	if len(g.unacked) == 0 {
+		return
+	}
+	if g.progress {
+		// Acks slid the window while the timer ran: nothing has waited a
+		// Timeout yet. Resending the window here is what a loss-free bulk
+		// stream used to pay every Timeout — a window of frames the
+		// receiver reassembles, checks and discards.
+		g.armTimer()
 		return
 	}
 	g.stall++
@@ -203,18 +268,10 @@ func (g *GoBackN) timerFire() {
 		g.p.checkShutdownWake()
 		return
 	}
-	// Go-back-N: re-queue every unacked message, bypassing admission so the
-	// original sequence numbers are preserved. The request comes from the
-	// freelist it returns to: the lane's, whose lock the timer holds.
-	ln := g.ch.laneOf()
+	// Go-back-N: re-queue every unacked message.
 	for _, m := range g.unacked {
-		cp := *m
 		g.retrans++
-		req := ln.getReq()
-		req.m = &cp
-		req.ch = g.ch
-		req.raw = true
-		g.p.enqueueSend(req)
+		g.store.resend(m)
 	}
 	g.armTimer()
 }
@@ -258,17 +315,24 @@ func (g *GoBackN) onControl(m *transport.Message) {
 // piggybacked. Comparisons are wrap-safe (wire.SeqNewer), like the flow
 // tier's credit advertisements.
 func (g *GoBackN) onAck(acked uint32) {
-	progressed := false
-	for len(g.unacked) > 0 && !wire.SeqNewer(g.unacked[0].ESeq, acked) {
-		g.unacked = g.unacked[1:]
-		g.base++
-		progressed = true
+	n := 0
+	for n < len(g.unacked) && !wire.SeqNewer(g.unacked[n].ESeq, acked) {
+		g.store.release(g.unacked[n])
+		n++
 	}
-	if progressed {
-		g.stall = 0
-		g.releaseDeferred()
-		g.p.checkShutdownWake()
+	if n == 0 {
+		return
 	}
+	// Slide in place: re-slicing from the front walks the window off its
+	// backing array, which then regrows every Window messages.
+	k := copy(g.unacked, g.unacked[n:])
+	clear(g.unacked[k:])
+	g.unacked = g.unacked[:k]
+	g.base += uint32(n)
+	g.stall = 0
+	g.progress = true
+	g.releaseDeferred()
+	g.p.checkShutdownWake()
 }
 
 // releaseDeferred re-enqueues admission-deferred requests while window

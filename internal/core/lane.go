@@ -332,6 +332,14 @@ func (d *virtualDriver) post(p *Proc, fn func()) { d.after(0, fn) }
 type threadDriver struct {
 	ln         *lane
 	send, recv *mts.Thread
+	// down is set by the first system thread to find that the process may
+	// terminate, and is final: the sibling leaves at its next idle point
+	// without asking again, and later arrivals are dropped. Re-evaluating was
+	// a hang — a frame arriving between the two exits (a retransmission whose
+	// ack was lost) sat in rxq with the receive thread gone, and the send
+	// thread parked for good on a predicate that could never turn true again.
+	// For the peer it is the arrival-after-exit it already has to survive.
+	down bool
 }
 
 func (d *threadDriver) start(ln *lane) {
@@ -365,7 +373,8 @@ func (d *threadDriver) wake() {
 // the sibling, whose own queue may have been what held the predicate back.
 func (d *threadDriver) idle(t *mts.Thread, name, reason string) (exit bool) {
 	p := d.ln.p
-	if p.mayShutdown() {
+	if d.down || p.mayShutdown() {
+		d.down = true
 		p.traceSysClose(name)
 		d.wake()
 		return true
@@ -399,6 +408,10 @@ func (d *threadDriver) sendLoop(st *mts.Thread) {
 // system thread and wakes it (Figure 8's "R").
 func (d *threadDriver) deliver(m *transport.Message) {
 	ln, p := d.ln, d.ln.p
+	if d.down {
+		m.Release()
+		return
+	}
 	it := p.itemFor(m)
 	ln.mu.Lock()
 	ln.rxq.push(it.level(), it)
@@ -1402,6 +1415,9 @@ func (ln *lane) flushRunLocked(run []*sendReq) []*sendReq {
 // to the drain.
 func (ln *lane) retireLocked(req *sendReq) {
 	p := ln.p
+	if req.raw {
+		req.ch.rawReqs-- // the retained bytes it aliased are free again
+	}
 	switch {
 	case req.done != nil:
 		*req.done = true

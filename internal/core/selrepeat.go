@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/list"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -27,10 +28,18 @@ type SelectiveRepeat struct {
 	ch *Channel
 
 	// Sender side.
+	// inflight holds the unacknowledged sequences of base..nextSeq-1; an
+	// acknowledged or abandoned one is simply absent.
 	nextSeq  uint32
 	base     uint32
-	inflight map[uint32]*srPending
+	inflight map[uint32]srPending
+	store    retainStore
 	deferred []*sendReq
+	// Every timer runs the same Timeout, so they fire in the order they were
+	// armed: timers queues the sequence each pending fire is for, and one
+	// pre-bound callback serves them all.
+	timers list.FIFO[uint32]
+	fireFn func()
 
 	// Receiver side: expected is the next in-order sequence; buffered
 	// holds arrived-but-out-of-order messages.
@@ -43,7 +52,6 @@ type SelectiveRepeat struct {
 
 type srPending struct {
 	m       *transport.Message
-	acked   bool
 	retries int
 }
 
@@ -87,8 +95,10 @@ func (s *SelectiveRepeat) init(c *Channel) {
 	s.nextSeq = 1
 	s.base = 1
 	s.expected = 1
-	s.inflight = make(map[uint32]*srPending)
+	s.store = retainStore{ch: c, window: s.Window}
+	s.inflight = make(map[uint32]srPending)
 	s.buffered = make(map[uint32]*transport.Message)
+	s.fireFn = c.wrapTimer(s.timerFire)
 }
 
 func (s *SelectiveRepeat) admit(req *sendReq) bool {
@@ -98,26 +108,20 @@ func (s *SelectiveRepeat) admit(req *sendReq) bool {
 	}
 	req.m.ESeq = s.nextSeq
 	s.nextSeq++
-	// Private copy, payload included — the caller may reuse its buffer
-	// once the first transmission is serialized (see GoBackN.admit).
-	cp := *req.m
-	cp.Data = append([]byte(nil), req.m.Data...)
-	pending := &srPending{m: &cp}
-	s.inflight[cp.ESeq] = pending
-	s.armTimer(cp.ESeq)
+	s.inflight[req.m.ESeq] = srPending{m: s.store.keep(req.m)}
+	s.armTimer(req.m.ESeq)
 	return true
 }
 
 func (s *SelectiveRepeat) armTimer(seq uint32) {
-	// Per-sequence timers need the sequence baked in, so unlike the other
-	// disciplines each arm builds a fresh closure (wrapped into the lane
-	// domain).
-	s.p.cfg.After(s.Timeout, s.ch.wrapTimer(func() { s.timerFire(seq) }))
+	s.timers.Push(seq)
+	s.p.cfg.After(s.Timeout, s.fireFn)
 }
 
-func (s *SelectiveRepeat) timerFire(seq uint32) {
+func (s *SelectiveRepeat) timerFire() {
+	seq := s.timers.Pop()
 	pending, ok := s.inflight[seq]
-	if !ok || pending.acked {
+	if !ok {
 		return
 	}
 	pending.retries++
@@ -129,13 +133,9 @@ func (s *SelectiveRepeat) timerFire(seq uint32) {
 		s.p.checkShutdownWake()
 		return
 	}
-	cp := *pending.m
+	s.inflight[seq] = pending
 	s.retrans++
-	req := s.ch.laneOf().getReq()
-	req.m = &cp
-	req.ch = s.ch
-	req.raw = true
-	s.p.enqueueSend(req)
+	s.store.resend(pending.m)
 	s.armTimer(seq)
 }
 
@@ -144,11 +144,9 @@ func (s *SelectiveRepeat) timerFire(seq uint32) {
 // time, so the loop condition is wrap-safe.
 func (s *SelectiveRepeat) slide() {
 	for s.base != s.nextSeq {
-		pending, ok := s.inflight[s.base]
-		if ok && !pending.acked {
+		if _, unacked := s.inflight[s.base]; unacked {
 			break
 		}
-		delete(s.inflight, s.base)
 		s.base++
 	}
 	for len(s.deferred) > 0 && s.nextSeq-s.base < uint32(s.Window) {
@@ -220,21 +218,14 @@ func (s *SelectiveRepeat) onControl(m *transport.Message) {
 // piggybacked.
 func (s *SelectiveRepeat) onAck(seq uint32) {
 	if pending, ok := s.inflight[seq]; ok {
-		pending.acked = true
+		delete(s.inflight, seq)
+		s.store.release(pending.m)
 		s.slide()
 		s.p.checkShutdownWake()
 	}
 }
 
-func (s *SelectiveRepeat) pending() int {
-	total := 0
-	for _, pending := range s.inflight {
-		if !pending.acked {
-			total++
-		}
-	}
-	return total
-}
+func (s *SelectiveRepeat) pending() int { return len(s.inflight) }
 
 func (s *SelectiveRepeat) queued() int { return len(s.deferred) }
 
@@ -251,11 +242,7 @@ func (s *SelectiveRepeat) shutdown() {
 // will ack them. Per-sequence timers self-cancel on fire (missing inflight
 // entry re-arms nothing).
 func (s *SelectiveRepeat) abandon() {
-	for _, pd := range s.inflight {
-		if !pd.acked {
-			s.abandoned++
-		}
-	}
-	s.inflight = make(map[uint32]*srPending)
+	s.abandoned += int64(len(s.inflight))
+	s.inflight = make(map[uint32]srPending)
 	s.base = s.nextSeq
 }

@@ -3,8 +3,11 @@ package udpatm
 import (
 	"bytes"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/atm"
 	"repro/internal/mts"
@@ -248,4 +251,279 @@ func TestCountersReadableWhileTrafficFlows(t *testing.T) {
 	if sent, recv := epA.CellsSent(), epB.CellsReceived(); sent == 0 || sent != recv || vcSent != sent {
 		t.Fatalf("cells sent %d (on the channel's VC %d), received %d", sent, vcSent, recv)
 	}
+}
+
+// txHarness is a sending endpoint whose writer the test starts when it
+// chooses, and a bare UDP socket standing in for proc 1, so a test sees the
+// datagrams themselves: what was put in each, and in what order.
+type txHarness struct {
+	t    *testing.T
+	ep   *Endpoint
+	sink *net.UDPConn
+}
+
+func newTxHarness(t *testing.T) *txHarness {
+	t.Helper()
+	listen := func() *net.UDPConn {
+		c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	netw := NewNetwork()
+	h := &txHarness{t: t, sink: listen()}
+	h.sink.SetReadBuffer(4 << 20)
+	h.ep = newEndpoint(netw, 0, nil, listen())
+	netw.endpoints[0] = h.ep
+	netw.endpoints[1] = &Endpoint{conn: h.sink} // only its address is used
+	t.Cleanup(func() { h.sink.Close() })
+	return h
+}
+
+func (h *txHarness) send(ch wire.ChannelID, data []byte) {
+	h.ep.Send(nil, &transport.Message{From: 0, To: 1, Channel: ch, Data: data})
+}
+
+// datagrams reads until n frames have arrived and returns the datagrams
+// that carried them, having checked what must hold of every datagram: within
+// the emulated MTU, whole cells, one VC, and whole frames — it ends on an
+// end-of-frame cell.
+func (h *txHarness) datagrams(frames int) (dgrams [][]byte) {
+	h.t.Helper()
+	buf := make([]byte, 64*1024)
+	for frames > 0 {
+		h.sink.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := h.sink.Read(buf)
+		if err != nil {
+			h.t.Fatalf("%d frames still expected: %v", frames, err)
+		}
+		d := append([]byte(nil), buf[:n]...)
+		if n == 0 || n > maxTrainBytes || n%atm.CellSize != 0 {
+			h.t.Fatalf("datagram of %d octets (bound %d, cell %d)", n, maxTrainBytes, atm.CellSize)
+		}
+		first, _ := atm.DecodeHeader(d)
+		for off := 0; off < n; off += atm.CellSize {
+			hdr, err := atm.DecodeHeader(d[off:])
+			if err != nil || hdr.VC() != first.VC() {
+				h.t.Fatalf("cell at %d: header %+v err %v in a train of VC %v", off, hdr, err, first.VC())
+			}
+			if hdr.EndOfFrame() {
+				frames--
+			} else if off+atm.CellSize == n {
+				h.t.Fatal("datagram ends inside a frame")
+			}
+		}
+		dgrams = append(dgrams, d)
+	}
+	return dgrams
+}
+
+func vcOf(d []byte) atm.VC {
+	h, _ := atm.DecodeHeader(d)
+	return h.VC()
+}
+
+// messages reassembles the data payloads the datagrams carry, per VC, in
+// arrival order.
+func (h *txHarness) messages(dgrams [][]byte) map[atm.VC][]string {
+	h.t.Helper()
+	rx := map[atm.VC]*vcRx{}
+	out := map[atm.VC][]string{}
+	for _, d := range dgrams {
+		vc := vcOf(d)
+		if rx[vc] == nil {
+			rx[vc] = &vcRx{reasm: atm.NewReassembler(vc)}
+		}
+		for len(d) > 0 {
+			n, chunk, done, err := rx[vc].reasm.PushWire(d)
+			if err != nil || !done {
+				h.t.Fatalf("VC %v: reassembly done=%v err=%v", vc, done, err)
+			}
+			d = d[n:]
+			msg, done, err := rx[vc].asm.Push(chunk)
+			if err != nil {
+				h.t.Fatalf("VC %v: chunk assembly: %v", vc, err)
+			}
+			if done {
+				m, err := wire.Unmarshal(msg)
+				if err != nil {
+					h.t.Fatal(err)
+				}
+				out[vc] = append(out[vc], string(m.Data))
+			}
+		}
+	}
+	return out
+}
+
+func framesOf(dataLen int) int {
+	return wire.Fragments(wire.HeaderSize+dataLen, MaxChunk)
+}
+
+// TestTrainsAreWholeFramesInOrder: two VCs' messages — bulk ones of many
+// frames, short ones — enqueued interleaved, with the writer held back so the
+// trains fill and with it running so they are taken half-built. Every
+// datagram is whole frames of one VC within the MTU, and each VC's messages
+// arrive complete and in the order they were sent.
+func TestTrainsAreWholeFramesInOrder(t *testing.T) {
+	for _, live := range []bool{false, true} {
+		h := newTxHarness(t)
+		if live {
+			go h.ep.writeLoop()
+		}
+		want := map[atm.VC][]string{}
+		frames := 0
+		for i := 0; i < 12; i++ {
+			ch := wire.ChannelID(i % 2 * 5)
+			data := body(byte('a'+i), []int{100_000, 300, 8140, 8141, 0, 40_000}[i%6])
+			h.send(ch, data)
+			vc := VCForChan(0, 1, ch)
+			want[vc] = append(want[vc], string(data))
+			frames += framesOf(len(data))
+		}
+		if !live {
+			go h.ep.writeLoop()
+		}
+		dgrams := h.datagrams(frames)
+		got := h.messages(dgrams)
+		for vc, msgs := range want {
+			if len(got[vc]) != len(msgs) {
+				t.Fatalf("live=%v VC %v: %d messages arrived, want %d", live, vc, len(got[vc]), len(msgs))
+			}
+			for i := range msgs {
+				if got[vc][i] != msgs[i] {
+					t.Fatalf("live=%v VC %v message %d: %d octets arrived, want %d — out of order or corrupt", live, vc, i, len(got[vc][i]), len(msgs[i]))
+				}
+			}
+		}
+		trains, inTrains, maxCells := h.ep.TrainStats()
+		if !live && (trains == 0 || inTrains <= trains || int(maxCells)*atm.CellSize > maxTrainBytes) {
+			t.Fatalf("held-back writer: %d trains of %d frames, largest %d cells", trains, inTrains, maxCells)
+		}
+		if err := h.ep.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestHighPriorityPassesOpenTrain: a frame on a higher-priority VC enqueued
+// behind a low-priority VC's open train leaves first.
+func TestHighPriorityPassesOpenTrain(t *testing.T) {
+	h := newTxHarness(t)
+	h.ep.ConfigureChannel(1, 1, 0, nil)
+	h.ep.ConfigureChannel(1, 2, 7, nil)
+	h.send(1, body('l', 20_000))
+	h.send(2, body('h', 100))
+	h.send(1, body('l', 100))
+	go h.ep.writeLoop()
+	dgrams := h.datagrams(framesOf(20_000) + 2)
+	if vcOf(dgrams[0]) != VCForChan(0, 1, 2) {
+		t.Fatalf("first datagram is VC %v's, want the priority-7 VC %v", vcOf(dgrams[0]), VCForChan(0, 1, 2))
+	}
+	if len(dgrams) != 2 {
+		t.Fatalf("%d datagrams, want 2: the low-priority VC's four frames fit one train", len(dgrams))
+	}
+	h.ep.Close()
+}
+
+// TestCloseWritesOpenTrain: Close drains every accepted frame, and a train
+// that never filled counts.
+func TestCloseWritesOpenTrain(t *testing.T) {
+	h := newTxHarness(t)
+	h.send(0, body('x', 300))
+	h.send(0, body('y', 300))
+	closed := make(chan error)
+	go func() { closed <- h.ep.Close() }()
+	for { // the writer starts only once Close is waiting for it
+		h.ep.txMu.Lock()
+		shut := h.ep.txClosed
+		h.ep.txMu.Unlock()
+		if shut {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	go h.ep.writeLoop()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	got := h.messages(h.datagrams(2))[VCFor(0, 1)]
+	if len(got) != 2 || got[0] != string(body('x', 300)) || got[1] != string(body('y', 300)) {
+		t.Fatalf("after Close the peer holds %d messages, want x then y", len(got))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Send after Close did not panic")
+		}
+	}()
+	h.send(0, nil)
+}
+
+// TestBackpressureCountsFrames: with the writer held back a sender blocks in
+// the Send that would queue frame maxQueuedFrames+1 — frames, not trains —
+// and every frame it was made to wait for still arrives.
+func TestBackpressureCountsFrames(t *testing.T) {
+	h := newTxHarness(t)
+	const extra = 10
+	var sent atomic.Int64
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		for i := 0; i < maxQueuedFrames+extra; i++ {
+			h.send(0, body('b', 1000))
+			sent.Add(1)
+		}
+	}()
+	for sent.Load() < maxQueuedFrames {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // long enough for an unblocked sender to run on
+	h.ep.txMu.Lock()
+	queued := h.ep.queued
+	h.ep.txMu.Unlock()
+	if n := sent.Load(); n != maxQueuedFrames || queued != maxQueuedFrames {
+		t.Fatalf("%d Sends returned with %d frames queued; the bound is %d", n, queued, maxQueuedFrames)
+	}
+	go h.ep.writeLoop()
+	h.datagrams(maxQueuedFrames + extra)
+	<-finished
+	h.ep.Close()
+}
+
+// TestSendAllocs: a 16 KB Send — header encode, chunking, segmentation into
+// the open train, the writer's pass — with a peer that drains its socket
+// allocates next to nothing once the train buffers are in the pool: no
+// marshal buffer, no chunk buffer, no buffer per frame.
+func TestSendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is leaky under the race detector; the train buffers come from one")
+	}
+	h := newTxHarness(t)
+	go h.ep.writeLoop()
+	go func() {
+		buf := make([]byte, 64*1024)
+		for {
+			if _, err := h.sink.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	m := &transport.Message{From: 0, To: 1, Channel: 3, Data: make([]byte, 16*1024)}
+	const warm, runs = 200, 2000
+	var ms runtime.MemStats
+	for i := 0; i < warm+runs; i++ {
+		if i == warm {
+			runtime.ReadMemStats(&ms)
+		}
+		h.ep.Send(nil, m)
+	}
+	before := ms.Mallocs
+	runtime.ReadMemStats(&ms)
+	// testing.AllocsPerRun rounds down to whole allocations; this limit is
+	// a fraction of one.
+	if avg := float64(ms.Mallocs-before) / runs; avg >= 0.1 {
+		t.Fatalf("16 KB Send allocates %.3f per message, want < 0.1", avg)
+	}
+	h.ep.Close()
 }

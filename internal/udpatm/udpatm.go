@@ -3,9 +3,20 @@
 // (internal/atm), and carried between processes in UDP datagrams on the
 // loopback interface. A datagram's payload is cells laid end to end: one
 // AAL5 frame when traffic is sparse, or a *cell train* — consecutive
-// queued frames of the same VC coalesced up to the emulated MTU — when a
-// burst is in flight, so a burst costs one syscall per train instead of
-// one per frame (AAL5 end-of-frame cells delimit the frames inside).
+// frames of the same VC up to the emulated MTU — when a burst is in
+// flight, so a burst costs one syscall per train instead of one per frame
+// (AAL5 end-of-frame cells delimit the frames inside).
+//
+// The send path serializes a message once. Send encodes the message header
+// into a stack array, wire.Chunker cuts header ++ payload into chunk frames
+// without copying them, and atm.AppendCellRuns lays each frame's cells —
+// CRC streamed over the pieces — straight onto the VC's open train, a
+// pooled buffer of the MTU's size that is never regrown; a train closes
+// when the next whole frame would not fit. Trains are formed here, at
+// enqueue, under the lock that orders the frames; the writer goroutine
+// pops whole trains, highest-priority VC first, polices their cells and
+// writes each as one datagram. Nothing else holds a payload byte on the
+// way: no marshal buffer, no chunk buffer, no buffer per frame.
 //
 // The receiver works a train at a time too: the reader resolves a VC's
 // reassembly state once per run of same-VC cells and hands the run, still
@@ -20,9 +31,8 @@
 // cell framing, HEC protection, per-VC reassembly and CRC-32 verification
 // all execute exactly as they would on the adapter; only the physical
 // layer is a UDP socket instead of a TAXI transceiver. Chunk framing and
-// message reassembly are delegated to internal/wire, and the send path
-// runs entirely on pooled buffers recycled once the kernel has copied each
-// datagram.
+// message reassembly are delegated to internal/wire, and a train's buffer
+// recycles once the kernel has copied the datagram.
 package udpatm
 
 import (
@@ -69,16 +79,30 @@ func NewNetwork() *Network {
 	return &Network{endpoints: make(map[transport.ProcID]*Endpoint)}
 }
 
-// vcTx is one VC's transmit queue: AAL5 frames (each one UDP datagram)
-// awaiting the writer, the VC's drain priority, and the optional GCRA
-// policer enforcing the VC's traffic contract at the emulated UNI.
+// train is one datagram under construction or awaiting the writer: whole
+// AAL5 frames of one VC, cells end to end, in a pooled buffer of
+// maxTrainBytes capacity that is never regrown.
+type train struct {
+	buf    *wire.Buf
+	frames int
+}
+
+// vcTx is one VC's transmit queue: cell trains awaiting the writer, the VC's
+// drain priority, and the optional GCRA policer enforcing the VC's traffic
+// contract at the emulated UNI.
 type vcTx struct {
 	vc   atm.VC
 	prio int
 	gcra *atm.GCRA
 	dst  *net.UDPAddr
 
-	frames list.FIFO[*wire.Buf]
+	// closed holds the trains no further frame fits; open, when its buf is
+	// non-nil, is the newest train, which enqueueFrames is still extending
+	// and the writer may take as it stands. frames counts the frames in
+	// both.
+	closed list.FIFO[train]
+	open   train
+	frames int
 
 	// Written by the writer goroutine without txMu (see writeLoop).
 	cellsSent atomic.Int64
@@ -102,6 +126,10 @@ type Endpoint struct {
 	mu      sync.Mutex
 	handler transport.Handler
 	seq     uint32
+	// arrived holds decoded messages between the reader, which pushes one
+	// and Posts deliverFn, and the runtime, where each Post pops exactly one.
+	arrived   list.FIFO[*transport.Message]
+	deliverFn func()
 
 	// Transmit side: per-VC queues drained by a single writer goroutine,
 	// highest priority first (FIFO within a VC). NCS channels map onto
@@ -171,6 +199,22 @@ func (n *Network) Attach(proc transport.ProcID, rt *mts.Runtime) (*Endpoint, err
 	// genuinely lossy, which is what NCS error control exists for.
 	conn.SetReadBuffer(8 << 20)
 	conn.SetWriteBuffer(4 << 20)
+	e := newEndpoint(n, proc, rt, conn)
+	n.mu.Lock()
+	if _, dup := n.endpoints[proc]; dup {
+		n.mu.Unlock()
+		conn.Close()
+		return nil, fmt.Errorf("udpatm: duplicate proc %d", proc)
+	}
+	n.endpoints[proc] = e
+	n.mu.Unlock()
+	go e.readLoop()
+	go e.writeLoop()
+	return e, nil
+}
+
+// newEndpoint builds an endpoint over conn with neither loop started.
+func newEndpoint(n *Network, proc transport.ProcID, rt *mts.Runtime, conn *net.UDPConn) *Endpoint {
 	e := &Endpoint{
 		net:        n,
 		proc:       proc,
@@ -184,17 +228,8 @@ func (n *Network) Attach(proc transport.ProcID, rt *mts.Runtime) (*Endpoint, err
 	}
 	e.txCond = sync.NewCond(&e.txMu)
 	e.spaceCond = sync.NewCond(&e.txMu)
-	n.mu.Lock()
-	if _, dup := n.endpoints[proc]; dup {
-		n.mu.Unlock()
-		conn.Close()
-		return nil, fmt.Errorf("udpatm: duplicate proc %d", proc)
-	}
-	n.endpoints[proc] = e
-	n.mu.Unlock()
-	go e.readLoop()
-	go e.writeLoop()
-	return e, nil
+	e.deliverFn = e.deliverOne
+	return e
 }
 
 // Close shuts the endpoint's socket and reader down.
@@ -338,7 +373,7 @@ func (e *Endpoint) UnbindChannel(peer transport.ProcID, ch wire.ChannelID) {
 	e.txMu.Lock()
 	defer e.txMu.Unlock()
 	q, ok := e.txByVC[vc]
-	if !ok || q.frames.Size() > 0 {
+	if !ok || q.frames > 0 {
 		return
 	}
 	delete(e.txByVC, vc)
@@ -374,13 +409,12 @@ func (e *Endpoint) queue(vc atm.VC) *vcTx {
 }
 
 // Send implements transport.Endpoint: the message is chunked, each chunk
-// segmented into AAL5 cells, and each frame is filed in its VC's transmit
-// queue — the VC the message's channel rides. A single writer drains the
-// queues highest-priority first, policing each VC's cells against its GCRA
-// contract, and coalesces consecutive frames of one VC into a single
-// cell-train datagram. The message is fully serialized into pooled frame
-// buffers before Send returns, so the caller may reuse m and m.Data; the
-// buffers recycle once the kernel has copied each datagram.
+// segmented into AAL5 cells, and each frame is laid onto the open cell train
+// of its VC — the VC the message's channel rides. A single writer drains the
+// VCs highest-priority first, a train per datagram, policing each VC's cells
+// against its GCRA contract. The message is fully serialized before Send
+// returns, so the caller may reuse m and m.Data; a train's buffer recycles
+// once the kernel has copied the datagram.
 func (e *Endpoint) Send(t *mts.Thread, m *transport.Message) {
 	dst := e.addrOf(m.To)
 	if dst == nil {
@@ -390,9 +424,8 @@ func (e *Endpoint) Send(t *mts.Thread, m *transport.Message) {
 }
 
 // SendBatch implements transport.BatchSender: the destination resolves
-// once for the whole same-destination run, and the burst's frames land in
-// the VC queues back to back, which is what lets the writer goroutine form
-// long cell trains.
+// once for the whole same-destination run, and the burst's frames land on
+// the VC's trains back to back, which is what makes the trains long.
 func (e *Endpoint) SendBatch(t *mts.Thread, ms []*transport.Message) {
 	if len(ms) == 0 {
 		return
@@ -409,8 +442,14 @@ func (e *Endpoint) SendBatch(t *mts.Thread, ms []*transport.Message) {
 	}
 }
 
-// enqueueFrames serializes one message into AAL5 frames on its VC's
-// transmit queue; the shared body of Send and SendBatch.
+// enqueueFrames serializes one message, once, into the datagrams that will
+// carry it; the shared body of Send and SendBatch. The message header is
+// encoded into a stack array, the chunker cuts header ++ m.Data into chunk
+// frames without copying them, and each frame's cells are laid from those
+// pieces straight onto the VC's open train. Trains are consecutive frames of
+// one VC, so forming them here, under the lock that already orders the
+// frames, puts the same bytes on the wire as coalescing queued frames in the
+// writer did — without the frame buffers and the copies between them.
 func (e *Endpoint) enqueueFrames(m *transport.Message, dst *net.UDPAddr) {
 	if m.From != e.proc {
 		panic(fmt.Sprintf("udpatm: proc %d sending as %d", e.proc, m.From))
@@ -420,18 +459,17 @@ func (e *Endpoint) enqueueFrames(m *transport.Message, dst *net.UDPAddr) {
 	m.Seq = e.seq
 	e.mu.Unlock()
 
-	wb := wire.GetBuf(m.WireSize())
-	wb.B = m.MarshalAppend(wb.B)
+	var hb [wire.MaxHeaderSize]byte
 	vc := VCForChan(m.From, m.To, m.Channel)
-	ck := wire.NewChunker(wb.B, m.Seq, MaxChunk)
-	cb := wire.GetBuf(wire.ChunkHeaderSize + MaxChunk)
+	ck := wire.NewChunkerRuns(m.AppendHeader(hb[:0]), m.Data, m.Seq, MaxChunk)
 	e.txMu.Lock()
+	defer e.txMu.Unlock()
 	q := e.queue(vc)
 	q.dst = dst
 	for {
-		chunk, ok := ck.Next(cb.B[:0])
+		ch, head, body, ok := ck.Parts()
 		if !ok {
-			break
+			return
 		}
 		// Backpressure: past the high-water mark the producer waits for
 		// the writer, pacing senders the way the old synchronous write
@@ -443,37 +481,46 @@ func (e *Endpoint) enqueueFrames(m *transport.Message, dst *net.UDPAddr) {
 			// The writer is gone; accepting frames would silently lose
 			// them. Fail as loudly as the old write-to-closed-socket
 			// path did.
-			e.txMu.Unlock()
-			wire.PutBuf(cb)
-			wire.PutBuf(wb)
 			panic(fmt.Sprintf("udpatm: proc %d Send after Close", e.proc))
 		}
-		fb := wire.GetBuf(atm.CellCount(len(chunk)) * atm.CellSize)
-		dgram, err := atm.AppendCells(fb.B, vc, chunk)
+		// A train closes when the next whole frame does not fit it. (Not
+		// before the wait above: the writer may have taken the open train
+		// meanwhile.)
+		need := atm.CellCount(len(ch)+len(head)+len(body)) * atm.CellSize
+		if q.open.buf != nil && len(q.open.buf.B)+need > maxTrainBytes {
+			q.closed.Push(q.open)
+			q.open = train{}
+		}
+		if q.open.buf == nil {
+			q.open.buf = wire.GetBuf(maxTrainBytes)
+		}
+		cells, err := atm.AppendCellRuns(q.open.buf.B, vc, ch[:], head, body)
 		if err != nil {
-			e.txMu.Unlock()
 			panic("udpatm: segment: " + err.Error())
 		}
-		fb.B = dgram
-		q.frames.Push(fb)
+		q.open.buf.B = cells
+		q.open.frames++
+		q.frames++
 		e.queued++
 		e.txCond.Signal()
 	}
-	e.txMu.Unlock()
-	wire.PutBuf(cb)
-	wire.PutBuf(wb)
 }
 
-// maxQueuedFrames bounds frames outstanding across all VC transmit queues
-// (~2 MB of 8 KB AAL5 frames); past it Send waits for the writer.
+// maxQueuedFrames bounds frames outstanding across all VC transmit queues;
+// past it Send waits for the writer. One VC packs them six or seven to a
+// train (~2.3 MB of cells in ~40 train buffers); the worst case is a frame
+// each on 256 different VCs, every one holding a train buffer of the 64 KB
+// pool class: 16 MB.
 const maxQueuedFrames = 256
 
 // maxTrainBytes bounds one cell-train datagram: consecutive AAL5 frames of
 // one VC are laid end to end (cells back to back) in a single UDP datagram
 // up to this size — the emulated MTU of the UDP "physical layer". It stays
-// under both the 64 KB read buffer and the UDP payload ceiling. Receivers
-// need no train awareness: AAL5 end-of-frame cells delimit frames inside
-// the train exactly as on a real link.
+// under both the 64 KB read buffer and the UDP payload ceiling, and is many
+// times the largest frame (MaxChunk's 171 cells, 9,063 octets), so every
+// frame fits an empty train. Receivers need no train awareness: AAL5
+// end-of-frame cells delimit frames inside the train exactly as on a real
+// link.
 const maxTrainBytes = 60 * 1024
 
 // nominalLinkBps is the modeled physical-link rate the GCRA departure
@@ -488,7 +535,7 @@ var cellWireTime = time.Duration(atm.CellSize * 8 * int64(time.Second) / int64(n
 func (e *Endpoint) pickQueue() *vcTx {
 	var best *vcTx
 	for _, q := range e.queues {
-		if q.frames.Size() > 0 && (best == nil || q.prio > best.prio) {
+		if q.frames > 0 && (best == nil || q.prio > best.prio) {
 			best = q
 		}
 	}
@@ -496,10 +543,13 @@ func (e *Endpoint) pickQueue() *vcTx {
 }
 
 // writeLoop is the single transmit drain: it services per-VC queues in
-// priority order, applies each VC's GCRA policer cell by cell, and writes
-// each surviving frame as one UDP datagram. It exits — signalling
-// writerDone — only once the endpoint is closed *and* the queues are
-// drained, so Close never loses accepted frames.
+// priority order, a whole train at a time — the oldest closed one, else the
+// open one as it stands — applies the VC's GCRA policer cell by cell, and
+// writes what survives as one UDP datagram. The cells ride back to back
+// exactly as a real adapter would clock them out, and AAL5 end-of-frame
+// markers keep the frame boundaries. It exits — signalling writerDone — only
+// once the endpoint is closed *and* the queues are drained, so Close never
+// loses accepted frames.
 func (e *Endpoint) writeLoop() {
 	defer close(e.writerDone)
 	e.txMu.Lock()
@@ -513,27 +563,19 @@ func (e *Endpoint) writeLoop() {
 			e.txCond.Wait()
 			continue
 		}
-		fb := q.frames.Pop()
-		e.queued--
-		e.spaceCond.Signal()
-		// Cell train: coalesce consecutive frames of this VC into one
-		// MTU-bounded datagram. The cells ride back to back exactly as a
-		// real adapter would clock them out, AAL5 end-of-frame markers
-		// keep the frame boundaries, and the per-cell GCRA judgement
-		// below is unchanged — only the syscall count shrinks.
-		framesInTrain := int64(1)
-		for q.frames.Size() > 0 && len(fb.B)+len(q.frames.Peek().B) <= maxTrainBytes {
-			nb := q.frames.Pop()
-			e.queued--
-			e.spaceCond.Signal()
-			fb.B = append(fb.B, nb.B...)
-			wire.PutBuf(nb)
-			framesInTrain++
+		var tr train
+		if q.closed.Size() > 0 {
+			tr = q.closed.Pop()
+		} else {
+			tr, q.open = q.open, train{}
 		}
-		if framesInTrain > 1 {
+		q.frames -= tr.frames
+		e.queued -= tr.frames
+		e.spaceCond.Broadcast()
+		if tr.frames > 1 {
 			e.trains++
-			e.trainFrames += framesInTrain
-			if cells := int64(len(fb.B) / atm.CellSize); cells > e.maxTrain {
+			e.trainFrames += int64(tr.frames)
+			if cells := int64(len(tr.buf.B) / atm.CellSize); cells > e.maxTrain {
 				e.maxTrain = cells
 			}
 		}
@@ -541,7 +583,7 @@ func (e *Endpoint) writeLoop() {
 		dst := q.dst
 		e.txMu.Unlock()
 
-		dgram := fb.B
+		dgram := tr.buf.B
 		kept := len(dgram) / atm.CellSize
 		dropped := 0
 		if gcra != nil {
@@ -588,7 +630,7 @@ func (e *Endpoint) writeLoop() {
 				}
 			}
 		}
-		wire.PutBuf(fb)
+		wire.PutBuf(tr.buf)
 		e.txMu.Lock()
 	}
 }
@@ -598,7 +640,9 @@ func (e *Endpoint) writeLoop() {
 func (e *Endpoint) readLoop() {
 	buf := make([]byte, 64*1024)
 	for {
-		n, _, err := e.conn.ReadFromUDP(buf)
+		// AddrPort, not ReadFromUDP: the source is not used, and that form
+		// allocates a *net.UDPAddr per datagram to report it.
+		n, _, err := e.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			select {
 			case <-e.closed:
@@ -682,13 +726,23 @@ func (e *Endpoint) deliverChunk(rx *vcRx, chunk []byte) bool {
 		wire.PutBuf(fb)
 		return false
 	}
-	e.rt.Post(func() {
-		e.mu.Lock()
-		h := e.handler
-		e.mu.Unlock()
-		if h != nil {
-			h(m)
-		}
-	})
+	e.mu.Lock()
+	e.arrived.Push(m)
+	e.mu.Unlock()
+	e.rt.Post(e.deliverFn)
 	return true
+}
+
+// deliverOne hands the oldest arrived message to the handler. deliverChunk
+// Posts it once per message it queued, so the runtime sees the same Posts in
+// the same order as if each carried its message in a closure of its own —
+// which is what it did, at an allocation a message.
+func (e *Endpoint) deliverOne() {
+	e.mu.Lock()
+	m := e.arrived.Pop()
+	h := e.handler
+	e.mu.Unlock()
+	if h != nil {
+		h(m)
+	}
 }

@@ -82,12 +82,15 @@ func Extent(n, maxPayload, i int) (lo, hi int) {
 	return lo, hi
 }
 
-// Chunker iterates the chunk frames of one marshalled message. It holds no
-// buffers of its own: Next appends each frame (header + payload slice) onto
-// a caller-provided buffer, so one pooled scratch buffer serves the whole
-// message.
+// Chunker iterates the chunk frames of one marshalled message, given whole
+// or as two consecutive runs (its encoded header, then its payload where the
+// caller left it). It holds no buffers of its own: Parts yields each frame as
+// a header and slices of the source, and Next appends them onto a
+// caller-provided buffer, so chunk geometry has one definition whether a
+// carrier copies the frame (nic.SimATM) or segments straight from the parts
+// (udpatm).
 type Chunker struct {
-	wire       []byte
+	head, body []byte
 	seq        uint32
 	maxPayload int
 	i, n       int
@@ -97,31 +100,55 @@ type Chunker struct {
 // every chunk with seq and carrying at most maxPayload message bytes per
 // chunk (maxPayload must be > 0).
 func NewChunker(wire []byte, seq uint32, maxPayload int) Chunker {
+	return NewChunkerRuns(wire, nil, seq, maxPayload)
+}
+
+// NewChunkerRuns is NewChunker for a marshalled message that lies in two
+// pieces, head ++ body; the chunks are those of the concatenation.
+func NewChunkerRuns(head, body []byte, seq uint32, maxPayload int) Chunker {
 	if maxPayload <= 0 {
 		panic("wire: chunk payload must be positive")
 	}
-	return Chunker{wire: wire, seq: seq, maxPayload: maxPayload, n: Fragments(len(wire), maxPayload)}
+	return Chunker{head: head, body: body, seq: seq, maxPayload: maxPayload,
+		n: Fragments(len(head)+len(body), maxPayload)}
 }
 
 // NumChunks returns the total number of chunks the message splits into.
 func (c *Chunker) NumChunks() int { return c.n }
 
-// Next appends the next chunk frame onto dst (pass scratch[:0] to reuse a
-// buffer) and returns the extended slice. ok is false when all chunks have
-// been produced.
-func (c *Chunker) Next(dst []byte) (chunk []byte, ok bool) {
+// Parts yields the next chunk frame without copying it: the encoded chunk
+// header, then the frame's message bytes as a slice of the head run followed
+// by a slice of the body run (either may be empty). ok is false when all
+// chunks have been produced.
+func (c *Chunker) Parts() (hdr [ChunkHeaderSize]byte, a, b []byte, ok bool) {
 	if c.i >= c.n {
-		return dst, false
+		return hdr, nil, nil, false
 	}
-	lo, hi := Extent(len(c.wire), c.maxPayload, c.i)
-	dst = AppendChunkHeader(dst, ChunkHeader{
+	lo, hi := Extent(len(c.head)+len(c.body), c.maxPayload, c.i)
+	AppendChunkHeader(hdr[:0], ChunkHeader{ // into hdr's own array
 		Seq:   c.seq,
 		Index: uint16(c.i),
 		Last:  c.i == c.n-1,
 	})
-	dst = append(dst, c.wire[lo:hi]...)
+	if lo < len(c.head) {
+		a = c.head[lo:min(hi, len(c.head))]
+	}
+	if hi > len(c.head) {
+		b = c.body[max(lo, len(c.head))-len(c.head) : hi-len(c.head)]
+	}
 	c.i++
-	return dst, true
+	return hdr, a, b, true
+}
+
+// Next appends the next chunk frame onto dst (pass scratch[:0] to reuse a
+// buffer) and returns the extended slice. ok is false when all chunks have
+// been produced.
+func (c *Chunker) Next(dst []byte) (chunk []byte, ok bool) {
+	hdr, a, b, ok := c.Parts()
+	if !ok {
+		return dst, false
+	}
+	return append(append(append(dst, hdr[:]...), a...), b...), true
 }
 
 // Assembler rebuilds marshalled messages from a stream of chunk frames.

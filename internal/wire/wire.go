@@ -10,8 +10,9 @@
 // (Yadav, Reddy, Hariri, Fox; HPDC '95): NCS wins on the ATM path by
 // eliminating per-message copies and buffer management. Accordingly the
 // codec is append-style throughout — MarshalAppend and Chunker.Next write
-// into caller-provided buffers, Assembler reuses one grow-once buffer per
-// stream, and GetBuf/PutBuf recycle backing arrays through sync.Pool size
+// into caller-provided buffers (AppendHeader and Chunker.Parts go one
+// further and hand a carrier the pieces, so it copies the payload only into
+// its own frames), Assembler reuses one grow-once buffer per stream, and GetBuf/PutBuf recycle backing arrays through sync.Pool size
 // classes — so a steady-state send → segment → reassemble → deliver cycle
 // allocates (almost) nothing.
 package wire
@@ -152,10 +153,23 @@ func (m *Message) optSize() int {
 // control words + payload).
 func (m *Message) WireSize() int { return HeaderSize + m.optSize() + len(m.Data) }
 
+// MaxHeaderSize is the longest encoded header: the base header, both
+// optional control words and their two owning-channel bytes.
+const MaxHeaderSize = HeaderSize + 4 + 4 + 2
+
 // MarshalAppend encodes the message (header + payload) onto dst and returns
 // the extended slice. Callers that size dst with WireSize (typically via
 // GetBuf) get an allocation-free encode.
 func (m *Message) MarshalAppend(dst []byte) []byte {
+	return append(m.AppendHeader(dst), m.Data...)
+}
+
+// AppendHeader encodes everything of the message but its payload — the base
+// header and the optional control words, at most MaxHeaderSize octets — onto
+// dst. The wire form is AppendHeader ++ Data; a carrier that segments the
+// message (wire.NewChunkerRuns) encodes the header here and reads the payload
+// from where the caller left it.
+func (m *Message) AppendHeader(dst []byte) []byte {
 	var hdr [HeaderSize]byte
 	off := len(dst)
 	dst = append(dst, hdr[:]...)
@@ -196,7 +210,7 @@ func (m *Message) MarshalAppend(dst []byte) []byte {
 			dst = append(dst, byte(m.chanOrOwn(m.AckChan)))
 		}
 	}
-	return append(dst, m.Data...)
+	return dst
 }
 
 // chanOrOwn resolves a piggybacked word's owning channel for encoding: zero

@@ -283,6 +283,47 @@ func TestChunkRoundtripProperty(t *testing.T) {
 	}
 }
 
+// TestChunkerRunsMatchWhole: a message given as header ++ payload chunks to
+// exactly the frames of its marshalled whole, and Next is the append of the
+// Parts view — for every message whose header straddles the first chunk
+// boundary, for exact multiples of the chunk payload, and for the empty
+// message (one frame, header only).
+func TestChunkerRunsMatchWhole(t *testing.T) {
+	m := &Message{From: 1, To: 2, Tag: 9, ESeq: 5, Channel: 3, Credit: 7, HasCredit: true, Ack: 4, HasAck: true, AckChan: 8}
+	for _, maxPayload := range []int{1, 7, HeaderSize, m.optSize() + HeaderSize, 100, 8184} {
+		for _, n := range []int{0, 1, maxPayload - 1, maxPayload, maxPayload + 1, 3 * maxPayload, 1000} {
+			m.Data = make([]byte, n)
+			for i := range m.Data {
+				m.Data[i] = byte(i*7 + 1)
+			}
+			whole := m.MarshalAppend(nil)
+			head := m.AppendHeader(nil)
+			if len(head) > MaxHeaderSize || len(head) != m.WireSize()-n || !bytes.Equal(whole, append(head, m.Data...)) {
+				t.Fatalf("AppendHeader: %d octets (max %d), whole %d, data %d", len(head), MaxHeaderSize, len(whole), n)
+			}
+			want := chunkAndCollect(whole, 77, maxPayload)
+			byNext := NewChunkerRuns(head, m.Data, 77, maxPayload)
+			byParts := byNext
+			if byNext.NumChunks() != len(want) {
+				t.Fatalf("max %d data %d: %d chunks, want %d", maxPayload, n, byNext.NumChunks(), len(want))
+			}
+			for i, w := range want {
+				got, ok := byNext.Next(nil)
+				hdr, a, b, okParts := byParts.Parts()
+				if !ok || !okParts || !bytes.Equal(got, w) || !bytes.Equal(append(append(hdr[:], a...), b...), w) {
+					t.Fatalf("max %d data %d chunk %d: runs differ from the whole message's chunk", maxPayload, n, i)
+				}
+			}
+			if _, ok := byNext.Next(nil); ok {
+				t.Fatal("Next past the last chunk")
+			}
+			if _, _, _, ok := byParts.Parts(); ok {
+				t.Fatal("Parts past the last chunk")
+			}
+		}
+	}
+}
+
 // TestChunkReorderNeverCorrupts: delivering chunks in a shuffled order must
 // never complete a message with wrong bytes — the assembler either
 // reassembles the exact original (identity shuffle) or drops.
