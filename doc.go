@@ -16,9 +16,9 @@
 //
 // The control plane piggybacks on the data plane (wire format v3): a data
 // frame carries its channel's pending credit advertisement and ack as
-// optional header words, with a short flush timer (Config.CtrlFlushDelay)
-// falling back to standalone — and coalesced — control frames when no
-// reverse data flows. The send system thread drains bursts and hands
+// optional header words, with a short flush timer (1 ms) falling back to
+// standalone control frames — cumulative advertisements, one covering every
+// delivery since the last — when no reverse data flows on the channel. The send system thread drains bursts and hands
 // same-destination runs to carriers through transport.BatchSender (one
 // scheduler post on Mem, one writev on real TCP, MTU-bounded cell-train
 // datagrams on UDP/ATM — each message serialized once, from where its

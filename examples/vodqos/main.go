@@ -144,8 +144,8 @@ func main() {
 		}
 		fmt.Printf("%s lanes:\n", name)
 		for _, l := range ls {
-			fmt.Printf("  lane %d: %d channels, piggy share %4.1f%% (%d coalesced cross-channel), %d DRR rounds\n",
-				l.Lane, l.Channels, 100*l.PiggyShare, l.CtrlCoalesced, l.DRRRounds)
+			fmt.Printf("  lane %d: %d channels, piggy share %4.1f%%, %d DRR rounds\n",
+				l.Lane, l.Channels, 100*l.PiggyShare, l.DRRRounds)
 		}
 	}
 	fmt.Printf("VOD stream: %d frames at %.0f fps target while %d MB of lossy bulk traffic shared the proc pair\n",
@@ -167,12 +167,12 @@ func main() {
 	fmt.Printf("credit protocol: %d stale adverts superseded, %d periodic window syncs, %d credits uncollected at exit\n",
 		bulkFlow.StaleCredits(), clientFlow.Syncs(), bulkFlow.Outstanding())
 	// The bulk stream is one-way, so the client has no data frames for its
-	// credits and acks to ride — the win here is pure coalescing: one
-	// cumulative frame covers a burst of deliveries, where the
-	// pre-coalescing protocol sent one credit AND one ack per message
+	// credits and acks to ride — the win here is cumulative
+	// advertisements: one frame covers a burst of deliveries, where a
+	// per-message protocol sends one credit AND one ack per message
 	// (2.0/msg) before loss-induced re-acks.
 	cs := bulk1.Stats()
-	fmt.Printf("control plane: client sent %d control words piggybacked on data, %d standalone frames (%.2f per delivered message; one credit + one ack each, 2.0+, before coalescing)\n",
+	fmt.Printf("control plane: client sent %d control words piggybacked on data, %d standalone frames (%.2f per delivered message; one credit + one ack each, 2.0+, without cumulative advertisements)\n",
 		cs.CtrlPiggybacked, cs.CtrlStandalone, float64(cs.CtrlStandalone)/float64(max(cs.Received, 1)))
 	fmt.Println("rate flow held the stream cadence; window+go-back-N carried the bulk class through 20% loss on its own channel")
 }

@@ -15,8 +15,8 @@ import (
 // go-back-N channels per direction, bidirectional traffic, behind
 // `ncsbench -experiment mesh`. Every channel of a proc goes to its one peer,
 // so the peer hash puts all six on one lane: the run shows that lane's
-// scheduler — DRR shares under -weights, piggybacked and coalesced control —
-// and the idle lanes beside it.
+// scheduler — DRR shares under -weights, control piggybacked on each
+// channel's own reverse data — and the idle lanes beside it.
 
 const (
 	meshChans   = 6
@@ -134,13 +134,12 @@ func RenderMesh(cfg MeshConfig, r MeshResult) string {
 			s.CtrlPiggybacked, s.CtrlStandalone)
 	}
 	fmt.Fprintf(&b, "aggregate: %.1f MB/s in %v\n\n", r.MBps(), r.Elapsed.Round(time.Millisecond))
-	fmt.Fprintf(&b, "%-12s %6s %6s %10s %10s\n",
-		"lane", "chans", "piggy%", "coalesced", "drr_rnds")
+	fmt.Fprintf(&b, "%-12s %6s %6s %10s\n",
+		"lane", "chans", "piggy%", "drr_rnds")
 	for side, lanes := range r.Procs {
 		for _, ls := range lanes {
-			fmt.Fprintf(&b, "proc%d/lane%-2d %5d %6.1f %10d %10d\n",
-				side, ls.Lane, ls.Channels, 100*ls.PiggyShare,
-				ls.CtrlCoalesced, ls.DRRRounds)
+			fmt.Fprintf(&b, "proc%d/lane%-2d %5d %6.1f %10d\n",
+				side, ls.Lane, ls.Channels, 100*ls.PiggyShare, ls.DRRRounds)
 		}
 	}
 	return b.String()

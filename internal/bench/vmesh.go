@@ -13,7 +13,7 @@ import (
 )
 
 // The virtual-mesh experiments are what the virtual-time execution mode
-// exists for: N procs — sharded lanes, DRR, coalescing, signaling, failure
+// exists for: N procs — sharded lanes, DRR, piggybacked control, signaling, failure
 // detection and all — on one deterministic discrete-event loop
 // (core.NewVirtualMesh). Every number is modeled, and each run's timeline
 // hash is the determinism contract: the same parameters reproduce it byte

@@ -117,7 +117,7 @@ func TestLaneSchedOversizedFrame(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Flush-wheel timer coalescing (satellite: 256 idle channels ≠ 256 timers)
+// One flush timer per lane (256 idle channels ≠ 256 timers)
 
 // TestFlushWheelTimerCount opens 255 reliable channels (every usable ID)
 // spread over four lanes, pushes one message through each (so all 255
@@ -185,17 +185,28 @@ func TestFlushWheelTimerCount(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-channel control coalescing (tentpole layer 1)
+// Control stays on its own channel
 
-// TestCrossChannelCoalesce runs data one way on a reliable channel and
-// unrelated reverse traffic on a *sibling* channel to the same peer. The
-// receiver's acknowledgements must ride the sibling's data frames
-// (stamped with their owning channel), and the sender must route the
-// foreign words back to the right discipline — the send side completes
-// only if every cross-carried ack lands.
-func TestCrossChannelCoalesce(t *testing.T) {
+// TestControlStaysOnItsChannel runs data one way on a reliable channel and
+// unrelated reverse traffic on a *sibling* channel to the same peer. Per-channel
+// QoS means the sibling's frames carry none of the reliable channel's
+// acknowledgements: with no reverse data of its own, every ack of channel 1
+// leaves standalone off the flush wheel (cumulative, so at most one per
+// message), and the sender's window of 8 lets all 200 messages through only
+// if they land.
+func TestControlStaysOnItsChannel(t *testing.T) {
 	const msgs = 200
 	mem := transport.NewMem()
+	// An observer, not a fault: every frame is offered for dropping so the
+	// class hook sees it, and the hook declines them all.
+	var foreign atomic.Int64
+	mem.SetDropEvery(1)
+	mem.SetDropClass(func(m *transport.Message) bool {
+		if m.Channel == 2 && m.Tag >= 0 && (m.HasAck || m.HasCredit) {
+			foreign.Add(1)
+		}
+		return false
+	})
 	procs := make([]*Proc, 2)
 	for i := 0; i < 2; i++ {
 		rt := mts.New(mts.Config{Name: fmt.Sprintf("node%d", i), IdleTimeout: 10 * time.Second})
@@ -226,27 +237,26 @@ func TestCrossChannelCoalesce(t *testing.T) {
 		for k := 0; k < msgs; k++ {
 			m := th.recvMsgOn(1, Any, Any, 0)
 			m.Release()
-			// Reverse data on the *other* channel: the ack queued by the
-			// arrival above should hitch a ride on this frame.
+			// Reverse data on the *other* channel, queued right behind the
+			// ack the arrival above produced.
 			b1.SendTagged(th, k, 1, []byte{byte(k)})
 		}
 	})
 	runReal(procs)
 
+	if n := foreign.Load(); n != 0 {
+		t.Fatalf("%d channel-2 data frames carried a control word: channel 2 runs no flow or error control", n)
+	}
 	st := a1.Stats()
-	if st.CtrlCoalesced == 0 {
-		t.Fatalf("no acks rode the sibling channel (piggy %d standalone %d)",
-			st.CtrlPiggybacked, st.CtrlStandalone)
+	if st.Received != msgs {
+		t.Fatalf("channel 1 delivered %d of %d messages", st.Received, msgs)
 	}
-	t.Logf("receiver ack path: %d coalesced cross-channel, %d piggybacked total, %d standalone",
-		st.CtrlCoalesced, st.CtrlPiggybacked, st.CtrlStandalone)
-	ls := procs[1].LaneStats()
-	var coal int64
-	for _, l := range ls {
-		coal += l.CtrlCoalesced
+	if st.CtrlPiggybacked != 0 || st.CtrlStandalone <= 0 || st.CtrlStandalone > msgs {
+		t.Fatalf("channel 1's receiver end sent %d acks piggybacked and %d standalone, want 0 and 1..%d",
+			st.CtrlPiggybacked, st.CtrlStandalone, msgs)
 	}
-	if coal != st.CtrlCoalesced {
-		t.Fatalf("lane counters disagree with channel counters: %d vs %d", coal, st.CtrlCoalesced)
+	if dropped := mem.Dropped(); dropped != 0 {
+		t.Fatalf("the observer dropped %d frames", dropped)
 	}
 }
 

@@ -368,11 +368,10 @@ func TestPiggybackAllocs(t *testing.T) {
 // TestOneWayWindowedStandaloneShare holds the piggyback protocol's headline
 // number on the shape where nothing flows back to ride: a WindowFlow(8)
 // 32 KB one-way stream beside a priority-7 4 KB one, each proc on its own
-// runtime over Mem. Before piggybacking and threshold-coalesced credits the
-// receiver sent one standalone credit frame per delivery (1.0); now an
-// advertisement is forced once per 3/4 window of deliveries (0.17 under the
-// thread driver, 0.13 under the goroutine driver, where a pass covers more
-// deliveries) and the flush timer adds at most one frame per
+// runtime over Mem. Before piggybacking and threshold credit advertisements
+// the receiver sent one standalone credit frame per delivery (1.0); now an
+// advertisement is forced once per 3/4 window of deliveries (0.17, under
+// every driver) and the flush timer adds at most one frame per
 // DefaultCtrlFlushDelay of run time — which is all that makes the count
 // depend on the host (0.25 under -race -cpu=1), so the limit says so. Zero
 // would mean the window never needed an advertisement and the test stopped

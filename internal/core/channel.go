@@ -137,27 +137,19 @@ type Channel struct {
 	ln *lane
 
 	// Pending reverse-direction control: the receiver role's credit
-	// advertisement and error-control acks wait here for a data frame
-	// toward the peer to piggyback on (attachPiggy or a same-lane
-	// cross-channel ride) or for the lane's flush wheel, whichever comes
-	// first. pendCredit is cumulative (a newer value supersedes); pendAcks
-	// holds at most one word under go-back-N (cumulative) and a short
-	// burst under selective repeat.
+	// advertisement and error-control acks wait here for the channel's next
+	// data frame toward the peer to piggyback on (attachPiggy) or for the
+	// lane's flush wheel, whichever comes first. pendCredit is cumulative (a
+	// newer value supersedes); pendAcks holds at most one word under
+	// go-back-N (cumulative) and a short burst under selective repeat.
 	pendCredit   uint32
 	pendCreditOn bool
 	pendAcks     []uint32
 
 	// Flush-wheel state (owning lane's lock): flushOn marks an entry in the
-	// wheel, flushAt its deadline, and flushDeferred that the wheel already
-	// granted one extra window waiting for an imminent same-peer data ride
-	// (bounded: the second expiry always flushes). inPend marks membership
-	// in the lane's pending-control index; mustFlushOn marks a forced
-	// advertisement queued for the end of the current service pass.
-	flushOn       bool
-	flushAt       time.Duration
-	flushDeferred bool
-	inPend        bool
-	mustFlushOn   bool
+	// wheel, flushAt its deadline.
+	flushOn bool
+	flushAt time.Duration
 
 	// DRR state (owning lane's lock): sq is the channel's FIFO of queued
 	// send requests, deficit its byte deficit, inSched its membership in
@@ -180,7 +172,6 @@ type Channel struct {
 	bytesSent, bytesReceived atomic.Int64
 	ctrlPiggy                atomic.Int64 // control words that rode data frames
 	ctrlStandalone           atomic.Int64 // standalone control frames sent
-	ctrlCoalesced            atomic.Int64 // words that rode another channel's frame
 }
 
 // ChannelStats is a channel's traffic snapshot.
@@ -198,9 +189,7 @@ type ChannelStats struct {
 	// (threshold advertisements, flush-timer fallbacks, window syncs).
 	// Their ratio is the piggyback protocol's effectiveness.
 	CtrlPiggybacked, CtrlStandalone int64
-	// CtrlCoalesced counts the subset of CtrlPiggybacked that rode a
-	// *different* channel's data frame toward the same peer (lane-aware
-	// cross-channel coalescing).
+	// CtrlCoalesced is always zero: see LaneStats.
 	CtrlCoalesced int64
 	// Weight is the channel's DRR service weight and Deficit its current
 	// byte deficit in the lane scheduler.
@@ -446,8 +435,7 @@ func (c *Channel) Stats() ChannelStats {
 		Sent: c.sent.Load(), Received: c.received.Load(),
 		BytesSent: c.bytesSent.Load(), BytesReceived: c.bytesReceived.Load(),
 		CtrlPiggybacked: c.ctrlPiggy.Load(), CtrlStandalone: c.ctrlStandalone.Load(),
-		CtrlCoalesced: c.ctrlCoalesced.Load(),
-		Weight:        c.weight, Lane: c.ln.idx,
+		Weight: c.weight, Lane: c.ln.idx,
 		Flow: c.flow.Name(), Error: c.errc.Name(),
 	}
 	c.ln.mu.Lock()
@@ -459,11 +447,11 @@ func (c *Channel) Stats() ChannelStats {
 // ---------------------------------------------------------------------------
 // Piggybacked control
 
-// DefaultCtrlFlushDelay is the piggyback window when Config.CtrlFlushDelay
-// is zero: how long queued reverse-direction control waits for a data
-// frame before a standalone control frame flushes it. It is deliberately
-// far below every discipline timescale (retransmission timeouts, window
-// sync), so delaying control this long costs latency but never correctness.
+// DefaultCtrlFlushDelay is the piggyback window: how long queued
+// reverse-direction control waits for a data frame of its channel before a
+// standalone control frame flushes it. It is deliberately far below every
+// discipline timescale (retransmission timeouts, window sync), so delaying
+// control this long costs latency but never correctness.
 const DefaultCtrlFlushDelay = time.Millisecond
 
 // queueCredit files the flow tier's cumulative credit advertisement for
@@ -491,21 +479,14 @@ func (c *Channel) queueAck(v uint32, cumulative bool) {
 // armFlush schedules the standalone fallback for queued control by filing
 // the channel on its lane's flush wheel — one timer per lane serves every
 // channel with pending control, so 256 idle channels cost at most one armed
-// timer each wheel, not 256. A negative
-// CtrlFlushDelay disables the piggyback window entirely: control flushes
-// standalone immediately, the pre-piggyback behavior.
+// timer each wheel, not 256.
 func (c *Channel) armFlush() {
-	if c.p.ctrlFlush < 0 {
-		c.flushCtrl()
-		return
-	}
-	ln := c.laneOf()
-	ln.pendAddLocked(c)
 	if c.flushOn || c.closed {
 		return
 	}
+	ln := c.laneOf()
 	c.flushOn = true
-	c.flushAt = time.Duration(c.p.cfg.RT.Now()) + c.p.ctrlFlush
+	c.flushAt = time.Duration(c.p.cfg.RT.Now()) + DefaultCtrlFlushDelay
 	ln.flushQ.Push(c)
 	ln.armWheelLocked()
 }
@@ -530,7 +511,6 @@ func (c *Channel) flushCtrl() {
 		ln.pushCtrlLocked(c.peer, c.id, tagGBNAck, nil, c.pendAcks...)
 		c.pendAcks = c.pendAcks[:0]
 	}
-	ln.pendDropLocked(c)
 }
 
 // wrapTimer adapts a discipline timer callback to the channel's lane domain:
@@ -558,14 +538,11 @@ func (c *Channel) raise(err error) {
 // credit word and the oldest queued ack ride for free. Runs in the service
 // pass immediately before the frame is handed to the carrier.
 // Slots a previous transmission already occupied are skipped (a go-back-N
-// retransmission re-sends the exact bytes it carried the first time);
-// cross-channel coalescing may then fill the free slot from a sibling
-// channel, so each attached word is stamped with its owning channel.
+// retransmission re-sends the exact bytes it carried the first time).
 func (c *Channel) attachPiggy(m *transport.Message) {
 	ln := c.laneOf()
 	if c.pendCreditOn && !m.HasCredit {
 		m.Credit, m.HasCredit = c.pendCredit, true
-		m.CreditChan = c.id
 		c.pendCreditOn = false
 		c.ctrlPiggy.Add(1)
 		ln.ctrlPiggyL++
@@ -573,14 +550,10 @@ func (c *Channel) attachPiggy(m *transport.Message) {
 	}
 	if n := len(c.pendAcks); n > 0 && !m.HasAck {
 		m.Ack, m.HasAck = c.pendAcks[0], true
-		m.AckChan = c.id
 		copy(c.pendAcks, c.pendAcks[1:])
 		c.pendAcks = c.pendAcks[:n-1]
 		c.ctrlPiggy.Add(1)
 		ln.ctrlPiggyL++
-	}
-	if !c.pendCreditOn && len(c.pendAcks) == 0 {
-		ln.pendDropLocked(c)
 	}
 }
 

@@ -35,12 +35,13 @@
 // # Threading model
 //
 // There is one send/recv protocol implementation — the lane code in lane.go:
-// admission, piggybacked and coalesced control, deficit round robin across a
-// lane's channels under strictly-first control traffic (drr.go), a per-lane
-// flush wheel, demultiplexing and the scheduler-domain drain — and every Proc
-// runs it over at least one lane. What varies is the lane's execution
-// vehicle, its engineDriver, which New selects per Proc from the carrier's
-// capabilities and the hooks already in Config (there is nothing to set):
+// admission, control piggybacked on its own channel's data, deficit round
+// robin across a lane's channels under strictly-first control traffic
+// (drr.go), a per-lane flush wheel, demultiplexing and the scheduler-domain
+// drain — and every Proc runs it over at least one lane. What varies is the
+// lane's execution vehicle, its engineDriver, which New selects per Proc from
+// the carrier's capabilities and the hooks already in Config (there is nothing
+// to set):
 //
 //   - Thread driver: the paper's exact model (§4, Figure 8) — one send and
 //     one receive system thread at top priority over a single lane. NCS_send
@@ -69,8 +70,7 @@
 // when it is opened: a channel runs on the lane its peer hashes to, or on the
 // one ChannelConfig.Lane names, for life. Several busy channels to one peer
 // therefore share a lane unless pinned apart. Proc.LaneStats reports the
-// per-lane view: piggyback share, coalesced control words, DRR rounds and
-// engine passes.
+// per-lane view: piggyback share, DRR rounds and engine passes.
 //
 // NewVirtualMesh builds the standard virtual-mode arrangement — N procs on
 // one engine over a frame-granular fabric — and TimelineHash fingerprints
@@ -142,14 +142,6 @@ type Config struct {
 	// of falling back to the thread driver. Requires After; NewVirtualMesh
 	// sets both.
 	VirtualTime bool
-	// CtrlFlushDelay bounds how long a channel's pending reverse-direction
-	// control (cumulative credit advertisements, acks) may wait to
-	// piggyback on a data frame before a standalone control frame flushes
-	// it. 0 selects DefaultCtrlFlushDelay; negative disables the piggyback
-	// window entirely — every control word flushes standalone the moment
-	// it is produced (the pre-v3 wire behavior, useful for experiments
-	// isolating the piggyback effect).
-	CtrlFlushDelay time.Duration
 	// ArrivalPollDelay models Approach 1's receive discovery latency: the
 	// NCS receive system thread polls p4 underneath (§4.2 — NCS_recv is
 	// built on p4_messages_available/p4_recv), so a message that arrives
@@ -269,10 +261,9 @@ type Proc struct {
 	// (scheduler domain; the send path's freelists are per lane).
 	waiterFree []*recvWaiter
 
-	// ctrlFlush is the resolved CtrlFlushDelay. flushTimers counts armed
-	// flush-wheel timers process-wide (each lane carries one wheel, see
-	// lane.go) — the per-lane-wheel invariant a test asserts.
-	ctrlFlush   time.Duration
+	// flushTimers counts armed flush-wheel timers process-wide (each lane
+	// carries one wheel, see lane.go) — the per-lane-wheel invariant a test
+	// asserts.
 	flushTimers atomic.Int64
 
 	// channels holds every open channel, keyed by (peer, channel ID).
@@ -376,10 +367,6 @@ func New(cfg Config) *Proc {
 				fn()
 			})
 		}
-	}
-	p.ctrlFlush = cfg.CtrlFlushDelay
-	if p.ctrlFlush == 0 {
-		p.ctrlFlush = DefaultCtrlFlushDelay
 	}
 	p.channels = make(map[chanKey]*Channel)
 	p.onException = func(err error) {

@@ -158,6 +158,7 @@ func TestEngineMatrix(t *testing.T) {
 			matrixLossyStream(t, env, nil, NewSelectiveRepeat(8, 20*time.Millisecond))
 		}},
 		{"priority", matrixPriority},
+		{"advertise", matrixAdvertise},
 		{"callchurn", matrixCallChurn},
 		{"peerdeath", matrixPeerDeath},
 		{"group", matrixGroup},
@@ -305,6 +306,29 @@ func matrixPriority(t *testing.T, env matrixEnv) {
 	cl.finish(t, nil)
 	if len(order) != 2 || order[0] != "high" {
 		t.Fatalf("arrival order = %v, want high first", order)
+	}
+}
+
+// matrixAdvertise: a window-threshold advertisement is queued as a standalone
+// frame the moment the flow tier produces it — before any service pass, and
+// whoever will run that pass — so when a credit leaves does not depend on the
+// driver.
+func matrixAdvertise(t *testing.T, env matrixEnv) {
+	cl := env.build(t, 2, matrixOpt{flow: NewWindowFlow(8)})
+	cl.procs[0].TCreate("adv", mts.PrioDefault, func(th *Thread) {
+		c := cl.procs[0].DefaultChannel(1)
+		ln := c.lockLane()
+		c.Flow().(*WindowFlow).advertise()
+		if ln.pending.empty() {
+			t.Error("advertisement with nothing queued behind it is not in the send queue: it waits for a pass or a ride")
+		}
+		ln.leave()
+		th.Send(0, 1, []byte("bye")) // FIFO behind the credit frame
+	})
+	cl.procs[1].TCreate("rx", mts.PrioDefault, func(th *Thread) { th.Recv(Any, 0) })
+	cl.finish(t, nil)
+	if st := cl.procs[0].DefaultChannel(1).Stats(); st.CtrlStandalone < 1 {
+		t.Errorf("CtrlStandalone = %d after a forced advertisement, want >= 1", st.CtrlStandalone)
 	}
 }
 
@@ -561,8 +585,8 @@ func TestEngineMatrixThreadDriverInvariants(t *testing.T) {
 		before := credits
 		ln := c.lockLane()
 		c.Flow().(*WindowFlow).advertise()
-		if len(ln.mustFlush) != 0 || ln.pending.empty() {
-			t.Error("forced advertisement deferred to the end of a pass: the thread driver builds it on the spot")
+		if ln.pending.empty() {
+			t.Error("forced advertisement not queued on the spot")
 		}
 		ln.service()
 		ln.mu.Unlock()

@@ -44,8 +44,7 @@ type ErrorControl interface {
 	// the process's system threads stay alive while it is non-zero.
 	pending() int
 	// queued reports admission-deferred requests the discipline is holding
-	// — data that will re-emerge, which the flush wheel treats as an
-	// imminent piggyback ride.
+	// — data that will re-emerge.
 	queued() int
 	// shutdown fails admission-deferred requests (their callers unblock)
 	// but leaves the in-flight window draining: already-admitted data

@@ -46,8 +46,7 @@ type FlowControl interface {
 	// bookkeeping tracks what the peer has really been told.
 	creditSent(v uint32)
 	// queued reports how many requests the discipline is holding deferred —
-	// data the lane knows will re-emerge, which the flush wheel treats as
-	// an imminent piggyback ride.
+	// data the lane knows will re-emerge.
 	queued() int
 	// shutdown tears the discipline down: timers stop and requests still
 	// gated inside it fail (their callers unblock; the proc's exception
@@ -222,14 +221,15 @@ func (w *WindowFlow) onDelivered(m *transport.Message) {
 	w.armSync()
 }
 
-// advertise flushes the cumulative delivered count to the sender
-// immediately. Absolute, not incremental: losing this frame costs nothing
-// once any later one (or a sync tick's re-advertisement) gets through.
-// What "immediately" means is the lane's (forceCtrlLocked).
+// advertise queues the cumulative delivered count as a standalone control
+// frame on the spot, under every driver (the peer's window may be running
+// dry): it does not wait for a ride. Absolute, not incremental: losing this
+// frame costs nothing once any later one (or a sync tick's re-advertisement)
+// gets through.
 func (w *WindowFlow) advertise() {
 	w.c.pendCredit = w.delivered
 	w.c.pendCreditOn = true
-	w.c.laneOf().forceCtrlLocked(w.c)
+	w.c.flushCtrl()
 }
 
 // creditSent implements FlowControl: a queued advertisement left the

@@ -17,11 +17,11 @@ import (
 // This file is the NCS_MPS send/recv engine: the one implementation of the
 // protocol the paper gives to a send and a receive system thread per process
 // (§4, Figure 8). Its state lives in *lanes*, each owning its own send
-// scheduler, receive queue, freelists, pending-control index and flush
-// wheel; every Proc has at least one. A channel lives on exactly one lane,
-// fixed when it is opened (default: hash of the peer, overridable via
-// ChannelConfig.Lane), so priority and per-channel FIFO ordering are preserved
-// within a channel while independent channels run on separate cores.
+// scheduler, receive queue, freelists and flush wheel; every Proc has at
+// least one. A channel lives on exactly one lane, fixed when it is opened
+// (default: hash of the peer, overridable via ChannelConfig.Lane), so priority
+// and per-channel FIFO ordering are preserved within a channel while
+// independent channels run on separate cores.
 //
 // Who executes a lane is the engineDriver's business, not the protocol's.
 // There are three (see "Engine drivers" below): the thread driver — the
@@ -29,11 +29,12 @@ import (
 // charge or park the thread they are handed and for a resolved lane count of
 // one — the goroutine driver (one engine goroutine per lane, senders
 // servicing inline) and the virtual driver (lane engines as events on a
-// discrete-event clock). What differs between them is confined to this
-// file: who runs a service pass (lane.service), which thread the carrier is
-// handed and whether the lane lock is dropped around that call
-// (flushRunLocked), how a finished request's wakeup travels (retireLocked),
-// and when a forced advertisement is built (forceCtrlLocked).
+// discrete-event clock). What differs between them is confined to three
+// functions of this file, and is execution only — the protocol's timing is
+// the same under all three: who runs a service pass (lane.service), which
+// thread the carrier is handed and whether the lane lock is dropped around
+// that call (flushRunLocked), and how a finished request's wakeup travels
+// (retireLocked).
 //
 // Execution domains. The mts scheduler is one domain — exactly one thread
 // runs at a time — and each lane adds one:
@@ -132,13 +133,10 @@ const inlinePassMax = 4 << 10
 
 // rxItem is one arriving message routed to a lane: the decoded frame plus
 // its channel, resolved in the *sender's* goroutine so the engine never
-// touches the channel table. cc/ca name the channels a cross-channel
-// piggybacked credit/ack word belongs to when that differs from the
-// frame's own channel (lane-aware coalescing).
+// touches the channel table.
 type rxItem struct {
-	m      *transport.Message
-	c      *Channel // nil for signaling and unknown-channel traffic
-	cc, ca *Channel // cross-channel credit / ack targets (usually nil)
+	m *transport.Message
+	c *Channel // nil for signaling and unknown-channel traffic
 }
 
 // level files an arriving item in a lane's receive queue: control above all
@@ -175,15 +173,6 @@ type lane struct {
 	// chans lists every channel served by this lane.
 	chans []*Channel
 
-	// pendCtrl indexes this lane's channels with pending reverse-direction
-	// control by peer, so a departing data frame can pick a sibling
-	// channel's credit/ack up (cross-channel coalescing). mustFlush queues
-	// forced advertisements (window-threshold credits) for the end of the
-	// current service pass: a data frame queued in the same pass carries
-	// them for free, anything still pending then goes standalone.
-	pendCtrl  map[ProcID][]*Channel
-	mustFlush []*Channel
-
 	// flushQ is the lane's flush wheel: channels whose piggyback window is
 	// running, in deadline order (the delay is constant), covered by one
 	// armed timer (wheelOn) for the head deadline.
@@ -194,7 +183,6 @@ type lane struct {
 	// Adaptive-scheduler counters (under mu; LaneStats snapshots them).
 	ctrlPiggyL      int64
 	ctrlStandaloneL int64
-	ctrlCoalescedL  int64
 	enginePasses    int64
 	inlinePasses    int64
 
@@ -412,7 +400,10 @@ func (d *threadDriver) deliver(m *transport.Message) {
 		m.Release()
 		return
 	}
-	it := p.itemFor(m)
+	it := rxItem{m: m}
+	if chanAddressed(m.Tag) {
+		it.c = p.frameChannel(m.From, m.Channel)
+	}
 	ln.mu.Lock()
 	ln.rxq.push(it.level(), it)
 	ln.mu.Unlock()
@@ -554,22 +545,22 @@ type LaneStats struct {
 	Lane     int
 	Channels int
 	// CtrlPiggybacked / CtrlStandalone count control words that rode data
-	// frames vs standalone control frames sent by this lane's channels;
-	// CtrlCoalesced is the subset of piggybacked words that rode a
-	// *different* channel's frame. PiggyShare is
-	// piggybacked/(piggybacked+standalone).
+	// frames vs standalone control frames sent by this lane's channels.
+	// PiggyShare is piggybacked/(piggybacked+standalone).
 	CtrlPiggybacked int64
 	CtrlStandalone  int64
-	CtrlCoalesced   int64
 	PiggyShare      float64
 	// DRRRounds counts completed deficit-round-robin rounds of the lane's
 	// send scheduler.
 	DRRRounds int64
-	// MigratedOut and Steals are always zero: lane placement is static. They
-	// stay only because bench/ncs.go reads them, and leave with
-	// core.migrations / core.steals in the next benchmark PR.
-	MigratedOut int64
-	Steals      int64
+	// CtrlCoalesced (here and in ChannelStats), MigratedOut and Steals are
+	// always zero: a control word rides only its own channel's frames and
+	// lane placement is static. The four fields stay only because
+	// bench/ncs.go reads them, and leave with core.ctrl_coalesced_share,
+	// core.migrations and core.steals in the next benchmark PR.
+	CtrlCoalesced int64
+	MigratedOut   int64
+	Steals        int64
 	// EnginePasses / InlinePasses count the lane's engine passes by who ran
 	// them: the lane's own engine (goroutine, or virtual-mode step), or a
 	// delivering goroutine that found the engine asleep and the lane free.
@@ -588,7 +579,6 @@ func (p *Proc) LaneStats() []LaneStats {
 			Channels:        len(ln.chans),
 			CtrlPiggybacked: ln.ctrlPiggyL,
 			CtrlStandalone:  ln.ctrlStandaloneL,
-			CtrlCoalesced:   ln.ctrlCoalescedL,
 			DRRRounds:       ln.pending.rounds,
 			EnginePasses:    ln.enginePasses,
 			InlinePasses:    ln.inlinePasses,
@@ -620,7 +610,6 @@ func (p *Proc) buildLanes(n int) {
 		ln := &lane{p: p, idx: i}
 		ln.drainFn = ln.runDrain
 		ln.wheelFn = ln.wheelFire
-		ln.pendCtrl = make(map[ProcID][]*Channel)
 		if p.cfg.Tracer != nil {
 			ln.traceName = fmt.Sprintf("%s/lane%d", p.cfg.TraceName, i)
 		}
@@ -692,26 +681,8 @@ func (p *Proc) frameChannel(peer ProcID, id ChannelID) *Channel {
 	return c
 }
 
-// itemFor resolves an arriving message's channel — and the channels of any
-// cross-channel piggybacked control words — in the *calling* goroutine, so a
-// pass never takes the channel-table lock. (routeFrame keeps its own copy of
-// these lines: see there.)
-func (p *Proc) itemFor(m *transport.Message) rxItem {
-	it := rxItem{m: m}
-	if chanAddressed(m.Tag) {
-		it.c = p.frameChannel(m.From, m.Channel)
-		if m.HasCredit && m.CreditChan != m.Channel {
-			it.cc = p.frameChannel(m.From, m.CreditChan)
-		}
-		if m.HasAck && m.AckChan != m.Channel {
-			it.ca = p.frameChannel(m.From, m.AckChan)
-		}
-	}
-	return it
-}
-
 // routeFrame is the transport's frame handler: it decodes the frame and
-// resolves its channels in the *calling* goroutine (a peer's lane engine or
+// resolves its channel in the *calling* goroutine (a peer's lane engine or
 // scheduler thread, a socket reader), then hands the message to
 // the owning lane's ring — or, for a short frame whose lane engine is asleep
 // and whose deliverer may, runs the engine's pass on it right here
@@ -719,10 +690,6 @@ func (p *Proc) itemFor(m *transport.Message) rxItem {
 //
 // A frame that does not decode is a bug in the carrier: one that reads
 // untrusted bytes validates them before it calls (transport.FrameCarrier).
-//
-// The resolution is itemFor's, written out: as a call it cost pingpong_mem
-// 1.5-2 % of op_p50_us (2.79 → 2.83-2.84 µs, four alternated runs), and this
-// is the one caller that is on that path.
 func (p *Proc) routeFrame(fb *wire.Buf) {
 	m, err := wire.UnmarshalPooled(fb)
 	if err != nil {
@@ -731,12 +698,6 @@ func (p *Proc) routeFrame(fb *wire.Buf) {
 	it := rxItem{m: m}
 	if chanAddressed(m.Tag) {
 		it.c = p.frameChannel(m.From, m.Channel)
-		if m.HasCredit && m.CreditChan != m.Channel {
-			it.cc = p.frameChannel(m.From, m.CreditChan)
-		}
-		if m.HasAck && m.AckChan != m.Channel {
-			it.ca = p.frameChannel(m.From, m.AckChan)
-		}
 	}
 	ln := p.lanes[p.laneIndex(m.From, 0)]
 	if it.c != nil {
@@ -951,21 +912,12 @@ func (ln *lane) processLocked() {
 		// receiver-role state and stays valid whether this data copy turns
 		// out fresh, duplicate, or addressed to a closed channel (standalone
 		// control on closed channels is consumed too, and both words are
-		// supersede-safe). A peer may have coalesced a *sibling* channel's
-		// word onto this frame; the word's stamped channel routes it.
+		// supersede-safe).
 		if m.HasCredit {
-			if it.cc != nil {
-				ln.applyCrossLocked(it.cc, tagFlowAck, m.Credit)
-			} else {
-				c.flow.onCredit(m.Credit)
-			}
+			c.flow.onCredit(m.Credit)
 		}
 		if m.HasAck {
-			if it.ca != nil {
-				ln.applyCrossLocked(it.ca, tagGBNAck, m.Ack)
-			} else {
-				c.errc.onAck(m.Ack)
-			}
+			c.errc.onAck(m.Ack)
 		}
 		if c.closed {
 			// This end tore the channel down; without teardown signaling the
@@ -1028,244 +980,61 @@ func (ln *lane) leave() {
 
 // serviceLocked is the send protocol body, one pass: drain the lane's send
 // scheduler (control first, then DRR across channels) through admission,
-// piggyback attachment, cross-channel coalescing, and same-destination
-// batching — admitted requests accumulate into same-destination runs that go
-// to the carrier through transport.BatchSender in one call when it offers
-// batching, so per-message carrier costs (locks, wakeups, syscalls) amortize
-// across the burst. Forced credit advertisements queued by the flow tier
-// (mustFlush) are resolved at the end of the pass: a data frame serviced in
-// the same pass carries them for free, anything still pending goes
-// standalone.
+// piggyback attachment and same-destination batching — admitted requests
+// accumulate into same-destination runs that go to the carrier through
+// transport.BatchSender in one call when it offers batching, so per-message
+// carrier costs (locks, wakeups, syscalls) amortize across the burst.
 func (ln *lane) serviceLocked() {
 	p := ln.p
 	run := ln.sendRun[:0]
-	for {
-		for !ln.pending.empty() {
-			req := ln.pending.pop()
-			// Data messages pass their channel's flow-control and
-			// error-control admission; a controller that cannot admit now
-			// takes ownership of the request and re-enqueues it later, so a
-			// pass never blocks on data while control traffic (credits, acks,
-			// retransmissions — raw requests bypass admission) waits behind.
-			if req.m.Tag >= 0 && !req.raw {
-				if req.ch.sendUnavailable() {
-					// The channel closed while this request sat queued (Send
-					// raced Close): fail it exactly like shutdown failed the
-					// already-deferred ones, before any discipline can admit
-					// it into a torn-down window. Read the channel before
-					// retireLocked recycles the request.
-					c := req.ch
-					ln.retireLocked(req)
-					ln.errs = append(ln.errs, c.sendFailErr())
+	for !ln.pending.empty() {
+		req := ln.pending.pop()
+		// Data messages pass their channel's flow-control and
+		// error-control admission; a controller that cannot admit now
+		// takes ownership of the request and re-enqueues it later, so a
+		// pass never blocks on data while control traffic (credits, acks,
+		// retransmissions — raw requests bypass admission) waits behind.
+		if req.m.Tag >= 0 && !req.raw {
+			if req.ch.sendUnavailable() {
+				// The channel closed while this request sat queued (Send
+				// raced Close): fail it exactly like shutdown failed the
+				// already-deferred ones, before any discipline can admit
+				// it into a torn-down window. Read the channel before
+				// retireLocked recycles the request.
+				c := req.ch
+				ln.retireLocked(req)
+				ln.errs = append(ln.errs, c.sendFailErr())
+				continue
+			}
+			if !req.flowOK {
+				if !req.ch.flow.admit(req) {
 					continue
 				}
-				if !req.flowOK {
-					if !req.ch.flow.admit(req) {
-						continue
-					}
-					req.flowOK = true
-				}
-				if !req.ch.errc.admit(req) {
-					continue
-				}
+				req.flowOK = true
 			}
-			// Reverse-direction control rides along: a departing data frame
-			// (first transmission or retransmission alike) picks up its
-			// channel's pending credit advertisement and ack, then a
-			// sibling's.
-			if req.m.Tag >= 0 && req.ch != nil {
-				req.ch.attachPiggy(req.m)
-				ln.attachCrossLocked(req.ch, req.m)
-			}
-			if len(run) > 0 && (req.m.To != run[len(run)-1].m.To || len(run) >= maxSendBurst) {
-				run = ln.flushRunLocked(run)
-			}
-			run = append(run, req)
-			if p.laneBS == nil {
-				run = ln.flushRunLocked(run)
+			if !req.ch.errc.admit(req) {
+				continue
 			}
 		}
-		if len(ln.mustFlush) == 0 {
-			break
+		// Reverse-direction control rides along: a departing data frame
+		// (first transmission or retransmission alike) picks up its
+		// channel's pending credit advertisement and ack.
+		if req.m.Tag >= 0 && req.ch != nil {
+			req.ch.attachPiggy(req.m)
 		}
-		mf := ln.mustFlush
-		ln.mustFlush = nil
-		for i, c := range mf {
-			c.mustFlushOn = false
-			if !c.closed && (c.pendCreditOn || len(c.pendAcks) > 0) {
-				// No data frame in this pass picked the forced
-				// advertisement up; it must go now (the peer's window is
-				// at its sync threshold).
-				c.flushCtrl()
-			}
-			mf[i] = nil
+		if len(run) > 0 && (req.m.To != run[len(run)-1].m.To || len(run) >= maxSendBurst) {
+			run = ln.flushRunLocked(run)
 		}
-		if ln.mustFlush == nil {
-			ln.mustFlush = mf[:0]
+		run = append(run, req)
+		if p.laneBS == nil {
+			run = ln.flushRunLocked(run)
 		}
 	}
 	ln.sendRun = ln.flushRunLocked(run)
 }
 
-// attachCrossLocked fills a departing data frame's free credit/ack slots
-// from *sibling* channels to the same peer that have control pending —
-// the lane-aware cross-channel coalescing that keeps the piggyback share
-// high when a peer's control and data flow on different channels. Each
-// word is stamped with its owning channel (one extra wire byte per
-// foreign word).
-func (ln *lane) attachCrossLocked(c *Channel, m *transport.Message) {
-	if m.HasCredit && m.HasAck {
-		return
-	}
-	sibs := ln.pendCtrl[c.peer]
-	for i := 0; i < len(sibs); {
-		if m.HasCredit && m.HasAck {
-			return
-		}
-		s := sibs[i]
-		if s == c || s.closed {
-			i++
-			continue
-		}
-		attached := false
-		if s.pendCreditOn && !m.HasCredit {
-			m.Credit, m.HasCredit = s.pendCredit, true
-			m.CreditChan = s.id
-			s.pendCreditOn = false
-			s.ctrlPiggy.Add(1)
-			s.ctrlCoalesced.Add(1)
-			ln.ctrlPiggyL++
-			ln.ctrlCoalescedL++
-			s.flow.creditSent(s.pendCredit)
-			attached = true
-		}
-		if n := len(s.pendAcks); n > 0 && !m.HasAck {
-			m.Ack, m.HasAck = s.pendAcks[0], true
-			m.AckChan = s.id
-			copy(s.pendAcks, s.pendAcks[1:])
-			s.pendAcks = s.pendAcks[:n-1]
-			s.ctrlPiggy.Add(1)
-			s.ctrlCoalesced.Add(1)
-			ln.ctrlPiggyL++
-			ln.ctrlCoalescedL++
-			attached = true
-		}
-		if attached {
-			ln.markDecision(s, "coalesce")
-		}
-		if !s.pendCreditOn && len(s.pendAcks) == 0 {
-			// Drained: pendDropLocked swap-removes s, moving the old tail
-			// into slot i — re-read and revisit the slot.
-			ln.pendDropLocked(s)
-			sibs = ln.pendCtrl[c.peer]
-			continue
-		}
-		i++
-	}
-}
-
-// applyCrossLocked delivers a cross-channel piggybacked control word to
-// its owning channel: inline when that channel lives on this lane,
-// otherwise as a synthetic standalone control message forwarded to the
-// owner's ring (rare — the two ends pinned the siblings differently with
-// ChannelConfig.Lane — so the allocation stays off the steady-state hot path).
-func (ln *lane) applyCrossLocked(t *Channel, tag int, v uint32) {
-	if t.ln == ln {
-		if tag == tagFlowAck {
-			t.flow.onCredit(v)
-		} else {
-			t.errc.onAck(v)
-		}
-		return
-	}
-	m := &transport.Message{
-		From: t.peer, To: ln.p.cfg.ID, Channel: t.id, Tag: tag,
-		Data: wire.AppendUint32(nil, v),
-	}
-	ln.p.statRingPush.Add(1)
-	t.ln.rx.Push(rxItem{m: m, c: t})
-	t.ln.kick()
-}
-
 // ---------------------------------------------------------------------------
-// Pending-control index and flush wheel
-
-// pendAddLocked files c in the lane's pending-control index (by peer) so
-// departing data frames can find its credit/ack.
-func (ln *lane) pendAddLocked(c *Channel) {
-	if c.inPend {
-		return
-	}
-	c.inPend = true
-	ln.pendCtrl[c.peer] = append(ln.pendCtrl[c.peer], c)
-}
-
-// pendDropLocked removes c from the pending-control index once nothing is
-// pending (swap-remove; order within a peer's list is not meaningful).
-func (ln *lane) pendDropLocked(c *Channel) {
-	c.flushDeferred = false
-	if !c.inPend {
-		return
-	}
-	c.inPend = false
-	s := ln.pendCtrl[c.peer]
-	for i, x := range s {
-		if x == c {
-			s[i] = s[len(s)-1]
-			s[len(s)-1] = nil
-			ln.pendCtrl[c.peer] = s[:len(s)-1]
-			break
-		}
-	}
-}
-
-// rideImminentLocked reports whether a data frame toward c's peer is
-// queued or imminent on this lane — a frame the channel's pending control
-// could ride instead of flushing standalone: queued sends awaiting
-// service, sends parked inside a flow window or error-control tier that
-// will re-emerge shortly.
-func (ln *lane) rideImminentLocked(c *Channel) bool {
-	sibs := ln.chans
-	for _, s := range sibs {
-		if s.peer != c.peer || s.closed {
-			continue
-		}
-		if s.sq.Size() > 0 || s.flow.queued() > 0 || s.errc.queued() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// forceCtrlLocked makes c's pending control leave now instead of waiting for
-// a ride or the flush wheel (a window-threshold credit: the peer's window may
-// be running dry). Under the ring-fed drivers "now" is the end of the pass in
-// progress — the caller is inside one, or a timer about to service: a data
-// frame queued toward the peer in the same pass carries the words for free
-// (the cross-channel coalescing that keeps the piggyback share high when a
-// peer's control and data flow on different channels), and only what is
-// still pending after the pass goes standalone (mustFlush, serviceLocked).
-// Under the thread driver the caller is the receive system thread, whose
-// processing no service pass follows, so the frames are built on the spot,
-// with the count as it stands — not as it will stand when the send thread
-// gets to run, a whole cell train of deliveries later. That is the paper's
-// receive thread, and it is measured: built at the send thread's pass
-// instead, a udpatm stream's credit frames are fewer and fresher
-// (core.ctrl_standalone_per_msg 0.39 → 0.25), the sender's window stands
-// fuller, and stream_udpatm reads goodput_MBps +5 % for op_p50_us 185 → 245 —
-// the trade ROADMAP records under "udpatm on the lane engine" as needing its
-// own decision.
-func (ln *lane) forceCtrlLocked(c *Channel) {
-	if ln.td != nil {
-		c.flushCtrl()
-		return
-	}
-	ln.pendAddLocked(c)
-	if !c.mustFlushOn {
-		c.mustFlushOn = true
-		ln.mustFlush = append(ln.mustFlush, c)
-	}
-}
+// Flush wheel
 
 // armWheelLocked schedules the lane's flush wheel for its head deadline.
 // Entries enter with a constant delay, so the queue is in deadline order
@@ -1284,10 +1053,8 @@ func (ln *lane) armWheelLocked() {
 }
 
 // wheelFire is the lane flush wheel (scheduler domain, via Config.After):
-// for every channel whose piggyback window expired, either flush its
-// control standalone or — if a same-peer data frame is imminent on the
-// lane — defer one extra window to ride it (bounded: the second expiry
-// always flushes).
+// every channel whose piggyback window expired flushes standalone whatever
+// control no data frame of its own carried while the window ran.
 func (ln *lane) wheelFire() {
 	ln.p.flushTimers.Add(-1)
 	ln.mu.Lock()
@@ -1296,36 +1063,12 @@ func (ln *lane) wheelFire() {
 	for ln.flushQ.Size() > 0 && ln.flushQ.Peek().flushAt <= now {
 		c := ln.flushQ.Pop()
 		c.flushOn = false
-		if c.closed {
-			ln.pendDropLocked(c)
-			continue
+		if !c.closed {
+			c.flushCtrl()
 		}
-		if !c.pendCreditOn && len(c.pendAcks) == 0 {
-			// A data frame carried everything while the window ran.
-			ln.pendDropLocked(c)
-			continue
-		}
-		if !c.flushDeferred && ln.rideImminentLocked(c) {
-			c.flushDeferred = true
-			c.flushOn = true
-			c.flushAt = now + ln.p.ctrlFlush
-			ln.flushQ.Push(c)
-			ln.markDecision(c, "ctrl-defer")
-			continue
-		}
-		c.flushDeferred = false
-		c.flushCtrl()
 	}
 	ln.armWheelLocked()
 	ln.leave()
-}
-
-// markDecision emits a scheduler-decision mark ("coalesce", "ctrl-defer") on
-// the lane's trace timeline.
-func (ln *lane) markDecision(c *Channel, kind string) {
-	if tr := ln.p.cfg.Tracer; tr != nil {
-		tr.Mark(ln.traceName, kind+" "+c.lane)
-	}
 }
 
 // maxSendBurst bounds one same-destination run handed to a carrier's
@@ -1444,9 +1187,9 @@ func (ln *lane) retireLocked(req *sendReq) {
 
 // detachChanLocked strips a finalizing channel out of every lane structure
 // it participates in: queued sends fail with the typed closed error, the
-// DRR ring and pending-control index forget it, and it leaves the lane's
-// channel list. Caller holds ln.mu; the channel must already be in the
-// CLOSED state so no new work can re-enter behind the sweep.
+// DRR ring forgets it, and it leaves the lane's channel list. Caller holds
+// ln.mu; the channel must already be in the CLOSED state so no new work can
+// re-enter behind the sweep.
 func (ln *lane) detachChanLocked(c *Channel) {
 	for c.sq.Size() > 0 {
 		req := c.sq.Pop()
@@ -1454,7 +1197,6 @@ func (ln *lane) detachChanLocked(c *Channel) {
 		ln.errs = append(ln.errs, c.sendFailErr())
 	}
 	ln.pending.removeChan(c)
-	ln.pendDropLocked(c)
 	for i, x := range ln.chans {
 		if x == c {
 			ln.chans[i] = ln.chans[len(ln.chans)-1]

@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the virtual-time mesh harness: N procs — several lanes, DRR,
-// coalescing and all — executing on one discrete-event loop
+// piggybacked control and all — executing on one discrete-event loop
 // with a shared clock. It is how the modeled scaling results at N ∈ {64,
 // 256, 1024} are produced: lane engines run as vclock events (Config.
 // VirtualTime + the engineDriver seam in lane.go), frames travel as

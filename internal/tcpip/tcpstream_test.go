@@ -81,6 +81,7 @@ func TestTCPStreamChecks(t *testing.T) {
 		{"forged From", hdr(func(b []byte) { binary.BigEndian.PutUint32(b[8:], 7) }), 0, true},
 		{"wrong To", hdr(func(b []byte) { binary.BigEndian.PutUint32(b[12:], 7) }), 0, true},
 		{"control words past the frame", hdr(func(b []byte) { binary.BigEndian.PutUint32(b, wire.HeaderSize); b[4+34] = 0x3 }), 0, true},
+		{"retired cross-channel flag", hdr(func(b []byte) { b[4+34] = 0x4 }), 0, true},
 		{"good then bad", append(goodFrame(10), hdr(func(b []byte) { b[4] ^= 0xFF })...), 1, true},
 	}
 	for _, tc := range cases {

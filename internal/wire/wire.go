@@ -68,16 +68,7 @@ type Message struct {
 	// simply superseded by a later one.
 	Credit, Ack       uint32
 	HasCredit, HasAck bool
-	// CreditChan and AckChan name the channel each piggybacked word belongs
-	// to (format v4): a lane that has control pending for channel A and a
-	// data frame departing on channel B toward the same peer can attach A's
-	// words to B's frame — cross-channel piggyback. A word belonging to the
-	// frame's own channel costs nothing extra on the wire; a foreign word
-	// costs one byte (channel IDs fit the ATM VPI's 8 bits). Decoding fills
-	// these in unconditionally — same-channel words get Channel — so
-	// consumers always know the owning channel.
-	CreditChan, AckChan ChannelID
-	Data                []byte
+	Data              []byte
 
 	// pooled, when non-nil, is the pooled buffer Data aliases
 	// (UnmarshalPooled); Release returns it to the pool.
@@ -94,23 +85,20 @@ func (m *Message) String() string {
 // reserved bytes. Version 3 keeps the 36-byte base but gives the first
 // reserved byte to a flags field gating *optional* trailing control words
 // (piggybacked credit/ack, 4 bytes each, between header and payload), so a
-// frame carrying no control still costs exactly the v2 size. Version 4 adds
-// the flagChans cross-channel tagging bytes (one per present word, only when
-// a word is foreign to the frame's channel). The magic is bumped at each
-// revision so an older peer rejects newer frames loudly instead of
-// misparsing them.
+// frame carrying no control still costs exactly the v2 size. Version 4 let a
+// word name a channel other than the frame's own (flag bit 2 and one trailing
+// octet per word); that is retired — a word always belongs to the frame's
+// channel — and the bit is now one of the undefined ones checkHeader rejects,
+// so an older peer's cross-channel frame fails loudly instead of having its
+// channel octets read as payload. The magic is bumped at each revision that
+// an older decoder would misparse.
 const HeaderSize = 36
 
-// Optional-field flags (header byte 34).
+// Optional-field flags (header byte 34). Every other bit, and the reserved
+// octet after it, must be zero.
 const (
 	flagCredit = 1 << 0 // 4-byte cumulative credit advertisement present
 	flagAck    = 1 << 1 // 4-byte error-control acknowledgement present
-	// flagChans (format v4) marks cross-channel control: each *present*
-	// word above is followed (after all words) by a 1-byte owning-channel
-	// ID. The flag is only set when at least one word belongs to a channel
-	// other than the frame's own, so same-channel piggyback — the common
-	// case — still encodes at the v3 size.
-	flagChans = 1 << 2
 )
 
 // ErrShortMessage reports a truncated wire message.
@@ -119,32 +107,21 @@ var ErrShortMessage = errors.New("wire: short message")
 // ErrMagic reports a wire message with a bad magic number.
 var ErrMagic = errors.New("wire: bad magic")
 
-const wireMagic = 0x4E435334 // "NCS4"
+// ErrFlags reports a header that sets a flag bit the codec does not define,
+// or a non-zero reserved octet.
+var ErrFlags = errors.New("wire: undefined header flags")
 
-// crossChan reports whether any piggybacked word belongs to a channel other
-// than the frame's own, i.e. whether flagChans must go on the wire. A zero
-// CreditChan/AckChan means "the frame's own channel" so plain v3-style use
-// (fields never set) costs nothing.
-func (m *Message) crossChan() bool {
-	return (m.HasCredit && m.CreditChan != 0 && m.CreditChan != m.Channel) ||
-		(m.HasAck && m.AckChan != 0 && m.AckChan != m.Channel)
-}
+const wireMagic = 0x4E435334 // "NCS4"
 
 // optSize returns the encoded length of the message's optional control
 // words.
 func (m *Message) optSize() int {
 	n := 0
-	words := 0
 	if m.HasCredit {
 		n += 4
-		words++
 	}
 	if m.HasAck {
 		n += 4
-		words++
-	}
-	if m.crossChan() {
-		n += words
 	}
 	return n
 }
@@ -153,9 +130,9 @@ func (m *Message) optSize() int {
 // control words + payload).
 func (m *Message) WireSize() int { return HeaderSize + m.optSize() + len(m.Data) }
 
-// MaxHeaderSize is the longest encoded header: the base header, both
-// optional control words and their two owning-channel bytes.
-const MaxHeaderSize = HeaderSize + 4 + 4 + 2
+// MaxHeaderSize is the longest encoded header: the base header and both
+// optional control words.
+const MaxHeaderSize = HeaderSize + 8
 
 // MarshalAppend encodes the message (header + payload) onto dst and returns
 // the extended slice. Callers that size dst with WireSize (typically via
@@ -190,10 +167,6 @@ func (m *Message) AppendHeader(dst []byte) []byte {
 	if m.HasAck {
 		flags |= flagAck
 	}
-	cross := m.crossChan()
-	if cross {
-		flags |= flagChans
-	}
 	h[34] = flags
 	// h[35] reserved, zero.
 	if m.HasCredit {
@@ -202,24 +175,7 @@ func (m *Message) AppendHeader(dst []byte) []byte {
 	if m.HasAck {
 		dst = AppendUint32(dst, m.Ack)
 	}
-	if cross {
-		if m.HasCredit {
-			dst = append(dst, byte(m.chanOrOwn(m.CreditChan)))
-		}
-		if m.HasAck {
-			dst = append(dst, byte(m.chanOrOwn(m.AckChan)))
-		}
-	}
 	return dst
-}
-
-// chanOrOwn resolves a piggybacked word's owning channel for encoding: zero
-// means "the frame's own channel".
-func (m *Message) chanOrOwn(c ChannelID) ChannelID {
-	if c == 0 {
-		return m.Channel
-	}
-	return c
 }
 
 // Marshal encodes the message into a fresh buffer: MarshalAppend into an
@@ -246,24 +202,12 @@ func decodeHeader(m *Message, b []byte) int {
 	if flags&flagCredit != 0 {
 		m.Credit = binary.BigEndian.Uint32(b[off:])
 		m.HasCredit = true
-		m.CreditChan = m.Channel
 		off += 4
 	}
 	if flags&flagAck != 0 {
 		m.Ack = binary.BigEndian.Uint32(b[off:])
 		m.HasAck = true
-		m.AckChan = m.Channel
 		off += 4
-	}
-	if flags&flagChans != 0 {
-		if m.HasCredit {
-			m.CreditChan = ChannelID(b[off])
-			off++
-		}
-		if m.HasAck {
-			m.AckChan = ChannelID(b[off])
-			off++
-		}
 	}
 	return off
 }
@@ -298,8 +242,9 @@ func checkWire(b []byte) error { return checkHeader(b, len(b)) }
 
 // checkHeader validates a frame of frameLen bytes from its leading bytes
 // alone (hdr may be the whole frame or just its first HeaderSize bytes):
-// the magic, and room in the frame for the base header and for every
-// optional control word the flags announce.
+// the magic, no flag the codec does not define (what such a flag announced
+// would otherwise be read as payload), and room in the frame for the base
+// header and for every optional control word the flags announce.
 func checkHeader(hdr []byte, frameLen int) error {
 	if len(hdr) < HeaderSize || frameLen < HeaderSize {
 		return ErrShortMessage
@@ -307,18 +252,15 @@ func checkHeader(hdr []byte, frameLen int) error {
 	if binary.BigEndian.Uint32(hdr[0:]) != wireMagic {
 		return ErrMagic
 	}
+	if hdr[34]&^(flagCredit|flagAck) != 0 || hdr[35] != 0 {
+		return ErrFlags
+	}
 	need := HeaderSize
-	words := 0
 	if hdr[34]&flagCredit != 0 {
 		need += 4
-		words++
 	}
 	if hdr[34]&flagAck != 0 {
 		need += 4
-		words++
-	}
-	if hdr[34]&flagChans != 0 {
-		need += words
 	}
 	if frameLen < need {
 		return ErrShortMessage

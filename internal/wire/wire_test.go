@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -199,6 +201,96 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 }
 
+// TestUndefinedFlagsRejected: a header that sets a flag bit the codec does
+// not define (bit 2 once announced per-word channel octets, which would now
+// be read as payload) or a non-zero reserved octet fails at every entry
+// point, with and without the defined flags beside it.
+func TestUndefinedFlagsRejected(t *testing.T) {
+	type mut struct {
+		name string
+		off  int
+		bits byte
+	}
+	muts := []mut{{"reserved octet", 35, 0x01}, {"reserved octet high", 35, 0x80}}
+	for bit := 2; bit <= 7; bit++ {
+		muts = append(muts, mut{fmt.Sprintf("flag bit %d", bit), 34, 1 << bit})
+	}
+	entries := []struct {
+		name   string
+		decode func(b []byte) error
+	}{
+		{"Unmarshal", func(b []byte) error { _, err := Unmarshal(b); return err }},
+		{"UnmarshalOwned", func(b []byte) error { _, err := UnmarshalOwned(b); return err }},
+		{"UnmarshalPooled", func(b []byte) error {
+			fb := GetBuf(len(b))
+			fb.B = append(fb.B, b...)
+			m, err := UnmarshalPooled(fb)
+			if err == nil {
+				m.Release()
+			} else {
+				PutBuf(fb)
+			}
+			return err
+		}},
+		{"PeekHeader", func(b []byte) error { _, _, err := PeekHeader(b[:HeaderSize], len(b)); return err }},
+	}
+	bases := []*Message{
+		{From: 1, To: 2, Channel: 3, Data: []byte("payload past the header")},
+		{From: 1, To: 2, Channel: 3, Credit: 7, HasCredit: true, Ack: 4, HasAck: true, Data: []byte("payload past the words")},
+	}
+	for _, base := range bases {
+		for _, e := range entries {
+			if err := e.decode(base.Marshal()); err != nil {
+				t.Fatalf("%s: well-formed frame: %v", e.name, err)
+			}
+			for _, mu := range muts {
+				b := base.Marshal()
+				b[mu.off] |= mu.bits
+				if err := e.decode(b); err != ErrFlags {
+					t.Errorf("%s, %s set (flags %#x): err = %v, want ErrFlags", e.name, mu.name, b[34], err)
+				}
+			}
+		}
+	}
+}
+
+// FuzzUnmarshal: arbitrary bytes never panic a decoder, and the decoder
+// accepts nothing the encoder cannot produce — whatever Unmarshal takes,
+// the other entry points take with the same fields, and encoding the result
+// gives the input back octet for octet.
+func FuzzUnmarshal(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := Unmarshal(b)
+		fb := GetBuf(len(b))
+		fb.B = append(fb.B, b...)
+		pm, perr := UnmarshalPooled(fb)
+		from, to, kerr := PeekHeader(b[:min(len(b), HeaderSize)], len(b))
+		if perr != err || kerr != err {
+			t.Fatalf("Unmarshal: %v, UnmarshalPooled: %v, PeekHeader: %v", err, perr, kerr)
+		}
+		if err != nil {
+			PutBuf(fb)
+			return
+		}
+		if from != m.From || to != m.To {
+			t.Fatalf("PeekHeader says %d->%d, Unmarshal %d->%d", from, to, m.From, m.To)
+		}
+		same := *pm
+		same.pooled = nil
+		same.Data = append([]byte(nil), pm.Data...)
+		if !reflect.DeepEqual(&same, m) {
+			t.Fatalf("UnmarshalPooled decoded %+v, Unmarshal %+v", pm, m)
+		}
+		pm.Release()
+		if m.WireSize() != len(b) {
+			t.Fatalf("WireSize() = %d for a %d-octet frame", m.WireSize(), len(b))
+		}
+		if out := m.Marshal(); !bytes.Equal(out, b) {
+			t.Fatalf("re-encoding differs from the input:\n in  %x\n out %x", b, out)
+		}
+	})
+}
+
 func TestChunkHeaderRoundtrip(t *testing.T) {
 	f := func(seq uint32, idx uint16, last bool) bool {
 		h := ChunkHeader{Seq: seq, Index: idx, Last: last}
@@ -289,7 +381,7 @@ func TestChunkRoundtripProperty(t *testing.T) {
 // boundary, for exact multiples of the chunk payload, and for the empty
 // message (one frame, header only).
 func TestChunkerRunsMatchWhole(t *testing.T) {
-	m := &Message{From: 1, To: 2, Tag: 9, ESeq: 5, Channel: 3, Credit: 7, HasCredit: true, Ack: 4, HasAck: true, AckChan: 8}
+	m := &Message{From: 1, To: 2, Tag: 9, ESeq: 5, Channel: 3, Credit: 7, HasCredit: true, Ack: 4, HasAck: true}
 	for _, maxPayload := range []int{1, 7, HeaderSize, m.optSize() + HeaderSize, 100, 8184} {
 		for _, n := range []int{0, 1, maxPayload - 1, maxPayload, maxPayload + 1, 3 * maxPayload, 1000} {
 			m.Data = make([]byte, n)
