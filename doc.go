@@ -51,8 +51,11 @@
 // proc gets follows from its carrier: Mem and real TCP hand over raw frames
 // (transport.FrameCarrier) and get engine goroutines at lane counts above
 // one; udpatm, SimTCP and SimATM deliver decoded messages and get the
-// system-thread pair. Real TCP's frames arrive on the connection reader a peer's
-// blocked write waits for (transport.ReaderDelivery), so there the reader
+// system-thread pair. Real TCP executes no socket write on a sending thread:
+// each connection has a transmit queue and a writer goroutine that puts
+// everything queued on the wire in one writev, and Send waits only at the
+// queue's high-water mark. Its frames arrive on the connection reader that
+// wait ends up depending on (transport.ReaderDelivery), so there the reader
 // only decodes, looks the channel up and pushes onto the lane's ring —
 // never a pass, a lane lock or a send. The suite runs under both in CI
 // (-cpu=1,4 under the race detector), and TestEngineMatrix runs one table

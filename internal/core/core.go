@@ -56,7 +56,12 @@
 //     their lane inline, the delivering goroutine may run a short frame's
 //     receive pass itself; timers are whatever Config.After supplies (the
 //     package itself never touches the wall clock). Selected at lane counts
-//     above one on a frame carrier (Mem, real TCP).
+//     above one on a frame carrier (Mem, real TCP). On real TCP the inline
+//     service ends at a connection's transmit queue: the carrier's writer
+//     goroutine executes the socket write, so the thread holding the proc's
+//     CPU token never spends it in the kernel's transmit path — the send
+//     blocks only the calling thread, never the process — and stands still
+//     only at that queue's high-water mark (lane.go, "Lock order").
 //   - Virtual driver (Config.VirtualTime, requires Config.After): the lane
 //     engines run as event callbacks on a discrete-event engine's clock — no
 //     lane goroutines at all. Events and the threads they dispatch execute

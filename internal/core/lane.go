@@ -101,11 +101,14 @@ import (
 //     for channels the peer already holds, so the nested routeFrame only
 //     looks channels up.)
 //   - A carrier whose Send can block on the peer and whose frames arrive on
-//     the goroutine that relieves that backpressure (real TCP: a Write into a
-//     full socket waits for the peer's reader). It says so once
-//     (transport.ReaderDelivery → Proc.readerDelivers), and a lane.mu may
-//     then be held across a blocked Send because the goroutine it waits for
-//     never waits back: a reader-delivered frame is decoded, its channel
+//     the goroutine that relieves that backpressure (real TCP: Send executes
+//     no write — it queues the frame for the connection's writer goroutine —
+//     but at the connection's high-water mark it waits for that writer, and
+//     the writer, blocked on a full socket, for the peer's reader). It says
+//     so once (transport.ReaderDelivery → Proc.readerDelivers), and a lane.mu
+//     may then be held across that queue-full wait because the goroutines it
+//     waits for never wait back: the writer takes no lock but its own
+//     connection's, and a reader-delivered frame is decoded, its channel
 //     looked up (chanMu only) and the item pushed onto the lane's ring for
 //     the engine — no inline pass, which would end in serviceLocked → Send on
 //     the reader (a credit releasing a window of deferred bulk sends), and no
@@ -114,10 +117,11 @@ import (
 //     registers the channel before it takes its own lock
 //     (adoptFirstContact). Four procs in a ring on two lanes, each sending
 //     more than the sockets hold before it receives, is the case that
-//     deadlocks otherwise: every sender parked in Write, holding the lane
-//     its reader is queued on. Giving up the inline pass costs about 0.5 µs
-//     of a 25 µs rpc_tcp round trip (measured, four pairs); a receive-only
-//     inline pass would win it back and is not built.
+//     deadlocks otherwise: every sender waiting at the mark, holding the
+//     lane its reader is queued on. Giving up the inline pass cost about
+//     0.5 µs of a 25 µs rpc_tcp round trip (measured, four pairs, when sends
+//     still wrote inline); a receive-only inline pass would win it back and
+//     is not built.
 //
 // Everything else that takes lane.mu — engines, timers, the drain, sending
 // threads — may wait for it, and behind a blocking carrier waits at most for

@@ -12,10 +12,11 @@ import (
 	"repro/internal/transport"
 )
 
-// A carrier that rides the lane engine has to behave under it exactly as it
-// does under the classic engine, and exactly as Mem does. The table below
-// runs the same scenarios over Mem and over real TCP, at one lane (classic
-// engine, Handler delivery) and at two (lane engine, frame delivery).
+// A carrier has to behave the same under every engine driver it can get, and
+// exactly as Mem does. The table below runs the same scenarios over Mem and
+// over real TCP, at one lane (thread driver: the send and receive system
+// threads, Handler delivery) and at two (goroutine driver: one engine
+// goroutine per lane, frame delivery on the connection readers).
 
 // cluster builds n real-mode procs on the named carrier.
 func cluster(t *testing.T, carrier string, n, lanes int, mod func(i int, cfg *core.Config)) []*core.Proc {
@@ -47,8 +48,8 @@ func cluster(t *testing.T, carrier string, n, lanes int, mod func(i int, cfg *co
 }
 
 // start runs every proc to completion, failing the test instead of hanging
-// if they do not finish (a thread blocked in a socket write is not idle, so
-// the runtimes' own deadlock detection cannot see it).
+// if they do not finish (a thread waiting at a connection's high-water mark
+// is not idle, so the runtimes' own deadlock detection cannot see it).
 func start(t *testing.T, procs []*core.Proc, limit time.Duration) {
 	t.Helper()
 	done := make(chan struct{}, len(procs))
@@ -276,10 +277,11 @@ func TestCarrierConformance(t *testing.T) {
 // lane.go, "Lock order"): four procs in a ring on two lanes — previous and
 // next peer hash to the same lane — each sending 8 MB to its successor, far
 // more than the sockets hold, before it receives anything from its
-// predecessor. Every sender ends up parked in a socket write holding a lane
-// lock, and gets out only if the reader that relieves it never waits on a
-// lane: with an inline pass or a first-contact channel registration on the
-// reader's goroutine, the ring stops for good.
+// predecessor. Every sender ends up waiting at its connection's high-water
+// mark, holding a lane lock, behind a writer blocked on a full socket, and
+// gets out only if the reader that relieves it never waits on a lane: with
+// an inline pass or a first-contact channel registration on the reader's
+// goroutine, the ring stops for good.
 func TestRingShiftOverTCP(t *testing.T) {
 	const n, msgs, size = 4, 128, 64 << 10
 	procs := cluster(t, "tcp", n, 2, nil)

@@ -171,10 +171,25 @@ func tcpPair(t *testing.T) (a, b *TCPEndpoint, rtA, rtB *mts.Runtime) {
 	return a, b, rtA, rtB
 }
 
-// TestTCPCloseStopsEverything: Close returns only when the accept loop and
-// every reader have exited, closes accepted connections too, and no frame
-// handler call happens afterwards.
+// goroutinesSettle waits for the goroutine count to come back down to want:
+// a goroutine Close has joined may still be on its way out.
+func goroutinesSettle(t *testing.T, want int, what string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > want; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s: %d goroutines, want %d\n%s", what, runtime.NumGoroutine(), want, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTCPCloseStopsEverything: Close returns only when the accept loop,
+// every reader and every writer have exited, closes accepted connections
+// too, and no frame handler call happens afterwards; with both endpoints
+// closed, no goroutine either started is left.
 func TestTCPCloseStopsEverything(t *testing.T) {
+	baseline := runtime.NumGoroutine()
 	a, b, _, _ := tcpPair(t)
 	var closed atomic.Bool
 	got := make(chan int, 64)
@@ -235,6 +250,9 @@ func TestTCPCloseStopsEverything(t *testing.T) {
 	if _, err := raw.Read(make([]byte, 1)); err == nil || isTimeout(err) {
 		t.Fatalf("stalled inbound connection not closed by Close (read: %v)", err)
 	}
+	// a has dialed b several times over by now, one writer per connection.
+	a.Close()
+	goroutinesSettle(t, baseline, "after both endpoints closed")
 }
 
 func isTimeout(err error) bool {
@@ -242,13 +260,16 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// TestTCPSendToDeadPeerDropsAndRedials: a write that fails drops the frame,
-// counts it and forgets the connection; it does not panic, and a later Send
-// dials again.
+// TestTCPSendToDeadPeerDropsAndRedials: a write that fails drops its frames,
+// counts them and forgets the connection; it does not panic, and a later Send
+// dials again. Then the accounting, on a connection that can only fail: of
+// 1,000 frames sent across the failure — part of the failed write, queued
+// behind it, refused by the closed queue, or on the connection dialed next —
+// every one is either delivered or counted dropped, and the forgotten
+// connection's writer is gone.
 func TestTCPSendToDeadPeerDropsAndRedials(t *testing.T) {
 	a, b, _, _ := tcpPair(t)
-	got := make(chan struct{}, 8)
-	b.SetFrameHandler(func(fb *wire.Buf) { wire.PutBuf(fb); got <- struct{}{} })
+	got := collect(t, b, 2048)
 	m := &transport.Message{From: 0, To: 1, Data: make([]byte, 64)}
 	a.Send(nil, m)
 	<-got
@@ -262,19 +283,54 @@ func TestTCPSendToDeadPeerDropsAndRedials(t *testing.T) {
 	// The first write after a reset may still succeed locally; the failure
 	// surfaces within a few, and from then on Send re-dials and delivers.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
+	for redialed := false; !redialed; {
 		a.Send(nil, m)
 		select {
 		case <-got:
-			if a.SendDrops() > 0 {
-				return // dropped at least one, then re-dialed and delivered
-			}
+			redialed = a.SendDrops() > 0 // dropped at least one, then re-dialed and delivered
 		case <-time.After(10 * time.Millisecond):
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("no delivery after the reset (drops %d)", a.SendDrops())
 		}
 	}
+
+	goroutines, drops := runtime.NumGoroutine(), a.SendDrops()
+	old := connOf(a, 1)
+	// Every write on it fails from here on, at once and locally; b's reader
+	// sees the stream end.
+	old.sock.CloseWrite()
+	const n = 1000
+	m.Tag = 1
+	for i := 0; i < n; i++ {
+		a.Send(nil, m)
+	}
+	// Whatever was not dropped went out on a fresh connection and arrives.
+	delivered, tick := int64(0), time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for deadline := time.After(5 * time.Second); delivered+a.SendDrops()-drops < n; {
+		select {
+		case f := <-got:
+			delivered += int64(f.tag)
+		case <-tick.C:
+		case <-deadline:
+			t.Fatalf("%d frames sent across a failed write: %d delivered, %d counted dropped", n, delivered, a.SendDrops()-drops)
+		}
+	}
+	if d := a.SendDrops() - drops; d == 0 || delivered+d != n {
+		t.Fatalf("%d frames sent across a failed write: %d delivered, %d counted dropped", n, delivered, d)
+	}
+	// The writer counts its drops before it forgets the connection.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		now := connOf(a, 1)
+		if now != old && (now != nil || delivered == 0) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("failed connection still cached (%v), or its replacement missing after %d deliveries", now == old, delivered)
+		}
+	}
+	goroutinesSettle(t, goroutines, "after a reset and a re-dial")
 }
 
 // TestTCPSendAfterCloseDrops: Send on a closed endpoint drops and counts.

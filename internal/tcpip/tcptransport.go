@@ -22,7 +22,8 @@ import (
 //
 // Topology: every endpoint listens; connections are dialed lazily per
 // (src, dst) pair and cached. A connection opens with the dialer's 4-byte
-// proc id (the hello) and then carries length-prefixed wire messages one way.
+// proc id (the hello) and then carries length-prefixed wire messages one way,
+// put on the wire by the connection's own writer goroutine (tcpConn).
 type TCPNetwork struct {
 	mu        sync.Mutex
 	endpoints map[transport.ProcID]*TCPEndpoint
@@ -45,6 +46,14 @@ const (
 	// on the Handler path; a reader that finds the inbox full waits, and the
 	// socket's own window pushes back on the peer.
 	inboxMax = 1024
+	// maxQueuedBytes is each dialed connection's high-water mark: the frame
+	// bytes Send has accepted and the writer has not finished writing —
+	// 256 4 KB frames, 16 of 64 KB. A frame that would take the queue past
+	// it waits for the writer, which is the one place Send still blocks on
+	// the peer; a frame larger than the mark is admitted alone, into an
+	// empty queue. Beside the queue, each waiting sender holds the one frame
+	// it is waiting to queue.
+	maxQueuedBytes = 1 << 20
 )
 
 // errBadFrame marks a frame the reader refused: the stream is dropped and
@@ -52,9 +61,16 @@ const (
 var errBadFrame = errors.New("tcpip: bad frame")
 
 // TCPEndpoint is one process's NSM attachment. It delivers either decoded
-// messages into the runtime's scheduler domain (SetHandler: the classic
-// engine, the p4 baseline) or raw frames on its reader goroutines
-// (SetFrameHandler: the lane engine, see transport.FrameCarrier).
+// messages into the runtime's scheduler domain (SetHandler: the thread
+// driver's single lane, the p4 baseline) or raw frames on its reader
+// goroutines (SetFrameHandler: lane engines, see transport.FrameCarrier).
+//
+// No caller of Send executes a socket write. Every dialed connection has a
+// transmit queue and one writer goroutine (tcpConn): Send serializes the
+// frame, queues it and returns, and the writer puts everything queued on the
+// wire in one write or writev — so a thread that holds its proc's CPU token
+// gives it up without having waited for the kernel's transmit path, and
+// frames queued by several threads before the writer runs share a syscall.
 type TCPEndpoint struct {
 	net  *TCPNetwork
 	proc transport.ProcID
@@ -63,15 +79,16 @@ type TCPEndpoint struct {
 
 	mu      sync.Mutex
 	handler transport.Handler
-	conns   map[transport.ProcID]*net.TCPConn // dialed, by destination
-	inbound map[*net.TCPConn]struct{}         // accepted, each with a readLoop
+	conns   map[transport.ProcID]*tcpConn // dialed, by destination
+	inbound map[*net.TCPConn]struct{}     // accepted, each with a readLoop
 	seq     uint32
 
 	// closed is set once, under mu (so that a reader is either counted in wg
 	// before Close waits or never started), and read without it by the send
 	// path, waiting readers and the drain.
 	closed atomic.Bool
-	// wg counts acceptLoop and every readLoop; Close waits for it.
+	// wg counts acceptLoop, every readLoop and every connection's writer;
+	// Close waits for it.
 	wg sync.WaitGroup
 
 	// frameH, when set, replaces the Handler path: every reader hands its
@@ -91,20 +108,41 @@ type TCPEndpoint struct {
 
 	badFrames atomic.Int64
 	sendDrops atomic.Int64
+	// Socket writes the writers have issued and the frames those carried.
+	writes      atomic.Int64
+	wroteFrames atomic.Int64
 }
 
-// tcpScratch stages one SendBatch call's pooled frames and the writev
-// vector over them. Pooled rather than per-endpoint because under the lane
-// engine several lanes run SendBatch on one endpoint concurrently; wv is the
-// slice header WriteTo consumes, kept here so that taking its address does
-// not allocate.
-type tcpScratch struct {
-	bufs []*wire.Buf
+// tcpConn is one dialed connection: the socket, the frames waiting for it
+// and the writer goroutine that is the only one to write it. Started by
+// connTo with the dial, counted in the endpoint's wg, ended by the
+// endpoint's Close (after it has written what was accepted) or by a write
+// that fails.
+type tcpConn struct {
+	e    *TCPEndpoint
+	dst  transport.ProcID
+	sock *net.TCPConn
+
+	mu    sync.Mutex
+	work  sync.Cond // the writer waits here for frames, or for closed
+	space sync.Cond // senders wait here at the high-water mark
+	// pending holds the frames accepted and not yet taken by the writer, in
+	// stream order; the writer swaps it with spare, so the steady state
+	// allocates nothing. queued is their bytes plus those of the write in
+	// progress (maxQueuedBytes).
+	pending []*wire.Buf
+	spare   []*wire.Buf
+	queued  int
+	// closed: no further frame is accepted — the endpoint closed, or a
+	// write failed. The writer exits once pending is empty.
+	closed bool
+
+	// The writer's own: the writev vector over one batch, and the slice
+	// header WriteTo consumes, kept here so that taking its address does not
+	// allocate.
 	vecs net.Buffers
 	wv   net.Buffers
 }
-
-var scratchPool = sync.Pool{New: func() any { return new(tcpScratch) }}
 
 // Attach creates an endpoint for proc listening on an ephemeral loopback
 // port. Deliveries are Posted into rt's scheduler domain unless a frame
@@ -119,7 +157,7 @@ func (n *TCPNetwork) Attach(proc transport.ProcID, rt *mts.Runtime) (*TCPEndpoin
 		proc:  proc,
 		rt:    rt,
 		ln:    ln,
-		conns: make(map[transport.ProcID]*net.TCPConn),
+		conns: make(map[transport.ProcID]*tcpConn),
 	}
 	e.inFree.L = &e.inmu
 	e.drainFn = e.drainInbox
@@ -137,11 +175,14 @@ func (n *TCPNetwork) Attach(proc transport.ProcID, rt *mts.Runtime) (*TCPEndpoin
 }
 
 // Close shuts the listener and every connection, dialed and accepted, and
-// returns once acceptLoop and all readLoops have exited: no frame handler
-// call is in progress or begins after that, and the drain drops what is
-// still queued for the Handler path instead of delivering it. Frames in
-// flight are lost, and a Send after Close drops its frame (SendDrops).
-// Idempotent.
+// returns once acceptLoop, all readLoops and all writers have exited: no
+// frame handler call is in progress or begins after that, and the drain
+// drops what is still queued for the Handler path instead of delivering it.
+// Every frame Send accepted before Close is written before its connection
+// closes, or counted in SendDrops if that write fails — so Close waits for a
+// peer that has stopped reading exactly as long as Send would have; a Send
+// after Close, or one that was still waiting for queue space, drops its
+// frame (SendDrops). Idempotent.
 func (e *TCPEndpoint) Close() error {
 	e.mu.Lock()
 	if e.closed.Load() {
@@ -151,11 +192,11 @@ func (e *TCPEndpoint) Close() error {
 	}
 	e.closed.Store(true)
 	conns, inbound := e.conns, e.inbound
-	e.conns, e.inbound = map[transport.ProcID]*net.TCPConn{}, nil
+	e.conns, e.inbound = map[transport.ProcID]*tcpConn{}, nil
 	e.mu.Unlock()
 	err := e.ln.Close()
 	for _, c := range conns {
-		c.Close()
+		c.finish()
 	}
 	for c := range inbound {
 		c.Close()
@@ -185,8 +226,9 @@ func (e *TCPEndpoint) SetFrameHandler(h transport.FrameHandler) {
 }
 
 // DeliversFromReader implements transport.ReaderDelivery: the frame handler
-// runs on the connection's reader goroutine, and a peer's Send blocked on a
-// full socket waits for exactly that goroutine to read on.
+// runs on the connection's reader goroutine, and a peer's Send waiting at
+// the high-water mark — behind a writer blocked on a full socket — waits for
+// exactly that goroutine to read on.
 func (e *TCPEndpoint) DeliversFromReader() bool { return true }
 
 // BadFrames counts inbound streams dropped because a frame failed the
@@ -195,37 +237,31 @@ func (e *TCPEndpoint) BadFrames() int64 { return e.badFrames.Load() }
 
 // SendDrops counts frames Send and SendBatch dropped because there was no
 // connection to write them to: the endpoint closed, the peer gone or
-// refusing, the connection reset.
+// refusing, the connection reset — whether the frame was refused at the
+// queue, was waiting in it when a write failed, or was part of that write.
 func (e *TCPEndpoint) SendDrops() int64 { return e.sendDrops.Load() }
 
-// Send implements transport.Endpoint: blocking socket write, exactly the
-// p4-era semantics (the calling goroutine — and so the cooperative
-// runtime — is held only for the kernel copy on loopback). Safe for
-// concurrent callers: a frame leaves in one Write, which the net package
-// serializes per connection, so frames stay whole on the stream. A write
-// that fails loses the frame like any frame on a dead link — counted, the
-// connection forgotten, the next Send re-dials — which is what the NCS
-// error-control and heartbeat tiers already expect of a silent carrier.
+// WriteStats reports the socket writes (write or writev calls) the writers
+// have issued and the frames they carried; frames/writes is how many frames
+// share a syscall. Both are counted before the write, so whoever has seen a
+// frame arrive finds it counted.
+func (e *TCPEndpoint) WriteStats() (writes, frames int64) {
+	return e.writes.Load(), e.wroteFrames.Load()
+}
+
+// Send implements transport.Endpoint: the frame is serialized, queued for
+// the connection's writer and Send returns — it executes no socket write,
+// and waits only when the connection's queue stands at maxQueuedBytes, for
+// the writer (and so, at most, for the peer's reader). On one P the writer
+// runs once the sender's goroutine blocks or is preempted; with more it
+// starts at once on another. Safe for concurrent callers: frames join the
+// queue whole and leave in queue order. A frame on a connection whose write
+// fails is lost like any frame on a dead link — counted, the connection
+// forgotten, the next Send re-dials — which is what the NCS error-control
+// and heartbeat tiers already expect of a silent carrier.
 func (e *TCPEndpoint) Send(t *mts.Thread, m *transport.Message) {
-	if m.From != e.proc {
-		panic(fmt.Sprintf("tcpip: proc %d sending as %d", e.proc, m.From))
-	}
-	conn := e.connTo(m.To)
-	if conn == nil {
-		e.sendDrops.Add(1)
-		return
-	}
-	e.mu.Lock()
-	e.seq++
-	m.Seq = e.seq
-	e.mu.Unlock()
-	wb := frameMessage(m)
-	_, err := conn.Write(wb.B)
-	wire.PutBuf(wb)
-	if err != nil {
-		e.sendDrops.Add(1)
-		e.forget(m.To, conn)
-	}
+	run := [1]*transport.Message{m}
+	e.SendBatch(t, run[:])
 }
 
 // frameMessage encodes one length-prefixed wire frame into a pooled
@@ -240,11 +276,11 @@ func frameMessage(m *transport.Message) *wire.Buf {
 	return wb
 }
 
-// SendBatch implements transport.BatchSender: every frame of a
-// same-destination run is length-prefixed into its own pooled buffer and
-// the whole run leaves in a single writev (net.Buffers.WriteTo) — one
-// syscall for the burst instead of one per message. Safe for concurrent
-// callers, and as forgiving of a dead connection, as Send.
+// SendBatch implements transport.BatchSender, and is Send's body: every
+// frame of a same-destination run is length-prefixed into its own pooled
+// buffer and joins the connection's queue under one hold of its lock, so the
+// writer, woken once, finds the run whole and puts it on the wire in a
+// single writev — together with whatever other senders queued meanwhile.
 func (e *TCPEndpoint) SendBatch(t *mts.Thread, ms []*transport.Message) {
 	if len(ms) == 0 {
 		return
@@ -264,38 +300,116 @@ func (e *TCPEndpoint) SendBatch(t *mts.Thread, ms []*transport.Message) {
 		m.Seq = e.seq
 	}
 	e.mu.Unlock()
-	conn := e.connTo(to)
-	if conn == nil {
+	c := e.connTo(to)
+	if c == nil {
 		e.sendDrops.Add(int64(len(ms)))
 		return
 	}
-	sc := scratchPool.Get().(*tcpScratch)
-	for _, m := range ms {
+	e.sendDrops.Add(int64(len(ms) - c.enqueue(ms)))
+}
+
+// enqueue serializes ms, in order, onto the connection's queue and wakes the
+// writer. It returns how many the connection accepted: all of them, unless it
+// closed first — then the rest are the caller's to count as dropped.
+func (c *tcpConn) enqueue(ms []*transport.Message) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, m := range ms {
 		wb := frameMessage(m)
-		sc.bufs = append(sc.bufs, wb)
-		sc.vecs = append(sc.vecs, wb.B)
+		// Backpressure: at the high-water mark the sender waits for the
+		// writer — which it wakes first, since a run's own wake-up comes
+		// only at its end.
+		for c.queued > 0 && c.queued+len(wb.B) > maxQueuedBytes && !c.closed {
+			c.work.Signal()
+			c.space.Wait()
+		}
+		if c.closed {
+			wire.PutBuf(wb)
+			return i
+		}
+		c.pending = append(c.pending, wb)
+		c.queued += len(wb.B)
 	}
-	// WriteTo consumes its receiver in place by advancing the slice header,
-	// so it gets a copy of the header and vecs keeps the array.
-	sc.wv = sc.vecs
-	_, err := sc.wv.WriteTo(conn)
-	for i, wb := range sc.bufs {
-		wire.PutBuf(wb)
-		sc.bufs[i] = nil
-		sc.vecs[i] = nil
+	c.work.Signal()
+	return len(ms)
+}
+
+// writeLoop is the connection's one writer: it takes everything queued, puts
+// it on the wire in one write (one frame) or one writev (several), recycles
+// the frames and repeats; it sleeps on an empty queue. It ends when the queue
+// is empty and the connection closed (finish), or on the first write that
+// fails — every frame of that write and every frame queued behind it counted
+// dropped — and closes the socket on its way out.
+func (c *tcpConn) writeLoop() {
+	e := c.e
+	defer e.wg.Done()
+	c.mu.Lock()
+	for {
+		for len(c.pending) == 0 && !c.closed {
+			c.work.Wait()
+		}
+		if len(c.pending) == 0 {
+			break
+		}
+		batch := c.pending
+		c.pending, c.spare = c.spare[:0], nil
+		c.mu.Unlock()
+
+		e.writes.Add(1)
+		e.wroteFrames.Add(int64(len(batch)))
+		var err error
+		if len(batch) == 1 {
+			_, err = c.sock.Write(batch[0].B)
+		} else {
+			for _, wb := range batch {
+				c.vecs = append(c.vecs, wb.B)
+			}
+			// WriteTo consumes its receiver in place by advancing the slice
+			// header, so it gets a copy of the header and vecs keeps the
+			// array.
+			c.wv = c.vecs
+			_, err = c.wv.WriteTo(c.sock)
+			clear(c.vecs)
+			c.vecs, c.wv = c.vecs[:0], nil
+		}
+		written := 0
+		for i, wb := range batch {
+			written += len(wb.B)
+			wire.PutBuf(wb)
+			batch[i] = nil
+		}
+
+		c.mu.Lock()
+		c.spare = batch[:0]
+		c.queued -= written
+		if err != nil {
+			e.sendDrops.Add(int64(len(batch) + len(c.pending)))
+			for i, wb := range c.pending {
+				wire.PutBuf(wb)
+				c.pending[i] = nil
+			}
+			c.pending, c.queued, c.closed = c.pending[:0], 0, true
+		}
+		c.space.Broadcast()
 	}
-	sc.bufs, sc.vecs, sc.wv = sc.bufs[:0], sc.vecs[:0], nil
-	scratchPool.Put(sc)
-	if err != nil {
-		e.sendDrops.Add(int64(len(ms)))
-		e.forget(to, conn)
-	}
+	c.mu.Unlock()
+	e.forget(c)
+}
+
+// finish stops the connection accepting frames; its writer writes what it
+// already holds and exits.
+func (c *tcpConn) finish() {
+	c.mu.Lock()
+	c.closed = true
+	c.work.Signal()
+	c.space.Broadcast()
+	c.mu.Unlock()
 }
 
 // connTo returns (dialing if needed) the connection toward dst, or nil when
 // there is none to be had: this endpoint is closed, or the peer is not
 // listening. A destination nobody ever attached is a bug and panics.
-func (e *TCPEndpoint) connTo(dst transport.ProcID) *net.TCPConn {
+func (e *TCPEndpoint) connTo(dst transport.ProcID) *tcpConn {
 	e.mu.Lock()
 	c, ok := e.conns[dst]
 	e.mu.Unlock()
@@ -309,15 +423,15 @@ func (e *TCPEndpoint) connTo(dst transport.ProcID) *net.TCPConn {
 	if !ok {
 		panic(fmt.Sprintf("tcpip: unknown destination proc %d", dst))
 	}
-	conn, err := net.DialTCP("tcp4", nil, peer.ln.Addr().(*net.TCPAddr))
+	sock, err := net.DialTCP("tcp4", nil, peer.ln.Addr().(*net.TCPAddr))
 	if err != nil {
 		return nil
 	}
 	// Identify ourselves so the acceptor can map the inbound stream.
 	var hello [4]byte
 	binary.BigEndian.PutUint32(hello[:], uint32(int32(e.proc)))
-	if _, err := conn.Write(hello[:]); err != nil {
-		conn.Close()
+	if _, err := sock.Write(hello[:]); err != nil {
+		sock.Close()
 		return nil
 	}
 	e.mu.Lock()
@@ -325,22 +439,26 @@ func (e *TCPEndpoint) connTo(dst transport.ProcID) *net.TCPConn {
 	if existing, ok := e.conns[dst]; ok || e.closed.Load() {
 		// Lost a dial race (keep the established one), or Close ran
 		// meanwhile (existing is nil).
-		conn.Close()
+		sock.Close()
 		return existing
 	}
-	e.conns[dst] = conn
-	return conn
+	c = &tcpConn{e: e, dst: dst, sock: sock}
+	c.work.L, c.space.L = &c.mu, &c.mu
+	e.conns[dst] = c
+	e.wg.Add(1)
+	go c.writeLoop()
+	return c
 }
 
-// forget closes a connection a write failed on and drops it from the cache,
-// unless a newer one already took its place.
-func (e *TCPEndpoint) forget(dst transport.ProcID, conn *net.TCPConn) {
+// forget closes a connection whose writer is done and drops it from the
+// cache, unless a newer one already took its place.
+func (e *TCPEndpoint) forget(c *tcpConn) {
 	e.mu.Lock()
-	if e.conns[dst] == conn {
-		delete(e.conns, dst)
+	if e.conns[c.dst] == c {
+		delete(e.conns, c.dst)
 	}
 	e.mu.Unlock()
-	conn.Close()
+	c.sock.Close()
 }
 
 func (e *TCPEndpoint) acceptLoop() {

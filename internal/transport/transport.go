@@ -56,7 +56,9 @@ type Endpoint interface {
 	// Send transmits m. It may park the calling thread until the message
 	// is accepted by the network (transport-specific: wire serialization
 	// for the TCP model, NIC hand-off for the ATM model, immediate for
-	// Mem). m.From must equal Proc(). The message is serialized before
+	// Mem), or hold the calling goroutine while a bounded transmit queue
+	// is full (real TCP and UDP/ATM, whose writer goroutines do the socket
+	// writes). m.From must equal Proc(). The message is serialized before
 	// Send returns, so the caller may reuse m and m.Data afterwards.
 	Send(t *mts.Thread, m *Message)
 	// SetHandler installs the delivery callback. Must be set before any
@@ -79,8 +81,10 @@ type Endpoint interface {
 // is a constant-cost optimization, never a reordering.
 //
 // Mem amortizes one scheduler wakeup per batch, the real TCP endpoint
-// turns a batch into a single writev, and the UDP/ATM carrier feeds its
-// per-VC queues under one lock so the writer can coalesce cell trains.
+// queues a batch under one hold of the connection's lock so that its writer
+// puts the run on the wire in a single writev (as it does whatever separate
+// Sends queued before it ran), and the UDP/ATM carrier feeds its per-VC
+// queues under one lock so the writer can coalesce cell trains.
 // The simulated carriers (SimTCP, SimATM) deliberately do not implement
 // it: their per-message trap/syscall costs are the calibrated 1995 model
 // the tables pin, and batching would change modeled time.
@@ -124,7 +128,8 @@ type FrameCarrier interface {
 
 // ReaderDelivery is the declaration a FrameCarrier makes, beside
 // SetFrameHandler, when its frames arrive on the very goroutine its own Send
-// may be waiting for: a carrier whose Send can block on the peer (a full
+// may be waiting for: a carrier whose Send can block on the peer (real TCP's
+// waits at a connection's queue limit, behind a writer blocked on a full
 // socket) and whose handler runs on the peer-facing reader that relieves
 // that backpressure. The core sends while holding a lane lock, so for such a
 // carrier the handler's goroutine must never wait on a lane lock and never
