@@ -705,7 +705,7 @@ func (t *Thread) tryRecvOn(ch ChannelID, fromThread int, fromProc ProcID) (data 
 		return nil, Addr{}, false
 	}
 	m := p.store[i]
-	p.store = append(p.store[:i], p.store[i+1:]...)
+	p.store = removeAt(p.store, i)
 	p.consume(t.mt, m)
 	p.received.Add(1)
 	return m.Data, Addr{Proc: m.From, Thread: m.FromThread}, true
@@ -723,6 +723,15 @@ func (p *Proc) consume(mt *mts.Thread, m *transport.Message) {
 	if p.cfg.RecvCharge != nil {
 		p.cfg.RecvCharge(mt, len(m.Data)+transport.HeaderSize)
 	}
+}
+
+// removeAt deletes s[i] in order and nils the slot it vacates at the end, so
+// the backing array of the store (or the waiter list) does not go on pinning
+// a message that was consumed or a waiter that was recycled.
+func removeAt[T any](s []*T, i int) []*T {
+	copy(s[i:], s[i+1:])
+	s[len(s)-1] = nil
+	return s[:len(s)-1]
 }
 
 func (p *Proc) matchStore(ch ChannelID, tag, fromThread int, fromProc ProcID, toThread int) int {
@@ -788,7 +797,7 @@ func addrIndex(set []Addr, m *transport.Message) int {
 func (p *Proc) dispatchData(rt *mts.Thread, m *transport.Message) {
 	for i, w := range p.waiters {
 		if p.waiterMatches(w, m) {
-			p.waiters = append(p.waiters[:i], p.waiters[i+1:]...)
+			p.waiters = removeAt(p.waiters, i)
 			// The receive thread performs the stack-to-app copy in its
 			// own context, then wakes the compute thread.
 			p.consume(rt, m)

@@ -451,6 +451,62 @@ func TestTryRecvAndMessagesAvailable(t *testing.T) {
 	}
 }
 
+// A consumed message must not stay reachable from the store's backing array,
+// nor a recycled waiter from the waiter list's: every removal path nils the
+// slot it vacates.
+func TestStoreAndWaitersDoNotPinRemovedEntries(t *testing.T) {
+	const n = 64
+	eng, procs := simCluster(t, 2, nil)
+	p := procs[1]
+	p.TCreate("drainer", mts.PrioDefault, func(th *Thread) {
+		th.RecvTagged(n+1, Any, Any) // sent last: the store is full behind it
+		if len(p.store) != n {
+			t.Errorf("store holds %d messages, want %d", len(p.store), n)
+		}
+		// One quarter through each removal site, the tagged ones picking
+		// from the far end so that entries leave the middle of the store.
+		pvm := PVM(th)
+		for i := 0; i < n/4; i++ {
+			if _, _, ok := th.TryRecv(Any, Any); !ok {
+				t.Error("TryRecv found nothing in a full store")
+			}
+			th.RecvTagged(n-1-i, Any, Any)
+			th.recvAnyOf(0, n-1-n/4-i, []Addr{{Proc: 0, Thread: Any}})
+			if _, ok := pvm.NRecv(0, n-1-n/2-i); !ok {
+				t.Error("NRecv found nothing in a full store")
+			}
+		}
+	})
+	// Parked receivers, woken out of order: waiters leave the middle too.
+	for k := 1; k <= 4; k++ {
+		p.TCreate(fmt.Sprintf("waiter%d", k), mts.PrioDefault, func(th *Thread) { th.RecvTagged(n, Any, Any) })
+	}
+	procs[0].TCreate("sender", mts.PrioDefault, func(th *Thread) {
+		for _, k := range []int{3, 1, 4, 2} {
+			th.SendTagged(n, k, 1, []byte("w"))
+		}
+		for tag := 0; tag <= n+1; tag++ {
+			if tag != n {
+				th.SendTagged(tag, 0, 1, []byte("m"))
+			}
+		}
+	})
+	eng.Run()
+	if len(p.store) != 0 || cap(p.store) < n || len(p.waiters) != 0 || cap(p.waiters) < 4 {
+		t.Fatalf("store len %d cap %d, waiters len %d cap %d", len(p.store), cap(p.store), len(p.waiters), cap(p.waiters))
+	}
+	for i, m := range p.store[:cap(p.store)] {
+		if m != nil {
+			t.Fatalf("store slot %d of %d still points at a consumed message", i, cap(p.store))
+		}
+	}
+	for i, w := range p.waiters[:cap(p.waiters)] {
+		if w != nil {
+			t.Fatalf("waiter slot %d of %d still points at a recycled waiter", i, cap(p.waiters))
+		}
+	}
+}
+
 func TestBlockUnblock(t *testing.T) {
 	// The paper's JPEG host (Figure 17): thread 2 blocks until thread 1
 	// finishes reading the image, then both distribute halves.

@@ -96,7 +96,7 @@ func (t *Thread) recvMsgOn(ch ChannelID, tag, fromThread int, fromProc ProcID) *
 	p := t.proc
 	if i := p.matchStore(ch, tag, fromThread, fromProc, t.idx); i >= 0 {
 		m := p.store[i]
-		p.store = append(p.store[:i], p.store[i+1:]...)
+		p.store = removeAt(p.store, i)
 		p.consume(t.mt, m)
 		p.received.Add(1)
 		return m
@@ -144,7 +144,7 @@ func (t *Thread) recvAnyOf(ch ChannelID, tag int, set []Addr) (*transport.Messag
 			continue
 		}
 		if j := addrIndex(set, m); j >= 0 {
-			p.store = append(p.store[:i], p.store[i+1:]...)
+			p.store = removeAt(p.store, i)
 			p.consume(t.mt, m)
 			p.received.Add(1)
 			return m, j

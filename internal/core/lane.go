@@ -51,10 +51,12 @@ import (
 //     directly — it appends to the lane's out-queues
 //     (wake/fans/deliver/errs) and a drain runs them: inline when the caller
 //     is already in the scheduler domain, otherwise via Runtime.PostAsync,
-//     which runs between dispatches. Under the thread driver every entry is
-//     in the scheduler domain already — a finished sender is unblocked on the
-//     spot (retireLocked) — and lane.mu, never held across a Park there,
-//     only keeps stats readers out.
+//     which runs between dispatches (it queues the drain and, only if the
+//     proc has gone to sleep with no thread runnable, hands it the runtime's
+//     one wake token — no channel operation otherwise). Under the thread
+//     driver every entry is in the scheduler domain already — a finished
+//     sender is unblocked on the spot (retireLocked) — and lane.mu, never
+//     held across a Park there, only keeps stats readers out.
 //
 // Who runs a pass. An engine pass (ingestLocked: batch → rxq → processLocked
 // → serviceLocked → drain posted) belongs to whoever holds the ring's

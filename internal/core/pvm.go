@@ -230,7 +230,7 @@ func (f *PVMFilter) NRecv(tid ProcID, tag int) (*PVMBuffer, bool) {
 		return nil, false
 	}
 	m := p.store[i]
-	p.store = append(p.store[:i], p.store[i+1:]...)
+	p.store = removeAt(p.store, i)
 	p.consume(f.t.mt, m)
 	p.received.Add(1)
 	return &PVMBuffer{data: m.Data}, true

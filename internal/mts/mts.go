@@ -33,8 +33,12 @@
 //     Post/PostAsync functions, picks the next thread, and either carries on
 //     (it picked its own thread: no goroutine hand-off), signals the chosen
 //     thread's goroutine and waits for its own turn (one hand-off), or — with
-//     nothing runnable — waits for the next Post right there, so an external
-//     completion wakes the goroutine most likely to run next.
+//     nothing runnable — goes to sleep right there, so an external completion
+//     wakes the goroutine most likely to run next. A sleeper waits on one
+//     thing, the capacity-1 wake token, in a plain receive; Post and PostAsync
+//     queue their function and touch the token only if the runtime is asleep
+//     (a busy one costs them no channel operation), and the IdleTimeout
+//     watchdog, one timer per Run, is the token's only other sender.
 //   - Dispatch()/DispatchThread(): single-step primitives used by the
 //     discrete-event simulation engine (internal/sim), which interleaves
 //     thread execution with virtual-time network events. The caller holds the
@@ -158,9 +162,11 @@ type Config struct {
 	Name string
 	// Clock supplies time; defaults to a RealClock.
 	Clock vclock.Clock
-	// IdleTimeout bounds how long Run waits for an external event while
-	// threads are blocked. Zero means wait forever. Tests and examples set
-	// it so a lost wakeup fails loudly instead of hanging.
+	// IdleTimeout bounds how long Run sleeps with every thread blocked and
+	// nothing posted. A watchdog looks once per IdleTimeout and reports a
+	// deadlock when it finds the sleep it saw the period before: after at
+	// least IdleTimeout, before twice that. Zero means wait forever. Tests and
+	// examples set it so a lost wakeup fails loudly instead of hanging.
 	IdleTimeout time.Duration
 	// OnSwitch, if set, is invoked at every context switch with the thread
 	// being switched in. The trace package uses it to build timelines.
@@ -189,22 +195,34 @@ type Runtime struct {
 	// Run's caller: "" when the last thread retired, else the deadlock report.
 	done chan string
 
-	external    chan func()
-	idleTimeout time.Duration
-	// idle bounds every wait for an external event; one reusable timer,
-	// because a fresh time.After per wait would put garbage on the hot path.
-	idle     *time.Timer
+	external chan func()
 	onSwitch func(t *Thread)
 
 	// asyncQ is the unbounded companion to external: PostAsync appends under
-	// asyncMu and signals asyncTok (cap 1, non-blocking send), so producers
-	// that must never stall — the NCS lane engines, which may be holding a
-	// lane lock a scheduler-domain thread wants — have a wait-free entry
-	// point. The dispatcher drains it alongside external.
+	// asyncMu, so producers that must never stall — the NCS lane engines,
+	// which may be holding a lane lock a scheduler-domain thread wants — have
+	// a wait-free entry point. The dispatcher drains it alongside external.
 	asyncMu    sync.Mutex
 	asyncQ     []func()
 	asyncSpare []func() // recycled drain buffer, so steady state allocates nothing
-	asyncTok   chan struct{}
+
+	// The idle hand-off. posted counts what Post and PostAsync queued; seen
+	// (scheduler domain) is its value when the last drain began. sleep is the
+	// dispatcher's sleep epoch, odd while it sleeps: it makes sleep odd, then
+	// reads posted; a poster bumps posted, then reads sleep — all sync/atomic,
+	// so one sees the other. Whoever else makes an odd sleep even owes wake a
+	// token (true: the watchdog), taken before the next sleep: no send blocks.
+	posted atomic.Uint32
+	seen   uint32
+	sleep  atomic.Uint64
+	wake   chan bool
+
+	// The IdleTimeout watchdog: idle is non-nil while Run is active, watched
+	// the sleep epoch its last tick saw; idleMu has a tick wait for the handle.
+	idleTimeout time.Duration
+	idleMu      sync.Mutex
+	idle        *time.Timer
+	watched     uint64
 
 	switches int
 
@@ -223,7 +241,7 @@ func New(cfg Config) *Runtime {
 		parked:      make(chan struct{}, 1),
 		done:        make(chan string, 1),
 		external:    make(chan func(), 1024),
-		asyncTok:    make(chan struct{}, 1),
+		wake:        make(chan bool, 1),
 		idleTimeout: cfg.IdleTimeout,
 		onSwitch:    cfg.OnSwitch,
 	}
@@ -426,7 +444,7 @@ func (rt *Runtime) relinquish(self *Thread) bool {
 // that is self, which then simply continues. Otherwise the token has left
 // this goroutine when it returns: to another thread's goroutine, or — with
 // the outcome on rt.done — to Run's caller, because the last thread retired
-// or because nothing became runnable within IdleTimeout.
+// or because the watchdog found nothing runnable for a whole IdleTimeout.
 func (rt *Runtime) dispatch(self *Thread) bool {
 	for rt.live > 0 {
 		rt.drainExternal()
@@ -508,11 +526,13 @@ func (rt *Runtime) Unblock(t *Thread, front bool) bool {
 // dispatches on the goroutine that holds the CPU token at that moment: the
 // goroutine of the thread that just parked, yielded or exited, before it
 // picks the next thread — with Current() == nil, one function at a time. If
-// every thread is blocked, that goroutine is already waiting for the Post.
-// In sim mode, the engine never needs Post because events already fire in
-// the engine goroutine.
+// every thread is blocked, that goroutine is asleep and Post wakes it;
+// otherwise Post only queues fn, waiting while 1024 earlier functions are
+// queued (udpatm's readers lean on that bound as backpressure). In sim mode,
+// the engine never needs Post because events already fire in its goroutine.
 func (rt *Runtime) Post(fn func()) {
 	rt.external <- fn
+	rt.notify()
 }
 
 // PostAsync is like Post but never blocks the caller: the function is
@@ -527,9 +547,15 @@ func (rt *Runtime) PostAsync(fn func()) {
 	rt.asyncMu.Lock()
 	rt.asyncQ = append(rt.asyncQ, fn)
 	rt.asyncMu.Unlock()
-	select {
-	case rt.asyncTok <- struct{}{}:
-	default:
+	rt.notify()
+}
+
+// notify is the poster's half of the idle hand-off, after it has queued its
+// function: bump posted, then read sleep, and wake the dispatcher if it sleeps.
+func (rt *Runtime) notify() {
+	rt.posted.Add(1)
+	if s := rt.sleep.Load(); s&1 == 1 && rt.sleep.CompareAndSwap(s, s+1) {
+		rt.wake <- false
 	}
 }
 
@@ -576,7 +602,7 @@ func (t *Thread) Sleep(d time.Duration) {
 // goroutines pass the CPU among themselves (see dispatch), running
 // externally Posted wakeups between dispatches and waiting for them when no
 // thread is runnable. It panics, on the caller's goroutine, on deadlock
-// (blocked threads, no runnable work, and no external event within
+// (blocked threads, no runnable work, and no external event for a whole
 // IdleTimeout); the blocked threads are then parked at their gates, where
 // Kill can reap them.
 func (rt *Runtime) Run() {
@@ -584,49 +610,63 @@ func (rt *Runtime) Run() {
 		panic("mts: Run called reentrantly")
 	}
 	defer rt.running.Store(false)
+	if rt.idleTimeout > 0 {
+		rt.idleMu.Lock()
+		rt.idle = time.AfterFunc(rt.idleTimeout, rt.watch)
+		rt.idleMu.Unlock()
+		defer rt.stopWatch()
+	}
 	rt.dispatch(nil)
 	if report := <-rt.done; report != "" {
 		panic(report)
 	}
 }
 
-// waitExternal blocks until a Post or PostAsync arrives and runs it. It
-// returns false if IdleTimeout passed first.
+// waitExternal puts the dispatcher to sleep until a poster or the watchdog
+// wakes it. It returns false if the watchdog did and nothing is queued: a
+// deadlock. A wake that finds work queued never is one, whatever was decided.
 func (rt *Runtime) waitExternal() bool {
-	var expired <-chan time.Time // nil: wait forever
-	if rt.idleTimeout > 0 {
-		if rt.idle == nil {
-			rt.idle = time.NewTimer(rt.idleTimeout)
-		} else {
-			rt.idle.Reset(rt.idleTimeout)
+	s := rt.sleep.Add(1)
+	if rt.posted.Load() != rt.seen {
+		// Posted since the last drain began: no sleep. If someone has ended
+		// it already, the token they owe is taken here, not left behind.
+		if !rt.sleep.CompareAndSwap(s, s+1) {
+			<-rt.wake
 		}
-		expired = rt.idle.C
+		return true
 	}
-	select {
-	case fn := <-rt.external:
-		rt.stopIdle()
-		fn()
-	case <-rt.asyncTok:
-		rt.stopIdle()
-		rt.drainAsync()
-	case <-expired:
-		return false
-	}
-	return true
+	return !<-rt.wake || rt.posted.Load() != rt.seen
 }
 
-// stopIdle disarms the idle timer, draining a concurrent expiry so the next
-// Reset is clean (a harmless no-op under Go 1.23+ timer semantics).
-func (rt *Runtime) stopIdle() {
-	if rt.idle != nil && !rt.idle.Stop() {
-		select {
-		case <-rt.idle.C:
-		default:
-		}
+// watch is the watchdog's tick, one per IdleTimeout while Run is active. It
+// declares a deadlock when the dispatcher is still in the sleep the previous
+// tick saw, by ending that sleep itself, which no poster can then also do.
+func (rt *Runtime) watch() {
+	rt.idleMu.Lock()
+	defer rt.idleMu.Unlock()
+	if rt.idle == nil {
+		return // Run returned while this tick was on its way
 	}
+	s := rt.sleep.Load()
+	if s&1 == 1 && s == rt.watched && rt.sleep.CompareAndSwap(s, s+1) {
+		rt.wake <- true
+	}
+	rt.watched = s
+	rt.idle.Reset(rt.idleTimeout)
 }
 
+// stopWatch ends the watchdog; a tick already on its way finds idle nil.
+func (rt *Runtime) stopWatch() {
+	rt.idleMu.Lock()
+	rt.idle.Stop()
+	rt.idle = nil
+	rt.idleMu.Unlock()
+}
+
+// drainExternal runs what Post and PostAsync have queued. A poster that bumps
+// posted after the read here shows as posted != seen, even if its function ran.
 func (rt *Runtime) drainExternal() {
+	rt.seen = rt.posted.Load()
 	rt.drainAsync()
 	for {
 		select {

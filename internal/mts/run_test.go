@@ -56,7 +56,7 @@ func TestRunAgainAfterRun(t *testing.T) {
 	rt := newTestRT()
 	var ran []string
 	rt.Create("first", PrioDefault, func(th *Thread) {
-		th.Sleep(time.Millisecond) // arms the idle timer the second Run reuses
+		th.Sleep(time.Millisecond) // a sleep under the first Run's watchdog; the second Run starts its own
 		ran = append(ran, "first")
 	})
 	rt.Run()
