@@ -72,7 +72,8 @@
 // OPENING → OPEN → CLOSING → CLOSED: Channel.CloseCall drains in-flight
 // data on both ends before RELEASE/RELEASE-COMPLETE tear down VC routes,
 // discipline timers, and lane state together, sends on a closing channel
-// fail uniformly with *ChannelClosedError across all four disciplines,
+// fail uniformly with *ChannelClosedError across all four disciplines (as
+// does a receive parked on a channel its own end closes or finalizes),
 // and Proc.Lifecycle/Proc.Leaks balance-count every resource so churn
 // (the chaos suites run 1000+ open/transfer/close cycles, lossy and
 // virtual-time deterministic) must quiesce leak-free.
@@ -102,7 +103,9 @@
 // while bulk exchange keeps its own class. GroupConfig.Fanout >= N
 // degenerates to the old serial linear algorithms, preserved as the A/B
 // baseline; the MPI and PVM filters route their collectives through
-// Group. Collective fan-out is enqueued as one burst per hop and both
+// Group. Every receive — point-to-point, filter, collective — matches
+// through one unexported pattern (thread, process, tag, channel, with -1
+// wildcards, or a set of sources) and blocks in one body. Collective fan-out is enqueued as one burst per hop and both
 // sender- and receiver-side message structs recycle through pools, so a
 // barrier-plus-broadcast round allocates zero bytes steady-state.
 //

@@ -162,7 +162,7 @@ func TestFlushWheelTimerCount(t *testing.T) {
 	})
 	procs[1].TCreate("rx", mts.PrioDefault, func(th *Thread) {
 		for i := 0; i < nch; i++ {
-			m := th.recvMsgOn(ChannelID(i+1), Any, Any, 0)
+			m := recvMsg(th, ChannelID(i+1), Any, Any, 0)
 			m.Release()
 		}
 	})
@@ -229,13 +229,13 @@ func TestControlStaysOnItsChannel(t *testing.T) {
 	})
 	procs[0].TCreate("rxB", mts.PrioDefault, func(th *Thread) {
 		for k := 0; k < msgs; k++ {
-			m := th.recvMsgOn(2, Any, Any, 1)
+			m := recvMsg(th, 2, Any, Any, 1)
 			m.Release()
 		}
 	})
 	procs[1].TCreate("fwd", mts.PrioDefault, func(th *Thread) {
 		for k := 0; k < msgs; k++ {
-			m := th.recvMsgOn(1, Any, Any, 0)
+			m := recvMsg(th, 1, Any, Any, 0)
 			m.Release()
 			// Reverse data on the *other* channel, queued right behind the
 			// ack the arrival above produced.
@@ -315,7 +315,7 @@ func TestAdaptiveChaosLossy(t *testing.T) {
 					})
 					procs[side].TCreate(fmt.Sprintf("rx%d", ci), mts.PrioDefault, func(th *Thread) {
 						for k := 0; k < msgs; k++ {
-							m := th.recvMsgOn(c.id, k, Any, peer)
+							m := recvMsg(th, c.id, k, Any, peer)
 							arrivals[side] = append(arrivals[side], m.Channel)
 							m.Release()
 						}
@@ -358,7 +358,7 @@ func TestAdaptiveChaosLossy(t *testing.T) {
 						nBulk++
 					}
 				}
-				// recvMsgOn(k) enforces in-order tags; counts prove
+				// recvMsg(k) enforces in-order tags; counts prove
 				// exactly-once on top.
 				if nPrio != msgs || nBulk != msgs {
 					t.Fatalf("side %d: %d prio + %d bulk arrivals, want %d each", side, nPrio, nBulk, msgs)

@@ -317,13 +317,15 @@ func (p *Proc) lookupChannel(peer ProcID, id ChannelID) (*Channel, bool) {
 // the window-sync and pacing timers stop, and sends still gated inside a
 // discipline *fail* (their callers unblock and the proc's exception
 // handler reports how many were abandoned) instead of hanging forever.
-// Further Sends on the channel panic. The channel stays in the proc's
-// table so late control traffic (credits, acks) is still consumed and
-// error control can finish draining its in-flight window — data already
-// admitted still flushes to the wire. Arriving data is dropped through the
-// exception handler, like data on a channel that was never opened. Call
-// from a thread of this process (or any scheduler-domain context);
-// idempotent.
+// Further Sends on the channel panic. So does a receive on it from the peer
+// once nothing it matches is stored — one already parked is woken — raising
+// *ChannelClosedError through the exception handler. The channel stays in
+// the proc's table so late control traffic (credits, acks) is still
+// consumed and error control can finish draining its in-flight window —
+// data already admitted still flushes to the wire. Arriving data is dropped
+// through the exception handler, like data on a channel that was never
+// opened. Call from a thread of this process (or any scheduler-domain
+// context); idempotent.
 //
 // Close is one-sided: there is no teardown signaling to the peer, so a
 // peer still transmitting into a closed channel sees its error-control
@@ -345,6 +347,9 @@ func (c *Channel) Close() {
 	c.flow.shutdown()
 	c.errc.shutdown()
 	ln.leave()
+	// A receiver parked on this channel alone can never complete now.
+	c.p.chanCloses++
+	c.p.failDoomedWaiters()
 	// Error control may have been holding the only reference that kept the
 	// system threads alive; re-check now that deferred work is failed.
 	c.p.checkShutdownWake()
@@ -361,12 +366,12 @@ func (c *Channel) sendUnavailable() bool {
 	return c.closed || c.state.Load() >= chanClosing
 }
 
-// sendFailErr is the error a failed send raises: the typed *PeerDeadError
-// when the failure sweep tore the channel down, the generic closed-channel
-// error otherwise. Scheduler or lane domain (deadErr is written under the
-// lane lock by the sweep, read on the same paths that observe the state
-// bump that made sendUnavailable true).
-func (c *Channel) sendFailErr() error {
+// closedErr is the error a failed send — or a receive doomed by the close —
+// raises: the typed *PeerDeadError when the failure sweep tore the channel
+// down, the generic closed-channel error otherwise. Scheduler or lane domain
+// (deadErr is written under the lane lock by the sweep, read on the same
+// paths that observe the state bump that made sendUnavailable true).
+func (c *Channel) closedErr() error {
 	if c.deadErr != nil {
 		return c.deadErr
 	}
@@ -582,8 +587,8 @@ func (c *Channel) Recv(t *Thread, fromThread int) ([]byte, Addr) {
 	if t.proc != c.p {
 		panic("core: thread receiving on another process's channel")
 	}
-	data, addr, _ := t.recvOn(c.id, Any, fromThread, c.peer)
-	return data, addr
+	m, _ := t.recvAnyOf(recvPattern{ch: c.id, tag: Any, from: []Addr{{Proc: c.peer, Thread: fromThread}}})
+	return m.Data, srcOf(m)
 }
 
 // RecvInto is Recv delivering into the caller's buffer; see
@@ -592,7 +597,7 @@ func (c *Channel) RecvInto(t *Thread, buf []byte, fromThread int) (int, Addr) {
 	if t.proc != c.p {
 		panic("core: thread receiving on another process's channel")
 	}
-	return t.recvIntoOn(buf, c.id, Any, fromThread, c.peer)
+	return t.recvIntoOn(buf, c.id, Any, []Addr{{Proc: c.peer, Thread: fromThread}})
 }
 
 // TryRecv is the non-blocking variant of Recv.
@@ -600,7 +605,7 @@ func (c *Channel) TryRecv(t *Thread, fromThread int) (data []byte, from Addr, ok
 	if t.proc != c.p {
 		panic("core: thread receiving on another process's channel")
 	}
-	return t.tryRecvOn(c.id, fromThread, c.peer)
+	return t.tryRecv(recvPattern{ch: c.id, tag: Any, from: []Addr{{Proc: c.peer, Thread: fromThread}}})
 }
 
 // ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ func TestShardedLaneChaos(t *testing.T) {
 					})
 					procs[side].TCreate(fmt.Sprintf("rx%d", i), mts.PrioDefault, func(th *Thread) {
 						for k := 0; k < msgs; k++ {
-							m := th.recvMsgOn(c.id, Any, Any, ProcID(1-side))
+							m := recvMsg(th, c.id, Any, Any, ProcID(1-side))
 							order[side][i] = append(order[side][i], m.Tag)
 							m.Release()
 						}

@@ -8,7 +8,7 @@ import (
 )
 
 // Tree-structured, channel-aware collectives: the logarithmic counterpart
-// of the linear group operations in group.go/core.go. The paper's §3.1
+// of the linear Thread.Bcast/Gather/Reduce in core.go. The paper's §3.1
 // group-communication classes (1-to-many, many-to-1, many-to-many,
 // synchronization) are library code above NCS_send/NCS_recv; once the
 // point-to-point path is cheap, the linear compositions dominate scaling —
@@ -418,22 +418,22 @@ func (g *Group) kidIdxs(rel, root int) []int {
 
 // collectAnyOf receives one message from every member index in idxs (any
 // arrival order — a slow subtree delays only itself), invoking fn with the
-// member index and message. fn owns the message (Release it if the payload
-// is copied out). idxs is clobbered (it tracks the pending set).
+// member index and message: Thread.collect over the members' addresses. fn
+// owns the message (Release it if the payload is copied out). idxs is
+// clobbered (it tracks the pending set).
 func (g *Group) collectAnyOf(t *Thread, tag int, idxs []int, fn func(member int, m *wireMessage)) {
 	set := g.addrScratch[:0]
 	for _, i := range idxs {
 		set = append(set, g.members[i])
 	}
 	g.addrScratch = set
-	left := len(set)
-	for left > 0 {
-		m, i := t.recvAnyOf(g.chID, tag, set[:left])
-		member := idxs[i]
-		set[i], idxs[i] = set[left-1], idxs[left-1]
-		left--
-		fn(member, m)
-	}
+	t.collect(recvPattern{ch: g.chID, tag: tag, from: set}, idxs, fn)
+}
+
+// recvMember receives the group's next tag message from member i.
+func (g *Group) recvMember(t *Thread, tag, i int) *wireMessage {
+	m, _ := t.recvAnyOf(recvPattern{ch: g.chID, tag: tag, from: g.members[i : i+1]})
+	return m
 }
 
 // wireMessage aliases the transport message type for coll.go signatures.
@@ -486,9 +486,8 @@ func (g *Group) dissemBarrier(t *Thread) {
 		g.traceRound("bar", k, len(sends))
 		g.fanSend(t, collTag(collOpBarrier, k), sends, nil, nil)
 		recvs := g.barRecv[k]
-		if len(recvs) == 1 {
-			a := g.members[recvs[0]]
-			t.recvIntoOn(nil, g.chID, collTag(collOpBarrier, k), a.Thread, a.Proc)
+		if len(recvs) == 1 { // every round at radix 2
+			g.recvMember(t, collTag(collOpBarrier, k), recvs[0]).Release()
 			continue
 		}
 		g.idxScratch = append(g.idxScratch[:0], recvs...)
@@ -520,7 +519,7 @@ func (g *Group) starBarrier(t *Thread) {
 	}
 	g.traceRound("bar", 0, 1)
 	g.chans[0].SendTagged(t, collTag(collOpBarrier, 0), g.members[0].Thread, nil)
-	t.recvIntoOn(nil, g.chID, collTag(collOpRelease, 0), g.members[0].Thread, g.members[0].Proc)
+	g.recvMember(t, collTag(collOpRelease, 0), 0).Release()
 }
 
 // ---------------------------------------------------------------------------
@@ -535,8 +534,7 @@ func (g *Group) Bcast(t *Thread, root int, data []byte) []byte {
 	g.checkRoot(root)
 	rel := g.rel(root)
 	if rel != 0 {
-		pa := g.members[g.abs(g.relParent[rel], root)]
-		data, _, _ = t.recvOn(g.chID, collTag(collOpBcast, 0), pa.Thread, pa.Proc)
+		data = g.recvMember(t, collTag(collOpBcast, 0), g.abs(g.relParent[rel], root)).Data
 	}
 	kids := g.kidIdxs(rel, root)
 	g.traceRound("bcast", 0, g.relSub[rel])
@@ -556,8 +554,8 @@ func (g *Group) BcastInto(t *Thread, root int, buf []byte) int {
 	rel := g.rel(root)
 	n := len(buf)
 	if rel != 0 {
-		pa := g.members[g.abs(g.relParent[rel], root)]
-		n, _ = t.recvIntoOn(buf, g.chID, collTag(collOpBcast, 0), pa.Thread, pa.Proc)
+		pa := g.abs(g.relParent[rel], root)
+		n, _ = t.recvIntoOn(buf, g.chID, collTag(collOpBcast, 0), g.members[pa:pa+1])
 	}
 	kids := g.kidIdxs(rel, root)
 	g.traceRound("bcast", 0, g.relSub[rel])
@@ -698,8 +696,7 @@ func (g *Group) AllToAll(t *Thread, data [][]byte) [][]byte {
 		g.traceRound("a2a", 0, n-1)
 		g.sendAll(t, collTag(collOpA2A, 0), idxs, datas, nil)
 		for _, i := range idxs {
-			a := g.members[i]
-			out[i], _, _ = t.recvOn(g.chID, collTag(collOpA2A, 0), a.Thread, a.Proc)
+			out[i] = g.recvMember(t, collTag(collOpA2A, 0), i).Data
 		}
 		g.traceIdle()
 		return out
@@ -716,8 +713,7 @@ func (g *Group) AllToAll(t *Thread, data [][]byte) [][]byte {
 		tag := collTag(collOpA2A, r)
 		g.traceRound("a2a", r, 1)
 		g.chans[sendTo].SendTagged(t, tag, g.members[sendTo].Thread, data[sendTo])
-		a := g.members[recvFrom]
-		out[recvFrom], _, _ = t.recvOn(g.chID, tag, a.Thread, a.Proc)
+		out[recvFrom] = g.recvMember(t, tag, recvFrom).Data
 	}
 	g.traceIdle()
 	return out

@@ -235,22 +235,17 @@ type sendReq struct {
 	done *bool
 }
 
-// recvWaiter is a thread parked in Recv.
+// recvWaiter is a thread parked in recvAnyOf. pat.from is the waiter's own
+// copy of the caller's set (its capacity survives recycling); got and at are
+// the message and source index dispatchData matched.
 type recvWaiter struct {
-	t          *Thread
-	ch         ChannelID
-	fromThread int
-	fromProc   ProcID
-	tag        int
-	// multi, when non-nil, overrides (fromThread, fromProc): the waiter
-	// matches a message from *any* address in the set. Collectives and the
-	// out-of-order Gather/Reduce paths use it so one slow peer cannot
-	// head-of-line-block payloads that already arrived.
-	multi []Addr
-	got   *transport.Message
-	// err, when set by the failure sweep (failDeadWaiters), marks a waiter
-	// whose pattern can only match dead peers: the woken receiver re-raises
-	// it instead of reading got.
+	t   *Thread
+	pat recvPattern
+	got *transport.Message
+	at  int
+	// err, when set by the failure sweep (failDoomedWaiters), marks a waiter
+	// whose pattern can never match: the woken receiver raises it instead of
+	// reading got.
 	err error
 }
 
@@ -265,6 +260,10 @@ type Proc struct {
 	// waiterFree recycles the receive path's per-call bookkeeping structs
 	// (scheduler domain; the send path's freelists are per lane).
 	waiterFree []*recvWaiter
+	// chanCloses counts this end's channel closes and finalizations
+	// (scheduler domain): while it is zero and no peer is dead, no receive
+	// can be doomed, and recvAnyOf skips the check.
+	chanCloses int
 
 	// flushTimers counts armed flush-wheel timers process-wide (each lane
 	// carries one wheel, see lane.go) — the per-lane-wheel invariant a test
@@ -674,10 +673,12 @@ func (t *Thread) Recv(fromThread int, fromProc ProcID) ([]byte, Addr) {
 	return t.RecvTagged(Any, fromThread, fromProc)
 }
 
-// RecvTagged is Recv constrained to a user tag (or Any).
+// RecvTagged is Recv constrained to a user tag (or Any). The returned
+// payload is the application's to keep, so the message's frame cannot
+// recycle — RecvInto is the allocation-free variant.
 func (t *Thread) RecvTagged(tag int, fromThread int, fromProc ProcID) ([]byte, Addr) {
-	data, addr, _ := t.recvTagOut(tag, fromThread, fromProc)
-	return data, addr
+	m, _ := t.recvAnyOf(recvPattern{tag: tag, from: []Addr{{Proc: fromProc, Thread: fromThread}}})
+	return m.Data, srcOf(m)
 }
 
 // RecvInto is Recv delivering into the caller's buffer — the shape of the
@@ -689,32 +690,170 @@ func (t *Thread) RecvTagged(tag int, fromThread int, fromProc ProcID) ([]byte, A
 // RecvInto loop over a pooled carrier (Mem, real TCP, UDP/ATM) allocates
 // nothing — the allocation-free receive the host-overhead argument wants.
 func (t *Thread) RecvInto(buf []byte, fromThread int, fromProc ProcID) (int, Addr) {
-	return t.recvIntoOn(buf, 0, Any, fromThread, fromProc)
+	return t.recvIntoOn(buf, 0, Any, []Addr{{Proc: fromProc, Thread: fromThread}})
+}
+
+// recvIntoOn is the blocking receive of the RecvInto variants: the payload
+// is copied into the caller's buffer and the message's pooled frame returns
+// to the wire pool, so a steady-state receive loop on a pooled carrier
+// allocates nothing.
+func (t *Thread) recvIntoOn(buf []byte, ch ChannelID, tag int, from []Addr) (int, Addr) {
+	m, _ := t.recvAnyOf(recvPattern{ch: ch, tag: tag, from: from})
+	if len(buf) < len(m.Data) {
+		panic(fmt.Sprintf("core: RecvInto buffer (%d bytes) smaller than message (%d bytes)", len(buf), len(m.Data)))
+	}
+	n, src := copy(buf, m.Data), srcOf(m)
+	m.Release()
+	return n, src
 }
 
 // TryRecv is the non-blocking probe-and-receive variant; ok is false when
 // no matching message is queued. It probes the default channel.
 func (t *Thread) TryRecv(fromThread int, fromProc ProcID) (data []byte, from Addr, ok bool) {
-	return t.tryRecvOn(0, fromThread, fromProc)
+	return t.tryRecv(recvPattern{tag: Any, from: []Addr{{Proc: fromProc, Thread: fromThread}}})
 }
 
-func (t *Thread) tryRecvOn(ch ChannelID, fromThread int, fromProc ProcID) (data []byte, from Addr, ok bool) {
-	p := t.proc
-	i := p.matchStore(ch, Any, fromThread, fromProc, t.idx)
+// tryRecv is the one non-blocking take: the first stored message pat
+// matches, consumed, or ok false when there is none.
+func (t *Thread) tryRecv(pat recvPattern) (data []byte, from Addr, ok bool) {
+	i := t.proc.stored(&pat, t.idx)
 	if i < 0 {
 		return nil, Addr{}, false
 	}
-	m := p.store[i]
-	p.store = removeAt(p.store, i)
-	p.consume(t.mt, m)
-	p.received.Add(1)
-	return m.Data, Addr{Proc: m.From, Thread: m.FromThread}, true
+	m := t.take(i)
+	return m.Data, srcOf(m), true
 }
 
 // MessagesAvailable reports whether a Recv with the given match would
 // complete immediately on the default channel.
 func (t *Thread) MessagesAvailable(fromThread int, fromProc ProcID) bool {
-	return t.proc.matchStore(0, Any, fromThread, fromProc, t.idx) >= 0
+	return t.proc.stored(&recvPattern{tag: Any, from: []Addr{{Proc: fromProc, Thread: fromThread}}}, t.idx) >= 0
+}
+
+// recvPattern is the receive matching decision: the paper's
+// NCS_recv(thread, process, ...) with -1 wildcards, widened to the §3.1
+// many-to-1 class. A message matches when it travels on channel ch, carries
+// tag (or tag is Any), and comes from some entry of from — either half of an
+// entry may be Any; a single-source receive is a set of one. Channel
+// matching is exact: default Recv sees only default-channel traffic, and a
+// Channel.Recv sees only its own — the isolation that lets two disciplines
+// coexist on one pair.
+type recvPattern struct {
+	ch   ChannelID
+	tag  int
+	from []Addr
+}
+
+// match returns the index of the first entry of pat.from the message
+// (addressed to thread toThread) matches, or -1. The store scan and
+// dispatchData both decide through it, so a receive matches the same message
+// whether it arrived before or after the receiver parked.
+func (pat *recvPattern) match(m *transport.Message, toThread int) int {
+	if m.Channel == pat.ch && m.ToThread == toThread && (pat.tag == Any || m.Tag == pat.tag) {
+		for i, a := range pat.from {
+			if (a.Proc == m.From || a.Proc == Any) && (a.Thread == m.FromThread || a.Thread == Any) {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// srcOf returns a message's source address.
+func srcOf(m *transport.Message) Addr { return Addr{Proc: m.From, Thread: m.FromThread} }
+
+// stored returns the store position of the oldest message pat matches for
+// thread toThread, or -1. Kept within the inlining budget: it is the store
+// scan of recvAnyOf's hot path.
+func (p *Proc) stored(pat *recvPattern, toThread int) int {
+	for i, m := range p.store {
+		if pat.match(m, toThread) >= 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// take removes store entry i and consumes it in t's context.
+func (t *Thread) take(i int) *transport.Message {
+	p := t.proc
+	m := p.store[i]
+	p.store = removeAt(p.store, i)
+	p.consume(t.mt, m)
+	p.received.Add(1)
+	return m
+}
+
+// recvAnyOf is the one blocking receive: it returns the oldest stored
+// message pat matches, else — unless pat is doomed — parks the calling
+// thread until dispatchData hands it one, and returns the message with its
+// matched source index. A doomed pattern, at entry or woken by the failure
+// sweep, raises its error through the exception handler. pat.from is only
+// read during the call — a parked waiter keeps its own copy — so a caller's
+// set can live on its stack.
+func (t *Thread) recvAnyOf(pat recvPattern) (*transport.Message, int) {
+	p := t.proc
+	if i := p.stored(&pat, t.idx); i >= 0 {
+		m := t.take(i)
+		return m, pat.match(m, t.idx)
+	}
+	var err error
+	if len(p.deadPeers) != 0 || p.chanCloses != 0 { // else nothing can be doomed
+		err = p.doomed(&pat)
+	}
+	if err == nil {
+		w := p.getWaiter()
+		w.t = t
+		w.pat.ch, w.pat.tag = pat.ch, pat.tag
+		for _, a := range pat.from { // by element: no memmove call per receive
+			w.pat.from = append(w.pat.from, a)
+		}
+		p.waiters = append(p.waiters, w)
+		p.traceThread(t, trace.Idle)
+		t.mt.Park("ncs recv")
+		p.traceThread(t, trace.Compute)
+		m, j := w.got, w.at
+		err = w.err
+		p.putWaiter(w)
+		if err == nil {
+			p.received.Add(1)
+			return m, j
+		}
+	}
+	p.exception(err)
+	panic(err)
+}
+
+// getWaiter draws a recvWaiter from the freelist (or allocates); putWaiter
+// returns one once the woken receiver has read its match, keeping the
+// capacity of its from copy. Scheduler-domain only, like the queues it feeds.
+func (p *Proc) getWaiter() *recvWaiter {
+	if n := len(p.waiterFree); n > 0 {
+		w := p.waiterFree[n-1]
+		p.waiterFree = p.waiterFree[:n-1]
+		return w
+	}
+	return &recvWaiter{}
+}
+
+func (p *Proc) putWaiter(w *recvWaiter) {
+	*w = recvWaiter{pat: recvPattern{from: w.pat.from[:0]}}
+	p.waiterFree = append(p.waiterFree, w)
+}
+
+// collect receives one message pat matches from every entry of pat.from, in
+// arrival order — a slow source delays only its own entry, never messages
+// already delivered — and hands each to fn with keys[i] for the entry i it
+// matched. Matched entries leave pat.from and keys in order, so a source
+// listed twice fills its entries in per-pair FIFO order. Clobbers both.
+func (t *Thread) collect(pat recvPattern, keys []int, fn func(key int, m *transport.Message)) {
+	for len(pat.from) > 0 {
+		m, i := t.recvAnyOf(pat)
+		key := keys[i]
+		pat.from = append(pat.from[:i], pat.from[i+1:]...)
+		keys = append(keys[:i], keys[i+1:]...)
+		fn(key, m)
+	}
 }
 
 // consume charges the host-side receive cost (stack-to-application copy) in
@@ -734,74 +873,17 @@ func removeAt[T any](s []*T, i int) []*T {
 	return s[:len(s)-1]
 }
 
-func (p *Proc) matchStore(ch ChannelID, tag, fromThread int, fromProc ProcID, toThread int) int {
-	for i, m := range p.store {
-		if p.matches(m, ch, tag, fromThread, fromProc, toThread) {
-			return i
-		}
-	}
-	return -1
-}
-
-// matches tests a receive pattern. Channel matching is exact: default
-// Recv sees only default-channel traffic, and a Channel.Recv sees only its
-// own — the isolation that lets two disciplines coexist on one pair.
-func (p *Proc) matches(m *transport.Message, ch ChannelID, tag, fromThread int, fromProc ProcID, toThread int) bool {
-	if m.Channel != ch {
-		return false
-	}
-	if m.ToThread != toThread {
-		return false
-	}
-	if tag != Any && m.Tag != tag {
-		return false
-	}
-	if fromThread != Any && m.FromThread != fromThread {
-		return false
-	}
-	if fromProc != ProcID(Any) && m.From != fromProc {
-		return false
-	}
-	return true
-}
-
-// waiterMatches tests an arriving message against a parked waiter's
-// pattern: the usual single-source pattern, or the any-of set used by
-// out-of-order collection.
-func (p *Proc) waiterMatches(w *recvWaiter, m *transport.Message) bool {
-	if w.multi == nil {
-		return p.matches(m, w.ch, w.tag, w.fromThread, w.fromProc, w.t.idx)
-	}
-	if m.Channel != w.ch || m.ToThread != w.t.idx {
-		return false
-	}
-	if w.tag != Any && m.Tag != w.tag {
-		return false
-	}
-	return addrIndex(w.multi, m) >= 0
-}
-
-// addrIndex returns the first index in set matching the message's source
-// address (Any wildcards an entry's thread), or -1.
-func addrIndex(set []Addr, m *transport.Message) int {
-	for i, a := range set {
-		if a.Proc == m.From && (a.Thread == Any || a.Thread == m.FromThread) {
-			return i
-		}
-	}
-	return -1
-}
-
-// dispatchData hands a data message to a parked waiter or stores it
-// (scheduler domain; rt is the draining thread, see lane.drain).
+// dispatchData hands a data message to the oldest parked waiter whose
+// pattern matches it, or stores it (scheduler domain; rt is the draining
+// thread, see lane.drain).
 func (p *Proc) dispatchData(rt *mts.Thread, m *transport.Message) {
 	for i, w := range p.waiters {
-		if p.waiterMatches(w, m) {
+		if j := w.pat.match(m, w.t.idx); j >= 0 {
 			p.waiters = removeAt(p.waiters, i)
 			// The receive thread performs the stack-to-app copy in its
 			// own context, then wakes the compute thread.
 			p.consume(rt, m)
-			w.got = m
+			w.got, w.at = m, j
 			p.cfg.RT.Unblock(w.t.mt, false)
 			return
 		}
@@ -861,19 +943,35 @@ func (t *Thread) Bcast(list []Addr, data []byte) {
 // returning payloads in list order. Arrivals complete out of order: a slow
 // peer delays only its own slot, never payloads already delivered (each
 // source's messages still fill its list slots in per-pair FIFO order).
-// Group.Gather is the tree-structured alternative for large N.
+// Group.Gather is the tree-structured alternative for large N; this linear
+// form stays because its leaves just Send, which no Group op expresses.
 func (t *Thread) Gather(list []Addr) [][]byte {
 	out := make([][]byte, len(list))
-	pending := append([]Addr(nil), list...)
 	slot := make([]int, len(list))
 	for i := range slot {
 		slot[i] = i
 	}
-	for len(pending) > 0 {
-		m, i := t.recvAnyOf(0, Any, pending)
-		out[slot[i]] = m.Data
-		pending = append(pending[:i], pending[i+1:]...)
-		slot = append(slot[:i], slot[i+1:]...)
-	}
+	t.collect(recvPattern{tag: Any, from: append([]Addr(nil), list...)}, slot, func(i int, m *transport.Message) {
+		out[i] = m.Data
+	})
 	return out
+}
+
+// Reduce gathers one payload from every address in list and folds them
+// with fn, seeded by own: the paper's many-to-1 class with a combining
+// function, where the root calls Reduce and the leaves just Send. Payloads
+// fold in *arrival* order, so one slow peer never head-of-line-blocks
+// contributions already delivered — fn must therefore be commutative as
+// well as associative (sums, maxima, concatenation-by-key). Group.Reduce is
+// the tree-structured alternative for large N.
+func (t *Thread) Reduce(list []Addr, own []byte, fn func(acc, next []byte) []byte) []byte {
+	acc := own
+	held := make([]*transport.Message, 0, len(list))
+	t.collect(recvPattern{tag: Any, from: append([]Addr(nil), list...)}, make([]int, len(list)), func(_ int, m *transport.Message) {
+		acc = fn(acc, m.Data)
+		held = append(held, m)
+	})
+	acc = ownedResult(acc, own)
+	releaseAll(held)
+	return acc
 }

@@ -79,6 +79,13 @@ func runReal(procs []*Proc) {
 	}
 }
 
+// recvMsg blocks th until a message on channel ch matching (tag,
+// fromThread, fromProc) is consumed, and returns it whole.
+func recvMsg(th *Thread, ch ChannelID, tag, fromThread int, fromProc ProcID) *transport.Message {
+	m, _ := th.recvAnyOf(recvPattern{ch: ch, tag: tag, from: []Addr{{Proc: fromProc, Thread: fromThread}}})
+	return m
+}
+
 func TestSimSendRecvBasic(t *testing.T) {
 	eng, procs := simCluster(t, 2, nil)
 	var got []byte
@@ -255,6 +262,28 @@ func TestBcastGather(t *testing.T) {
 		if string(g) != want {
 			t.Fatalf("gathered[%d] = %q, want %q", i, g, want)
 		}
+	}
+}
+
+func TestReduce(t *testing.T) {
+	const n = 4
+	eng, procs := simCluster(t, n, nil)
+	var sum []byte
+	for i := 1; i < n; i++ {
+		i := i
+		procs[i].TCreate("leaf", mts.PrioDefault, func(th *Thread) {
+			th.Send(0, 0, []byte{byte(i * 10)})
+		})
+	}
+	procs[0].TCreate("root", mts.PrioDefault, func(th *Thread) {
+		list := []Addr{{Proc: 1}, {Proc: 2}, {Proc: 3}}
+		sum = th.Reduce(list, []byte{5}, func(acc, next []byte) []byte {
+			return []byte{acc[0] + next[0]}
+		})
+	})
+	eng.Run()
+	if len(sum) != 1 || sum[0] != 5+10+20+30 {
+		t.Fatalf("reduce = %v, want 65", sum)
 	}
 }
 
@@ -471,7 +500,7 @@ func TestStoreAndWaitersDoNotPinRemovedEntries(t *testing.T) {
 				t.Error("TryRecv found nothing in a full store")
 			}
 			th.RecvTagged(n-1-i, Any, Any)
-			th.recvAnyOf(0, n-1-n/4-i, []Addr{{Proc: 0, Thread: Any}})
+			th.recvAnyOf(recvPattern{tag: n - 1 - n/4 - i, from: []Addr{{Proc: 0, Thread: Any}}})
 			if _, ok := pvm.NRecv(0, n-1-n/2-i); !ok {
 				t.Error("NRecv found nothing in a full store")
 			}

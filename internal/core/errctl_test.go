@@ -1,11 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/mts"
+	"repro/internal/netsim"
+	"repro/internal/nic"
+	"repro/internal/sim"
 	"repro/internal/transport"
+	"repro/internal/work"
 )
 
 // TestGoBackNTimerMeasuresTimeWithoutProgress: a loss-free windowed stream
@@ -146,5 +151,70 @@ func TestErrorControlSendAllocs(t *testing.T) {
 		if got := measure(mk); got != 0 {
 			t.Errorf("%s: %.0f allocations per 4 KB round, want 0", name, got)
 		}
+	}
+}
+
+// TestGoBackNOverLossyATM runs NCS error control above the raw ATM-API
+// path with adapter-level frame drops: the scenario the paper's error
+// control thread exists for (no TCP underneath to retransmit).
+func TestGoBackNOverLossyATM(t *testing.T) {
+	eng := sim.NewEngine()
+	eng.SetMaxTime(time.Hour)
+	net := netsim.NewATMLAN(eng, 2, netsim.ATMLANConfig{HostLinkBps: 100e6})
+	nicCfg := nic.Config{
+		NumBuffers:      4,
+		BufferSize:      2048,
+		TrapCost:        10 * time.Microsecond,
+		HostCopyPerByte: 100 * time.Nanosecond,
+		// Drop every 7th received AAL5 frame. The period is chosen coprime
+		// to the retransmission round size (window 4 x 3 frames/message =
+		// 12 frames): a period dividing the round would phase-lock the
+		// drops onto the same message every round and no ARQ could ever
+		// progress — a hazard of deterministic loss, not of go-back-N.
+		RxDropEvery: 7,
+	}
+	var procs [2]*Proc
+	var adapters [2]*nic.SimATM
+	for i := 0; i < 2; i++ {
+		node := eng.NewNode(fmt.Sprintf("n%d", i))
+		a := nic.NewSimATM(node, net, i, nicCfg)
+		adapters[i] = a
+		procs[i] = New(Config{
+			ID:       ProcID(i),
+			RT:       node.RT(),
+			Endpoint: a,
+			Compute:  work.Sim(node),
+			Error:    NewGoBackN(4, 5*time.Millisecond),
+			After:    func(d time.Duration, fn func()) { eng.Schedule(d, fn) },
+		})
+		procs[i].OnException(func(error) {}) // trailing-ack give-up is fine
+	}
+	const msgs = 12
+	var got []int
+	procs[0].TCreate("sender", mts.PrioDefault, func(th *Thread) {
+		for k := 0; k < msgs; k++ {
+			// Multi-chunk messages so drops hit interior frames too.
+			payload := make([]byte, 5000)
+			payload[0] = byte(k)
+			th.Send(0, 1, payload)
+		}
+	})
+	procs[1].TCreate("recv", mts.PrioDefault, func(th *Thread) {
+		for k := 0; k < msgs; k++ {
+			data, _ := th.Recv(Any, Any)
+			got = append(got, int(data[0]))
+		}
+	})
+	eng.Run()
+	if len(got) != msgs {
+		t.Fatalf("delivered %d of %d", len(got), msgs)
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("order broken at %d: %v", i, got)
+		}
+	}
+	if adapters[1].RxDropped() == 0 && adapters[0].RxDropped() == 0 {
+		t.Fatal("fault injection dropped nothing — test proves nothing")
 	}
 }

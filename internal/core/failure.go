@@ -18,11 +18,14 @@ import (
 //     declared DEAD. All timers ride Config.After, so detection is
 //     deterministic under a VirtualTime mesh.
 //   - Teardown: peerDead force-closes every channel to the dead peer
-//     through the existing finalize machinery — parked sends fail, blocked
-//     Recv/RecvInto/recvAnyOf waiters (and with them in-flight collectives)
-//     unblock, error-control windows abandon instead of retransmitting into
-//     the void, VC routes and admission slots release — all with the typed
-//     *PeerDeadError, and Proc.Leaks() still balances to zero.
+//     through the existing finalize machinery — parked sends fail, error-
+//     control windows abandon instead of retransmitting into the void, VC
+//     routes and admission slots release — then one sweep fails every
+//     receive (and with it any in-flight collective) the death dooms, all
+//     with the typed *PeerDeadError, and Proc.Leaks() still balances to
+//     zero. The same predicate (doomed) and sweep serve a local close: a
+//     receiver parked on a channel this end closes or finalizes wakes with
+//     *ChannelClosedError.
 //   - Recovery: Proc.Redial retries OpenCall with capped exponential
 //     backoff and deterministic jitter under a cause-aware policy, so an
 //     application survives a peer restart or a healed partition.
@@ -209,7 +212,7 @@ func (p *Proc) peerDead(peer ProcID, err *PeerDeadError) {
 	// deadErr and the abandon happen under the lane lock (with the state
 	// bumped so lane engines admit nothing more); finalizeChannel then runs
 	// the ordinary teardown, which fails everything still queued with the
-	// channel's sendFailErr — now the typed death.
+	// channel's closedErr — now the typed death.
 	for _, c := range p.channelsOrdered() {
 		if c.peer != peer {
 			continue
@@ -224,77 +227,59 @@ func (p *Proc) peerDead(peer ProcID, err *PeerDeadError) {
 		ln.mu.Unlock()
 		p.finalizeChannel(c)
 	}
-	p.failDeadWaiters()
+	p.failDoomedWaiters()
 	p.checkShutdownWake()
 }
 
-// failDeadWaiters sweeps the parked receive waiters and fails every one
-// whose pattern can only ever match dead peers: a single-source waiter on a
-// dead proc, or an any-of waiter whose whole set is dead. Woken waiters see
-// w.err and re-raise it in recvMsgOn/recvAnyOf. In-place filter, scheduler
-// domain: no timer can interleave between a waiter's append and its park.
-func (p *Proc) failDeadWaiters() {
-	if len(p.waiters) == 0 || len(p.deadPeers) == 0 {
-		return
-	}
+// failDoomedWaiters sweeps the parked receive waiters and fails every one
+// whose pattern is now doomed; the woken receivers raise w.err in
+// recvAnyOf. peerDead runs it once after all its finalizations, Close and
+// finalizeChannel after theirs. In-place filter, scheduler domain: no timer
+// can interleave between a waiter's append and its park.
+func (p *Proc) failDoomedWaiters() {
 	ws := p.waiters
 	kept := ws[:0]
 	for _, w := range ws {
-		var err *PeerDeadError
-		if w.multi == nil {
-			if w.fromProc != ProcID(Any) {
-				err = p.deadPeers[w.fromProc]
-			}
-		} else if len(w.multi) > 0 {
-			err = p.deadPeers[w.multi[0].Proc]
-			for _, a := range w.multi[1:] {
-				if err == nil {
-					break
-				}
-				if p.deadPeers[a.Proc] == nil {
-					err = nil
-				}
-			}
-		}
-		if err == nil {
-			kept = append(kept, w)
+		if err := p.doomed(&w.pat); err != nil {
+			w.err = err
+			p.wakeIfIdle(w.t.mt, "ncs recv")
 			continue
 		}
-		w.err = err
-		p.wakeIfIdle(w.t.mt, "ncs recv")
+		kept = append(kept, w)
 	}
-	for i := len(kept); i < len(ws); i++ {
-		ws[i] = nil
-	}
+	clear(ws[len(kept):])
 	p.waiters = kept
 }
 
-// deadRecvErr reports the death record dooming a receive pattern before it
-// parks: a single-source pattern on a dead peer, or an any-of set entirely
-// dead. nil when the pattern can still complete.
-func (p *Proc) deadRecvErr(fromProc ProcID, set []Addr) *PeerDeadError {
-	if len(p.deadPeers) == 0 {
-		return nil
-	}
-	if set == nil {
-		if fromProc == ProcID(Any) {
+// doomed reports why a receive pattern can never match, or nil while it
+// still can. A source is doomed when its proc is dead, or when this end has
+// closed the channel (proc, ch) — for an explicit channel, finalized out of
+// the table counts too; a wildcard proc never is. The pattern is doomed when
+// every source is, and the error is the first source's: the death record,
+// else the channel's closedErr. The one predicate behind both the pre-park
+// check and the sweep; both run it only once a peer died or a channel
+// closed (Proc.chanCloses).
+func (p *Proc) doomed(pat *recvPattern) error {
+	var first error
+	for _, a := range pat.from {
+		if a.Proc == ProcID(Any) {
 			return nil
 		}
-		return p.deadPeers[fromProc]
-	}
-	if len(set) == 0 {
-		return nil
-	}
-	err := p.deadPeers[set[0].Proc]
-	for _, a := range set[1:] {
-		if err == nil {
+		var err error
+		if pd := p.deadPeers[a.Proc]; pd != nil {
+			err = pd
+		} else if c := p.openChannel(a.Proc, pat.ch); c != nil && c.closed {
+			err = c.closedErr()
+		} else if c == nil && pat.ch != 0 {
+			err = &ChannelClosedError{Local: p.cfg.ID, Peer: a.Proc, ID: pat.ch}
+		} else {
 			return nil
 		}
-		if p.deadPeers[a.Proc] == nil {
-			return nil
+		if first == nil {
+			first = err
 		}
 	}
-	return err
+	return first
 }
 
 // ---------------------------------------------------------------------------

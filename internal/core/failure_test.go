@@ -13,20 +13,30 @@ import (
 	"repro/internal/transport"
 )
 
-// recoverDead runs fn and returns the *PeerDeadError it panicked with, or
-// nil if fn returned normally. Any other panic value propagates (and fails
-// the test loudly, which is what we want for an unexpected failure mode).
-func recoverDead(fn func()) (pd *PeerDeadError) {
+// recoverErr runs fn and returns the error it panicked with — a receive's
+// exception, re-raised past the handler — or nil if fn returned normally.
+// A non-error panic value propagates.
+func recoverErr(fn func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err, ok := r.(error)
-			if !ok || !errors.As(err, &pd) {
+			var ok bool
+			if err, ok = r.(error); !ok {
 				panic(r)
 			}
 		}
 	}()
 	fn()
-	return
+	return nil
+}
+
+// recoverDead is recoverErr narrowed to *PeerDeadError. Any other panic
+// propagates (and fails the test loudly, which is what we want for an
+// unexpected failure mode).
+func recoverDead(fn func()) (pd *PeerDeadError) {
+	if err := recoverErr(fn); err != nil && !errors.As(err, &pd) {
+		panic(err)
+	}
+	return pd
 }
 
 // hbCfg is the standard fast test detector: worst-case declaration at

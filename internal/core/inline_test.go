@@ -104,7 +104,7 @@ func TestInlinePassCreditReentersSenderLane(t *testing.T) {
 		})
 		procs[side].TCreate("rx", mts.PrioDefault, func(th *Thread) {
 			for k := 0; k < msgs; k++ {
-				m := th.recvMsgOn(1, Any, Any, ProcID(1-side))
+				m := recvMsg(th, 1, Any, Any, ProcID(1-side))
 				got[side] = append(got[side], m.Tag)
 				m.Release()
 			}
@@ -145,7 +145,7 @@ func TestInlinePassKeepsOrderAcrossThreshold(t *testing.T) {
 	})
 	procs[1].TCreate("rx", mts.PrioDefault, func(th *Thread) {
 		for k := 0; k < 2*pairs; k++ {
-			m := th.recvMsgOn(0, Any, Any, 0)
+			m := recvMsg(th, 0, Any, Any, 0)
 			tags, sizes = append(tags, m.Tag), append(sizes, len(m.Data))
 			m.Release()
 		}

@@ -1009,7 +1009,7 @@ func (ln *lane) serviceLocked() {
 				// retireLocked recycles the request.
 				c := req.ch
 				ln.retireLocked(req)
-				ln.errs = append(ln.errs, c.sendFailErr())
+				ln.errs = append(ln.errs, c.closedErr())
 				continue
 			}
 			if !req.flowOK {
@@ -1200,7 +1200,7 @@ func (ln *lane) detachChanLocked(c *Channel) {
 	for c.sq.Size() > 0 {
 		req := c.sq.Pop()
 		ln.retireLocked(req)
-		ln.errs = append(ln.errs, c.sendFailErr())
+		ln.errs = append(ln.errs, c.closedErr())
 	}
 	ln.pending.removeChan(c)
 	for i, x := range ln.chans {
@@ -1239,7 +1239,7 @@ func (c *Channel) laneSend(t *Thread, tag, toThread int, data []byte) {
 	ln := c.lockLane()
 	if c.sendUnavailable() {
 		ln.mu.Unlock()
-		p.exception(c.sendFailErr())
+		p.exception(c.closedErr())
 		p.traceThread(t, trace.Compute)
 		return
 	}

@@ -95,7 +95,7 @@ func TestShardedChannelFIFO(t *testing.T) {
 		})
 		procs[1].TCreate(fmt.Sprintf("rx%d", i), mts.PrioDefault, func(th *Thread) {
 			for k := 0; k < msgs; k++ {
-				m := th.recvMsgOn(tx[i].id, Any, Any, 0)
+				m := recvMsg(th, tx[i].id, Any, Any, 0)
 				order[i] = append(order[i], m.Tag)
 				m.Release()
 			}
@@ -149,7 +149,7 @@ func TestShardedLanePinning(t *testing.T) {
 		})
 		procs[1].TCreate(fmt.Sprintf("rx%d", ti), mts.PrioDefault, func(th *Thread) {
 			for k := 0; k < msgs; k++ {
-				th.recvMsgOn(c.id, k, Any, 0).Release()
+				recvMsg(th, c.id, k, Any, 0).Release()
 			}
 		})
 	}

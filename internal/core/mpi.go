@@ -84,8 +84,8 @@ func (f *MPIFilter) Recv(source, tag int) ([]byte, MPIStatus) {
 	if source != MPIAnySource {
 		from = f.world[source]
 	}
-	data, addr, actualTag := f.t.recvTagOut(tag, Any, from)
-	return data, MPIStatus{Source: addr.Proc, Tag: actualTag, Count: len(data)}
+	m, _ := f.t.recvAnyOf(recvPattern{tag: tag, from: []Addr{{Proc: from, Thread: Any}}})
+	return m.Data, MPIStatus{Source: m.From, Tag: m.Tag, Count: len(m.Data)}
 }
 
 // Sendrecv is MPI_Sendrecv: the paired exchange that makes neighbour

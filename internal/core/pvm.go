@@ -224,14 +224,9 @@ func (f *PVMFilter) Recv(tid ProcID, tag int) *PVMBuffer {
 // NRecv is the non-blocking probe-and-receive: pvm_nrecv. ok reports
 // whether a matching message was consumed.
 func (f *PVMFilter) NRecv(tid ProcID, tag int) (*PVMBuffer, bool) {
-	p := f.t.proc
-	i := p.matchStore(0, tag, Any, tid, f.t.idx)
-	if i < 0 {
+	data, _, ok := f.t.tryRecv(recvPattern{tag: tag, from: []Addr{{Proc: tid, Thread: Any}}})
+	if !ok {
 		return nil, false
 	}
-	m := p.store[i]
-	p.store = removeAt(p.store, i)
-	p.consume(f.t.mt, m)
-	p.received.Add(1)
-	return &PVMBuffer{data: m.Data}, true
+	return &PVMBuffer{data: data}, true
 }

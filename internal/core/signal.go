@@ -30,8 +30,9 @@ import (
 // new sends fail with *ChannelClosedError. The end that finishes draining
 // sends RELEASE; the peer drains its own sender side, answers
 // RELEASE-COMPLETE, and both ends finalize: the channel leaves the table,
-// the carrier unbinds the per-call VC route, and the admission policy gets
-// its slot back. Every transition is balance-counted (channels opened ==
+// the carrier unbinds the per-call VC route, the admission policy gets its
+// slot back, and a thread still parked receiving on the channel wakes with
+// *ChannelClosedError. Every transition is balance-counted (channels opened ==
 // closed, VCs bound == released, ...) so churn scenarios can assert zero
 // leaked state; see Proc.Lifecycle and Proc.Leaks.
 //
@@ -129,17 +130,19 @@ func (e *OpenError) Error() string {
 		e.ID, e.Peer, e.Attempts, e.Cause)
 }
 
-// ChannelClosedError reports a send on a closed (or closing) channel. It is
-// raised through the proc's exception handler — Send returns no error, as
-// in the paper's API — uniformly across all disciplines and both execution
-// paths; the default handler still panics.
+// ChannelClosedError reports a send on a closed (or closing) channel, or a
+// receive that can never complete because this end closed (or finalized)
+// the channel it waits on. It is raised through the proc's exception
+// handler — Send and Recv return no error, as in the paper's API —
+// uniformly across all disciplines and execution paths; the default handler
+// still panics.
 type ChannelClosedError struct {
 	Local, Peer ProcID
 	ID          ChannelID
 }
 
 func (e *ChannelClosedError) Error() string {
-	return fmt.Sprintf("core(proc %d): send on closed channel %d to proc %d", e.Local, e.ID, e.Peer)
+	return fmt.Sprintf("core(proc %d): channel %d to proc %d is closed", e.Local, e.ID, e.Peer)
 }
 
 // Setup handshake defaults (see CallConfig).
@@ -1054,8 +1057,9 @@ func (p *Proc) onRelComp(from ProcID, id ChannelID) {
 
 // finalizeChannel is the terminal transition: the channel leaves the
 // proc's table, its lane-scheduler and flush-wheel state detaches, queued
-// sends fail with ChannelClosedError, the VC route unbinds, and the
-// admission slot returns. Idempotent; scheduler domain.
+// sends fail with ChannelClosedError, the VC route unbinds, the admission
+// slot returns, and receivers parked on the channel wake with the same
+// error. Idempotent; scheduler domain.
 func (p *Proc) finalizeChannel(c *Channel) {
 	if c == nil || c.closedDone {
 		return
@@ -1090,6 +1094,12 @@ func (p *Proc) finalizeChannel(c *Channel) {
 		p.wakeIfIdle(mt, "ncs close")
 	}
 	c.closeWaiters = nil
+	p.chanCloses++
+	if c.deadErr == nil {
+		// peerDead (which set deadErr) sweeps once after all its
+		// finalizations: sweeping per channel would reorder the wakeups.
+		p.failDoomedWaiters()
+	}
 	p.checkShutdownWake()
 }
 
