@@ -68,10 +68,13 @@
 // bucket, or per-peer cap) and handing admitted channels to
 // Config.OnAccept; refusals and dead peers surface as *OpenError with a
 // typed CallCause after a bounded, jittered retry schedule
-// (CallConfig.SetupTimeout/Retries/Backoff). The lifecycle is
-// OPENING → OPEN → CLOSING → CLOSED: Channel.CloseCall drains in-flight
-// data on both ends before RELEASE/RELEASE-COMPLETE tear down VC routes,
-// discipline timers, and lane state together, sends on a closing channel
+// (CallConfig.SetupTimeout/Retries/Backoff). A channel's lifecycle is one
+// state and one (state, event) → (actions, next) table: OPENING → OPEN →
+// CLOSING → RELEASING on the closing end, OPEN → DRAINING on its peer, both
+// to CLOSED. Channel.CloseCall (or Close, which starts the same handshake
+// without waiting) drains in-flight data on both ends before
+// RELEASE/RELEASE-COMPLETE tear down VC routes, discipline timers, and lane
+// state together, sends on a closing channel
 // fail uniformly with *ChannelClosedError across all four disciplines (as
 // does a receive parked on a channel its own end closes or finalizes),
 // and Proc.Lifecycle/Proc.Leaks balance-count every resource so churn

@@ -98,29 +98,23 @@ type Channel struct {
 	weight   int // DRR weight within the lane (Priority+1 by default)
 	flow     FlowControl
 	errc     ErrorControl
-	closed   bool
 
-	// Signaled-lifecycle state (see signal.go). state is atomic because
-	// lane engines read it on the send path (sendUnavailable) without
-	// entering the scheduler domain; everything else below is
-	// scheduler-domain only. sigRef is the call reference the channel was
-	// set up under (0 for statically opened channels, which signaling never
-	// touches); sigInit marks the caller end, sigAdmitted an admission slot
-	// to return at finalize, vcBound an installed per-call VC route.
-	// relSent/relPeer/relAttempt/closeStarted/closedDone drive the close
-	// handshake, and closeWaiters holds threads parked in CloseCall.
+	// Lifecycle (see signal.go). state is the one lifecycle value, written
+	// only by sigStep (and addChannel at birth); it is atomic because lane
+	// engines read it on the send and ingest paths without entering the
+	// scheduler domain. Everything else below is scheduler-domain only.
+	// sigRef is the call reference the channel was set up under (0 for a
+	// static channel, which signaling never touches); call is the caller
+	// end's setup record (nil on the callee end); attempt counts SETUPs while
+	// opening and RELEASEs once open; cause is why the call failed, or what
+	// this end's RELEASE carries; closeWaiters holds threads parked in
+	// CloseCall.
 	state        atomic.Uint32
-	everOpen     bool
 	sigRef       uint32
-	sigInit      bool
-	sigAdmitted  bool
-	vcBound      bool
+	call         *sigCall
+	attempt      int
+	cause        CallCause
 	peerThread   int
-	relSent      bool
-	relPeer      bool
-	relAttempt   int
-	closeStarted bool
-	closedDone   bool
 	closeWaiters []*mts.Thread
 	// deadErr, set by the failure sweep when the peer is declared dead,
 	// replaces the generic ChannelClosedError on every subsequent send
@@ -132,8 +126,8 @@ type Channel struct {
 
 	// ln is the lane the channel runs on: set once in addChannel (the peer
 	// hash, or the ChannelConfig.Lane pin) and never changed. All mutable
-	// channel state below — discipline state, piggyback words, the closed
-	// flag — is guarded by its mu.
+	// channel state below — discipline state, piggyback words, the
+	// scheduler entries — is guarded by its mu.
 	ln *lane
 
 	// Pending reverse-direction control: the receiver role's credit
@@ -209,22 +203,7 @@ func (p *Proc) Open(peer ProcID, cfg ChannelConfig) *Channel {
 	if cfg.ID == 0 || cfg.ID > MaxChannelID {
 		panic(fmt.Sprintf("core: channel ID must be 1..%d (0 is the default channel)", MaxChannelID))
 	}
-	if cfg.Priority < 0 || cfg.Priority >= NumChannelPriorities {
-		panic(fmt.Sprintf("core: channel priority must be 0..%d", NumChannelPriorities-1))
-	}
-	if cfg.Weight < 0 {
-		panic("core: channel weight must be >= 0 (0 selects Priority+1)")
-	}
-	key := chanKey{peer: peer, id: cfg.ID}
-	fc := cfg.Flow
-	if fc == nil {
-		fc = NoFlowControl{}
-	}
-	ec := cfg.Error
-	if ec == nil {
-		ec = NoErrorControl{}
-	}
-	return p.addChannel(key, cfg.Priority, cfg.Lane, cfg.Weight, fc, ec)
+	return p.addChannel(chanKey{peer: peer, id: cfg.ID}, chanStatic, cfg.Priority, cfg.Lane, cfg.Weight, cfg.Flow, cfg.Error)
 }
 
 // DefaultChannel returns the implicit channel 0 toward peer, creating it on
@@ -241,21 +220,35 @@ func (p *Proc) DefaultChannel(peer ProcID) *Channel {
 	if ec == nil {
 		ec = NoErrorControl{}
 	}
-	return p.addChannel(chanKey{peer: peer}, 0, 0, 0, fc.fork(), ec.fork())
+	return p.addChannel(chanKey{peer: peer}, chanStatic, 0, 0, 0, fc.fork(), ec.fork())
 }
 
-// addChannel builds a channel and publishes it. The channel is fully
-// initialized — lane pinned, disciplines init'd — *before* it enters the
-// table: a foreign goroutine (routeFrame) may resolve it the instant it is
-// visible. Two goroutines may race to create the same
-// default channel; the loser's channel is discarded and the winner's
-// returned. Explicit duplicate Opens still panic.
-func (p *Proc) addChannel(key chanKey, prio, laneHint, weight int, fc FlowControl, ec ErrorControl) *Channel {
+// addChannel builds a channel in lifecycle state st and publishes it; nil
+// disciplines select none. The channel is fully initialized — lane pinned,
+// disciplines init'd — *before* it enters the table: a foreign goroutine
+// (routeFrame) may resolve it the instant it is visible. Two goroutines may
+// race to create the same default channel; the loser's channel is
+// discarded and the winner's returned. Explicit duplicate Opens still
+// panic.
+func (p *Proc) addChannel(key chanKey, st uint32, prio, laneHint, weight int, fc FlowControl, ec ErrorControl) *Channel {
+	if prio < 0 || prio >= NumChannelPriorities {
+		panic(fmt.Sprintf("core: channel priority must be 0..%d", NumChannelPriorities-1))
+	}
+	if weight < 0 {
+		panic("core: channel weight must be >= 0 (0 selects Priority+1)")
+	}
 	if weight == 0 {
 		weight = prio + 1
 	}
+	if fc == nil {
+		fc = NoFlowControl{}
+	}
+	if ec == nil {
+		ec = NoErrorControl{}
+	}
 	ln := p.lanes[p.laneIndex(key.peer, laneHint)]
 	c := &Channel{p: p, peer: key.peer, id: key.id, priority: prio, weight: weight, flow: fc, errc: ec, ln: ln}
+	c.state.Store(st)
 	ln.mu.Lock()
 	ln.chans = append(ln.chans, c)
 	ln.mu.Unlock()
@@ -313,58 +306,34 @@ func (p *Proc) lookupChannel(peer ProcID, id ChannelID) (*Channel, bool) {
 	return nil, false
 }
 
-// Close tears the channel down from this end: the disciplines shut down —
-// the window-sync and pacing timers stop, and sends still gated inside a
-// discipline *fail* (their callers unblock and the proc's exception
-// handler reports how many were abandoned) instead of hanging forever.
-// Further Sends on the channel panic. So does a receive on it from the peer
-// once nothing it matches is stored — one already parked is woken — raising
-// *ChannelClosedError through the exception handler. The channel stays in
-// the proc's table so late control traffic (credits, acks) is still
-// consumed and error control can finish draining its in-flight window —
-// data already admitted still flushes to the wire. Arriving data is dropped
-// through the exception handler, like data on a channel that was never
-// opened. Call from a thread of this process (or any scheduler-domain
-// context); idempotent.
+// Close tears the channel down from this end; call it from a thread of
+// this process (or any scheduler-domain context). Idempotent.
 //
-// Close is one-sided: there is no teardown signaling to the peer, so a
-// peer still transmitting into a closed channel sees its error-control
-// tier retry and eventually give up, exactly as against a dead process.
-// Channels opened through the signaling band (Proc.OpenCall) should use
-// CloseCall instead, which drains both ends and releases the VC.
-func (c *Channel) Close() {
-	ln := c.lockLane()
-	if c.closed {
-		ln.mu.Unlock()
-		return
-	}
-	// Flush pending piggyback control first: the peer's sender role may be
-	// stalled on exactly the credit or ack sitting here, and a closed
-	// channel produces no more data frames to carry it.
-	c.flushCtrl()
-	c.closed = true
-	c.state.Store(chanClosed)
-	c.flow.shutdown()
-	c.errc.shutdown()
-	ln.leave()
-	// A receiver parked on this channel alone can never complete now.
-	c.p.chanCloses++
-	c.p.failDoomedWaiters()
-	// Error control may have been holding the only reference that kept the
-	// system threads alive; re-check now that deferred work is failed.
-	c.p.checkShutdownWake()
-}
+// On a statically opened channel (Proc.Open) the teardown is local and
+// immediate: pending piggyback control flushes, the disciplines shut down —
+// timers stop, and sends still gated inside a discipline *fail* instead of
+// hanging — and further sends, and receives from the peer once nothing they
+// match is stored (one already parked is woken), raise *ChannelClosedError
+// through the exception handler. The channel stays in the table so late
+// credits and acks are consumed and error control can finish its in-flight
+// window; arriving data is dropped. Nothing tells the peer, whose error
+// control retries and gives up as against a dead process.
+//
+// On a signaled channel (Proc.OpenCall, Config.OnAccept) Close starts the
+// handshake CloseCall runs, without waiting: sends fail at once, this end
+// drains, RELEASE goes out, and both ends finalize. A CloseCall afterwards
+// waits for the end.
+func (c *Channel) Close() { c.p.sigStep(c, evClose, CauseNone) }
 
-// Closed reports whether Close has been called on this end.
-func (c *Channel) Closed() bool { return c.closed }
+// Closed reports whether this end has closed the channel for good: Close
+// on a static channel, or a signaled channel's finalized teardown.
+func (c *Channel) Closed() bool { return c.state.Load() == chanClosed }
 
-// sendUnavailable reports whether new sends must fail: the channel was
-// closed locally, or the signaled close handshake has begun (CLOSING keeps
-// the receiver role live so the peer can drain, but admits no new sends).
-// Safe from any goroutine — lane engines call it on the send path.
-func (c *Channel) sendUnavailable() bool {
-	return c.closed || c.state.Load() >= chanClosing
-}
+// sendUnavailable reports whether new sends must fail: the channel is
+// closed, or a signaled close has begun (the closing states keep the
+// receiver role live so the peer can drain, but admit no new sends). Safe
+// from any goroutine — lane engines call it on the send path.
+func (c *Channel) sendUnavailable() bool { return c.state.Load() >= chanClosing }
 
 // closedErr is the error a failed send — or a receive doomed by the close —
 // raises: the typed *PeerDeadError when the failure sweep tore the channel
@@ -486,7 +455,7 @@ func (c *Channel) queueAck(v uint32, cumulative bool) {
 // channel with pending control, so 256 idle channels cost at most one armed
 // timer each wheel, not 256.
 func (c *Channel) armFlush() {
-	if c.flushOn || c.closed {
+	if c.flushOn || c.Closed() {
 		return
 	}
 	ln := c.laneOf()

@@ -359,7 +359,7 @@ func (g *Group) fanSend(t *Thread, tag int, idxs []int, datas [][]byte, shared [
 	for pos, ki := range idxs {
 		c := g.chans[ki]
 		ln := c.lockLane()
-		if c.closed {
+		if c.Closed() {
 			ln.mu.Unlock()
 			panic(fmt.Sprintf("core(proc %d): group send on closed channel %d to proc %d", p.cfg.ID, c.id, c.peer))
 		}

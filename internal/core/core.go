@@ -305,10 +305,8 @@ type Proc struct {
 
 	onException func(error)
 
-	// Signaled-call state (scheduler domain; see signal.go): sigCalls holds
-	// outstanding outgoing setups by call reference, sigRefSeq allocates
-	// references.
-	sigCalls  map[uint32]*sigCall
+	// sigRefSeq allocates call references for OpenCall (scheduler domain;
+	// see signal.go). An outgoing call is its channel in chanOpening.
 	sigRefSeq uint32
 
 	// Failure domain (scheduler domain; see failure.go): hbPeers is the

@@ -17,8 +17,8 @@ import (
 //     has channels to; a peer silent for Misses consecutive intervals is
 //     declared DEAD. All timers ride Config.After, so detection is
 //     deterministic under a VirtualTime mesh.
-//   - Teardown: peerDead force-closes every channel to the dead peer
-//     through the existing finalize machinery — parked sends fail, error-
+//   - Teardown: peerDead steps every channel to the dead peer through the
+//     lifecycle table's peer-dead event (signal.go) — parked sends fail, error-
 //     control windows abandon instead of retransmitting into the void, VC
 //     routes and admission slots release — then one sweep fails every
 //     receive (and with it any in-flight collective) the death dooms, all
@@ -151,8 +151,8 @@ func (p *Proc) heartbeatTick() {
 }
 
 // sendBeat sends one heartbeat frame (word 0 = ping, 1 = ack) — the same
-// route signaling takes (sendSigMsg), minus the marshalled SigMessage a beat
-// doesn't need.
+// route signaling takes, minus the marshalled SigMessage a beat doesn't
+// need.
 func (p *Proc) sendBeat(to ProcID, word uint32) {
 	p.sendProcCtrl(to, tagSigBeat, nil, word)
 }
@@ -174,12 +174,13 @@ func (p *Proc) onBeat(from ProcID, word uint32) {
 // considered alive. Call from a thread of this process (scheduler domain).
 func (p *Proc) PeerDead(peer ProcID) *PeerDeadError { return p.deadPeers[peer] }
 
-// peerDead is the fail-fast teardown sweep: record the death, abort
-// outstanding call setups toward the peer, force-close every channel to it
-// through finalizeChannel (parked and future sends fail with the typed
-// error, error-control windows abandon, VC routes and admission slots
-// release), and fail every receive waiter that can now never match.
-// Scheduler domain; idempotent.
+// peerDead is the fail-fast teardown sweep: record the death, then step
+// every channel to the peer through the lifecycle table's peer-dead event —
+// outstanding call setups fail with CausePeerDead, every other channel
+// force-closes (parked and future sends fail with the typed error,
+// error-control windows abandon, VC routes and admission slots release) —
+// and fail every receive waiter that can now never match. Scheduler domain;
+// idempotent.
 func (p *Proc) peerDead(peer ProcID, err *PeerDeadError) {
 	if _, dead := p.deadPeers[peer]; dead {
 		return
@@ -189,43 +190,26 @@ func (p *Proc) peerDead(peer ProcID, err *PeerDeadError) {
 	}
 	p.deadPeers[peer] = err
 	p.markFail(fmt.Sprintf("peer-dead p%d", peer))
-	// Outstanding SETUPs toward the peer fail now instead of burning their
-	// whole retry budget. Refs are sorted: map iteration order must never
-	// reach the timeline (determinism contract).
-	var refs []uint32
-	for ref, call := range p.sigCalls {
-		if call.peer == peer && call.state == sigCalling {
-			refs = append(refs, ref)
-		}
-	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
-	for _, ref := range refs {
-		call := p.sigCalls[ref]
-		call.state = sigFailed
-		call.cause = CausePeerDead
-		delete(p.sigCalls, ref)
-		call.ch.deadErr = err
-		p.finalizeChannel(call.ch)
-		p.wakeIfIdle(call.caller, "ncs call")
-	}
-	// Force-close every channel to the peer, static and signaled alike.
-	// deadErr and the abandon happen under the lane lock (with the state
-	// bumped so lane engines admit nothing more); finalizeChannel then runs
-	// the ordinary teardown, which fails everything still queued with the
-	// channel's closedErr — now the typed death.
+	// Outstanding SETUPs toward the peer fail first, instead of burning
+	// their whole retry budget, in call-reference order (never map order:
+	// the determinism contract).
+	var calls []*Channel
 	for _, c := range p.channelsOrdered() {
-		if c.peer != peer {
-			continue
+		if c.peer == peer && c.state.Load() == chanOpening {
+			calls = append(calls, c)
 		}
-		p.markFail(fmt.Sprintf("force-close ch%d>%d", c.id, peer))
-		ln := c.lockLane()
-		c.deadErr = err
-		if c.state.Load() < chanClosing {
-			c.state.Store(chanClosing)
+	}
+	sort.Slice(calls, func(i, j int) bool { return calls[i].sigRef < calls[j].sigRef })
+	for _, c := range calls {
+		p.sigStep(c, evPeerDead, CausePeerDead)
+	}
+	// Then every channel still to the peer force-closes, static and
+	// signaled alike.
+	for _, c := range p.channelsOrdered() {
+		if c.peer == peer {
+			p.markFail(fmt.Sprintf("force-close ch%d>%d", c.id, peer))
+			p.sigStep(c, evPeerDead, CausePeerDead)
 		}
-		c.errc.abandon()
-		ln.mu.Unlock()
-		p.finalizeChannel(c)
 	}
 	p.failDoomedWaiters()
 	p.checkShutdownWake()
@@ -268,7 +252,7 @@ func (p *Proc) doomed(pat *recvPattern) error {
 		var err error
 		if pd := p.deadPeers[a.Proc]; pd != nil {
 			err = pd
-		} else if c := p.openChannel(a.Proc, pat.ch); c != nil && c.closed {
+		} else if c := p.openChannel(a.Proc, pat.ch); c != nil && c.Closed() {
 			err = c.closedErr()
 		} else if c == nil && pat.ch != 0 {
 			err = &ChannelClosedError{Local: p.cfg.ID, Peer: a.Proc, ID: pat.ch}

@@ -925,7 +925,7 @@ func (ln *lane) processLocked() {
 		if m.HasAck {
 			c.errc.onAck(m.Ack)
 		}
-		if c.closed {
+		if c.Closed() {
 			// This end tore the channel down; without teardown signaling the
 			// peer may still be transmitting. Drop, and let its error control
 			// give up as against a dead process.
@@ -1069,7 +1069,7 @@ func (ln *lane) wheelFire() {
 	for ln.flushQ.Size() > 0 && ln.flushQ.Peek().flushAt <= now {
 		c := ln.flushQ.Pop()
 		c.flushOn = false
-		if !c.closed {
+		if !c.Closed() {
 			c.flushCtrl()
 		}
 	}

@@ -170,7 +170,10 @@ func TestRecvDoomTable(t *testing.T) {
 		{"set-partly-dead", anyOf, kill(1), ""},
 		{"set-wholly-dead", anyOf, kill(1, 2), "dead"},
 		{"closed-channel", onChannel, func(_ *Proc, ch *Channel) { ch.Close() }, "closed"},
-		{"finalized-channel", onChannel, func(p *Proc, ch *Channel) { p.finalizeChannel(ch) }, "closed"},
+		{"finalized-channel", onChannel, func(p *Proc, ch *Channel) {
+			ch.state.Store(chanClosed) // the terminal transition, by hand
+			p.finalizeChannel(ch, chanStatic)
+		}, "closed"},
 	}
 	for _, tc := range cases {
 		for _, mode := range []string{"entry", "parked"} {

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/atm"
-	"repro/internal/mts"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -20,28 +20,27 @@ import (
 // that drains in-flight data on both ends before either releases its VC,
 // discipline, flush-wheel, and lane-scheduler state.
 //
-// State machine (per channel end):
+// A channel's whole lifecycle is one value, Channel.state, moved only by
+// sigStep through one table, sigTable: (state, event) → (actions, next).
+// Every signaling message, timer, close call and peer death reduces to
+// "decode, find the channel, step".
 //
-//	OPENING --CONNECT--> OPEN --CloseCall/RELEASE--> CLOSING --drained--> CLOSED
-//	   \--REJECT/timeout--> CLOSED
+//	STATIC ──close──► CLOSED                          (Proc.Open, default channels)
+//	OPENING ──CONNECT──► OPEN ──close──► CLOSING ──drained: RELEASE──► RELEASING
+//	OPENING ──REJECT, SETUP budget spent──► CLOSED    (timeout with budget left: SETUP again)
+//	OPEN ──RELEASE──► DRAINING ──drained: RELEASE-COMPLETE──► CLOSED
+//	CLOSING, RELEASING ──RELEASE: RELEASE-COMPLETE──► CLOSED
+//	RELEASING ──RELEASE-COMPLETE, RELEASE budget spent──► CLOSED (timeout: RELEASE again)
+//	every state but CLOSED ──peer dead──► CLOSED
 //
-// During CLOSING the channel's *receiver* role stays live — arriving data
-// is delivered, credits and acks keep flowing so the peer can drain — but
-// new sends fail with *ChannelClosedError. The end that finishes draining
-// sends RELEASE; the peer drains its own sender side, answers
-// RELEASE-COMPLETE, and both ends finalize: the channel leaves the table,
-// the carrier unbinds the per-call VC route, the admission policy gets its
-// slot back, and a thread still parked receiving on the channel wakes with
-// *ChannelClosedError. Every transition is balance-counted (channels opened ==
-// closed, VCs bound == released, ...) so churn scenarios can assert zero
-// leaked state; see Proc.Lifecycle and Proc.Leaks.
-//
-// Everything here runs in the scheduler domain: signaling frames arrive
-// through the lane drain, and every timer rides Config.After — so the same
-// code is deterministic under a VirtualTime mesh and needs no locking for
-// the call table or the per-channel signaling flags. The one lane-visible
-// field, Channel.state, is atomic: lane engines read it on the send path
-// (sendUnavailable) without entering the scheduler domain.
+// While CLOSING, RELEASING or DRAINING, new sends fail with
+// *ChannelClosedError but the receiver role stays live, so the peer can
+// drain. Every transition is balance-counted (channels opened == closed, VCs
+// bound == released, ...) so churn scenarios can assert zero leaked state;
+// see Proc.Lifecycle and Proc.Leaks. Everything here runs in the scheduler
+// domain — frames arrive through the lane drain, timers ride Config.After —
+// so it is deterministic under a VirtualTime mesh, and only Channel.state,
+// which lane engines read, needs to be atomic.
 
 // Signaling control tags (continuing the reserved negative tag space of
 // core.go). The wire codec carries tags as int32, so negatives survive the
@@ -58,16 +57,201 @@ const (
 // (including the heartbeat, tagSigBeat in failure.go).
 func isSigTag(tag int) bool { return tag <= tagSigSetup && tag >= tagSigBeat }
 
-// Channel lifecycle states (Channel.state). Statically opened channels
-// (Proc.Open, default channels) stay chanStatic forever: their lifecycle is
-// Close's local-only teardown, unchanged.
+// ---------------------------------------------------------------------------
+// The lifecycle table
+
+// Channel lifecycle states (Channel.state), ordered so that >= chanClosing
+// means new sends fail.
 const (
-	chanStatic uint32 = iota
-	chanOpening
-	chanOpen
-	chanClosing
-	chanClosed
+	chanStatic    uint32 = iota // Proc.Open or default channel: signaling never touches it
+	chanOpening                 // caller end: SETUP sent, waiting for CONNECT or REJECT
+	chanOpen                    // data flows both ways
+	chanClosing                 // this end closes: sends fail, the sender side drains, then RELEASE
+	chanReleasing               // RELEASE sent, retried until RELEASE-COMPLETE
+	chanDraining                // the peer's RELEASE arrived: drain, then RELEASE-COMPLETE
+	chanClosed                  // terminal
+	numChanStates
 )
+
+// sigEvent is one input to the lifecycle table.
+type sigEvent uint8
+
+const (
+	evConnect  sigEvent = iota // CONNECT for the channel's call reference
+	evReject                   // REJECT for it (cause: the callee's)
+	evTimeout                  // a retry timer fired with attempts left: SETUP while opening, RELEASE while releasing
+	evGiveUp                   // a retry timer fired with the budget spent (cause: timeout)
+	evClose                    // CloseCall, Close, or the idle reaper (cause: what the RELEASE carries)
+	evDrained                  // the sender side has drained (pollDrain)
+	evRelease                  // the peer's RELEASE
+	evRelComp                  // the peer's RELEASE-COMPLETE
+	evPeerDead                 // the failure detector declared the peer dead (cause: peer-dead)
+	numSigEvents
+)
+
+// sigAct is a set of transition actions. sigStep runs a row's actions in
+// the order they are declared here.
+type sigAct uint16
+
+const (
+	actAbandon sigAct = 1 << iota // error control abandons its window; a dead peer's record becomes the send error (before the state moves)
+	actCause                      // record the event's cause: why the call failed, or what the RELEASE carries
+	actOpened                     // count the open, bind the VC, arm the idle reaper
+	actSetup                      // SETUP again, next attempt, and arm its timer
+	actShut                       // flush pending control and shut the disciplines: gated sends fail
+	actSweep                      // the closed-channel sweep (finalizeChannel runs it too)
+	actDrain                      // poll until the sender side drains
+	actRelease                    // RELEASE; entering or staying in RELEASING, next attempt and its timer
+	actFinal                      // the terminal teardown (finalizeChannel)
+	actRelComp                    // answer RELEASE-COMPLETE
+	actWake                       // wake the thread parked in OpenCall
+)
+
+// sigRow is one cell of sigTable: what to do, and the state to enter.
+type sigRow struct {
+	acts sigAct
+	next uint32
+}
+
+// sigTable is the whole lifecycle. An empty cell ignores its event: a late
+// or duplicate message, a close of a channel already closing (CloseCall and
+// Close then just wait for, or return before, the end), a RELEASE racing
+// this end's own finalize (the peer's retry finds the channel gone and is
+// answered), a RELEASE reaching a caller still opening (its SETUP retry
+// resolves the call).
+var sigTable = [numChanStates][numSigEvents]sigRow{
+	chanStatic: {
+		evClose:    {actShut | actSweep, chanClosed},
+		evPeerDead: {actAbandon | actFinal, chanClosed},
+	},
+	chanOpening: {
+		evConnect: {actOpened | actWake, chanOpen},
+		evReject:  {actCause | actFinal | actWake, chanClosed},
+		evTimeout: {actSetup, chanOpening},
+		// One RELEASE, not retried: undoes a callee whose CONNECT was lost.
+		evGiveUp:   {actCause | actRelease | actFinal | actWake, chanClosed},
+		evPeerDead: {actAbandon | actCause | actFinal | actWake, chanClosed},
+	},
+	chanOpen: {
+		evClose:    {actCause | actShut | actDrain, chanClosing},
+		evRelease:  {actShut | actDrain, chanDraining},
+		evPeerDead: {actAbandon | actFinal, chanClosed},
+	},
+	chanClosing: {
+		evDrained: {actRelease, chanReleasing},
+		// Simultaneous close: the peer finalizes on this end's
+		// RELEASE-COMPLETE, so what is still unacknowledged from this end
+		// would be retransmitted to nobody. The drain is cut short.
+		evRelease:  {actAbandon | actFinal | actRelComp, chanClosed},
+		evPeerDead: {actAbandon | actFinal, chanClosed},
+	},
+	chanReleasing: {
+		evTimeout:  {actRelease, chanReleasing},
+		evGiveUp:   {actFinal, chanClosed},
+		evRelease:  {actFinal | actRelComp, chanClosed},
+		evRelComp:  {actFinal, chanClosed},
+		evPeerDead: {actAbandon | actFinal, chanClosed},
+	},
+	chanDraining: {
+		// Finalize before answering: the instant RELEASE-COMPLETE reaches the
+		// peer it may reuse this channel ID for a fresh SETUP, which must not
+		// find the old entry still in the table.
+		evDrained:  {actFinal | actRelComp, chanClosed},
+		evPeerDead: {actAbandon | actFinal, chanClosed},
+	},
+	chanClosed: {
+		// A static channel Close left in the table stops retransmitting.
+		evPeerDead: {actAbandon, chanClosed},
+	},
+}
+
+// sigStep is the one place a channel's lifecycle moves: it looks (state,
+// event) up in sigTable, stores the row's next state and runs the row's
+// actions. A timeout with the retry budget spent (SETUP: CallConfig.Retries;
+// RELEASE: sigMaxReleaseAttempts) steps as evGiveUp. Actions that send or
+// tear down drain lanes inline, so a nested step may overtake the row; only
+// the drain poll needs to check. Scheduler domain.
+func (p *Proc) sigStep(c *Channel, ev sigEvent, cause CallCause) {
+	from := c.state.Load()
+	if ev == evTimeout {
+		budget := sigMaxReleaseAttempts
+		if from == chanOpening {
+			budget = c.call.cfg.Retries
+		}
+		if c.attempt >= budget {
+			ev = evGiveUp
+		}
+	}
+	row := sigTable[from][ev]
+	a := row.acts
+	if a == 0 {
+		return
+	}
+	if a&actAbandon != 0 {
+		// The death record goes in before the state that fails sends, so a
+		// lane engine failing one reports the typed cause.
+		ln := c.lockLane()
+		c.deadErr = p.deadPeers[c.peer]
+		c.errc.abandon()
+		ln.mu.Unlock()
+	}
+	c.state.Store(row.next)
+	if a&actCause != 0 {
+		c.cause = cause
+	}
+	if a&actOpened != 0 {
+		p.markOpen(c)
+	}
+	if a&actSetup != 0 {
+		p.sendSetup(c)
+	}
+	if a&actShut != 0 {
+		ln := c.lockLane()
+		c.flushCtrl()
+		c.flow.shutdown()
+		c.errc.shutdown()
+		ln.leave()
+	}
+	if a&actSweep != 0 {
+		p.closedSweep(c)
+	}
+	if a&actDrain != 0 && c.state.Load() == row.next {
+		p.pollDrain(c)
+	}
+	if a&actRelease != 0 {
+		p.sendRelease(c)
+		if row.next == chanReleasing {
+			c.attempt++
+			p.armRetry(c, sigReleaseTimeout+sigJitter(uint32(p.cfg.ID), c.sigRef, uint32(c.attempt), sigReleaseTimeout/2))
+		}
+	}
+	if a&actFinal != 0 {
+		p.finalizeChannel(c, from)
+	}
+	if a&actRelComp != 0 {
+		p.sendRelComp(c.peer, c.id, c.sigRef)
+	}
+	if a&actWake != 0 {
+		p.wakeIfIdle(c.call.caller.mt, "ncs call")
+	}
+}
+
+// sigAfter runs fn after d unless the channel has moved on meanwhile, to
+// another state or retry attempt: the one stale-timer guard of the SETUP
+// and RELEASE retries, the drain poll and the idle reaper.
+func (p *Proc) sigAfter(c *Channel, d time.Duration, fn func()) {
+	st, at := c.state.Load(), c.attempt
+	p.cfg.After(d, func() {
+		if c.state.Load() == st && c.attempt == at {
+			fn()
+		}
+	})
+}
+
+// armRetry arms the current attempt's retry timer.
+func (p *Proc) armRetry(c *Channel, d time.Duration) {
+	p.sigAfter(c, d, func() { p.sigStep(c, evTimeout, CauseTimeout) })
+}
 
 // CallCause classifies why a call setup was rejected or a channel released
 // — the RELEASE/REJECT cause codes of the signaling protocol, surfaced as
@@ -160,8 +344,9 @@ const (
 )
 
 // sigDrainPoll is the close handshake's drain-check period: how often a
-// CLOSING channel re-checks that its send queue, flow tier, and error tier
-// have gone empty before the RELEASE may be sent.
+// closing or draining channel re-checks that its send queue, flow tier, and
+// error tier have gone empty before the RELEASE (or RELEASE-COMPLETE) may
+// be sent.
 const sigDrainPoll = 200 * time.Microsecond
 
 // CallConfig parameterizes OpenCall: the ChannelConfig QoS selection plus
@@ -301,26 +486,13 @@ func (a *PeerCapAdmission) Release(peer ProcID) {
 // ---------------------------------------------------------------------------
 // Caller side: OpenCall
 
-// sigCall states.
-const (
-	sigCalling = iota
-	sigConnected
-	sigFailed
-)
-
-// sigCall is one outstanding outgoing call setup, keyed by call reference
-// in Proc.sigCalls. Scheduler-domain state.
+// sigCall is what the caller end of a signaled channel keeps for its
+// SETUP retries and its OpenCall: the call's configuration and the thread
+// parked until CONNECT or a failure. Its presence (Channel.call) marks the
+// caller end.
 type sigCall struct {
-	ref       uint32
-	peer      ProcID
-	id        ChannelID
-	cfg       CallConfig
-	caller    *mts.Thread
-	callerIdx int
-	state     int
-	cause     CallCause
-	attempt   int
-	ch        *Channel
+	cfg    CallConfig
+	caller *Thread
 }
 
 // OpenCall opens a signaled channel to peer: it sends SETUP through the
@@ -338,12 +510,6 @@ func (p *Proc) OpenCall(t *Thread, peer ProcID, cfg CallConfig) (*Channel, error
 	if peer == p.cfg.ID {
 		panic("core: cannot open a signaled channel to self")
 	}
-	if cfg.Priority < 0 || cfg.Priority >= NumChannelPriorities {
-		panic(fmt.Sprintf("core: channel priority must be 0..%d", NumChannelPriorities-1))
-	}
-	if cfg.Weight < 0 {
-		panic("core: channel weight must be >= 0 (0 selects Priority+1)")
-	}
 	if cfg.SetupTimeout <= 0 {
 		cfg.SetupTimeout = DefaultSetupTimeout
 	}
@@ -353,128 +519,81 @@ func (p *Proc) OpenCall(t *Thread, peer ProcID, cfg CallConfig) (*Channel, error
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = cfg.SetupTimeout / 2
 	}
-	words, ok := encodeCallWords(cfg)
-	if !ok {
+	if _, ok := encodeCallWords(cfg); !ok {
 		return nil, &OpenError{Peer: peer, ID: cfg.ID, Cause: CauseUnsupported}
 	}
 	id := cfg.ID
+	if id > MaxChannelID {
+		panic(fmt.Sprintf("core: channel ID must be 1..%d (0 picks a free ID)", MaxChannelID))
+	}
 	if id == 0 {
-		if id = p.freeChannelID(peer); id == 0 {
-			return nil, &OpenError{Peer: peer, Cause: CauseBusy}
-		}
-	} else {
-		if id > MaxChannelID {
-			panic(fmt.Sprintf("core: channel ID must be 1..%d (0 picks a free ID)", MaxChannelID))
-		}
-		p.chanMu.RLock()
-		_, dup := p.channels[chanKey{peer: peer, id: id}]
-		p.chanMu.RUnlock()
-		if dup {
-			return nil, &OpenError{Peer: peer, ID: id, Cause: CauseBusy}
-		}
+		id = p.freeChannelID(peer)
 	}
-	fc := cfg.Flow
-	if fc == nil {
-		fc = NoFlowControl{}
-	}
-	ec := cfg.Error
-	if ec == nil {
-		ec = NoErrorControl{}
+	if id == 0 || p.openChannel(peer, id) != nil {
+		return nil, &OpenError{Peer: peer, ID: id, Cause: CauseBusy}
 	}
 	// Dialing (or re-dialing) a peer starts the failure detector's view of
 	// it over: the death record clears and monitoring restarts with a fresh
 	// grace period, so Redial can reach a restarted peer.
 	delete(p.deadPeers, peer)
 	delete(p.hbPeers, peer)
-	c := p.addChannel(chanKey{peer: peer, id: id}, cfg.Priority, cfg.Lane, cfg.Weight, fc, ec)
+	c := p.addChannel(chanKey{peer: peer, id: id}, chanOpening, cfg.Priority, cfg.Lane, cfg.Weight, cfg.Flow, cfg.Error)
 	c.idleOver = cfg.IdleTimeout
 	p.sigRefSeq++
-	ref := p.sigRefSeq
-	c.state.Store(chanOpening)
-	c.sigInit = true
-	c.sigRef = ref
-	if p.sigCalls == nil {
-		p.sigCalls = make(map[uint32]*sigCall)
-	}
-	call := &sigCall{ref: ref, peer: peer, id: id, cfg: cfg, caller: t.mt, callerIdx: t.idx, attempt: 1, ch: c}
-	p.sigCalls[ref] = call
-	p.statSetupsSent.Add(1)
-	p.sendSetup(call, words)
-	p.armSetupTimer(call, 1)
+	c.sigRef = p.sigRefSeq
+	c.call = &sigCall{cfg: cfg, caller: t}
+	p.sendSetup(c)
 	// The signaling handlers and timers all run in the scheduler domain, so
 	// the state cannot change between this check and the park — no lost
 	// wakeup is possible.
-	for call.state == sigCalling {
+	for c.state.Load() == chanOpening {
 		t.mt.Park("ncs call")
 	}
-	if call.state == sigConnected {
-		return c, nil
+	if c.cause != CauseNone {
+		return nil, &OpenError{Peer: peer, ID: id, Cause: c.cause, Attempts: c.attempt}
 	}
-	return nil, &OpenError{Peer: peer, ID: id, Cause: call.cause, Attempts: call.attempt}
+	return c, nil
 }
 
 // freeChannelID scans for the lowest unused explicit channel ID toward
 // peer (0 when the whole space is occupied).
 func (p *Proc) freeChannelID(peer ProcID) ChannelID {
-	p.chanMu.RLock()
-	defer p.chanMu.RUnlock()
-	for id := 1; id <= MaxChannelID; id++ {
-		if _, ok := p.channels[chanKey{peer: peer, id: ChannelID(id)}]; !ok {
-			return ChannelID(id)
+	for id := ChannelID(1); id <= MaxChannelID; id++ {
+		if p.openChannel(peer, id) == nil {
+			return id
 		}
 	}
 	return 0
 }
 
-func (p *Proc) sendSetup(call *sigCall, words [8]uint32) {
+// sendSetup transmits the call's next SETUP attempt and arms its timeout:
+// the per-attempt SetupTimeout plus linear backoff and a deterministic
+// per-(proc, call, attempt) jitter, so a mesh of synchronized callers does
+// not retry in lockstep.
+func (p *Proc) sendSetup(c *Channel) {
+	cfg := &c.call.cfg
+	c.attempt++
+	at := c.attempt
+	if at > 1 {
+		p.statSetupRetries.Add(1)
+	}
+	p.statSetupsSent.Add(1)
+	words, _ := encodeCallWords(*cfg)
 	sig := atm.SigMessage{
 		Type:    atm.SigSetup,
-		CallRef: call.ref,
+		CallRef: c.sigRef,
 		Caller:  int32(p.cfg.ID),
-		Called:  int32(call.peer),
-		Forward: atm.VC{VPI: uint8(call.id)},
+		Called:  int32(c.peer),
+		Forward: atm.VC{VPI: uint8(c.id)},
 	}
 	// The 9th word after the QoS block is the calling-party thread index,
 	// surfaced on the callee as Channel.PeerThread so a serving thread can
 	// address the opener before any application rendezvous; the 10th is the
 	// per-call idle-timeout override, so both ends arm the same reaper.
-	p.sendSigMsg(call.peer, tagSigSetup, sig,
-		append(words[:], uint32(call.callerIdx), encodeIdleWord(call.cfg.IdleTimeout))...)
-}
-
-// armSetupTimer schedules attempt's timeout: the per-attempt SetupTimeout
-// plus linear backoff and a deterministic per-(proc, call, attempt) jitter
-// so a mesh of synchronized callers doesn't retry in lockstep.
-func (p *Proc) armSetupTimer(call *sigCall, attempt int) {
-	d := call.cfg.SetupTimeout + time.Duration(attempt-1)*call.cfg.Backoff +
-		sigJitter(uint32(p.cfg.ID), call.ref, uint32(attempt), call.cfg.Backoff)
-	p.cfg.After(d, func() { p.setupTimeout(call, attempt) })
-}
-
-func (p *Proc) setupTimeout(call *sigCall, attempt int) {
-	// Stale-timer guard: the call may have completed, failed, or already
-	// moved past this attempt.
-	cur, ok := p.sigCalls[call.ref]
-	if !ok || cur != call || call.state != sigCalling || call.attempt != attempt {
-		return
-	}
-	if attempt < call.cfg.Retries {
-		call.attempt = attempt + 1
-		p.statSetupRetries.Add(1)
-		p.statSetupsSent.Add(1)
-		words, _ := encodeCallWords(call.cfg)
-		p.sendSetup(call, words)
-		p.armSetupTimer(call, call.attempt)
-		return
-	}
-	call.state = sigFailed
-	call.cause = CauseTimeout
-	delete(p.sigCalls, call.ref)
-	// Fire-and-forget RELEASE: if the peer did accept (its CONNECT was
-	// lost), this tears its half-open channel down instead of leaking it.
-	p.sendReleaseRaw(call.peer, call.id, call.ref, CauseTimeout)
-	p.finalizeChannel(call.ch)
-	p.wakeIfIdle(call.caller, "ncs call")
+	p.sendProcCtrl(c.peer, tagSigSetup, sig.Marshal(),
+		append(words[:], uint32(c.call.caller.idx), encodeIdleWord(cfg.IdleTimeout))...)
+	p.armRetry(c, cfg.SetupTimeout+time.Duration(at-1)*cfg.Backoff+
+		sigJitter(uint32(p.cfg.ID), c.sigRef, uint32(at), cfg.Backoff))
 }
 
 // sigJitter derives a deterministic jitter in [0, span) from three words
@@ -514,12 +633,12 @@ func encodeCallWords(cfg CallConfig) ([8]uint32, bool) {
 	case NoFlowControl:
 	case *WindowFlow:
 		w[2] = 1
-		w[3] = satU32(int64(fc.Window))
-		w[4] = satU32(int64(fc.SyncInterval / time.Microsecond))
+		w[3] = satU32(float64(fc.Window))
+		w[4] = satU32(float64(fc.SyncInterval / time.Microsecond))
 	case *RateFlow:
 		w[2] = 2
-		w[3] = satU32f(fc.Rate)
-		w[4] = satU32f(fc.Bucket)
+		w[3] = satU32(fc.Rate)
+		w[4] = satU32(fc.Bucket)
 	default:
 		return w, false
 	}
@@ -528,31 +647,34 @@ func encodeCallWords(cfg CallConfig) ([8]uint32, bool) {
 	case NoErrorControl:
 	case *GoBackN:
 		w[5] = 1
-		w[6] = satU32(int64(ec.Window))
-		w[7] = satU32(int64(ec.Timeout / time.Microsecond))
+		w[6] = satU32(float64(ec.Window))
+		w[7] = satU32(float64(ec.Timeout / time.Microsecond))
 	case *SelectiveRepeat:
 		w[5] = 2
-		w[6] = satU32(int64(ec.Window))
-		w[7] = satU32(int64(ec.Timeout / time.Microsecond))
+		w[6] = satU32(float64(ec.Window))
+		w[7] = satU32(float64(ec.Timeout / time.Microsecond))
 	default:
 		return w, false
 	}
 	return w, true
 }
 
+// decodeCallWords is the callee's reading of a SETUP's QoS words, which
+// arrive from the carrier and are treated as hostile: anything out of
+// range refuses the call instead of reaching a constructor. A weight or
+// window word must fit an int on every GOARCH — 2^31 is negative on a
+// 32-bit callee.
 func decodeCallWords(w []uint32) (prio, weight int, fc FlowControl, ec ErrorControl, ok bool) {
-	if len(w) < 8 {
+	if len(w) < 8 || w[0] >= NumChannelPriorities || w[1] > math.MaxInt32 {
 		return 0, 0, nil, nil, false
 	}
 	prio, weight = int(w[0]), int(w[1])
-	if prio >= NumChannelPriorities || weight < 0 {
-		return 0, 0, nil, nil, false
-	}
+	count := func(v uint32) bool { return v >= 1 && v <= math.MaxInt32 }
 	switch w[2] {
 	case 0:
 		fc = NoFlowControl{}
 	case 1:
-		if w[3] < 1 {
+		if !count(w[3]) {
 			return 0, 0, nil, nil, false
 		}
 		f := NewWindowFlow(int(w[3]))
@@ -570,12 +692,12 @@ func decodeCallWords(w []uint32) (prio, weight int, fc FlowControl, ec ErrorCont
 	case 0:
 		ec = NoErrorControl{}
 	case 1:
-		if w[6] < 1 || w[7] < 1 {
+		if !count(w[6]) || w[7] < 1 {
 			return 0, 0, nil, nil, false
 		}
 		ec = NewGoBackN(int(w[6]), time.Duration(w[7])*time.Microsecond)
 	case 2:
-		if w[6] < 1 || w[7] < 1 {
+		if !count(w[6]) || w[7] < 1 {
 			return 0, 0, nil, nil, false
 		}
 		ec = NewSelectiveRepeat(int(w[6]), time.Duration(w[7])*time.Microsecond)
@@ -592,7 +714,7 @@ func encodeIdleWord(d time.Duration) uint32 {
 	if d < 0 {
 		return ^uint32(0)
 	}
-	return satU32(int64(d / time.Microsecond))
+	return satU32(float64(d / time.Microsecond))
 }
 
 func decodeIdleWord(w uint32) time.Duration {
@@ -602,7 +724,8 @@ func decodeIdleWord(w uint32) time.Duration {
 	return time.Duration(w) * time.Microsecond
 }
 
-func satU32(v int64) uint32 {
+// satU32 converts a parameter to its SETUP word, saturating at both ends.
+func satU32(v float64) uint32 {
 	if v < 0 {
 		return 0
 	}
@@ -612,28 +735,44 @@ func satU32(v int64) uint32 {
 	return uint32(v)
 }
 
-func satU32f(v float64) uint32 {
-	if v < 0 {
-		return 0
-	}
-	if v > float64(1<<32-1) {
-		return 1<<32 - 1
-	}
-	return uint32(v)
-}
-
 // ---------------------------------------------------------------------------
 // Wire plumbing
 
-// sendSigMsg queues one signaling frame toward the peer: sig marshalled
-// plus the trailing uint32 words, riding the control level like every
-// other control frame. Signaling always travels on channel 0 — the
-// pre-provisioned default mesh, the analogue of ATM's well-known
-// signaling circuit — because the channel under negotiation has no VC
-// route yet (SETUP) or no longer has one (late RELEASE retries); the
-// channel the call is about rides in sig.Forward's VPI.
-func (p *Proc) sendSigMsg(to ProcID, tag int, sig atm.SigMessage, words ...uint32) {
-	p.sendProcCtrl(to, tag, sig.Marshal(), words...)
+// sendRelease sends RELEASE for the channel's call, carrying this end's
+// cause.
+func (p *Proc) sendRelease(c *Channel) {
+	p.sendProcCtrl(c.peer, tagSigRelease, atm.SigMessage{
+		Type: atm.SigRelease, CallRef: c.sigRef,
+		Caller: int32(p.cfg.ID), Called: int32(c.peer),
+		Forward: atm.VC{VPI: uint8(c.id)},
+	}.Marshal(), uint32(c.cause))
+}
+
+// sendRelComp answers the peer's RELEASE of call ref on channel id.
+func (p *Proc) sendRelComp(peer ProcID, id ChannelID, ref uint32) {
+	p.sendProcCtrl(peer, tagSigRelComp, atm.SigMessage{
+		Type: atm.SigReleaseComplete, CallRef: ref,
+		Caller: int32(peer), Called: int32(p.cfg.ID),
+		Forward: atm.VC{VPI: uint8(id)},
+	}.Marshal())
+}
+
+// parseSig decodes a signaling frame's payload: the marshalled SigMessage,
+// then up to 10 trailing uint32 words, nw of them present (the rest read
+// as zero). It never panics on hostile input.
+func parseSig(b []byte) (sig atm.SigMessage, words [10]uint32, nw int, err error) {
+	if len(b) < atm.SigWireSize {
+		return sig, words, 0, fmt.Errorf("short signaling frame (%d bytes)", len(b))
+	}
+	if sig, err = atm.UnmarshalSig(b[:atm.SigWireSize]); err != nil {
+		return sig, words, 0, err
+	}
+	rest := b[atm.SigWireSize:]
+	nw = min(len(rest)/4, len(words))
+	for i := 0; i < nw; i++ {
+		words[i] = wire.Uint32(rest[4*i:])
+	}
+	return sig, words, nw, nil
 }
 
 // onSigMsg dispatches one arriving signaling frame. Scheduler domain; the
@@ -646,50 +785,48 @@ func (p *Proc) onSigMsg(m *transport.Message) {
 		}
 		return
 	}
-	if len(m.Data) < atm.SigWireSize {
-		p.exception(fmt.Errorf("core: short signaling frame (%d bytes) from proc %d", len(m.Data), m.From))
-		return
-	}
-	sig, err := atm.UnmarshalSig(m.Data[:atm.SigWireSize])
+	sig, words, nw, err := parseSig(m.Data)
 	if err != nil {
 		p.exception(fmt.Errorf("core: bad signaling frame from proc %d: %v", m.From, err))
 		return
 	}
-	rest := m.Data[atm.SigWireSize:]
-	nw := len(rest) / 4
-	if nw > 10 {
-		nw = 10
-	}
-	var words [10]uint32
-	for i := 0; i < nw; i++ {
-		words[i] = wire.Uint32(rest[4*i:])
-	}
-	// Signaling frames ride channel 0; the channel under negotiation is
-	// the forward VC's VPI (see sendSigMsg).
+	// Signaling frames ride channel 0, because the channel under
+	// negotiation has no VC route yet (SETUP) or no longer has one (late
+	// RELEASE retries); that channel rides in the forward VC's VPI.
 	id := ChannelID(sig.Forward.VPI)
-	switch m.Tag {
-	case tagSigSetup:
+	if m.Tag == tagSigSetup {
 		if nw < 8 {
 			p.exception(fmt.Errorf("core: SETUP from proc %d carries %d QoS words, want 8", m.From, nw))
 			return
 		}
 		p.onSetup(m.From, id, sig, words)
+		return
+	}
+	// Everything else is about a call in progress. A channel under another
+	// call reference (or a static one) is another incarnation: none.
+	c := p.openChannel(m.From, id)
+	if c != nil && c.sigRef != sig.CallRef {
+		c = nil
+	}
+	ev, cause := evRelComp, CauseNone
+	switch m.Tag {
 	case tagSigConnect:
-		p.onConnect(sig)
+		ev = evConnect
 	case tagSigReject:
-		cause := CauseAdmissionDenied
-		if nw >= 1 {
-			cause = CallCause(words[0])
+		ev, cause = evReject, CallCause(words[0])
+		if cause == CauseNone {
+			cause = CauseAdmissionDenied
 		}
-		p.onReject(sig, cause)
 	case tagSigRelease:
-		cause := CauseNone
-		if nw >= 1 {
-			cause = CallCause(words[0])
-		}
-		p.onRelease(m.From, id, sig, cause)
-	case tagSigRelComp:
-		p.onRelComp(m.From, id)
+		ev = evRelease
+	}
+	switch {
+	case c != nil:
+		p.sigStep(c, ev, cause)
+	case ev == evRelease:
+		// Already finalized here (or never existed — a timed-out caller
+		// releasing a half-open call): completing again is idempotent.
+		p.sendRelComp(m.From, id, sig.CallRef)
 	}
 }
 
@@ -742,7 +879,7 @@ func (p *Proc) onSetup(from ProcID, id ChannelID, sig atm.SigMessage, words [10]
 func (p *Proc) rejectSetup(from ProcID, sig atm.SigMessage, cause CallCause) {
 	p.statSetupsRejected.Add(1)
 	rs := atm.SigMessage{Type: atm.SigReject, CallRef: sig.CallRef, Caller: sig.Caller, Called: sig.Called, Forward: sig.Forward}
-	p.sendSigMsg(from, tagSigReject, rs, uint32(cause))
+	p.sendProcCtrl(from, tagSigReject, rs.Marshal(), uint32(cause))
 }
 
 // setupPrechecked runs the synchronous, idempotent SETUP checks — invalid
@@ -759,11 +896,8 @@ func (p *Proc) setupPrechecked(from ProcID, id ChannelID, sig atm.SigMessage) bo
 		p.rejectSetup(from, sig, CausePeerClosed)
 		return true
 	}
-	p.chanMu.RLock()
-	exist, dup := p.channels[chanKey{peer: from, id: id}]
-	p.chanMu.RUnlock()
-	if dup {
-		if exist.sigRef == sig.CallRef && !exist.sigInit && exist.state.Load() == chanOpen {
+	if exist := p.openChannel(from, id); exist != nil {
+		if exist.sigRef == sig.CallRef && exist.call == nil && exist.state.Load() == chanOpen {
 			// Duplicate SETUP for a call we already accepted (our CONNECT
 			// was lost, or the retry raced it): answer again, idempotently.
 			p.sendConnect(from, id, sig)
@@ -798,7 +932,8 @@ func (p *Proc) acceptNext() {
 }
 
 // acceptSetup is the accept tail shared by the direct and queued paths:
-// admission, QoS decode, channel allocation, VC bind, CONNECT, OnAccept.
+// admission, QoS decode, channel allocation (born OPEN), VC bind, CONNECT,
+// OnAccept.
 func (p *Proc) acceptSetup(from ProcID, id ChannelID, sig atm.SigMessage, words [10]uint32) {
 	pol := p.cfg.Admission
 	if pol == nil {
@@ -817,17 +952,12 @@ func (p *Proc) acceptSetup(from ProcID, id ChannelID, sig atm.SigMessage, words 
 		p.rejectSetup(from, sig, CauseUnsupported)
 		return
 	}
-	c := p.addChannel(chanKey{peer: from, id: id}, prio, 0, weight, fc, ec)
-	c.state.Store(chanOpen)
-	c.everOpen = true
+	c := p.addChannel(chanKey{peer: from, id: id}, chanOpen, prio, 0, weight, fc, ec)
 	c.sigRef = sig.CallRef
-	c.sigAdmitted = true
 	c.peerThread = int(words[8])
 	c.idleOver = decodeIdleWord(words[9])
 	p.statSetupsAccepted.Add(1)
-	p.statOpened.Add(1)
-	p.bindVC(c)
-	p.armIdleTeardown(c)
+	p.markOpen(c)
 	p.sendConnect(from, id, sig)
 	if p.cfg.OnAccept != nil {
 		p.cfg.OnAccept(c)
@@ -839,38 +969,22 @@ func (p *Proc) sendConnect(to ProcID, id ChannelID, sig atm.SigMessage) {
 		Type: atm.SigConnect, CallRef: sig.CallRef, Caller: sig.Caller, Called: sig.Called,
 		Forward: atm.VC{VPI: uint8(id)}, Backward: atm.VC{VPI: uint8(id)},
 	}
-	p.sendSigMsg(to, tagSigConnect, cs)
+	p.sendProcCtrl(to, tagSigConnect, cs.Marshal())
 }
 
-func (p *Proc) onConnect(sig atm.SigMessage) {
-	call, ok := p.sigCalls[sig.CallRef]
-	if !ok || call.state != sigCalling {
-		return // late or duplicate CONNECT; the call already resolved
-	}
-	c := call.ch
-	c.state.Store(chanOpen)
-	c.everOpen = true
+// markOpen books a channel that just reached OPEN on either end: the
+// balance counters, the per-call VC route in a carrier that routes per call
+// (transport.ChannelRouter; the counter ticks regardless, so leak
+// accounting is uniform across carriers), the idle reaper, and a fresh
+// retry counter for its RELEASE. finalizeChannel undoes it.
+func (p *Proc) markOpen(c *Channel) {
+	c.attempt = 0
 	p.statOpened.Add(1)
-	p.bindVC(c)
+	p.statVCBound.Add(1)
+	if cr, ok := p.cfg.Endpoint.(transport.ChannelRouter); ok {
+		cr.BindChannel(c.peer, c.id)
+	}
 	p.armIdleTeardown(c)
-	delete(p.sigCalls, sig.CallRef)
-	call.state = sigConnected
-	p.wakeIfIdle(call.caller, "ncs call")
-}
-
-func (p *Proc) onReject(sig atm.SigMessage, cause CallCause) {
-	call, ok := p.sigCalls[sig.CallRef]
-	if !ok || call.state != sigCalling {
-		return
-	}
-	if cause == CauseNone {
-		cause = CauseAdmissionDenied
-	}
-	call.state = sigFailed
-	call.cause = cause
-	delete(p.sigCalls, sig.CallRef)
-	p.finalizeChannel(call.ch)
-	p.wakeIfIdle(call.caller, "ncs call")
 }
 
 // ---------------------------------------------------------------------------
@@ -881,9 +995,9 @@ func (p *Proc) onReject(sig atm.SigMessage, cause CallCause) {
 // then a RELEASE tells the peer — which drains its own sender side and
 // answers RELEASE-COMPLETE — and both ends release their VC, discipline,
 // flush-wheel, and lane-scheduler state. The calling thread parks until
-// this end has finalized. Idempotent; concurrent CloseCalls from several
-// threads all wake when teardown completes. Statically opened channels
-// (Proc.Open) are not signaled — use Close.
+// this end has finalized; a close already under way (Close, the peer's
+// RELEASE, the idle reaper) is waited out, and several CloseCalls all wake.
+// Statically opened channels (Proc.Open) are not signaled — use Close.
 func (c *Channel) CloseCall(t *Thread) error {
 	if t.proc != c.p {
 		panic("core: thread closing another process's channel")
@@ -891,187 +1005,40 @@ func (c *Channel) CloseCall(t *Thread) error {
 	if c.sigRef == 0 {
 		return fmt.Errorf("core: channel %d to proc %d is not signaled; use Close", c.id, c.peer)
 	}
-	if c.closedDone {
-		return nil
-	}
-	p := c.p
-	c.closeWaiters = append(c.closeWaiters, t.mt)
-	p.startClose(c, CauseNone)
-	for !c.closedDone {
+	c.p.sigStep(c, evClose, CauseNone)
+	for !c.Closed() {
+		c.closeWaiters = append(c.closeWaiters, t.mt)
 		t.mt.Park("ncs close")
 	}
 	return nil
 }
 
-// startClose begins the active close: stop admitting sends, drain, then
-// RELEASE. Idempotent; also the entry point for timer-driven closes (idle
-// teardown), which have no waiter to wake.
-func (p *Proc) startClose(c *Channel, cause CallCause) {
-	if c.closeStarted || c.closedDone {
-		return
-	}
-	c.closeStarted = true
-	p.beginClosing(c)
-	p.afterDrained(c, func() { p.sendRelease(c, cause) })
-}
-
-// beginClosing moves the channel to CLOSING: pending reverse control
-// flushes, the disciplines shut down (gated sends fail; the in-flight
-// error-control window keeps draining), and new sends start failing via
-// sendUnavailable. The receiver role stays live so the peer can drain.
-func (p *Proc) beginClosing(c *Channel) {
+// pollDrain steps evDrained once the channel's sender side has fully
+// drained — nothing queued in the lane scheduler, nothing deferred in the
+// flow tier, nothing in flight awaiting acknowledgement — looking again
+// every sigDrainPoll on the scheduler clock until then. Termination is
+// guaranteed: the disciplines' MaxRetries abandonment empties the in-flight
+// window even against a dead peer. The chain dies with the state it polls
+// for (sigAfter), so a virtual-time engine can quiesce.
+func (p *Proc) pollDrain(c *Channel) {
 	ln := c.lockLane()
-	if c.state.Load() >= chanClosing {
-		ln.mu.Unlock()
-		return
-	}
-	c.state.Store(chanClosing)
-	c.flushCtrl()
-	c.flow.shutdown()
-	c.errc.shutdown()
-	ln.leave()
-}
-
-// drainedForClose reports whether the channel's sender side has fully
-// drained: nothing queued in the lane scheduler, nothing deferred in the
-// flow tier, and nothing in flight awaiting acknowledgement. Termination
-// is guaranteed — the disciplines' MaxRetries abandonment empties the
-// in-flight window even against a dead peer.
-func (p *Proc) drainedForClose(c *Channel) bool {
-	c.laneLock()
 	drained := c.sq.Size() == 0 && c.flow.queued() == 0 && c.errc.queued() == 0 && c.errc.pending() == 0
-	c.laneUnlock()
-	return drained
-}
-
-// afterDrained runs fn once drainedForClose holds, polling on the
-// scheduler clock. The chain stops dead if the channel finalizes first
-// (the peer's close won the race) so a virtual-time engine can quiesce.
-func (p *Proc) afterDrained(c *Channel, fn func()) {
-	var poll func()
-	poll = func() {
-		if c.closedDone {
-			return
-		}
-		if p.drainedForClose(c) {
-			fn()
-			return
-		}
-		p.cfg.After(sigDrainPoll, poll)
-	}
-	poll()
-}
-
-// sendRelease transmits RELEASE and arms its retransmission: a lost
-// RELEASE or RELEASE-COMPLETE is survived by retrying, an unresponsive
-// peer by force-finalizing after sigMaxReleaseAttempts.
-func (p *Proc) sendRelease(c *Channel, cause CallCause) {
-	if c.closedDone {
+	ln.mu.Unlock()
+	if drained {
+		p.sigStep(c, evDrained, CauseNone)
 		return
 	}
-	c.relSent = true
-	c.relAttempt++
-	attempt := c.relAttempt
-	if attempt > sigMaxReleaseAttempts {
-		p.finalizeChannel(c)
-		return
-	}
-	p.sendReleaseRaw(c.peer, c.id, c.sigRef, cause)
-	d := sigReleaseTimeout + sigJitter(uint32(p.cfg.ID), c.sigRef, uint32(attempt), sigReleaseTimeout/2)
-	p.cfg.After(d, func() {
-		if c.closedDone || c.relAttempt != attempt {
-			return
-		}
-		p.sendRelease(c, cause)
-	})
+	p.sigAfter(c, sigDrainPoll, func() { p.pollDrain(c) })
 }
 
-func (p *Proc) sendReleaseRaw(peer ProcID, id ChannelID, ref uint32, cause CallCause) {
-	sig := atm.SigMessage{
-		Type: atm.SigRelease, CallRef: ref,
-		Caller: int32(p.cfg.ID), Called: int32(peer),
-		Forward: atm.VC{VPI: uint8(id)},
-	}
-	p.sendSigMsg(peer, tagSigRelease, sig, uint32(cause))
-}
-
-// onRelease handles the peer's RELEASE: the passive side of the close
-// handshake. It drains this end's sender side before answering
-// RELEASE-COMPLETE, so data already admitted still arrives; every
-// duplicate or late RELEASE is answered idempotently.
-func (p *Proc) onRelease(from ProcID, id ChannelID, sig atm.SigMessage, cause CallCause) {
-	relComp := func() {
-		rc := atm.SigMessage{
-			Type: atm.SigReleaseComplete, CallRef: sig.CallRef,
-			Caller: sig.Caller, Called: sig.Called,
-			Forward: atm.VC{VPI: uint8(id)},
-		}
-		p.sendSigMsg(from, tagSigRelComp, rc)
-	}
-	_ = cause
-	p.chanMu.RLock()
-	c, ok := p.channels[chanKey{peer: from, id: id}]
-	p.chanMu.RUnlock()
-	if !ok || c.closedDone {
-		// Already finalized here (or never existed — a timed-out caller
-		// releasing a half-open call): completing again is idempotent.
-		relComp()
-		return
-	}
-	if c.sigRef == 0 {
-		return // statically opened channel; signaling doesn't own it
-	}
-	if c.relSent || c.closeStarted {
-		// Simultaneous close, or the peer finished draining first:
-		// whatever is still in flight from this end has no receiver
-		// anymore, so cut the local drain short and complete.
-		p.finalizeChannel(c)
-		relComp()
-		return
-	}
-	if c.relPeer {
-		return // passive drain already running; RELCOMP follows when done
-	}
-	c.relPeer = true
-	p.beginClosing(c)
-	p.afterDrained(c, func() {
-		// Finalize before answering: the instant RELEASE-COMPLETE reaches
-		// the peer it may reuse this channel ID for a fresh SETUP, and that
-		// SETUP must not find the old entry still in the table (a REJECT
-		// busy on a correctly closed ID). A lost RELCOMP is already covered
-		// by the idempotent not-found branch above when RELEASE retries.
-		p.finalizeChannel(c)
-		relComp()
-	})
-}
-
-func (p *Proc) onRelComp(from ProcID, id ChannelID) {
-	p.chanMu.RLock()
-	c, ok := p.channels[chanKey{peer: from, id: id}]
-	p.chanMu.RUnlock()
-	if !ok || c.closedDone || !c.relSent {
-		return
-	}
-	p.finalizeChannel(c)
-}
-
-// finalizeChannel is the terminal transition: the channel leaves the
-// proc's table, its lane-scheduler and flush-wheel state detaches, queued
-// sends fail with ChannelClosedError, the VC route unbinds, the admission
-// slot returns, and receivers parked on the channel wake with the same
-// error. Idempotent; scheduler domain.
-func (p *Proc) finalizeChannel(c *Channel) {
-	if c == nil || c.closedDone {
-		return
-	}
+// finalizeChannel is the terminal teardown (sigStep has stored chanClosed;
+// from is the state left): the channel leaves the proc's table, its lane
+// state detaches and queued sends fail with closedErr; one that was open
+// undoes markOpen and (callee end) returns its admission slot; threads in
+// CloseCall wake, and so does every receiver the close dooms.
+func (p *Proc) finalizeChannel(c *Channel, from uint32) {
 	ln := c.lockLane()
-	if c.state.Load() == chanClosed {
-		ln.mu.Unlock()
-		return
-	}
 	c.flushCtrl()
-	c.state.Store(chanClosed)
-	c.closed = true
 	c.flow.shutdown()
 	c.errc.shutdown()
 	ln.detachChanLocked(c)
@@ -1079,63 +1046,43 @@ func (p *Proc) finalizeChannel(c *Channel) {
 	p.chanMu.Lock()
 	delete(p.channels, chanKey{peer: c.peer, id: c.id})
 	p.chanMu.Unlock()
-	if c.everOpen {
+	if from >= chanOpen {
 		p.statClosed.Add(1)
-	}
-	p.unbindVC(c)
-	if c.sigAdmitted {
-		c.sigAdmitted = false
-		if p.cfg.Admission != nil {
+		p.statVCRel.Add(1)
+		if cr, ok := p.cfg.Endpoint.(transport.ChannelRouter); ok {
+			cr.UnbindChannel(c.peer, c.id)
+		}
+		if c.call == nil && p.cfg.Admission != nil {
 			p.cfg.Admission.Release(c.peer)
 		}
 	}
-	c.closedDone = true
 	for _, mt := range c.closeWaiters {
 		p.wakeIfIdle(mt, "ncs close")
 	}
 	c.closeWaiters = nil
+	p.closedSweep(c)
+}
+
+// closedSweep follows every close on this end: a receiver parked on the
+// channel alone can never complete now (peerDead, which set deadErr, sweeps
+// once after all its finalizations: sweeping per channel would reorder the
+// wakeups), and error control may have been holding the only reference
+// that kept the system threads alive.
+func (p *Proc) closedSweep(c *Channel) {
 	p.chanCloses++
 	if c.deadErr == nil {
-		// peerDead (which set deadErr) sweeps once after all its
-		// finalizations: sweeping per channel would reorder the wakeups.
 		p.failDoomedWaiters()
 	}
 	p.checkShutdownWake()
-}
-
-// bindVC / unbindVC install and remove the channel's per-call VC route in
-// the carrier, when the carrier routes per call (transport.ChannelRouter).
-// The balance counters tick regardless, so leak accounting is uniform
-// across carriers.
-func (p *Proc) bindVC(c *Channel) {
-	if c.vcBound {
-		return
-	}
-	c.vcBound = true
-	p.statVCBound.Add(1)
-	if cr, ok := p.cfg.Endpoint.(transport.ChannelRouter); ok {
-		cr.BindChannel(c.peer, c.id)
-	}
-}
-
-func (p *Proc) unbindVC(c *Channel) {
-	if !c.vcBound {
-		return
-	}
-	c.vcBound = false
-	p.statVCRel.Add(1)
-	if cr, ok := p.cfg.Endpoint.(transport.ChannelRouter); ok {
-		cr.UnbindChannel(c.peer, c.id)
-	}
 }
 
 // armIdleTeardown starts the idle-channel reaper chain: when
 // Config.SigIdleTimeout (or the call's CallConfig.IdleTimeout override,
 // carried in the SETUP so both ends agree) is set and a signaled channel
 // moves no traffic for a full period, this end closes it — the survival
-// path against a peer that crashed after CONNECT. The chain re-arms only
-// while the channel is OPEN and the proc is running, so it cannot keep a
-// virtual-time engine alive.
+// path against a peer that crashed after CONNECT. The chain lives only
+// while the channel is OPEN (sigAfter) and the proc is running, so it
+// cannot keep a virtual-time engine alive.
 func (p *Proc) armIdleTeardown(c *Channel) {
 	idle := p.cfg.SigIdleTimeout
 	if c.idleOver != 0 {
@@ -1147,18 +1094,17 @@ func (p *Proc) armIdleTeardown(c *Channel) {
 	last := c.sent.Load() + c.received.Load()
 	var tick func()
 	tick = func() {
-		if p.closing.Load() || c.closedDone || c.state.Load() != chanOpen {
+		if p.closing.Load() {
 			return
 		}
-		cur := c.sent.Load() + c.received.Load()
-		if cur == last {
-			p.startClose(c, CauseTimeout)
+		if cur := c.sent.Load() + c.received.Load(); cur != last {
+			last = cur
+			p.sigAfter(c, idle, tick)
 			return
 		}
-		last = cur
-		p.cfg.After(idle, tick)
+		p.sigStep(c, evClose, CauseTimeout)
 	}
-	p.cfg.After(idle, tick)
+	p.sigAfter(c, idle, tick)
 }
 
 // ---------------------------------------------------------------------------
@@ -1230,7 +1176,7 @@ func (p *Proc) Leaks() []string {
 		}
 	}
 	for _, c := range p.channelsOrdered() {
-		if c.sigRef != 0 && !c.closedDone {
+		if c.sigRef != 0 && !c.Closed() {
 			leaks = append(leaks, fmt.Sprintf("signaled channel %d to proc %d still open", c.id, c.peer))
 		}
 	}
