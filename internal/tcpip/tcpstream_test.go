@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -107,12 +108,51 @@ func TestTCPStreamLargeFrame(t *testing.T) {
 	}
 }
 
+// TestFramePayloadAligned: the reader stages every frame so its payload
+// starts 64-byte aligned — for each header length (no control word, a
+// credit, a credit and an ack), for an empty payload, and for a body past the
+// pool's largest class that is grown as it arrives.
+func TestFramePayloadAligned(t *testing.T) {
+	var stream []byte
+	var sent []*transport.Message
+	for _, words := range []int{0, 1, 2} {
+		for _, n := range []int{0, 64, 4 << 10, 32 << 10, 5*wire.MaxPooled + 123} {
+			m := &transport.Message{From: streamPeer, To: streamSelf, HasCredit: words >= 1, HasAck: words == 2,
+				Credit: 7, Ack: 9, Data: bytes.Repeat([]byte{byte(n + words)}, n)}
+			sent = append(sent, m)
+			stream = append(stream, streamFrame(m)...)
+		}
+	}
+	e := &TCPEndpoint{proc: streamSelf}
+	got := 0
+	e.SetFrameHandler(func(fb *wire.Buf) {
+		at := reflect.ValueOf(fb.B).Pointer() + uintptr(wire.HeaderLen(fb.B))
+		m, err := wire.UnmarshalPooled(fb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sent[got]
+		if at%wire.PayloadAlign != 0 || len(m.Data) > 0 && reflect.ValueOf(m.Data).Pointer() != at {
+			t.Errorf("%d-octet header, %d B: payload at %#x, not %d-byte aligned", m.WireSize()-len(m.Data), len(m.Data), at, wire.PayloadAlign)
+		}
+		if !bytes.Equal(m.Data, want.Data) || m.HasCredit != want.HasCredit || m.HasAck != want.HasAck {
+			t.Errorf("frame %d: delivered a different message", got)
+		}
+		m.Release()
+		got++
+	})
+	if err := e.serve(bytes.NewReader(append(streamHello(streamPeer), stream...))); err != io.EOF || got != len(sent) {
+		t.Fatalf("delivered %d of %d frames, stream ended with %v", got, len(sent), err)
+	}
+}
+
 // TestTCPHostileLengthCommitsNoMemory: a valid header claiming the largest
-// frame the reader accepts, followed by nothing, costs the reader one pooled
-// chunk — not the 64 MB the parent allocated on the prefix's word.
+// frame the reader accepts, followed by nothing, costs the reader one chunk
+// the size of the pool's largest class — not the 64 MB the parent allocated
+// on the prefix's word.
 func TestTCPHostileLengthCommitsNoMemory(t *testing.T) {
 	stream := goodFrame(0)
-	binary.BigEndian.PutUint32(stream, maxFrame)
+	binary.BigEndian.PutUint32(stream, wire.MaxFrame)
 	stream = append(streamHello(streamPeer), stream...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -122,7 +162,7 @@ func TestTCPHostileLengthCommitsNoMemory(t *testing.T) {
 		t.Fatalf("sizes %v err %v: want nothing delivered and a truncated stream", sizes, err)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-		t.Fatalf("a claimed %d-byte frame with no body allocated %d bytes", maxFrame, got)
+		t.Fatalf("a claimed %d-byte frame with no body allocated %d bytes", wire.MaxFrame, got)
 	}
 }
 

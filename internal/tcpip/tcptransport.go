@@ -35,8 +35,6 @@ func NewTCPNetwork() *TCPNetwork {
 }
 
 const (
-	// maxFrame is the largest length prefix a reader accepts.
-	maxFrame = 64 << 20
 	// readBufSize is each inbound connection's read buffer: one read
 	// syscall brings in the length prefix, the header and — for anything up
 	// to a few KB, or several pipelined frames — the bodies behind them.
@@ -541,13 +539,17 @@ func (e *TCPEndpoint) serve(r io.Reader) error {
 // channel 0 would otherwise mint a default channel per claimed peer) — and a
 // body longer than the pool's largest class is grown as its bytes arrive, so
 // memory committed follows bytes received, never a claimed length.
+//
+// The frame is staged with wire.GetFrame for the header length its flags
+// announce, and grown the same way, so its payload — the bytes RecvInto
+// copies out — starts 64-byte aligned whatever the frame's size.
 func (e *TCPEndpoint) readFrame(br *bufio.Reader, peer transport.ProcID) (*wire.Buf, error) {
 	head, err := br.Peek(4)
 	if err != nil {
 		return nil, err
 	}
 	n := int(binary.BigEndian.Uint32(head))
-	if n < wire.HeaderSize || n > maxFrame {
+	if n < wire.HeaderSize || n > wire.MaxFrame {
 		return nil, errBadFrame
 	}
 	if head, err = br.Peek(4 + wire.HeaderSize); err != nil {
@@ -557,13 +559,15 @@ func (e *TCPEndpoint) readFrame(br *bufio.Reader, peer transport.ProcID) (*wire.
 	if err != nil || to != e.proc || from != peer {
 		return nil, errBadFrame
 	}
+	hdrLen := wire.HeaderLen(head[4:])
 	br.Discard(4)
-	fb := wire.GetBuf(min(n, wire.MaxPooled))
+	fb := wire.GetFrame(hdrLen, min(n, wire.MaxPooled))
 	for len(fb.B) < n {
 		if len(fb.B) == cap(fb.B) {
-			grown := make([]byte, len(fb.B), min(n, 2*cap(fb.B)))
-			copy(grown, fb.B)
-			fb.B = grown
+			grown := wire.GetFrame(hdrLen, min(n, 2*cap(fb.B)))
+			grown.B = append(grown.B, fb.B...)
+			wire.PutBuf(fb)
+			fb = grown
 		}
 		end := min(n, cap(fb.B))
 		if _, err := io.ReadFull(br, fb.B[len(fb.B):end]); err != nil {

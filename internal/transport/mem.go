@@ -264,9 +264,12 @@ func (e *MemEndpoint) Send(t *mts.Thread, m *Message) {
 	// copy on this path — ownership of the pooled frame transfers to the
 	// receiver, which decodes it zero-copy (UnmarshalPooled); consumers
 	// that copy the payload out recycle it, so steady-state traffic runs
-	// on a fixed set of buffers instead of churning the allocator.
-	fb := wire.GetBuf(m.WireSize())
-	fb.B = m.MarshalAppend(fb.B)
+	// on a fixed set of buffers instead of churning the allocator. Since
+	// the marshal buffer becomes the received frame, it is laid out as one
+	// (wire.GetFrame): the payload the consumer copies out — 32 KB at a
+	// time on a bulk stream — starts 64-byte aligned, not 4 mod 8 behind
+	// the bare header, which is what keeps that copy on memmove's fast path.
+	fb := marshalFrame(m)
 	if latency > 0 {
 		time.AfterFunc(latency, func() { dst.deliverFrame(fb) })
 		return
@@ -319,9 +322,7 @@ func (e *MemEndpoint) SendBatch(t *mts.Thread, ms []*Message) {
 		if drops[i] {
 			continue
 		}
-		fb := wire.GetBuf(m.WireSize())
-		fb.B = m.MarshalAppend(fb.B)
-		frames = append(frames, fb)
+		frames = append(frames, marshalFrame(m))
 	}
 	switch {
 	case latency > 0:

@@ -90,8 +90,7 @@ func (e *SimMeshEndpoint) Send(t *mts.Thread, m *Message) {
 	}
 	e.seq++
 	m.Seq = e.seq
-	fb := wire.GetBuf(m.WireSize())
-	fb.B = m.MarshalAppend(fb.B)
+	fb := marshalFrame(m)
 	e.sm.net.PathFor(e.host).Send(netsim.Unit{
 		WireBytes: len(fb.B) + simMeshFrameOverhead,
 		SrcHost:   e.host,

@@ -45,6 +45,16 @@ var ErrMagic = wire.ErrMagic
 // Unmarshal decodes a wire message, copying the payload out of b.
 func Unmarshal(b []byte) (*Message, error) { return wire.Unmarshal(b) }
 
+// marshalFrame encodes m into a pooled frame laid out for its receiver
+// (wire.GetFrame): the in-process carriers hand the sender's marshal buffer
+// over as the received frame, so its payload starts 64-byte aligned.
+func marshalFrame(m *Message) *wire.Buf {
+	size := m.WireSize()
+	fb := wire.GetFrame(size-len(m.Data), size)
+	fb.B = m.MarshalAppend(fb.B)
+	return fb
+}
+
 // Handler consumes a delivered message. It runs in the destination
 // process's scheduler domain.
 type Handler func(*Message)

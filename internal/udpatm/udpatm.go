@@ -706,7 +706,8 @@ func (e *Endpoint) receiveTrain(train []byte) {
 // deliverChunk runs per reassembled AAL5 frame: chunk assembly on the
 // frame's VC; a completed message is decoded (copying its payload out of
 // the reused assembly buffer) and posted into the runtime. It reports false
-// if the chunk or the message it completed was malformed.
+// if the chunk or the message it completed was malformed, or if the message
+// would have outgrown wire.MaxFrame.
 func (e *Endpoint) deliverChunk(rx *vcRx, chunk []byte) bool {
 	msgWire, done, err := rx.asm.Push(chunk)
 	if err != nil {
@@ -718,8 +719,10 @@ func (e *Endpoint) deliverChunk(rx *vcRx, chunk []byte) bool {
 	// Copy the completed message out of the reused assembly buffer into a
 	// pooled frame that travels with it; the consumer recycles it
 	// (RecvInto, control handlers), so the reassembly tail stops feeding
-	// the allocator.
-	fb := wire.GetBuf(len(msgWire))
+	// the allocator. The frame is laid out for the header length its flags
+	// announce (wire.GetFrame), so the payload the consumer copies out
+	// starts 64-byte aligned.
+	fb := wire.GetFrame(wire.HeaderLen(msgWire), len(msgWire))
 	fb.B = append(fb.B, msgWire...)
 	m, err := wire.UnmarshalPooled(fb)
 	if err != nil {

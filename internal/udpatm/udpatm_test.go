@@ -3,6 +3,7 @@ package udpatm
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mts"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 func newRT(name string) *mts.Runtime {
@@ -63,6 +65,62 @@ func TestPingPongOverUDP(t *testing.T) {
 	<-done
 	if string(reply) != "ping-pong" {
 		t.Fatalf("reply = %q", reply)
+	}
+}
+
+// TestFramePayloadAligned: a message reassembled from cells is staged so its
+// payload starts 64-byte aligned, for each header length (no control word, a
+// credit, a credit and an ack). An empty payload decodes to no Data, so it
+// has no address to check; it is sent to check it still arrives.
+func TestFramePayloadAligned(t *testing.T) {
+	net := NewNetwork()
+	rtA, rtB := newRT("a"), newRT("b")
+	epA, _ := net.Attach(0, rtA)
+	defer epA.Close()
+	epB, _ := net.Attach(1, rtB)
+	defer epB.Close()
+	epA.SetHandler(func(m *transport.Message) {})
+
+	var sent []*transport.Message
+	for _, words := range []int{0, 1, 2} {
+		for _, n := range []int{0, 64, 4 << 10, 32 << 10} {
+			sent = append(sent, &transport.Message{From: 0, To: 1, HasCredit: words >= 1, HasAck: words == 2,
+				Credit: 7, Ack: 9, Data: bytes.Repeat([]byte{byte(n + words)}, n)})
+		}
+	}
+	got := 0
+	var waiter *mts.Thread
+	epB.SetHandler(func(m *transport.Message) {
+		want := sent[got]
+		if len(m.Data) > 0 && reflect.ValueOf(m.Data).Pointer()%wire.PayloadAlign != 0 {
+			t.Errorf("%d-octet header, %d B: payload at %#x, not %d-byte aligned",
+				m.WireSize()-len(m.Data), len(m.Data), reflect.ValueOf(m.Data).Pointer(), wire.PayloadAlign)
+		}
+		if !bytes.Equal(m.Data, want.Data) || m.HasCredit != want.HasCredit || m.HasAck != want.HasAck {
+			t.Errorf("message %d: delivered a different message", got)
+		}
+		m.Release()
+		if got++; got == len(sent) {
+			rtB.Unblock(waiter, false)
+		}
+	})
+	waiter = rtB.Create("waiter", mts.PrioDefault, func(th *mts.Thread) {
+		if got < len(sent) {
+			th.Park("msgs")
+		}
+	})
+	rtA.Create("sender", mts.PrioDefault, func(th *mts.Thread) {
+		for _, m := range sent {
+			epA.Send(th, m)
+		}
+	})
+	done := make(chan struct{}, 2)
+	go func() { rtA.Run(); done <- struct{}{} }()
+	go func() { rtB.Run(); done <- struct{}{} }()
+	<-done
+	<-done
+	if got != len(sent) {
+		t.Fatalf("delivered %d of %d messages", got, len(sent))
 	}
 }
 

@@ -33,6 +33,7 @@ var (
 	ErrChunkShort = errors.New("wire: chunk shorter than header")
 	ErrChunkStray = errors.New("wire: chunk for a message whose head was lost")
 	ErrChunkGap   = errors.New("wire: chunk index discontinuity")
+	ErrChunkLarge = errors.New("wire: chunked message larger than MaxFrame")
 )
 
 // AppendChunkHeader encodes h onto dst.
@@ -160,10 +161,15 @@ func (c *Chunker) Next(dst []byte) (chunk []byte, ok bool) {
 // discontinuity abandons and returns ErrChunkGap, and a chunk arriving for
 // a message whose head was never seen returns ErrChunkStray. This is the
 // loss behaviour the paper's error-control tier (go-back-N) recovers from.
+//
+// The chunks come off the network, so the assembler is bounded: a message
+// that would grow past MaxFrame is abandoned with ErrChunkLarge, and a chunk
+// index cannot wrap — a message has at most 65,536 chunks, and the chunk
+// after index 65,535 is a gap.
 type Assembler struct {
 	buf     []byte
 	seq     uint32
-	next    uint16
+	next    int // index the next chunk must carry; 1<<16 once it cannot
 	active  bool
 	dropped int64
 }
@@ -208,13 +214,18 @@ func (a *Assembler) Push(chunk []byte) (msg []byte, done bool, err error) {
 		a.next = 0
 		a.buf = a.buf[:0]
 	}
-	if h.Index != a.next {
+	if int(h.Index) != a.next {
 		// Interior chunk lost: the message cannot be completed.
 		a.abandon()
 		return nil, false, ErrChunkGap
 	}
+	body := chunk[ChunkHeaderSize:]
+	if len(body) > MaxFrame-len(a.buf) {
+		a.abandon()
+		return nil, false, ErrChunkLarge
+	}
 	a.next++
-	a.buf = append(a.buf, chunk[ChunkHeaderSize:]...)
+	a.buf = append(a.buf, body...)
 	if !h.Last {
 		return nil, false, nil
 	}

@@ -12,9 +12,12 @@
 // codec is append-style throughout — MarshalAppend and Chunker.Next write
 // into caller-provided buffers (AppendHeader and Chunker.Parts go one
 // further and hand a carrier the pieces, so it copies the payload only into
-// its own frames), Assembler reuses one grow-once buffer per stream, and GetBuf/PutBuf recycle backing arrays through sync.Pool size
-// classes — so a steady-state send → segment → reassemble → deliver cycle
-// allocates (almost) nothing.
+// its own frames), Assembler reuses one grow-once buffer per stream, and
+// GetBuf/PutBuf recycle backing arrays through sync.Pool size classes — so a
+// steady-state send → segment → reassemble → deliver cycle allocates (almost)
+// nothing. The one copy a receive cannot avoid, the payload out to the
+// application, runs from a 64-byte-aligned source: every carrier stages a
+// received frame with GetFrame, which pads its header to end on a boundary.
 package wire
 
 import (
@@ -133,6 +136,30 @@ func (m *Message) WireSize() int { return HeaderSize + m.optSize() + len(m.Data)
 // MaxHeaderSize is the longest encoded header: the base header and both
 // optional control words.
 const MaxHeaderSize = HeaderSize + 8
+
+// MaxFrame is the largest frame — header, control words and payload — any
+// reader accepts: the longest length prefix the TCP reader takes, and the
+// most an Assembler buffers for one message.
+const MaxFrame = 64 << 20
+
+// HeaderLen returns the encoded header length a frame announces: the base
+// header plus the control words its flag octet (byte 34) sets. A frame too
+// short to hold the flag octet announces the base header alone; it fails
+// every decode anyway. A carrier that stages a received frame reads the
+// length here to lay the frame out with GetFrame.
+func HeaderLen(frame []byte) int {
+	if len(frame) < HeaderSize {
+		return HeaderSize
+	}
+	n := HeaderSize
+	if frame[34]&flagCredit != 0 {
+		n += 4
+	}
+	if frame[34]&flagAck != 0 {
+		n += 4
+	}
+	return n
+}
 
 // MarshalAppend encodes the message (header + payload) onto dst and returns
 // the extended slice. Callers that size dst with WireSize (typically via
@@ -255,14 +282,7 @@ func checkHeader(hdr []byte, frameLen int) error {
 	if hdr[34]&^(flagCredit|flagAck) != 0 || hdr[35] != 0 {
 		return ErrFlags
 	}
-	need := HeaderSize
-	if hdr[34]&flagCredit != 0 {
-		need += 4
-	}
-	if hdr[34]&flagAck != 0 {
-		need += 4
-	}
-	if frameLen < need {
+	if frameLen < HeaderLen(hdr) {
 		return ErrShortMessage
 	}
 	return nil
@@ -311,9 +331,10 @@ var msgPool = sync.Pool{New: func() any { return &Message{} }}
 // *pooled* buffer backing it: Data aliases the buffer past the header with
 // no copy, and Release hands the buffer — and the Message struct itself —
 // back to their pools once the payload has been consumed. This is the
-// recycling delivery path for carriers that stage each arriving message in
-// its own GetBuf buffer (the in-process Mem mesh, the real-TCP reader, the
-// UDP/ATM reassembly tail): a consumer that copies the payload out —
+// delivery path of every carrier that stages each arriving message in its
+// own pooled frame (the in-process Mem mesh and SimMesh, the real-TCP
+// reader, the UDP/ATM reassembly tail), each laid out by GetFrame so Data
+// starts 64-byte aligned: a consumer that copies the payload out —
 // RecvInto, control handlers — closes the loop, so steady-state receive
 // traffic stops allocating at all.
 func UnmarshalPooled(fb *Buf) (*Message, error) {
@@ -343,21 +364,4 @@ func (m *Message) Release() {
 	*m = Message{}
 	PutBuf(fb)
 	msgPool.Put(m)
-}
-
-// UnmarshalOwned decodes a wire message whose buffer ownership transfers to
-// the decoded message: Data aliases b[HeaderSize:] with no copy. The caller
-// must not reuse, modify, or recycle b afterwards. This is the zero-copy
-// delivery path for carriers whose receive buffer is already an independent
-// per-message allocation (the in-process Mem mesh, the real-TCP reader).
-func UnmarshalOwned(b []byte) (*Message, error) {
-	if err := checkWire(b); err != nil {
-		return nil, err
-	}
-	m := &Message{}
-	off := decodeHeader(m, b)
-	if len(b) > off {
-		m.Data = b[off:]
-	}
-	return m, nil
 }

@@ -92,19 +92,27 @@ func TestPiggybackTruncatedOptionals(t *testing.T) {
 	}
 }
 
-// TestPiggybackOwnedAliases: UnmarshalOwned's zero-copy payload alias must
+// pooledFrame stages the frame b the way a carrier stages a received one.
+func pooledFrame(b []byte) *Buf {
+	fb := GetFrame(HeaderLen(b), len(b))
+	fb.B = append(fb.B, b...)
+	return fb
+}
+
+// TestPiggybackPooledAliases: UnmarshalPooled's zero-copy payload alias must
 // start after the optional words.
-func TestPiggybackOwnedAliases(t *testing.T) {
+func TestPiggybackPooledAliases(t *testing.T) {
 	m := &Message{From: 1, To: 2, Credit: 41, HasCredit: true, Data: []byte("alias me")}
-	b := m.Marshal()
-	got, err := UnmarshalOwned(b)
+	fb := pooledFrame(m.Marshal())
+	got, err := UnmarshalPooled(fb)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer got.Release()
 	if got.Credit != 41 || !got.HasCredit || got.HasAck {
 		t.Fatalf("piggyback fields: %+v", got)
 	}
-	b[HeaderSize+4] = 'X'
+	fb.B[HeaderSize+4] = 'X'
 	if got.Data[0] != 'X' {
 		t.Fatal("payload does not alias past the credit word")
 	}
@@ -169,22 +177,23 @@ func TestMarshalAppendPreservesPrefix(t *testing.T) {
 	}
 }
 
-func TestUnmarshalOwnedAliases(t *testing.T) {
+func TestUnmarshalPooledAliases(t *testing.T) {
 	m := &Message{From: 1, To: 2, Data: []byte("alias me")}
-	b := m.Marshal()
-	got, err := UnmarshalOwned(b)
+	fb := pooledFrame(m.Marshal())
+	got, err := UnmarshalPooled(fb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[HeaderSize] = 'X'
+	defer got.Release()
+	fb.B[HeaderSize] = 'X'
 	if got.Data[0] != 'X' {
-		t.Fatal("UnmarshalOwned copied instead of aliasing")
+		t.Fatal("UnmarshalPooled copied instead of aliasing")
 	}
-	cp, err := Unmarshal(b)
+	cp, err := Unmarshal(fb.B)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[HeaderSize] = 'Y'
+	fb.B[HeaderSize] = 'Y'
 	if cp.Data[0] != 'X' {
 		t.Fatal("Unmarshal aliased instead of copying")
 	}
@@ -220,10 +229,8 @@ func TestUndefinedFlagsRejected(t *testing.T) {
 		decode func(b []byte) error
 	}{
 		{"Unmarshal", func(b []byte) error { _, err := Unmarshal(b); return err }},
-		{"UnmarshalOwned", func(b []byte) error { _, err := UnmarshalOwned(b); return err }},
 		{"UnmarshalPooled", func(b []byte) error {
-			fb := GetBuf(len(b))
-			fb.B = append(fb.B, b...)
+			fb := pooledFrame(b)
 			m, err := UnmarshalPooled(fb)
 			if err == nil {
 				m.Release()
@@ -257,12 +264,12 @@ func TestUndefinedFlagsRejected(t *testing.T) {
 // FuzzUnmarshal: arbitrary bytes never panic a decoder, and the decoder
 // accepts nothing the encoder cannot produce — whatever Unmarshal takes,
 // the other entry points take with the same fields, and encoding the result
-// gives the input back octet for octet.
+// gives the input back octet for octet. The pooled decode runs on a frame
+// staged as carriers stage one (GetFrame), whose payload starts aligned.
 func FuzzUnmarshal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := Unmarshal(b)
-		fb := GetBuf(len(b))
-		fb.B = append(fb.B, b...)
+		fb := pooledFrame(b)
 		pm, perr := UnmarshalPooled(fb)
 		from, to, kerr := PeekHeader(b[:min(len(b), HeaderSize)], len(b))
 		if perr != err || kerr != err {
@@ -280,6 +287,9 @@ func FuzzUnmarshal(f *testing.F) {
 		same.Data = append([]byte(nil), pm.Data...)
 		if !reflect.DeepEqual(&same, m) {
 			t.Fatalf("UnmarshalPooled decoded %+v, Unmarshal %+v", pm, m)
+		}
+		if p := reflect.ValueOf(pm.Data).Pointer(); p%PayloadAlign != 0 {
+			t.Fatalf("GetFrame staged the payload at %#x", p)
 		}
 		pm.Release()
 		if m.WireSize() != len(b) {
