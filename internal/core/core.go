@@ -141,7 +141,7 @@ type Config struct {
 	// VirtualTime declares that the proc executes on a discrete-event loop:
 	// After is the simulation engine's virtual timer and every internal
 	// engine (lane steps, drain hand-offs) must ride
-	// it as clock events instead of goroutines, tickers, or PostAsync.
+	// it as clock events instead of goroutines, tickers, or Runtime.Post.
 	// This is what lets ring-fed lane engines run under a sim harness —
 	// N procs on one shared clock with a deterministic timeline — instead
 	// of falling back to the thread driver. Requires After; NewVirtualMesh

@@ -50,7 +50,7 @@ import (
 //     signaling state, and exception handlers. Lane code never calls them
 //     directly — it appends to the lane's out-queues
 //     (wake/fans/deliver/errs) and a drain runs them: inline when the caller
-//     is already in the scheduler domain, otherwise via Runtime.PostAsync,
+//     is already in the scheduler domain, otherwise via Runtime.Post,
 //     which runs between dispatches (it queues the drain and, only if the
 //     proc has gone to sleep with no thread runnable, hands it the runtime's
 //     one wake token — no channel operation otherwise). Under the thread
@@ -85,7 +85,7 @@ import (
 //
 // Lock order. Proc.chanMu (channel table) is a leaf — every hold is one map
 // access — so it may be taken under a lane.mu and no lane.mu is ever awaited
-// under it. Under lane.mu, PostAsync and ring operations never block; the
+// under it. Under lane.mu, Post and ring operations never block; the
 // one thing that can is the carrier's Send (flushRunLocked), and what is
 // sound there depends on the carrier:
 //
@@ -162,7 +162,8 @@ type lane struct {
 	// rx is the MPSC hand-off ring: transports (any goroutine) push, the
 	// engine drains; a deliverer that finds the engine asleep may consume
 	// its own frame instead (passInline). nil under the thread driver, whose
-	// arrivals are Posted into the scheduler domain and go straight to rxq.
+	// arrivals reach the scheduler domain through the carrier's Handler and
+	// go straight to rxq.
 	rx *ring.MPSC[rxItem]
 
 	// mu guards everything below it, plus all state of every channel
@@ -214,7 +215,7 @@ type lane struct {
 
 	// Out-queues: work that must complete in the scheduler domain.
 	// Appended under mu, swapped out by runDrain. drainPosted collapses
-	// redundant PostAsync calls into one pending drain.
+	// redundant Post calls into one pending drain.
 	wake        []*mts.Thread
 	fans        []*Thread
 	deliver     []*transport.Message
@@ -283,8 +284,8 @@ func (goroutineDriver) stop(p *Proc) {
 	p.laneWG.Wait()
 }
 
-// post is Runtime.PostAsync: fn runs between dispatches.
-func (goroutineDriver) post(p *Proc, fn func()) { p.cfg.RT.PostAsync(fn) }
+// post is Runtime.Post: fn runs between dispatches.
+func (goroutineDriver) post(p *Proc, fn func()) { p.cfg.RT.Post(fn) }
 
 // virtualDriver runs lane engines as events on the injected Clock: a kick
 // schedules one zero-delay step on the vclock heap, and the step body runs
@@ -306,7 +307,7 @@ func (d *virtualDriver) stop(p *Proc) {
 	// firing after shutdown finds empty queues and does nothing.
 }
 
-// post is a zero-delay clock event: nothing ever drains the PostAsync queue
+// post is a zero-delay clock event: nothing ever drains the Post queue
 // under a virtual-time loop — the sim engine only Dispatches.
 func (d *virtualDriver) post(p *Proc, fn func()) { d.after(0, fn) }
 
@@ -757,7 +758,7 @@ func (ln *lane) ingestLocked(items []rxItem) bool {
 // pass releases. The two ring-fed drivers differ only in how that hand-over
 // is scheduled: real mode posts the drain to the proc's runtime; virtual mode
 // already runs in the scheduler domain (the simulation engine's goroutine,
-// which never services PostAsync) and drains inline. (The thread driver runs
+// which never services Post) and drains inline. (The thread driver runs
 // no pass: its system threads call processLocked and serviceLocked apart.)
 func (ln *lane) pass(items []rxItem) {
 	if tr := ln.p.cfg.Tracer; tr != nil {
@@ -770,7 +771,7 @@ func (ln *lane) pass(items []rxItem) {
 		if ln.vd != nil {
 			ln.runDrain()
 		} else {
-			ln.p.cfg.RT.PostAsync(ln.drainFn)
+			ln.p.cfg.RT.Post(ln.drainFn)
 		}
 	}
 	// During shutdown the keeper thread parks until every lane is quiescent;
@@ -778,7 +779,7 @@ func (ln *lane) pass(items []rxItem) {
 	// been the very thing it was waiting out, so re-run the shutdown check in
 	// the scheduler domain (virtual mode does it once per step, directly).
 	if ln.vd == nil && ln.p.closing.Load() {
-		ln.p.cfg.RT.PostAsync(ln.p.shutdownFn)
+		ln.p.cfg.RT.Post(ln.p.shutdownFn)
 	}
 }
 
@@ -859,7 +860,7 @@ func (ln *lane) step() {
 }
 
 // queueDrainLocked marks a drain as needed if the out-queues are non-empty;
-// the caller PostAsyncs drainFn exactly when it returns true.
+// the caller Posts drainFn exactly when it returns true.
 func (ln *lane) queueDrainLocked() bool {
 	if ln.drainPosted {
 		return false
@@ -1291,7 +1292,7 @@ func (c *Channel) laneSend(t *Thread, tag, toThread int, data []byte) {
 // runDrain moves the lane's deferred scheduler-domain work into the
 // scheduler: deliver data to waiters/store, route signaling, wake send
 // callers, retire fan requests, raise exceptions. Runs only in the scheduler
-// domain (a thread or timer inline, or PostAsync between dispatches).
+// domain (a thread or timer inline, or Post between dispatches).
 func (ln *lane) runDrain() { ln.drain(nil) }
 
 // drain is runDrain on behalf of a running thread. It detects a self-wake: a

@@ -138,26 +138,29 @@ func (b *PVMBuffer) PackBytes(xs []byte) {
 	b.data = append(b.data, xs...)
 }
 
-func (b *PVMBuffer) expect(code byte) (int, error) {
-	if b.pos+5 > len(b.data) {
+// expect reads the header of the next section, which must be of type code
+// with elements of size bytes each, and returns its element count. The count
+// is checked against the bytes left as a 64-bit product, before it becomes an
+// int: a length word no buffer could hold fails alike where int is 32 bits.
+// A refused section leaves the buffer where it was.
+func (b *PVMBuffer) expect(code byte, size int) (int, error) {
+	rest := b.data[b.pos:]
+	if len(rest) < 5 || rest[0] != code {
 		return 0, ErrPVMUnpack
 	}
-	if b.data[b.pos] != code {
+	n := uint64(binary.BigEndian.Uint32(rest[1:]))
+	if n*uint64(size) > uint64(len(rest)-5) {
 		return 0, ErrPVMUnpack
 	}
-	n := int(binary.BigEndian.Uint32(b.data[b.pos+1:]))
 	b.pos += 5
-	return n, nil
+	return int(n), nil
 }
 
 // UnpackInt32s reads the next section as int32s: pvm_upkint.
 func (b *PVMBuffer) UnpackInt32s() ([]int32, error) {
-	n, err := b.expect(pvmInt32)
+	n, err := b.expect(pvmInt32, 4)
 	if err != nil {
 		return nil, err
-	}
-	if b.pos+4*n > len(b.data) {
-		return nil, ErrPVMUnpack
 	}
 	out := make([]int32, n)
 	for i := range out {
@@ -169,12 +172,9 @@ func (b *PVMBuffer) UnpackInt32s() ([]int32, error) {
 
 // UnpackFloat64s reads the next section as float64s: pvm_upkdouble.
 func (b *PVMBuffer) UnpackFloat64s() ([]float64, error) {
-	n, err := b.expect(pvmFloat64)
+	n, err := b.expect(pvmFloat64, 8)
 	if err != nil {
 		return nil, err
-	}
-	if b.pos+8*n > len(b.data) {
-		return nil, ErrPVMUnpack
 	}
 	out := make([]float64, n)
 	for i := range out {
@@ -186,12 +186,9 @@ func (b *PVMBuffer) UnpackFloat64s() ([]float64, error) {
 
 // UnpackBytes reads the next section as raw bytes: pvm_upkbyte.
 func (b *PVMBuffer) UnpackBytes() ([]byte, error) {
-	n, err := b.expect(pvmBytes)
+	n, err := b.expect(pvmBytes, 1)
 	if err != nil {
 		return nil, err
-	}
-	if b.pos+n > len(b.data) {
-		return nil, ErrPVMUnpack
 	}
 	out := append([]byte(nil), b.data[b.pos:b.pos+n]...)
 	b.pos += n

@@ -46,6 +46,57 @@ func TestPVMBufferTruncated(t *testing.T) {
 	}
 }
 
+// pvmUnpackers is each section type's unpacker, its code and element size.
+var pvmUnpackers = []struct {
+	name   string
+	code   byte
+	size   int
+	unpack func(*PVMBuffer) (int, error)
+}{
+	{"int32", pvmInt32, 4, func(b *PVMBuffer) (int, error) { xs, err := b.UnpackInt32s(); return len(xs), err }},
+	{"float64", pvmFloat64, 8, func(b *PVMBuffer) (int, error) { xs, err := b.UnpackFloat64s(); return len(xs), err }},
+	{"bytes", pvmBytes, 1, func(b *PVMBuffer) (int, error) { xs, err := b.UnpackBytes(); return len(xs), err }},
+}
+
+// TestPVMHugeLengthRefused: a length word of 2^32-1 — a negative int where
+// int is 32 bits — is refused with ErrPVMUnpack by every section type, not
+// turned into a panicking make or slice expression, and the buffer stays put.
+func TestPVMHugeLengthRefused(t *testing.T) {
+	for _, u := range pvmUnpackers {
+		r := &PVMBuffer{data: []byte{u.code, 0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3, 4}}
+		if n, err := u.unpack(r); err != ErrPVMUnpack || n != 0 || r.pos != 0 {
+			t.Errorf("%s: %d elements, err %v, at %d; want ErrPVMUnpack at 0", u.name, n, err, r.pos)
+		}
+	}
+}
+
+// FuzzPVMUnpack unpacks arbitrary bytes section by section, trying every
+// type at each: nothing panics, an accepted section's elements fit the bytes
+// that were left, and the buffer advances by exactly the section.
+func FuzzPVMUnpack(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := &PVMBuffer{data: data}
+		for progressed := true; progressed; {
+			progressed = false
+			for _, u := range pvmUnpackers {
+				pos := r.pos
+				n, err := u.unpack(r)
+				if err != nil {
+					if r.pos != pos {
+						t.Fatalf("%s: refused section moved the buffer %d -> %d", u.name, pos, r.pos)
+					}
+					continue
+				}
+				if left := len(data) - pos; 5+n*u.size > left || r.pos != pos+5+n*u.size {
+					t.Fatalf("%s: %d elements from %d bytes left, buffer %d -> %d", u.name, n, left, pos, r.pos)
+				}
+				progressed = true
+				break
+			}
+		}
+	})
+}
+
 func TestPVMSendRecvAcrossProcs(t *testing.T) {
 	eng, procs := simCluster(t, 2, nil)
 	var ints []int32

@@ -12,8 +12,8 @@ import (
 
 // parkWakeLoop runs a runtime whose only thread parks over and over. cycle
 // waits until the thread is on its way to Park and then wakes it through
-// Post or PostAsync; finish lets the thread exit and waits for Run to return.
-func parkWakeLoop(idle time.Duration, async bool) (cycle, finish func()) {
+// Post; finish lets the thread exit and waits for Run to return.
+func parkWakeLoop(idle time.Duration) (cycle, finish func()) {
 	rt := New(Config{Name: "idlewake", IdleTimeout: idle})
 	parking := make(chan struct{})
 	stop := false
@@ -24,16 +24,12 @@ func parkWakeLoop(idle time.Duration, async bool) (cycle, finish func()) {
 		}
 	})
 	unblock := func() { rt.Unblock(th, false) }
-	post := rt.Post
-	if async {
-		post = rt.PostAsync
-	}
 	done := make(chan struct{})
 	go func() { rt.Run(); close(done) }()
-	cycle = func() { <-parking; post(unblock) }
+	cycle = func() { <-parking; rt.Post(unblock) }
 	finish = func() {
 		<-parking
-		post(func() { stop = true; unblock() })
+		rt.Post(func() { stop = true; unblock() })
 		<-done
 	}
 	return cycle, finish
@@ -42,23 +38,21 @@ func parkWakeLoop(idle time.Duration, async bool) (cycle, finish func()) {
 // BenchmarkIdleWake times one park → post → wake → park cycle of an
 // otherwise idle runtime. The timeout5s rows are what every fabric runs.
 func BenchmarkIdleWake(b *testing.B) {
-	for _, via := range []string{"post", "postasync"} {
-		for _, idle := range []struct {
-			name string
-			d    time.Duration
-		}{{"timeout0", 0}, {"timeout5s", 5 * time.Second}} {
-			b.Run(via+"/"+idle.name, func(b *testing.B) {
-				cycle, finish := parkWakeLoop(idle.d, via == "postasync")
-				cycle() // the first dispatch and the goroutine start are not the wait
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					cycle()
-				}
-				b.StopTimer()
-				finish()
-			})
-		}
+	for _, idle := range []struct {
+		name string
+		d    time.Duration
+	}{{"timeout0", 0}, {"timeout5s", 5 * time.Second}} {
+		b.Run(idle.name, func(b *testing.B) {
+			cycle, finish := parkWakeLoop(idle.d)
+			cycle() // the first dispatch and the goroutine start are not the wait
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+			b.StopTimer()
+			finish()
+		})
 	}
 }
 
@@ -66,11 +60,11 @@ func TestIdleWakeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation pin; the race detector allocates on its own")
 	}
-	cycle, finish := parkWakeLoop(5*time.Second, true)
+	cycle, finish := parkWakeLoop(5 * time.Second)
 	defer finish()
 	cycle()
 	if avg := testing.AllocsPerRun(2000, cycle); avg != 0 {
-		t.Fatalf("park → PostAsync → wake allocates %v per cycle, want 0", avg)
+		t.Fatalf("park → Post → wake allocates %v per cycle, want 0", avg)
 	}
 }
 
@@ -114,11 +108,7 @@ func TestNoLostWakeup(t *testing.T) {
 								ack <- struct{}{}
 							}
 						}
-						if (id/tc.posters)%2 == 0 {
-							rt.Post(fn)
-						} else {
-							rt.PostAsync(fn)
-						}
+						rt.Post(fn)
 						if tc.closed {
 							<-ack
 						}
@@ -214,42 +204,5 @@ func TestWatchdogStopsWithRun(t *testing.T) {
 	if rt.idle != nil || rt.sleep.Load() != stuck || len(rt.wake) != 0 {
 		t.Fatalf("a tick after Run touched the runtime: idle %v, sleep %d (want %d), %d tokens",
 			rt.idle, rt.sleep.Load(), stuck, len(rt.wake))
-	}
-}
-
-// Post keeps its bound: with 1024 functions queued and the CPU held by a
-// running thread, the next Post waits, and the next dispatch releases it.
-func TestPostBlocksAtFullQueueUntilNextDispatch(t *testing.T) {
-	rt := newTestRT()
-	ran := 0
-	count := func() { ran++ }
-	filled, release, extraPosted := make(chan struct{}), make(chan struct{}), make(chan struct{})
-	rt.Create("holder", PrioDefault, func(th *Thread) {
-		for i := 0; i < cap(rt.external); i++ {
-			rt.Post(count)
-		}
-		close(filled)
-		<-release // holds the CPU: nothing drains the queue
-		th.Yield()
-		<-extraPosted
-		th.Yield()
-	})
-	go func() {
-		<-filled
-		rt.Post(count)
-		close(extraPosted)
-	}()
-	go func() {
-		<-filled
-		select {
-		case <-extraPosted:
-			t.Error("Post into a full queue returned while the dispatcher was held")
-		case <-time.After(30 * time.Millisecond):
-		}
-		close(release)
-	}()
-	rt.Run()
-	if want := cap(rt.external) + 1; ran != want {
-		t.Fatalf("%d posted functions ran, want %d", ran, want)
 	}
 }

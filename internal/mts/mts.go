@@ -29,16 +29,17 @@
 //   - Run(): the real-time mode used by examples, real-mode procs and tests.
 //     Run dispatches the first thread and then only waits for the last one to
 //     finish; there is no scheduler goroutine. The goroutine whose thread
-//     parks, yields or exits runs the dispatcher itself: it runs pending
-//     Post/PostAsync functions, picks the next thread, and either carries on
-//     (it picked its own thread: no goroutine hand-off), signals the chosen
+//     parks, yields or exits runs the dispatcher itself: it runs the pending
+//     Post functions, picks the next thread, and either carries on (it
+//     picked its own thread: no goroutine hand-off), signals the chosen
 //     thread's goroutine and waits for its own turn (one hand-off), or — with
 //     nothing runnable — goes to sleep right there, so an external completion
 //     wakes the goroutine most likely to run next. A sleeper waits on one
-//     thing, the capacity-1 wake token, in a plain receive; Post and PostAsync
-//     queue their function and touch the token only if the runtime is asleep
-//     (a busy one costs them no channel operation), and the IdleTimeout
-//     watchdog, one timer per Run, is the token's only other sender.
+//     thing, the capacity-1 wake token, in a plain receive; Post queues its
+//     function on the runtime's one external queue, never waits, and touches
+//     the token only if the runtime is asleep (a busy one costs it no channel
+//     operation), and the IdleTimeout watchdog, one timer per Run, is the
+//     token's only other sender.
 //   - Dispatch()/DispatchThread(): single-step primitives used by the
 //     discrete-event simulation engine (internal/sim), which interleaves
 //     thread execution with virtual-time network events. The caller holds the
@@ -195,19 +196,16 @@ type Runtime struct {
 	// Run's caller: "" when the last thread retired, else the deadlock report.
 	done chan string
 
-	external chan func()
 	onSwitch func(t *Thread)
 
-	// asyncQ is the unbounded companion to external: PostAsync appends under
-	// asyncMu, so producers that must never stall — the NCS lane engines,
-	// which may be holding a lane lock a scheduler-domain thread wants — have
-	// a wait-free entry point. The dispatcher drains it alongside external.
-	asyncMu    sync.Mutex
-	asyncQ     []func()
-	asyncSpare []func() // recycled drain buffer, so steady state allocates nothing
+	// postQ is the external queue: Post appends under postMu, the dispatcher
+	// swaps it out whole and runs it.
+	postMu    sync.Mutex
+	postQ     []func()
+	postSpare []func() // recycled drain buffer, so steady state allocates nothing
 
-	// The idle hand-off. posted counts what Post and PostAsync queued; seen
-	// (scheduler domain) is its value when the last drain began. sleep is the
+	// The idle hand-off. posted counts what Post queued; seen (scheduler
+	// domain) is its value when the last drain began. sleep is the
 	// dispatcher's sleep epoch, odd while it sleeps: it makes sleep odd, then
 	// reads posted; a poster bumps posted, then reads sleep — all sync/atomic,
 	// so one sees the other. Whoever else makes an odd sleep even owes wake a
@@ -240,7 +238,6 @@ func New(cfg Config) *Runtime {
 		clock:       cfg.Clock,
 		parked:      make(chan struct{}, 1),
 		done:        make(chan string, 1),
-		external:    make(chan func(), 1024),
 		wake:        make(chan bool, 1),
 		idleTimeout: cfg.IdleTimeout,
 		onSwitch:    cfg.OnSwitch,
@@ -264,7 +261,7 @@ func (rt *Runtime) Switches() int { return rt.switches }
 func (rt *Runtime) Live() int { return rt.live }
 
 // Current returns the currently running thread, or nil between dispatches
-// (while Post/PostAsync functions run, or the step driver holds the CPU).
+// (while Post functions run, or the step driver holds the CPU).
 func (rt *Runtime) Current() *Thread { return rt.cur }
 
 // Threads returns all threads ever created, in creation order.
@@ -520,63 +517,30 @@ func (rt *Runtime) Unblock(t *Thread, front bool) bool {
 	return true
 }
 
-// Post schedules fn to run in the scheduler domain. Post and PostAsync are
-// the only Runtime entry points that are safe to call from foreign
-// goroutines (UDP readers, timers). Under Run, fn executes between
-// dispatches on the goroutine that holds the CPU token at that moment: the
-// goroutine of the thread that just parked, yielded or exited, before it
-// picks the next thread — with Current() == nil, one function at a time. If
-// every thread is blocked, that goroutine is asleep and Post wakes it;
-// otherwise Post only queues fn, waiting while 1024 earlier functions are
-// queued (udpatm's readers lean on that bound as backpressure). In sim mode,
-// the engine never needs Post because events already fire in its goroutine.
+// Post schedules fn to run in the scheduler domain. It is the one Runtime
+// entry point that is safe to call from foreign goroutines (carrier readers,
+// lane engines, timers). Under Run, fn executes between dispatches on the
+// goroutine that holds the CPU token at that moment: the goroutine of the
+// thread that just parked, yielded or exited, before it picks the next
+// thread — with Current() == nil, one function at a time, in Post order. If
+// every thread is blocked, that goroutine is asleep and Post wakes it.
+//
+// Post never blocks: fn joins an unbounded queue. A producer may hold a lock
+// a scheduler-domain thread also takes (an NCS lane engine holds its lane's),
+// and one that waited for queue space while that thread held the CPU would
+// deadlock the process. What bounds the queue is its producers: a carrier
+// posts one drain per batch of arrivals and waits at its own cap
+// (transport.Inbox), a lane one drain at a time. In sim mode, the engine
+// never needs Post because events already fire in its goroutine.
 func (rt *Runtime) Post(fn func()) {
-	rt.external <- fn
-	rt.notify()
-}
-
-// PostAsync is like Post but never blocks the caller: the function is
-// appended to an unbounded queue instead of a bounded channel. It exists
-// for producers that may hold a lock a scheduler-domain thread also takes
-// (the sharded NCS lane engines): if such a producer blocked on a full
-// external channel while the thread that wants the lock held the CPU, the
-// process would deadlock. fn still executes in the scheduler domain, on the
-// same goroutine and under the same rules as a Post function, in PostAsync
-// order relative to other PostAsync calls.
-func (rt *Runtime) PostAsync(fn func()) {
-	rt.asyncMu.Lock()
-	rt.asyncQ = append(rt.asyncQ, fn)
-	rt.asyncMu.Unlock()
-	rt.notify()
-}
-
-// notify is the poster's half of the idle hand-off, after it has queued its
-// function: bump posted, then read sleep, and wake the dispatcher if it sleeps.
-func (rt *Runtime) notify() {
+	rt.postMu.Lock()
+	rt.postQ = append(rt.postQ, fn)
+	rt.postMu.Unlock()
+	// The poster's half of the idle hand-off: bump posted, then read sleep,
+	// and wake the dispatcher if it sleeps.
 	rt.posted.Add(1)
 	if s := rt.sleep.Load(); s&1 == 1 && rt.sleep.CompareAndSwap(s, s+1) {
 		rt.wake <- false
-	}
-}
-
-// drainAsync runs all functions queued by PostAsync. Scheduler domain only.
-func (rt *Runtime) drainAsync() {
-	for {
-		rt.asyncMu.Lock()
-		if len(rt.asyncQ) == 0 {
-			rt.asyncMu.Unlock()
-			return
-		}
-		q := rt.asyncQ
-		rt.asyncQ = rt.asyncSpare[:0]
-		rt.asyncMu.Unlock()
-		for _, fn := range q {
-			fn()
-		}
-		for i := range q {
-			q[i] = nil
-		}
-		rt.asyncSpare = q
 	}
 }
 
@@ -663,18 +627,25 @@ func (rt *Runtime) stopWatch() {
 	rt.idleMu.Unlock()
 }
 
-// drainExternal runs what Post and PostAsync have queued. A poster that bumps
-// posted after the read here shows as posted != seen, even if its function ran.
+// drainExternal runs what Post has queued, including what the functions it
+// runs post. A poster that bumps posted after the read here shows as
+// posted != seen, even if its function ran.
 func (rt *Runtime) drainExternal() {
 	rt.seen = rt.posted.Load()
-	rt.drainAsync()
 	for {
-		select {
-		case fn := <-rt.external:
-			fn()
-		default:
+		rt.postMu.Lock()
+		q := rt.postQ
+		if len(q) == 0 {
+			rt.postMu.Unlock()
 			return
 		}
+		rt.postQ = rt.postSpare[:0]
+		rt.postMu.Unlock()
+		for _, fn := range q {
+			fn()
+		}
+		clear(q)
+		rt.postSpare = q
 	}
 }
 

@@ -107,9 +107,6 @@ func TestLoneThreadSelfResumeIsADispatch(t *testing.T) {
 		"Post": func(rt *Runtime, wake func(), parking <-chan struct{}) {
 			go func() { <-parking; rt.Post(wake) }()
 		},
-		"PostAsync": func(rt *Runtime, wake func(), parking <-chan struct{}) {
-			go func() { <-parking; rt.PostAsync(wake) }()
-		},
 		"After": func(rt *Runtime, wake func(), _ <-chan struct{}) {
 			rt.After(time.Millisecond, wake)
 		},
@@ -176,8 +173,8 @@ func TestDeadlockReportedOnRunCaller(t *testing.T) {
 }
 
 // TestQuickForeignWakeupsKeepOrder: threads at random priorities yield and
-// park at random while foreign goroutines wake the parked ones through Post
-// and PostAsync. At every dispatch no higher-priority thread is runnable and
+// park at random while foreign goroutines wake the parked ones through Post.
+// At every dispatch no higher-priority thread is runnable and
 // the dispatched thread is the longest-waiting of its level; every posted
 // function runs exactly once, with no thread current.
 func TestQuickForeignWakeupsKeepOrder(t *testing.T) {
@@ -209,7 +206,7 @@ func TestQuickForeignWakeupsKeepOrder(t *testing.T) {
 		}})
 
 		var posted []int // runs per posted function
-		post := func(viaAsync bool, fn func()) func() {
+		post := func(fn func()) func() {
 			id := len(posted)
 			posted = append(posted, 0)
 			wrapped := func() {
@@ -219,9 +216,6 @@ func TestQuickForeignWakeupsKeepOrder(t *testing.T) {
 				}
 				fn()
 			}
-			if viaAsync {
-				return func() { rt.PostAsync(wrapped) }
-			}
 			return func() { rt.Post(wrapped) }
 		}
 
@@ -230,8 +224,9 @@ func TestQuickForeignWakeupsKeepOrder(t *testing.T) {
 		// a thread never blocks on it while holding the CPU.
 		orders := make(chan [2]func(), n*steps)
 		for i := 0; i < n; i++ {
-			// Each step yields, or parks to be woken through Post or PostAsync.
-			const yield, parkAsync, kinds = 0, 1, 3
+			// Each step yields (one in three) or parks to be woken
+			// through Post.
+			const yield, kinds = 0, 3
 			script := make([]int, steps)
 			for k := range script {
 				script[k] = rng.Intn(kinds)
@@ -243,13 +238,12 @@ func TestQuickForeignWakeupsKeepOrder(t *testing.T) {
 						th.Yield()
 						continue
 					}
-					viaAsync := step == parkAsync
 					// An idle function and the wakeup, posted back to back
-					// the same way so the first cannot be left behind when
-					// the second lets the run finish.
+					// so the first cannot be left behind when the second
+					// lets the run finish.
 					orders <- [2]func(){
-						post(viaAsync, func() {}),
-						post(viaAsync, func() {
+						post(func() {}),
+						post(func() {
 							if !rt.Unblock(th, false) {
 								fail("wakeup for %q ran before it parked", th.name)
 							}

@@ -40,10 +40,6 @@ const (
 	// to a few KB, or several pipelined frames — the bodies behind them.
 	// Larger bodies bypass the buffer once it is empty.
 	readBufSize = 16 << 10
-	// inboxMax bounds the decoded messages waiting for the scheduler domain
-	// on the Handler path; a reader that finds the inbox full waits, and the
-	// socket's own window pushes back on the peer.
-	inboxMax = 1024
 	// maxQueuedBytes is each dialed connection's high-water mark: the frame
 	// bytes Send has accepted and the writer has not finished writing —
 	// 256 4 KB frames, 16 of 64 KB. A frame that would take the queue past
@@ -59,9 +55,11 @@ const (
 var errBadFrame = errors.New("tcpip: bad frame")
 
 // TCPEndpoint is one process's NSM attachment. It delivers either decoded
-// messages into the runtime's scheduler domain (SetHandler: the thread
-// driver's single lane, the p4 baseline) or raw frames on its reader
-// goroutines (SetFrameHandler: lane engines, see transport.FrameCarrier).
+// messages through its transport.Inbox into the runtime's scheduler domain
+// (SetHandler: the thread driver's single lane, the p4 baseline) — a reader
+// that finds the inbox full waits, and the socket's own window pushes back on
+// the peer — or raw frames on its reader goroutines (SetFrameHandler: lane
+// engines, see transport.FrameCarrier).
 //
 // No caller of Send executes a socket write. Every dialed connection has a
 // transmit queue and one writer goroutine (tcpConn): Send serializes the
@@ -70,20 +68,19 @@ var errBadFrame = errors.New("tcpip: bad frame")
 // gives it up without having waited for the kernel's transmit path, and
 // frames queued by several threads before the writer runs share a syscall.
 type TCPEndpoint struct {
+	transport.Inbox
 	net  *TCPNetwork
 	proc transport.ProcID
-	rt   *mts.Runtime
 	ln   *net.TCPListener
 
 	mu      sync.Mutex
-	handler transport.Handler
 	conns   map[transport.ProcID]*tcpConn // dialed, by destination
 	inbound map[*net.TCPConn]struct{}     // accepted, each with a readLoop
 	seq     uint32
 
 	// closed is set once, under mu (so that a reader is either counted in wg
 	// before Close waits or never started), and read without it by the send
-	// path, waiting readers and the drain.
+	// path.
 	closed atomic.Bool
 	// wg counts acceptLoop, every readLoop and every connection's writer;
 	// Close waits for it.
@@ -92,17 +89,6 @@ type TCPEndpoint struct {
 	// frameH, when set, replaces the Handler path: every reader hands its
 	// frames to it directly.
 	frameH atomic.Pointer[transport.FrameHandler]
-
-	// Handler path: readers decode and queue, one pre-bound drain per
-	// non-empty inbox carries the batch into the scheduler domain. The two
-	// slices swap between producer and consumer, so steady-state delivery
-	// allocates nothing.
-	inmu     sync.Mutex
-	inFree   sync.Cond // readers wait here while the inbox is full
-	inbox    []*transport.Message
-	inSpare  []*transport.Message
-	draining bool // a drain is posted or running
-	drainFn  func()
 
 	badFrames atomic.Int64
 	sendDrops atomic.Int64
@@ -143,8 +129,8 @@ type tcpConn struct {
 }
 
 // Attach creates an endpoint for proc listening on an ephemeral loopback
-// port. Deliveries are Posted into rt's scheduler domain unless a frame
-// handler is installed.
+// port. Deliveries enter rt's scheduler domain through the endpoint's Inbox
+// unless a frame handler is installed.
 func (n *TCPNetwork) Attach(proc transport.ProcID, rt *mts.Runtime) (*TCPEndpoint, error) {
 	ln, err := net.ListenTCP("tcp4", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -153,12 +139,10 @@ func (n *TCPNetwork) Attach(proc transport.ProcID, rt *mts.Runtime) (*TCPEndpoin
 	e := &TCPEndpoint{
 		net:   n,
 		proc:  proc,
-		rt:    rt,
 		ln:    ln,
 		conns: make(map[transport.ProcID]*tcpConn),
 	}
-	e.inFree.L = &e.inmu
-	e.drainFn = e.drainInbox
+	e.Init(rt)
 	n.mu.Lock()
 	if _, dup := n.endpoints[proc]; dup {
 		n.mu.Unlock()
@@ -174,8 +158,8 @@ func (n *TCPNetwork) Attach(proc transport.ProcID, rt *mts.Runtime) (*TCPEndpoin
 
 // Close shuts the listener and every connection, dialed and accepted, and
 // returns once acceptLoop, all readLoops and all writers have exited: no
-// frame handler call is in progress or begins after that, and the drain
-// drops what is still queued for the Handler path instead of delivering it.
+// frame handler call is in progress or begins after that, and the Inbox
+// releases what is still queued for the Handler path instead of delivering it.
 // Every frame Send accepted before Close is written before its connection
 // closes, or counted in SendDrops if that write fails — so Close waits for a
 // peer that has stopped reading exactly as long as Send would have; a Send
@@ -192,6 +176,7 @@ func (e *TCPEndpoint) Close() error {
 	conns, inbound := e.conns, e.inbound
 	e.conns, e.inbound = map[transport.ProcID]*tcpConn{}, nil
 	e.mu.Unlock()
+	e.Inbox.Close()
 	err := e.ln.Close()
 	for _, c := range conns {
 		c.finish()
@@ -199,22 +184,12 @@ func (e *TCPEndpoint) Close() error {
 	for c := range inbound {
 		c.Close()
 	}
-	e.inmu.Lock()
-	e.inFree.Broadcast()
-	e.inmu.Unlock()
 	e.wg.Wait()
 	return err
 }
 
 // Proc implements transport.Endpoint.
 func (e *TCPEndpoint) Proc() transport.ProcID { return e.proc }
-
-// SetHandler implements transport.Endpoint.
-func (e *TCPEndpoint) SetHandler(h transport.Handler) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.handler = h
-}
 
 // SetFrameHandler implements transport.FrameCarrier. Must be installed
 // before any peer sends. Every frame handed over has passed the reader's
@@ -499,7 +474,7 @@ func (e *TCPEndpoint) readLoop(conn *net.TCPConn) {
 
 // serve reads r — the dialer's hello, then frames — and delivers each frame
 // on this goroutine: to the frame handler when one is installed, else
-// decoded into the inbox. It returns why the stream ended.
+// decoded into the Inbox. It returns why the stream ended.
 func (e *TCPEndpoint) serve(r io.Reader) error {
 	br := bufio.NewReaderSize(r, readBufSize)
 	hello, err := br.Peek(4)
@@ -525,7 +500,7 @@ func (e *TCPEndpoint) serve(r io.Reader) error {
 			wire.PutBuf(fb)
 			return errBadFrame
 		}
-		if !e.enqueue(m) {
+		if !e.Put(m) {
 			return net.ErrClosed
 		}
 	}
@@ -577,58 +552,4 @@ func (e *TCPEndpoint) readFrame(br *bufio.Reader, peer transport.ProcID) (*wire.
 		fb.B = fb.B[:end]
 	}
 	return fb, nil
-}
-
-// enqueue queues a decoded message for the scheduler domain and posts the
-// drain if none is pending. It reports false once the endpoint has closed.
-func (e *TCPEndpoint) enqueue(m *transport.Message) bool {
-	e.inmu.Lock()
-	for len(e.inbox) >= inboxMax && !e.closed.Load() {
-		e.inFree.Wait()
-	}
-	if e.closed.Load() {
-		e.inmu.Unlock()
-		m.Release()
-		return false
-	}
-	e.inbox = append(e.inbox, m)
-	post := !e.draining
-	e.draining = true
-	e.inmu.Unlock()
-	if post {
-		// PostAsync, not Post: the reader must be able to exit when the
-		// endpoint closes, whatever state the runtime is in.
-		e.rt.PostAsync(e.drainFn)
-	}
-	return true
-}
-
-// drainInbox delivers everything queued, in order. Scheduler domain.
-func (e *TCPEndpoint) drainInbox() {
-	for {
-		e.inmu.Lock()
-		batch := e.inbox
-		if len(batch) == 0 {
-			e.draining = false
-			e.inmu.Unlock()
-			return
-		}
-		e.inbox, e.inSpare = e.inSpare[:0], nil
-		e.inFree.Broadcast()
-		e.inmu.Unlock()
-		e.mu.Lock()
-		h := e.handler
-		e.mu.Unlock()
-		for i, m := range batch {
-			if h == nil || e.closed.Load() {
-				m.Release()
-			} else {
-				h(m)
-			}
-			batch[i] = nil
-		}
-		e.inmu.Lock()
-		e.inSpare = batch[:0]
-		e.inmu.Unlock()
-	}
 }

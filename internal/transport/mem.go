@@ -13,8 +13,9 @@ import (
 
 // Mem is the real-mode in-process transport: a full mesh between endpoints
 // whose runtimes execute concurrently in real time. Delivery crosses
-// goroutines via Runtime.Post, and every message passes through the wire
-// codec so nothing is shared by reference.
+// goroutines through the destination's Inbox (or its frame handler), and
+// every message passes through the wire codec so nothing is shared by
+// reference.
 //
 // Fault injection (drop patterns, added latency) exists so the NCS error-
 // and flow-control machinery can be tested against a misbehaving network.
@@ -148,33 +149,20 @@ func (n *Mem) Attach(proc ProcID, rt *mts.Runtime) *MemEndpoint {
 	if _, dup := n.endpoints[proc]; dup {
 		panic(fmt.Sprintf("transport: duplicate endpoint for proc %d", proc))
 	}
-	ep := &MemEndpoint{net: n, proc: proc, rt: rt}
-	ep.drainFn = ep.drainAll
+	ep := &MemEndpoint{net: n, proc: proc}
+	ep.Init(rt)
 	n.endpoints[proc] = ep
 	return ep
 }
 
-// MemEndpoint implements Endpoint over a Mem mesh.
+// MemEndpoint implements Endpoint over a Mem mesh. Its Inbox carries
+// decoded messages into the scheduler domain on the Handler path.
 type MemEndpoint struct {
+	Inbox
 	net  *Mem
 	proc ProcID
-	rt   *mts.Runtime
 
-	mu      sync.Mutex
-	handler Handler
-
-	// inbox queues marshalled frames awaiting entry into the scheduler
-	// domain; each enqueue Posts drainFn, which delivers everything queued
-	// (so one Post per *batch* suffices and later Posts find the inbox
-	// already drained). The pre-bound func and head-index queue keep the
-	// steady-state delivery path free of per-message closure and slice
-	// allocations.
-	inmu    sync.Mutex
-	inbox   []*wire.Buf
-	inHead  int
-	drainFn func()
-
-	// frameH, when set, bypasses the inbox/Post delivery path entirely:
+	// frameH, when set, bypasses the Inbox delivery path entirely:
 	// frames destined for this endpoint are handed to it in the *sender's*
 	// goroutine (see FrameCarrier). Stored atomically so concurrent sending
 	// lanes read it without a lock.
@@ -195,29 +183,25 @@ var scratchPool = sync.Pool{New: func() any { return new(memScratch) }}
 // Proc implements Endpoint.
 func (e *MemEndpoint) Proc() ProcID { return e.proc }
 
-// SetHandler implements Endpoint.
-func (e *MemEndpoint) SetHandler(h Handler) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.handler = h
-}
-
 // SetFrameHandler implements FrameCarrier. Must be installed before any
-// peer sends; delivery switches from the inbox/Post path to direct calls
-// in the sender's goroutine.
+// peer sends; delivery switches from the Inbox path to direct calls in the
+// sender's goroutine.
 func (e *MemEndpoint) SetFrameHandler(h FrameHandler) {
 	e.frameH.Store(&h)
 }
 
 // deliverFrame routes one marshalled frame to the endpoint: straight to
-// the frame handler when one is installed, else through the inbox into the
-// scheduler domain.
+// the frame handler when one is installed, else decoded into the Inbox.
 func (e *MemEndpoint) deliverFrame(fb *wire.Buf) {
 	if hp := e.frameH.Load(); hp != nil {
 		(*hp)(fb)
 		return
 	}
-	e.enqueue(fb)
+	m, err := wire.UnmarshalPooled(fb)
+	if err != nil {
+		panic("transport: self-produced message failed to decode: " + err.Error())
+	}
+	e.Put(m)
 }
 
 // dropLocked runs fault injection for one message; callers hold n.mu.
@@ -279,8 +263,8 @@ func (e *MemEndpoint) Send(t *mts.Thread, m *Message) {
 
 // SendBatch implements BatchSender: one mesh-lock acquisition runs fault
 // injection for the whole run, and the surviving frames enter the
-// destination's scheduler domain under a single Post — one wakeup per
-// burst instead of one per message.
+// destination's scheduler domain under a single drain of its Inbox — one
+// wakeup per burst instead of one per message.
 func (e *MemEndpoint) SendBatch(t *mts.Thread, ms []*Message) {
 	if len(ms) == 0 {
 		return
@@ -324,22 +308,18 @@ func (e *MemEndpoint) SendBatch(t *mts.Thread, ms []*Message) {
 		}
 		frames = append(frames, marshalFrame(m))
 	}
-	switch {
-	case latency > 0:
-		// Latency is modeled per message; batching would distort it.
-		for _, fb := range frames {
+	for _, fb := range frames {
+		if latency > 0 {
+			// Latency is modeled per message; batching would distort it.
 			fb := fb
 			time.AfterFunc(latency, func() { dst.deliverFrame(fb) })
+			continue
 		}
-	case dst.frameH.Load() != nil:
-		// Frame mode: hand each frame over in order in this goroutine. A
-		// channel's messages batch under its lane's lock, so per-channel
-		// FIFO is preserved.
-		for _, fb := range frames {
-			dst.deliverFrame(fb)
-		}
-	case len(frames) > 0:
-		dst.enqueueBatch(frames)
+		// In order, in this goroutine: to the frame handler (a channel's
+		// messages batch under its lane's lock, so per-channel FIFO is
+		// preserved) or into the Inbox, whose first Put of the run posts
+		// the one drain.
+		dst.deliverFrame(fb)
 	}
 	// The frames now belong to the destination; drop the scratch
 	// references so the backing array pins nothing between batches.
@@ -348,52 +328,4 @@ func (e *MemEndpoint) SendBatch(t *mts.Thread, ms []*Message) {
 	}
 	sc.frames = frames[:0]
 	scratchPool.Put(sc)
-}
-
-// enqueue hands one marshalled frame to the endpoint and schedules a drain
-// in its scheduler domain.
-func (e *MemEndpoint) enqueue(fb *wire.Buf) {
-	e.inmu.Lock()
-	e.inbox = append(e.inbox, fb)
-	e.inmu.Unlock()
-	e.rt.Post(e.drainFn)
-}
-
-// enqueueBatch hands a run of marshalled frames to the endpoint under one
-// lock acquisition and one scheduler Post.
-func (e *MemEndpoint) enqueueBatch(frames []*wire.Buf) {
-	e.inmu.Lock()
-	e.inbox = append(e.inbox, frames...)
-	e.inmu.Unlock()
-	e.rt.Post(e.drainFn)
-}
-
-// drainAll delivers every queued frame. It runs in the scheduler domain;
-// a Post that finds the inbox already drained (an earlier Post consumed
-// its frames along with that Post's own) returns immediately.
-func (e *MemEndpoint) drainAll() {
-	for {
-		e.inmu.Lock()
-		if e.inHead == len(e.inbox) {
-			e.inbox = e.inbox[:0]
-			e.inHead = 0
-			e.inmu.Unlock()
-			return
-		}
-		fb := e.inbox[e.inHead]
-		e.inbox[e.inHead] = nil
-		e.inHead++
-		e.inmu.Unlock()
-		got, err := wire.UnmarshalPooled(fb)
-		if err != nil {
-			panic("transport: self-produced message failed to decode: " + err.Error())
-		}
-		e.mu.Lock()
-		h := e.handler
-		e.mu.Unlock()
-		if h == nil {
-			panic(fmt.Sprintf("transport: proc %d has no handler", e.proc))
-		}
-		h(got)
-	}
 }

@@ -4,10 +4,14 @@
 // buffers — lives in internal/wire; this package re-exports the message
 // types so carriers and the NCS core share one vocabulary.
 //
+// The real-mode carriers (Mem, real TCP, udpatm) hand decoded messages to a
+// proc's scheduler one way: each embeds an Inbox, whose one bounded queue
+// and one pre-bound drain carry them into the destination runtime's
+// scheduler domain, where the Handler runs.
+//
 // Implementations:
 //   - Mem (this package): real-mode in-process transport with optional
-//     loss/latency injection; deliveries are Posted into the destination
-//     runtime's scheduler domain.
+//     loss/latency injection.
 //   - internal/tcpip.SimTCP: the simulated TCP/IP path used for the paper's
 //     Approach-1 benchmarks (NSM tier).
 //   - internal/tcpip.TCPEndpoint: the same tier over real TCP loopback
@@ -109,8 +113,8 @@ type BatchSender interface {
 type FrameHandler func(fb *wire.Buf)
 
 // FrameCarrier is the optional raw-frame delivery path used by the NCS core
-// at lane counts above one: instead of Posting decoded messages into the
-// destination's scheduler loop, the carrier hands marshalled frames
+// at lane counts above one: instead of putting decoded messages into its
+// Inbox for the destination's scheduler, the carrier hands marshalled frames
 // straight to the handler, which routes them onto per-lane MPSC rings
 // without a scheduler hop. Installing a frame handler replaces the
 // Handler-based delivery path for that endpoint; per-channel ordering must

@@ -116,20 +116,21 @@ type vcRx struct {
 	asm   wire.Assembler
 }
 
-// Endpoint is one process's ATM-over-UDP attachment.
+// Endpoint is one process's ATM-over-UDP attachment. Its reader decodes
+// each reassembled message into the transport.Inbox, which carries it into
+// the runtime's scheduler domain; a reader that finds the inbox full waits,
+// and datagrams queue in the socket meanwhile (and drop once its buffer is
+// full, a loss NCS error control recovers).
 type Endpoint struct {
+	transport.Inbox
 	net  *Network
 	proc transport.ProcID
-	rt   *mts.Runtime
 	conn *net.UDPConn
+	// reader counts readLoop; Close waits for it.
+	reader sync.WaitGroup
 
-	mu      sync.Mutex
-	handler transport.Handler
-	seq     uint32
-	// arrived holds decoded messages between the reader, which pushes one
-	// and Posts deliverFn, and the runtime, where each Post pops exactly one.
-	arrived   list.FIFO[*transport.Message]
-	deliverFn func()
+	mu  sync.Mutex
+	seq uint32
 
 	// Transmit side: per-VC queues drained by a single writer goroutine,
 	// highest priority first (FIFO within a VC). NCS channels map onto
@@ -186,7 +187,7 @@ type Endpoint struct {
 }
 
 // Attach creates an endpoint for proc bound to an ephemeral loopback port.
-// Deliveries are Posted into rt's scheduler domain.
+// Deliveries enter rt's scheduler domain through the endpoint's Inbox.
 func (n *Network) Attach(proc transport.ProcID, rt *mts.Runtime) (*Endpoint, error) {
 	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -208,6 +209,7 @@ func (n *Network) Attach(proc transport.ProcID, rt *mts.Runtime) (*Endpoint, err
 	}
 	n.endpoints[proc] = e
 	n.mu.Unlock()
+	e.reader.Add(1)
 	go e.readLoop()
 	go e.writeLoop()
 	return e, nil
@@ -218,7 +220,6 @@ func newEndpoint(n *Network, proc transport.ProcID, rt *mts.Runtime, conn *net.U
 	e := &Endpoint{
 		net:        n,
 		proc:       proc,
-		rt:         rt,
 		conn:       conn,
 		txByVC:     make(map[atm.VC]*vcTx),
 		writerDone: make(chan struct{}),
@@ -228,11 +229,13 @@ func newEndpoint(n *Network, proc transport.ProcID, rt *mts.Runtime, conn *net.U
 	}
 	e.txCond = sync.NewCond(&e.txMu)
 	e.spaceCond = sync.NewCond(&e.txMu)
-	e.deliverFn = e.deliverOne
+	e.Init(rt)
 	return e
 }
 
-// Close shuts the endpoint's socket and reader down.
+// Close writes every frame Send accepted, closes the Inbox — releasing what
+// is queued and a reader waiting in it — and the socket, and returns once the
+// reader has exited. Idempotent.
 func (e *Endpoint) Close() error {
 	select {
 	case <-e.closed:
@@ -248,18 +251,14 @@ func (e *Endpoint) Close() error {
 	// Drain before closing the socket: every frame Send accepted is
 	// written (the guarantee the old synchronous write loop gave).
 	<-e.writerDone
-	return e.conn.Close()
+	e.Inbox.Close()
+	err := e.conn.Close()
+	e.reader.Wait()
+	return err
 }
 
 // Proc implements transport.Endpoint.
 func (e *Endpoint) Proc() transport.ProcID { return e.proc }
-
-// SetHandler implements transport.Endpoint.
-func (e *Endpoint) SetHandler(h transport.Handler) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.handler = h
-}
 
 // SetRecvDropRate makes the endpoint drop each arriving AAL5 frame (one
 // UDP datagram) independently with the given probability, using a
@@ -636,20 +635,16 @@ func (e *Endpoint) writeLoop() {
 }
 
 // readLoop receives datagrams and hands each — after the per-datagram
-// fault-injection draw — to receiveTrain.
+// fault-injection draw — to receiveTrain, until the socket closes.
 func (e *Endpoint) readLoop() {
+	defer e.reader.Done()
 	buf := make([]byte, 64*1024)
 	for {
 		// AddrPort, not ReadFromUDP: the source is not used, and that form
 		// allocates a *net.UDPAddr per datagram to report it.
 		n, _, err := e.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
-			select {
-			case <-e.closed:
-				return
-			default:
-				return // socket broke; nothing sensible to do
-			}
+			return
 		}
 		if n%atm.CellSize != 0 {
 			e.badCells.Add(1)
@@ -705,7 +700,7 @@ func (e *Endpoint) receiveTrain(train []byte) {
 
 // deliverChunk runs per reassembled AAL5 frame: chunk assembly on the
 // frame's VC; a completed message is decoded (copying its payload out of
-// the reused assembly buffer) and posted into the runtime. It reports false
+// the reused assembly buffer) into the Inbox. It reports false
 // if the chunk or the message it completed was malformed, or if the message
 // would have outgrown wire.MaxFrame.
 func (e *Endpoint) deliverChunk(rx *vcRx, chunk []byte) bool {
@@ -729,23 +724,6 @@ func (e *Endpoint) deliverChunk(rx *vcRx, chunk []byte) bool {
 		wire.PutBuf(fb)
 		return false
 	}
-	e.mu.Lock()
-	e.arrived.Push(m)
-	e.mu.Unlock()
-	e.rt.Post(e.deliverFn)
+	e.Put(m)
 	return true
-}
-
-// deliverOne hands the oldest arrived message to the handler. deliverChunk
-// Posts it once per message it queued, so the runtime sees the same Posts in
-// the same order as if each carried its message in a closure of its own —
-// which is what it did, at an allocation a message.
-func (e *Endpoint) deliverOne() {
-	e.mu.Lock()
-	m := e.arrived.Pop()
-	h := e.handler
-	e.mu.Unlock()
-	if h != nil {
-		h(m)
-	}
 }
