@@ -82,10 +82,15 @@ type ChannelConfig struct {
 	Weight int
 }
 
-// chanKey indexes a Proc's channel table.
-type chanKey struct {
-	peer ProcID
-	id   ChannelID
+// chanKey indexes a Proc's channel table: peer and channel ID packed into one
+// word, which the table hashes in one step. (A {peer, id} struct key has
+// padding, so it hashes field by field: 2.5x the cost of a lookup, and a send
+// and an arrival each make one.) Injective for every peer below 2^47 in
+// magnitude; a frame can only name 32-bit ones.
+type chanKey uint64
+
+func keyOf(peer ProcID, id ChannelID) chanKey {
+	return chanKey(uint64(peer)<<16 | uint64(id))
 }
 
 // Channel is one open (local proc → peer proc, class) pipe with its own
@@ -160,12 +165,13 @@ type Channel struct {
 	// lane names the channel's trace timeline (empty without a Tracer).
 	lane string
 
-	// Counters are atomic so Stats() can be read while lane engines (or the
-	// system threads) are still updating them.
-	sent, received           atomic.Int64
-	bytesSent, bytesReceived atomic.Int64
-	ctrlPiggy                atomic.Int64 // control words that rode data frames
-	ctrlStandalone           atomic.Int64 // standalone control frames sent
+	// Counters (owning lane's lock): every writer — the service pass, the
+	// receive pass, the piggyback and flush paths — already holds it, and so
+	// does every reader (Stats, the idle-teardown tick).
+	sent, received           int64
+	bytesSent, bytesReceived int64
+	ctrlPiggy                int64 // control words that rode data frames
+	ctrlStandalone           int64 // standalone control frames sent
 }
 
 // ChannelStats is a channel's traffic snapshot.
@@ -203,7 +209,7 @@ func (p *Proc) Open(peer ProcID, cfg ChannelConfig) *Channel {
 	if cfg.ID == 0 || cfg.ID > MaxChannelID {
 		panic(fmt.Sprintf("core: channel ID must be 1..%d (0 is the default channel)", MaxChannelID))
 	}
-	return p.addChannel(chanKey{peer: peer, id: cfg.ID}, chanStatic, cfg.Priority, cfg.Lane, cfg.Weight, cfg.Flow, cfg.Error)
+	return p.addChannel(peer, cfg.ID, chanStatic, cfg.Priority, cfg.Lane, cfg.Weight, cfg.Flow, cfg.Error)
 }
 
 // DefaultChannel returns the implicit channel 0 toward peer, creating it on
@@ -220,7 +226,7 @@ func (p *Proc) DefaultChannel(peer ProcID) *Channel {
 	if ec == nil {
 		ec = NoErrorControl{}
 	}
-	return p.addChannel(chanKey{peer: peer}, chanStatic, 0, 0, 0, fc.fork(), ec.fork())
+	return p.addChannel(peer, 0, chanStatic, 0, 0, 0, fc.fork(), ec.fork())
 }
 
 // addChannel builds a channel in lifecycle state st and publishes it; nil
@@ -230,7 +236,7 @@ func (p *Proc) DefaultChannel(peer ProcID) *Channel {
 // race to create the same default channel; the loser's channel is
 // discarded and the winner's returned. Explicit duplicate Opens still
 // panic.
-func (p *Proc) addChannel(key chanKey, st uint32, prio, laneHint, weight int, fc FlowControl, ec ErrorControl) *Channel {
+func (p *Proc) addChannel(peer ProcID, id ChannelID, st uint32, prio, laneHint, weight int, fc FlowControl, ec ErrorControl) *Channel {
 	if prio < 0 || prio >= NumChannelPriorities {
 		panic(fmt.Sprintf("core: channel priority must be 0..%d", NumChannelPriorities-1))
 	}
@@ -246,27 +252,26 @@ func (p *Proc) addChannel(key chanKey, st uint32, prio, laneHint, weight int, fc
 	if ec == nil {
 		ec = NoErrorControl{}
 	}
-	ln := p.lanes[p.laneIndex(key.peer, laneHint)]
-	c := &Channel{p: p, peer: key.peer, id: key.id, priority: prio, weight: weight, flow: fc, errc: ec, ln: ln}
+	ln := p.lanes[p.laneIndex(peer, laneHint)]
+	c := &Channel{p: p, peer: peer, id: id, priority: prio, weight: weight, flow: fc, errc: ec, ln: ln}
 	c.state.Store(st)
 	ln.mu.Lock()
 	ln.chans = append(ln.chans, c)
 	ln.mu.Unlock()
 	if p.cfg.Tracer != nil {
-		c.lane = fmt.Sprintf("%s/ch%d>%d", p.cfg.TraceName, key.id, key.peer)
+		c.lane = fmt.Sprintf("%s/ch%d>%d", p.cfg.TraceName, id, peer)
 	}
 	fc.init(c)
 	ec.init(c)
-	p.chanMu.Lock()
-	if exist, dup := p.channels[key]; dup {
-		p.chanMu.Unlock()
-		if key.id == 0 {
-			return exist
+	if exist, dup := p.channels.LoadOrStore(keyOf(peer, id), c); dup {
+		ln.mu.Lock()
+		ln.removeChanLocked(c)
+		ln.mu.Unlock()
+		if id == 0 {
+			return exist.(*Channel)
 		}
-		panic(fmt.Sprintf("core(proc %d): channel %d to proc %d already open", p.cfg.ID, key.id, key.peer))
+		panic(fmt.Sprintf("core(proc %d): channel %d to proc %d already open", p.cfg.ID, id, peer))
 	}
-	p.channels[key] = c
-	p.chanMu.Unlock()
 	if p.closing.Load() {
 		// Opened after the user threads finished (unusual, but legal from
 		// an exception handler): give the disciplines their shutdown signal
@@ -286,10 +291,10 @@ func (p *Proc) addChannel(key chanKey, st uint32, prio, laneHint, weight int, fc
 
 // openChannel returns the channel (peer, id) if it is in the table, else nil.
 func (p *Proc) openChannel(peer ProcID, id ChannelID) *Channel {
-	p.chanMu.RLock()
-	c := p.channels[chanKey{peer: peer, id: id}]
-	p.chanMu.RUnlock()
-	return c
+	if v, ok := p.channels.Load(keyOf(peer, id)); ok {
+		return v.(*Channel)
+	}
+	return nil
 }
 
 // lookupChannel returns the channel a message belongs to. The default
@@ -402,20 +407,30 @@ func (c *Channel) Flow() FlowControl { return c.flow }
 func (c *Channel) Error() ErrorControl { return c.errc }
 
 // Stats returns the channel's traffic counters. Safe to call while traffic
-// is flowing (the counters are atomic; the scheduler fields take the lane
-// lock briefly); the snapshot is per-counter consistent, not cross-counter.
+// is flowing: the counters are read under the lane lock their writers hold,
+// so the snapshot is one consistent instant — BytesSent always totals
+// exactly the Sent messages, BytesReceived the Received ones.
 func (c *Channel) Stats() ChannelStats {
+	ln := c.lockLane()
 	st := ChannelStats{
-		Sent: c.sent.Load(), Received: c.received.Load(),
-		BytesSent: c.bytesSent.Load(), BytesReceived: c.bytesReceived.Load(),
-		CtrlPiggybacked: c.ctrlPiggy.Load(), CtrlStandalone: c.ctrlStandalone.Load(),
-		Weight: c.weight, Lane: c.ln.idx,
-		Flow: c.flow.Name(), Error: c.errc.Name(),
+		Sent: c.sent, Received: c.received,
+		BytesSent: c.bytesSent, BytesReceived: c.bytesReceived,
+		CtrlPiggybacked: c.ctrlPiggy, CtrlStandalone: c.ctrlStandalone,
+		Deficit: c.deficit,
 	}
-	c.ln.mu.Lock()
-	st.Deficit = c.deficit
-	c.ln.mu.Unlock()
+	ln.mu.Unlock()
+	st.Weight, st.Lane = c.weight, ln.idx
+	st.Flow, st.Error = c.flow.Name(), c.errc.Name()
 	return st
+}
+
+// traffic is the data messages the channel has moved, both ways: the idle
+// teardown's activity probe. Scheduler domain (it takes the lane lock).
+func (c *Channel) traffic() int64 {
+	ln := c.lockLane()
+	n := c.sent + c.received
+	ln.mu.Unlock()
+	return n
 }
 
 // ---------------------------------------------------------------------------
@@ -474,13 +489,13 @@ func (c *Channel) flushCtrl() {
 	ln := c.laneOf()
 	if c.pendCreditOn {
 		c.pendCreditOn = false
-		c.ctrlStandalone.Add(1)
+		c.ctrlStandalone++
 		ln.ctrlStandaloneL++
 		ln.pushCtrlLocked(c.peer, c.id, tagFlowAck, nil, c.pendCredit)
 		c.flow.creditSent(c.pendCredit)
 	}
 	if len(c.pendAcks) > 0 {
-		c.ctrlStandalone.Add(1)
+		c.ctrlStandalone++
 		ln.ctrlStandaloneL++
 		ln.pushCtrlLocked(c.peer, c.id, tagGBNAck, nil, c.pendAcks...)
 		c.pendAcks = c.pendAcks[:0]
@@ -518,7 +533,7 @@ func (c *Channel) attachPiggy(m *transport.Message) {
 	if c.pendCreditOn && !m.HasCredit {
 		m.Credit, m.HasCredit = c.pendCredit, true
 		c.pendCreditOn = false
-		c.ctrlPiggy.Add(1)
+		c.ctrlPiggy++
 		ln.ctrlPiggyL++
 		c.flow.creditSent(c.pendCredit)
 	}
@@ -526,7 +541,7 @@ func (c *Channel) attachPiggy(m *transport.Message) {
 		m.Ack, m.HasAck = c.pendAcks[0], true
 		copy(c.pendAcks, c.pendAcks[1:])
 		c.pendAcks = c.pendAcks[:n-1]
-		c.ctrlPiggy.Add(1)
+		c.ctrlPiggy++
 		ln.ctrlPiggyL++
 	}
 }

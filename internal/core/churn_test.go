@@ -127,6 +127,10 @@ func TestChurnVirtual(t *testing.T) {
 		opened += st.Opened
 		closed += st.Closed
 		rejected += st.SetupsRejected
+		// Leaks checked the ring ledger; it must also have counted something.
+		if st.RingPushed == 0 {
+			t.Errorf("proc %d: ring ledger counted no pushes (drained %d)", i, st.RingDrained)
+		}
 	}
 	// Every cycle opens on both ends (caller and callee each count one).
 	if want := int64(2 * n * cycles); opened != want || closed != want {
@@ -187,6 +191,17 @@ func TestChurnChaosReal(t *testing.T) {
 				st := p.Lifecycle()
 				opened += st.Opened
 				closed += st.Closed
+				// Real mode: a frame that reached a lane after its engine
+				// stopped stays in the ring, and is all the ledger may miss.
+				var left int64
+				for _, ln := range p.lanes {
+					if ln.rx != nil {
+						left += int64(ln.rx.Len())
+					}
+				}
+				if st.RingPushed == 0 || st.RingPushed != st.RingDrained+left {
+					t.Errorf("proc %d: ring pushed %d, drained %d, %d left in the rings", i, st.RingPushed, st.RingDrained, left)
+				}
 			}
 			if want := int64(2 * n * cycles); opened != want || closed != want {
 				t.Errorf("opened %d closed %d, want %d each", opened, closed, want)

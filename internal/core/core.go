@@ -270,13 +270,13 @@ type Proc struct {
 	// asserts.
 	flushTimers atomic.Int64
 
-	// channels holds every open channel, keyed by (peer, channel ID).
-	// Default channels (ID 0) are created lazily from the Config
-	// templates; explicit channels come from Open. chanMu guards the map
-	// (foreign goroutines resolve channels in routeFrame); channel *state*
-	// is guarded by the owning lane's mutex.
-	chanMu   sync.RWMutex
-	channels map[chanKey]*Channel
+	// channels holds every open channel, chanKey → *Channel. Default
+	// channels (ID 0) are created lazily from the Config templates; explicit
+	// channels come from Open. Every send and every arriving frame looks a
+	// channel up, foreign goroutines included (routeFrame), and a sync.Map
+	// read takes no lock and writes nothing shared; channel *state* is
+	// guarded by the owning lane's mutex.
+	channels sync.Map
 
 	threads  []*Thread
 	userLive int
@@ -320,20 +320,21 @@ type Proc struct {
 	acceptQ   []pendingSetup
 	acceptOn  bool
 
-	// Stats. Atomic: the stats-reading side (tests, benchmarks) races lane
-	// engines updating channel counters, and these proc-wide totals are read
-	// the same way.
+	// Stats. Atomic: these proc-wide totals are written by threads in the
+	// scheduler domain and read live by foreign goroutines (tests,
+	// benchmarks), which hold no lock the writers hold.
 	sent, received atomic.Int64
 
 	// Lifecycle balance counters (signal.go): paired ledgers that must
 	// match at quiesce — the churn scenarios' zero-leak assertion — plus
-	// the setup funnel. Atomic for the same reason as above.
+	// the setup funnel. Atomic for the same reason as above. The ring
+	// ledger is not here: pushes are counted under each ring's lock and
+	// drains under the lane lock (Lifecycle sums them).
 	statOpened, statClosed               atomic.Int64
 	statSetupsSent, statSetupsAccepted   atomic.Int64
 	statSetupsRejected, statSetupRetries atomic.Int64
 	statVCBound, statVCRel               atomic.Int64
 	statTimersArmed, statTimersFired     atomic.Int64
-	statRingPush, statRingDrain          atomic.Int64
 	statLateCtrl                         atomic.Int64
 }
 
@@ -370,7 +371,6 @@ func New(cfg Config) *Proc {
 			})
 		}
 	}
-	p.channels = make(map[chanKey]*Channel)
 	p.onException = func(err error) {
 		// Wrap rather than format: a recovering thread (chaos harnesses,
 		// redial loops) can still errors.As the typed cause — e.g.
@@ -516,12 +516,11 @@ func (p *Proc) userDone() {
 // the wire; iterating the map directly would make that order — and with it
 // the virtual-time timeline — depend on Go's randomized map iteration.
 func (p *Proc) channelsOrdered() []*Channel {
-	p.chanMu.RLock()
-	chans := make([]*Channel, 0, len(p.channels))
-	for _, c := range p.channels {
-		chans = append(chans, c)
-	}
-	p.chanMu.RUnlock()
+	var chans []*Channel
+	p.channels.Range(func(_, v any) bool {
+		chans = append(chans, v.(*Channel))
+		return true
+	})
 	sort.Slice(chans, func(i, j int) bool {
 		if chans[i].peer != chans[j].peer {
 			return chans[i].peer < chans[j].peer

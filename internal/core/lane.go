@@ -40,8 +40,8 @@ import (
 // runs at a time — and each lane adds one:
 //
 //   - Lane domain: everything a channel owns (discipline state, piggyback
-//     words, counters' non-atomic neighbors, the lane's queues and
-//     freelists) is guarded by lane.mu. Senders enter it inline (laneSend
+//     words, traffic counters, the lane's queues, freelists and pass
+//     counters) is guarded by lane.mu. Senders enter it inline (laneSend
 //     locks, enqueues, services, unlocks); arriving frames enter through a
 //     multi-producer ring drained by an engine pass (the thread driver's
 //     Handler-path messages go straight into rxq); timers enter through
@@ -83,9 +83,11 @@ import (
 // rounds, in which a limit of 8 KB (the 8 KB class inline too) read
 // 56.0-59.2.
 //
-// Lock order. Proc.chanMu (channel table) is a leaf — every hold is one map
-// access — so it may be taken under a lane.mu and no lane.mu is ever awaited
-// under it. Under lane.mu, Post and ring operations never block; the
+// Lock order. The channel table (Proc.channels, a sync.Map) takes no lock to
+// read: routeFrame and every send resolve a channel with a load. Its writers
+// (addChannel, finalizeChannel) hold its internal lock for one store, never
+// across a lane.mu, so it may be used under a lane.mu and no lane.mu is ever
+// awaited under it. Under lane.mu, Post and ring operations never block; the
 // one thing that can is the carrier's Send (flushRunLocked), and what is
 // sound there depends on the carrier:
 //
@@ -111,7 +113,7 @@ import (
 //     may then be held across that queue-full wait because the goroutines it
 //     waits for never wait back: the writer takes no lock but its own
 //     connection's, and a reader-delivered frame is decoded, its channel
-//     looked up (chanMu only) and the item pushed onto the lane's ring for
+//     looked up (no lock) and the item pushed onto the lane's ring for
 //     the engine — no inline pass, which would end in serviceLocked → Send on
 //     the reader (a credit releasing a window of deferred bulk sends), and no
 //     first-contact addChannel, which Locks a lane: an item for a default
@@ -188,10 +190,14 @@ type lane struct {
 	wheelFn func()
 
 	// Adaptive-scheduler counters (under mu; LaneStats snapshots them).
+	// inlinePasses doubles as the count of ring items consumed by their own
+	// deliverer, which the ring never saw, and ringDrained counts every item
+	// a pass ingested: Lifecycle's ring ledger.
 	ctrlPiggyL      int64
 	ctrlStandaloneL int64
 	enginePasses    int64
 	inlinePasses    int64
+	ringDrained     int64
 
 	// inlineItem is the one-frame batch of an inline pass; it belongs to the
 	// ring's consumer.
@@ -214,8 +220,9 @@ type lane struct {
 	rxScratch []rxItem
 
 	// Out-queues: work that must complete in the scheduler domain.
-	// Appended under mu, swapped out by runDrain. drainPosted collapses
-	// redundant Post calls into one pending drain.
+	// Appended under mu, swapped out whole by a drain. drainPosted collapses
+	// redundant Post calls into one pending drain: queueDrainLocked sets it,
+	// a drain's swap clears it, so it is set only while work is queued.
 	wake        []*mts.Thread
 	fans        []*Thread
 	deliver     []*transport.Message
@@ -710,7 +717,6 @@ func (p *Proc) routeFrame(fb *wire.Buf) {
 	if it.c != nil {
 		ln = it.c.ln
 	}
-	p.statRingPush.Add(1)
 	if ln.vd != nil || p.readerDelivers || len(m.Data) > inlinePassMax {
 		ln.rx.Push(it)
 		ln.kick()
@@ -742,7 +748,7 @@ func (p *Proc) adoptFirstContact(items []rxItem) {
 // releases, acks opening windows, retransmissions). It reports whether the
 // out-queues need a drain scheduled.
 func (ln *lane) ingestLocked(items []rxItem) bool {
-	ln.p.statRingDrain.Add(int64(len(items)))
+	ln.ringDrained += int64(len(items))
 	for i := range items {
 		it := items[i]
 		items[i] = rxItem{}
@@ -862,14 +868,16 @@ func (ln *lane) step() {
 // queueDrainLocked marks a drain as needed if the out-queues are non-empty;
 // the caller Posts drainFn exactly when it returns true.
 func (ln *lane) queueDrainLocked() bool {
-	if ln.drainPosted {
-		return false
-	}
-	if len(ln.wake) == 0 && len(ln.fans) == 0 && len(ln.deliver) == 0 && len(ln.errs) == 0 {
+	if ln.drainPosted || !ln.outQueuedLocked() {
 		return false
 	}
 	ln.drainPosted = true
 	return true
+}
+
+// outQueuedLocked reports whether the out-queues hold scheduler-domain work.
+func (ln *lane) outQueuedLocked() bool {
+	return len(ln.wake) != 0 || len(ln.fans) != 0 || len(ln.deliver) != 0 || len(ln.errs) != 0
 }
 
 // processLocked is the receive protocol body: demultiplex everything queued
@@ -937,8 +945,8 @@ func (ln *lane) processLocked() {
 		if !c.errc.onData(m) {
 			continue
 		}
-		c.received.Add(1)
-		c.bytesReceived.Add(int64(len(m.Data)))
+		c.received++
+		c.bytesReceived += int64(len(m.Data))
 		c.flow.onDelivered(m)
 		ln.deliver = append(ln.deliver, m)
 	}
@@ -1125,8 +1133,8 @@ func (ln *lane) flushRunLocked(run []*sendReq) []*sendReq {
 	}
 	for i, req := range run {
 		if req.ch != nil && !req.raw {
-			req.ch.sent.Add(1)
-			req.ch.bytesSent.Add(int64(len(req.m.Data)))
+			req.ch.sent++
+			req.ch.bytesSent += int64(len(req.m.Data))
 		}
 		if p.cfg.Tracer != nil {
 			p.traceChan(req.ch, trace.Idle)
@@ -1204,6 +1212,11 @@ func (ln *lane) detachChanLocked(c *Channel) {
 		ln.errs = append(ln.errs, c.closedErr())
 	}
 	ln.pending.removeChan(c)
+	ln.removeChanLocked(c)
+}
+
+// removeChanLocked takes c off the lane's channel list (caller holds ln.mu).
+func (ln *lane) removeChanLocked(c *Channel) {
 	for i, x := range ln.chans {
 		if x == c {
 			ln.chans[i] = ln.chans[len(ln.chans)-1]
@@ -1272,11 +1285,15 @@ func (c *Channel) laneSend(t *Thread, tag, toThread int, data []byte) {
 		req.done = nil
 		req.caller = t.mt
 	}
+	queued := ln.outQueuedLocked()
 	ln.mu.Unlock()
 	// The inline service may have completed other requests (deferred sends
 	// whose credit arrived) or raised errors; finish that scheduler-domain
-	// work in this thread's context.
-	if ln.drain(t.mt) {
+	// work in this thread's context. With nothing queued there is no drain
+	// to run: what an engine queues after the unlock has a drain posted for
+	// it (its own, or one already pending), and a posted drain runs only once
+	// this thread has parked.
+	if queued && ln.drain(t.mt) {
 		done = true
 	}
 	if !done {
@@ -1308,6 +1325,13 @@ func (ln *lane) runDrain() { ln.drain(nil) }
 // else runs that), so the charge — a Park, taken with the lock released —
 // lands on the thread the paper gives the stack-to-application copy to.
 //
+// One swap. The queues are taken whole and drainPosted is cleared in the same
+// hold, so drainPosted set means work is queued: whatever lands after the swap
+// — an engine pass on another goroutine, a thread's inline entry — is the next
+// drain's, which the pass posts (queueDrainLocked finds the flag clear) and
+// the inline entry runs itself. A drain that finds the queues empty (another
+// took them first) returns.
+//
 // Reentrancy: processing a signaling message can send control
 // (sendProcCtrl), which drains a lane inline — possibly this one. A receive
 // thread parked in its charge is overtaken the same way. The spare swap buffers
@@ -1315,51 +1339,50 @@ func (ln *lane) runDrain() { ln.drain(nil) }
 // fresh scratch instead of aliasing the batch being processed.
 func (ln *lane) drain(self *mts.Thread) (selfWoken bool) {
 	p := ln.p
-	for {
-		ln.mu.Lock()
-		wake, fans, del, errs := ln.wake, ln.fans, ln.deliver, ln.errs
-		if len(wake) == 0 && len(fans) == 0 && len(del) == 0 && len(errs) == 0 {
-			ln.drainPosted = false
-			ln.mu.Unlock()
-			return selfWoken
-		}
-		ln.wake = ln.spareWake[:0]
-		ln.fans = ln.spareFans[:0]
-		ln.deliver = ln.spareDeliver[:0]
-		ln.errs = ln.spareErrs[:0]
-		ln.spareWake, ln.spareFans, ln.spareDeliver, ln.spareErrs = nil, nil, nil, nil
+	ln.mu.Lock()
+	if !ln.outQueuedLocked() {
 		ln.mu.Unlock()
-
-		for i, m := range del {
-			if m.Tag < 0 {
-				p.onSigMsg(m)
-				m.Release()
-			} else {
-				p.dispatchData(self, m)
-			}
-			del[i] = nil
-		}
-		for i, t := range wake {
-			if t == self {
-				selfWoken = true
-			} else {
-				p.cfg.RT.Unblock(t, false)
-			}
-			wake[i] = nil
-		}
-		for i, f := range fans {
-			p.fanDone(f)
-			fans[i] = nil
-		}
-		for i, err := range errs {
-			p.exception(err)
-			errs[i] = nil
-		}
-		ln.spareWake = wake[:0]
-		ln.spareFans = fans[:0]
-		ln.spareDeliver = del[:0]
-		ln.spareErrs = errs[:0]
+		return false
 	}
+	wake, fans, del, errs := ln.wake, ln.fans, ln.deliver, ln.errs
+	ln.wake = ln.spareWake[:0]
+	ln.fans = ln.spareFans[:0]
+	ln.deliver = ln.spareDeliver[:0]
+	ln.errs = ln.spareErrs[:0]
+	ln.spareWake, ln.spareFans, ln.spareDeliver, ln.spareErrs = nil, nil, nil, nil
+	ln.drainPosted = false
+	ln.mu.Unlock()
+
+	for i, m := range del {
+		if m.Tag < 0 {
+			p.onSigMsg(m)
+			m.Release()
+		} else {
+			p.dispatchData(self, m)
+		}
+		del[i] = nil
+	}
+	for i, t := range wake {
+		if t == self {
+			selfWoken = true
+		} else {
+			p.cfg.RT.Unblock(t, false)
+		}
+		wake[i] = nil
+	}
+	for i, f := range fans {
+		p.fanDone(f)
+		fans[i] = nil
+	}
+	for i, err := range errs {
+		p.exception(err)
+		errs[i] = nil
+	}
+	ln.spareWake = wake[:0]
+	ln.spareFans = fans[:0]
+	ln.spareDeliver = del[:0]
+	ln.spareErrs = errs[:0]
+	return selfWoken
 }
 
 // ---------------------------------------------------------------------------
@@ -1372,19 +1395,16 @@ func (p *Proc) mayShutdown() bool {
 	if !p.closing.Load() {
 		return false
 	}
-	p.chanMu.RLock()
-	chans := make([]*Channel, 0, len(p.channels))
-	for _, c := range p.channels {
-		chans = append(chans, c)
-	}
-	p.chanMu.RUnlock()
-	for _, c := range chans {
+	acked := true
+	p.channels.Range(func(_, v any) bool {
+		c := v.(*Channel)
 		ln := c.lockLane()
-		pend := c.errc.pending()
+		acked = c.errc.pending() == 0
 		ln.mu.Unlock()
-		if pend != 0 {
-			return false
-		}
+		return acked
+	})
+	if !acked {
+		return false
 	}
 	for _, ln := range p.lanes {
 		ln.mu.Lock()

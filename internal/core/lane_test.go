@@ -298,3 +298,91 @@ func TestShardedWindowedFlow(t *testing.T) {
 		t.Fatalf("received %d/%d", got, msgs)
 	}
 }
+
+// TestChannelStatsSnapshot hammers Stats on both ends of a fixed-size
+// windowed stream from a foreign goroutine. The counters are written under
+// the lane lock and read under it, so every snapshot is one instant: the
+// byte totals are always exactly size times the message counts, never one
+// counter ahead of its partner.
+func TestChannelStatsSnapshot(t *testing.T) {
+	const msgs, size = 3000, 100
+	procs := inlineCluster(2, transport.NewMem())
+	tx := procs[0].Open(1, ChannelConfig{ID: 1, Flow: NewWindowFlow(8)})
+	rx := procs[1].Open(0, ChannelConfig{ID: 1, Flow: NewWindowFlow(8)})
+	var stop atomic.Bool
+	var snaps int
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			s, r := tx.Stats(), rx.Stats()
+			snaps++
+			if s.BytesSent != s.Sent*size || r.BytesReceived != r.Received*size {
+				t.Errorf("torn snapshot: sent %d/%d B, received %d/%d B at %d B each",
+					s.Sent, s.BytesSent, r.Received, r.BytesReceived, size)
+				return
+			}
+		}
+	}()
+	procs[0].TCreate("tx", mts.PrioDefault, func(th *Thread) {
+		payload := make([]byte, size)
+		for k := 0; k < msgs; k++ {
+			tx.Send(th, 0, payload)
+		}
+	})
+	procs[1].TCreate("rx", mts.PrioDefault, func(th *Thread) {
+		buf := make([]byte, size)
+		for k := 0; k < msgs; k++ {
+			rx.RecvInto(th, buf, Any)
+		}
+	})
+	runReal(procs)
+	stop.Store(true)
+	wg.Wait()
+	if s, r := tx.Stats(), rx.Stats(); s.Sent != msgs || r.Received != msgs || s.BytesSent != msgs*size {
+		t.Fatalf("final stats: sent %d (%d B), received %d, want %d messages of %d B", s.Sent, s.BytesSent, r.Received, msgs, size)
+	}
+	t.Logf("%d snapshots", snaps)
+}
+
+// TestChannelTableAtScale opens 4,096 default channels on one proc. A
+// lookup — what every send and every arriving frame does — allocates
+// nothing at that size, and each peer's channel is registered once, on one
+// lane.
+func TestChannelTableAtScale(t *testing.T) {
+	const peers = 4096
+	net := transport.NewMem()
+	rt := mts.New(mts.Config{Name: "table"})
+	p := New(Config{ID: 0, RT: rt, Endpoint: net.Attach(0, rt), SendLanes: 2, RecvLanes: 2})
+	chans := make([]*Channel, peers)
+	for i := range chans {
+		chans[i] = p.DefaultChannel(ProcID(i + 1))
+	}
+	for i, c := range chans {
+		peer := ProcID(i + 1)
+		if p.DefaultChannel(peer) != c || p.openChannel(peer, 0) != c || p.openChannel(peer, 1) != nil {
+			t.Fatalf("peer %d: lookups disagree with the channel first created", peer)
+		}
+	}
+	registered := 0
+	for _, st := range p.LaneStats() {
+		registered += st.Channels
+	}
+	if registered != peers || len(p.channelsOrdered()) != peers {
+		t.Fatalf("lanes hold %d channels and the table %d, want %d", registered, len(p.channelsOrdered()), peers)
+	}
+	if raceEnabled {
+		t.Skip("exact allocation pin; the race detector allocates on its own")
+	}
+	k := 0
+	lookup := func() {
+		peer := ProcID(k%peers + 1)
+		k += 97
+		p.DefaultChannel(peer)
+		p.openChannel(peer, 0)
+	}
+	if avg := testing.AllocsPerRun(10_000, lookup); avg != 0 {
+		t.Fatalf("a channel lookup among %d channels allocates %v, want 0", peers, avg)
+	}
+}

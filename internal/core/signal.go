@@ -537,7 +537,7 @@ func (p *Proc) OpenCall(t *Thread, peer ProcID, cfg CallConfig) (*Channel, error
 	// grace period, so Redial can reach a restarted peer.
 	delete(p.deadPeers, peer)
 	delete(p.hbPeers, peer)
-	c := p.addChannel(chanKey{peer: peer, id: id}, chanOpening, cfg.Priority, cfg.Lane, cfg.Weight, cfg.Flow, cfg.Error)
+	c := p.addChannel(peer, id, chanOpening, cfg.Priority, cfg.Lane, cfg.Weight, cfg.Flow, cfg.Error)
 	c.idleOver = cfg.IdleTimeout
 	p.sigRefSeq++
 	c.sigRef = p.sigRefSeq
@@ -952,7 +952,7 @@ func (p *Proc) acceptSetup(from ProcID, id ChannelID, sig atm.SigMessage, words 
 		p.rejectSetup(from, sig, CauseUnsupported)
 		return
 	}
-	c := p.addChannel(chanKey{peer: from, id: id}, chanOpen, prio, 0, weight, fc, ec)
+	c := p.addChannel(from, id, chanOpen, prio, 0, weight, fc, ec)
 	c.sigRef = sig.CallRef
 	c.peerThread = int(words[8])
 	c.idleOver = decodeIdleWord(words[9])
@@ -1043,9 +1043,7 @@ func (p *Proc) finalizeChannel(c *Channel, from uint32) {
 	c.errc.shutdown()
 	ln.detachChanLocked(c)
 	ln.leave()
-	p.chanMu.Lock()
-	delete(p.channels, chanKey{peer: c.peer, id: c.id})
-	p.chanMu.Unlock()
+	p.channels.Delete(keyOf(c.peer, c.id))
 	if from >= chanOpen {
 		p.statClosed.Add(1)
 		p.statVCRel.Add(1)
@@ -1091,13 +1089,13 @@ func (p *Proc) armIdleTeardown(c *Channel) {
 	if idle <= 0 {
 		return
 	}
-	last := c.sent.Load() + c.received.Load()
+	last := c.traffic()
 	var tick func()
 	tick = func() {
 		if p.closing.Load() {
 			return
 		}
-		if cur := c.sent.Load() + c.received.Load(); cur != last {
+		if cur := c.traffic(); cur != last {
 			last = cur
 			p.sigAfter(c, idle, tick)
 			return
@@ -1134,8 +1132,21 @@ type LifecycleStats struct {
 	LateCtrl int64
 }
 
-// Lifecycle snapshots the proc's lifecycle counters.
+// Lifecycle snapshots the proc's lifecycle counters. The ring ledger is
+// summed over the lanes: what each ring took in, plus the items a deliverer
+// consumed itself (inline passes, one item each, which never entered the
+// ring), against every item a pass ingested.
 func (p *Proc) Lifecycle() LifecycleStats {
+	var pushed, drained int64
+	for _, ln := range p.lanes {
+		ln.mu.Lock()
+		pushed += ln.inlinePasses
+		drained += ln.ringDrained
+		ln.mu.Unlock()
+		if ln.rx != nil {
+			pushed += ln.rx.Pushed()
+		}
+	}
 	return LifecycleStats{
 		Opened:         p.statOpened.Load(),
 		Closed:         p.statClosed.Load(),
@@ -1147,8 +1158,8 @@ func (p *Proc) Lifecycle() LifecycleStats {
 		VCsReleased:    p.statVCRel.Load(),
 		TimersArmed:    p.statTimersArmed.Load(),
 		TimersFired:    p.statTimersFired.Load(),
-		RingPushed:     p.statRingPush.Load(),
-		RingDrained:    p.statRingDrain.Load(),
+		RingPushed:     pushed,
+		RingDrained:    drained,
 		LateCtrl:       p.statLateCtrl.Load(),
 	}
 }

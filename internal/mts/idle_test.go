@@ -1,6 +1,7 @@
 package mts
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -129,6 +130,61 @@ func TestNoLostWakeup(t *testing.T) {
 				t.Error("the dispatcher never slept: the test raced nothing")
 			}
 		})
+	}
+}
+
+// TestPostsAcrossDrains: a foreign goroutine posts in a tight loop while two
+// threads yield, park, and unblock each other, so drains begin at every
+// dispatch, some with nothing posted since the last one, others with a post
+// counted but not yet appended or appended but not yet counted. Every
+// function must run exactly once and in post order, and no drain may leave
+// one behind: a function stranded in the queue waits for the watchdog's
+// wake, which takes longer than the whole test.
+func TestPostsAcrossDrains(t *testing.T) {
+	const idle, posts = 20 * time.Second, 100_000
+	rt := New(Config{Name: "across", IdleTimeout: idle})
+	start := time.Now()
+	runs := make([]uint8, posts) // scheduler domain, like next
+	next := 0
+	var th [2]*Thread
+	wakeBoth := func() {
+		for _, u := range th {
+			rt.Unblock(u, false)
+		}
+	}
+	for i := range th {
+		i := i
+		th[i] = rt.Create(fmt.Sprintf("t%d", i), PrioDefault, func(self *Thread) {
+			for k := 0; next < posts; k++ {
+				self.Yield()
+				rt.Unblock(th[1-i], false)
+				if k%3 != i && next < posts {
+					self.Park("across")
+				}
+			}
+		})
+	}
+	go func() {
+		for id := 0; id < posts; id++ {
+			id := id
+			rt.Post(func() {
+				runs[id]++
+				if id != next {
+					t.Errorf("posted function %d ran at position %d", id, next)
+				}
+				next++
+				wakeBoth()
+			})
+		}
+	}()
+	rt.Run()
+	for id, n := range runs {
+		if n != 1 {
+			t.Fatalf("posted function %d ran %d times", id, n)
+		}
+	}
+	if took := time.Since(start); took >= idle {
+		t.Errorf("took %v: a drain left a posted function behind and the watchdog made up for it", took)
 	}
 }
 

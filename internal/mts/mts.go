@@ -205,7 +205,8 @@ type Runtime struct {
 	postSpare []func() // recycled drain buffer, so steady state allocates nothing
 
 	// The idle hand-off. posted counts what Post queued; seen (scheduler
-	// domain) is its value when the last drain began. sleep is the
+	// domain) is its value read before the last swap of postQ, so every
+	// function it counts has run or is running. sleep is the
 	// dispatcher's sleep epoch, odd while it sleeps: it makes sleep odd, then
 	// reads posted; a poster bumps posted, then reads sleep — all sync/atomic,
 	// so one sees the other. Whoever else makes an odd sleep even owes wake a
@@ -628,19 +629,25 @@ func (rt *Runtime) stopWatch() {
 }
 
 // drainExternal runs what Post has queued, including what the functions it
-// runs post. A poster that bumps posted after the read here shows as
-// posted != seen, even if its function ran.
+// runs post. It takes postMu only when posted has moved since the last swap:
+// every poster counted in the value read before a swap appended before
+// bumping, so that swap took its function, and seen records the value. A
+// dispatch with nothing posted since then locks nothing, and neither does the
+// re-check after a batch. A function appended but not yet counted is found by
+// the next drain its bump causes, or, if the dispatcher goes to sleep first,
+// by the sleep hand-off (waitExternal compares the same two values). A bump
+// whose function an earlier swap already took costs one empty swap.
 func (rt *Runtime) drainExternal() {
-	rt.seen = rt.posted.Load()
 	for {
-		rt.postMu.Lock()
-		q := rt.postQ
-		if len(q) == 0 {
-			rt.postMu.Unlock()
+		v := rt.posted.Load()
+		if v == rt.seen {
 			return
 		}
+		rt.postMu.Lock()
+		q := rt.postQ
 		rt.postQ = rt.postSpare[:0]
 		rt.postMu.Unlock()
+		rt.seen = v
 		for _, fn := range q {
 			fn()
 		}

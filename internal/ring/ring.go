@@ -28,6 +28,10 @@ type MPSC[T any] struct {
 	buf   []T // producer side: pending items
 	spare []T // consumer side: recycled after each Drain
 
+	// pushed counts the items ever queued (under mu, so a push costs no
+	// atomic of its own); an item a claimant keeps is not one of them.
+	pushed int64
+
 	// sleeping: the engine is parked in Sleep, the ring is empty and nobody
 	// holds the consumer role. The producer that clears it owes the engine
 	// one wake token, unless it is a claimant whose Release sets the flag
@@ -51,6 +55,7 @@ func New[T any]() *MPSC[T] {
 func (q *MPSC[T]) Push(v T) {
 	q.mu.Lock()
 	q.buf = append(q.buf, v)
+	q.pushed++
 	doWake := q.sleeping
 	q.sleeping = false
 	q.mu.Unlock()
@@ -69,6 +74,7 @@ func (q *MPSC[T]) ClaimOrPush(v T) (claimed bool) {
 		q.sleeping = false
 	} else {
 		q.buf = append(q.buf, v)
+		q.pushed++
 	}
 	q.mu.Unlock()
 	return claimed
@@ -138,6 +144,15 @@ func (q *MPSC[T]) Sleep(stop <-chan struct{}) bool {
 		}
 		return false
 	}
+}
+
+// Pushed reports how many items Push and ClaimOrPush have queued in total
+// (for stats).
+func (q *MPSC[T]) Pushed() int64 {
+	q.mu.Lock()
+	n := q.pushed
+	q.mu.Unlock()
+	return n
 }
 
 // Len reports the number of pending items (racy, for stats/tests only).

@@ -123,6 +123,7 @@ type claimHarness struct {
 	delivered  atomic.Int64
 	engineDone atomic.Bool
 	lateClaims atomic.Int64
+	kept       atomic.Int64 // items a claimant consumed itself: never in the ring
 }
 
 func newClaimHarness(t *testing.T, producers, per int) *claimHarness {
@@ -193,6 +194,7 @@ func (h *claimHarness) produce(p int, rng *rand.Rand) {
 			h.q.Push(v) // cannot consume after all: the engine's, via Release
 		} else {
 			h.consume(func() []int { return []int{v} })
+			h.kept.Add(1)
 		}
 		h.q.Release()
 	}
@@ -246,6 +248,10 @@ func TestClaimProtocolDeliversExactlyOnce(t *testing.T) {
 	}
 	close(stop)
 	<-done
+	// Pushed counts every item that entered the ring, whichever call queued it.
+	if pushed, kept := h.q.Pushed(), h.kept.Load(); pushed+kept != producers*per {
+		t.Errorf("Pushed() = %d and claimants kept %d, want %d in all", pushed, kept, producers*per)
+	}
 	if rest := h.checkStopped(); len(rest) != 0 {
 		t.Errorf("%d items left in the ring after full delivery", len(rest))
 	}

@@ -17,12 +17,26 @@ import (
 // every message passes through the wire codec so nothing is shared by
 // reference.
 //
-// Fault injection (drop patterns, added latency) exists so the NCS error-
-// and flow-control machinery can be tested against a misbehaving network.
+// Fault injection (drop patterns, added latency, crashed hosts, partitions)
+// exists so the NCS error- and flow-control machinery can be tested against a
+// misbehaving network. Until the first call that arms it, a send takes no
+// lock: it finds its destination in the table Attach publishes and runs no
+// drop verdict. The first KillHost, Partition, SetLatency, SetDropEvery,
+// SetDropRate or SetDropClass sets faults for good, and every send from then
+// on resolves and judges its message under the mesh lock.
 type Mem struct {
 	mu        sync.Mutex
 	endpoints map[ProcID]*MemEndpoint
-	latency   time.Duration
+	// byID is what a send reads without the lock: the endpoints of procs
+	// 0..maxByID-1, indexed by proc ID. Attach publishes a fresh copy, one
+	// allocation of pointers, and never writes a published one; a proc not
+	// in it is reached through endpoints under mu.
+	byID atomic.Pointer[[]*MemEndpoint]
+	// faults is set under mu by every fault-injection call and never
+	// cleared; while it is clear nothing below it but the counters is ever
+	// written.
+	faults  atomic.Bool
+	latency time.Duration
 	// dropEvery drops every Nth data message when > 0 (deterministic loss
 	// for go-back-N tests). Counted per transport, not per endpoint.
 	dropEvery int
@@ -41,7 +55,7 @@ type Mem struct {
 	// Batching counters: SendBatch calls with more than one message and
 	// the messages they carried (benchmarks report them next to the
 	// control-plane counters).
-	batchCalls, batchedMsgs int64
+	batchCalls, batchedMsgs atomic.Int64
 	// Crash/partition injection (failure-domain chaos): killed procs
 	// blackhole all traffic in both directions, cut drops directed proc
 	// pairs. Both count into dropped.
@@ -54,6 +68,7 @@ type Mem struct {
 func (n *Mem) KillHost(p ProcID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.faults.Store(true)
 	if n.killed == nil {
 		n.killed = make(map[ProcID]bool)
 	}
@@ -72,6 +87,7 @@ func (n *Mem) ReviveHost(p ProcID) {
 func (n *Mem) Partition(a, b ProcID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.faults.Store(true)
 	if n.cut == nil {
 		n.cut = make(map[[2]ProcID]bool)
 	}
@@ -90,20 +106,26 @@ func (n *Mem) Heal(a, b ProcID) {
 // BatchStats reports how much traffic rode the batched path: multi-message
 // SendBatch calls and the messages they carried.
 func (n *Mem) BatchStats() (calls, msgs int64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.batchCalls, n.batchedMsgs
+	return n.batchCalls.Load(), n.batchedMsgs.Load()
 }
 
 // NewMem returns an empty mesh.
 func NewMem() *Mem {
-	return &Mem{endpoints: make(map[ProcID]*MemEndpoint)}
+	n := &Mem{endpoints: make(map[ProcID]*MemEndpoint)}
+	n.byID.Store(new([]*MemEndpoint))
+	return n
 }
+
+// maxByID bounds the proc IDs a send resolves without the lock (and so the
+// table's size: 512 KB of pointers at most). Every mesh here numbers its
+// procs from 0.
+const maxByID = 1 << 16
 
 // SetLatency adds a fixed real-time delivery delay.
 func (n *Mem) SetLatency(d time.Duration) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.faults.Store(true)
 	n.latency = d
 }
 
@@ -112,6 +134,7 @@ func (n *Mem) SetLatency(d time.Duration) {
 func (n *Mem) SetDropEvery(k int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.faults.Store(true)
 	n.dropEvery = k
 	n.sendCount = 0
 }
@@ -121,6 +144,7 @@ func (n *Mem) SetDropEvery(k int) {
 func (n *Mem) SetDropRate(rate float64, seed int64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.faults.Store(true)
 	n.dropRate = rate
 	n.dropRNG = rand.New(rand.NewSource(seed))
 }
@@ -131,6 +155,7 @@ func (n *Mem) SetDropRate(rate float64, seed int64) {
 func (n *Mem) SetDropClass(fn func(*Message) bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.faults.Store(true)
 	n.dropClass = fn
 }
 
@@ -152,7 +177,39 @@ func (n *Mem) Attach(proc ProcID, rt *mts.Runtime) *MemEndpoint {
 	ep := &MemEndpoint{net: n, proc: proc}
 	ep.Init(rt)
 	n.endpoints[proc] = ep
+	if proc >= 0 && proc < maxByID {
+		old := *n.byID.Load()
+		ids := make([]*MemEndpoint, max(len(old), int(proc)+1))
+		copy(ids, old)
+		ids[proc] = ep
+		n.byID.Store(&ids)
+	}
 	return ep
+}
+
+// quietDst returns proc's endpoint while no fault injection was ever armed,
+// without taking the mesh lock. nil sends the caller down the locked path: a
+// fault was armed, or proc is not in byID (numbered past it, or unknown,
+// which that path reports).
+func (n *Mem) quietDst(proc ProcID) *MemEndpoint {
+	if n.faults.Load() {
+		return nil
+	}
+	if ids := *n.byID.Load(); uint(proc) < uint(len(ids)) {
+		return ids[proc]
+	}
+	return nil
+}
+
+// dstLocked returns proc's endpoint, or unlocks n.mu (held by the caller)
+// and panics if there is none.
+func (n *Mem) dstLocked(proc ProcID) *MemEndpoint {
+	dst, ok := n.endpoints[proc]
+	if !ok {
+		n.mu.Unlock()
+		panic(fmt.Sprintf("transport: send to unknown proc %d", proc))
+	}
+	return dst
 }
 
 // MemEndpoint implements Endpoint over a Mem mesh. Its Inbox carries
@@ -231,17 +288,17 @@ func (e *MemEndpoint) Send(t *mts.Thread, m *Message) {
 		panic(fmt.Sprintf("transport: proc %d sending message from %d", e.proc, m.From))
 	}
 	n := e.net
-	n.mu.Lock()
-	dst, ok := n.endpoints[m.To]
-	if !ok {
+	var latency time.Duration
+	dst := n.quietDst(m.To)
+	if dst == nil {
+		n.mu.Lock()
+		dst = n.dstLocked(m.To)
+		drop := n.dropLocked(m)
+		latency = n.latency
 		n.mu.Unlock()
-		panic(fmt.Sprintf("transport: send to unknown proc %d", m.To))
-	}
-	drop := n.dropLocked(m)
-	latency := n.latency
-	n.mu.Unlock()
-	if drop {
-		return
+		if drop {
+			return
+		}
 	}
 	// Roundtrip through the codec: the receiver gets an independent copy,
 	// exactly as if the bytes crossed a wire. The marshal is the single
@@ -261,24 +318,26 @@ func (e *MemEndpoint) Send(t *mts.Thread, m *Message) {
 	dst.deliverFrame(fb)
 }
 
-// SendBatch implements BatchSender: one mesh-lock acquisition runs fault
-// injection for the whole run, and the surviving frames enter the
-// destination's scheduler domain under a single drain of its Inbox — one
+// SendBatch implements BatchSender: fault injection, once armed, judges the
+// whole run under one mesh-lock acquisition, and the surviving frames enter
+// the destination's scheduler domain under a single drain of its Inbox — one
 // wakeup per burst instead of one per message.
 func (e *MemEndpoint) SendBatch(t *mts.Thread, ms []*Message) {
 	if len(ms) == 0 {
 		return
 	}
-	n := e.net
-	n.mu.Lock()
-	dst, ok := n.endpoints[ms[0].To]
-	if !ok {
-		n.mu.Unlock()
-		panic(fmt.Sprintf("transport: send to unknown proc %d", ms[0].To))
+	for _, m := range ms {
+		if m.From != e.proc {
+			panic(fmt.Sprintf("transport: proc %d sending message from %d", e.proc, m.From))
+		}
+		if m.To != ms[0].To {
+			panic("transport: SendBatch run mixes destinations")
+		}
 	}
+	n := e.net
 	if len(ms) > 1 {
-		n.batchCalls++
-		n.batchedMsgs += int64(len(ms))
+		n.batchCalls.Add(1)
+		n.batchedMsgs.Add(int64(len(ms)))
 	}
 	// Only the fault-injection verdicts need the mesh lock (the seeded
 	// RNG); the marshal copies run after unlock so one sender's burst
@@ -287,23 +346,21 @@ func (e *MemEndpoint) SendBatch(t *mts.Thread, ms []*Message) {
 	// their own staging buffers.
 	sc := scratchPool.Get().(*memScratch)
 	drops := sc.drops[:0]
-	for _, m := range ms {
-		if m.From != e.proc {
-			n.mu.Unlock()
-			panic(fmt.Sprintf("transport: proc %d sending message from %d", e.proc, m.From))
+	var latency time.Duration
+	dst := n.quietDst(ms[0].To)
+	if dst == nil {
+		n.mu.Lock()
+		dst = n.dstLocked(ms[0].To)
+		for _, m := range ms {
+			drops = append(drops, n.dropLocked(m))
 		}
-		if m.To != ms[0].To {
-			n.mu.Unlock()
-			panic("transport: SendBatch run mixes destinations")
-		}
-		drops = append(drops, n.dropLocked(m))
+		latency = n.latency
+		n.mu.Unlock()
 	}
-	latency := n.latency
-	n.mu.Unlock()
 	sc.drops = drops[:0]
 	frames := sc.frames[:0]
 	for i, m := range ms {
-		if drops[i] {
+		if len(drops) != 0 && drops[i] {
 			continue
 		}
 		frames = append(frames, marshalFrame(m))
@@ -311,7 +368,7 @@ func (e *MemEndpoint) SendBatch(t *mts.Thread, ms []*Message) {
 	for _, fb := range frames {
 		if latency > 0 {
 			// Latency is modeled per message; batching would distort it.
-			fb := fb
+			fb, dst := fb, dst
 			time.AfterFunc(latency, func() { dst.deliverFrame(fb) })
 			continue
 		}
