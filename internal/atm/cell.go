@@ -364,6 +364,11 @@ func NewReassembler(vc VC) *Reassembler {
 // errors.
 func (r *Reassembler) Dropped() int { return r.dropped }
 
+// Buffered returns how many octets the reassembly buffer holds: the frame
+// under assembly, or the last one finished or dropped until the next cell
+// starts another. ErrTooLong keeps it within CellCount(MaxPDU) cell payloads.
+func (r *Reassembler) Buffered() int { return len(r.buf) }
+
 // Push adds the next cell. When the cell completes a frame, Push returns the
 // verified payload (done=true). Cells for other VCs are rejected with an
 // error wrapping ErrVC.

@@ -25,24 +25,37 @@ import (
 //	crc = rev32(^r)
 //
 // which keeps crcUpdate's contract: raw register in, raw register out, no
-// preset, no complement, splittable anywhere. No file per architecture, no
-// assembly, no build tag: the kernel is the standard library's.
+// preset, no complement, splittable anywhere. The CRC kernel is the standard
+// library's; the mirror pass (rev8) is this package's, one kernel per
+// GOARCH behind mirror. On amd64 it is reflect16 (reflect_amd64.s): 16
+// octets per step, each octet's two nibbles looked up in a table of
+// mirrored nibbles with SSSE3's PSHUFB. SSSE3 is not in the amd64 baseline,
+// so a CPUID probe (leaf 1, ECX bit 9) sets hasSSSE3 once at start-up, and
+// without it reflect8 runs. Everywhere else reflect8, portable Go, is the
+// kernel (one RBIT per word on arm64).
 //
-// The reflection pass is the cost. It bounds the reflected kernel at about
-// 3.3 GB/s on the builder host (the table loop reads 1.75 there, hash/crc32
-// alone 18-20), and a
-// short run loses to the table loop on its fixed costs (pool round trip, two
-// calls, hash/crc32's own alignment head and tail). So there are two kernels
-// behind crcUpdate and one measured constant between them, reflectMin.
+// The mirror pass is still the larger part of the reflected kernel's time.
+// On a 2-vCPU Xeon host under Go 1.24, a 2 KB block mirrors in 130-230 ns
+// with PSHUFB against 510-900 with reflect8 (9-16 against 2.3-4 GB/s), and
+// an 8 KB run takes 0.9-1.4 µs through the reflected kernel against 2.7-3.9
+// with reflect8 as its mirror; the table loop reads 1.6 GB/s there,
+// hash/crc32 alone 18-20. An SSE2-only kernel (three mask-and-shift swaps,
+// no CPUID needed) read 230-290 ns per block and 1.4-1.9 µs per 8 KB run:
+// the probe pays for itself. A short run loses to the table loop on its
+// fixed costs (pool round trip, two calls, hash/crc32's own alignment head
+// and tail). So there are two kernels behind crcUpdate and one measured
+// constant between them, reflectMin.
 //
 // Where hash/crc32 has no architecture kernel for the IEEE polynomial it
 // falls back to its own slicing-by-8, and the reflected path is then pure
-// overhead: with the hardware kernel switched off on the builder host
-// (GODEBUG=cpu.pclmulqdq=off) stream_udpatm read 308 MB/s against ~380 for
-// the table loop alone, -19 %. ieeeKernel therefore names the GOARCHes where
-// the pinned Go 1.21 standard library ships one; everywhere else every run
-// stays on the table loop. An amd64 without PCLMULQDQ or an arm64 without
-// the CRC32 extension — neither has been made this decade — pays that 19 %.
+// overhead. ieeeKernel therefore names the GOARCHes where the pinned Go 1.21
+// standard library ships one; everywhere else every run stays on the table
+// loop. With the hardware kernel switched off on amd64
+// (GODEBUG=cpu.pclmulqdq=off) the reflected path with the PSHUFB mirror runs
+// level with the table loop (8 KB: 4.9-5.2 µs against 4.8-5.0; with
+// reflect8 as the mirror it read 6.4-7.6). An amd64 without PCLMULQDQ or an
+// arm64 without the CRC32 extension — neither has been made this decade —
+// would pay that.
 
 // aal5Poly is the AAL5 CRC-32 generator (I.363.5), processed MSB-first.
 const aal5Poly = 0x04C11DB7
@@ -53,13 +66,13 @@ const ieeeKernel = runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64" ||
 	runtime.GOARCH == "ppc64le" || runtime.GOARCH == "s390x"
 
 // reflectMin is the shortest run crcUpdate sends through the reflected
-// kernel. BenchmarkAAL5CRC (crc_test.go) is its instrument; builder host,
-// table vs reflected, ns per run: 48 B 28 vs 68, 128 B 74 vs 64, 192 B 115 vs
-// 95, 256 B 160 vs 105, 1 KB 590 vs 330, 8 KB 4600 vs 2500. The kernels cross
-// near 128 B; 256 leaves the margin the host's drift needs. A cell payload,
-// an AAL5 trailer and a message header are below it; every chunk of a bulk
-// message is far above.
-const reflectMin = 256
+// kernel. BenchmarkAAL5CRC (crc_test.go) is its instrument; the host in the
+// file comment, PSHUFB mirror, table vs reflected, ns per run: 48 B 32 vs 77,
+// 64 B 35 vs 35, 96 B 52 vs 36, 128 B 77 vs 46, 256 B 156 vs 53, 1 KB 626 vs
+// 175, 8 KB 5100 vs 1120. The kernels cross near 64-80 B; 128 leaves the
+// margin the host's drift needs. A cell payload, an AAL5 trailer and a
+// message header are below it; every chunk of a bulk message is far above.
+const reflectMin = 128
 
 // reflectBlock is the scratch one hash/crc32 call consumes: it stays in L1
 // beside the payload it mirrors, and at 2 KB the fixed cost of the call is
@@ -138,7 +151,7 @@ func crcReflected(crc uint32, p []byte) uint32 {
 		if n > reflectBlock {
 			n = reflectBlock
 		}
-		reflect8(s[:n], p[:n])
+		mirror(s[:n], p[:n])
 		r = crc32.Update(r, crc32.IEEETable, s[:n])
 		p = p[n:]
 	}
@@ -146,13 +159,16 @@ func crcReflected(crc uint32, p []byte) uint32 {
 	return crcTable(bits.Reverse32(^r), p)
 }
 
-// reflect8 writes src to dst with the bits of every octet reversed; both are
-// the same whole number of 8-octet words. A big-endian load, a 64-bit
+// reflect8 writes src to dst with the bits of every octet reversed, a whole
+// 8-octet word at a time; octets past the last whole word are left alone. It
+// is the portable mirror kernel — the only one off amd64, the tail of a
+// block and the fallback without SSSE3 on it — and the reference
+// TestReflectKernelsAgree holds reflect16 to. A big-endian load, a 64-bit
 // reversal and a little-endian store is the portable spelling of that, and
 // one RBIT on arm64. How the loop is spelled matters as much as what it
-// computes: on the builder host (amd64, where the reversal is three
-// mask-shift steps whose 64-bit masks the compiler re-materializes per word)
-// one word per iteration read 2.9 GB/s, two 3.6 and four 4.3.
+// computes: on amd64, where the reversal is three mask-shift steps whose
+// 64-bit masks the compiler re-materializes per word, one word per iteration
+// read 2.9 GB/s, two 3.6 and four 4.3.
 func reflect8(dst, src []byte) {
 	for len(src) >= 32 && len(dst) >= 32 {
 		binary.LittleEndian.PutUint64(dst, bits.Reverse64(binary.BigEndian.Uint64(src)))

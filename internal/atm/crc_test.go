@@ -1,7 +1,9 @@
 package atm
 
 import (
+	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -114,12 +116,74 @@ func FuzzAAL5CRC(f *testing.F) {
 	})
 }
 
+// TestReflectKernelsAgree holds the reflection pass to the octet-by-octet
+// definition — portable reflect8, and mirror, which on amd64 with SSSE3 is
+// the PSHUFB kernel for the 16-octet blocks — on every length through two
+// mirror blocks and beyond (the whole 8-octet words are reflected, the rest
+// left alone), with guard octets on both sides of the destination that must
+// come back untouched. Every pair of source and destination offsets mod 16
+// runs on each length up to five blocks and a tail; past that, the pair
+// steps with the length, so each pair recurs about sixteen times.
+func TestReflectKernelsAgree(t *testing.T) {
+	const maxLen, guard, allPairs = 2*reflectBlock + 64, 16, 5*16 + 15
+	src := patterned(maxLen + 16)
+	want := make([]byte, len(src))
+	for i, b := range src {
+		want[i] = bits.Reverse8(b)
+	}
+	kernels := []struct {
+		name string
+		fn   func(dst, src []byte)
+	}{{"reflect8", reflect8}, {"mirror", mirror}}
+	blank := bytes.Repeat([]byte{0xA5}, guard+16+maxLen+guard)
+	dst := bytes.Clone(blank)
+	check := func(n, so, do int) {
+		words := n &^ 7
+		for _, k := range kernels {
+			d := dst[guard+do : guard+do+n]
+			k.fn(d, src[so:so+n])
+			if !bytes.Equal(d[:words], want[so:so+words]) {
+				t.Fatalf("%s len %d src+%d dst+%d: reflected octets differ", k.name, n, so, do)
+			}
+			if !bytes.Equal(dst[do:guard+do], blank[:guard]) || !bytes.Equal(d[words:n+guard], blank[:n-words+guard]) {
+				t.Fatalf("%s len %d src+%d dst+%d: wrote outside the whole words", k.name, n, so, do)
+			}
+			copy(d, blank)
+		}
+	}
+	for n := 0; n <= maxLen; n++ {
+		if n > allPairs {
+			check(n, n%16, n/16%16)
+			continue
+		}
+		for so := 0; so < 16; so++ {
+			for do := 0; do < 16; do++ {
+				check(n, so, do)
+			}
+		}
+	}
+}
+
 // BenchmarkAAL5CRC is the instrument reflectMin cites: both kernels called
 // directly, and crcUpdate's choice between them, on the run lengths the
 // datapath sees — a cell payload, short messages around the crossover, and
 // 1 KB / 8 KB chunks. It lives here, not with the root benchmarks, because
-// only this package can reach a kernel.
+// only this package can reach a kernel. The reflect rows time the reflected
+// kernel's mirror pass over one block: reflect8, and mirror (the PSHUFB
+// kernel on amd64 with SSSE3, reflect8 elsewhere).
 func BenchmarkAAL5CRC(b *testing.B) {
+	src, dst := patterned(reflectBlock), make([]byte, reflectBlock)
+	for _, k := range []struct {
+		name string
+		fn   func(dst, src []byte)
+	}{{"portable", reflect8}, {"kernel", mirror}} {
+		b.Run(fmt.Sprintf("reflect/%s/%dB", k.name, reflectBlock), func(b *testing.B) {
+			b.SetBytes(reflectBlock)
+			for i := 0; i < b.N; i++ {
+				k.fn(dst, src)
+			}
+		})
+	}
 	kernels := []struct {
 		name string
 		fn   func(uint32, []byte) uint32

@@ -15,21 +15,30 @@ import (
 	"repro/internal/wire"
 )
 
-// frameFor builds the single AAL5 frame (wire cells) that carries a small
+// messageCells builds the AAL5 frames (wire cells, end to end) that carry a
 // message from proc 0 to proc 1 on vc, exactly as enqueueFrames would.
-func frameFor(t *testing.T, vc atm.VC, seq uint32, data []byte) []byte {
-	t.Helper()
+func messageCells(vc atm.VC, seq uint32, data []byte) (cells []byte) {
 	m := &transport.Message{From: 0, To: 1, Seq: seq, Data: data}
 	ck := wire.NewChunker(m.MarshalAppend(nil), seq, MaxChunk)
-	if ck.NumChunks() != 1 {
-		t.Fatalf("message of %d octets needs %d chunks; the train tests want one", len(data), ck.NumChunks())
+	for {
+		chunk, ok := ck.Next(nil)
+		if !ok {
+			return cells
+		}
+		var err error
+		if cells, err = atm.AppendCells(cells, vc, chunk); err != nil {
+			panic(err) // a chunk is far below MaxPDU
+		}
 	}
-	chunk, _ := ck.Next(nil)
-	cells, err := atm.AppendCells(nil, vc, chunk)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// frameFor is messageCells for a message small enough to need one frame.
+func frameFor(t *testing.T, vc atm.VC, seq uint32, data []byte) []byte {
+	t.Helper()
+	if n := framesOf(len(data)); n != 1 {
+		t.Fatalf("message of %d octets needs %d chunks; the train tests want one", len(data), n)
 	}
-	return cells
+	return messageCells(vc, seq, data)
 }
 
 // receiveDatagrams attaches one endpoint, writes the hand-built datagrams

@@ -360,10 +360,12 @@ func (e *Endpoint) BindChannel(peer transport.ProcID, ch wire.ChannelID) {}
 // UnbindChannel implements transport.ChannelRouter: a released call's
 // transmit queue is dropped so channel churn cannot accrete per-VC state.
 // Only the transmit side is touched (under txMu); receive-side reassembly
-// state belongs to the reader goroutine and is bounded by the VC space,
-// not by churn. The queue is left in place if frames are still pending —
-// the writer drains every accepted frame (the Close guarantee), and a
-// reused channel ID maps back onto the same VC anyway.
+// state belongs to the reader goroutine and is not released here. Its worst
+// case is one partial CPCS-PDU (up to 64 KB) plus one partial message (up to
+// wire.MaxFrame) per VC the reader has ever seen a valid header for, and
+// nothing caps how many VCs that is. The queue is left in place if frames
+// are still pending — the writer drains every accepted frame (the Close
+// guarantee), and a reused channel ID maps back onto the same VC anyway.
 func (e *Endpoint) UnbindChannel(peer transport.ProcID, ch wire.ChannelID) {
 	if ch == 0 {
 		return
