@@ -23,10 +23,9 @@
 // scheduler post on Mem, one writev on real TCP, MTU-bounded cell-train
 // datagrams on UDP/ATM — each message serialized once, from where its
 // header and payload lie straight into the train that carries it, its AAL5
-// CRC computed by hash/crc32's hardware kernel through a bit reflection,
-// 16 octets per PSHUFB step on amd64 with SSSE3 (internal/atm/crc.go,
-// reflect_amd64.s) — which the receiving end reassembles a train at a
-// time, straight out of the datagram buffer, HEC-verifying every header
+// CRC folded MSB-first with PCLMULQDQ on amd64, each octet read once
+// (internal/atm/crc.go, crc_amd64.s) — which the receiving end reassembles
+// a train at a time, straight out of the datagram buffer, HEC-verifying every header
 // except one byte-identical to the last it verified on that VC), and
 // Thread.RecvInto/Channel.RecvInto — the
 // paper's receive-into-buffer call — recycles pooled receive frames so

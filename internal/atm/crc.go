@@ -8,70 +8,80 @@ import (
 	"sync"
 )
 
-// The AAL5 CRC-32 uses the IEEE 802.3 generator but shifts message bits in
-// MSB-first, where hash/crc32 implements the reflected (LSB-first) form — the
-// one the CPU's carry-less-multiply and CRC instructions accelerate. The two
-// are the same register seen in a mirror. With rev32 reversing the bits of a
-// word, rev8 reversing the bits inside every octet of a run, U_msb the raw
-// MSB-first register update (crcTable below) and U_lsb the raw reflected one:
+// The AAL5 CRC-32 uses the IEEE 802.3 generator P but shifts message bits
+// in MSB-first. With M a run of n octets read as a polynomial, first bit
+// highest, crcUpdate's raw register update is
 //
-//	U_msb(c, D) = rev32(U_lsb(rev32(c), rev8(D)))
+//	U(c, M) = (c·x^(8n) + M·x^32) mod P
+//
+// — no preset, no complement, splittable anywhere. Three kernels compute
+// it, chosen by GOARCH and run length.
+//
+// On amd64 a long run folds with carry-less multiplication in natural bit
+// order (crcFold, crc_amd64.s; Gopal et al., "Fast CRC Computation for
+// Generic Polynomials Using PCLMULQDQ Instruction", Intel, 2009). PSHUFB
+// loads each 16-octet block big-endian, so its first bit is x^127, and c
+// enters as bits 96-127 of the first block: c·x^(8n) is c·x^(8n-32) times
+// the x^32 every message bit gets. A 128-bit remainder A = H·x^64 + L moves
+// k bits on as H·(x^(k+64) mod P) ⊕ L·(x^k mod P), two PCLMULQDQs whose
+// products are at most 95 bits wide, so the MSB-first form needs no
+// shift-by-one fix-up. Four accumulators move 512 bits per step (x^512,
+// x^576), then merge, and the blocks left over fold in 128 bits at a time
+// (x^128, x^192); foldK holds the four constants, derived from aal5Poly at
+// start-up. The kernel returns the remainder V, and the table loop
+// finishes U(0, V) = V·x^32 mod P and the run's last few octets: 16 octets
+// of table loop in place of a Barrett step. PCLMULQDQ and SSSE3 are not in
+// the amd64 baseline, so a CPUID probe (leaf 1, ECX bits 1 and 9) sets
+// hasFold once; without them every run takes the table loop, which the
+// reflected path below only ran level with there.
+//
+// On a 2-vCPU Xeon host under Go 1.24, an 8 KB run folds in 0.36-0.56 µs
+// and 1 KB in 58-79 ns, against 4.6-6.2 µs and 0.63-0.79 µs on the table
+// loop. The reflected path with a PSHUFB mirror took 0.9-1.4 µs per 8 KB on
+// the same host. hash/crc32's kernel alone, mirror aside, read 8 KB in
+// 0.49-0.52 µs in an hour when the fold read 0.42-0.52: the fold runs at
+// the hardware's pace and reads each octet once.
+//
+// Elsewhere the long-run kernel is the standard library's. hash/crc32
+// implements the reflected (LSB-first) form — the one arm64, ppc64le and
+// s390x accelerate — and the two are the same register seen in a mirror.
+// With rev32 reversing the bits of a word, rev8 reversing the bits inside
+// every octet of a run and U_lsb the raw reflected update:
+//
+//	U(c, D) = rev32(U_lsb(rev32(c), rev8(D)))
 //
 // crc32.Update(x, IEEE, s) is ^U_lsb(^x, s) — it applies a complement on the
-// way in and on the way out — so a long run is advanced as
+// way in and on the way out — so crcReflected advances a long run as
 //
 //	r := ^rev32(crc)
 //	for each block of D: r = crc32.Update(r, crc32.IEEETable, rev8(block))
 //	crc = rev32(^r)
 //
-// which keeps crcUpdate's contract: raw register in, raw register out, no
-// preset, no complement, splittable anywhere. The CRC kernel is the standard
-// library's; the mirror pass (rev8) is this package's, one kernel per
-// GOARCH behind mirror. On amd64 it is reflect16 (reflect_amd64.s): 16
-// octets per step, each octet's two nibbles looked up in a table of
-// mirrored nibbles with SSSE3's PSHUFB. SSSE3 is not in the amd64 baseline,
-// so a CPUID probe (leaf 1, ECX bit 9) sets hasSSSE3 once at start-up, and
-// without it reflect8 runs. Everywhere else reflect8, portable Go, is the
-// kernel (one RBIT per word on arm64).
-//
-// The mirror pass is still the larger part of the reflected kernel's time.
-// On a 2-vCPU Xeon host under Go 1.24, a 2 KB block mirrors in 130-230 ns
-// with PSHUFB against 510-900 with reflect8 (9-16 against 2.3-4 GB/s), and
-// an 8 KB run takes 0.9-1.4 µs through the reflected kernel against 2.7-3.9
-// with reflect8 as its mirror; the table loop reads 1.6 GB/s there,
-// hash/crc32 alone 18-20. An SSE2-only kernel (three mask-and-shift swaps,
-// no CPUID needed) read 230-290 ns per block and 1.4-1.9 µs per 8 KB run:
-// the probe pays for itself. A short run loses to the table loop on its
-// fixed costs (pool round trip, two calls, hash/crc32's own alignment head
-// and tail). So there are two kernels behind crcUpdate and one measured
-// constant between them, reflectMin.
-//
-// Where hash/crc32 has no architecture kernel for the IEEE polynomial it
-// falls back to its own slicing-by-8, and the reflected path is then pure
-// overhead. ieeeKernel therefore names the GOARCHes where the pinned Go 1.21
-// standard library ships one; everywhere else every run stays on the table
-// loop. With the hardware kernel switched off on amd64
-// (GODEBUG=cpu.pclmulqdq=off) the reflected path with the PSHUFB mirror runs
-// level with the table loop (8 KB: 4.9-5.2 µs against 4.8-5.0; with
-// reflect8 as the mirror it read 6.4-7.6). An amd64 without PCLMULQDQ or an
-// arm64 without the CRC32 extension — neither has been made this decade —
-// would pay that.
+// with reflect8, portable Go (one RBIT per word on arm64), as the mirror
+// pass. A short run loses to the table loop on its fixed costs (pool round
+// trip, two calls, hash/crc32's own alignment head and tail), so reflectMin
+// sits between them. Where hash/crc32 has no architecture kernel for the
+// IEEE polynomial it falls back to its own slicing-by-8, and the reflected
+// path is then pure overhead: ieeeKernel names the GOARCHes where the pinned
+// Go 1.21 standard library ships one, and everywhere else every run stays on
+// the table loop. crcReflected is portable, so the tests hold it to the
+// definition on amd64 too.
 
 // aal5Poly is the AAL5 CRC-32 generator (I.363.5), processed MSB-first.
 const aal5Poly = 0x04C11DB7
 
 // ieeeKernel reports whether hash/crc32 has an architecture kernel for
-// crc32.IEEETable on this GOARCH (crc32_amd64.go, _arm64, _ppc64le, _s390x).
-const ieeeKernel = runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64" ||
-	runtime.GOARCH == "ppc64le" || runtime.GOARCH == "s390x"
+// crc32.IEEETable on a GOARCH without the fold (crc32_arm64.go, _ppc64le,
+// _s390x).
+const ieeeKernel = runtime.GOARCH == "arm64" || runtime.GOARCH == "ppc64le" ||
+	runtime.GOARCH == "s390x"
 
 // reflectMin is the shortest run crcUpdate sends through the reflected
-// kernel. BenchmarkAAL5CRC (crc_test.go) is its instrument; the host in the
-// file comment, PSHUFB mirror, table vs reflected, ns per run: 48 B 32 vs 77,
-// 64 B 35 vs 35, 96 B 52 vs 36, 128 B 77 vs 46, 256 B 156 vs 53, 1 KB 626 vs
-// 175, 8 KB 5100 vs 1120. The kernels cross near 64-80 B; 128 leaves the
-// margin the host's drift needs. A cell payload, an AAL5 trailer and a
-// message header are below it; every chunk of a bulk message is far above.
+// kernel. It was set on amd64 with a PSHUFB mirror, table vs reflected, ns
+// per run: 48 B 32 vs 77, 64 B 35 vs 35, 96 B 52 vs 36, 128 B 77 vs 46,
+// 256 B 156 vs 53. The kernels crossed near 64-80 B, and 128 leaves the
+// margin a host's drift needs. No GOARCH that takes the reflected path has
+// been measured since; BenchmarkAAL5CRC is the instrument.
 const reflectMin = 128
 
 // reflectBlock is the scratch one hash/crc32 call consumes: it stays in L1
@@ -109,14 +119,18 @@ func init() {
 // streamed over several runs (payload, pad, trailer) without materializing
 // them contiguously; aal5crc32 is the one-shot form.
 func crcUpdate(crc uint32, p []byte) uint32 {
+	if hasFold && len(p) >= foldMin {
+		return crcFold(crc, p)
+	}
 	if ieeeKernel && len(p) >= reflectMin {
 		return crcReflected(crc, p)
 	}
 	return crcTable(crc, p)
 }
 
-// crcTable is the slicing-by-8 kernel: every short run, every tail, and
-// every run on a GOARCH without ieeeKernel.
+// crcTable is the slicing-by-8 kernel: every short run, every tail, the
+// fold's remainder, and every run on a GOARCH with neither the fold nor
+// ieeeKernel.
 func crcTable(crc uint32, p []byte) uint32 {
 	t := &aal5Tables
 	for len(p) >= 8 {
@@ -151,7 +165,7 @@ func crcReflected(crc uint32, p []byte) uint32 {
 		if n > reflectBlock {
 			n = reflectBlock
 		}
-		mirror(s[:n], p[:n])
+		reflect8(s[:n], p[:n])
 		r = crc32.Update(r, crc32.IEEETable, s[:n])
 		p = p[n:]
 	}
@@ -161,9 +175,7 @@ func crcReflected(crc uint32, p []byte) uint32 {
 
 // reflect8 writes src to dst with the bits of every octet reversed, a whole
 // 8-octet word at a time; octets past the last whole word are left alone. It
-// is the portable mirror kernel — the only one off amd64, the tail of a
-// block and the fallback without SSSE3 on it — and the reference
-// TestReflectKernelsAgree holds reflect16 to. A big-endian load, a 64-bit
+// is crcReflected's mirror pass. A big-endian load, a 64-bit
 // reversal and a little-endian store is the portable spelling of that, and
 // one RBIT on arm64. How the loop is spelled matters as much as what it
 // computes: on amd64, where the reversal is three mask-shift steps whose

@@ -52,51 +52,96 @@ func TestCRCMatchesBitSerial(t *testing.T) {
 	}
 }
 
-// TestCRCKernelsAgree calls both kernels directly — whichever of them
-// crcUpdate would pick on this GOARCH — and holds them to each other and to
-// the bit-serial reference: every length through two mirror blocks and
+// TestCRCKernelsAgree calls the kernels directly — the table loop, the
+// reflected kernel and, on amd64 with PCLMULQDQ, the fold — and holds each
+// to the bit-serial reference: every length through two mirror blocks and
 // beyond, the chunk and frame sizes the datapath produces, three starting
 // registers (the preset, zero, one taken mid-stream), and every two-call
-// split of a run that crosses two block boundaries.
+// split of a run that crosses two mirror blocks: each kernel after itself,
+// the table loop after each, and the fold after the table loop. The fold
+// also runs from every source offset mod 16 on every length from below its
+// floor to 2 KB + 64.
 func TestCRCKernelsAgree(t *testing.T) {
-	buf := patterned(MaxPDU + 4)
+	buf := patterned(MaxPDU + 4 + 15)
+	kernels := crcKernels()
+	table, reflected := kernels[0], kernels[1]
+	splits := [][2]crcKernel{{table, table}, {reflected, reflected}, {reflected, table}}
+	if hasFold {
+		fold := kernels[2]
+		splits = append(splits, [2]crcKernel{fold, fold}, [2]crcKernel{fold, table}, [2]crcKernel{table, fold})
+	}
 	lengths := []int{8184, 8192, MaxPDU + 4}
 	for n := 0; n <= 2*reflectBlock+64; n++ {
 		lengths = append(lengths, n)
 	}
 	for _, preset := range []uint32{^uint32(0), 0, crcTable(^uint32(0), []byte("mid-stream"))} {
-		// The reference advances octet by octet, so every prefix costs one
-		// step more than the last.
-		ref := make([]uint32, len(buf)+1)
-		ref[0] = preset
-		for i := range buf {
-			ref[i+1] = bitSerialUpdate(ref[i], buf[i:i+1])
-		}
+		ref := prefixes(preset, buf[:MaxPDU+4])
 		for _, n := range lengths {
-			tab, refl := crcTable(preset, buf[:n]), crcReflected(preset, buf[:n])
-			if tab != ref[n] || refl != ref[n] {
-				t.Fatalf("preset %08x len %d: table %08x, reflected %08x, bit-serial %08x", preset, n, tab, refl, ref[n])
+			for _, k := range kernels {
+				if got := k.fn(preset, buf[:n]); got != ref[n] {
+					t.Fatalf("preset %08x len %d: %s %08x, bit-serial %08x", preset, n, k.name, got, ref[n])
+				}
 			}
 		}
 		n := 2*reflectBlock + 9
 		for k := 0; k <= n; k++ {
-			tab := crcTable(crcTable(preset, buf[:k]), buf[k:n])
-			refl := crcReflected(crcReflected(preset, buf[:k]), buf[k:n])
-			mixed := crcTable(crcReflected(preset, buf[:k]), buf[k:n])
-			if tab != ref[n] || refl != ref[n] || mixed != ref[n] {
-				t.Fatalf("preset %08x split %d of %d: table %08x, reflected %08x, mixed %08x, bit-serial %08x",
-					preset, k, n, tab, refl, mixed, ref[n])
+			for _, s := range splits {
+				if got := s[1].fn(s[0].fn(preset, buf[:k]), buf[k:n]); got != ref[n] {
+					t.Fatalf("preset %08x split %d of %d: %s then %s %08x, bit-serial %08x",
+						preset, k, n, s[0].name, s[1].name, got, ref[n])
+				}
+			}
+		}
+		if !hasFold {
+			continue
+		}
+		const maxLen = 2048 + 64
+		for off := 1; off < 16; off++ {
+			ref := prefixes(preset, buf[off:off+maxLen])
+			for n := 0; n <= maxLen; n++ {
+				if got := crcFold(preset, buf[off:off+n]); got != ref[n] {
+					t.Fatalf("preset %08x len %d src+%d: fold %08x, bit-serial %08x", preset, n, off, got, ref[n])
+				}
 			}
 		}
 	}
+}
+
+// crcKernel is one CRC kernel under test, by name.
+type crcKernel struct {
+	name string
+	fn   func(uint32, []byte) uint32
+}
+
+// crcKernels lists the kernels this host runs: the table loop, the reflected
+// kernel (portable Go around hash/crc32, so it runs everywhere) and, on amd64
+// with PCLMULQDQ, the fold.
+func crcKernels() []crcKernel {
+	ks := []crcKernel{{"table", crcTable}, {"reflected", crcReflected}}
+	if hasFold {
+		ks = append(ks, crcKernel{"fold", crcFold})
+	}
+	return ks
+}
+
+// prefixes is the bit-serial register after every prefix of p, advanced
+// octet by octet so that each prefix costs one step more than the last.
+func prefixes(preset uint32, p []byte) []uint32 {
+	ref := make([]uint32, len(p)+1)
+	ref[0] = preset
+	for i := range p {
+		ref[i+1] = bitSerialUpdate(ref[i], p[i:i+1])
+	}
+	return ref
 }
 
 // FuzzAAL5CRC holds crcUpdate to the bit-serial reference on arbitrary
 // input, both one-shot and streamed across an arbitrary split (the way
 // newPDU runs it over payload, pad and trailer). Seeds: every length 0-17
 // here, longer ones in testdata/fuzz/FuzzAAL5CRC — among them the lengths
-// around reflectMin and reflectBlock, so plain go test crosses both kernels
-// and the block boundary.
+// around foldMin and a block past it (63-65, 79, 80), around reflectMin and
+// reflectBlock, and one short of 4 KB, so plain go test crosses every
+// kernel's threshold and the fold's four-block and one-block loops.
 func FuzzAAL5CRC(f *testing.F) {
 	for n := 0; n <= 17; n++ {
 		f.Add(patterned(n), uint16(n/2))
@@ -116,14 +161,13 @@ func FuzzAAL5CRC(f *testing.F) {
 	})
 }
 
-// TestReflectKernelsAgree holds the reflection pass to the octet-by-octet
-// definition — portable reflect8, and mirror, which on amd64 with SSSE3 is
-// the PSHUFB kernel for the 16-octet blocks — on every length through two
-// mirror blocks and beyond (the whole 8-octet words are reflected, the rest
-// left alone), with guard octets on both sides of the destination that must
-// come back untouched. Every pair of source and destination offsets mod 16
-// runs on each length up to five blocks and a tail; past that, the pair
-// steps with the length, so each pair recurs about sixteen times.
+// TestReflectKernelsAgree holds reflect8, the reflected kernel's mirror
+// pass, to the octet-by-octet definition on every length through two mirror
+// blocks and beyond (the whole 8-octet words are reflected, the rest left
+// alone), with guard octets on both sides of the destination that must come
+// back untouched. Every pair of source and destination offsets mod 16 runs
+// on each length up to five blocks and a tail; past that, the pair steps
+// with the length, so each pair recurs about sixteen times.
 func TestReflectKernelsAgree(t *testing.T) {
 	const maxLen, guard, allPairs = 2*reflectBlock + 64, 16, 5*16 + 15
 	src := patterned(maxLen + 16)
@@ -131,25 +175,19 @@ func TestReflectKernelsAgree(t *testing.T) {
 	for i, b := range src {
 		want[i] = bits.Reverse8(b)
 	}
-	kernels := []struct {
-		name string
-		fn   func(dst, src []byte)
-	}{{"reflect8", reflect8}, {"mirror", mirror}}
 	blank := bytes.Repeat([]byte{0xA5}, guard+16+maxLen+guard)
 	dst := bytes.Clone(blank)
 	check := func(n, so, do int) {
 		words := n &^ 7
-		for _, k := range kernels {
-			d := dst[guard+do : guard+do+n]
-			k.fn(d, src[so:so+n])
-			if !bytes.Equal(d[:words], want[so:so+words]) {
-				t.Fatalf("%s len %d src+%d dst+%d: reflected octets differ", k.name, n, so, do)
-			}
-			if !bytes.Equal(dst[do:guard+do], blank[:guard]) || !bytes.Equal(d[words:n+guard], blank[:n-words+guard]) {
-				t.Fatalf("%s len %d src+%d dst+%d: wrote outside the whole words", k.name, n, so, do)
-			}
-			copy(d, blank)
+		d := dst[guard+do : guard+do+n]
+		reflect8(d, src[so:so+n])
+		if !bytes.Equal(d[:words], want[so:so+words]) {
+			t.Fatalf("len %d src+%d dst+%d: reflected octets differ", n, so, do)
 		}
+		if !bytes.Equal(dst[do:guard+do], blank[:guard]) || !bytes.Equal(d[words:n+guard], blank[:n-words+guard]) {
+			t.Fatalf("len %d src+%d dst+%d: wrote outside the whole words", n, so, do)
+		}
+		copy(d, blank)
 	}
 	for n := 0; n <= maxLen; n++ {
 		if n > allPairs {
@@ -164,31 +202,15 @@ func TestReflectKernelsAgree(t *testing.T) {
 	}
 }
 
-// BenchmarkAAL5CRC is the instrument reflectMin cites: both kernels called
-// directly, and crcUpdate's choice between them, on the run lengths the
-// datapath sees — a cell payload, short messages around the crossover, and
-// 1 KB / 8 KB chunks. It lives here, not with the root benchmarks, because
-// only this package can reach a kernel. The reflect rows time the reflected
-// kernel's mirror pass over one block: reflect8, and mirror (the PSHUFB
-// kernel on amd64 with SSSE3, reflect8 elsewhere).
+// BenchmarkAAL5CRC is the instrument foldMin and reflectMin cite: each
+// kernel called directly — the fold only on amd64 with PCLMULQDQ — and
+// crcUpdate's choice between them, on the run lengths the datapath sees: a
+// cell payload, short messages around the crossovers, and 1 KB / 8 KB
+// chunks. It lives here, not with the root benchmarks, because only this
+// package can reach a kernel.
 func BenchmarkAAL5CRC(b *testing.B) {
-	src, dst := patterned(reflectBlock), make([]byte, reflectBlock)
-	for _, k := range []struct {
-		name string
-		fn   func(dst, src []byte)
-	}{{"portable", reflect8}, {"kernel", mirror}} {
-		b.Run(fmt.Sprintf("reflect/%s/%dB", k.name, reflectBlock), func(b *testing.B) {
-			b.SetBytes(reflectBlock)
-			for i := 0; i < b.N; i++ {
-				k.fn(dst, src)
-			}
-		})
-	}
-	kernels := []struct {
-		name string
-		fn   func(uint32, []byte) uint32
-	}{{"table", crcTable}, {"reflected", crcReflected}, {"crcUpdate", crcUpdate}}
-	for _, n := range []int{48, 128, 192, 256, 512, 1024, 8192} {
+	kernels := append(crcKernels(), crcKernel{"crcUpdate", crcUpdate})
+	for _, n := range []int{48, 64, 96, 128, 192, 256, 512, 1024, 8192} {
 		p := patterned(n)
 		for _, k := range kernels {
 			b.Run(fmt.Sprintf("%s/%dB", k.name, n), func(b *testing.B) {
