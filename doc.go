@@ -12,7 +12,11 @@
 // control speaks an absolute-credit protocol (cumulative advertisements
 // plus a periodic window sync), so it survives carriers that drop control
 // frames as readily as data — no traffic class needs protecting on a
-// lossy fabric.
+// lossy fabric. Flow and error control gate the head of a channel's own send
+// queue in place: the lane scheduler sets a refused channel aside with the
+// queue intact until the discipline that refused it (a credit, an ack, the
+// rate timer) puts it back, so a gated send waits in one place and a close
+// fails every queued send with its typed cause.
 //
 // The control plane piggybacks on the data plane (wire format v3): a data
 // frame carries its channel's pending credit advertisement and ack as

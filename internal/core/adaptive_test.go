@@ -15,7 +15,7 @@ import (
 // DRR scheduler unit tests (laneSched, drr.go)
 
 func drrChan(prio, weight int) *Channel {
-	return &Channel{priority: prio, weight: weight}
+	return &Channel{priority: prio, weight: weight, flow: NoFlowControl{}, errc: NoErrorControl{}}
 }
 
 func drrReq(c *Channel, tag, size int) *sendReq {
@@ -31,10 +31,10 @@ func TestLaneSchedWeightedService(t *testing.T) {
 	c3 := drrChan(4, 3)
 	c1 := drrChan(4, 1)
 	for k := 0; k < 8; k++ {
-		s.push(c3.priority, drrReq(c3, k, size))
+		s.push(drrReq(c3, k, size))
 	}
 	for k := 0; k < 8; k++ {
-		s.push(c1.priority, drrReq(c1, k, size))
+		s.push(drrReq(c1, k, size))
 	}
 	var pattern []*Channel
 	next := map[*Channel]int{}
@@ -68,10 +68,10 @@ func TestLaneSchedControlFirst(t *testing.T) {
 	var s laneSched
 	c := drrChan(7, 1)
 	for k := 0; k < 4; k++ {
-		s.push(c.priority, drrReq(c, k, 16))
+		s.push(drrReq(c, k, 16))
 	}
 	ctrl := &sendReq{m: &transport.Message{Tag: tagFlowAck}, ctrl: true}
-	s.push(ctrlLevel, ctrl)
+	s.push(ctrl)
 	if got := s.pop(); got != ctrl {
 		t.Fatal("control did not pop before queued data")
 	}
@@ -87,12 +87,12 @@ func TestLaneSchedPriorityPreemption(t *testing.T) {
 	var s laneSched
 	low := drrChan(0, 1)
 	high := drrChan(7, 1)
-	s.push(low.priority, drrReq(low, 0, 16))
-	s.push(low.priority, drrReq(low, 1, 16))
+	s.push(drrReq(low, 0, 16))
+	s.push(drrReq(low, 1, 16))
 	if got := s.pop(); got.ch != low {
 		t.Fatal("lone low-priority channel not served")
 	}
-	s.push(high.priority, drrReq(high, 0, 16))
+	s.push(drrReq(high, 0, 16))
 	if got := s.pop(); got.ch != high {
 		t.Fatal("high-priority newcomer did not preempt the round")
 	}
@@ -107,9 +107,65 @@ func TestLaneSchedPriorityPreemption(t *testing.T) {
 func TestLaneSchedOversizedFrame(t *testing.T) {
 	var s laneSched
 	c := drrChan(0, 1)
-	s.push(c.priority, drrReq(c, 0, 1<<20))
+	s.push(drrReq(c, 0, 1<<20))
 	if got := s.pop(); got.ch != c {
 		t.Fatal("oversized frame never served")
+	}
+	if !s.empty() {
+		t.Fatal("scheduler not empty after draining")
+	}
+}
+
+// gateFlow is a flow discipline whose gate a test opens and shuts by hand.
+type gateFlow struct {
+	NoFlowControl
+	open bool
+}
+
+func (g *gateFlow) admit(*transport.Message) bool { return g.open }
+
+// TestLaneSchedGatedHead checks admission at the head of a channel's queue:
+// a refused head takes its channel out of the ring with the queue intact, so
+// other channels are served and the lane reads empty rather than busy; a send
+// queued behind the gated head keeps it out; a retransmission bypasses the
+// gate; and once the discipline reopens the channel it drains in FIFO order.
+func TestLaneSchedGatedHead(t *testing.T) {
+	var s laneSched
+	gate := &gateFlow{}
+	shut := drrChan(7, 1)
+	shut.flow = gate
+	open := drrChan(0, 1)
+	s.push(drrReq(shut, 0, 16))
+	s.push(drrReq(shut, 1, 16))
+	s.push(drrReq(open, 0, 16))
+	if got := s.pop(); got == nil || got.ch != open {
+		t.Fatal("open channel not served past the gated one")
+	}
+	if got := s.pop(); got != nil {
+		t.Fatalf("gated head left: tag %d", got.m.Tag)
+	}
+	if !s.empty() || shut.inSched || shut.sq.Size() != 2 {
+		t.Fatalf("gated channel: empty()=%v inSched=%v queued=%d, want true false 2", s.empty(), shut.inSched, shut.sq.Size())
+	}
+	s.push(drrReq(shut, 2, 16))
+	if !s.empty() {
+		t.Fatal("a send behind a gated head put the channel back in the ring")
+	}
+	raw := drrReq(shut, 9, 16)
+	raw.raw = true
+	s.push(raw)
+	if got := s.pop(); got != raw {
+		t.Fatal("retransmission waited behind the gated head")
+	}
+	if got := s.pop(); got != nil || !s.empty() {
+		t.Fatal("gated head left with the retransmission")
+	}
+	gate.open = true
+	s.ready(shut) // what Channel.reopen does
+	for k := 0; k < 3; k++ {
+		if got := s.pop(); got == nil || got.m.Tag != k {
+			t.Fatalf("pop %d after reopen: %v, want tag %d", k, got, k)
+		}
 	}
 	if !s.empty() {
 		t.Fatal("scheduler not empty after draining")

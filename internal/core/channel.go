@@ -46,8 +46,7 @@ const NumChannelPriorities = 8
 // priority plus the top control level.
 const numSendLevels = NumChannelPriorities + 1
 
-// ctrlLevel is the queue level for control traffic and raw
-// retransmissions.
+// ctrlLevel is the receive queue level for control traffic.
 const ctrlLevel = NumChannelPriorities
 
 // ChannelConfig selects a channel's QoS: the per-application choice the
@@ -151,9 +150,12 @@ type Channel struct {
 	flushAt time.Duration
 
 	// DRR state (owning lane's lock): sq is the channel's FIFO of queued
-	// send requests, deficit its byte deficit, inSched its membership in
-	// the lane scheduler's active ring.
+	// sends, whose head waits there while flow or error control refuses it;
+	// rq holds the error-control retransmissions, which bypass that gate;
+	// deficit is the byte deficit, inSched membership in the lane
+	// scheduler's active ring (see drr.go).
 	sq      list.FIFO[*sendReq]
+	rq      list.FIFO[*sendReq]
 	deficit int64
 	inSched bool
 
@@ -274,17 +276,11 @@ func (p *Proc) addChannel(peer ProcID, id ChannelID, st uint32, prio, laneHint, 
 	}
 	if p.closing.Load() {
 		// Opened after the user threads finished (unusual, but legal from
-		// an exception handler): give the disciplines their shutdown signal
-		// immediately so the process can still terminate.
+		// an exception handler): stop the flow tier's timers immediately so
+		// the process can still terminate.
 		ln := c.lockLane()
 		fc.shutdown()
-		ec.shutdown()
-		ln.service()
-		post := ln.queueDrainLocked()
 		ln.mu.Unlock()
-		if post {
-			p.laneDriver.post(p, ln.drainFn)
-		}
 	}
 	return c
 }
@@ -315,9 +311,10 @@ func (p *Proc) lookupChannel(peer ProcID, id ChannelID) (*Channel, bool) {
 // this process (or any scheduler-domain context). Idempotent.
 //
 // On a statically opened channel (Proc.Open) the teardown is local and
-// immediate: pending piggyback control flushes, the disciplines shut down —
-// timers stop, and sends still gated inside a discipline *fail* instead of
-// hanging — and further sends, and receives from the peer once nothing they
+// immediate: pending piggyback control flushes, the flow tier's timers stop,
+// sends still queued on the channel — a head flow or error control was
+// holding back included — *fail* with the typed cause instead of hanging,
+// and further sends, and receives from the peer once nothing they
 // match is stored (one already parked is woken), raise *ChannelClosedError
 // through the exception handler. The channel stays in the table so late
 // credits and acks are consumed and error control can finish its in-flight
@@ -499,6 +496,30 @@ func (c *Channel) flushCtrl() {
 		ln.ctrlStandaloneL++
 		ln.pushCtrlLocked(c.peer, c.id, tagGBNAck, nil, c.pendAcks...)
 		c.pendAcks = c.pendAcks[:0]
+	}
+}
+
+// admit is the gate on the head of the channel's send queue, run by the lane
+// scheduler before it charges the deficit: error control must have window
+// room, then flow control must admit m (charging its credit or tokens), and
+// error control stamps and retains it. A discipline that refuses reopens the
+// channel once its state changes.
+func (c *Channel) admit(m *transport.Message) bool {
+	if !c.errc.room() || !c.flow.admit(m) {
+		return false
+	}
+	c.errc.admit(m)
+	return true
+}
+
+// reopen hands a gated channel back to its lane scheduler: a discipline's
+// state changed in a way that may admit the head (a credit, an ack that slid
+// the window, the rate timer, an abandon). The caller holds the lane lock and
+// has the lane serviced afterwards. A no-op with nothing queued, and on a nil
+// receiver (discipline not yet bound).
+func (c *Channel) reopen() {
+	if c != nil {
+		c.ln.pending.ready(c)
 	}
 }
 

@@ -197,109 +197,93 @@ func TestChannelValidation(t *testing.T) {
 	runReal(procs)
 }
 
-// TestCloseFailsWindowGatedSends: a thread blocked in Send because window
-// flow deferred its request must not hang forever when the channel closes
-// — Close fails the gated send, the caller unblocks, and the exception
-// handler reports the abandonment. Further sends fail with the typed
-// ChannelClosedError through the exception handler.
-func TestCloseFailsWindowGatedSends(t *testing.T) {
-	mem := transport.NewMem()
-	procs := realCluster(t, 2, mem, nil)
-	var caught []error
-	procs[0].OnException(func(err error) { caught = append(caught, err) })
-	// The receiving end runs no flow control, so it never returns credits:
-	// the sender's second message gates forever until Close fails it.
-	ch0 := procs[0].Open(1, ChannelConfig{ID: 1, Flow: NewWindowFlow(1)})
-	ch1 := procs[1].Open(0, ChannelConfig{ID: 1})
-	flow0 := ch0.Flow().(*WindowFlow)
-
-	var sendReturned, sendAfterCloseReturned bool
-	procs[0].TCreate("blocked", mts.PrioDefault, func(th *Thread) {
-		ch0.Send(th, 0, []byte("one")) // consumes the single credit
-		ch0.Send(th, 0, []byte("two")) // gated: returns only via Close
-		sendReturned = true
-	})
-	procs[0].TCreate("closer", mts.PrioDefault, func(th *Thread) {
-		for flow0.deferred.Size() == 0 { // until "blocked" gates
-			th.Yield()
-		}
-		ch0.Close()
-		if !ch0.Closed() {
-			t.Error("Closed() false after Close")
-		}
-		ch0.Send(th, 0, []byte("three"))
-		sendAfterCloseReturned = true
-	})
-	procs[1].TCreate("recv", mts.PrioDefault, func(th *Thread) {
-		ch1.Recv(th, Any) // only the first message ever arrives
-	})
-	runReal(procs)
-
-	if !sendReturned {
-		t.Fatal("gated send never returned after Close")
-	}
-	if !sendAfterCloseReturned {
-		t.Fatal("Send on a closed channel did not return")
-	}
-	if len(caught) == 0 {
-		t.Fatal("Close failed a gated send without reporting it")
-	}
-	var cce *ChannelClosedError
-	found := false
-	for _, err := range caught {
-		if errors.As(err, &cce) {
-			found = true
-			if cce.ID != 1 || cce.Peer != 1 {
-				t.Fatalf("ChannelClosedError names channel %d to proc %d, want 1 to 1", cce.ID, cce.Peer)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("no ChannelClosedError among exceptions: %v", caught)
-	}
+// gated reports whether a discipline is holding c's head back: requests are
+// queued on the channel and the lane scheduler has taken it out of its ring.
+func gated(c *Channel) bool {
+	ln := c.lockLane()
+	defer ln.mu.Unlock()
+	return c.sq.Size() > 0 && !c.inSched
 }
 
-// TestCloseFailsRatePacedSends: same property for the pacing discipline —
-// a send waiting for tokens fails at Close instead of hanging, and the
-// pacing timer still in flight must no-op after close instead of
-// re-enqueuing a dead request.
-func TestCloseFailsRatePacedSends(t *testing.T) {
-	mem := transport.NewMem()
-	procs := realCluster(t, 2, mem, nil)
-	var caught []error
-	procs[0].OnException(func(err error) { caught = append(caught, err) })
-	// 1 KB/s: the second 1 KB message waits ~1 s for tokens — far beyond
-	// the close point.
-	ch0 := procs[0].Open(1, ChannelConfig{ID: 1, Flow: NewRateFlow(1000, 1000)})
-	ch1 := procs[1].Open(0, ChannelConfig{ID: 1})
-	rate0 := ch0.Flow().(*RateFlow)
+// TestCloseFailsGatedSends: a thread blocked in Send because one of the four
+// gates — window credit, rate tokens, a full go-back-N or selective-repeat
+// window — is holding its request back must not hang when the channel
+// closes. Close fails the gated send with the typed ChannelClosedError, the
+// caller unblocks, and a send after the close fails the same way. The peer
+// runs neither discipline, so it never credits or acks: only Close can
+// release the gated request.
+func TestCloseFailsGatedSends(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  func() ChannelConfig
+	}{
+		{"window", func() ChannelConfig { return ChannelConfig{Flow: NewWindowFlow(1)} }},
+		// 1 KB/s: the second 1 KB message waits ~1 s for tokens.
+		{"rate", func() ChannelConfig { return ChannelConfig{Flow: NewRateFlow(1000, 1000)} }},
+		{"go-back-n", func() ChannelConfig {
+			g := NewGoBackN(1, 5*time.Millisecond)
+			g.MaxRetries = 3
+			return ChannelConfig{Error: g}
+		}},
+		{"selective-repeat", func() ChannelConfig {
+			s := NewSelectiveRepeat(1, 5*time.Millisecond)
+			s.MaxRetries = 3
+			return ChannelConfig{Error: s}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := transport.NewMem()
+			procs := realCluster(t, 2, mem, nil)
+			var caught []error
+			procs[0].OnException(func(err error) { caught = append(caught, err) })
+			cfg := tc.cfg()
+			cfg.ID = 1
+			ch0 := procs[0].Open(1, cfg)
+			ch1 := procs[1].Open(0, ChannelConfig{ID: 1})
 
-	var sendReturned bool
-	start := time.Now()
-	procs[0].TCreate("blocked", mts.PrioDefault, func(th *Thread) {
-		ch0.Send(th, 0, make([]byte, 1000)) // drains the bucket
-		ch0.Send(th, 0, make([]byte, 1000)) // paced ~1 s out: fails at Close
-		sendReturned = true
-	})
-	procs[0].TCreate("closer", mts.PrioDefault, func(th *Thread) {
-		for rate0.deferred.Size() == 0 { // until "blocked" is paced
-			th.Yield()
-		}
-		ch0.Close()
-	})
-	procs[1].TCreate("recv", mts.PrioDefault, func(th *Thread) {
-		ch1.Recv(th, Any)
-	})
-	runReal(procs)
+			var sendReturned, sendAfterCloseReturned bool
+			start := time.Now()
+			procs[0].TCreate("blocked", mts.PrioDefault, func(th *Thread) {
+				ch0.Send(th, 0, make([]byte, 1000)) // passes the gate
+				ch0.Send(th, 0, make([]byte, 1000)) // gated: returns only via Close
+				sendReturned = true
+			})
+			procs[0].TCreate("closer", mts.PrioDefault, func(th *Thread) {
+				for !gated(ch0) {
+					th.Yield()
+				}
+				ch0.Close()
+				if !ch0.Closed() {
+					t.Error("Closed() false after Close")
+				}
+				ch0.Send(th, 0, []byte("after close"))
+				sendAfterCloseReturned = true
+			})
+			procs[1].TCreate("recv", mts.PrioDefault, func(th *Thread) {
+				ch1.Recv(th, Any) // only the first message ever arrives
+			})
+			runReal(procs)
 
-	if !sendReturned {
-		t.Fatal("paced send never returned after Close")
-	}
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Fatalf("close took %v: the paced send waited for tokens instead of failing", elapsed)
-	}
-	if len(caught) == 0 {
-		t.Fatal("Close failed a paced send without reporting it")
+			if !sendReturned || !sendAfterCloseReturned {
+				t.Fatalf("gated send returned %v, send after close returned %v", sendReturned, sendAfterCloseReturned)
+			}
+			if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+				t.Fatalf("close took %v: the gated send waited for its gate instead of failing", elapsed)
+			}
+			typed := 0
+			for _, err := range caught {
+				var cce *ChannelClosedError
+				if errors.As(err, &cce) {
+					typed++
+					if cce.ID != 1 || cce.Peer != 1 {
+						t.Fatalf("ChannelClosedError names channel %d to proc %d, want 1 to 1", cce.ID, cce.Peer)
+					}
+				}
+			}
+			if typed != 2 {
+				t.Fatalf("%d ChannelClosedErrors, want 2 (the gated send and the one after close); exceptions: %v", typed, caught)
+			}
+		})
 	}
 }
 
@@ -345,50 +329,10 @@ func TestCloseFailsSendQueuedRequest(t *testing.T) {
 	}
 }
 
-// TestCloseFailsGoBackNGatedSends: the same no-hang property for the
-// error-control tier — a send deferred by a full go-back-N window fails at
-// Close, while the in-flight window keeps draining (and, with the peer
-// never acking, is eventually abandoned through the exception handler).
-func TestCloseFailsGoBackNGatedSends(t *testing.T) {
-	mem := transport.NewMem()
-	procs := realCluster(t, 2, mem, nil)
-	var caught []error
-	procs[0].OnException(func(err error) { caught = append(caught, err) })
-	gbn := NewGoBackN(1, 5*time.Millisecond)
-	gbn.MaxRetries = 3
-	ch0 := procs[0].Open(1, ChannelConfig{ID: 1, Error: gbn})
-	ch1 := procs[1].Open(0, ChannelConfig{ID: 1}) // no error control: never acks
-
-	var sendReturned bool
-	procs[0].TCreate("blocked", mts.PrioDefault, func(th *Thread) {
-		ch0.Send(th, 0, []byte("one")) // fills the 1-message ARQ window
-		ch0.Send(th, 0, []byte("two")) // deferred: returns only via Close
-		sendReturned = true
-	})
-	procs[0].TCreate("closer", mts.PrioDefault, func(th *Thread) {
-		for len(gbn.deferred) == 0 { // until "blocked" gates
-			th.Yield()
-		}
-		ch0.Close()
-	})
-	procs[1].TCreate("recv", mts.PrioDefault, func(th *Thread) {
-		ch1.Recv(th, Any)
-	})
-	runReal(procs)
-
-	if !sendReturned {
-		t.Fatal("go-back-N-gated send never returned after Close")
-	}
-	if len(caught) == 0 {
-		t.Fatal("Close failed a gated send without reporting it")
-	}
-}
-
 // TestRateFlowPreservesFIFO: a small message submitted while a large one
 // is waiting for tokens must queue behind it, not overtake it on its
-// smaller deficit — the paced channel is FIFO. (The old implementation
-// re-enqueued each deferred request on its own timer, so the small
-// message's shorter wait let it leapfrog the large one.)
+// smaller deficit — the paced channel is FIFO: the gate holds the head of
+// the channel's queue, and everything behind it waits there too.
 func TestRateFlowPreservesFIFO(t *testing.T) {
 	mem := transport.NewMem()
 	// 100 KB/s with a one-big-message bucket: big #1 passes instantly,
@@ -396,14 +340,14 @@ func TestRateFlowPreservesFIFO(t *testing.T) {
 	procs := realCluster(t, 2, mem, func(i int) (FlowControl, ErrorControl) {
 		return NewRateFlow(1e5, 8000), nil
 	})
-	rate0 := procs[0].DefaultChannel(1).Flow().(*RateFlow)
+	ch := procs[0].DefaultChannel(1)
 	var order []int
 	procs[0].TCreate("big", mts.PrioDefault, func(th *Thread) {
 		th.Send(0, 1, make([]byte, 8000))
 		th.Send(0, 1, make([]byte, 8000))
 	})
 	procs[0].TCreate("small", mts.PrioDefault, func(th *Thread) {
-		for rate0.deferred.Size() == 0 { // until big #2 is token-gated
+		for !gated(ch) { // until big #2 is token-gated
 			th.Yield()
 		}
 		// A 100 B message: its own deficit clears in ~1 ms, 80× sooner

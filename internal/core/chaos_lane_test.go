@@ -126,7 +126,7 @@ func TestShardedPriorityChaosDispatch(t *testing.T) {
 			req := ln.getReq()
 			req.m = m
 			req.ch = c
-			ln.pending.push(c.priority, req)
+			ln.pending.push(req)
 		}
 		ln.serviceLocked()
 		ln.mu.Unlock()

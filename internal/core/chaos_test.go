@@ -512,3 +512,36 @@ func TestCreditsNeverMoveBackwards(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCreditAboveSentIsStale: an advertisement that credits more messages
+// than were ever sent is ignored and counted stale, wherever the counters
+// sit in serial-number space. Adopted, it would wrap outstanding(): on a
+// 64-bit int the window would never admit again, and every honest credit
+// after it would look stale; on a 32-bit int outstanding() would go negative
+// and the window would stop binding.
+func TestCreditAboveSentIsStale(t *testing.T) {
+	const window = 4
+	for _, start := range []uint32{0, 1<<31 - 2, ^uint32(0) - 2} {
+		w := NewWindowFlow(window)
+		w.sent, w.credited = start+3, start
+		w.onCredit(start + 100) // 97 more than were ever sent
+		if w.credited != start || w.stale != 1 || w.outstanding() != 3 {
+			t.Fatalf("start %d: credited %d, stale %d, outstanding %d after a credit above sent; want %d, 1, 3",
+				start, w.credited, w.stale, w.outstanding(), start)
+		}
+		w.onCredit(start + 2) // honest
+		if w.credited != start+2 || w.outstanding() != 1 {
+			t.Fatalf("start %d: honest credit not adopted: credited %d, outstanding %d", start, w.credited, w.outstanding())
+		}
+		admitted := 0
+		for w.admit(nil) {
+			admitted++
+			if admitted > window {
+				t.Fatalf("start %d: window stopped binding", start)
+			}
+		}
+		if admitted != window-1 {
+			t.Fatalf("start %d: admitted %d into a window with %d free", start, admitted, window-1)
+		}
+	}
+}

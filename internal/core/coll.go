@@ -379,7 +379,7 @@ func (g *Group) fanSend(t *Thread, tag int, idxs []int, datas [][]byte, shared [
 		req.m = m
 		req.ch = c
 		req.fan = t
-		ln.pending.push(c.priority, req)
+		ln.pending.push(req)
 		ln.mu.Unlock()
 		seen := false
 		for _, l := range lanes {

@@ -208,21 +208,17 @@ type Config struct {
 // sendReq is one queued transfer on a lane's send scheduler.
 type sendReq struct {
 	m *transport.Message
-	// ch is the channel the message travels on; nil for control traffic
-	// and raw retransmissions, which bypass admission.
+	// ch is the channel the message travels on; nil for control traffic.
 	ch *Channel
 	// caller is parked until a service pass finishes the transfer; nil
 	// for internally generated traffic (acks, retransmissions).
 	caller *mts.Thread
-	// raw skips flow/error processing: the message was already stamped
-	// (a go-back-N retransmission must keep its original sequence).
+	// raw marks a retransmission: the message was already stamped (it must
+	// keep its original sequence), so it bypasses admission.
 	raw bool
 	// ctrl marks a pooled control message that returns to the control
 	// freelist once the endpoint has serialized it.
 	ctrl bool
-	// flowOK records that flow control already admitted this request (a
-	// deferred request re-enqueued with its credit attached).
-	flowOK bool
 	// fan, when non-nil, marks one request of a fan-out send: the thread
 	// parked once for the whole fan and wakes when every member request has
 	// flushed (or failed), since the shared payload must stay stable until
@@ -504,7 +500,6 @@ func (p *Proc) userDone() {
 		ln := c.lockLane()
 		c.flushCtrl()
 		c.flow.shutdown()
-		c.errc.shutdown()
 		ln.leave()
 	}
 	p.shutdownFn()
@@ -584,42 +579,6 @@ func (t *Thread) SendTagged(tag int, toThread int, toProc ProcID, data []byte) {
 		panic("core: negative tags are reserved")
 	}
 	t.proc.DefaultChannel(toProc).laneSend(t, tag, toThread, data)
-}
-
-// failGated fails a batch of gated sends at channel teardown and reports
-// them once through the exception handler — the shared tail of every
-// discipline's shutdown.
-func (p *Proc) failGated(c *Channel, reqs []*sendReq, gate string) {
-	if len(reqs) == 0 {
-		return
-	}
-	// Lane domain: recycle under the held lane lock, defer the exception
-	// (user code) to the drain.
-	ln := c.laneOf()
-	for _, req := range reqs {
-		ln.retireLocked(req)
-	}
-	err := fmt.Errorf("core: channel %d to proc %d closed with %d sends still gated by %s", c.id, c.peer, len(reqs), gate)
-	if c.deadErr != nil {
-		err = fmt.Errorf("%w: %w", err, c.deadErr)
-	}
-	ln.errs = append(ln.errs, err)
-}
-
-// enqueueSend puts a request a discipline owns back on its channel's lane: a
-// deferred send whose credit or window space arrived, or a raw
-// retransmission. The caller (a discipline callback, a retransmission timer)
-// holds the lane lock, and whoever completes the current lane entry has the
-// queue serviced (lane.service). Raw retransmissions, though they bypass
-// admission, carry full data payloads and drain at their own channel's
-// priority — a lossy bulk channel's go-back-N bursts must not preempt a
-// high-priority stream. They cannot starve behind gated data either:
-// admission never blocks the queue (a non-admitted request is deferred, not
-// waited on). Control traffic (credits, acks) drains above every data
-// priority: it is what reopens stalled windows, so no amount of queued bulk
-// data may starve it (lane.pushCtrlLocked).
-func (p *Proc) enqueueSend(req *sendReq) {
-	req.ch.laneOf().pending.push(req.ch.priority, req)
 }
 
 // sendProcCtrl sends one proc-level control frame — signaling, a heartbeat —

@@ -27,8 +27,14 @@ import (
 //
 // FIFO-within-channel is structural: each channel's requests live in its
 // own FIFO (Channel.sq) and only the *order across channels* is
-// scheduler-chosen. Discipline single-ownership is likewise untouched —
-// admission still runs at pop time in serviceLocked, under the lane lock.
+// scheduler-chosen. The channel's flow and error control gate that FIFO's
+// head in place (pop, through Channel.admit): a refused head takes its
+// channel out of the active ring with the queue intact, and the discipline
+// whose state changes puts it back (Channel.reopen). A gated request therefore
+// waits in exactly one place, and a gated channel is not work — empty() reads
+// true while every window is shut. Retransmissions (Channel.rq) already hold
+// their sequence numbers, so they bypass the gate and leave ahead of the
+// channel's fresh sends, at its priority and under its deficit.
 
 // drrQuantum is the byte quantum one weight unit earns per DRR round.
 // Weight w therefore guarantees w·2048 bytes of service per round — about
@@ -40,10 +46,8 @@ const drrQuantum = 2048
 // same units the per-lane load accounting uses.
 func reqCost(req *sendReq) int64 { return int64(wire.HeaderSize + len(req.m.Data)) }
 
-// laneSched is one lane's send scheduler. It is push/pop/empty-compatible
-// with the prioQueue it replaced: push files a request under a level
-// (ctrlLevel selects the strict control band, anything else the owning
-// channel's DRR queue), pop returns the next request to service.
+// laneSched is one lane's send scheduler: push files a request, pop returns
+// the next one to transmit.
 //
 // All state is guarded by the owning lane's mutex.
 type laneSched struct {
@@ -51,9 +55,9 @@ type laneSched struct {
 	// without a channel.
 	ctrl list.FIFO[*sendReq]
 
-	// active rings the channels with queued data, sorted by descending
-	// priority (stable); cur is the round cursor, fresh marks that the
-	// channel at cur has not yet received this round's quantum.
+	// active rings the channels whose head may be sendable, sorted by
+	// descending priority (stable); cur is the round cursor, fresh marks
+	// that the channel at cur has not yet received this round's quantum.
 	active []*Channel
 	cur    int
 	fresh  bool
@@ -69,14 +73,31 @@ type laneSched struct {
 	rounds int64 // completed DRR rounds, for LaneStats
 }
 
-func (s *laneSched) push(level int, req *sendReq) {
+// push files a request: control (no channel) in the strict band, a
+// retransmission on its channel's rq, a fresh send on its sq. A send queued
+// behind an older one joins a channel that is either already in the ring or
+// gated, so only a fresh head can schedule the channel.
+func (s *laneSched) push(req *sendReq) {
 	c := req.ch
-	if level == ctrlLevel || c == nil {
+	switch {
+	case c == nil:
 		s.ctrl.Push(req)
 		return
+	case req.raw:
+		c.rq.Push(req)
+	default:
+		c.sq.Push(req)
+		if c.sq.Size() > 1 {
+			return
+		}
 	}
-	c.sq.Push(req)
-	if c.inSched {
+	s.ready(c)
+}
+
+// ready enters a channel with queued requests into the active ring (no-op
+// when it is already there or has nothing queued).
+func (s *laneSched) ready(c *Channel) {
+	if c.inSched || c.rq.Size()+c.sq.Size() == 0 {
 		return
 	}
 	c.inSched = true
@@ -100,8 +121,13 @@ func (s *laneSched) push(level int, req *sendReq) {
 	}
 }
 
+// empty reports that nothing on the lane may be sent now: a gated channel is
+// out of the ring, so it does not count.
 func (s *laneSched) empty() bool { return s.ctrl.Size() == 0 && len(s.active) == 0 }
 
+// pop returns the next request to transmit, or nil once nothing queued may
+// leave now. A channel's head leaves when its deficit affords it and, unless
+// it is a retransmission, its disciplines admit it.
 func (s *laneSched) pop() *sendReq {
 	if s.ctrl.Size() > 0 {
 		return s.ctrl.Pop()
@@ -109,10 +135,7 @@ func (s *laneSched) pop() *sendReq {
 	if s.boost < 1 {
 		s.boost = 1
 	}
-	for {
-		if len(s.active) == 0 {
-			panic("core: pop from empty lane scheduler")
-		}
+	for len(s.active) > 0 {
 		if s.cur >= len(s.active) {
 			s.cur = 0
 			s.fresh = true
@@ -123,9 +146,12 @@ func (s *laneSched) pop() *sendReq {
 			s.served = false
 		}
 		c := s.active[s.cur]
-		if c.sq.Size() == 0 {
-			// Defensive: push/pop keep active ⇔ sq non-empty in sync, but a
-			// stale entry must not wedge the round.
+		q := &c.rq
+		if q.Size() == 0 {
+			q = &c.sq
+		}
+		if q.Size() == 0 {
+			// A close swept the channel's sends (failSendsLocked).
 			s.removeCur()
 			continue
 		}
@@ -133,25 +159,34 @@ func (s *laneSched) pop() *sendReq {
 			c.deficit += int64(c.weight) * drrQuantum * s.boost
 			s.fresh = false
 		}
-		if cost := reqCost(c.sq.Peek()); c.deficit >= cost {
-			c.deficit -= cost
-			req := c.sq.Pop()
-			s.served = true
-			s.boost = 1
-			if c.sq.Size() == 0 {
-				s.removeCur()
-			}
-			return req
+		req := q.Peek()
+		cost := reqCost(req)
+		if c.deficit < cost {
+			s.cur++
+			s.fresh = true
+			continue
 		}
-		s.cur++
-		s.fresh = true
+		if q == &c.sq && !c.admit(req.m) {
+			// Gated: the channel waits out of the ring, queue intact.
+			s.removeCur()
+			continue
+		}
+		c.deficit -= cost
+		q.Pop()
+		s.served = true
+		s.boost = 1
+		if c.rq.Size()+c.sq.Size() == 0 {
+			s.removeCur()
+		}
+		return req
 	}
+	return nil
 }
 
-// removeChan drops a closing channel from the active ring wherever it
-// sits (no-op when it has no backlog). The cursor math mirrors push: an
-// element removed before the cursor shifts the round left, and removing
-// the cursor's own channel hands the (fresh) quantum to its successor.
+// removeChan drops a channel from the active ring wherever it sits (no-op
+// when it is not there). The cursor math mirrors ready: an element removed
+// before the cursor shifts the round left, and removing the cursor's own
+// channel hands the (fresh) quantum to its successor.
 func (s *laneSched) removeChan(c *Channel) {
 	if !c.inSched {
 		return
@@ -175,8 +210,8 @@ func (s *laneSched) removeChan(c *Channel) {
 }
 
 // removeCur drops the channel at the cursor from the active ring: its
-// backlog is gone, so its deficit resets (textbook DRR — an idle channel
-// banks nothing).
+// backlog is gone or gated, so its deficit resets (textbook DRR — an idle
+// channel banks nothing).
 func (s *laneSched) removeCur() {
 	c := s.active[s.cur]
 	c.deficit = 0

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,9 +28,11 @@ type matrixOpt struct {
 	errc      ErrorControl // Config.Error template
 	onAccept  func(*Channel)
 	heartbeat Heartbeat
-	// loss is the carrier's independent drop probability. Only Mem can lose
-	// frames; the simulated fabrics run the same disciplines lossless.
-	loss float64
+	// loss is the carrier's independent drop probability; dropFirst drops
+	// exactly the first data frame instead. Only Mem can lose frames; the
+	// simulated fabrics run the same disciplines lossless.
+	loss      float64
+	dropFirst bool
 }
 
 // matrixCluster is n procs on one carrier, however they are executed.
@@ -38,6 +41,7 @@ type matrixCluster struct {
 	run   func()      // runs every thread of every proc to completion
 	kill  func(h int) // crashes host h at the carrier; callable from a thread
 	excs  [][]error   // per proc, what its exception handler saw
+	lossy bool        // the carrier drops what the options ask it to
 }
 
 // matrixEnv is one driver on one carrier.
@@ -75,7 +79,14 @@ func memEnv(lanes int) func(t *testing.T, n int, opt matrixOpt) *matrixCluster {
 		if opt.loss > 0 {
 			mem.SetDropRate(opt.loss, 7)
 		}
-		cl := &matrixCluster{kill: func(h int) { mem.KillHost(ProcID(h)) }}
+		if opt.dropFirst {
+			var dropped atomic.Bool
+			mem.SetDropRate(1, 7)
+			mem.SetDropClass(func(m *transport.Message) bool {
+				return m.Tag >= 0 && dropped.CompareAndSwap(false, true)
+			})
+		}
+		cl := &matrixCluster{kill: func(h int) { mem.KillHost(ProcID(h)) }, lossy: true}
 		for i := 0; i < n; i++ {
 			rt := mts.New(mts.Config{Name: fmt.Sprintf("node%d", i), IdleTimeout: 10 * time.Second})
 			cl.procs = append(cl.procs, New(Config{
@@ -157,6 +168,7 @@ func TestEngineMatrix(t *testing.T) {
 		{"selrepeat/loss", func(t *testing.T, env matrixEnv) {
 			matrixLossyStream(t, env, nil, NewSelectiveRepeat(8, 20*time.Millisecond))
 		}},
+		{"gbn/first-lost", matrixFirstLost},
 		{"priority", matrixPriority},
 		{"advertise", matrixAdvertise},
 		{"callchurn", matrixCallChurn},
@@ -267,6 +279,44 @@ func matrixLossyStream(t *testing.T, env matrixEnv, fc FlowControl, ec ErrorCont
 	}
 }
 
+// matrixFirstLost: a go-back-N channel fills its window and loses the first
+// frame of it. The next send is gated on that full window, and the
+// retransmissions that would open it must leave anyway — they bypass the gate
+// — so the stream still completes in order.
+func matrixFirstLost(t *testing.T, env matrixEnv) {
+	const window, msgs = 4, 16
+	cl := env.build(t, 2, matrixOpt{errc: NewGoBackN(window, 10*time.Millisecond), dropFirst: true})
+	cl.procs[0].TCreate("tx", mts.PrioDefault, func(th *Thread) {
+		for k := 0; k < msgs; k++ {
+			th.Send(0, 1, []byte{byte(k)})
+		}
+	})
+	got := 0
+	cl.procs[1].TCreate("rx", mts.PrioDefault, func(th *Thread) {
+		for k := 0; k < msgs; k++ {
+			if data, _ := th.Recv(Any, 0); data[0] != byte(k) {
+				t.Errorf("position %d carries message %d", k, data[0])
+				return
+			}
+			got++
+		}
+	})
+	cl.finish(t, nil)
+	if got != msgs {
+		t.Fatalf("received %d of %d", got, msgs)
+	}
+	if re := cl.procs[0].DefaultChannel(1).Error().(*GoBackN).Retransmissions(); cl.lossy && re < window {
+		t.Fatalf("%d retransmissions, want the lost window (%d) resent", re, window)
+	}
+}
+
+// TestGateRetransmitPassesFullWindow is matrixFirstLost at the default lane
+// count, so -cpu picks the driver: the thread driver at one, goroutine
+// engines above.
+func TestGateRetransmitPassesFullWindow(t *testing.T) {
+	matrixFirstLost(t, matrixEnv{name: "mem", build: memEnv(0)})
+}
+
 // matrixPriority: with a bulk (priority 0) and an urgent (priority 7)
 // message staged on one lane, bulk first, one service puts the urgent one on
 // the wire first — under DRR too, whoever runs the pass.
@@ -289,7 +339,7 @@ func matrixPriority(t *testing.T, env matrixEnv) {
 			m.FromThread, m.ToThread = th.Idx(), toThread
 			req := ln.getReq()
 			req.m, req.ch = m, c
-			ln.pending.push(c.priority, req)
+			ln.pending.push(req)
 		}
 		ln.leave()
 	})

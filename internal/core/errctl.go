@@ -17,18 +17,21 @@ import (
 // per-channel state, so loss on a bulk channel never stalls or reorders a
 // stream channel sharing the process pair.
 //
-// Admission is non-blocking: a full retransmission window defers the
-// request instead of stalling the service pass, which must stay free to
-// carry retransmissions and acknowledgements.
+// Admission is non-blocking: a full retransmission window leaves the head
+// of the channel's send queue where it is (the lane scheduler takes the
+// channel out of its ring) instead of stalling the service pass, which must
+// stay free to carry retransmissions and acknowledgements; an ack that slides
+// the window, or an abandon, reopens the channel.
 type ErrorControl interface {
 	// Name identifies the discipline.
 	Name() string
 	// fork returns a fresh, unbound instance with the same parameters.
 	fork() ErrorControl
 	init(c *Channel)
-	// admit either stamps and buffers m for transmission (true) or takes
-	// ownership of the request for deferred re-enqueue (false).
-	admit(req *sendReq) bool
+	// room reports whether the window has space for one more message.
+	room() bool
+	// admit stamps and retains m for transmission; room was true.
+	admit(m *transport.Message)
 	// onData inspects an arriving data message; it returns false to
 	// suppress delivery (duplicate or out-of-order under go-back-N).
 	onData(m *transport.Message) bool
@@ -43,16 +46,9 @@ type ErrorControl interface {
 	// pending reports in-flight messages still awaiting acknowledgement;
 	// the process's system threads stay alive while it is non-zero.
 	pending() int
-	// queued reports admission-deferred requests the discipline is holding
-	// — data that will re-emerge.
-	queued() int
-	// shutdown fails admission-deferred requests (their callers unblock)
-	// but leaves the in-flight window draining: already-admitted data
-	// still flushes, timers and all. Idempotent.
-	shutdown()
 	// abandon drops the in-flight window without retransmission: the peer
 	// is dead, so nothing unacked will ever be acknowledged and retrying
-	// only burns timers. Deferred requests are left for shutdown to fail.
+	// only burns timers. The emptied window reopens the channel.
 	// Idempotent.
 	abandon()
 }
@@ -64,13 +60,12 @@ type NoErrorControl struct{}
 func (NoErrorControl) Name() string                   { return "none" }
 func (NoErrorControl) fork() ErrorControl             { return NoErrorControl{} }
 func (NoErrorControl) init(*Channel)                  {}
-func (NoErrorControl) admit(*sendReq) bool            { return true }
+func (NoErrorControl) room() bool                     { return true }
+func (NoErrorControl) admit(*transport.Message)       {}
 func (NoErrorControl) onData(*transport.Message) bool { return true }
 func (NoErrorControl) onControl(*transport.Message)   {}
 func (NoErrorControl) onAck(uint32)                   {}
 func (NoErrorControl) pending() int                   { return 0 }
-func (NoErrorControl) queued() int                    { return 0 }
-func (NoErrorControl) shutdown()                      {}
 func (NoErrorControl) abandon()                       {}
 
 // retainStore keeps the private copies an error-control discipline holds
@@ -115,10 +110,11 @@ func (s *retainStore) release(m *transport.Message) {
 	}
 }
 
-// resend queues a retransmission of the retained copy m, bypassing admission
-// so the original sequence number is preserved. Request and message header
-// come from the freelists they return to: the lane's, whose lock the timer
-// holds. The header is a copy because the service pass attaches this
+// resend queues a retransmission of the retained copy m on the channel's
+// retransmission queue, which bypasses admission: the original sequence
+// number is kept, and it never waits behind a gated head. Request and message
+// header come from the freelists they return to: the lane's, whose lock the
+// timer holds. The header is a copy because the service pass attaches this
 // transmission's piggyback words to it; the payload is m's own.
 func (s *retainStore) resend(m *transport.Message) {
 	ln := s.ch.laneOf()
@@ -129,7 +125,7 @@ func (s *retainStore) resend(m *transport.Message) {
 	req.ch = s.ch
 	req.raw = true
 	s.ch.rawReqs++
-	s.ch.p.enqueueSend(req)
+	ln.pending.push(req)
 }
 
 // GoBackN is sliding-window ARQ with cumulative acks and a retransmission
@@ -149,11 +145,10 @@ type GoBackN struct {
 	ch *Channel
 
 	// Sender side.
-	nextSeq  uint32               // next ESeq to assign
-	base     uint32               // oldest unacked
-	unacked  []*transport.Message // in-flight copies, base..nextSeq-1
-	store    retainStore
-	deferred []*sendReq // admission-deferred requests
+	nextSeq uint32               // next ESeq to assign
+	base    uint32               // oldest unacked
+	unacked []*transport.Message // in-flight copies, base..nextSeq-1
+	store   retainStore
 	// The timer measures time without progress: progress records that an
 	// ack slid the window since the timer was armed, and a fire that finds
 	// it set only re-arms.
@@ -219,16 +214,13 @@ func (g *GoBackN) init(c *Channel) {
 	g.fireFn = c.wrapTimer(g.timerFire)
 }
 
-func (g *GoBackN) admit(req *sendReq) bool {
-	if g.nextSeq-g.base >= uint32(g.Window) {
-		g.deferred = append(g.deferred, req)
-		return false
-	}
-	req.m.ESeq = g.nextSeq
+func (g *GoBackN) room() bool { return g.nextSeq-g.base < uint32(g.Window) }
+
+func (g *GoBackN) admit(m *transport.Message) {
+	m.ESeq = g.nextSeq
 	g.nextSeq++
-	g.unacked = append(g.unacked, g.store.keep(req.m))
+	g.unacked = append(g.unacked, g.store.keep(m))
 	g.armTimer()
-	return true
 }
 
 func (g *GoBackN) armTimer() {
@@ -256,13 +248,10 @@ func (g *GoBackN) timerFire() {
 	g.stall++
 	if g.stall > g.MaxRetries {
 		// The peer looks dead: abandon the window so the process can
-		// terminate instead of retransmitting forever. Deferred requests
-		// flow out best-effort through the now-open window.
+		// terminate instead of retransmitting forever. Queued sends flow
+		// out best-effort through the now-open window.
 		gaveUp := len(g.unacked)
-		g.abandoned += int64(gaveUp)
-		g.base = g.nextSeq
-		g.unacked = nil
-		g.releaseDeferred()
+		g.abandon()
 		g.ch.raise(fmt.Errorf("go-back-N: gave up on %d messages to proc %d (channel %d)", gaveUp, g.ch.peer, g.ch.id))
 		g.p.checkShutdownWake()
 		return
@@ -330,32 +319,11 @@ func (g *GoBackN) onAck(acked uint32) {
 	g.base += uint32(n)
 	g.stall = 0
 	g.progress = true
-	g.releaseDeferred()
+	g.ch.reopen()
 	g.p.checkShutdownWake()
 }
 
-// releaseDeferred re-enqueues admission-deferred requests while window
-// space is available.
-func (g *GoBackN) releaseDeferred() {
-	for len(g.deferred) > 0 && g.nextSeq-g.base < uint32(g.Window) {
-		req := g.deferred[0]
-		g.deferred = g.deferred[1:]
-		g.p.enqueueSend(req)
-	}
-}
-
 func (g *GoBackN) pending() int { return len(g.unacked) }
-func (g *GoBackN) queued() int  { return len(g.deferred) }
-
-// shutdown fails deferred requests so a Send gated on window space cannot
-// hang across Channel.Close. The unacked window keeps retransmitting —
-// admitted data still flushes (pending() holds the system threads alive),
-// bounded by MaxRetries if the peer is gone.
-func (g *GoBackN) shutdown() {
-	reqs := g.deferred
-	g.deferred = nil
-	g.p.failGated(g.ch, reqs, "go-back-N")
-}
 
 // abandon drops the unacked window: the peer is dead, retransmitting is
 // futile. A pending timer self-cancels on fire (empty window re-arms
@@ -364,4 +332,5 @@ func (g *GoBackN) abandon() {
 	g.abandoned += int64(len(g.unacked))
 	g.base = g.nextSeq
 	g.unacked = nil
+	g.ch.reopen()
 }

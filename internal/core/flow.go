@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"repro/internal/list"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -17,21 +16,23 @@ import (
 // per-channel copy); instances passed to Proc.Open are used directly and
 // must not be shared across channels.
 //
-// Admission is non-blocking by design: the send system thread must stay
-// free to carry control traffic (credit returns, acknowledgements) even
-// while data is gated, otherwise two peers with full windows toward each
-// other could deadlock waiting for credits neither can send. A discipline
-// that cannot admit a request queues it internally and re-enqueues it via
-// Proc.enqueueSend when state changes.
+// Admission is a decision about the head of the channel's send queue, never
+// a wait: the send system thread must stay free to carry control traffic
+// (credit returns, acknowledgements) even while data is gated, otherwise two
+// peers with full windows toward each other could deadlock waiting for
+// credits neither can send. A discipline that refuses the head leaves it
+// where it is — the lane scheduler takes the channel out of its ring — and
+// reopens the channel (Channel.reopen) when its state changes.
 type FlowControl interface {
 	// Name identifies the discipline.
 	Name() string
 	// fork returns a fresh, unbound instance with the same parameters.
 	fork() FlowControl
 	init(c *Channel)
-	// admit either clears m for transmission (true) or takes ownership of
-	// the request for deferred re-enqueue (false).
-	admit(req *sendReq) bool
+	// admit either clears the channel's head m for transmission and charges
+	// it (true), or refuses it and reopens the channel once it could pass
+	// (false).
+	admit(m *transport.Message) bool
 	// onDelivered runs when a data message has been delivered locally and
 	// may generate control traffic (e.g. a credit advertisement).
 	onDelivered(m *transport.Message)
@@ -45,13 +46,8 @@ type FlowControl interface {
 	// actually left (piggybacked or flushed standalone), so threshold
 	// bookkeeping tracks what the peer has really been told.
 	creditSent(v uint32)
-	// queued reports how many requests the discipline is holding deferred —
-	// data the lane knows will re-emerge.
-	queued() int
-	// shutdown tears the discipline down: timers stop and requests still
-	// gated inside it fail (their callers unblock; the proc's exception
-	// handler reports them). Runs at Channel.Close and at process close;
-	// it must be idempotent.
+	// shutdown stops the discipline's timers. Runs at Channel.Close and at
+	// process close; it must be idempotent.
 	shutdown()
 }
 
@@ -63,12 +59,11 @@ type NoFlowControl struct{}
 func (NoFlowControl) Name() string                   { return "none" }
 func (NoFlowControl) fork() FlowControl              { return NoFlowControl{} }
 func (NoFlowControl) init(*Channel)                  {}
-func (NoFlowControl) admit(*sendReq) bool            { return true }
+func (NoFlowControl) admit(*transport.Message) bool  { return true }
 func (NoFlowControl) onDelivered(*transport.Message) {}
 func (NoFlowControl) onControl(*transport.Message)   {}
 func (NoFlowControl) onCredit(uint32)                {}
 func (NoFlowControl) creditSent(uint32)              {}
-func (NoFlowControl) queued() int                    { return 0 }
 func (NoFlowControl) shutdown()                      {}
 
 // DefaultWindowSyncInterval is the period of WindowFlow's window-sync
@@ -125,7 +120,6 @@ type WindowFlow struct {
 	// outstanding = sent - credited, and admission holds it under Window.
 	sent     uint32
 	credited uint32
-	deferred list.FIFO[*sendReq]
 
 	// Receiver side: cumulative count of data messages delivered locally,
 	// advertised to the peer piggybacked on reverse data or in standalone
@@ -190,15 +184,11 @@ func (w *WindowFlow) init(c *Channel) {
 	w.syncFn = c.wrapTimer(w.syncFire)
 }
 
-func (w *WindowFlow) admit(req *sendReq) bool {
-	// Admission preserves FIFO: while older requests wait for credit,
-	// newer ones queue behind them even if the window has space again.
-	// (A service pass never offers requests on a closed channel.)
-	if w.deferred.Size() == 0 && w.outstanding() < w.Window {
+func (w *WindowFlow) admit(*transport.Message) bool {
+	if w.outstanding() < w.Window {
 		w.sent++
 		return true
 	}
-	w.deferred.Push(req)
 	return false
 }
 
@@ -244,25 +234,16 @@ func (w *WindowFlow) onControl(m *transport.Message) {
 // onCredit consumes one cumulative advertisement, standalone or
 // piggybacked.
 func (w *WindowFlow) onCredit(adv uint32) {
-	if !wire.SeqNewer(adv, w.credited) {
+	if !wire.SeqNewer(adv, w.credited) || wire.SeqNewer(adv, w.sent) {
 		// Duplicate or reordered advertisement: a newer one already
-		// superseded it. Credits never move backwards.
+		// superseded it, and credits never move backwards. Or one that
+		// credits more than was ever sent: adopting it would wrap
+		// outstanding() and make every honest credit after it look stale.
 		w.stale++
 		return
 	}
 	w.credited = adv
-	w.release()
-}
-
-// release drains deferred requests into the space the advertisement
-// opened, oldest first.
-func (w *WindowFlow) release() {
-	for w.deferred.Size() > 0 && w.outstanding() < w.Window {
-		req := w.deferred.Pop()
-		w.sent++
-		req.flowOK = true
-		w.c.p.enqueueSend(req)
-	}
+	w.c.reopen()
 }
 
 func (w *WindowFlow) armSync() {
@@ -289,19 +270,7 @@ func (w *WindowFlow) syncFire() {
 	w.armSync()
 }
 
-func (w *WindowFlow) queued() int { return w.deferred.Size() }
-
-func (w *WindowFlow) shutdown() {
-	if w.closed {
-		return
-	}
-	w.closed = true
-	var reqs []*sendReq
-	for w.deferred.Size() > 0 {
-		reqs = append(reqs, w.deferred.Pop())
-	}
-	w.c.p.failGated(w.c, reqs, "window flow")
-}
+func (w *WindowFlow) shutdown() { w.closed = true }
 
 // Outstanding returns how many messages are sent but not yet credited;
 // tests use it to verify the window invariant. It can exceed zero
@@ -339,16 +308,14 @@ type RateFlow struct {
 	Bucket float64
 
 	c      *Channel
-	closed bool
 	tokens float64
 	last   time.Duration // virtual/real time of last refill
 
-	// deferred holds requests awaiting tokens in send order; a single
-	// wakeup timer sized for the head request drains it FIFO, so a small
+	// A refused head arms one wakeup timer sized for its deficit. The head
+	// stays at the front of the channel's queue meanwhile, so a small
 	// message paced behind a large one can never overtake it.
-	deferred list.FIFO[*sendReq]
-	timerOn  bool
-	fireFn   func()
+	timerOn bool
+	fireFn  func()
 }
 
 // NewRateFlow returns a token-bucket discipline.
@@ -383,87 +350,42 @@ func (r *RateFlow) refill() {
 	r.last = now
 }
 
-// needFor is the token cost of a request; oversized messages drain a full
-// bucket.
-func (r *RateFlow) needFor(req *sendReq) float64 {
-	need := float64(len(req.m.Data))
+// admit charges the head's token cost (an oversized message drains a full
+// bucket), or refuses it and arms one wakeup for when its deficit will have
+// accumulated.
+func (r *RateFlow) admit(m *transport.Message) bool {
+	need := float64(len(m.Data))
 	if need > r.Bucket {
 		need = r.Bucket
 	}
-	return need
-}
-
-func (r *RateFlow) admit(req *sendReq) bool {
-	if r.deferred.Size() > 0 {
-		// Older requests are still waiting for tokens: queue behind them
-		// regardless of this one's size, preserving FIFO on the channel.
-		r.deferred.Push(req)
-		return false
-	}
 	r.refill()
-	if need := r.needFor(req); r.tokens >= need {
+	if r.tokens >= need {
 		r.tokens -= need
 		return true
 	}
-	r.deferred.Push(req)
-	r.armTimer()
+	if !r.timerOn {
+		wait := time.Duration((need - r.tokens) / r.Rate * float64(time.Second))
+		if wait < time.Microsecond {
+			wait = time.Microsecond
+		}
+		r.timerOn = true
+		r.c.p.cfg.After(wait, r.fireFn)
+	}
 	return false
 }
 
-// armTimer schedules one wakeup for when the head request's deficit will
-// have accumulated. One timer serves the whole queue; per-request timers
-// would race each other and reorder the channel.
-func (r *RateFlow) armTimer() {
-	if r.timerOn || r.closed || r.deferred.Size() == 0 {
-		return
-	}
-	deficit := r.needFor(r.deferred.Peek()) - r.tokens
-	wait := time.Duration(deficit / r.Rate * float64(time.Second))
-	if wait < time.Microsecond {
-		wait = time.Microsecond
-	}
-	r.timerOn = true
-	r.c.p.cfg.After(wait, r.fireFn)
-}
-
+// timerFire offers the head again; one that is still short re-arms. A timer
+// in flight when the channel closed finds nothing queued to offer.
 func (r *RateFlow) timerFire() {
 	r.timerOn = false
-	if r.closed {
-		// Channel closed while the timer was in flight: shutdown already
-		// failed the deferred requests; nothing to pace.
-		return
-	}
-	r.refill()
-	for r.deferred.Size() > 0 {
-		need := r.needFor(r.deferred.Peek())
-		if r.tokens < need {
-			break
-		}
-		r.tokens -= need
-		req := r.deferred.Pop()
-		req.flowOK = true
-		r.c.p.enqueueSend(req)
-	}
-	r.armTimer()
+	r.c.reopen()
 }
 
 func (r *RateFlow) onDelivered(*transport.Message) {}
 func (r *RateFlow) onControl(*transport.Message)   {}
 func (r *RateFlow) onCredit(uint32)                {}
 func (r *RateFlow) creditSent(uint32)              {}
-func (r *RateFlow) queued() int                    { return r.deferred.Size() }
-
-func (r *RateFlow) shutdown() {
-	if r.closed {
-		return
-	}
-	r.closed = true
-	var reqs []*sendReq
-	for r.deferred.Size() > 0 {
-		reqs = append(reqs, r.deferred.Pop())
-	}
-	r.c.p.failGated(r.c, reqs, "rate pacing")
-}
+func (r *RateFlow) shutdown()                      {}
 
 // Tokens returns the current bucket level (after refill); for tests.
 func (r *RateFlow) Tokens() float64 {

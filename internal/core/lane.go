@@ -115,7 +115,7 @@ import (
 //     connection's, and a reader-delivered frame is decoded, its channel
 //     looked up (no lock) and the item pushed onto the lane's ring for
 //     the engine — no inline pass, which would end in serviceLocked → Send on
-//     the reader (a credit releasing a window of deferred bulk sends), and no
+//     the reader (a credit reopening a window of gated bulk sends), and no
 //     first-contact addChannel, which Locks a lane: an item for a default
 //     channel nobody has opened yet travels with c == nil and the engine
 //     registers the channel before it takes its own lock
@@ -468,9 +468,8 @@ func (ln *lane) kick() {
 
 // ---------------------------------------------------------------------------
 // Lane-local freelists (callers hold ln.mu). A request or message returns to
-// the freelist of the lane that retires it; deferred requests (owned by a
-// flow/error controller awaiting re-enqueue) are recycled only after they
-// finally transmit.
+// the freelist of the lane that retires it, once it has transmitted or
+// failed.
 
 func (ln *lane) getReq() *sendReq {
 	if n := len(ln.reqFree); n > 0 {
@@ -543,7 +542,7 @@ func (ln *lane) pushCtrlLocked(to ProcID, ch ChannelID, tag int, head []byte, wo
 	req := ln.getReq()
 	req.m = m
 	req.ctrl = true
-	ln.pending.push(ctrlLevel, req)
+	ln.pending.push(req)
 }
 
 // ---------------------------------------------------------------------------
@@ -744,8 +743,8 @@ func (p *Proc) adoptFirstContact(items []rxItem) {
 
 // ingestLocked is the one engine pass body, run under ln.mu by whoever holds
 // the ring's consumer role: queue a drained batch by priority, process the
-// arrivals, then service the send queue the processing may have fed (credit
-// releases, acks opening windows, retransmissions). It reports whether the
+// arrivals, then service the send queue the processing may have fed (credits
+// and acks reopening gated channels, retransmissions). It reports whether the
 // out-queues need a drain scheduled.
 func (ln *lane) ingestLocked(items []rxItem) bool {
 	ln.ringDrained += int64(len(items))
@@ -993,48 +992,26 @@ func (ln *lane) leave() {
 	ln.runDrain()
 }
 
-// serviceLocked is the send protocol body, one pass: drain the lane's send
-// scheduler (control first, then DRR across channels) through admission,
-// piggyback attachment and same-destination batching — admitted requests
-// accumulate into same-destination runs that go to the carrier through
-// transport.BatchSender in one call when it offers batching, so per-message
-// carrier costs (locks, wakeups, syscalls) amortize across the burst.
+// serviceLocked is the send protocol body, one pass: drain what the lane's
+// send scheduler lets leave (control first, then DRR across the channels
+// whose heads flow and error control admit) through piggyback attachment and
+// same-destination batching — requests accumulate into same-destination runs
+// that go to the carrier through transport.BatchSender in one call when it
+// offers batching, so per-message carrier costs (locks, wakeups, syscalls)
+// amortize across the burst. A gated head never blocks the pass: its channel
+// simply sits out until a discipline reopens it.
 func (ln *lane) serviceLocked() {
 	p := ln.p
 	run := ln.sendRun[:0]
-	for !ln.pending.empty() {
+	for {
 		req := ln.pending.pop()
-		// Data messages pass their channel's flow-control and
-		// error-control admission; a controller that cannot admit now
-		// takes ownership of the request and re-enqueues it later, so a
-		// pass never blocks on data while control traffic (credits, acks,
-		// retransmissions — raw requests bypass admission) waits behind.
-		if req.m.Tag >= 0 && !req.raw {
-			if req.ch.sendUnavailable() {
-				// The channel closed while this request sat queued (Send
-				// raced Close): fail it exactly like shutdown failed the
-				// already-deferred ones, before any discipline can admit
-				// it into a torn-down window. Read the channel before
-				// retireLocked recycles the request.
-				c := req.ch
-				ln.retireLocked(req)
-				ln.errs = append(ln.errs, c.closedErr())
-				continue
-			}
-			if !req.flowOK {
-				if !req.ch.flow.admit(req) {
-					continue
-				}
-				req.flowOK = true
-			}
-			if !req.ch.errc.admit(req) {
-				continue
-			}
+		if req == nil {
+			break
 		}
 		// Reverse-direction control rides along: a departing data frame
 		// (first transmission or retransmission alike) picks up its
 		// channel's pending credit advertisement and ack.
-		if req.m.Tag >= 0 && req.ch != nil {
+		if req.ch != nil {
 			req.ch.attachPiggy(req.m)
 		}
 		if len(run) > 0 && (req.m.To != run[len(run)-1].m.To || len(run) >= maxSendBurst) {
@@ -1158,13 +1135,13 @@ func (ln *lane) flushRunLocked(run []*sendReq) []*sendReq {
 	return run[:0]
 }
 
-// retireLocked ends a request's life, transmitted or failed (a discipline
-// shutting down, a channel closing under queued sends — Send returns no
-// error, so whoever fails a request also files the reason in ln.errs): its
-// sender's completion is delivered and the request and its pooled message return to
-// the freelists (the endpoint serialized the message, and the error-control
-// disciplines buffer private copies for retransmission, so nothing references
-// either anymore). How the completion travels is the driver's: a sender still
+// retireLocked ends a request's life, transmitted or failed (a channel
+// closing under queued sends — Send returns no error, so whoever fails a
+// request also files the reason in ln.errs): its sender's completion is
+// delivered and the request and its pooled message return to the freelists
+// (the endpoint serialized the message, and the error-control disciplines
+// buffer private copies for retransmission, so nothing references either
+// anymore). How the completion travels is the driver's: a sender still
 // inside laneSend on this lane (done) observes the flag before parking, so no
 // wakeup is needed; under the thread driver the caller is in the scheduler
 // domain, so a parked sender is unblocked on the spot — when *its* run has
@@ -1200,16 +1177,27 @@ func (ln *lane) retireLocked(req *sendReq) {
 	ln.putReq(req)
 }
 
-// detachChanLocked strips a finalizing channel out of every lane structure
-// it participates in: queued sends fail with the typed closed error, the
-// DRR ring forgets it, and it leaves the lane's channel list. Caller holds
-// ln.mu; the channel must already be in the CLOSED state so no new work can
-// re-enter behind the sweep.
-func (ln *lane) detachChanLocked(c *Channel) {
+// failSendsLocked is the close sweep: every send still queued on c — a head
+// flow or error control was refusing included — fails with the channel's
+// typed cause, and its caller unblocks. Queued retransmissions stay: they
+// drain the in-flight window. Caller holds ln.mu; the channel's state already
+// fails new sends, so none can re-enter behind the sweep.
+func (ln *lane) failSendsLocked(c *Channel) {
 	for c.sq.Size() > 0 {
-		req := c.sq.Pop()
-		ln.retireLocked(req)
+		ln.retireLocked(c.sq.Pop())
 		ln.errs = append(ln.errs, c.closedErr())
+	}
+}
+
+// detachChanLocked strips a finalizing channel out of every lane structure
+// it participates in: queued sends fail (failSendsLocked), queued
+// retransmissions retire silently — no user send failed — the DRR ring
+// forgets it, and it leaves the lane's channel list. Caller holds ln.mu; the
+// channel must already be in the CLOSED state.
+func (ln *lane) detachChanLocked(c *Channel) {
+	ln.failSendsLocked(c)
+	for c.rq.Size() > 0 {
+		ln.retireLocked(c.rq.Pop())
 	}
 	ln.pending.removeChan(c)
 	ln.removeChanLocked(c)
@@ -1233,7 +1221,7 @@ func (ln *lane) removeChanLocked(c *Channel) {
 // common, uncongested case under the goroutine and virtual drivers) the
 // thread never parks — the send completes in the caller's own time slice,
 // which is where the single-core speedup over a park/dispatch/park cycle
-// comes from. If a discipline deferred it, the thread parks and the eventual
+// comes from. If a discipline gated it, the thread parks and the eventual
 // flush (engine or timer) wakes it through the drain. Under the thread
 // driver service only wakes the send system thread, so the request is never
 // done here: the caller parks per message until the send thread has put its
@@ -1270,11 +1258,11 @@ func (c *Channel) laneSend(t *Thread, tag, toThread int, data []byte) {
 	req.ch = c
 	t.sendDone = false
 	req.done = &t.sendDone
-	ln.pending.push(c.priority, req)
+	ln.pending.push(req)
 	ln.service()
 	done := t.sendDone
 	if !done {
-		// Still queued for the send thread, or deferred inside a discipline:
+		// Still queued for the send thread, or gated by a discipline:
 		// completion happens under this same lock later, so clearing the flag
 		// pointer and installing the parked caller here is race-free. An
 		// engine may flush it before this thread reaches Park, in which case
@@ -1287,7 +1275,7 @@ func (c *Channel) laneSend(t *Thread, tag, toThread int, data []byte) {
 	}
 	queued := ln.outQueuedLocked()
 	ln.mu.Unlock()
-	// The inline service may have completed other requests (deferred sends
+	// The inline service may have completed other requests (gated sends
 	// whose credit arrived) or raised errors; finish that scheduler-domain
 	// work in this thread's context. With nothing queued there is no drain
 	// to run: what an engine queues after the unlock has a drain posted for

@@ -34,7 +34,6 @@ type SelectiveRepeat struct {
 	base     uint32
 	inflight map[uint32]srPending
 	store    retainStore
-	deferred []*sendReq
 	// Every timer runs the same Timeout, so they fire in the order they were
 	// armed: timers queues the sequence each pending fire is for, and one
 	// pre-bound callback serves them all.
@@ -42,7 +41,7 @@ type SelectiveRepeat struct {
 	fireFn func()
 
 	// Receiver side: expected is the next in-order sequence; buffered
-	// holds arrived-but-out-of-order messages.
+	// holds out-of-order arrivals inside [expected, expected+Window).
 	expected uint32
 	buffered map[uint32]*transport.Message
 
@@ -101,16 +100,13 @@ func (s *SelectiveRepeat) init(c *Channel) {
 	s.fireFn = c.wrapTimer(s.timerFire)
 }
 
-func (s *SelectiveRepeat) admit(req *sendReq) bool {
-	if s.nextSeq-s.base >= uint32(s.Window) {
-		s.deferred = append(s.deferred, req)
-		return false
-	}
-	req.m.ESeq = s.nextSeq
+func (s *SelectiveRepeat) room() bool { return s.nextSeq-s.base < uint32(s.Window) }
+
+func (s *SelectiveRepeat) admit(m *transport.Message) {
+	m.ESeq = s.nextSeq
 	s.nextSeq++
-	s.inflight[req.m.ESeq] = srPending{m: s.store.keep(req.m)}
-	s.armTimer(req.m.ESeq)
-	return true
+	s.inflight[m.ESeq] = srPending{m: s.store.keep(m)}
+	s.armTimer(m.ESeq)
 }
 
 func (s *SelectiveRepeat) armTimer(seq uint32) {
@@ -139,8 +135,8 @@ func (s *SelectiveRepeat) timerFire() {
 	s.armTimer(seq)
 }
 
-// slide advances base past acked/abandoned sequences and releases deferred
-// requests into the freed window space. base catches nextSeq one step at a
+// slide advances base past acked/abandoned sequences and reopens the
+// channel into the freed window space. base catches nextSeq one step at a
 // time, so the loop condition is wrap-safe.
 func (s *SelectiveRepeat) slide() {
 	for s.base != s.nextSeq {
@@ -149,16 +145,19 @@ func (s *SelectiveRepeat) slide() {
 		}
 		s.base++
 	}
-	for len(s.deferred) > 0 && s.nextSeq-s.base < uint32(s.Window) {
-		req := s.deferred[0]
-		s.deferred = s.deferred[1:]
-		s.p.enqueueSend(req)
-	}
+	s.ch.reopen()
 }
 
 func (s *SelectiveRepeat) onData(m *transport.Message) bool {
 	if m.ESeq == 0 {
 		return true
+	}
+	// The receive window is [expected, expected+Window): an honest sender
+	// with the same window never transmits past it, so anything beyond is
+	// released unacknowledged and buffered bounds at Window-1 messages.
+	if ahead := m.ESeq - s.expected; ahead >= uint32(s.Window) && !wire.SeqNewer(s.expected, m.ESeq) {
+		m.Release()
+		return false
 	}
 	// Ack every received copy individually (selective ack); acks queue
 	// for piggybacking on reverse data, and the flush path batches a
@@ -227,17 +226,6 @@ func (s *SelectiveRepeat) onAck(seq uint32) {
 
 func (s *SelectiveRepeat) pending() int { return len(s.inflight) }
 
-func (s *SelectiveRepeat) queued() int { return len(s.deferred) }
-
-// shutdown fails deferred requests so a Send gated on window space cannot
-// hang across Channel.Close; the in-flight window keeps retransmitting
-// until acked or abandoned, like GoBackN.
-func (s *SelectiveRepeat) shutdown() {
-	reqs := s.deferred
-	s.deferred = nil
-	s.p.failGated(s.ch, reqs, "selective repeat")
-}
-
 // abandon drops every unacked in-flight message: the peer is dead, nothing
 // will ack them. Per-sequence timers self-cancel on fire (missing inflight
 // entry re-arms nothing).
@@ -245,4 +233,5 @@ func (s *SelectiveRepeat) abandon() {
 	s.abandoned += int64(len(s.inflight))
 	s.inflight = make(map[uint32]srPending)
 	s.base = s.nextSeq
+	s.ch.reopen()
 }

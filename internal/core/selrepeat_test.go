@@ -114,3 +114,57 @@ func TestSelectiveRepeatValidation(t *testing.T) {
 	}()
 	NewSelectiveRepeat(0, time.Second)
 }
+
+// TestSelectiveRepeatWindowBoundsBuffer: the receive side buffers and acks
+// only [expected, expected+Window). A frame at expected+Window is released
+// without an ack and leaves nothing buffered, while reordering inside the
+// window still comes out in sequence order.
+func TestSelectiveRepeatWindowBoundsBuffer(t *testing.T) {
+	const window = 4
+	mem := transport.NewMem()
+	procs := realCluster(t, 2, mem, nil)
+	procs[0].Open(1, ChannelConfig{ID: 1, Error: NewSelectiveRepeat(window, time.Second)})
+	sr := NewSelectiveRepeat(window, time.Second)
+	c := procs[1].Open(0, ChannelConfig{ID: 1, Error: sr})
+	msgs := map[uint32]*transport.Message{}
+	data := func(seq uint32) *transport.Message {
+		msgs[seq] = &transport.Message{From: 0, To: 1, Channel: 1, ESeq: seq}
+		return msgs[seq]
+	}
+
+	ln := c.lockLane()
+	if sr.onData(data(1+window)) || len(sr.buffered) != 0 || len(c.pendAcks) != 0 {
+		t.Fatalf("frame at expected+Window: buffered %d, acks %v, want none", len(sr.buffered), c.pendAcks)
+	}
+	for _, seq := range []uint32{3, 2} {
+		if sr.onData(data(seq)) {
+			t.Fatalf("out-of-order seq %d delivered", seq)
+		}
+	}
+	if !sr.onData(data(1)) {
+		t.Fatal("in-order seq 1 not delivered")
+	}
+	if sr.expected != 4 || len(sr.buffered) != 0 {
+		t.Fatalf("after the gap filled: expected %d, %d buffered; want 4, 0", sr.expected, len(sr.buffered))
+	}
+	for _, seq := range []uint32{2, 3} {
+		if ln.rxq.empty() {
+			t.Fatalf("buffered seq %d not flushed", seq)
+		}
+		if it := ln.rxq.pop(); it.m != msgs[seq] || it.m.ESeq != 0 {
+			t.Fatalf("flushed out of order, or with its ESeq kept, at seq %d", seq)
+		}
+	}
+	if got := c.pendAcks; len(got) != 3 || got[0] != 3 || got[1] != 2 || got[2] != 1 {
+		t.Fatalf("acks %v, want [3 2 1]", got)
+	}
+	if sr.onData(data(4+window)) || len(sr.buffered) != 0 || len(c.pendAcks) != 3 {
+		t.Fatal("the window did not slide with expected")
+	}
+	ln.mu.Unlock()
+
+	for _, p := range procs {
+		p.TCreate("noop", mts.PrioDefault, func(*Thread) {})
+	}
+	runReal(procs)
+}

@@ -98,7 +98,7 @@ const (
 	actCause                      // record the event's cause: why the call failed, or what the RELEASE carries
 	actOpened                     // count the open, bind the VC, arm the idle reaper
 	actSetup                      // SETUP again, next attempt, and arm its timer
-	actShut                       // flush pending control and shut the disciplines: gated sends fail
+	actShut                       // flush pending control, stop the flow timers, fail the queued sends
 	actSweep                      // the closed-channel sweep (finalizeChannel runs it too)
 	actDrain                      // poll until the sender side drains
 	actRelease                    // RELEASE; entering or staying in RELEASING, next attempt and its timer
@@ -209,7 +209,7 @@ func (p *Proc) sigStep(c *Channel, ev sigEvent, cause CallCause) {
 		ln := c.lockLane()
 		c.flushCtrl()
 		c.flow.shutdown()
-		c.errc.shutdown()
+		ln.failSendsLocked(c)
 		ln.leave()
 	}
 	if a&actSweep != 0 {
@@ -1014,15 +1014,15 @@ func (c *Channel) CloseCall(t *Thread) error {
 }
 
 // pollDrain steps evDrained once the channel's sender side has fully
-// drained — nothing queued in the lane scheduler, nothing deferred in the
-// flow tier, nothing in flight awaiting acknowledgement — looking again
+// drained — nothing queued on the channel, no retransmission included, and
+// nothing in flight awaiting acknowledgement — looking again
 // every sigDrainPoll on the scheduler clock until then. Termination is
 // guaranteed: the disciplines' MaxRetries abandonment empties the in-flight
 // window even against a dead peer. The chain dies with the state it polls
 // for (sigAfter), so a virtual-time engine can quiesce.
 func (p *Proc) pollDrain(c *Channel) {
 	ln := c.lockLane()
-	drained := c.sq.Size() == 0 && c.flow.queued() == 0 && c.errc.queued() == 0 && c.errc.pending() == 0
+	drained := c.sq.Size()+c.rq.Size() == 0 && c.errc.pending() == 0
 	ln.mu.Unlock()
 	if drained {
 		p.sigStep(c, evDrained, CauseNone)
@@ -1033,14 +1033,14 @@ func (p *Proc) pollDrain(c *Channel) {
 
 // finalizeChannel is the terminal teardown (sigStep has stored chanClosed;
 // from is the state left): the channel leaves the proc's table, its lane
-// state detaches and queued sends fail with closedErr; one that was open
-// undoes markOpen and (callee end) returns its admission slot; threads in
-// CloseCall wake, and so does every receiver the close dooms.
+// state detaches, queued sends fail with closedErr and queued retransmissions
+// retire silently; one that was open undoes markOpen and (callee end) returns
+// its admission slot; threads in CloseCall wake, and so does every receiver
+// the close dooms.
 func (p *Proc) finalizeChannel(c *Channel, from uint32) {
 	ln := c.lockLane()
 	c.flushCtrl()
 	c.flow.shutdown()
-	c.errc.shutdown()
 	ln.detachChanLocked(c)
 	ln.leave()
 	p.channels.Delete(keyOf(c.peer, c.id))

@@ -32,8 +32,8 @@ func (f *FIFO[T]) Pop() T {
 }
 
 // Peek returns the head element without removing it. Callers check Size
-// first; pacing disciplines use it to size the wakeup timer for the oldest
-// deferred request without dequeuing it.
+// first; the lane scheduler uses it to cost and admit a channel's head
+// before dequeuing it.
 func (f *FIFO[T]) Peek() T { return f.q[f.head] }
 
 // Prepend inserts vs ahead of everything queued (loss-recovery flushes
