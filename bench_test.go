@@ -301,35 +301,67 @@ func BenchmarkScaleMesh(b *testing.B) {
 
 // --- Micro-benchmarks of the substrates (real work, real ns/op) ---------
 
+// aal5Rows are the AAL5 micro-benchmarks' payload sizes, each given as the
+// runs AppendCellRuns reads. The 64 B and 1 KB rows are one run. The 8184 B
+// row is a message's first frame cut as udpatm cuts it: an 8-octet chunk
+// header, a 44-octet message header (36 plus both piggyback words) and the
+// body, so its first two cells straddle runs and the rest lie in the body.
+var aal5Rows = []struct {
+	name string
+	runs [][]byte
+}{
+	{"64B", [][]byte{make([]byte, 64)}},
+	{"1KB", [][]byte{make([]byte, 1024)}},
+	{"8184B", [][]byte{make([]byte, 8), make([]byte, 44), make([]byte, 8184-8-44)}},
+}
+
+func runsLen(runs [][]byte) (n int) {
+	for _, r := range runs {
+		n += len(r)
+	}
+	return n
+}
+
 // BenchmarkAAL5Segment measures cell segmentation throughput on the path
-// the UDP fabric ships: AppendCells into a reused datagram buffer.
+// the UDP fabric ships: AppendCellRuns into a reused datagram buffer.
 func BenchmarkAAL5Segment(b *testing.B) {
-	payload := make([]byte, 8192)
 	vc := atm.VC{VCI: 100}
-	var cells []byte
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if cells, err = atm.AppendCells(cells[:0], vc, payload); err != nil {
-			b.Fatal(err)
-		}
+	for _, row := range aal5Rows {
+		runs := row.runs
+		b.Run(row.name, func(b *testing.B) {
+			var cells []byte
+			b.SetBytes(int64(runsLen(runs)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if cells, err = atm.AppendCellRuns(cells[:0], vc, runs...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkAAL5Reassemble measures the receive path incl. HEC and CRC
 // verify as shipped: PushWire over a frame's wire cells.
 func BenchmarkAAL5Reassemble(b *testing.B) {
-	payload := make([]byte, 8192)
 	vc := atm.VC{VCI: 100}
-	cells, _ := atm.AppendCells(nil, vc, payload)
-	r := atm.NewReassembler(vc)
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, done, err := r.PushWire(cells); !done || err != nil {
-			b.Fatalf("done=%v err=%v", done, err)
-		}
+	for _, row := range aal5Rows {
+		runs := row.runs
+		b.Run(row.name, func(b *testing.B) {
+			cells, err := atm.AppendCellRuns(nil, vc, runs...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := atm.NewReassembler(vc)
+			b.SetBytes(int64(runsLen(runs)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, done, err := r.PushWire(cells); !done || err != nil {
+					b.Fatalf("done=%v err=%v", done, err)
+				}
+			}
+		})
 	}
 }
 

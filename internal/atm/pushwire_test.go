@@ -204,12 +204,42 @@ func wireSeeds() map[string][]byte {
 	seeds["bad-crc"] = append(badCRC, cells(vc, "after")...)
 	eofFirst := cells(vc, long)
 	seeds["eof-first"] = append(eofFirst[4*CellSize:], cells(vc, "after")...)
+
+	// Long runs (21 cells) broken at their middle cell: by a header that is
+	// new but good (only GFC, or only CLP, changed and the HEC recomputed),
+	// by a cell of another VC, and by the datagram's end.
+	run := string(patterned(1000))
+	gfc := cells(vc, run)
+	setHeader(gfc[10*CellSize:], func(h *Header) { h.GFC = 0x5 })
+	seeds["run-gfc"] = gfc
+	clp := cells(vc, run)
+	setHeader(clp[10*CellSize:], func(h *Header) { h.CLP = true })
+	seeds["run-clp"] = clp
+	mine := cells(vc, run)
+	foreign := append(append([]byte{}, mine[:10*CellSize]...), cells(other, long)[:CellSize]...)
+	seeds["run-foreign"] = append(foreign, mine[10*CellSize:]...)
+	seeds["run-cut"] = cells(vc, run)[:15*CellSize+30]
 	return seeds
+}
+
+// setHeader rewrites the wire header at the front of cell through edit,
+// HEC recomputed, so the header is changed but good.
+func setHeader(cell []byte, edit func(*Header)) {
+	h, err := DecodeHeader(cell)
+	if err != nil {
+		panic(err)
+	}
+	edit(&h)
+	w, err := h.wire()
+	if err != nil {
+		panic(err)
+	}
+	copy(cell, w[:])
 }
 
 func TestPushWireCases(t *testing.T) {
 	vc := VC{VCI: 100}
-	long := string(patterned(200))
+	long, run := string(patterned(200)), string(patterned(1000))
 	want := map[string][]wireEvent{
 		"one-frame":  {{cell: 0, payload: "hello"}},
 		"two-frames": {{cell: 4, payload: long}, {cell: 5, payload: "second"}},
@@ -223,6 +253,10 @@ func TestPushWireCases(t *testing.T) {
 		"bad-header-bit": {{cell: 1, err: ErrHEC}, {cell: 4, err: ErrCRC}},
 		"bad-crc":        {{cell: 4, err: ErrCRC}, {cell: 5, payload: "after"}},
 		"eof-first":      {{cell: 0, err: ErrCRC}, {cell: 1, payload: "after"}},
+		"run-gfc":        {{cell: 20, payload: run}},
+		"run-clp":        {{cell: 20, payload: run}},
+		"run-foreign":    {{cell: 10, err: ErrVC}, {cell: 21, payload: run}},
+		"run-cut":        nil,
 	}
 	seeds := wireSeeds()
 	if len(seeds) != len(want) {
@@ -271,6 +305,18 @@ func TestPushWireHeaderIdentityRule(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if n, _, _, err := r.PushWire(foreign); err != ErrVC || n != 0 {
 			t.Fatalf("foreign VC, try %d: n=%d err=%v, want 0, ErrVC", i, n, err)
+		}
+	}
+
+	// Mid-way through a same-header run, a header that differs from the
+	// run's in any one of its 40 bits, HEC left stale, is refused: the run
+	// takes a header as the one it repeats only if every octet matches.
+	long, _ := AppendCells(nil, vc, patterned(1000)) // 21 cells
+	for bit := 0; bit < 8*HeaderSize; bit++ {
+		src := append([]byte{}, long...)
+		src[10*CellSize+bit/8] ^= 0x80 >> (bit % 8)
+		if got := checkWireEquivalence(t, vc, src); len(got) == 0 || got[0] != (wireEvent{cell: 10, err: ErrHEC}) {
+			t.Fatalf("run cell's header bit %d flipped: %+v, want ErrHEC on cell 10 first", bit, got)
 		}
 	}
 }
@@ -372,11 +418,35 @@ func TestSARZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestPushWireRandomTrains: random frame sizes, random corruption, random
-// foreign cells — PushWire and DecodeCell+Push never diverge.
+// TestReassemblyBufferGrowth: the same-header run grows the reassembly
+// buffer the way append does, never to maxReassembly ahead of need, so a VC
+// that has carried one 8,184-octet frame holds about that much and not the
+// longest legal PDU.
+func TestReassemblyBufferGrowth(t *testing.T) {
+	vc := VC{VCI: 100}
+	payload := patterned(8184)
+	wire, _ := AppendCells(nil, vc, payload)
+	r := NewReassembler(vc)
+	if _, p, done, err := r.PushWire(wire); !done || err != nil || !bytes.Equal(p, payload) {
+		t.Fatalf("done=%v err=%v", done, err)
+	}
+	if pdu := CellCount(len(payload)) * PayloadSize; cap(r.buf) >= 2*pdu {
+		t.Fatalf("reassembly buffer cap %d after one %d-octet PDU, want under %d", cap(r.buf), pdu, 2*pdu)
+	}
+}
+
+// TestPushWireRandomTrains: random frame sizes up to past a udpatm chunk's
+// 171 cells, random corruption, random good headers that differ from their
+// frame's (only GFC, only CLP or only one PT bit changed, HEC recomputed),
+// random foreign cells — PushWire and DecodeCell+Push never diverge.
 func TestPushWireRandomTrains(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	vc := VC{VCI: 100}
+	edits := []func(*Header){
+		func(h *Header) { h.GFC = uint8(rng.Intn(15)) + 1 },
+		func(h *Header) { h.CLP = !h.CLP },
+		func(h *Header) { h.PT ^= 1 << rng.Intn(3) },
+	}
 	for trial := 0; trial < 300; trial++ {
 		var train []byte
 		for f := rng.Intn(5) + 1; f > 0; f-- {
@@ -384,7 +454,15 @@ func TestPushWireRandomTrains(t *testing.T) {
 			if rng.Intn(6) == 0 {
 				on = VC{VPI: uint8(rng.Intn(3)), VCI: 100}
 			}
-			train, _ = AppendCells(train, on, patterned(rng.Intn(400)))
+			n := rng.Intn(400)
+			if rng.Intn(3) == 0 {
+				n = rng.Intn(9001)
+			}
+			train, _ = AppendCells(train, on, patterned(n))
+		}
+		for k := rng.Intn(3); k > 0; k-- {
+			at := rng.Intn(len(train)/CellSize) * CellSize
+			setHeader(train[at:], edits[rng.Intn(len(edits))])
 		}
 		for k := rng.Intn(3); k > 0; k-- {
 			train[rng.Intn(len(train))] ^= 1 << rng.Intn(8)
