@@ -109,8 +109,9 @@
 // channel, so a synchronization phase rides a high-priority policed VC
 // while bulk exchange keeps its own class. GroupConfig.Fanout >= N
 // degenerates to the old serial linear algorithms, preserved as the A/B
-// baseline; the MPI and PVM filters route their collectives through
-// Group. Every receive — point-to-point, filter, collective — matches
+// baseline. The p4, MPI and PVM filters are one adapter under three
+// argument mappings; it routes MPI's and PVM's collectives through a Group
+// cached per member list. Every receive — point-to-point, filter, collective — matches
 // through one unexported pattern (thread, process, tag, channel, with -1
 // wildcards, or a set of sources) and blocks in one body. Collective fan-out is enqueued as one burst per hop and both
 // sender- and receiver-side message structs recycle through pools, so a

@@ -6,15 +6,12 @@ import (
 	"fmt"
 )
 
-// Signaling: a compact Q.2931-flavoured call-control protocol carried on
-// the well-known signaling channel (VPI 0, VCI 5). The paper's NCS sits on
-// "an ATM API"; call setup is the part of that API that turns an address
-// into a virtual channel. The simulated switch (internal/netsim) and hosts
-// exchange these messages to establish switched VCs at run time, instead
-// of relying only on the pre-provisioned mesh.
-
-// SignalVC is the well-known signaling channel.
-var SignalVC = VC{VPI: 0, VCI: 5}
+// Signaling: a compact Q.2931-flavoured call-control message. The paper's
+// NCS sits on "an ATM API"; call setup is the part of that API that turns
+// an address into a virtual channel. Hosts exchange these messages end to
+// end: internal/core carries them on the control band of a proc's channel
+// 0 (see its sigTable), and a connected call then installs the channel's
+// switched VC pair in the simulated fabric.
 
 // SigType enumerates call-control messages.
 type SigType uint8

@@ -430,15 +430,27 @@ func TestP4FilterPingPong(t *testing.T) {
 		f := P4(th)
 		f.Send(7, 1, []byte("ping"))
 		typ, from := Any, ProcID(Any)
+		for !f.MessagesAvailable() {
+			th.Compute(time.Millisecond, nil)
+		}
 		reply = f.Recv(&typ, &from)
 		if typ != 8 || from != 1 {
 			t.Errorf("typ=%d from=%d", typ, from)
 		}
+		if f.MessagesAvailable() {
+			t.Error("MessagesAvailable after the reply was received")
+		}
 	})
 	procs[1].TCreate("b", mts.PrioDefault, func(th *Thread) {
 		f := P4(th)
+		if f.MessagesAvailable() {
+			t.Error("MessagesAvailable before any send")
+		}
 		typ, from := 7, ProcID(0)
 		data := f.Recv(&typ, &from)
+		if f.MessagesAvailable() {
+			t.Error("MessagesAvailable after the only message was received")
+		}
 		f.Send(8, 0, append(data, []byte("-pong")...))
 	})
 	eng.Run()

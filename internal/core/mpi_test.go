@@ -47,6 +47,40 @@ func TestMPISendRecvWithStatus(t *testing.T) {
 	}
 }
 
+// A status's Source is the sender's rank, and MPIAnySource matches only
+// members of the communicator. On a world whose ranks are not the proc IDs,
+// rank 0 answers a request at status.Source: were Source a proc ID, the
+// reply would go to rank 0 itself and rank 1 would wait forever. Proc 3,
+// outside the world, sends first with the same tag; AnySource must skip it.
+func TestMPIStatusSourceIsRank(t *testing.T) {
+	eng, procs := simCluster(t, 4, nil)
+	world := []ProcID{2, 0, 1}
+	var status MPIStatus
+	var req, reply []byte
+	procs[3].TCreate("outsider", mts.PrioDefault, func(th *Thread) {
+		th.SendTagged(5, 0, 2, []byte("stray"))
+	})
+	procs[2].TCreate("r0", mts.PrioDefault, func(th *Thread) {
+		f := MPI(th, world)
+		req, status = f.Recv(MPIAnySource, 5)
+		f.Send([]byte("reply"), status.Source, 6)
+	})
+	procs[0].TCreate("r1", mts.PrioDefault, func(th *Thread) {
+		f := MPI(th, world)
+		th.Compute(5*time.Millisecond, nil)
+		f.Send([]byte("request"), 0, 5)
+		reply, _ = f.Recv(0, 6)
+	})
+	procs[1].TCreate("r2", mts.PrioDefault, func(th *Thread) {})
+	eng.Run()
+	if string(req) != "request" || status.Source != 1 || status.Tag != 5 {
+		t.Fatalf("rank 0 got %q with status %+v, want \"request\" from rank 1", req, status)
+	}
+	if string(reply) != "reply" {
+		t.Fatalf("rank 1 got reply %q", reply)
+	}
+}
+
 func TestMPISendrecvRing(t *testing.T) {
 	// The classic neighbour exchange that deadlocks naive blocking MPI:
 	// every rank sends right and receives from the left simultaneously.

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -14,73 +13,41 @@ import (
 //	pvm_initsend();  pvm_pkint(...);  pvm_send(tid, tag)
 //	pvm_recv(tid, tag);  pvm_upkint(...)
 //
-// The filter maps a PVM "task" onto an NCS (process, same-index thread)
-// address, exactly like the p4 filter, and implements the pack/unpack
-// buffer with type-checked sections so mismatched unpacks fail loudly
-// instead of silently misreading.
+// A PVM "task" is an NCS process. The pack/unpack buffer has type-checked
+// sections, so mismatched unpacks fail loudly instead of silently
+// misreading.
 
 // PVMFilter presents PVM-style primitives on top of an NCS thread.
 type PVMFilter struct {
-	t    *Thread
-	send *PVMBuffer
-	// groups caches collective communicators by task list, so repeated
-	// Barrier/Bcast calls over the same tids reuse one tree topology.
-	groups map[string]*Group
+	filter
+	out *PVMBuffer // the send buffer
 }
 
 // PVM returns the PVM-style view of an NCS thread.
-func PVM(t *Thread) *PVMFilter { return &PVMFilter{t: t} }
-
-// groupFor returns (building and caching on first use) the collective
-// Group for an ordered task list, under the filter's same-index thread
-// convention.
-func (f *PVMFilter) groupFor(tids []ProcID) *Group {
-	key := fmt.Sprint(tids)
-	if g, ok := f.groups[key]; ok {
-		return g
-	}
-	members := make([]Addr, len(tids))
-	for i, tid := range tids {
-		members[i] = Addr{Proc: tid, Thread: f.t.idx}
-	}
-	g := f.t.proc.NewGroup(members, GroupConfig{})
-	if f.groups == nil {
-		f.groups = make(map[string]*Group)
-	}
-	f.groups[key] = g
-	return g
-}
+func PVM(t *Thread) *PVMFilter { return &PVMFilter{filter: filter{t: t}} }
 
 // Barrier blocks until every task in tids has entered it: pvm_barrier with
 // an explicit member list, run as a dissemination barrier over the task
 // group. All listed tasks must call it with the same list.
-func (f *PVMFilter) Barrier(tids []ProcID) {
-	f.groupFor(tids).Barrier(f.t)
-}
+func (f *PVMFilter) Barrier(tids []ProcID) { f.group(tids).Barrier(f.t) }
 
 // Bcast transmits the current send buffer from root to every task in tids
 // down the binomial tree: pvm_bcast with an explicit member list. All
 // listed tasks must call it with the same list and root; every call
 // returns the broadcast unpack buffer (the root's own packed data).
 func (f *PVMFilter) Bcast(tids []ProcID, root ProcID) *PVMBuffer {
-	g := f.groupFor(tids)
-	rootIdx := -1
-	for i, tid := range tids {
-		if tid == root {
-			rootIdx = i
-		}
-	}
+	rootIdx := indexOf(tids, root)
 	if rootIdx < 0 {
 		panic("core: pvm Bcast root not in tids")
 	}
 	var data []byte
 	if f.t.proc.cfg.ID == root {
-		if f.send == nil {
+		if f.out == nil {
 			panic("core: pvm Bcast without InitSend")
 		}
-		data = f.send.data
+		data = f.out.data
 	}
-	return &PVMBuffer{data: g.Bcast(f.t, rootIdx, data)}
+	return &PVMBuffer{data: f.group(tids).Bcast(f.t, rootIdx, data)}
 }
 
 // Section type codes in the buffer encoding.
@@ -101,8 +68,8 @@ var ErrPVMUnpack = errors.New("core: pvm unpack mismatch")
 
 // InitSend starts a fresh send buffer: pvm_initsend.
 func (f *PVMFilter) InitSend() *PVMBuffer {
-	f.send = &PVMBuffer{}
-	return f.send
+	f.out = &PVMBuffer{}
+	return f.out
 }
 
 func (b *PVMBuffer) section(code byte, n int) {
@@ -198,10 +165,10 @@ func (b *PVMBuffer) UnpackBytes() ([]byte, error) {
 // Send transmits the current send buffer to a task with a message tag:
 // pvm_send. The buffer remains valid for Mcast-style resends.
 func (f *PVMFilter) Send(tid ProcID, tag int) {
-	if f.send == nil {
+	if f.out == nil {
 		panic("core: pvm Send without InitSend")
 	}
-	f.t.SendTagged(tag, f.t.idx, tid, f.send.data)
+	f.send(tag, tid, f.out.data)
 }
 
 // Mcast transmits the current buffer to several tasks: pvm_mcast.
@@ -214,14 +181,14 @@ func (f *PVMFilter) Mcast(tids []ProcID, tag int) {
 // Recv blocks until a message with the given source task and tag arrives
 // (Any wildcards both): pvm_recv. It returns the unpack buffer.
 func (f *PVMFilter) Recv(tid ProcID, tag int) *PVMBuffer {
-	data, _ := f.t.RecvTagged(tag, Any, tid)
-	return &PVMBuffer{data: data}
+	m, _ := f.t.recvAnyOf(f.match(tag, tid))
+	return &PVMBuffer{data: m.Data}
 }
 
 // NRecv is the non-blocking probe-and-receive: pvm_nrecv. ok reports
 // whether a matching message was consumed.
 func (f *PVMFilter) NRecv(tid ProcID, tag int) (*PVMBuffer, bool) {
-	data, _, ok := f.t.tryRecv(recvPattern{tag: tag, from: []Addr{{Proc: tid, Thread: Any}}})
+	data, _, ok := f.t.tryRecv(f.match(tag, tid))
 	if !ok {
 		return nil, false
 	}

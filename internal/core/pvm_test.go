@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"repro/internal/mts"
 )
@@ -184,5 +185,55 @@ func TestPVMSendWithoutInitPanics(t *testing.T) {
 		}()
 		PVM(th).Send(0, 1)
 	})
+	eng.Run()
+}
+
+// PVM's collectives on 4 tasks whose tids are not in ID order and whose
+// root is not first: two Barriers and a Bcast over one list share one cached
+// Group; a Bcast over a second list builds a second.
+func TestPVMBarrierBcastGroups(t *testing.T) {
+	eng, procs := simCluster(t, 4, nil)
+	tids := []ProcID{3, 1, 0, 2}
+	other := []ProcID{2, 0, 3, 1}
+	arrived := 0
+	for i := 0; i < 4; i++ {
+		i := i
+		procs[i].TCreate("task", mts.PrioDefault, func(th *Thread) {
+			f := PVM(th)
+			var first *Group
+			for round := 1; round <= 2; round++ {
+				th.Compute(time.Duration(i+1)*time.Millisecond, nil)
+				arrived++
+				f.Barrier(tids)
+				if arrived != 4*round {
+					t.Errorf("task %d left barrier %d with %d arrivals", i, round, arrived)
+				}
+				f.Barrier(tids) // nobody counts the next round before all checked this one
+				if first == nil {
+					first = f.group(tids)
+				}
+			}
+			if i == 0 {
+				f.InitSend().PackInt32s([]int32{42})
+			}
+			v, err := f.Bcast(tids, 0).UnpackInt32s()
+			if err != nil || len(v) != 1 || v[0] != 42 {
+				t.Errorf("task %d: Bcast from 0 = %v, %v", i, v, err)
+			}
+			if len(f.groups) != 1 || f.group(tids) != first {
+				t.Errorf("task %d: collectives over one list built %d groups or a fresh one", i, len(f.groups))
+			}
+			if i == 3 {
+				f.InitSend().PackBytes([]byte("second"))
+			}
+			b, err := f.Bcast(other, 3).UnpackBytes()
+			if err != nil || string(b) != "second" {
+				t.Errorf("task %d: Bcast from 3 = %q, %v", i, b, err)
+			}
+			if len(f.groups) != 2 {
+				t.Errorf("task %d: %d groups after a second list", i, len(f.groups))
+			}
+		})
+	}
 	eng.Run()
 }

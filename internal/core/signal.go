@@ -13,8 +13,8 @@ import (
 // This file is the signaled channel lifecycle: Proc.Open's static,
 // both-ends-agree channel model wired through the SVC signaling story the
 // paper's NYNET substrate provides (atm.SigMessage, the Q.2931-flavoured
-// SETUP/CONNECT/RELEASE family carried on VPI 0 / VCI 5 by the simulated
-// switch). OpenCall performs a blocking end-to-end call setup — the callee
+// SETUP/CONNECT/RELEASE family, carried end to end on the control band of
+// channel 0). OpenCall performs a blocking end-to-end call setup — the callee
 // allocates the VC and discipline state, the caller gets a live channel or
 // a typed rejection — and CloseCall performs a signaled close handshake
 // that drains in-flight data on both ends before either releases its VC,

@@ -155,8 +155,6 @@ type Switch struct {
 	latency time.Duration
 	table   map[atm.VC]*Link
 	dropped int64
-	// svc holds switched-VC signaling state when enabled (signaling.go).
-	svc *svcState
 	// police holds per-VC usage parameter control (GCRA); non-conforming
 	// cells are discarded and counted in policed.
 	police  map[atm.VC]*atm.GCRA
@@ -191,17 +189,8 @@ func (s *Switch) Dropped() int64 { return s.dropped }
 // Policed returns the number of cells discarded by UPC enforcement.
 func (s *Switch) Policed() int64 { return s.policed }
 
-// Deliver implements Port: an arriving cell is forwarded; signaling cells
-// are terminated at the switch's call-control entity when SVCs are enabled.
+// Deliver implements Port: an arriving cell is policed, then forwarded.
 func (s *Switch) Deliver(u Unit) {
-	if s.svc != nil && u.VC == atm.SignalVC {
-		if s.latency > 0 {
-			s.eng.Schedule(s.latency, func() { s.handleSignal(u) })
-		} else {
-			s.handleSignal(u)
-		}
-		return
-	}
 	if g, ok := s.police[u.VC]; ok && !g.Conforms(time.Duration(s.eng.Now())) {
 		s.policed++
 		return
@@ -339,7 +328,8 @@ type Network struct {
 	switches []*Switch
 	ether    *Ethernet
 	// down maps host index to the switch downlink toward it (single-
-	// switch ATM LANs); signaling uses it to wire dynamic routes.
+	// switch ATM LANs); InstallChannelRoute uses it to wire a signaled
+	// channel's routes.
 	down []*Link
 
 	// Fault state (crash/partition injection for the failure-domain chaos
@@ -586,16 +576,6 @@ func NewATMLAN(eng *sim.Engine, n int, cfg ATMLANConfig) *Network {
 	}
 	net.down = down
 	return net
-}
-
-// EnableSVC turns on switched-VC signaling for a single-switch ATM LAN;
-// dynamically allocated VCIs start at base (keep it clear of the VCFor
-// mesh). It panics on non-LAN topologies.
-func (n *Network) EnableSVC(base uint16) {
-	if n.kind != "nynet-lan" || len(n.switches) != 1 || n.down == nil {
-		panic("netsim: EnableSVC requires a single-switch ATM LAN")
-	}
-	n.switches[0].EnableSignaling(base, func(h int) *Link { return n.down[h] })
 }
 
 // ATMWANConfig parameterizes a two-site wide-area topology: each site is an

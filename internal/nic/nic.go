@@ -78,10 +78,6 @@ type SimATM struct {
 	outBufs *mts.Semaphore // free output buffers
 	seq     uint32
 	handler transport.Handler
-	// preFilter, if set, sees every arriving unit first; returning true
-	// consumes it. The host's signaling entity (netsim.Signaler) hooks in
-	// here to terminate call-control cells before data reassembly.
-	preFilter func(netsim.Unit) bool
 
 	reasm map[atm.VC]*atm.Reassembler
 	asm   map[atm.VC]*wire.Assembler
@@ -322,9 +318,6 @@ func (a *SimATM) UnbindChannel(peer transport.ProcID, ch wire.ChannelID) {
 	delete(a.asm, rx)
 }
 
-// SetPreFilter installs a unit filter that runs before data reassembly.
-func (a *SimATM) SetPreFilter(f func(netsim.Unit) bool) { a.preFilter = f }
-
 // SetBlackhole toggles receive-side blackholing: while set, every arriving
 // cell is dropped (and counted in RxDropped) before any reassembly.
 func (a *SimATM) SetBlackhole(on bool) { a.blackhole.Store(on) }
@@ -335,9 +328,6 @@ func (a *SimATM) SetBlackhole(on bool) { a.blackhole.Store(on) }
 func (a *SimATM) deliverCell(u netsim.Unit) {
 	if a.blackhole.Load() {
 		a.rxDropped++
-		return
-	}
-	if a.preFilter != nil && a.preFilter(u) {
 		return
 	}
 	cell, ok := u.Payload.(atm.Cell)
