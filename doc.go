@@ -68,8 +68,8 @@
 // Channels also open dynamically by signaling, the paper's switched
 // virtual circuits: Proc.OpenCall runs a blocking SETUP/CONNECT handshake
 // through the ATM signaling band (channel 0), the callee admitting or
-// refusing each call through Config.Admission (always-admit, token
-// bucket, or per-peer cap) and handing admitted channels to
+// refusing each call through Config.Admission (nil admits everything; a
+// token bucket meters the setup rate) and handing admitted channels to
 // Config.OnAccept; refusals and dead peers surface as *OpenError with a
 // typed CallCause after a bounded, jittered retry schedule
 // (CallConfig.SetupTimeout/Retries/Backoff). A channel's lifecycle is one
@@ -91,16 +91,17 @@
 // is deterministic under virtual time), and after Misses silent
 // intervals the peer is declared dead — every channel to it force-closes
 // through the drain machinery, parked sends, blocked receives, and
-// in-flight collectives unblock with *PeerDeadError, VC routes and
-// admission slots release, and Proc.Leaks still balances to zero.
-// Carriers expose crash/partition/link-flap/blackhole fault injection
-// for chaos testing, Proc.Redial wraps OpenCall in a cause-aware
-// backoff policy for surviving a peer restart, Config.AcceptQueue turns
-// listener overload into bounded backpressure, and
-// CallConfig.IdleTimeout scopes the idle reaper per call. bench.Faults
-// (`ncsbench -experiment faults`) is the 64-proc kill experiment; its
-// modeled detection latency, typed-error coverage and zero leaks are held
-// by internal/bench's golden and floors tests.
+// in-flight collectives unblock with *PeerDeadError, VC routes release,
+// and Proc.Leaks still balances to zero. The detector is the one survival
+// path against a peer that crashed after CONNECT; an application survives
+// a restart or a healed partition by calling OpenCall again, whose SETUP
+// clears the peer's death record on both ends. A malformed signaling frame
+// is the sender's fault: a bad SETUP draws REJECT, an unparsable frame is
+// dropped and counted, and neither raises on the callee. Carriers expose
+// crash/partition/link-flap/blackhole fault injection for chaos testing.
+// bench.Faults (`ncsbench -experiment faults`) is the 64-proc kill
+// experiment; its modeled detection latency, typed-error coverage and zero
+// leaks are held by internal/bench's golden and floors tests.
 //
 // Group communication is tree-structured and channel-aware: core.Group
 // (Proc.NewGroup) precomputes a q-nomial tree and dissemination-barrier

@@ -122,11 +122,8 @@ type Channel struct {
 	closeWaiters []*mts.Thread
 	// deadErr, set by the failure sweep when the peer is declared dead,
 	// replaces the generic ChannelClosedError on every subsequent send
-	// failure so callers see the cause, not just the symptom. idleOver,
-	// when non-zero, is the per-call SigIdleTimeout override negotiated at
-	// setup (CallConfig.IdleTimeout; -1 disables the idle teardown).
-	deadErr  *PeerDeadError
-	idleOver time.Duration
+	// failure so callers see the cause, not just the symptom.
+	deadErr *PeerDeadError
 
 	// ln is the lane the channel runs on: set once in addChannel (the peer
 	// hash, or the ChannelConfig.Lane pin) and never changed. All mutable
@@ -419,15 +416,6 @@ func (c *Channel) Stats() ChannelStats {
 	st.Weight, st.Lane = c.weight, ln.idx
 	st.Flow, st.Error = c.flow.Name(), c.errc.Name()
 	return st
-}
-
-// traffic is the data messages the channel has moved, both ways: the idle
-// teardown's activity probe. Scheduler domain (it takes the lane lock).
-func (c *Channel) traffic() int64 {
-	ln := c.lockLane()
-	n := c.sent + c.received
-	ln.mu.Unlock()
-	return n
 }
 
 // ---------------------------------------------------------------------------

@@ -162,7 +162,6 @@ func TestChurnChaosReal(t *testing.T) {
 			mem.SetDropRate(0.20, seed)
 			mem.SetDropClass(func(m *transport.Message) bool { return m.Channel >= 1 })
 			procs := sigCluster(t, n, mem, func(i int, cfg *Config) {
-				cfg.Admission = NewPeerCapAdmission(8)
 				cfg.OnAccept = churnServe(t, msgs)
 			})
 			for _, p := range procs {

@@ -178,22 +178,11 @@ type Config struct {
 	// peer): nil admits everything. Rejections travel back to the caller
 	// as typed causes; see AdmissionPolicy in signal.go.
 	Admission AdmissionPolicy
-	// SigIdleTimeout, when positive, arms an idle reaper on every signaled
-	// channel: a channel that moves no traffic for a full period is closed
-	// from this end — the survival path against a peer that crashed after
-	// call setup. 0 disables (the default).
-	SigIdleTimeout time.Duration
 	// OnAccept, when set, runs in the scheduler domain for every incoming
 	// signaled call this process admits, handing the application its end of
 	// the channel (typically to TCreate a serving thread). The channel is
 	// OPEN and the CONNECT already on its way when the hook runs.
 	OnAccept func(*Channel)
-	// AcceptQueue, when positive, bounds a listener-side queue of incoming
-	// SETUPs served one per scheduler pass — backpressure instead of the
-	// instant synchronous accept when the app is slow in OnAccept; a SETUP
-	// arriving into a full queue is rejected with CauseBusy. 0 keeps the
-	// synchronous accept path (the default).
-	AcceptQueue int
 	// Heartbeat configures the per-peer failure detector (failure.go):
 	// every Interval the proc beats each peer it has channels to over the
 	// channel-0 signaling band and, after Misses consecutive silent
@@ -308,13 +297,10 @@ type Proc struct {
 	// Failure domain (scheduler domain; see failure.go): hbPeers is the
 	// detector's per-peer beat state, hbMisses the resolved miss budget,
 	// deadPeers the peers declared dead (cleared by a fresh OpenCall or an
-	// incoming SETUP from the peer). acceptQ/acceptOn are the bounded
-	// listener-side SETUP queue (Config.AcceptQueue).
+	// incoming SETUP from the peer).
 	hbPeers   map[ProcID]*hbPeer
 	hbMisses  int
 	deadPeers map[ProcID]*PeerDeadError
-	acceptQ   []pendingSetup
-	acceptOn  bool
 
 	// Stats. Atomic: these proc-wide totals are written by threads in the
 	// scheduler domain and read live by foreign goroutines (tests,
@@ -331,7 +317,7 @@ type Proc struct {
 	statSetupsRejected, statSetupRetries atomic.Int64
 	statVCBound, statVCRel               atomic.Int64
 	statTimersArmed, statTimersFired     atomic.Int64
-	statLateCtrl                         atomic.Int64
+	statLateCtrl, statBadSignaling       atomic.Int64
 }
 
 // New builds an NCS process: the paper's NCS_init. System threads (send,
@@ -369,7 +355,7 @@ func New(cfg Config) *Proc {
 	}
 	p.onException = func(err error) {
 		// Wrap rather than format: a recovering thread (chaos harnesses,
-		// redial loops) can still errors.As the typed cause — e.g.
+		// reopen loops) can still errors.As the typed cause — e.g.
 		// *PeerDeadError — out of the panic value.
 		panic(fmt.Errorf("core(proc %d): unhandled exception: %w", cfg.ID, err))
 	}

@@ -1,15 +1,14 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
 )
 
-// This file is the failure domain: detection, teardown, and recovery when a
-// peer process crashes or the network partitions — the cases frame-loss
-// chaos never exercises, where every retransmission is futile and a blocked
+// This file is the failure domain: detection and teardown when a peer
+// process crashes or the network partitions — the cases frame-loss chaos
+// never exercises, where every retransmission is futile and a blocked
 // caller would otherwise park forever.
 //
 //   - Detection: a heartbeat failure detector (Config.Heartbeat) rides the
@@ -20,15 +19,16 @@ import (
 //   - Teardown: peerDead steps every channel to the dead peer through the
 //     lifecycle table's peer-dead event (signal.go) — parked sends fail, error-
 //     control windows abandon instead of retransmitting into the void, VC
-//     routes and admission slots release — then one sweep fails every
-//     receive (and with it any in-flight collective) the death dooms, all
-//     with the typed *PeerDeadError, and Proc.Leaks() still balances to
-//     zero. The same predicate (doomed) and sweep serve a local close: a
-//     receiver parked on a channel this end closes or finalizes wakes with
+//     routes release — then one sweep fails every receive (and with it any
+//     in-flight collective) the death dooms, all with the typed
+//     *PeerDeadError, and Proc.Leaks() still balances to zero. The same
+//     predicate (doomed) and sweep serve a local close: a receiver parked
+//     on a channel this end closes or finalizes wakes with
 //     *ChannelClosedError.
-//   - Recovery: Proc.Redial retries OpenCall with capped exponential
-//     backoff and deterministic jitter under a cause-aware policy, so an
-//     application survives a peer restart or a healed partition.
+//
+// An application survives a peer restart or a healed partition by calling
+// OpenCall again: a fresh SETUP, sent or received, clears the peer's death
+// record.
 
 // tagSigBeat extends the signaling tag space (signal.go) with the
 // heartbeat: a one-word frame on channel 0, word 0 = ping, 1 = ack.
@@ -72,7 +72,7 @@ type hbPeer struct {
 
 // markFail records a failure-domain decision on the proc's trace timeline
 // (no-op without a Tracer): beats missed, peers declared dead, channels
-// force-closed, redial attempts.
+// force-closed.
 func (p *Proc) markFail(label string) {
 	if p.cfg.Tracer != nil {
 		p.cfg.Tracer.Mark(p.cfg.TraceName+"/fail", label)
@@ -178,9 +178,8 @@ func (p *Proc) PeerDead(peer ProcID) *PeerDeadError { return p.deadPeers[peer] }
 // every channel to the peer through the lifecycle table's peer-dead event —
 // outstanding call setups fail with CausePeerDead, every other channel
 // force-closes (parked and future sends fail with the typed error,
-// error-control windows abandon, VC routes and admission slots release) —
-// and fail every receive waiter that can now never match. Scheduler domain;
-// idempotent.
+// error-control windows abandon, VC routes release) — and fail every
+// receive waiter that can now never match. Scheduler domain; idempotent.
 func (p *Proc) peerDead(peer ProcID, err *PeerDeadError) {
 	if _, dead := p.deadPeers[peer]; dead {
 		return
@@ -264,99 +263,4 @@ func (p *Proc) doomed(pat *recvPattern) error {
 		}
 	}
 	return first
-}
-
-// ---------------------------------------------------------------------------
-// Recovery: Redial
-
-// Redial defaults.
-const (
-	DefaultRedialAttempts = 5
-	DefaultRedialBase     = time.Millisecond
-)
-
-// RedialPolicy parameterizes Proc.Redial: how many OpenCall attempts to
-// spend, how the backoff between them grows, and which failures are worth
-// retrying at all.
-type RedialPolicy struct {
-	// Attempts bounds total OpenCall attempts (0 selects
-	// DefaultRedialAttempts).
-	Attempts int
-	// Base is the backoff before the first retry (0 selects
-	// DefaultRedialBase); it doubles per retry, capped at Max (0 selects
-	// 64×Base). A deterministic per-(proc, peer, attempt) jitter spreads
-	// synchronized redialers.
-	Base time.Duration
-	Max  time.Duration
-	// Retry judges whether an attempt's error merits another try; nil
-	// selects DefaultRedialRetry.
-	Retry func(error) bool
-}
-
-// DefaultRedialRetry is the cause-aware policy table: peer death and the
-// transient signaling causes (timeout, busy, admission pressure, peer
-// shutting down) are worth retrying — the peer may restart, the partition
-// heal, the load pass. CauseUnsupported is permanent: the callee will never
-// accept this QoS, so retrying is futile.
-func DefaultRedialRetry(err error) bool {
-	var pd *PeerDeadError
-	if errors.As(err, &pd) {
-		return true
-	}
-	var oe *OpenError
-	if errors.As(err, &oe) {
-		switch oe.Cause {
-		case CauseTimeout, CauseBusy, CauseAdmissionDenied, CausePeerClosed, CausePeerDead:
-			return true
-		}
-	}
-	return false
-}
-
-// Redial opens a signaled channel to peer like OpenCall, but retries
-// retriable failures under pol with capped exponential backoff and
-// deterministic jitter — the application-level survival path after a peer
-// restart or a healed partition. Each attempt starts the failure detector's
-// view of the peer over (OpenCall clears the death record), so a recovered
-// peer is re-observed with a fresh grace period. Call from a running thread
-// of this process.
-func (p *Proc) Redial(t *Thread, peer ProcID, cfg CallConfig, pol RedialPolicy) (*Channel, error) {
-	attempts := pol.Attempts
-	if attempts <= 0 {
-		attempts = DefaultRedialAttempts
-	}
-	base := pol.Base
-	if base <= 0 {
-		base = DefaultRedialBase
-	}
-	maxB := pol.Max
-	if maxB <= 0 {
-		maxB = 64 * base
-	}
-	retry := pol.Retry
-	if retry == nil {
-		retry = DefaultRedialRetry
-	}
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			d := base << (attempt - 1)
-			if d > maxB || d <= 0 {
-				d = maxB
-			}
-			d += sigJitter(uint32(p.cfg.ID), uint32(peer), uint32(attempt), d/2)
-			p.markFail(fmt.Sprintf("redial p%d #%d", peer, attempt))
-			p.cfg.After(d, func() { p.wakeIfIdle(t.mt, "ncs redial") })
-			t.mt.Park("ncs redial")
-		}
-		c, err := p.OpenCall(t, peer, cfg)
-		if err == nil {
-			return c, nil
-		}
-		lastErr = err
-		if !retry(err) {
-			return nil, err
-		}
-	}
-	return nil, lastErr
 }

@@ -268,12 +268,12 @@ func TestPeerCrashFaultMidSetup(t *testing.T) {
 	}
 }
 
-// TestPartitionHealRedialFault: a partition splits an in-flight call, both
-// sides observe the typed death, the fabric heals, and core.Redial's
-// backoff ladder re-establishes a fresh signaled channel (the SETUP
+// TestPartitionHealReopen: a partition splits an in-flight call, both
+// sides observe the typed death, the fabric heals, and the caller's OpenCall
+// retry loop re-establishes a fresh signaled channel (the SETUP
 // clean-slates the callee's dead-peer record). The second call then runs
 // to a clean close.
-func TestPartitionHealRedialFault(t *testing.T) {
+func TestPartitionHealReopen(t *testing.T) {
 	mem := transport.NewMem()
 	procs := sigCluster(t, 2, mem, func(i int, cfg *Config) {
 		cfg.Heartbeat = hbCfg()
@@ -292,24 +292,31 @@ func TestPartitionHealRedialFault(t *testing.T) {
 	})
 	cut := make(chan struct{})
 	var firstErr *PeerDeadError
-	var redialErr, closeErr error
+	var reopenErr, closeErr error
 	var served []byte
 	procs[0].TCreate("dial", mts.PrioDefault, func(th *Thread) {
 		defer th.Send(0, 1, []byte("bye"))
 		ch, err := procs[0].OpenCall(th, 1, CallConfig{})
 		if err != nil {
-			redialErr = fmt.Errorf("first open: %w", err)
+			reopenErr = fmt.Errorf("first open: %w", err)
 			return
 		}
 		srv := dialRendezvous(th, ch)
 		close(cut) // partition lands while both ends are mid-call
 		firstErr = recoverDead(func() { ch.Recv(th, srv) })
-		ch2, err := procs[0].Redial(th, 1, CallConfig{
-			SetupTimeout: 5 * time.Millisecond,
-			Retries:      2,
-		}, RedialPolicy{Attempts: 12, Base: 2 * time.Millisecond, Max: 30 * time.Millisecond})
+		// Each failed attempt spends its SETUP budget (or is cut short by
+		// the detector), which paces the loop across the 60ms partition.
+		var ch2 *Channel
+		for attempt := 0; attempt < 20; attempt++ {
+			if ch2, err = procs[0].OpenCall(th, 1, CallConfig{
+				SetupTimeout: 5 * time.Millisecond,
+				Retries:      2,
+			}); err == nil {
+				break
+			}
+		}
 		if err != nil {
-			redialErr = err
+			reopenErr = err
 			return
 		}
 		srv2 := dialRendezvous(th, ch2)
@@ -332,11 +339,14 @@ func TestPartitionHealRedialFault(t *testing.T) {
 	if firstErr == nil || firstErr.Peer != 1 {
 		t.Fatalf("partitioned recv error = %v, want PeerDeadError{0->1}", firstErr)
 	}
-	if redialErr != nil {
-		t.Fatalf("Redial after heal: %v", redialErr)
+	if reopenErr != nil {
+		t.Fatalf("OpenCall after heal: %v", reopenErr)
 	}
 	if closeErr != nil {
-		t.Fatalf("CloseCall on redialed channel: %v", closeErr)
+		t.Fatalf("CloseCall on reopened channel: %v", closeErr)
+	}
+	if pd := procs[1].PeerDead(0); pd != nil {
+		t.Errorf("callee still records the caller dead after its SETUP: %v", pd)
 	}
 	if len(served) != 1 || served[0] != 2 {
 		t.Fatalf("served reply = %v, want [2]", served)
@@ -491,205 +501,6 @@ func TestFaultChaosSeeds(t *testing.T) {
 				if leaks := procs[i].Leaks(); len(leaks) != 0 {
 					t.Errorf("proc %d leaks: %v", i, leaks)
 				}
-			}
-		})
-	}
-}
-
-// TestAcceptQueueDrains: concurrent setups beyond the immediate accept
-// capacity queue on the listener and drain in arrival order — every caller
-// connects, nothing is rejected, and the ledgers balance.
-func TestAcceptQueueDrains(t *testing.T) {
-	const callers = 3
-	mem := transport.NewMem()
-	procs := sigCluster(t, callers+1, mem, func(i int, cfg *Config) {
-		if i == 0 {
-			cfg.AcceptQueue = 8
-			cfg.OnAccept = serveCalls(0)
-		}
-	})
-	errs := make([]error, callers+1)
-	for i := 1; i <= callers; i++ {
-		i := i
-		procs[i].TCreate("dial", mts.PrioDefault, func(th *Thread) {
-			defer th.Send(0, 0, []byte("bye"))
-			ch, err := procs[i].OpenCall(th, 0, CallConfig{})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			ch.Recv(th, Any) // the collapsed announce/served byte
-			errs[i] = ch.CloseCall(th)
-		})
-	}
-	procs[0].TCreate("keeper", mts.PrioDefault, func(th *Thread) {
-		for k := 0; k < callers; k++ {
-			th.Recv(Any, Any)
-		}
-	})
-	runReal(procs)
-	for i := 1; i <= callers; i++ {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-	}
-	st := procs[0].Lifecycle()
-	if st.SetupsAccepted != callers || st.SetupsRejected != 0 {
-		t.Errorf("listener accepted %d rejected %d, want %d/0", st.SetupsAccepted, st.SetupsRejected, callers)
-	}
-	if st.Opened != callers || st.Closed != callers {
-		t.Errorf("listener opened %d closed %d, want %d/%d", st.Opened, st.Closed, callers, callers)
-	}
-	for i, p := range procs {
-		if leaks := p.Leaks(); len(leaks) != 0 {
-			t.Errorf("proc %d leaks: %v", i, leaks)
-		}
-	}
-}
-
-// TestAcceptQueueOverflowBusy: a full accept queue rejects the overflow
-// SETUP with CauseBusy instead of queueing unboundedly. The listener's
-// accept drain is held (via a deferred Config.After) so two concurrent
-// setups deterministically find the queue occupied: the first parks in the
-// queue, the second bounces busy, and after the hold releases the queued
-// one completes normally.
-func TestAcceptQueueOverflowBusy(t *testing.T) {
-	mem := transport.NewMem()
-	var hmu sync.Mutex
-	held := true
-	var heldQ []func()
-	procs := sigCluster(t, 3, mem, func(i int, cfg *Config) {
-		cfg.SendLanes, cfg.RecvLanes = 1, 1
-		if i == 0 {
-			cfg.AcceptQueue = 1
-			cfg.OnAccept = serveCalls(0)
-			rt := cfg.RT
-			cfg.After = func(d time.Duration, fn func()) {
-				hmu.Lock()
-				if held {
-					heldQ = append(heldQ, func() { rt.After(d, fn) })
-					hmu.Unlock()
-					return
-				}
-				hmu.Unlock()
-				rt.After(d, fn)
-			}
-		}
-	})
-	release := func() {
-		hmu.Lock()
-		q := heldQ
-		heldQ, held = nil, false
-		hmu.Unlock()
-		for _, fn := range q {
-			fn()
-		}
-	}
-	errs := make([]error, 3)
-	for i := 1; i <= 2; i++ {
-		i := i
-		procs[i].TCreate("dial", mts.PrioDefault, func(th *Thread) {
-			defer th.Send(0, 0, []byte("bye"))
-			ch, err := procs[i].OpenCall(th, 0, CallConfig{
-				SetupTimeout: 20 * time.Millisecond,
-				Retries:      8,
-			})
-			if err != nil {
-				errs[i] = err
-				release() // the loser unblocks the queued winner
-				return
-			}
-			ch.Recv(th, Any)
-			errs[i] = ch.CloseCall(th)
-		})
-	}
-	procs[0].TCreate("keeper", mts.PrioDefault, func(th *Thread) {
-		th.Recv(Any, Any)
-		th.Recv(Any, Any)
-	})
-	runReal(procs)
-	var busy, ok int
-	for i := 1; i <= 2; i++ {
-		var oe *OpenError
-		switch {
-		case errs[i] == nil:
-			ok++
-		case errors.As(errs[i], &oe) && oe.Cause == CauseBusy:
-			busy++
-		default:
-			t.Fatalf("caller %d: unexpected error %v", i, errs[i])
-		}
-	}
-	if ok != 1 || busy != 1 {
-		t.Fatalf("got %d connected / %d busy, want exactly 1/1", ok, busy)
-	}
-	st := procs[0].Lifecycle()
-	if st.SetupsAccepted != 1 {
-		t.Errorf("listener accepted %d, want 1", st.SetupsAccepted)
-	}
-	if st.SetupsRejected < 1 {
-		t.Errorf("listener rejected %d, want >= 1 (the busy bounce)", st.SetupsRejected)
-	}
-	for i, p := range procs {
-		if leaks := p.Leaks(); len(leaks) != 0 {
-			t.Errorf("proc %d leaks: %v", i, leaks)
-		}
-	}
-}
-
-// TestCallIdleTimeoutOverride pins the per-call reaper override matrix on
-// the virtual clock: a positive CallConfig.IdleTimeout arms the reaper
-// even when the proc-wide knob is off, a negative one disables it even
-// when the proc-wide knob is on, and zero inherits.
-func TestCallIdleTimeoutOverride(t *testing.T) {
-	run := func(procIdle, override time.Duration) (reaped bool, closed int64, err error) {
-		vm := NewVirtualMesh(2, 1, VirtualMeshConfig{SigIdleTimeout: procIdle})
-		vm.Procs[0].TCreate("dial", mts.PrioDefault, func(th *Thread) {
-			defer th.Send(0, 1, []byte("bye"))
-			ch, e := vm.Procs[0].OpenCall(th, 1, CallConfig{IdleTimeout: override})
-			if e != nil {
-				err = e
-				return
-			}
-			// Model 50ms of compute: long enough for any armed reaper
-			// (5ms period) to tear the idle channel down underneath us.
-			th.Compute(50*time.Millisecond, func() {})
-			reaped = ch.Closed()
-			if !reaped {
-				err = ch.CloseCall(th)
-			}
-		})
-		// The callee needs a thread of its own: a proc with none never
-		// reaches closing, and its periodic ticks would run to MaxTime.
-		vm.Procs[1].TCreate("keeper", mts.PrioDefault, func(th *Thread) {
-			th.Recv(Any, 0)
-		})
-		vm.Run()
-		return reaped, vm.Procs[0].Lifecycle().Closed, err
-	}
-	const idle = 5 * time.Millisecond
-	cases := []struct {
-		name              string
-		procIdle, overrid time.Duration
-		wantReaped        bool
-	}{
-		{"override-arms", 0, idle, true},
-		{"override-disables", idle, -1, false},
-		{"inherit", idle, 0, true},
-		{"off", 0, 0, false},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			reaped, closed, err := run(tc.procIdle, tc.overrid)
-			if err != nil {
-				t.Fatalf("call: %v", err)
-			}
-			if reaped != tc.wantReaped {
-				t.Fatalf("reaped = %v, want %v", reaped, tc.wantReaped)
-			}
-			if closed != 1 {
-				t.Errorf("caller closed = %d, want 1", closed)
 			}
 		})
 	}

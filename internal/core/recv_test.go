@@ -219,7 +219,7 @@ func TestRecvDoomTable(t *testing.T) {
 
 // TestRecvClosedChannelWakes: a receiver parked on a channel its own end
 // closes wakes with *ChannelClosedError, whichever path closes it — Close,
-// the caller's CloseCall, the peer's CloseCall, the idle reaper — and a
+// the caller's CloseCall, the peer's CloseCall — and a
 // receive on an already-closed channel returns what was stored before the
 // close, then fails at once instead of parking.
 func TestRecvClosedChannelWakes(t *testing.T) {
@@ -319,25 +319,5 @@ func TestRecvClosedChannelWakes(t *testing.T) {
 			t.Fatalf("call: %v", callErr)
 		}
 		wantClosed(t, err, 1, 0)
-	})
-	t.Run("idle-teardown", func(t *testing.T) {
-		vm := NewVirtualMesh(2, 1, VirtualMeshConfig{MaxTime: time.Second, SigIdleTimeout: 5 * time.Millisecond})
-		p := vm.Procs[0]
-		var err, openErr error
-		p.TCreate("dial", mts.PrioDefault, func(th *Thread) {
-			defer th.Send(0, 1, []byte("bye"))
-			ch, e := p.OpenCall(th, 1, CallConfig{})
-			if e != nil {
-				openErr = e
-				return
-			}
-			err = recoverErr(func() { ch.Recv(th, Any) }) // only the reaper ends this
-		})
-		vm.Procs[1].TCreate("keeper", mts.PrioDefault, func(th *Thread) { th.Recv(Any, 0) })
-		runOrFail(t, vm.Run)
-		if openErr != nil {
-			t.Fatalf("open: %v", openErr)
-		}
-		wantClosed(t, err, 0, 1)
 	})
 }

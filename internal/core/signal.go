@@ -81,7 +81,7 @@ const (
 	evReject                   // REJECT for it (cause: the callee's)
 	evTimeout                  // a retry timer fired with attempts left: SETUP while opening, RELEASE while releasing
 	evGiveUp                   // a retry timer fired with the budget spent (cause: timeout)
-	evClose                    // CloseCall, Close, or the idle reaper (cause: what the RELEASE carries)
+	evClose                    // CloseCall or Close
 	evDrained                  // the sender side has drained (pollDrain)
 	evRelease                  // the peer's RELEASE
 	evRelComp                  // the peer's RELEASE-COMPLETE
@@ -96,7 +96,7 @@ type sigAct uint16
 const (
 	actAbandon sigAct = 1 << iota // error control abandons its window; a dead peer's record becomes the send error (before the state moves)
 	actCause                      // record the event's cause: why the call failed, or what the RELEASE carries
-	actOpened                     // count the open, bind the VC, arm the idle reaper
+	actOpened                     // count the open, bind the VC
 	actSetup                      // SETUP again, next attempt, and arm its timer
 	actShut                       // flush pending control, stop the flow timers, fail the queued sends
 	actSweep                      // the closed-channel sweep (finalizeChannel runs it too)
@@ -133,7 +133,7 @@ var sigTable = [numChanStates][numSigEvents]sigRow{
 		evPeerDead: {actAbandon | actCause | actFinal | actWake, chanClosed},
 	},
 	chanOpen: {
-		evClose:    {actCause | actShut | actDrain, chanClosing},
+		evClose:    {actShut | actDrain, chanClosing},
 		evRelease:  {actShut | actDrain, chanDraining},
 		evPeerDead: {actAbandon | actFinal, chanClosed},
 	},
@@ -238,7 +238,7 @@ func (p *Proc) sigStep(c *Channel, ev sigEvent, cause CallCause) {
 
 // sigAfter runs fn after d unless the channel has moved on meanwhile, to
 // another state or retry attempt: the one stale-timer guard of the SETUP
-// and RELEASE retries, the drain poll and the idle reaper.
+// and RELEASE retries and the drain poll.
 func (p *Proc) sigAfter(c *Channel, d time.Duration, fn func()) {
 	st, at := c.state.Load(), c.attempt
 	p.cfg.After(d, func() {
@@ -376,38 +376,20 @@ type CallConfig struct {
 	// deterministic per-call jitter so synchronized callers spread out);
 	// 0 selects SetupTimeout/2.
 	Backoff time.Duration
-	// IdleTimeout overrides the proc-wide Config.SigIdleTimeout for this
-	// call on *both* ends (it travels in the SETUP): positive arms the
-	// idle reaper at that period, negative disables it for this channel,
-	// 0 inherits the proc-wide setting.
-	IdleTimeout time.Duration
 }
 
 // ---------------------------------------------------------------------------
 // Admission control
 
-// AdmissionPolicy is the callee-side seam judging incoming SETUPs. All
-// calls run in the callee's scheduler domain, so implementations need no
-// locking; now is the scheduler clock (virtual under a VirtualTime mesh),
-// injected so policies never touch the wall clock. Admit returning false
-// rejects the call with the given cause (CauseNone maps to
-// CauseAdmissionDenied). Release is called once per admitted call when the
-// channel finalizes, so stateful policies (per-peer caps) can return the
-// slot.
+// AdmissionPolicy is the callee-side seam judging incoming SETUPs; a nil
+// Config.Admission admits everything. Admit runs in the callee's scheduler
+// domain, so implementations need no locking; now is the scheduler clock
+// (virtual under a VirtualTime mesh), injected so policies never touch the
+// wall clock. Admit returning false rejects the call with the given cause
+// (CauseNone maps to CauseAdmissionDenied).
 type AdmissionPolicy interface {
-	Name() string
 	Admit(peer ProcID, id ChannelID, now time.Duration) (bool, CallCause)
-	Release(peer ProcID)
 }
-
-// AlwaysAdmit accepts every call — the default when Config.Admission is
-// nil.
-type AlwaysAdmit struct{}
-
-// Name implements AdmissionPolicy.
-func (AlwaysAdmit) Name() string                                             { return "always" }
-func (AlwaysAdmit) Admit(ProcID, ChannelID, time.Duration) (bool, CallCause) { return true, CauseNone }
-func (AlwaysAdmit) Release(ProcID)                                           {}
 
 // TokenBucketAdmission admits calls at a sustained rate with a burst
 // allowance: each admitted call costs one token, tokens refill at
@@ -426,9 +408,6 @@ func NewTokenBucketAdmission(ratePerSec, burst float64) *TokenBucketAdmission {
 	return &TokenBucketAdmission{rate: ratePerSec, burst: burst, tokens: burst}
 }
 
-// Name implements AdmissionPolicy.
-func (a *TokenBucketAdmission) Name() string { return "token-bucket" }
-
 // Admit implements AdmissionPolicy.
 func (a *TokenBucketAdmission) Admit(_ ProcID, _ ChannelID, now time.Duration) (bool, CallCause) {
 	if a.primed {
@@ -446,41 +425,6 @@ func (a *TokenBucketAdmission) Admit(_ ProcID, _ ChannelID, now time.Duration) (
 	}
 	a.tokens--
 	return true, CauseNone
-}
-
-// Release implements AdmissionPolicy (token buckets meter setup rate, not
-// concurrency, so nothing returns).
-func (a *TokenBucketAdmission) Release(ProcID) {}
-
-// PeerCapAdmission bounds concurrently open signaled channels per calling
-// peer; slots return when channels finalize.
-type PeerCapAdmission struct {
-	max  int
-	open map[ProcID]int
-}
-
-// NewPeerCapAdmission builds a per-peer concurrency cap.
-func NewPeerCapAdmission(maxPerPeer int) *PeerCapAdmission {
-	return &PeerCapAdmission{max: maxPerPeer, open: make(map[ProcID]int)}
-}
-
-// Name implements AdmissionPolicy.
-func (a *PeerCapAdmission) Name() string { return "peer-cap" }
-
-// Admit implements AdmissionPolicy.
-func (a *PeerCapAdmission) Admit(peer ProcID, _ ChannelID, _ time.Duration) (bool, CallCause) {
-	if a.open[peer] >= a.max {
-		return false, CauseAdmissionDenied
-	}
-	a.open[peer]++
-	return true, CauseNone
-}
-
-// Release implements AdmissionPolicy.
-func (a *PeerCapAdmission) Release(peer ProcID) {
-	if a.open[peer] > 0 {
-		a.open[peer]--
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -534,11 +478,11 @@ func (p *Proc) OpenCall(t *Thread, peer ProcID, cfg CallConfig) (*Channel, error
 	}
 	// Dialing (or re-dialing) a peer starts the failure detector's view of
 	// it over: the death record clears and monitoring restarts with a fresh
-	// grace period, so Redial can reach a restarted peer.
+	// grace period, so an OpenCall retried after a heal or a restart can
+	// reach the peer.
 	delete(p.deadPeers, peer)
 	delete(p.hbPeers, peer)
 	c := p.addChannel(peer, id, chanOpening, cfg.Priority, cfg.Lane, cfg.Weight, cfg.Flow, cfg.Error)
-	c.idleOver = cfg.IdleTimeout
 	p.sigRefSeq++
 	c.sigRef = p.sigRefSeq
 	c.call = &sigCall{cfg: cfg, caller: t}
@@ -588,10 +532,10 @@ func (p *Proc) sendSetup(c *Channel) {
 	}
 	// The 9th word after the QoS block is the calling-party thread index,
 	// surfaced on the callee as Channel.PeerThread so a serving thread can
-	// address the opener before any application rendezvous; the 10th is the
-	// per-call idle-timeout override, so both ends arm the same reaper.
+	// address the opener before any application rendezvous; the 10th is
+	// reserved and sent as 0.
 	p.sendProcCtrl(c.peer, tagSigSetup, sig.Marshal(),
-		append(words[:], uint32(c.call.caller.idx), encodeIdleWord(cfg.IdleTimeout))...)
+		append(words[:], uint32(c.call.caller.idx), 0)...)
 	p.armRetry(c, cfg.SetupTimeout+time.Duration(at-1)*cfg.Backoff+
 		sigJitter(uint32(p.cfg.ID), c.sigRef, uint32(at), cfg.Backoff))
 }
@@ -622,7 +566,7 @@ func sigJitter(a, b, c uint32, span time.Duration) time.Duration {
 // 2 = rate (A = bytes/s, B = bucket bytes); errKind 0 = none, 1 =
 // go-back-N, 2 = selective repeat (A = Window, B = Timeout µs). A 9th
 // word follows with the calling-party thread index (Channel.PeerThread),
-// and a 10th with the per-call idle-timeout override (encodeIdleWord).
+// and a 10th, reserved: sent as 0, ignored on receipt.
 
 func encodeCallWords(cfg CallConfig) ([8]uint32, bool) {
 	var w [8]uint32
@@ -707,23 +651,6 @@ func decodeCallWords(w []uint32) (prio, weight int, fc FlowControl, ec ErrorCont
 	return prio, weight, fc, ec, true
 }
 
-// encodeIdleWord packs CallConfig.IdleTimeout into its SETUP word:
-// microseconds, with all-ones meaning "explicitly disabled" and zero
-// "inherit the proc-wide SigIdleTimeout". decodeIdleWord inverts it.
-func encodeIdleWord(d time.Duration) uint32 {
-	if d < 0 {
-		return ^uint32(0)
-	}
-	return satU32(float64(d / time.Microsecond))
-}
-
-func decodeIdleWord(w uint32) time.Duration {
-	if w == ^uint32(0) {
-		return -1
-	}
-	return time.Duration(w) * time.Microsecond
-}
-
 // satU32 converts a parameter to its SETUP word, saturating at both ends.
 func satU32(v float64) uint32 {
 	if v < 0 {
@@ -787,7 +714,9 @@ func (p *Proc) onSigMsg(m *transport.Message) {
 	}
 	sig, words, nw, err := parseSig(m.Data)
 	if err != nil {
-		p.exception(fmt.Errorf("core: bad signaling frame from proc %d: %v", m.From, err))
+		// A frame the peer sent is its fault, not this proc's: counted and
+		// dropped, like a late control frame.
+		p.statBadSignaling.Add(1)
 		return
 	}
 	// Signaling frames ride channel 0, because the channel under
@@ -795,11 +724,7 @@ func (p *Proc) onSigMsg(m *transport.Message) {
 	// RELEASE retries); that channel rides in the forward VC's VPI.
 	id := ChannelID(sig.Forward.VPI)
 	if m.Tag == tagSigSetup {
-		if nw < 8 {
-			p.exception(fmt.Errorf("core: SETUP from proc %d carries %d QoS words, want 8", m.From, nw))
-			return
-		}
-		p.onSetup(m.From, id, sig, words)
+		p.onSetup(m.From, id, sig, words, nw)
 		return
 	}
 	// Everything else is about a call in progress. A channel under another
@@ -833,46 +758,57 @@ func (p *Proc) onSigMsg(m *transport.Message) {
 // ---------------------------------------------------------------------------
 // Callee side
 
-// pendingSetup is one queued incoming call (Config.AcceptQueue).
-type pendingSetup struct {
-	from  ProcID
-	id    ChannelID
-	sig   atm.SigMessage
-	words [10]uint32
-}
-
-// onSetup judges one incoming call: admission policy, QoS decode, channel
-// allocation, VC bind — then CONNECT; any refusal answers REJECT with a
-// cause instead of leaving the caller hanging. With Config.AcceptQueue set
-// the SETUP instead joins a bounded listener-side queue and is served one
-// per scheduler pass — backpressure instead of instant rejection when the
-// app is slow in OnAccept — overflowing with CauseBusy.
-func (p *Proc) onSetup(from ProcID, id ChannelID, sig atm.SigMessage, words [10]uint32) {
+// onSetup judges one incoming call: channel ID, proc state, duplicate
+// call, admission policy, QoS decode (the first nw of words are present; a
+// SETUP short of the 8 QoS words fails it) — then allocates the channel,
+// born OPEN, binds its VC and answers CONNECT before OnAccept runs. Any
+// refusal answers REJECT with a cause instead of leaving the caller hanging.
+func (p *Proc) onSetup(from ProcID, id ChannelID, sig atm.SigMessage, words [10]uint32, nw int) {
 	// A peer dialing us is alive by definition: clear any stale death
 	// record so its new call is monitored with a fresh grace period.
 	delete(p.deadPeers, from)
 	delete(p.hbPeers, from)
-	if p.setupPrechecked(from, id, sig) {
+	if id == 0 || id > MaxChannelID {
+		p.rejectSetup(from, sig, CauseUnsupported)
 		return
 	}
-	if p.cfg.AcceptQueue > 0 {
-		for _, ps := range p.acceptQ {
-			if ps.from == from && ps.id == id && ps.sig.CallRef == sig.CallRef {
-				return // retransmitted SETUP; the original is still queued
-			}
-		}
-		if len(p.acceptQ) >= p.cfg.AcceptQueue {
-			p.rejectSetup(from, sig, CauseBusy)
+	if p.closing.Load() {
+		p.rejectSetup(from, sig, CausePeerClosed)
+		return
+	}
+	if exist := p.openChannel(from, id); exist != nil {
+		if exist.sigRef == sig.CallRef && exist.call == nil && exist.state.Load() == chanOpen {
+			// Duplicate SETUP for a call we already accepted (our CONNECT
+			// was lost, or the retry raced it): answer again, idempotently.
+			p.sendConnect(from, id, sig)
 			return
 		}
-		p.acceptQ = append(p.acceptQ, pendingSetup{from: from, id: id, sig: sig, words: words})
-		if !p.acceptOn {
-			p.acceptOn = true
-			p.cfg.After(0, p.acceptNext)
-		}
+		p.rejectSetup(from, sig, CauseBusy)
 		return
 	}
-	p.acceptSetup(from, id, sig, words)
+	if pol := p.cfg.Admission; pol != nil {
+		if ok, cause := pol.Admit(from, id, time.Duration(p.cfg.RT.Now())); !ok {
+			if cause == CauseNone {
+				cause = CauseAdmissionDenied
+			}
+			p.rejectSetup(from, sig, cause)
+			return
+		}
+	}
+	prio, weight, fc, ec, ok := decodeCallWords(words[:nw])
+	if !ok {
+		p.rejectSetup(from, sig, CauseUnsupported)
+		return
+	}
+	c := p.addChannel(from, id, chanOpen, prio, 0, weight, fc, ec)
+	c.sigRef = sig.CallRef
+	c.peerThread = int(words[8])
+	p.statSetupsAccepted.Add(1)
+	p.markOpen(c)
+	p.sendConnect(from, id, sig)
+	if p.cfg.OnAccept != nil {
+		p.cfg.OnAccept(c)
+	}
 }
 
 // rejectSetup answers a SETUP with REJECT and the given cause.
@@ -880,88 +816,6 @@ func (p *Proc) rejectSetup(from ProcID, sig atm.SigMessage, cause CallCause) {
 	p.statSetupsRejected.Add(1)
 	rs := atm.SigMessage{Type: atm.SigReject, CallRef: sig.CallRef, Caller: sig.Caller, Called: sig.Called, Forward: sig.Forward}
 	p.sendProcCtrl(from, tagSigReject, rs.Marshal(), uint32(cause))
-}
-
-// setupPrechecked runs the synchronous, idempotent SETUP checks — invalid
-// ID, closing proc, duplicate call — answering directly (REJECT, or a
-// repeated CONNECT for a call already accepted) and reporting whether the
-// SETUP is fully dealt with. Runs both on arrival and again when a queued
-// SETUP is finally served, since the state may have moved in between.
-func (p *Proc) setupPrechecked(from ProcID, id ChannelID, sig atm.SigMessage) bool {
-	if id == 0 || id > MaxChannelID {
-		p.rejectSetup(from, sig, CauseUnsupported)
-		return true
-	}
-	if p.closing.Load() {
-		p.rejectSetup(from, sig, CausePeerClosed)
-		return true
-	}
-	if exist := p.openChannel(from, id); exist != nil {
-		if exist.sigRef == sig.CallRef && exist.call == nil && exist.state.Load() == chanOpen {
-			// Duplicate SETUP for a call we already accepted (our CONNECT
-			// was lost, or the retry raced it): answer again, idempotently.
-			p.sendConnect(from, id, sig)
-			return true
-		}
-		p.rejectSetup(from, sig, CauseBusy)
-		return true
-	}
-	return false
-}
-
-// acceptNext serves the head of the accept queue and re-arms for the rest:
-// one call per zero-delay scheduler event, so a burst of SETUPs cannot
-// monopolize a pass, and each queued call is re-prechecked at serve time.
-func (p *Proc) acceptNext() {
-	if len(p.acceptQ) == 0 {
-		p.acceptOn = false
-		return
-	}
-	ps := p.acceptQ[0]
-	n := copy(p.acceptQ, p.acceptQ[1:])
-	p.acceptQ[n] = pendingSetup{}
-	p.acceptQ = p.acceptQ[:n]
-	if !p.setupPrechecked(ps.from, ps.id, ps.sig) {
-		p.acceptSetup(ps.from, ps.id, ps.sig, ps.words)
-	}
-	if len(p.acceptQ) > 0 {
-		p.cfg.After(0, p.acceptNext)
-	} else {
-		p.acceptOn = false
-	}
-}
-
-// acceptSetup is the accept tail shared by the direct and queued paths:
-// admission, QoS decode, channel allocation (born OPEN), VC bind, CONNECT,
-// OnAccept.
-func (p *Proc) acceptSetup(from ProcID, id ChannelID, sig atm.SigMessage, words [10]uint32) {
-	pol := p.cfg.Admission
-	if pol == nil {
-		pol = AlwaysAdmit{}
-	}
-	if ok, cause := pol.Admit(from, id, time.Duration(p.cfg.RT.Now())); !ok {
-		if cause == CauseNone {
-			cause = CauseAdmissionDenied
-		}
-		p.rejectSetup(from, sig, cause)
-		return
-	}
-	prio, weight, fc, ec, ok := decodeCallWords(words[:])
-	if !ok {
-		pol.Release(from)
-		p.rejectSetup(from, sig, CauseUnsupported)
-		return
-	}
-	c := p.addChannel(from, id, chanOpen, prio, 0, weight, fc, ec)
-	c.sigRef = sig.CallRef
-	c.peerThread = int(words[8])
-	c.idleOver = decodeIdleWord(words[9])
-	p.statSetupsAccepted.Add(1)
-	p.markOpen(c)
-	p.sendConnect(from, id, sig)
-	if p.cfg.OnAccept != nil {
-		p.cfg.OnAccept(c)
-	}
 }
 
 func (p *Proc) sendConnect(to ProcID, id ChannelID, sig atm.SigMessage) {
@@ -975,8 +829,8 @@ func (p *Proc) sendConnect(to ProcID, id ChannelID, sig atm.SigMessage) {
 // markOpen books a channel that just reached OPEN on either end: the
 // balance counters, the per-call VC route in a carrier that routes per call
 // (transport.ChannelRouter; the counter ticks regardless, so leak
-// accounting is uniform across carriers), the idle reaper, and a fresh
-// retry counter for its RELEASE. finalizeChannel undoes it.
+// accounting is uniform across carriers), and a fresh retry counter for its
+// RELEASE. finalizeChannel undoes it.
 func (p *Proc) markOpen(c *Channel) {
 	c.attempt = 0
 	p.statOpened.Add(1)
@@ -984,7 +838,6 @@ func (p *Proc) markOpen(c *Channel) {
 	if cr, ok := p.cfg.Endpoint.(transport.ChannelRouter); ok {
 		cr.BindChannel(c.peer, c.id)
 	}
-	p.armIdleTeardown(c)
 }
 
 // ---------------------------------------------------------------------------
@@ -996,7 +849,7 @@ func (p *Proc) markOpen(c *Channel) {
 // answers RELEASE-COMPLETE — and both ends release their VC, discipline,
 // flush-wheel, and lane-scheduler state. The calling thread parks until
 // this end has finalized; a close already under way (Close, the peer's
-// RELEASE, the idle reaper) is waited out, and several CloseCalls all wake.
+// RELEASE, peer death) is waited out, and several CloseCalls all wake.
 // Statically opened channels (Proc.Open) are not signaled — use Close.
 func (c *Channel) CloseCall(t *Thread) error {
 	if t.proc != c.p {
@@ -1034,9 +887,8 @@ func (p *Proc) pollDrain(c *Channel) {
 // finalizeChannel is the terminal teardown (sigStep has stored chanClosed;
 // from is the state left): the channel leaves the proc's table, its lane
 // state detaches, queued sends fail with closedErr and queued retransmissions
-// retire silently; one that was open undoes markOpen and (callee end) returns
-// its admission slot; threads in CloseCall wake, and so does every receiver
-// the close dooms.
+// retire silently; one that was open undoes markOpen; threads in CloseCall
+// wake, and so does every receiver the close dooms.
 func (p *Proc) finalizeChannel(c *Channel, from uint32) {
 	ln := c.lockLane()
 	c.flushCtrl()
@@ -1049,9 +901,6 @@ func (p *Proc) finalizeChannel(c *Channel, from uint32) {
 		p.statVCRel.Add(1)
 		if cr, ok := p.cfg.Endpoint.(transport.ChannelRouter); ok {
 			cr.UnbindChannel(c.peer, c.id)
-		}
-		if c.call == nil && p.cfg.Admission != nil {
-			p.cfg.Admission.Release(c.peer)
 		}
 	}
 	for _, mt := range c.closeWaiters {
@@ -1072,37 +921,6 @@ func (p *Proc) closedSweep(c *Channel) {
 		p.failDoomedWaiters()
 	}
 	p.checkShutdownWake()
-}
-
-// armIdleTeardown starts the idle-channel reaper chain: when
-// Config.SigIdleTimeout (or the call's CallConfig.IdleTimeout override,
-// carried in the SETUP so both ends agree) is set and a signaled channel
-// moves no traffic for a full period, this end closes it — the survival
-// path against a peer that crashed after CONNECT. The chain lives only
-// while the channel is OPEN (sigAfter) and the proc is running, so it
-// cannot keep a virtual-time engine alive.
-func (p *Proc) armIdleTeardown(c *Channel) {
-	idle := p.cfg.SigIdleTimeout
-	if c.idleOver != 0 {
-		idle = c.idleOver
-	}
-	if idle <= 0 {
-		return
-	}
-	last := c.traffic()
-	var tick func()
-	tick = func() {
-		if p.closing.Load() {
-			return
-		}
-		if cur := c.traffic(); cur != last {
-			last = cur
-			p.sigAfter(c, idle, tick)
-			return
-		}
-		p.sigStep(c, evClose, CauseTimeout)
-	}
-	p.sigAfter(c, idle, tick)
 }
 
 // ---------------------------------------------------------------------------
@@ -1130,6 +948,9 @@ type LifecycleStats struct {
 	// LateCtrl counts control frames that arrived for a channel already
 	// finalized (dropped; cumulative control is supersede-safe).
 	LateCtrl int64
+	// BadSignaling counts signaling frames too malformed to parse
+	// (dropped).
+	BadSignaling int64
 }
 
 // Lifecycle snapshots the proc's lifecycle counters. The ring ledger is
@@ -1161,6 +982,7 @@ func (p *Proc) Lifecycle() LifecycleStats {
 		RingPushed:     pushed,
 		RingDrained:    drained,
 		LateCtrl:       p.statLateCtrl.Load(),
+		BadSignaling:   p.statBadSignaling.Load(),
 	}
 }
 

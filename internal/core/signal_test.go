@@ -176,59 +176,6 @@ func TestOpenCallBusy(t *testing.T) {
 	}
 }
 
-// TestAdmissionPeerCap: the callee's per-peer concurrency cap rejects the
-// over-cap call with a typed cause, and closing an admitted call returns
-// its slot.
-func TestAdmissionPeerCap(t *testing.T) {
-	mem := transport.NewMem()
-	procs := sigCluster(t, 2, mem, func(i int, cfg *Config) {
-		if i == 1 {
-			cfg.Admission = NewPeerCapAdmission(1)
-			cfg.OnAccept = serveCalls(0)
-		}
-	})
-	var overErr, reopenErr error
-	procs[0].TCreate("dial", mts.PrioDefault, func(th *Thread) {
-		defer th.Send(0, 1, nil)
-		first, err := procs[0].OpenCall(th, 1, CallConfig{})
-		if err != nil {
-			t.Errorf("first open: %v", err)
-			return
-		}
-		_, overErr = procs[0].OpenCall(th, 1, CallConfig{})
-		first.Recv(th, Any)
-		if err := first.CloseCall(th); err != nil {
-			t.Errorf("close: %v", err)
-			return
-		}
-		// Slot returned: the next call must be admitted again.
-		second, err := procs[0].OpenCall(th, 1, CallConfig{})
-		reopenErr = err
-		if err == nil {
-			second.Recv(th, Any)
-			second.CloseCall(th)
-		}
-	})
-	procs[1].TCreate("keeper", mts.PrioDefault, func(th *Thread) { th.Recv(Any, Any) })
-	runReal(procs)
-	var oe *OpenError
-	if !errors.As(overErr, &oe) || oe.Cause != CauseAdmissionDenied {
-		t.Fatalf("over-cap open error = %v, want CauseAdmissionDenied", overErr)
-	}
-	if reopenErr != nil {
-		t.Fatalf("reopen after close: %v (admission slot not returned)", reopenErr)
-	}
-	st := procs[1].Lifecycle()
-	if st.SetupsRejected != 1 || st.SetupsAccepted != 2 {
-		t.Fatalf("callee accepted %d rejected %d, want 2/1", st.SetupsAccepted, st.SetupsRejected)
-	}
-	for i, p := range procs {
-		if leaks := p.Leaks(); len(leaks) != 0 {
-			t.Errorf("proc %d leaks: %v", i, leaks)
-		}
-	}
-}
-
 // TestAdmissionTokenBucket: a drained token bucket fails calls fast with
 // CauseAdmissionDenied instead of queueing them.
 func TestAdmissionTokenBucket(t *testing.T) {

@@ -213,7 +213,7 @@ func sigTransitionCases() []sigCase {
 			cells: []sigCell{{chanOpening, evReject}},
 			run: func(t *testing.T) ([]*Proc, error) {
 				var err error
-				procs := callPair(t, VirtualMeshConfig{Admission: NewPeerCapAdmission(0)}, nil,
+				procs := callPair(t, VirtualMeshConfig{Admission: NewTokenBucketAdmission(0, 0)}, nil,
 					func(vm *VirtualMesh, th *Thread) { _, err = vm.Procs[0].OpenCall(th, 1, CallConfig{}) })
 				return procs, err
 			},
@@ -414,21 +414,26 @@ func sigTransitionCases() []sigCase {
 			want: wantClosedErr,
 		},
 		{
-			// A silent peer (its host dead, no failure detector): the
-			// caller's RELEASE budget runs out, and so does the callee's,
-			// whose idle reaper closed its end.
+			// A silent peer (its host dead): the caller's RELEASE budget
+			// runs out long before its failure detector would declare the
+			// peer dead, and the callee's detector closes the callee's end.
 			name:  "release-budget-spent",
 			cells: []sigCell{{chanReleasing, evTimeout}, {chanReleasing, evGiveUp}, {chanOpen, evClose}},
 			run: func(t *testing.T) ([]*Proc, error) {
 				var err error
 				var vm *VirtualMesh
-				vm = NewVirtualMesh(2, 1, VirtualMeshConfig{MaxTime: time.Second, OnAccept: func(c *Channel) {
-					// Keep the callee running until its own budget is spent.
-					c.Proc().TCreate("serve", mts.PrioDefault, func(th *Thread) { th.Compute(400*time.Millisecond, nil) })
-				}})
+				vm = NewVirtualMesh(2, 1, VirtualMeshConfig{
+					MaxTime:   time.Second,
+					Heartbeat: Heartbeat{Interval: 100 * time.Millisecond, Misses: 3},
+					OnAccept: func(c *Channel) {
+						// Keep the callee running until its detector has
+						// declared the caller dead (400 ms).
+						c.Proc().TCreate("serve", mts.PrioDefault, func(th *Thread) { th.Compute(500*time.Millisecond, nil) })
+					},
+				})
 				var took time.Duration
 				vm.Procs[0].TCreate("dial", mts.PrioDefault, func(th *Thread) {
-					ch, e := vm.Procs[0].OpenCall(th, 1, CallConfig{IdleTimeout: 5 * time.Millisecond})
+					ch, e := vm.Procs[0].OpenCall(th, 1, CallConfig{})
 					if e != nil {
 						err = e
 						return
@@ -590,18 +595,17 @@ func TestCallWordsRange(t *testing.T) {
 }
 
 // FuzzCallWords drives the callee's SETUP decode — parseSig, then
-// decodeCallWords, exactly as onSigMsg and acceptSetup run them — with a
+// decodeCallWords, exactly as onSigMsg and onSetup run them — with a
 // marshalled atm.SigMessage followed by up to 10 words. It never panics;
 // whatever it accepts has its priority in range and a weight >= 0; and
-// re-encoding an accepted configuration decodes to the same one (the idle
-// word too).
+// re-encoding an accepted configuration decodes to the same one.
 func FuzzCallWords(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		_, words, nw, err := parseSig(b)
-		if err != nil || nw < 8 {
+		if err != nil {
 			return
 		}
-		prio, weight, fc, ec, ok := decodeCallWords(words[:])
+		prio, weight, fc, ec, ok := decodeCallWords(words[:nw])
 		if !ok {
 			return
 		}
@@ -616,9 +620,6 @@ func FuzzCallWords(f *testing.F) {
 		if !ok || prio2 != prio || weight2 != weight || !reflect.DeepEqual(fc2, fc) || !reflect.DeepEqual(ec2, ec) {
 			t.Fatalf("round trip of %v: got (%d, %d, %+v, %+v, %v), want (%d, %d, %+v, %+v)",
 				words[:8], prio2, weight2, fc2, ec2, ok, prio, weight, fc, ec)
-		}
-		if w := encodeIdleWord(decodeIdleWord(words[9])); w != words[9] {
-			t.Fatalf("idle word %#x re-encodes as %#x", words[9], w)
 		}
 	})
 }

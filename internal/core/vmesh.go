@@ -42,9 +42,6 @@ type VirtualMeshConfig struct {
 	// Admission is the per-proc call admission policy for signaled opens
 	// (nil = admit everything), passed through to Config.Admission.
 	Admission AdmissionPolicy
-	// SigIdleTimeout tears down signaled channels idle for this long
-	// (zero = never), passed through to Config.SigIdleTimeout.
-	SigIdleTimeout time.Duration
 	// OnAccept runs for every admitted incoming signaled call, on every
 	// proc (use Channel.Proc to tell whose); passed through to
 	// Config.OnAccept.
@@ -107,20 +104,19 @@ func NewVirtualMesh(n int, seed int64, cfg VirtualMeshConfig) *VirtualMesh {
 	for i := 0; i < n; i++ {
 		node := eng.NewNode(fmt.Sprintf("vp%d", i))
 		p := New(Config{
-			ID:             ProcID(i),
-			RT:             node.RT(),
-			Endpoint:       mesh.Attach(i),
-			Compute:        work.Sim(node),
-			After:          after,
-			VirtualTime:    true,
-			SendLanes:      lanes,
-			RecvLanes:      lanes,
-			Flow:           cfg.Flow,
-			Error:          cfg.Error,
-			Admission:      cfg.Admission,
-			SigIdleTimeout: cfg.SigIdleTimeout,
-			OnAccept:       cfg.OnAccept,
-			Heartbeat:      cfg.Heartbeat,
+			ID:          ProcID(i),
+			RT:          node.RT(),
+			Endpoint:    mesh.Attach(i),
+			Compute:     work.Sim(node),
+			After:       after,
+			VirtualTime: true,
+			SendLanes:   lanes,
+			RecvLanes:   lanes,
+			Flow:        cfg.Flow,
+			Error:       cfg.Error,
+			Admission:   cfg.Admission,
+			OnAccept:    cfg.OnAccept,
+			Heartbeat:   cfg.Heartbeat,
 		})
 		vm.Nodes = append(vm.Nodes, node)
 		vm.Procs = append(vm.Procs, p)
