@@ -195,65 +195,61 @@ const MaxPDU = 65535
 // end-of-frame cell is mis-framed or hostile.
 const maxReassembly = (MaxPDU + trailerSize + PayloadSize - 1) / PayloadSize * PayloadSize
 
-// zeroPad is the longest pad run (PayloadSize-1 octets) as CRC input.
-var zeroPad [PayloadSize]byte
-
 // pdu is the geometry of one CPCS-PDU — payload ++ pad zeros ++ trailer,
 // a whole number of cell payloads — and the one walker that lays it into
 // cells. The payload is given as runs, consecutive pieces that need not be
 // contiguous in memory (a chunk header built on the stack, then a slice of
-// the caller's message), and the CRC is computed streaming over runs, pad
-// and trailer, so no contiguous PDU buffer is ever materialized.
+// the caller's message), and the CRC is a running register the walker
+// advances over each cell as it lays it — the adapter's "special hardware
+// for AAL CRC" computes it as the cells stream out — so no payload octet is
+// read twice and no contiguous PDU buffer is ever materialized.
 type pdu struct {
-	runs    [][]byte
-	trailer [trailerSize]byte // UU, CPI, Length, CRC-32
-	cells   int
+	runs  [][]byte
+	n     int    // payload octets: the trailer's Length field
+	cells int    // cells in the PDU
+	crc   uint32 // raw CRC register over the octets laid so far
 
 	// The walker's position: the next payload octet, as (run, offset).
 	run, off int
 }
 
 func newPDU(runs ...[]byte) (pdu, error) {
-	p := pdu{runs: runs}
-	n := 0
+	p := pdu{runs: runs, crc: ^uint32(0)}
 	for _, r := range runs {
-		n += len(r)
+		p.n += len(r)
 	}
-	if n > MaxPDU {
+	if p.n > MaxPDU {
 		return p, ErrTooLong
 	}
-	p.cells = CellCount(n)
-	pad := p.cells*PayloadSize - n - trailerSize
-	binary.BigEndian.PutUint16(p.trailer[2:], uint16(n))
-	crc := ^uint32(0)
-	for _, r := range runs {
-		crc = crcUpdate(crc, r)
-	}
-	crc = crcUpdate(crc, zeroPad[:pad])
-	crc = crcUpdate(crc, p.trailer[:4])
-	binary.BigEndian.PutUint32(p.trailer[4:], ^crc)
+	p.cells = CellCount(p.n)
 	return p, nil
 }
 
-// whole returns the next cell's payload when it lies wholly inside the
+// whole returns the next cells' payload when they lie wholly inside the
 // current run — every cell of a long run but the one that straddles into
-// the next — and steps past it. Such a cell is never the last, since payload
-// precedes pad and trailer. ok is false for the cells fill lays.
-func (p *pdu) whole() (payload []byte, ok bool) {
-	if p.run < len(p.runs) {
-		if r := p.runs[p.run][p.off:]; len(r) >= PayloadSize {
-			p.off += PayloadSize
-			return r[:PayloadSize], true
-		}
+// the next — as one span of k cells, and steps past it. Such a cell is
+// never the last, since payload precedes pad and trailer. k is 0 for the
+// cells fill lays. The span is not yet in the CRC: the caller folds it as
+// it lays it.
+func (p *pdu) whole() (span []byte, k int) {
+	for p.run < len(p.runs) && p.off == len(p.runs[p.run]) {
+		p.run, p.off = p.run+1, 0
 	}
-	return nil, false
+	if p.run == len(p.runs) {
+		return nil, 0
+	}
+	r := p.runs[p.run][p.off:]
+	k = len(r) / PayloadSize
+	p.off += k * PayloadSize
+	return r[:k*PayloadSize], k
 }
 
-// fill writes the PayloadSize octets of the next cell into dst: the cell's
-// stretch of payload, drawn from as many runs as it spans, then zeros, and —
-// in the last cell — the trailer. The last cell is the first one the payload
-// leaves room for a trailer in (the pad is shorter than a cell); fill reports
-// whether this was it.
+// fill writes the PayloadSize octets of the next cell into dst and folds
+// them into the CRC: the cell's stretch of payload, drawn from as many runs
+// as it spans, then zeros, and — in the last cell — the trailer, folded up
+// to its CRC field, which then takes the complemented register. The last
+// cell is the first one the payload leaves room for a trailer in (the pad
+// is shorter than a cell); fill reports whether this was it.
 func (p *pdu) fill(dst []byte) (last bool) {
 	dst = dst[:PayloadSize]
 	n := 0
@@ -261,15 +257,19 @@ func (p *pdu) fill(dst []byte) (last bool) {
 		c := copy(dst[n:], p.runs[p.run][p.off:])
 		if n += c; n == PayloadSize {
 			p.off += c
-			return false
+			break
 		}
 		p.run, p.off = p.run+1, 0
 	}
 	clear(dst[n:])
 	if n > PayloadSize-trailerSize {
+		p.crc = foldCells(p.crc, dst)
 		return false
 	}
-	copy(dst[PayloadSize-trailerSize:], p.trailer[:])
+	// UU and CPI stay zero.
+	binary.BigEndian.PutUint16(dst[PayloadSize-6:], uint16(p.n))
+	p.crc = crcTable(p.crc, dst[:PayloadSize-4])
+	binary.BigEndian.PutUint32(dst[PayloadSize-4:], ^p.crc)
 	return true
 }
 
@@ -277,19 +277,31 @@ func (p *pdu) fill(dst []byte) (last bool) {
 // the given VC to cells, returning the extended slice. The last cell
 // carries the end-of-frame PT indication. An empty payload is legal
 // (pure-pad PDU). Passing a scratch slice (cells[:0]) makes segmentation
-// allocation-free once the slice has grown to the working set.
+// allocation-free once the slice has grown to the working set. The cells
+// inside one run take one crcUpdate over their span, then a copyPayload
+// each: two passes where AppendCellRuns makes one, kept on this
+// decoded-cell path (the adapter model, atmtrace) because a Cell is a Go
+// struct, not wire octets at a byte stride.
 func SegmentInto(cells []Cell, vc VC, payload []byte) ([]Cell, error) {
 	p, err := newPDU(payload)
 	if err != nil {
 		return nil, err
 	}
 	cells = slices.Grow(cells, p.cells)
+	h := Header{VPI: vc.VPI, VCI: vc.VCI}
 	for last := false; !last; {
-		cells = append(cells, Cell{Header: Header{VPI: vc.VPI, VCI: vc.VCI}})
+		if s, k := p.whole(); k > 0 {
+			p.crc = crcUpdate(p.crc, s)
+			for ; k > 0; k-- {
+				cells = append(cells, Cell{Header: h})
+				copyPayload(cells[len(cells)-1].Payload[:], s)
+				s = s[PayloadSize:]
+			}
+			continue
+		}
+		cells = append(cells, Cell{Header: h})
 		c := &cells[len(cells)-1]
-		if s, ok := p.whole(); ok {
-			copyPayload(c.Payload[:], s)
-		} else if last = p.fill(c.Payload[:]); last {
+		if last = p.fill(c.Payload[:]); last {
 			c.Header.PT = ptAAL5End
 		}
 	}
@@ -322,9 +334,12 @@ func AppendCellRuns(dst []byte, vc VC, runs ...[]byte) ([]byte, error) {
 		return nil, err
 	}
 	// Two headers serve the whole frame: every cell but the last, and the
-	// end-of-frame cell. A cell inside one run is stored in two steps, an
-	// inline payload move and a fixed 5-octet header store; fill lays the
-	// rest.
+	// end-of-frame cell. The cells inside one run are laid as a batch: one
+	// crcMoveCells call that moves and folds their payloads, then a fixed
+	// 5-octet header store per cell. The stores come second because the
+	// move has by then brought the cells' lines into cache; made first,
+	// into a train buffer not touched lately, each paid a miss of its own.
+	// fill lays and folds the rest.
 	hdr, err := Header{VPI: vc.VPI, VCI: vc.VCI}.wire()
 	if err != nil {
 		return nil, err
@@ -336,10 +351,16 @@ func AppendCellRuns(dst []byte, vc VC, runs ...[]byte) ([]byte, error) {
 	dst = slices.Grow(dst, p.cells*CellSize)
 	for last := false; !last; {
 		at := len(dst)
+		if s, k := p.whole(); k > 0 {
+			dst = dst[:at+k*CellSize]
+			p.crc = crcMoveCells(p.crc, dst[at+HeaderSize:], s, CellSize, PayloadSize, k)
+			for c := at; c < len(dst); c += CellSize {
+				*(*[HeaderSize]byte)(dst[c:]) = hdr
+			}
+			continue
+		}
 		dst = dst[:at+CellSize]
-		if s, ok := p.whole(); ok {
-			copyPayload(dst[at+HeaderSize:], s)
-		} else if last = p.fill(dst[at+HeaderSize:]); last {
+		if last = p.fill(dst[at+HeaderSize:]); last {
 			hdr = end
 		}
 		*(*[HeaderSize]byte)(dst[at:]) = hdr
@@ -352,8 +373,8 @@ func AppendCellRuns(dst []byte, vc VC, runs ...[]byte) ([]byte, error) {
 // constant PayloadSize octets, to a runtime.memmove call; it keeps an
 // array move inline only up to 16 octets on amd64 and 8 on 386 and arm64.
 // So the payload moves as six 8-octet words: inline on all three, and on
-// amd64 level with three 16-octet vector moves. The cell loops make one
-// per cell.
+// amd64 level with three 16-octet vector moves. SegmentInto makes one per
+// cell of a run, and crcMoveThenUpdate one per payload it moves.
 func copyPayload(dst, src []byte) {
 	d, s := (*[PayloadSize]byte)(dst), (*[PayloadSize]byte)(src)
 	*(*[8]byte)(d[0:]) = *(*[8]byte)(s[0:])
@@ -383,6 +404,12 @@ type Reassembler struct {
 	buf     []byte
 	active  bool
 	dropped int
+
+	// crc is the raw CRC register over buf[:folded], the part of the frame
+	// under assembly that run has already folded as it moved it in; finish
+	// folds the rest. Both reset when add opens a frame.
+	crc    uint32
+	folded int
 
 	// verified is the last wire header PushWire passed through the HEC and
 	// VC checks (valid once haveVerified). A header byte-identical to it is
@@ -436,7 +463,8 @@ func (r *Reassembler) Push(c Cell) (payload []byte, done bool, err error) {
 // each payload is appended straight from src, with no Cell value built.
 // The cells between a frame's first and its end-of-frame cell carry the
 // first one's header, so PushWire takes them as a same-header run (see
-// run): a 5-octet compare and one inline 48-octet move per cell.
+// run): a 5-octet compare per cell, then one call that moves the run's
+// payloads and folds them into the frame's CRC.
 //
 // A cell with a corrupt header is consumed and reported as ErrHEC; frame
 // errors (ErrCRC, ErrLength, ErrTooLong) are reported on the cell that
@@ -470,27 +498,28 @@ func (r *Reassembler) PushWire(src []byte) (n int, payload []byte, done bool, er
 // cell that did not end the frame, so the frame is active and r.verified is
 // that cell's header, not end-of-frame. The cells at the front of src that
 // repeat that header would each pass verify by identity and be appended by
-// add; run appends their payloads directly, one inline move per cell, while
-// the frame stays short of maxReassembly, and returns the octets consumed.
-// The first cell with another header is left to verify and add, as is the
-// cell the bound refuses. The buffer grows as append grows it, a cell at a
-// time.
+// add; run counts them, as many as keep the frame short of maxReassembly,
+// and takes them in one crcMoveCells call that moves their payloads into
+// the buffer and folds them on the way, after folding the part of the frame
+// still pending (its first cell, and any that came by Push). It returns the
+// octets consumed. The first cell with another header is left to verify
+// and add, as is the cell the bound refuses. The buffer grows as append
+// grows it, once per run.
 func (r *Reassembler) run(src []byte) (n int) {
-	hdr, buf := r.verified, r.buf
-	for len(src)-n >= CellSize && len(buf) < maxReassembly {
-		cell := src[n : n+CellSize]
-		if [HeaderSize]byte(cell) != hdr {
-			break
-		}
-		if at := len(buf); cap(buf)-at >= PayloadSize {
-			buf = buf[:at+PayloadSize]
-			copyPayload(buf[at:], cell[HeaderSize:])
-		} else {
-			buf = append(buf, cell[HeaderSize:]...)
-		}
+	hdr := r.verified
+	k, room := 0, (maxReassembly-len(r.buf))/PayloadSize
+	for ; k < room && len(src)-n >= CellSize && [HeaderSize]byte(src[n:]) == hdr; k++ {
 		n += CellSize
 	}
-	r.buf = buf
+	if k == 0 {
+		return 0
+	}
+	r.crc = foldCells(r.crc, r.buf[r.folded:])
+	buf := slices.Grow(r.buf, k*PayloadSize)
+	at := len(buf)
+	buf = buf[:at+k*PayloadSize]
+	r.crc = crcMoveCells(r.crc, buf[at:], src[HeaderSize:], PayloadSize, CellSize, k)
+	r.buf, r.folded = buf, len(buf)
 	return n
 }
 
@@ -519,6 +548,7 @@ func (r *Reassembler) add(p []byte, eof bool) (payload []byte, done bool, err er
 	if !r.active {
 		r.buf = r.buf[:0]
 		r.active = true
+		r.crc, r.folded = ^uint32(0), 0
 	}
 	if len(r.buf) >= maxReassembly {
 		return r.drop(ErrTooLong)
@@ -531,12 +561,15 @@ func (r *Reassembler) add(p []byte, eof bool) (payload []byte, done bool, err er
 }
 
 // finish verifies the assembled CPCS-PDU — CRC-32, length, pad fits the
-// last cell — and returns its payload.
+// last cell — and returns its payload. The CRC register already covers
+// buf[:folded]; finish folds the rest up to the CRC field: on PushWire's
+// path the end-of-frame cell (and, in a frame too short for a run, its
+// first), for a frame that came by Push all of it.
 func (r *Reassembler) finish() (payload []byte, done bool, err error) {
 	pdu := r.buf
 	tr := pdu[len(pdu)-trailerSize:]
 	n := int(binary.BigEndian.Uint16(tr[2:]))
-	if aal5crc32(pdu[:len(pdu)-4]) != binary.BigEndian.Uint32(tr[4:]) {
+	if ^crcUpdate(r.crc, pdu[r.folded:len(pdu)-4]) != binary.BigEndian.Uint32(tr[4:]) {
 		return r.drop(ErrCRC)
 	}
 	// Pad must fit within the final cell (otherwise the sender mis-framed).

@@ -27,7 +27,7 @@ import (
 // products are at most 95 bits wide, so the MSB-first form needs no
 // shift-by-one fix-up. Four accumulators move 512 bits per step (x^512,
 // x^576), then merge, and the blocks left over fold in 128 bits at a time
-// (x^128, x^192); foldK holds the four constants, derived from aal5Poly at
+// (x^128, x^192); foldK holds these constants, derived from aal5Poly at
 // start-up. The kernel returns the remainder V, and the table loop
 // finishes U(0, V) = V·x^32 mod P and the run's last few octets: 16 octets
 // of table loop in place of a Barrett step. PCLMULQDQ and SSSE3 are not in
@@ -66,6 +66,22 @@ import (
 // Go 1.21 standard library ships one, and everywhere else every run stays on
 // the table loop. crcReflected is portable, so the tests hold it to the
 // definition on amd64 too.
+//
+// The shipped cell loops, AppendCellRuns and PushWire's same-header run,
+// make no separate CRC pass over the payloads they move. They move a batch
+// of cell payloads between a contiguous run and the 53-octet cell stride,
+// and crcMoveCells advances the register over the batch in that same move.
+// On amd64 with the fold that is one assembly kernel, moveFoldCells: each
+// 16-octet block is stored to its destination as loaded and folded as it
+// passes, six accumulators two payloads apart (x^768, x^832), merged to
+// three one payload apart (x^384, x^448) and to one 128 bits apart (x^128,
+// x^192); its remainder finishes on the table loop as crcFold's does, and
+// foldK holds all eight constants. So every payload octet is read once on
+// each side of the link. Elsewhere, and on amd64 without PCLMULQDQ,
+// crcMoveThenUpdate moves the payloads and then makes one crcUpdate over
+// the contiguous side of the move — the run on send, the reassembly buffer
+// on receive — so a long batch still reaches hash/crc32's kernel where the
+// GOARCH has one: 48 octets at a time it would never leave the table loop.
 
 // aal5Poly is the AAL5 CRC-32 generator (I.363.5), processed MSB-first.
 const aal5Poly = 0x04C11DB7
@@ -117,7 +133,7 @@ func init() {
 // crcUpdate advances the raw AAL5 CRC-32 register crc over p. It applies
 // neither the all-ones preset nor the final complement, so a CRC can be
 // streamed over several runs (payload, pad, trailer) without materializing
-// them contiguously; aal5crc32 is the one-shot form.
+// them contiguously.
 func crcUpdate(crc uint32, p []byte) uint32 {
 	if hasFold && len(p) >= foldMin {
 		return crcFold(crc, p)
@@ -195,8 +211,42 @@ func reflect8(dst, src []byte) {
 	}
 }
 
-// aal5crc32 computes the AAL5 CRC-32 (generator 0x04C11DB7, init all-ones,
-// final complement) over p.
-func aal5crc32(p []byte) uint32 {
-	return ^crcUpdate(^uint32(0), p)
+// crcMoveCells moves n cell payloads, src[i*srcStep:] to dst[i*dstStep:],
+// PayloadSize octets each, and advances the raw register crc over them read
+// back to back. One side is contiguous (its step is PayloadSize): the
+// send loop moves a run into cells, the receive run moves cells into the
+// frame buffer. With the fold it is one pass, each octet read once; without
+// it, crcMoveThenUpdate.
+func crcMoveCells(crc uint32, dst, src []byte, dstStep, srcStep, n int) uint32 {
+	if hasFold {
+		return crcMoveFold(crc, dst, src, dstStep, srcStep, n)
+	}
+	return crcMoveThenUpdate(crc, dst, src, dstStep, srcStep, n)
+}
+
+// crcMoveThenUpdate is crcMoveCells in two passes: it moves the payloads,
+// then makes one crcUpdate over the contiguous side, so a long run keeps
+// the reflected kernel where the GOARCH has one (a 48-octet update per
+// payload would hold every run to the table loop). It is portable, so the
+// tests hold it to the fold on amd64.
+func crcMoveThenUpdate(crc uint32, dst, src []byte, dstStep, srcStep, n int) uint32 {
+	for i := 0; i < n; i++ {
+		copyPayload(dst[i*dstStep:], src[i*srcStep:])
+	}
+	if srcStep == PayloadSize {
+		return crcUpdate(crc, src[:n*PayloadSize])
+	}
+	return crcUpdate(crc, dst[:n*PayloadSize])
+}
+
+// foldCells advances the raw register crc over p, whole cell payloads that
+// are already in place. With the fold it runs the move kernel with p as
+// both ends, which reads each octet once as crcFold would and takes a
+// single payload too (48 octets are under foldMin); elsewhere it is
+// crcUpdate.
+func foldCells(crc uint32, p []byte) uint32 {
+	if hasFold {
+		return crcMoveFold(crc, p, p, PayloadSize, PayloadSize, len(p)/PayloadSize)
+	}
+	return crcUpdate(crc, p)
 }

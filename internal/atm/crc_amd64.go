@@ -14,13 +14,19 @@ var hasFold = clmul()
 // 89-104 vs 29-32, 256 B 153-192 vs 28-38, 1 KB 629-785 vs 58-79, 8 KB
 // 4600-6200 vs 360-500. The fold wins by a third at its floor and the gap
 // only widens, so nothing is gained by a higher threshold. A cell payload
-// and an AAL5 trailer stay on the table loop.
+// in place folds through moveFoldCells instead (foldCells); the end of a
+// frame's last cell stays on the table loop.
 const foldMin = 64
 
-// foldK holds the fold kernel's constants, x^n mod P for the generator P:
-// the 512-bit fold's pair (x^512, x^576) and the 128-bit fold's (x^128,
-// x^192), each pair low half first as the kernel loads it.
-var foldK = [4]uint64{xnModP(512), xnModP(576), xnModP(128), xnModP(192)}
+// foldK holds the fold kernels' constants, x^n mod P for the generator P,
+// each pair low half first as the kernels load it: foldBlocks' 512-bit fold
+// (x^512, x^576), the 128-bit fold both kernels merge with (x^128, x^192),
+// and moveFoldCells' one-payload and two-payload folds (x^384, x^448;
+// x^768, x^832).
+var foldK = [8]uint64{
+	xnModP(512), xnModP(576), xnModP(128), xnModP(192),
+	xnModP(384), xnModP(448), xnModP(768), xnModP(832),
+}
 
 // xnModP is x^n modulo the AAL5 generator: the register 1 (x^0) shifted n
 // times through it.
@@ -43,6 +49,14 @@ func xnModP(n int) uint64 {
 //go:noescape
 func foldBlocks(crc uint32, p []byte) (hi, lo uint64)
 
+// moveFoldCells (crc_amd64.s) moves n >= 1 cell payloads, src[i*srcStep:]
+// to dst[i*dstStep:], PayloadSize octets each, and folds them as it goes:
+// the payloads read back to back, with the raw register crc as their first
+// 32 bits, become a 128-bit remainder hi·x^64 + lo as foldBlocks' does.
+//
+//go:noescape
+func moveFoldCells(crc uint32, dst, src []byte, dstStep, srcStep, n int) (hi, lo uint64)
+
 // clmul reports whether the CPU has PCLMULQDQ and SSSE3.
 func clmul() bool
 
@@ -56,8 +70,26 @@ func crcFold(crc uint32, p []byte) uint32 {
 	}
 	n := len(p) &^ 15
 	hi, lo := foldBlocks(crc, p[:n])
+	return crcTable(finishFold(hi, lo), p[n:])
+}
+
+// finishFold is U(0, V) for a kernel's remainder V = hi·x^64 + lo: 16
+// octets of table loop in place of a Barrett step.
+func finishFold(hi, lo uint64) uint32 {
 	var r [16]byte
 	binary.BigEndian.PutUint64(r[:], hi)
 	binary.BigEndian.PutUint64(r[8:], lo)
-	return crcTable(crcTable(0, r[:]), p[n:])
+	return crcTable(0, r[:])
+}
+
+// crcMoveFold is crcMoveCells' amd64 kernel. The assembly checks no
+// bounds, so the two checks here do: every payload it reads and writes
+// lies inside src and dst.
+func crcMoveFold(crc uint32, dst, src []byte, dstStep, srcStep, n int) uint32 {
+	if n <= 0 {
+		return crc
+	}
+	_ = dst[(n-1)*dstStep+PayloadSize-1]
+	_ = src[(n-1)*srcStep+PayloadSize-1]
+	return finishFold(moveFoldCells(crc, dst, src, dstStep, srcStep, n))
 }

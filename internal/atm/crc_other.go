@@ -13,3 +13,9 @@ const (
 // crcFold is never reached off amd64; it keeps crcUpdate's one dispatch
 // compiling on every GOARCH.
 func crcFold(crc uint32, p []byte) uint32 { return crcTable(crc, p) }
+
+// crcMoveFold is never reached off amd64; it keeps crcMoveCells' one
+// dispatch compiling on every GOARCH.
+func crcMoveFold(crc uint32, dst, src []byte, dstStep, srcStep, n int) uint32 {
+	return crcMoveThenUpdate(crc, dst, src, dstStep, srcStep, n)
+}

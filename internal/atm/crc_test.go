@@ -8,6 +8,12 @@ import (
 	"testing"
 )
 
+// aal5crc32 computes the AAL5 CRC-32 (generator 0x04C11DB7, init all-ones,
+// final complement) over p: crcUpdate's one-shot form.
+func aal5crc32(p []byte) uint32 {
+	return ^crcUpdate(^uint32(0), p)
+}
+
 // crcBitSerial is the AAL5 CRC-32 straight from its definition — one
 // message bit at a time through the generator, MSB first, all-ones preset,
 // final complement — kept here as the reference crcUpdate is held to.
@@ -136,12 +142,16 @@ func prefixes(preset uint32, p []byte) []uint32 {
 }
 
 // FuzzAAL5CRC holds crcUpdate to the bit-serial reference on arbitrary
-// input, both one-shot and streamed across an arbitrary split (the way
-// newPDU runs it over payload, pad and trailer). Seeds: every length 0-17
-// here, longer ones in testdata/fuzz/FuzzAAL5CRC — among them the lengths
-// around foldMin and a block past it (63-65, 79, 80), around reflectMin and
-// reflectBlock, and one short of 4 KB, so plain go test crosses every
-// kernel's threshold and the fold's four-block and one-block loops.
+// input, both one-shot and streamed across an arbitrary split (the way the
+// cell loops run it, a cell or a batch of cells at a time), and every
+// move-and-fold kernel to the table loop: the input's whole payloads moved
+// out of a contiguous run into cells and, read at the cell stride, back
+// into a contiguous buffer, from the register the split leaves. Seeds:
+// every length 0-17 here, longer ones in testdata/fuzz/FuzzAAL5CRC — among
+// them the lengths around foldMin and a block past it (63-65, 79, 80),
+// around reflectMin and reflectBlock, and one short of 4 KB, so plain go
+// test crosses every kernel's threshold, the fold's four-block and
+// one-block loops, and the move kernel's odd and even payload counts.
 func FuzzAAL5CRC(f *testing.F) {
 	for n := 0; n <= 17; n++ {
 		f.Add(patterned(n), uint16(n/2))
@@ -157,6 +167,37 @@ func FuzzAAL5CRC(f *testing.F) {
 		}
 		if got := ^crcUpdate(crcUpdate(^uint32(0), p[:k]), p[k:]); got != want {
 			t.Fatalf("len %d split %d: streamed crc %08x, bit-serial %08x", len(p), k, got, want)
+		}
+
+		preset := crcTable(^uint32(0), p[:k])
+		toCells := len(p) / PayloadSize
+		toRun := 0
+		if len(p) >= PayloadSize {
+			toRun = (len(p)-PayloadSize)/CellSize + 1
+		}
+		cells := make([]byte, toCells*CellSize)
+		run := make([]byte, toRun*PayloadSize)
+		for i := 0; i < toRun; i++ {
+			copy(run[i*PayloadSize:], p[i*CellSize:i*CellSize+PayloadSize])
+		}
+		wantCells, wantRun := crcTable(preset, p[:toCells*PayloadSize]), crcTable(preset, run)
+		for _, mk := range moveKernels() {
+			clear(cells)
+			if got := mk.fn(preset, cells, p, CellSize, PayloadSize, toCells); got != wantCells {
+				t.Fatalf("%s: %d payloads into cells: %08x, table %08x", mk.name, toCells, got, wantCells)
+			}
+			for i := 0; i < toCells; i++ {
+				if !bytes.Equal(cells[i*CellSize:i*CellSize+PayloadSize], p[i*PayloadSize:(i+1)*PayloadSize]) {
+					t.Fatalf("%s: payload %d of %d moved wrong into cells", mk.name, i, toCells)
+				}
+			}
+			got := make([]byte, len(run))
+			if crc := mk.fn(preset, got, p, PayloadSize, CellSize, toRun); crc != wantRun {
+				t.Fatalf("%s: %d cells into a run: %08x, table %08x", mk.name, toRun, crc, wantRun)
+			}
+			if !bytes.Equal(got, run) {
+				t.Fatalf("%s: %d cells moved wrong into a run", mk.name, toRun)
+			}
 		}
 	})
 }
@@ -227,3 +268,83 @@ func BenchmarkAAL5CRC(b *testing.B) {
 }
 
 var crcSink uint32
+
+// moveKernel is one crcMoveCells implementation under test, by name.
+type moveKernel struct {
+	name string
+	fn   func(crc uint32, dst, src []byte, dstStep, srcStep, n int) uint32
+}
+
+// moveKernels lists the move-and-fold kernels this host runs: the portable
+// move-then-update path everywhere and, on amd64 with PCLMULQDQ, the fold.
+func moveKernels() []moveKernel {
+	ks := []moveKernel{{"moveThenUpdate", crcMoveThenUpdate}}
+	if hasFold {
+		ks = append(ks, moveKernel{"moveFold", crcMoveFold})
+	}
+	return ks
+}
+
+// TestCRCMoveCellsAgree holds every move-and-fold kernel to the table loop
+// (itself held to the bit-serial reference above) and to a plain move, in
+// both directions the cell loops use — a contiguous run into cells (the
+// send loop) and cells into a contiguous buffer (the receive run) — on 1 to
+// 200 payloads, from every source offset mod 16, with three starting
+// registers. The octets around each payload's destination must come back
+// untouched.
+func TestCRCMoveCellsAgree(t *testing.T) {
+	const maxCells = 200
+	src := patterned(maxCells*CellSize + 16)
+	blank := bytes.Repeat([]byte{0xA5}, (maxCells+1)*CellSize+16)
+	dst := make([]byte, len(blank))
+	dirs := []struct {
+		name             string
+		dstStep, srcStep int
+	}{{"run-to-cells", CellSize, PayloadSize}, {"cells-to-run", PayloadSize, CellSize}}
+	for _, preset := range []uint32{^uint32(0), 0, crcTable(^uint32(0), []byte("mid-stream"))} {
+		for _, d := range dirs {
+			for off := 0; off < 16; off++ {
+				s := src[off:]
+				// want is dst as n payloads leave it; ref the register.
+				want, ref := bytes.Clone(blank), preset
+				for n := 1; n <= maxCells; n++ {
+					cell := s[(n-1)*d.srcStep : (n-1)*d.srcStep+PayloadSize]
+					copy(want[off+(n-1)*d.dstStep:], cell)
+					ref = crcTable(ref, cell)
+					for _, k := range moveKernels() {
+						copy(dst, blank)
+						if got := k.fn(preset, dst[off:], s, d.dstStep, d.srcStep, n); got != ref {
+							t.Fatalf("%s %s preset %08x src+%d n %d: %08x, table %08x",
+								k.name, d.name, preset, off, n, got, ref)
+						}
+						if !bytes.Equal(dst, want) {
+							t.Fatalf("%s %s src+%d n %d: payloads moved wrong or octets beside them written", k.name, d.name, off, n)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkAAL5MoveCells times crcMoveCells' kernels on a frame's edge
+// (one payload), a 1 KB frame (21) and a udpatm chunk (170), in the receive
+// direction (cells into a contiguous buffer). moveThenUpdate is also the
+// two passes the cell loops made before the fold took the move: a
+// copyPayload per cell, then one crcUpdate.
+func BenchmarkAAL5MoveCells(b *testing.B) {
+	for _, n := range []int{1, 21, 170} {
+		src, dst := patterned(n*CellSize), make([]byte, n*PayloadSize)
+		for _, k := range moveKernels() {
+			b.Run(fmt.Sprintf("%s/%dcells", k.name, n), func(b *testing.B) {
+				b.SetBytes(int64(n * PayloadSize))
+				b.ReportAllocs()
+				crc := ^uint32(0)
+				for i := 0; i < b.N; i++ {
+					crc = k.fn(crc, dst, src, PayloadSize, CellSize, n)
+				}
+				crcSink = crc
+			})
+		}
+	}
+}

@@ -322,23 +322,99 @@ func TestPushWireHeaderIdentityRule(t *testing.T) {
 }
 
 // TestPushAndPushWireShareOneFrame: the two entry points feed one core, so
-// a frame may arrive partly decoded and partly in wire form.
+// a frame may arrive partly decoded and partly in wire form — Push cells
+// first, or between two PushWire runs, where the run has already folded
+// the cells before them into the CRC and must fold the Push cells before
+// its own. A bit flipped in any one of the frame's payloads, in any cell of
+// any stretch, still fails the frame.
 func TestPushAndPushWireShareOneFrame(t *testing.T) {
 	vc := VC{VCI: 100}
-	frame, _ := AppendCells(nil, vc, patterned(200))
-	r := NewReassembler(vc)
-	for i := 0; i < 2; i++ {
-		c, err := DecodeCell(frame[i*CellSize : (i+1)*CellSize])
+	payload := patterned(1000)
+	frame, _ := AppendCells(nil, vc, payload) // 21 cells
+	// Each schedule alternates PushWire and Push stretches, given as the
+	// cell index each stretch ends before.
+	for _, sched := range []struct {
+		name    string
+		bounds  []int
+		viaPush []bool
+	}{
+		{"push-then-wire", []int{2, 21}, []bool{true, false}},
+		{"wire-push-wire", []int{7, 10, 21}, []bool{false, true, false}},
+		{"wire-push-wire-push", []int{3, 4, 12, 21}, []bool{false, true, false, true}},
+	} {
+		feed := func(frame []byte) (p []byte, done bool, err error) {
+			r, from := NewReassembler(vc), 0
+			for i, to := range sched.bounds {
+				for from < to {
+					if sched.viaPush[i] {
+						c, derr := DecodeCell(frame[from*CellSize : (from+1)*CellSize])
+						if derr != nil {
+							t.Fatal(derr)
+						}
+						p, done, err = r.Push(c)
+						from++
+					} else {
+						var n int
+						n, p, done, err = r.PushWire(frame[from*CellSize : to*CellSize])
+						from += n / CellSize
+					}
+					if done || err != nil {
+						if from != len(frame)/CellSize {
+							t.Fatalf("%s: frame ended at cell %d: done=%v err=%v", sched.name, from-1, done, err)
+						}
+						return p, done, err
+					}
+				}
+			}
+			return nil, false, nil
+		}
+		if p, done, err := feed(frame); err != nil || !done || !bytes.Equal(p, payload) {
+			t.Fatalf("%s: done=%v err=%v", sched.name, done, err)
+		}
+		for cell := 0; cell < len(frame)/CellSize; cell++ {
+			bad := bytes.Clone(frame)
+			bad[cell*CellSize+HeaderSize+cell%PayloadSize] ^= 0x04
+			if _, done, err := feed(bad); done || err != ErrCRC {
+				t.Fatalf("%s: bit flipped in cell %d: done=%v err=%v, want ErrCRC", sched.name, cell, done, err)
+			}
+		}
+	}
+}
+
+// TestPushWireDetectsEveryPayloadBitFlip runs the shipped path —
+// AppendCellRuns with a frame cut as udpatm cuts one (an 8-octet chunk
+// header, a 44-octet message header, then the body), PushWire on the cells
+// — and flips each payload bit of each cell in turn, the HEC left valid:
+// the first cell, the two that straddle runs, the body's whole cells, the
+// body's tail with pad, a cell of pad and trailer, and the trailer's UU,
+// CPI, length and CRC octets. Every flip fails the frame with ErrCRC or
+// ErrLength; none is delivered. The body sizes put an even and an odd
+// number of whole cells in each loop's batch, and the udpatm chunk size.
+func TestPushWireDetectsEveryPayloadBitFlip(t *testing.T) {
+	vc := VC{VCI: 100}
+	chunk, head := patterned(8), patterned(44)
+	for _, total := range []int{10*PayloadSize + 44, 11*PayloadSize + 44, 8184} {
+		body := patterned(total - len(chunk) - len(head))
+		frame, err := AppendCellRuns(nil, vc, chunk, head, body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, done, err := r.Push(c); done || err != nil {
-			t.Fatalf("cell %d: done=%v err=%v", i, done, err)
+		r := NewReassembler(vc)
+		if _, p, done, err := r.PushWire(frame); !done || err != nil || len(p) != total {
+			t.Fatalf("%d octets unflipped: done=%v err=%v len %d", total, done, err, len(p))
 		}
-	}
-	_, p, done, err := r.PushWire(frame[2*CellSize:])
-	if err != nil || !done || !bytes.Equal(p, patterned(200)) {
-		t.Fatalf("mixed-entry frame: done=%v err=%v", done, err)
+		for cell := 0; cell < len(frame)/CellSize; cell++ {
+			for bit := 0; bit < 8*PayloadSize; bit++ {
+				at := cell*CellSize + HeaderSize + bit/8
+				frame[at] ^= 0x80 >> (bit % 8)
+				n, _, done, err := r.PushWire(frame)
+				frame[at] ^= 0x80 >> (bit % 8)
+				if done || (err != ErrCRC && err != ErrLength) || n != len(frame) {
+					t.Fatalf("%d octets, cell %d payload bit %d flipped: n=%d done=%v err=%v, want ErrCRC or ErrLength on the last cell",
+						total, cell, bit, n, done, err)
+				}
+			}
+		}
 	}
 }
 

@@ -10,12 +10,12 @@
 // The send path serializes a message once. Send encodes the message header
 // into a stack array, wire.Chunker cuts header ++ payload into chunk frames
 // without copying them, and atm.AppendCellRuns lays each frame's cells —
-// CRC streamed over the pieces — straight onto the VC's open train, a
-// pooled buffer of the MTU's size that is never regrown; a train closes
-// when the next whole frame would not fit. Trains are formed here, at
-// enqueue, under the lock that orders the frames; the writer goroutine
-// pops whole trains, highest-priority VC first, polices their cells and
-// writes each as one datagram. Nothing else holds a payload byte on the
+// folding the CRC as the pieces move into cells — straight onto the VC's
+// open train, a pooled buffer of the MTU's size that is never regrown; a
+// train closes when the next whole frame would not fit. Trains are formed
+// here, at enqueue, under the lock that orders the frames; the writer
+// goroutine pops whole trains, highest-priority VC first, polices their
+// cells and writes each as one datagram. Nothing else holds a payload byte on the
 // way: no marshal buffer, no chunk buffer, no buffer per frame.
 //
 // The receiver works a train at a time too: the reader resolves a VC's
@@ -27,10 +27,12 @@
 // two HEC computations (its first and its end-of-frame cell), not one per
 // cell — and every frame still passes CRC-32, length and pad checks. The
 // cells between a frame's first and its last repeat one header, so
-// PushWire takes them as a same-header run: a 5-octet compare and one
-// inline 48-octet move per cell, no memmove call. The send side's cell
-// loop is the same shape: a cell inside one run is one inline move and a
-// fixed header store.
+// PushWire takes them as a same-header run: a 5-octet compare per cell,
+// then one call that moves the run's payloads and folds them into the
+// frame's CRC, so the end-of-frame check reads only the last cell. The
+// send side's cell loop is the same shape: the cells inside one run are a
+// fixed header store each and one move-and-fold call. Each payload octet
+// is read once per side.
 //
 // This substitutes for the paper's FORE SBA-200 + ATM switch fabric: the
 // cell framing, HEC protection, per-VC reassembly and CRC-32 verification
