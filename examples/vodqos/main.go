@@ -58,7 +58,6 @@ func main() {
 	}
 	server := newProc(0)
 	client := newProc(1)
-	server.OnException(func(error) {}) // trailing-ack give-up after client exit
 
 	gbn := func() core.ErrorControl { return core.NewGoBackN(8, 20*time.Millisecond) }
 	video0 := server.Open(1, core.ChannelConfig{

@@ -232,7 +232,7 @@ func TestFlushWheelTimerCount(t *testing.T) {
 	}
 	// Every channel's ack must have flushed (no reverse data to ride here).
 	for i := 0; i < nch; i++ {
-		cs, _ := procs[1].lookupChannel(0, ChannelID(i+1))
+		cs := procs[1].openChannel(0, ChannelID(i+1))
 		st := cs.Stats()
 		if st.CtrlPiggybacked+st.CtrlStandalone == 0 {
 			t.Fatalf("channel %d never sent its ack", i+1)
@@ -276,8 +276,6 @@ func TestControlStaysOnItsChannel(t *testing.T) {
 	procs[0].Open(1, ChannelConfig{ID: 2})
 	b1 := procs[1].Open(0, ChannelConfig{ID: 2})
 
-	procs[0].OnException(func(error) {}) // trailing-ack give-up after peer exit
-	procs[1].OnException(func(error) {})
 	procs[0].TCreate("txA", mts.PrioDefault, func(th *Thread) {
 		for k := 0; k < msgs; k++ {
 			a0.SendTagged(th, k, 0, []byte{byte(k)})
@@ -343,7 +341,6 @@ func TestAdaptiveChaosLossy(t *testing.T) {
 					ID: ProcID(i), RT: rt, Endpoint: mem.Attach(ProcID(i), rt),
 					SendLanes: 4, RecvLanes: 4,
 				})
-				procs[i].OnException(func(error) {})
 			}
 			mkCfg := func(id ChannelID, weight int) ChannelConfig {
 				return ChannelConfig{

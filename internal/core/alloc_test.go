@@ -449,7 +449,6 @@ func TestRetransmissionReqsRecycle(t *testing.T) {
 				Error: mk(), SendLanes: 2, RecvLanes: 2,
 			})
 		}
-		procs[0].OnException(func(error) {}) // trailing-ack give-up after peer exit
 		procs[0].TCreate("sender", mts.PrioDefault, func(th *Thread) {
 			for k := 0; k < msgs; k++ {
 				th.Send(0, 1, []byte{byte(k)})

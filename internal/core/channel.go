@@ -273,8 +273,8 @@ func (p *Proc) addChannel(peer ProcID, id ChannelID, st uint32, prio, laneHint, 
 	}
 	if p.closing.Load() {
 		// Opened after the user threads finished (unusual, but legal from
-		// an exception handler): stop the flow tier's timers immediately so
-		// the process can still terminate.
+		// an OnAccept hook): stop the flow tier's timers immediately so the
+		// process can still terminate.
 		ln := c.lockLane()
 		fc.shutdown()
 		ln.mu.Unlock()
@@ -290,33 +290,18 @@ func (p *Proc) openChannel(peer ProcID, id ChannelID) *Channel {
 	return nil
 }
 
-// lookupChannel returns the channel a message belongs to. The default
-// channel (id 0) is created on first reference — any peer may talk to us
-// unannounced on it — while a nonzero channel must have been opened
-// explicitly: ok is false for one nobody opened.
-func (p *Proc) lookupChannel(peer ProcID, id ChannelID) (*Channel, bool) {
-	if c := p.openChannel(peer, id); c != nil {
-		return c, true
-	}
-	if id == 0 {
-		return p.DefaultChannel(peer), true
-	}
-	return nil, false
-}
-
 // Close tears the channel down from this end; call it from a thread of
 // this process (or any scheduler-domain context). Idempotent.
 //
 // On a statically opened channel (Proc.Open) the teardown is local and
 // immediate: pending piggyback control flushes, the flow tier's timers stop,
 // sends still queued on the channel — a head flow or error control was
-// holding back included — *fail* with the typed cause instead of hanging,
-// and further sends, and receives from the peer once nothing they
-// match is stored (one already parked is woken), raise *ChannelClosedError
-// through the exception handler. The channel stays in the table so late
-// credits and acks are consumed and error control can finish its in-flight
-// window; arriving data is dropped. Nothing tells the peer, whose error
-// control retries and gives up as against a dead process.
+// holding back included — and every later send return *ChannelClosedError
+// instead of hanging; a receive from the peer once nothing it matches is
+// stored (one already parked is woken) unwinds with it. The channel stays in
+// the table so late credits and acks are consumed and error control can
+// finish its in-flight window; arriving data is counted stray and dropped.
+// Nothing tells the peer, whose error control gives up as on a dead process.
 //
 // On a signaled channel (Proc.OpenCall, Config.OnAccept) Close starts the
 // handshake CloseCall runs, without waiting: sends fail at once, this end
@@ -334,9 +319,22 @@ func (c *Channel) Closed() bool { return c.state.Load() == chanClosed }
 // from any goroutine — lane engines call it on the send path.
 func (c *Channel) sendUnavailable() bool { return c.state.Load() >= chanClosing }
 
-// closedErr is the error a failed send — or a receive doomed by the close —
-// raises: the typed *PeerDeadError when the failure sweep tore the channel
-// down, the generic closed-channel error otherwise. Scheduler or lane domain
+// sendErr is the admission check of laneSend and Group.fanSend (scheduler
+// domain): why a send on c cannot start, or nil. A dead peer comes first, or
+// a send after the failure sweep would resurrect a default channel.
+func (c *Channel) sendErr() error {
+	if pd := c.p.deadPeers[c.peer]; pd != nil {
+		return pd
+	}
+	if c.sendUnavailable() {
+		return c.closedErr()
+	}
+	return nil
+}
+
+// closedErr is what a failed send returns and a doomed receive unwinds with:
+// the typed *PeerDeadError when the failure sweep tore the channel down, the
+// generic closed-channel error otherwise. Scheduler or lane domain
 // (deadErr is written under the lane lock by the sweep, read on the same
 // paths that observe the state bump that made sendUnavailable true).
 func (c *Channel) closedErr() error {
@@ -352,10 +350,6 @@ func (c *Channel) lockLane() *lane {
 	c.ln.mu.Lock()
 	return c.ln
 }
-
-// laneOf returns the channel's lane without locking, for in-lock contexts
-// (discipline callbacks, lane engine code) that need its queues.
-func (c *Channel) laneOf() *lane { return c.ln }
 
 // laneLock / laneUnlock guard lane-domain discipline state for the public
 // introspection accessors (WindowFlow.Outstanding, GoBackN.Retransmissions,
@@ -458,7 +452,7 @@ func (c *Channel) armFlush() {
 	if c.flushOn || c.Closed() {
 		return
 	}
-	ln := c.laneOf()
+	ln := c.ln
 	c.flushOn = true
 	c.flushAt = time.Duration(c.p.cfg.RT.Now()) + DefaultCtrlFlushDelay
 	ln.flushQ.Push(c)
@@ -471,7 +465,7 @@ func (c *Channel) armFlush() {
 // lock and is responsible for having the lane serviced afterwards (the
 // frames are queued, not yet transmitted).
 func (c *Channel) flushCtrl() {
-	ln := c.laneOf()
+	ln := c.ln
 	if c.pendCreditOn {
 		c.pendCreditOn = false
 		c.ctrlStandalone++
@@ -515,21 +509,17 @@ func (c *Channel) reopen() {
 // take the lane lock, run the callback, have whatever it queued serviced
 // (retransmissions, credit syncs), then drain the scheduler-domain
 // completions. Timer callbacks fire via Config.After, which is always a
-// scheduler-domain context, so the drain is legal here.
-func (c *Channel) wrapTimer(fn func()) func() {
+// scheduler-domain context, so the drain is legal here. An error-control
+// give-up goes to the OnException observer, if any, after the unlock.
+func (c *Channel) wrapTimer(fn func() error) func() {
 	return func() {
 		ln := c.lockLane()
-		fn()
+		err := fn()
 		ln.leave()
+		if err != nil && c.p.giveUp != nil {
+			c.p.giveUp(err)
+		}
 	}
-}
-
-// raise reports a channel-context exception, deferred through the lane drain
-// (callers hold the lane lock, and exception handlers are user code that must
-// not run under it).
-func (c *Channel) raise(err error) {
-	ln := c.laneOf()
-	ln.errs = append(ln.errs, err)
 }
 
 // attachPiggy moves pending control onto a departing data frame: the
@@ -538,7 +528,7 @@ func (c *Channel) raise(err error) {
 // Slots a previous transmission already occupied are skipped (a go-back-N
 // retransmission re-sends the exact bytes it carried the first time).
 func (c *Channel) attachPiggy(m *transport.Message) {
-	ln := c.laneOf()
+	ln := c.ln
 	if c.pendCreditOn && !m.HasCredit {
 		m.Credit, m.HasCredit = c.pendCredit, true
 		c.pendCreditOn = false
@@ -557,20 +547,20 @@ func (c *Channel) attachPiggy(m *transport.Message) {
 
 // Send transmits data to the channel's peer, addressed to toThread, from
 // the calling thread t: NCS_send on an explicit channel. Like Thread.Send
-// it parks only the calling thread.
-func (c *Channel) Send(t *Thread, toThread int, data []byte) {
-	c.SendTagged(t, 0, toThread, data)
+// it parks only the calling thread, and returns the typed failure.
+func (c *Channel) Send(t *Thread, toThread int, data []byte) error {
+	return c.SendTagged(t, 0, toThread, data)
 }
 
 // SendTagged is Send with a user message tag (>= 0).
-func (c *Channel) SendTagged(t *Thread, tag, toThread int, data []byte) {
+func (c *Channel) SendTagged(t *Thread, tag, toThread int, data []byte) error {
 	if tag < 0 {
 		panic("core: negative tags are reserved")
 	}
 	if t.proc != c.p {
 		panic("core: thread sending on another process's channel")
 	}
-	c.laneSend(t, tag, toThread, data)
+	return c.laneSend(t, tag, toThread, data)
 }
 
 // Recv receives the next message the peer sent on this channel to the

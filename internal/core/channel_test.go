@@ -149,27 +149,6 @@ func TestChannelPriorityDrainOrder(t *testing.T) {
 	}
 }
 
-// TestUnopenedChannelRaisesException: data arriving on a channel the
-// receiver never opened is dropped through the exception handler instead
-// of being misdelivered.
-func TestUnopenedChannelRaisesException(t *testing.T) {
-	eng, procs := simCluster(t, 2, nil)
-	ch := procs[0].Open(1, ChannelConfig{ID: 9})
-	var caught error
-	procs[1].OnException(func(err error) { caught = err })
-	procs[0].TCreate("send", mts.PrioDefault, func(th *Thread) {
-		ch.Send(th, 0, []byte("into the void"))
-	})
-	procs[1].TCreate("alive", mts.PrioDefault, func(th *Thread) {
-		// Stay alive long enough for the message to arrive.
-		th.Compute(50*time.Millisecond, nil)
-	})
-	eng.Run()
-	if caught == nil {
-		t.Fatal("no exception for data on an unopened channel")
-	}
-}
-
 func TestChannelValidation(t *testing.T) {
 	mem := transport.NewMem()
 	procs := realCluster(t, 1, mem, nil)
@@ -208,8 +187,9 @@ func gated(c *Channel) bool {
 // TestCloseFailsGatedSends: a thread blocked in Send because one of the four
 // gates — window credit, rate tokens, a full go-back-N or selective-repeat
 // window — is holding its request back must not hang when the channel
-// closes. Close fails the gated send with the typed ChannelClosedError, the
-// caller unblocks, and a send after the close fails the same way. The peer
+// closes. Close fails the gated send, whose Send returns the typed
+// ChannelClosedError, and a send after the close returns the same — each
+// exactly once, with nothing on the give-up observer but give-ups. The peer
 // runs neither discipline, so it never credits or acks: only Close can
 // release the gated request.
 func TestCloseFailsGatedSends(t *testing.T) {
@@ -234,18 +214,21 @@ func TestCloseFailsGatedSends(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			mem := transport.NewMem()
 			procs := realCluster(t, 2, mem, nil)
-			var caught []error
-			procs[0].OnException(func(err error) { caught = append(caught, err) })
+			var observed []error
+			procs[0].OnException(func(err error) { observed = append(observed, err) })
 			cfg := tc.cfg()
 			cfg.ID = 1
 			ch0 := procs[0].Open(1, cfg)
 			ch1 := procs[1].Open(0, ChannelConfig{ID: 1})
 
 			var sendReturned, sendAfterCloseReturned bool
+			var errs []error
 			start := time.Now()
 			procs[0].TCreate("blocked", mts.PrioDefault, func(th *Thread) {
-				ch0.Send(th, 0, make([]byte, 1000)) // passes the gate
-				ch0.Send(th, 0, make([]byte, 1000)) // gated: returns only via Close
+				if err := ch0.Send(th, 0, make([]byte, 1000)); err != nil { // passes the gate
+					t.Errorf("first send: %v", err)
+				}
+				errs = append(errs, ch0.Send(th, 0, make([]byte, 1000))) // gated: returns only via Close
 				sendReturned = true
 			})
 			procs[0].TCreate("closer", mts.PrioDefault, func(th *Thread) {
@@ -256,7 +239,7 @@ func TestCloseFailsGatedSends(t *testing.T) {
 				if !ch0.Closed() {
 					t.Error("Closed() false after Close")
 				}
-				ch0.Send(th, 0, []byte("after close"))
+				errs = append(errs, ch0.Send(th, 0, []byte("after close")))
 				sendAfterCloseReturned = true
 			})
 			procs[1].TCreate("recv", mts.PrioDefault, func(th *Thread) {
@@ -270,18 +253,19 @@ func TestCloseFailsGatedSends(t *testing.T) {
 			if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 				t.Fatalf("close took %v: the gated send waited for its gate instead of failing", elapsed)
 			}
-			typed := 0
-			for _, err := range caught {
+			for _, err := range errs {
 				var cce *ChannelClosedError
-				if errors.As(err, &cce) {
-					typed++
-					if cce.ID != 1 || cce.Peer != 1 {
-						t.Fatalf("ChannelClosedError names channel %d to proc %d, want 1 to 1", cce.ID, cce.Peer)
-					}
+				if !errors.As(err, &cce) {
+					t.Fatalf("send returned %v, want *ChannelClosedError", err)
+				}
+				if cce.ID != 1 || cce.Peer != 1 {
+					t.Fatalf("ChannelClosedError names channel %d to proc %d, want 1 to 1", cce.ID, cce.Peer)
 				}
 			}
-			if typed != 2 {
-				t.Fatalf("%d ChannelClosedErrors, want 2 (the gated send and the one after close); exceptions: %v", typed, caught)
+			for _, err := range observed {
+				if wantClosedErr(err) {
+					t.Fatalf("give-up observer saw a send failure: %v", err)
+				}
 			}
 		})
 	}
@@ -290,17 +274,16 @@ func TestCloseFailsGatedSends(t *testing.T) {
 // TestCloseFailsSendQueuedRequest drives the Send-races-Close window: the
 // request is already past sendOn's closed check and queued in the send
 // system thread's priority queue (the send thread is busy draining a bulk
-// transfer) when Close runs. The send loop must fail it on pop — caller
-// unblocked, exception raised — instead of admitting it into a torn-down
-// discipline or panicking.
+// transfer) when Close runs. The close sweep must fail it — caller
+// unblocked, Send returning the typed cause — instead of admitting it into a
+// torn-down discipline or panicking.
 func TestCloseFailsSendQueuedRequest(t *testing.T) {
 	eng, procs := simCluster(t, 2, nil)
-	var caught []error
-	procs[0].OnException(func(err error) { caught = append(caught, err) })
 	ch0 := procs[0].Open(1, ChannelConfig{ID: 5, Flow: NewWindowFlow(4)})
 	procs[1].Open(0, ChannelConfig{ID: 5, Flow: NewWindowFlow(4)})
 
 	var sendReturned bool
+	var sendErr error
 	// Creation order fixes run order: "bulk" occupies the send thread with
 	// a long wire drain; "racer" then queues a channel-5 send behind it;
 	// "closer" closes the channel while that request still sits in sendQ.
@@ -309,7 +292,7 @@ func TestCloseFailsSendQueuedRequest(t *testing.T) {
 	})
 	procs[0].TCreate("racer", mts.PrioDefault, func(th *Thread) {
 		th.Compute(time.Millisecond, nil)
-		ch0.Send(th, 1, []byte("queued behind bulk"))
+		sendErr = ch0.Send(th, 1, []byte("queued behind bulk"))
 		sendReturned = true
 	})
 	procs[0].TCreate("closer", mts.PrioDefault, func(th *Thread) {
@@ -324,8 +307,8 @@ func TestCloseFailsSendQueuedRequest(t *testing.T) {
 	if !sendReturned {
 		t.Fatal("queued send never returned after Close")
 	}
-	if len(caught) == 0 {
-		t.Fatal("send-races-Close was not reported through the exception handler")
+	if !wantClosedErr(sendErr) {
+		t.Fatalf("send-races-Close returned %v, want *ChannelClosedError", sendErr)
 	}
 }
 

@@ -43,10 +43,6 @@ func TestShardedLaneChaos(t *testing.T) {
 			}
 			for side := 0; side < 2; side++ {
 				side := side
-				// Trailing-ack give-up after the peer exits (the final
-				// cumulative ack raced the peer's shutdown) is expected
-				// under loss, as in the selective-repeat tests.
-				procs[side].OnException(func(error) {})
 				for i := 0; i < nch; i++ {
 					i := i
 					c := chans[side][i]
@@ -99,7 +95,7 @@ func TestShardedPriorityChaosDispatch(t *testing.T) {
 	high0 := procs[0].Open(1, ChannelConfig{ID: 2, Priority: 7, Lane: 2})
 	low1 := procs[1].Open(0, ChannelConfig{ID: 1, Priority: 0, Lane: 2})
 	high1 := procs[1].Open(0, ChannelConfig{ID: 2, Priority: 7, Lane: 2})
-	if low0.laneOf() != high0.laneOf() {
+	if low0.ln != high0.ln {
 		t.Fatal("test setup: channels must share a lane")
 	}
 

@@ -126,7 +126,6 @@ func TestChannelIsolationUnderLoss(t *testing.T) {
 			mem.SetDropRate(0.3, seed)
 			mem.SetDropClass(func(m *transport.Message) bool { return m.Channel == bulkID })
 			procs := realCluster(t, 2, mem, nil)
-			procs[0].OnException(func(error) {}) // trailing-ack give-up after peer exit
 
 			video0 := procs[0].Open(1, ChannelConfig{ID: videoID, Priority: 7})
 			bulk0 := procs[0].Open(1, ChannelConfig{ID: bulkID, Error: NewGoBackN(4, 15*time.Millisecond)})
@@ -265,9 +264,6 @@ func TestWindowRecoveryUnderCreditLoss(t *testing.T) {
 		mem := transport.NewMem()
 		mem.SetDropRate(0.20, 42)
 		procs := realCluster(t, 2, mem, nil)
-		for _, p := range procs {
-			p.OnException(func(error) {}) // trailing-ack give-up after peer exit
-		}
 		gbn := func() ErrorControl { return NewGoBackN(8, 10*time.Millisecond) }
 		ch0 := procs[0].Open(1, ChannelConfig{ID: 2, Flow: syncedWindow(window), Error: gbn()})
 		ch1 := procs[1].Open(0, ChannelConfig{ID: 2, Flow: syncedWindow(window), Error: gbn()})
@@ -365,9 +361,6 @@ func TestPiggybackChaosBidirectional(t *testing.T) {
 			mem := transport.NewMem()
 			mem.SetDropRate(0.20, seed)
 			procs := realCluster(t, 2, mem, nil)
-			for _, p := range procs {
-				p.OnException(func(error) {}) // trailing-ack give-up after peer exit
-			}
 			gbn := func() ErrorControl { return NewGoBackN(8, 10*time.Millisecond) }
 			ch0 := procs[0].Open(1, ChannelConfig{ID: 3, Flow: syncedWindow(window), Error: gbn()})
 			ch1 := procs[1].Open(0, ChannelConfig{ID: 3, Flow: syncedWindow(window), Error: gbn()})

@@ -164,9 +164,6 @@ func TestChurnChaosReal(t *testing.T) {
 			procs := sigCluster(t, n, mem, func(i int, cfg *Config) {
 				cfg.OnAccept = churnServe(t, msgs)
 			})
-			for _, p := range procs {
-				p.OnException(func(error) {}) // loss-storm noise is expected
-			}
 			for i := 0; i < n; i++ {
 				i := i
 				p := procs[i]

@@ -179,12 +179,10 @@ func (p *Proc) NewGroup(members []Addr, cfg GroupConfig) *Group {
 		}
 		if cfg.Channel == 0 {
 			g.chans[i] = p.DefaultChannel(a.Proc)
-		} else {
-			c, ok := p.lookupChannel(a.Proc, cfg.Channel)
-			if !ok {
-				panic(fmt.Sprintf("core(proc %d): group channel %d not open to member proc %d", p.cfg.ID, cfg.Channel, a.Proc))
-			}
+		} else if c := p.openChannel(a.Proc, cfg.Channel); c != nil {
 			g.chans[i] = c
+		} else {
+			panic(fmt.Sprintf("core(proc %d): group channel %d not open to member proc %d", p.cfg.ID, cfg.Channel, a.Proc))
 		}
 	}
 	g.buildTree(n)
@@ -283,16 +281,6 @@ func (g *Group) buildBarrier(n int) {
 	}
 }
 
-// Members returns the communicator's member list (shared; do not mutate).
-func (g *Group) Members() []Addr { return g.members }
-
-// Self returns this process's index in the member list.
-func (g *Group) Self() int { return g.self }
-
-// Linear reports whether the group degenerated to the linear algorithms
-// (Fanout >= N).
-func (g *Group) Linear() bool { return g.linear }
-
 // rel converts this process's member index into rank space rooted at root.
 func (g *Group) rel(root int) int { return (g.self - root + len(g.members)) % len(g.members) }
 
@@ -347,10 +335,16 @@ func (g *Group) traceIdle() {
 // lock, from the lane freelists), then each touched lane is serviced once —
 // so a lane sees its whole share of the fan as one burst. fanLeft is
 // scheduler-domain state, decremented by the drains this thread runs inline
-// (runDrain), that post behind its park, or by the send system thread.
+// (runDrain), that post behind its park, or by the send system thread. A
+// fan unwinds with its typed error (sendErr, or the close sweep's).
 func (g *Group) fanSend(t *Thread, tag int, idxs []int, datas [][]byte, shared []byte) {
 	if len(idxs) == 0 {
 		return
+	}
+	for _, ki := range idxs {
+		if err := g.chans[ki].sendErr(); err != nil {
+			panic(err)
+		}
 	}
 	p := g.p
 	p.traceThread(t, trace.Idle)
@@ -359,10 +353,6 @@ func (g *Group) fanSend(t *Thread, tag int, idxs []int, datas [][]byte, shared [
 	for pos, ki := range idxs {
 		c := g.chans[ki]
 		ln := c.lockLane()
-		if c.Closed() {
-			ln.mu.Unlock()
-			panic(fmt.Sprintf("core(proc %d): group send on closed channel %d to proc %d", p.cfg.ID, c.id, c.peer))
-		}
 		m := ln.getDataMsg()
 		m.From = p.cfg.ID
 		m.To = c.peer
@@ -401,7 +391,20 @@ func (g *Group) fanSend(t *Thread, tag int, idxs []int, datas [][]byte, shared [
 		t.mt.Park("ncs send")
 	}
 	p.traceThread(t, trace.Compute)
+	if err := t.sendErr; err != nil {
+		t.sendErr = nil
+		panic(err)
+	}
 	p.sent.Add(int64(len(idxs)))
+}
+
+// sendTo is one serial send to member i. A Group op keeps its result list,
+// so a failed send unwinds the thread with the typed error, as a doomed
+// receive does.
+func (g *Group) sendTo(t *Thread, i, tag int, data []byte) {
+	if err := g.chans[i].SendTagged(t, tag, g.members[i].Thread, data); err != nil {
+		panic(err)
+	}
 }
 
 // kidIdxs maps the tree children of rank rel (rooted at root) to member
@@ -453,7 +456,7 @@ func (g *Group) sendAll(t *Thread, tag int, idxs []int, datas [][]byte, shared [
 		if datas != nil {
 			d = datas[pos]
 		}
-		g.chans[ki].SendTagged(t, tag, g.members[ki].Thread, d)
+		g.sendTo(t, ki, tag, d)
 	}
 }
 
@@ -513,12 +516,12 @@ func (g *Group) starBarrier(t *Thread) {
 		})
 		g.traceRound("bar", 1, n-1)
 		for i := 1; i < n; i++ {
-			g.chans[i].SendTagged(t, collTag(collOpRelease, 0), g.members[i].Thread, nil)
+			g.sendTo(t, i, collTag(collOpRelease, 0), nil)
 		}
 		return
 	}
 	g.traceRound("bar", 0, 1)
-	g.chans[0].SendTagged(t, collTag(collOpBarrier, 0), g.members[0].Thread, nil)
+	g.sendTo(t, 0, collTag(collOpBarrier, 0), nil)
 	g.recvMember(t, collTag(collOpRelease, 0), 0).Release()
 }
 
@@ -592,7 +595,7 @@ func (g *Group) Gather(t *Thread, root int, own []byte) [][]byte {
 	g.packBuf = buf[:0]
 	if rel != 0 {
 		pa := g.abs(g.relParent[rel], root)
-		g.chans[pa].SendTagged(t, collTag(collOpGather, 0), g.members[pa].Thread, buf)
+		g.sendTo(t, pa, collTag(collOpGather, 0), buf)
 		g.traceIdle()
 		return nil
 	}
@@ -632,7 +635,7 @@ func (g *Group) Reduce(t *Thread, root int, own []byte, fn func(acc, next []byte
 	}
 	if rel != 0 {
 		pa := g.abs(g.relParent[rel], root)
-		g.chans[pa].SendTagged(t, collTag(collOpReduce, 0), g.members[pa].Thread, acc)
+		g.sendTo(t, pa, collTag(collOpReduce, 0), acc)
 		acc = nil
 	} else {
 		acc = ownedResult(acc, own)
@@ -712,7 +715,7 @@ func (g *Group) AllToAll(t *Thread, data [][]byte) [][]byte {
 		}
 		tag := collTag(collOpA2A, r)
 		g.traceRound("a2a", r, 1)
-		g.chans[sendTo].SendTagged(t, tag, g.members[sendTo].Thread, data[sendTo])
+		g.sendTo(t, sendTo, tag, data[sendTo])
 		out[recvFrom] = g.recvMember(t, tag, recvFrom).Data
 	}
 	g.traceIdle()

@@ -389,9 +389,6 @@ func TestCollectiveChaosOverLossyCarrier(t *testing.T) {
 			mem.SetDropRate(0.20, seed)
 			procs := realCluster(t, n, mem, nil)
 			members := collGroup(n)
-			for _, p := range procs {
-				p.OnException(func(error) {}) // trailing-ack give-up after peers exit
-			}
 			chans := make([]map[int]*Channel, n)
 			for i := 0; i < n; i++ {
 				chans[i] = make(map[int]*Channel)

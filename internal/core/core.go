@@ -84,6 +84,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -201,7 +202,7 @@ type sendReq struct {
 	ch *Channel
 	// caller is parked until a service pass finishes the transfer; nil
 	// for internally generated traffic (acks, retransmissions).
-	caller *mts.Thread
+	caller *Thread
 	// raw marks a retransmission: the message was already stamped (it must
 	// keep its original sequence), so it bypasses admission.
 	raw bool
@@ -229,8 +230,8 @@ type recvWaiter struct {
 	got *transport.Message
 	at  int
 	// err, when set by the failure sweep (failDoomedWaiters), marks a waiter
-	// whose pattern can never match: the woken receiver raises it instead of
-	// reading got.
+	// whose pattern can never match: the woken receiver unwinds with it
+	// instead of reading got.
 	err error
 }
 
@@ -288,7 +289,8 @@ type Proc struct {
 	// groupSeq numbers Groups for their trace lanes (see coll.go).
 	groupSeq int
 
-	onException func(error)
+	// giveUp observes error-control give-ups (OnException); nil by default.
+	giveUp func(error)
 
 	// sigRefSeq allocates call references for OpenCall (scheduler domain;
 	// see signal.go). An outgoing call is its channel in chanOpening.
@@ -318,6 +320,7 @@ type Proc struct {
 	statVCBound, statVCRel               atomic.Int64
 	statTimersArmed, statTimersFired     atomic.Int64
 	statLateCtrl, statBadSignaling       atomic.Int64
+	statBadControl, statStrayData        atomic.Int64
 }
 
 // New builds an NCS process: the paper's NCS_init. System threads (send,
@@ -353,13 +356,6 @@ func New(cfg Config) *Proc {
 			})
 		}
 	}
-	p.onException = func(err error) {
-		// Wrap rather than format: a recovering thread (chaos harnesses,
-		// reopen loops) can still errors.As the typed cause — e.g.
-		// *PeerDeadError — out of the panic value.
-		panic(fmt.Errorf("core(proc %d): unhandled exception: %w", cfg.ID, err))
-	}
-
 	// Ring-fed lane engines run outside the scheduler's threads, so they
 	// engage only when that is transparent: more than one resolved lane, a
 	// frame-capable carrier, and none of the hooks that assume all protocol
@@ -409,11 +405,11 @@ func (p *Proc) Sent() int64 { return p.sent.Load() }
 // Received returns the number of user messages consumed.
 func (p *Proc) Received() int64 { return p.received.Load() }
 
-// OnException installs the process's exception handler (paper §3.1,
-// "Exception Handling"). The default panics.
-func (p *Proc) OnException(fn func(error)) { p.onException = fn }
-
-func (p *Proc) exception(err error) { p.onException(err) }
+// OnException installs an observer of error-control give-ups (paper §3.1,
+// "Exception Handling"): fn gets one report, outside the lane lock, each
+// time go-back-N or selective repeat abandons messages (Abandoned). The
+// default is none. It stays only because bench/ counts give-ups through it.
+func (p *Proc) OnException(fn func(error)) { p.giveUp = fn }
 
 // Thread is one NCS user thread: the handle the application body receives.
 type Thread struct {
@@ -431,6 +427,9 @@ type Thread struct {
 	// thread has at most one outstanding send, so one reusable field
 	// avoids a per-send heap escape. Written only under the lane lock.
 	sendDone bool
+	// sendErr is why the close sweep failed this thread's send or fan-out
+	// (failSendsLocked), written under the lane lock before the wakeup.
+	sendErr error
 }
 
 // Idx returns the thread's NCS index within its process (the paper's
@@ -552,19 +551,20 @@ func (p *Proc) traceSys(name string, s trace.State) {
 // Send transmits data to (toProc, toThread): the paper's NCS_send. It blocks
 // only the calling thread, until the transfer is handed to the network;
 // meanwhile other threads of this process run — the overlap mechanism of
-// Figure 4 (see laneSend for who performs the transfer).
-func (t *Thread) Send(toThread int, toProc ProcID, data []byte) {
-	t.SendTagged(0, toThread, toProc, data)
+// Figure 4 (see laneSend for who performs the transfer). It returns the
+// typed failure, *PeerDeadError or *ChannelClosedError.
+func (t *Thread) Send(toThread int, toProc ProcID, data []byte) error {
+	return t.SendTagged(0, toThread, toProc, data)
 }
 
 // SendTagged is Send with a user message tag (>= 0); an extension beyond
 // the paper's primitives for library completeness. It travels on the
 // default channel toward toProc.
-func (t *Thread) SendTagged(tag int, toThread int, toProc ProcID, data []byte) {
+func (t *Thread) SendTagged(tag int, toThread int, toProc ProcID, data []byte) error {
 	if tag < 0 {
 		panic("core: negative tags are reserved")
 	}
-	t.proc.DefaultChannel(toProc).laneSend(t, tag, toThread, data)
+	return t.proc.DefaultChannel(toProc).laneSend(t, tag, toThread, data)
 }
 
 // sendProcCtrl sends one proc-level control frame — signaling, a heartbeat —
@@ -730,7 +730,8 @@ func (t *Thread) take(i int) *transport.Message {
 // message pat matches, else — unless pat is doomed — parks the calling
 // thread until dispatchData hands it one, and returns the message with its
 // matched source index. A doomed pattern, at entry or woken by the failure
-// sweep, raises its error through the exception handler. pat.from is only
+// sweep, unwinds the calling thread with the typed cause (*PeerDeadError or
+// *ChannelClosedError) as the panic value. pat.from is only
 // read during the call — a parked waiter keeps its own copy — so a caller's
 // set can live on its stack.
 func (t *Thread) recvAnyOf(pat recvPattern) (*transport.Message, int) {
@@ -762,7 +763,6 @@ func (t *Thread) recvAnyOf(pat recvPattern) (*transport.Message, int) {
 			return m, j
 		}
 	}
-	p.exception(err)
 	panic(err)
 }
 
@@ -874,11 +874,13 @@ func (t *Thread) Unblock(other *Thread) {
 // This is the linear O(N) path — the
 // sender serializes one copy per destination; Group.Bcast is the
 // logarithmic tree alternative (and degenerates to this shape at
-// Fanout >= N, which is how the scale benches A/B the two).
-func (t *Thread) Bcast(list []Addr, data []byte) {
+// Fanout >= N, which is how the scale benches A/B the two). It returns the
+// failed sends' errors joined.
+func (t *Thread) Bcast(list []Addr, data []byte) (err error) {
 	for _, a := range list {
-		t.Send(a.Thread, a.Proc, data)
+		err = errors.Join(err, t.Send(a.Thread, a.Proc, data))
 	}
+	return err
 }
 
 // Gather receives one message from every address in list (many-to-1),

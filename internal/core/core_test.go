@@ -376,9 +376,6 @@ func TestGoBackNOverLossyTransport(t *testing.T) {
 	procs := realCluster(t, 2, mem, func(i int) (FlowControl, ErrorControl) {
 		return nil, NewGoBackN(4, 20*time.Millisecond)
 	})
-	// The sender may legitimately give up on trailing acknowledgements
-	// once the receiver has finished and shut down.
-	procs[0].OnException(func(error) {})
 	const n = 10
 	var got []int
 	procs[0].TCreate("sender", mts.PrioDefault, func(th *Thread) {
@@ -568,24 +565,6 @@ func TestBlockUnblock(t *testing.T) {
 	eng.Run()
 	if len(order) != 3 || order[0] != "t1 read" {
 		t.Fatalf("order = %v", order)
-	}
-}
-
-func TestExceptionHandler(t *testing.T) {
-	eng, procs := simCluster(t, 2, nil)
-	var caught error
-	procs[1].OnException(func(err error) { caught = err })
-	procs[1].TCreate("victim", mts.PrioDefault, func(th *Thread) {
-		th.Recv(Any, Any)
-	})
-	procs[0].TCreate("evil", mts.PrioDefault, func(th *Thread) {
-		// Hand-craft a bogus control message.
-		th.proc.sendProcCtrl(1, -99, nil)
-		th.Send(0, 1, []byte("legit"))
-	})
-	eng.Run()
-	if caught == nil {
-		t.Fatal("exception handler not invoked for unknown control tag")
 	}
 }
 

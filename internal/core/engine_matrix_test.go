@@ -18,7 +18,7 @@ import (
 // One protocol body, three drivers: every scenario below runs the same
 // workload over each way New can execute the lane code and asserts the same
 // things — exactly-once in-order delivery per channel, no leaked lifecycle
-// state, no exception nobody expected. A behaviour that only one driver has
+// state, no give-up nobody expected. A behaviour that only one driver has
 // is a bug in the seam (lane.service, flushRunLocked, retireLocked), and this
 // is where it shows.
 
@@ -37,11 +37,11 @@ type matrixOpt struct {
 
 // matrixCluster is n procs on one carrier, however they are executed.
 type matrixCluster struct {
-	procs []*Proc
-	run   func()      // runs every thread of every proc to completion
-	kill  func(h int) // crashes host h at the carrier; callable from a thread
-	excs  [][]error   // per proc, what its exception handler saw
-	lossy bool        // the carrier drops what the options ask it to
+	procs  []*Proc
+	run    func()      // runs every thread of every proc to completion
+	kill   func(h int) // crashes host h at the carrier; callable from a thread
+	gaveUp [][]error   // per proc, what its give-up observer saw
+	lossy  bool        // the carrier drops what the options ask it to
 }
 
 // matrixEnv is one driver on one carrier.
@@ -63,12 +63,12 @@ func driverName(p *Proc) string {
 	return fmt.Sprintf("%T", p.laneDriver)
 }
 
-// collect installs the recording exception handlers.
+// collect installs the recording give-up observers.
 func (cl *matrixCluster) collect() *matrixCluster {
-	cl.excs = make([][]error, len(cl.procs))
+	cl.gaveUp = make([][]error, len(cl.procs))
 	for i, p := range cl.procs {
 		i := i
-		p.OnException(func(err error) { cl.excs[i] = append(cl.excs[i], err) })
+		p.OnException(func(err error) { cl.gaveUp[i] = append(cl.gaveUp[i], err) })
 	}
 	return cl
 }
@@ -139,14 +139,14 @@ var matrixEnvs = []matrixEnv{
 }
 
 // finish runs the cluster and applies the common assertions. expected
-// filters the exceptions a scenario provokes on purpose.
+// filters the give-ups a scenario provokes on purpose.
 func (cl *matrixCluster) finish(t *testing.T, expected func(proc int, err error) bool) {
 	t.Helper()
 	cl.run()
 	for i, p := range cl.procs {
-		for _, err := range cl.excs[i] {
+		for _, err := range cl.gaveUp[i] {
 			if expected == nil || !expected(i, err) {
-				t.Errorf("proc %d: unexpected exception: %v", i, err)
+				t.Errorf("proc %d: unexpected give-up report: %v", i, err)
 			}
 		}
 		if leaks := p.Leaks(); len(leaks) != 0 {
@@ -439,14 +439,15 @@ func matrixCallChurn(t *testing.T, env matrixEnv) {
 }
 
 // matrixPeerDeath: a peer crashes. Sends gated behind its window fail and
-// unblock their thread, receivers parked on it wake, both with the typed
-// *PeerDeadError — on the crashed side too, whose detector loses the
-// survivor.
+// unblock their thread, each Send returning the typed *PeerDeadError;
+// receivers parked on it wake and unwind with it — on the crashed side too,
+// whose detector loses the survivor. Nothing reaches the give-up observer.
 func matrixPeerDeath(t *testing.T, env matrixEnv) {
 	cl := env.build(t, 2, matrixOpt{heartbeat: Heartbeat{Interval: 10 * time.Millisecond, Misses: 2}})
 	gate0 := cl.procs[0].Open(1, ChannelConfig{ID: 1, Flow: NewWindowFlow(1)})
 	cl.procs[1].Open(0, ChannelConfig{ID: 1, Flow: NewWindowFlow(1)})
 	sent := -1
+	var sendErrs []error
 	var parkedErr, victimErr *PeerDeadError
 	cl.procs[0].TCreate("gated", mts.PrioDefault, func(th *Thread) {
 		th.Recv(Any, 1) // hello: the victim is up and both directions have channels
@@ -455,7 +456,9 @@ func matrixPeerDeath(t *testing.T, env matrixEnv) {
 			// Message 0 fills the window — no credit ever comes back — and
 			// the rest park on the flow gate until the failure sweep fails
 			// them and unblocks this thread.
-			gate0.Send(th, 0, []byte{byte(k)})
+			if err := gate0.Send(th, 0, []byte{byte(k)}); err != nil {
+				sendErrs = append(sendErrs, err)
+			}
 			sent = k
 			if cl.procs[0].PeerDead(1) != nil {
 				return
@@ -469,20 +472,18 @@ func matrixPeerDeath(t *testing.T, env matrixEnv) {
 		th.Send(0, 0, []byte("hello"))
 		victimErr = recoverDead(func() { th.Recv(Any, 0) })
 	})
-	var typed bool
-	cl.finish(t, func(proc int, err error) bool {
-		var pd *PeerDeadError
-		if errors.As(err, &pd) {
-			typed = typed || (proc == 0 && pd.Peer == 1)
-			return true
-		}
-		return false
-	})
+	cl.finish(t, nil)
 	if sent < 1 {
 		t.Fatalf("sender unblocked after %d sends, want >= 2 (gated sends must fail, not hang)", sent+1)
 	}
-	if !typed {
-		t.Errorf("no *PeerDeadError raised for the gated sends; exceptions: %v", cl.excs[0])
+	if len(sendErrs) == 0 {
+		t.Error("no gated send returned an error")
+	}
+	for _, err := range sendErrs {
+		var pd *PeerDeadError
+		if !errors.As(err, &pd) || pd.Peer != 1 {
+			t.Errorf("gated send returned %v, want PeerDeadError{0->1}", err)
+		}
 	}
 	if parkedErr == nil || parkedErr.Peer != 1 || parkedErr.Local != 0 {
 		t.Errorf("parked receiver error = %v, want PeerDeadError{0->1}", parkedErr)

@@ -117,7 +117,7 @@ func (s *retainStore) release(m *transport.Message) {
 // timer holds. The header is a copy because the service pass attaches this
 // transmission's piggyback words to it; the payload is m's own.
 func (s *retainStore) resend(m *transport.Message) {
-	ln := s.ch.laneOf()
+	ln := s.ch.ln
 	cp := ln.getDataMsg()
 	*cp = *m
 	req := ln.getReq()
@@ -232,10 +232,11 @@ func (g *GoBackN) armTimer() {
 	g.p.cfg.After(g.Timeout, g.fireFn)
 }
 
-func (g *GoBackN) timerFire() {
+// timerFire returns a give-up report past MaxRetries (wrapTimer hands it on).
+func (g *GoBackN) timerFire() error {
 	g.timerOn = false
 	if len(g.unacked) == 0 {
-		return
+		return nil
 	}
 	if g.progress {
 		// Acks slid the window while the timer ran: nothing has waited a
@@ -243,7 +244,7 @@ func (g *GoBackN) timerFire() {
 		// stream used to pay every Timeout — a window of frames the
 		// receiver reassembles, checks and discards.
 		g.armTimer()
-		return
+		return nil
 	}
 	g.stall++
 	if g.stall > g.MaxRetries {
@@ -252,9 +253,8 @@ func (g *GoBackN) timerFire() {
 		// out best-effort through the now-open window.
 		gaveUp := len(g.unacked)
 		g.abandon()
-		g.ch.raise(fmt.Errorf("go-back-N: gave up on %d messages to proc %d (channel %d)", gaveUp, g.ch.peer, g.ch.id))
 		g.p.checkShutdownWake()
-		return
+		return fmt.Errorf("go-back-N: gave up on %d messages to proc %d (channel %d)", gaveUp, g.ch.peer, g.ch.id)
 	}
 	// Go-back-N: re-queue every unacked message.
 	for _, m := range g.unacked {
@@ -262,6 +262,7 @@ func (g *GoBackN) timerFire() {
 		g.store.resend(m)
 	}
 	g.armTimer()
+	return nil
 }
 
 func (g *GoBackN) onData(m *transport.Message) bool {

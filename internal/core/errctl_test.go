@@ -29,7 +29,6 @@ func TestGoBackNTimerMeasuresTimeWithoutProgress(t *testing.T) {
 		return ChannelConfig{ID: 1, Flow: NewWindowFlow(8), Error: NewGoBackN(8, timeout)}
 	}
 	tx, rx := vm.Procs[0].Open(1, cfg()), vm.Procs[1].Open(0, cfg())
-	vm.Procs[0].OnException(func(error) {}) // trailing-ack give-up after peer exit
 	vm.Procs[0].TCreate("tx", mts.PrioDefault, func(th *Thread) {
 		buf := make([]byte, size)
 		for k := 0; k < msgs; k++ {
@@ -187,7 +186,6 @@ func TestGoBackNOverLossyATM(t *testing.T) {
 			Error:    NewGoBackN(4, 5*time.Millisecond),
 			After:    func(d time.Duration, fn func()) { eng.Schedule(d, fn) },
 		})
-		procs[i].OnException(func(error) {}) // trailing-ack give-up is fine
 	}
 	const msgs = 12
 	var got []int
@@ -216,5 +214,56 @@ func TestGoBackNOverLossyATM(t *testing.T) {
 	}
 	if adapters[1].RxDropped() == 0 && adapters[0].RxDropped() == 0 {
 		t.Fatal("fault injection dropped nothing — test proves nothing")
+	}
+}
+
+// TestGiveUpObserved: a default-configured proc whose peer exits without
+// ever acknowledging (it runs no error control) gives up on its last message
+// under either discipline, counts it in Abandoned and terminates without a
+// panic. With a recording OnException installed, the observer sees one
+// report per give-up.
+func TestGiveUpObserved(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		mk        func() ErrorControl
+		abandoned func(ErrorControl) int64
+	}{
+		{"go-back-n", func() ErrorControl {
+			g := NewGoBackN(4, 5*time.Millisecond)
+			g.MaxRetries = 2
+			return g
+		}, func(ec ErrorControl) int64 { return ec.(*GoBackN).Abandoned() }},
+		{"selective-repeat", func() ErrorControl {
+			s := NewSelectiveRepeat(4, 5*time.Millisecond)
+			s.MaxRetries = 2
+			return s
+		}, func(ec ErrorControl) int64 { return ec.(*SelectiveRepeat).Abandoned() }},
+	} {
+		for _, observe := range []bool{false, true} {
+			tc, observe := tc, observe
+			t.Run(fmt.Sprintf("%s/observer=%v", tc.name, observe), func(t *testing.T) {
+				procs := realCluster(t, 2, transport.NewMem(), nil)
+				tx := procs[0].Open(1, ChannelConfig{ID: 1, Error: tc.mk()})
+				rx := procs[1].Open(0, ChannelConfig{ID: 1})
+				var reports []error
+				if observe {
+					procs[0].OnException(func(err error) { reports = append(reports, err) })
+				}
+				procs[0].TCreate("tx", mts.PrioDefault, func(th *Thread) {
+					if err := tx.Send(th, 0, []byte("last")); err != nil {
+						t.Errorf("send: %v", err)
+					}
+				})
+				procs[1].TCreate("rx", mts.PrioDefault, func(th *Thread) { rx.Recv(th, Any) })
+				runReal(procs)
+				n := tc.abandoned(tx.Error())
+				if n < 1 {
+					t.Fatalf("Abandoned() = %d, want >= 1", n)
+				}
+				if observe && int64(len(reports)) != n {
+					t.Fatalf("observer saw %d reports for %d give-ups: %v", len(reports), n, reports)
+				}
+			})
+		}
 	}
 }

@@ -215,7 +215,7 @@ func (p *Proc) peerDead(peer ProcID, err *PeerDeadError) {
 }
 
 // failDoomedWaiters sweeps the parked receive waiters and fails every one
-// whose pattern is now doomed; the woken receivers raise w.err in
+// whose pattern is now doomed; the woken receivers unwind with w.err in
 // recvAnyOf. peerDead runs it once after all its finalizations, Close and
 // finalizeChannel after theirs. In-place filter, scheduler domain: no timer
 // can interleave between a waiter's append and its park.

@@ -13,9 +13,9 @@ import (
 	"repro/internal/transport"
 )
 
-// recoverErr runs fn and returns the error it panicked with — a receive's
-// exception, re-raised past the handler — or nil if fn returned normally.
-// A non-error panic value propagates.
+// recoverErr runs fn and returns the error it panicked with — the typed
+// cause a doomed receive or a failed Group op unwinds its thread with — or
+// nil if fn returned normally. A non-error panic value propagates.
 func recoverErr(fn func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -121,8 +121,8 @@ func TestPeerCrashFaultUnblocksRecv(t *testing.T) {
 
 // TestPeerCrashFaultFailsGatedSends: sends parked behind a flow-control
 // window toward a peer that dies are failed through the drain machinery —
-// the sender's thread unblocks and the typed cause is raised through the
-// exception handler rather than lost.
+// the sender's thread unblocks and each failed Send returns the typed cause
+// rather than losing it.
 func TestPeerCrashFaultFailsGatedSends(t *testing.T) {
 	mem := transport.NewMem()
 	procs := sigCluster(t, 2, mem, func(i int, cfg *Config) {
@@ -136,14 +136,8 @@ func TestPeerCrashFaultFailsGatedSends(t *testing.T) {
 			}
 		}
 	})
-	var exMu sync.Mutex
-	var exs []error
-	procs[0].OnException(func(err error) {
-		exMu.Lock()
-		exs = append(exs, err)
-		exMu.Unlock()
-	})
 	var openErr error
+	var sendErrs []error
 	sent := -1
 	procs[0].TCreate("dial", mts.PrioDefault, func(th *Thread) {
 		ch, err := procs[0].OpenCall(th, 1, CallConfig{Flow: NewWindowFlow(1)})
@@ -159,7 +153,9 @@ func TestPeerCrashFaultFailsGatedSends(t *testing.T) {
 		for k := 0; k < 4; k++ {
 			// Message 1 fills the window; the rest park on the flow gate
 			// until the failure sweep fails them and unblocks this thread.
-			ch.Send(th, srv, []byte{byte(k)})
+			if err := ch.Send(th, srv, []byte{byte(k)}); err != nil {
+				sendErrs = append(sendErrs, err)
+			}
 			sent = k
 			if procs[0].PeerDead(1) != nil {
 				return
@@ -173,17 +169,14 @@ func TestPeerCrashFaultFailsGatedSends(t *testing.T) {
 	if sent < 1 {
 		t.Fatalf("sender unblocked after %d sends, want >= 1 (gated sends must fail, not hang)", sent+1)
 	}
-	exMu.Lock()
-	defer exMu.Unlock()
-	var typed bool
-	for _, err := range exs {
-		var pd *PeerDeadError
-		if errors.As(err, &pd) && pd.Peer == 1 {
-			typed = true
-		}
+	if len(sendErrs) == 0 {
+		t.Fatal("no gated send returned an error")
 	}
-	if !typed {
-		t.Fatalf("no *PeerDeadError raised for gated sends; exceptions: %v", exs)
+	for _, err := range sendErrs {
+		var pd *PeerDeadError
+		if !errors.As(err, &pd) || pd.Peer != 1 {
+			t.Fatalf("gated send returned %v, want *PeerDeadError for proc 1", err)
+		}
 	}
 	if leaks := procs[0].Leaks(); len(leaks) != 0 {
 		t.Errorf("caller leaks: %v", leaks)
@@ -192,7 +185,8 @@ func TestPeerCrashFaultFailsGatedSends(t *testing.T) {
 
 // TestPeerCrashFaultMidCollective: a group member dies while the root is
 // collecting a Gather. The root's blocked collect unblocks with the typed
-// error; the surviving leaf completes its part untouched.
+// error, and so does the root's Bcast after it, which cannot send to the
+// dead member; the surviving leaf completes its part untouched.
 func TestPeerCrashFaultMidCollective(t *testing.T) {
 	const n, victim = 3, 2
 	mem := transport.NewMem()
@@ -202,7 +196,7 @@ func TestPeerCrashFaultMidCollective(t *testing.T) {
 	members := collGroup(n)
 	var wg sync.WaitGroup
 	wg.Add(1)
-	var rootErr *PeerDeadError
+	var rootErr, bcastErr *PeerDeadError
 	for i := 0; i < n; i++ {
 		i := i
 		procs[i].TCreate("m", mts.PrioDefault, func(th *Thread) {
@@ -213,6 +207,7 @@ func TestPeerCrashFaultMidCollective(t *testing.T) {
 				wg.Done() // crash point: the carrier kills this proc now
 			case 0:
 				rootErr = recoverDead(func() { g.Gather(th, 0, []byte{byte(i)}) })
+				bcastErr = recoverDead(func() { g.Bcast(th, 0, []byte("after")) })
 			default:
 				g.Gather(th, 0, []byte{byte(i)})
 			}
@@ -225,6 +220,9 @@ func TestPeerCrashFaultMidCollective(t *testing.T) {
 	runReal(procs)
 	if rootErr == nil || rootErr.Peer != victim {
 		t.Fatalf("root gather error = %v, want PeerDeadError for proc %d", rootErr, victim)
+	}
+	if bcastErr == nil || bcastErr.Peer != victim {
+		t.Fatalf("root bcast error = %v, want PeerDeadError for proc %d", bcastErr, victim)
 	}
 	if procs[0].PeerDead(victim) == nil {
 		t.Error("root PeerDead(victim) = nil")

@@ -16,7 +16,9 @@ type filter struct {
 }
 
 // send is a tagged send to the peer's same-index thread.
-func (f *filter) send(tag int, to ProcID, data []byte) { f.t.SendTagged(tag, f.t.idx, to, data) }
+func (f *filter) send(tag int, to ProcID, data []byte) error {
+	return f.t.SendTagged(tag, f.t.idx, to, data)
+}
 
 // match is the receive pattern for tag (or Any) from any thread of one of
 // procs (or Any); a match's index is its source's position in procs.
@@ -64,7 +66,7 @@ type P4Filter struct{ filter }
 func P4(t *Thread) *P4Filter { return &P4Filter{filter{t: t}} }
 
 // Send is p4_send: typed, process-addressed.
-func (f *P4Filter) Send(typ int, to ProcID, data []byte) { f.send(typ, to, data) }
+func (f *P4Filter) Send(typ int, to ProcID, data []byte) error { return f.send(typ, to, data) }
 
 // Recv is p4_recv with -1 wildcards: *typ and *from are in/out parameters
 // updated to the actual type and source; a nil one matches anything.

@@ -259,15 +259,16 @@ func (w *WindowFlow) armSync() {
 // on first delivery (a send-only channel end never ticks), it re-arms
 // while deliveries keep coming, and it stops after maxIdleSyncs ticks of
 // silence or at shutdown.
-func (w *WindowFlow) syncFire() {
+func (w *WindowFlow) syncFire() error {
 	w.syncOn = false
 	if w.closed || w.idleSyncs >= maxIdleSyncs {
-		return
+		return nil
 	}
 	w.idleSyncs++
 	w.syncs++
 	w.advertise()
 	w.armSync()
+	return nil
 }
 
 func (w *WindowFlow) shutdown() { w.closed = true }
@@ -376,9 +377,10 @@ func (r *RateFlow) admit(m *transport.Message) bool {
 
 // timerFire offers the head again; one that is still short re-arms. A timer
 // in flight when the channel closed finds nothing queued to offer.
-func (r *RateFlow) timerFire() {
+func (r *RateFlow) timerFire() error {
 	r.timerOn = false
 	r.c.reopen()
+	return nil
 }
 
 func (r *RateFlow) onDelivered(*transport.Message) {}
@@ -386,17 +388,6 @@ func (r *RateFlow) onControl(*transport.Message)   {}
 func (r *RateFlow) onCredit(uint32)                {}
 func (r *RateFlow) creditSent(uint32)              {}
 func (r *RateFlow) shutdown()                      {}
-
-// Tokens returns the current bucket level (after refill); for tests.
-func (r *RateFlow) Tokens() float64 {
-	r.c.laneLock()
-	defer r.c.laneUnlock()
-	r.refill()
-	return r.tokens
-}
-
-// ctrlPayload reads the uint32 payload of a control message.
-func ctrlPayload(m *transport.Message) uint32 { return wire.Uint32(m.Data) }
 
 // forEachCtrlWord iterates the 4-byte words of a control payload in order.
 // Flush frames batch several acknowledgements into one frame (selective

@@ -191,7 +191,7 @@ func TestInlinePassNotAfterShutdown(t *testing.T) {
 		t.Errorf("late frame: pushed %d -> %d, drained %d -> %d; want it counted in and left in the ring",
 			before.RingPushed, after.RingPushed, before.RingDrained, after.RingDrained)
 	}
-	if ln := p.DefaultChannel(0).laneOf(); ln.rx.Len() != 1 {
+	if ln := p.DefaultChannel(0).ln; ln.rx.Len() != 1 {
 		t.Errorf("lane ring holds %d items, want the late frame", ln.rx.Len())
 	}
 	if leaks := p.Leaks(); len(leaks) != 0 {

@@ -46,17 +46,17 @@ import (
 //     multi-producer ring drained by an engine pass (the thread driver's
 //     Handler-path messages go straight into rxq); timers enter through
 //     Channel.wrapTimer.
-//   - Scheduler domain: thread wakeups, receive matching (waiters/store),
-//     signaling state, and exception handlers. Lane code never calls them
-//     directly — it appends to the lane's out-queues
-//     (wake/fans/deliver/errs) and a drain runs them: inline when the caller
-//     is already in the scheduler domain, otherwise via Runtime.Post,
-//     which runs between dispatches (it queues the drain and, only if the
-//     proc has gone to sleep with no thread runnable, hands it the runtime's
-//     one wake token — no channel operation otherwise). Under the thread
-//     driver every entry is in the scheduler domain already — a finished
-//     sender is unblocked on the spot (retireLocked) — and lane.mu, never
-//     held across a Park there, only keeps stats readers out.
+//   - Scheduler domain: thread wakeups, receive matching (waiters/store)
+//     and signaling state. Lane code never calls them directly — it
+//     appends to the lane's out-queues (wake/fans/deliver) and a drain
+//     runs them: inline when the caller is already in the scheduler
+//     domain, otherwise via Runtime.Post, which runs between dispatches
+//     (it queues the drain and, only if the proc has gone to sleep with
+//     no thread runnable, hands it the runtime's one wake token — no
+//     channel operation otherwise). Under the thread driver every entry
+//     is in the scheduler domain already — a finished sender is
+//     unblocked on the spot (retireLocked) — and lane.mu, never held
+//     across a Park there, only keeps stats readers out.
 //
 // Who runs a pass. An engine pass (ingestLocked: batch → rxq → processLocked
 // → serviceLocked → drain posted) belongs to whoever holds the ring's
@@ -226,14 +226,12 @@ type lane struct {
 	wake        []*mts.Thread
 	fans        []*Thread
 	deliver     []*transport.Message
-	errs        []error
 	drainPosted bool
 
 	// Spare swap buffers (scheduler-domain only, see runDrain).
 	spareWake    []*mts.Thread
 	spareFans    []*Thread
 	spareDeliver []*transport.Message
-	spareErrs    []error
 
 	drainFn   func()
 	traceName string
@@ -876,15 +874,18 @@ func (ln *lane) queueDrainLocked() bool {
 
 // outQueuedLocked reports whether the out-queues hold scheduler-domain work.
 func (ln *lane) outQueuedLocked() bool {
-	return len(ln.wake) != 0 || len(ln.fans) != 0 || len(ln.deliver) != 0 || len(ln.errs) != 0
+	return len(ln.wake) != 0 || len(ln.fans) != 0 || len(ln.deliver) != 0
 }
 
 // processLocked is the receive protocol body: demultiplex everything queued
 // in rxq, higher-priority channels first — control to the disciplines, data
 // through error/flow control — deferring scheduler-domain work (waiter
-// dispatch, signaling, exceptions) to the out-queues. Control payloads are
-// read on the spot, so a pooled frame recycles immediately — steady
-// credit/ack streams allocate no rx buffers.
+// dispatch, signaling) to the out-queues. Control payloads are read on the
+// spot, so a pooled frame recycles immediately — steady credit/ack streams
+// allocate no rx buffers. A peer frame this end cannot use — a control tag
+// it does not know, data on a channel that is not open here — is counted
+// (LifecycleStats.BadControl, StrayData) and dropped: peer input never
+// becomes an error.
 func (ln *lane) processLocked() {
 	for !ln.rxq.empty() {
 		it := ln.rxq.pop()
@@ -912,13 +913,13 @@ func (ln *lane) processLocked() {
 				// dispatches to onSigMsg.
 				ln.deliver = append(ln.deliver, m)
 			default:
-				ln.errs = append(ln.errs, fmt.Errorf("unknown control tag %d from proc %d", m.Tag, m.From))
+				ln.p.statBadControl.Add(1)
 				m.Release()
 			}
 			continue
 		}
 		if c == nil {
-			ln.errs = append(ln.errs, fmt.Errorf("data on unopened channel %d from proc %d", m.Channel, m.From))
+			ln.p.statStrayData.Add(1)
 			m.Release()
 			continue
 		}
@@ -935,9 +936,10 @@ func (ln *lane) processLocked() {
 		}
 		if c.Closed() {
 			// This end tore the channel down; without teardown signaling the
-			// peer may still be transmitting. Drop, and let its error control
-			// give up as against a dead process.
-			ln.errs = append(ln.errs, fmt.Errorf("data on closed channel %d from proc %d", m.Channel, m.From))
+			// peer may still be transmitting (or a retransmission crossed the
+			// close). Drop, and let its error control give up as against a
+			// dead process.
+			ln.p.statStrayData.Add(1)
 			m.Release()
 			continue
 		}
@@ -1136,8 +1138,8 @@ func (ln *lane) flushRunLocked(run []*sendReq) []*sendReq {
 }
 
 // retireLocked ends a request's life, transmitted or failed (a channel
-// closing under queued sends — Send returns no error, so whoever fails a
-// request also files the reason in ln.errs): its sender's completion is
+// closing under queued sends — failSendsLocked files the cause with the
+// sending thread first): its sender's completion is
 // delivered and the request and its pooled message return to the freelists
 // (the endpoint serialized the message, and the error-control disciplines
 // buffer private copies for retransmission, so nothing references either
@@ -1158,9 +1160,9 @@ func (ln *lane) retireLocked(req *sendReq) {
 		*req.done = true
 	case req.caller == nil:
 	case ln.td != nil:
-		p.cfg.RT.Unblock(req.caller, false)
+		p.cfg.RT.Unblock(req.caller.mt, false)
 	default:
-		ln.wake = append(ln.wake, req.caller)
+		ln.wake = append(ln.wake, req.caller.mt)
 	}
 	if req.fan != nil {
 		if ln.td != nil {
@@ -1179,13 +1181,19 @@ func (ln *lane) retireLocked(req *sendReq) {
 
 // failSendsLocked is the close sweep: every send still queued on c — a head
 // flow or error control was refusing included — fails with the channel's
-// typed cause, and its caller unblocks. Queued retransmissions stay: they
-// drain the in-flight window. Caller holds ln.mu; the channel's state already
-// fails new sends, so none can re-enter behind the sweep.
+// typed cause, which its thread finds in Thread.sendErr once it unblocks:
+// Send returns it, a fan-out unwinds with it. Queued retransmissions stay:
+// they drain the in-flight window. Caller holds ln.mu; the channel's state
+// already fails new sends, so none can re-enter behind the sweep.
 func (ln *lane) failSendsLocked(c *Channel) {
 	for c.sq.Size() > 0 {
-		ln.retireLocked(c.sq.Pop())
-		ln.errs = append(ln.errs, c.closedErr())
+		req := c.sq.Pop()
+		if t := req.caller; t != nil {
+			t.sendErr = c.closedErr()
+		} else if req.fan != nil {
+			req.fan.sendErr = c.closedErr()
+		}
+		ln.retireLocked(req)
 	}
 }
 
@@ -1226,25 +1234,15 @@ func (ln *lane) removeChanLocked(c *Channel) {
 // driver service only wakes the send system thread, so the request is never
 // done here: the caller parks per message until the send thread has put its
 // run on the wire, and other threads of the process run meanwhile — the
-// overlap mechanism of Figure 4.
-func (c *Channel) laneSend(t *Thread, tag, toThread int, data []byte) {
+// overlap mechanism of Figure 4. It returns sendErr's cause for a send that
+// cannot start, and the close sweep's for a parked one it failed.
+func (c *Channel) laneSend(t *Thread, tag, toThread int, data []byte) error {
 	p := c.p
-	if pd := p.deadPeers[c.peer]; pd != nil {
-		// Fail fast: the peer has been declared dead. Without this check a
-		// send after the failure sweep would resurrect a fresh default
-		// channel (the sweep removed the old one) and feed frames into the
-		// void forever. Scheduler-domain read: thread bodies run there.
-		p.exception(pd)
-		return
+	if err := c.sendErr(); err != nil {
+		return err
 	}
 	p.traceThread(t, trace.Idle)
 	ln := c.lockLane()
-	if c.sendUnavailable() {
-		ln.mu.Unlock()
-		p.exception(c.closedErr())
-		p.traceThread(t, trace.Compute)
-		return
-	}
 	m := ln.getDataMsg()
 	m.From = p.cfg.ID
 	m.To = c.peer
@@ -1271,13 +1269,13 @@ func (c *Channel) laneSend(t *Thread, tag, toThread int, data []byte) {
 		// between dispatches, i.e. strictly after the park takes effect (as
 		// does the send system thread).
 		req.done = nil
-		req.caller = t.mt
+		req.caller = t
 	}
 	queued := ln.outQueuedLocked()
 	ln.mu.Unlock()
 	// The inline service may have completed other requests (gated sends
-	// whose credit arrived) or raised errors; finish that scheduler-domain
-	// work in this thread's context. With nothing queued there is no drain
+	// whose credit arrived); finish that scheduler-domain work in this
+	// thread's context. With nothing queued there is no drain
 	// to run: what an engine queues after the unlock has a drain posted for
 	// it (its own, or one already pending), and a posted drain runs only once
 	// this thread has parked.
@@ -1288,7 +1286,12 @@ func (c *Channel) laneSend(t *Thread, tag, toThread int, data []byte) {
 		t.mt.Park("ncs send")
 	}
 	p.traceThread(t, trace.Compute)
+	if err := t.sendErr; err != nil {
+		t.sendErr = nil
+		return err
+	}
 	p.sent.Add(1)
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -1296,7 +1299,7 @@ func (c *Channel) laneSend(t *Thread, tag, toThread int, data []byte) {
 
 // runDrain moves the lane's deferred scheduler-domain work into the
 // scheduler: deliver data to waiters/store, route signaling, wake send
-// callers, retire fan requests, raise exceptions. Runs only in the scheduler
+// callers, retire fan requests. Runs only in the scheduler
 // domain (a thread or timer inline, or Post between dispatches).
 func (ln *lane) runDrain() { ln.drain(nil) }
 
@@ -1332,12 +1335,11 @@ func (ln *lane) drain(self *mts.Thread) (selfWoken bool) {
 		ln.mu.Unlock()
 		return false
 	}
-	wake, fans, del, errs := ln.wake, ln.fans, ln.deliver, ln.errs
+	wake, fans, del := ln.wake, ln.fans, ln.deliver
 	ln.wake = ln.spareWake[:0]
 	ln.fans = ln.spareFans[:0]
 	ln.deliver = ln.spareDeliver[:0]
-	ln.errs = ln.spareErrs[:0]
-	ln.spareWake, ln.spareFans, ln.spareDeliver, ln.spareErrs = nil, nil, nil, nil
+	ln.spareWake, ln.spareFans, ln.spareDeliver = nil, nil, nil
 	ln.drainPosted = false
 	ln.mu.Unlock()
 
@@ -1362,14 +1364,9 @@ func (ln *lane) drain(self *mts.Thread) (selfWoken bool) {
 		p.fanDone(f)
 		fans[i] = nil
 	}
-	for i, err := range errs {
-		p.exception(err)
-		errs[i] = nil
-	}
 	ln.spareWake = wake[:0]
 	ln.spareFans = fans[:0]
 	ln.spareDeliver = del[:0]
-	ln.spareErrs = errs[:0]
 	return selfWoken
 }
 

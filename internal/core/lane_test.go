@@ -119,23 +119,23 @@ func TestShardedLanePinning(t *testing.T) {
 	procs := shardedCluster(t, 2, net, nil)
 	p := procs[0]
 	pinned := p.Open(1, ChannelConfig{ID: 1, Lane: 3})
-	if want := p.lanes[(3-1)%4]; pinned.laneOf() != want {
-		t.Fatalf("Lane:3 pinned to lane %d, want %d", pinned.laneOf().idx, want.idx)
+	if want := p.lanes[(3-1)%4]; pinned.ln != want {
+		t.Fatalf("Lane:3 pinned to lane %d, want %d", pinned.ln.idx, want.idx)
 	}
 	hashed := p.Open(1, ChannelConfig{ID: 2})
-	if want := p.lanes[1%4]; hashed.laneOf() != want {
-		t.Fatalf("default pin landed on lane %d, want peer-hash lane %d", hashed.laneOf().idx, want.idx)
+	if want := p.lanes[1%4]; hashed.ln != want {
+		t.Fatalf("default pin landed on lane %d, want peer-hash lane %d", hashed.ln.idx, want.idx)
 	}
 	wrap := p.Open(1, ChannelConfig{ID: 3, Lane: 6})
-	if want := p.lanes[(6-1)%4]; wrap.laneOf() != want {
-		t.Fatalf("Lane:6 pinned to lane %d, want %d", wrap.laneOf().idx, want.idx)
+	if want := p.lanes[(6-1)%4]; wrap.ln != want {
+		t.Fatalf("Lane:6 pinned to lane %d, want %d", wrap.ln.idx, want.idx)
 	}
 	const msgs = 2000
 	for ti, c := range []*Channel{pinned, hashed} {
 		ti, c := ti, c
 		before := c.Stats().Lane
-		if before != c.laneOf().idx {
-			t.Fatalf("channel %d: Stats().Lane = %d, want %d", c.id, before, c.laneOf().idx)
+		if before != c.ln.idx {
+			t.Fatalf("channel %d: Stats().Lane = %d, want %d", c.id, before, c.ln.idx)
 		}
 		procs[1].Open(0, ChannelConfig{ID: c.id})
 		procs[0].TCreate(fmt.Sprintf("tx%d", ti), mts.PrioDefault, func(th *Thread) {

@@ -43,7 +43,7 @@ func (f *MPIFilter) Rank() int {
 func (f *MPIFilter) Size() int { return len(f.world) }
 
 // Send is MPI_Send: blocking standard-mode send to a rank.
-func (f *MPIFilter) Send(buf []byte, dest, tag int) { f.send(tag, f.world[dest], buf) }
+func (f *MPIFilter) Send(buf []byte, dest, tag int) error { return f.send(tag, f.world[dest], buf) }
 
 // Recv is MPI_Recv: blocking receive from a rank (or MPIAnySource: any
 // member of the communicator) with a tag (or MPIAnyTag).
@@ -59,9 +59,11 @@ func (f *MPIFilter) Recv(source, tag int) ([]byte, MPIStatus) {
 // Sendrecv is MPI_Sendrecv: the paired exchange that makes neighbour
 // patterns deadlock-free. Under NCS the send is handed to the send system
 // thread and only this thread parks, so send-then-receive cannot deadlock
-// against a symmetric partner.
+// against a symmetric partner. A failed send unwinds, as a doomed Recv does.
 func (f *MPIFilter) Sendrecv(sendBuf []byte, dest, sendTag, source, recvTag int) ([]byte, MPIStatus) {
-	f.Send(sendBuf, dest, sendTag)
+	if err := f.Send(sendBuf, dest, sendTag); err != nil {
+		panic(err)
+	}
 	return f.Recv(source, recvTag)
 }
 

@@ -164,18 +164,20 @@ func (b *PVMBuffer) UnpackBytes() ([]byte, error) {
 
 // Send transmits the current send buffer to a task with a message tag:
 // pvm_send. The buffer remains valid for Mcast-style resends.
-func (f *PVMFilter) Send(tid ProcID, tag int) {
+func (f *PVMFilter) Send(tid ProcID, tag int) error {
 	if f.out == nil {
 		panic("core: pvm Send without InitSend")
 	}
-	f.send(tag, tid, f.out.data)
+	return f.send(tag, tid, f.out.data)
 }
 
-// Mcast transmits the current buffer to several tasks: pvm_mcast.
-func (f *PVMFilter) Mcast(tids []ProcID, tag int) {
+// Mcast transmits the current buffer to several tasks: pvm_mcast. It
+// returns the failed sends' errors joined.
+func (f *PVMFilter) Mcast(tids []ProcID, tag int) (err error) {
 	for _, tid := range tids {
-		f.Send(tid, tag)
+		err = errors.Join(err, f.Send(tid, tag))
 	}
+	return err
 }
 
 // Recv blocks until a message with the given source task and tag arrives

@@ -114,25 +114,26 @@ func (s *SelectiveRepeat) armTimer(seq uint32) {
 	s.p.cfg.After(s.Timeout, s.fireFn)
 }
 
-func (s *SelectiveRepeat) timerFire() {
+// timerFire returns a give-up report past MaxRetries (wrapTimer hands it on).
+func (s *SelectiveRepeat) timerFire() error {
 	seq := s.timers.Pop()
 	pending, ok := s.inflight[seq]
 	if !ok {
-		return
+		return nil
 	}
 	pending.retries++
 	if pending.retries > s.MaxRetries {
 		s.abandoned++
 		delete(s.inflight, seq)
 		s.slide()
-		s.ch.raise(fmt.Errorf("selective-repeat: gave up on seq %d to proc %d (channel %d)", seq, s.ch.peer, s.ch.id))
 		s.p.checkShutdownWake()
-		return
+		return fmt.Errorf("selective-repeat: gave up on seq %d to proc %d (channel %d)", seq, s.ch.peer, s.ch.id)
 	}
 	s.inflight[seq] = pending
 	s.retrans++
 	s.store.resend(pending.m)
 	s.armTimer(seq)
+	return nil
 }
 
 // slide advances base past acked/abandoned sequences and reopens the
@@ -185,7 +186,7 @@ func (s *SelectiveRepeat) onData(m *transport.Message) bool {
 			flushed = append(flushed, next)
 		}
 		if len(flushed) > 0 {
-			s.ch.laneOf().requeueRxLocked(s.ch, flushed)
+			s.ch.ln.requeueRxLocked(s.ch, flushed)
 		}
 		return true
 	case wire.SeqNewer(m.ESeq, s.expected):

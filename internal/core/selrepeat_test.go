@@ -15,7 +15,6 @@ func runLossyARQ(t *testing.T, mk func() ErrorControl, msgs int) (got []int, dro
 	procs := realCluster(t, 2, mem, func(i int) (FlowControl, ErrorControl) {
 		return nil, mk()
 	})
-	procs[0].OnException(func(error) {}) // trailing-ack give-up after peer exit
 	procs[0].TCreate("sender", mts.PrioDefault, func(th *Thread) {
 		for k := 0; k < msgs; k++ {
 			th.Send(0, 1, []byte{byte(k)})
@@ -84,7 +83,6 @@ func TestSelectiveRepeatInOrderDeliveryDespiteBuffering(t *testing.T) {
 	procs := realCluster(t, 2, mem, func(i int) (FlowControl, ErrorControl) {
 		return nil, NewSelectiveRepeat(6, 15*time.Millisecond)
 	})
-	procs[0].OnException(func(error) {})
 	const n = 20
 	var got []int
 	procs[0].TCreate("sender", mts.PrioDefault, func(th *Thread) {

@@ -316,10 +316,10 @@ func (e *OpenError) Error() string {
 
 // ChannelClosedError reports a send on a closed (or closing) channel, or a
 // receive that can never complete because this end closed (or finalized)
-// the channel it waits on. It is raised through the proc's exception
-// handler — Send and Recv return no error, as in the paper's API —
-// uniformly across all disciplines and execution paths; the default handler
-// still panics.
+// the channel it waits on. Send returns it — a send refused at entry and a
+// queued send the close sweep fails alike, once each — uniformly across all
+// disciplines and execution paths. A receive, and a Group op, keeps its
+// result list and unwinds its own thread with it as the panic value.
 type ChannelClosedError struct {
 	Local, Peer ProcID
 	ID          ChannelID
@@ -951,6 +951,10 @@ type LifecycleStats struct {
 	// BadSignaling counts signaling frames too malformed to parse
 	// (dropped).
 	BadSignaling int64
+	// BadControl counts control frames with a tag this proc does not know,
+	// StrayData data frames on a channel not open here (never opened, or
+	// closed); both are dropped peer input, never an error.
+	BadControl, StrayData int64
 }
 
 // Lifecycle snapshots the proc's lifecycle counters. The ring ledger is
@@ -983,6 +987,8 @@ func (p *Proc) Lifecycle() LifecycleStats {
 		RingDrained:    drained,
 		LateCtrl:       p.statLateCtrl.Load(),
 		BadSignaling:   p.statBadSignaling.Load(),
+		BadControl:     p.statBadControl.Load(),
+		StrayData:      p.statStrayData.Load(),
 	}
 }
 

@@ -257,10 +257,10 @@ func TestOpenCallTimeout(t *testing.T) {
 	}
 }
 
-// TestSendAfterCloseTyped: sends on a closed signaled channel raise the
-// same typed *ChannelClosedError through the exception handler regardless
-// of discipline (windowed, rate, go-back-N, selective repeat) and
-// driver (thread at lanes=1, goroutine at lanes=4).
+// TestSendAfterCloseTyped: a send on a closed signaled channel returns the
+// same typed *ChannelClosedError regardless of discipline (windowed, rate,
+// go-back-N, selective repeat) and driver (thread at lanes=1, goroutine at
+// lanes=4), and nothing reaches the give-up observer.
 func TestSendAfterCloseTyped(t *testing.T) {
 	cases := []struct {
 		name string
@@ -282,8 +282,9 @@ func TestSendAfterCloseTyped(t *testing.T) {
 						cfg.OnAccept = serveCalls(1)
 					}
 				})
-				var caught []error
-				procs[0].OnException(func(err error) { caught = append(caught, err) })
+				var observed []error
+				procs[0].OnException(func(err error) { observed = append(observed, err) })
+				var sendErr error
 				var sendReturned bool
 				var chID ChannelID
 				procs[0].TCreate("dial", mts.PrioDefault, func(th *Thread) {
@@ -301,7 +302,7 @@ func TestSendAfterCloseTyped(t *testing.T) {
 						t.Errorf("close: %v", err)
 						return
 					}
-					ch.Send(th, 0, []byte("too late"))
+					sendErr = ch.Send(th, 0, []byte("too late"))
 					sendReturned = true
 				})
 				procs[1].TCreate("keeper", mts.PrioDefault, func(th *Thread) { th.Recv(Any, Any) })
@@ -310,17 +311,14 @@ func TestSendAfterCloseTyped(t *testing.T) {
 					t.Fatal("send after close did not return")
 				}
 				var cce *ChannelClosedError
-				found := false
-				for _, err := range caught {
-					if errors.As(err, &cce) {
-						found = true
-						if cce.ID != chID || cce.Peer != 1 || cce.Local != 0 {
-							t.Fatalf("ChannelClosedError fields = %+v, want Local 0 Peer 1 ID %d", cce, chID)
-						}
-					}
+				if !errors.As(sendErr, &cce) {
+					t.Fatalf("send after close returned %v, want *ChannelClosedError", sendErr)
 				}
-				if !found {
-					t.Fatalf("no ChannelClosedError raised; exceptions: %v", caught)
+				if cce.ID != chID || cce.Peer != 1 || cce.Local != 0 {
+					t.Fatalf("ChannelClosedError fields = %+v, want Local 0 Peer 1 ID %d", cce, chID)
+				}
+				if len(observed) != 0 {
+					t.Fatalf("give-up observer saw %v", observed)
 				}
 			})
 		}

@@ -90,8 +90,8 @@ func sendSig(t *Thread, peer ProcID, tag int, typ atm.SigType, ref uint32, id Ch
 }
 
 // defaultPair is two procs on mem with the default Config (lane count
-// included) and no OnException: a peer-input fault raised as an exception
-// would panic the test.
+// included) and no OnException: what a peer sends may move a counter, and
+// must never panic a proc.
 func defaultPair(t *testing.T, mem *transport.Mem, onAccept func(*Channel)) []*Proc {
 	return sigCluster(t, 2, mem, func(i int, cfg *Config) {
 		cfg.SendLanes, cfg.RecvLanes = 0, 0
@@ -311,6 +311,75 @@ func TestSetupRefusals(t *testing.T) {
 			}
 			if tc.check != nil {
 				tc.check(t, tap)
+			}
+			for i, p := range procs {
+				if leaks := p.Leaks(); len(leaks) != 0 {
+					t.Errorf("proc %d leaks: %v", i, leaks)
+				}
+			}
+		})
+	}
+}
+
+// TestPeerInputDrops sends each class of peer input a proc cannot use to a
+// default-configured proc over Mem with no OnException — a control tag it
+// does not know, data on a channel it never opened, data on a static
+// channel it has closed while the peer keeps sending — and holds each to
+// one counted drop: nothing panics, the honest exchange that follows is
+// delivered, and nothing leaks. evil runs on proc 0 before its bye, victim
+// on proc 1 before it waits for the bye.
+func TestPeerInputDrops(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		bad, stray int64
+		build      func(procs []*Proc) (evil, victim func(*Thread))
+	}{
+		{"unknown-control-tag", 1, 0, func([]*Proc) (func(*Thread), func(*Thread)) {
+			return func(th *Thread) { th.proc.sendProcCtrl(1, -99, nil) }, nil
+		}},
+		{"never-opened-channel", 0, 1, func(procs []*Proc) (func(*Thread), func(*Thread)) {
+			ch := procs[0].Open(1, ChannelConfig{ID: 9})
+			return func(th *Thread) { ch.Send(th, 0, []byte("stray")) }, nil
+		}},
+		{"closed-channel", 0, 1, func(procs []*Proc) (func(*Thread), func(*Thread)) {
+			out := procs[0].Open(1, ChannelConfig{ID: 5})
+			in := procs[1].Open(0, ChannelConfig{ID: 5})
+			return func(th *Thread) {
+					out.Send(th, 0, []byte("first"))
+					th.Recv(Any, 1) // the peer has closed its end
+					if err := out.Send(th, 0, []byte("late")); err != nil {
+						t.Errorf("send on the open end: %v", err)
+					}
+				}, func(th *Thread) {
+					in.Recv(th, Any)
+					in.Close()
+					th.Send(0, 0, []byte("closed"))
+				}
+		}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			procs := defaultPair(t, transport.NewMem(), nil)
+			evil, victim := tc.build(procs)
+			var answered bool
+			procs[0].TCreate("evil", mts.PrioDefault, func(th *Thread) {
+				evil(th)
+				byeAndWait(th)
+				answered = true
+			})
+			procs[1].TCreate("victim", mts.PrioDefault, func(th *Thread) {
+				if victim != nil {
+					victim(th)
+				}
+				keepUntilBye(th)
+			})
+			runReal(procs)
+			if !answered {
+				t.Fatal("the honest exchange after the peer input did not complete")
+			}
+			if st := procs[1].Lifecycle(); st.BadControl != tc.bad || st.StrayData != tc.stray {
+				t.Errorf("victim counted %d bad control and %d stray data frames, want %d and %d",
+					st.BadControl, st.StrayData, tc.bad, tc.stray)
 			}
 			for i, p := range procs {
 				if leaks := p.Leaks(); len(leaks) != 0 {

@@ -22,9 +22,9 @@ type sigCell struct {
 // about 3 ms after the peer goes silent, well inside every retry timer.
 var sigHB = Heartbeat{Interval: time.Millisecond, Misses: 2}
 
-// sendFails sends one message on ch and returns the error the send raised.
+// sendFails sends one message on ch and returns the send's error.
 func sendFails(th *Thread, ch *Channel) error {
-	return recoverErr(func() { ch.Send(th, 0, []byte{1}) })
+	return ch.Send(th, 0, []byte{1})
 }
 
 // waitUntil computes until virtual time at (no-op once past it).
@@ -72,7 +72,7 @@ func callPair(t *testing.T, cfg VirtualMeshConfig, serve func(vm *VirtualMesh, c
 	})
 	vm.Procs[0].TCreate("dial", mts.PrioDefault, func(th *Thread) {
 		dial(vm, th)
-		recoverErr(func() { th.Send(0, 1, []byte("bye")) })
+		th.Send(0, 1, []byte("bye"))
 	})
 	runOrFail(t, vm.Run)
 	return vm.Procs

@@ -330,7 +330,6 @@ func TestWindowRecoveryOverLossyATM(t *testing.T) {
 			Compute:  work.Sim(node),
 			After:    func(d time.Duration, fn func()) { eng.Schedule(d, fn) },
 		})
-		procs[i].OnException(func(error) {}) // trailing-ack give-up after peer exit
 	}
 	mkWin := func() *core.WindowFlow {
 		w := core.NewWindowFlow(4)

@@ -401,7 +401,6 @@ func TestWindowRecoveryOverPolicedUDP(t *testing.T) {
 		defer ep.Close()
 		eps[i] = ep
 		procs[i] = core.New(core.Config{ID: core.ProcID(i), RT: rt, Endpoint: ep})
-		procs[i].OnException(func(error) {}) // trailing-ack give-up after peer exit
 	}
 	// A contract tight enough that go-back-N's full-window retransmission
 	// bursts (8 × ~7 cells back to back) overrun it, plus 25% random frame
@@ -582,7 +581,6 @@ func TestRetainedCopiesSurviveBufferReuse(t *testing.T) {
 			defer ep.Close()
 			eps[i] = ep
 			procs[i] = core.New(core.Config{ID: core.ProcID(i), RT: rt, Endpoint: ep})
-			procs[i].OnException(func(error) {}) // trailing-ack give-up after peer exit
 		}
 		eps[0].SetRecvDropRate(0.1, 11)
 		eps[1].SetRecvDropRate(0.1, 12)
