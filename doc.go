@@ -107,7 +107,7 @@
 // (Proc.NewGroup) precomputes a q-nomial tree and dissemination-barrier
 // schedule over an agreed member list and pins every collective —
 // Barrier, Bcast/BcastInto, Gather, Reduce, AllToAll — to a chosen
-// channel, so a synchronization phase rides a high-priority policed VC
+// channel, so a synchronization phase rides a high-priority VC of its own
 // while bulk exchange keeps its own class. GroupConfig.Fanout >= N
 // degenerates to the old serial linear algorithms, preserved as the A/B
 // baseline. The p4, MPI and PVM filters are one adapter under three

@@ -6,7 +6,7 @@
 //
 // Alongside the FFT, every process runs a phase-synchronization thread in
 // a collective Group pinned to a high-priority channel: the dissemination
-// barrier rides its own policed class while the FFT's bulk block exchange
+// barrier rides its own high-priority class while the FFT's bulk block exchange
 // uses the default channels. Each process traces its collective lane
 // (round-index marks included), and the run ends by printing the
 // per-phase barrier-exit skew (max minus min across processes) computed

@@ -43,6 +43,21 @@ type VC struct {
 
 func (v VC) String() string { return fmt.Sprintf("%d/%d", v.VPI, v.VCI) }
 
+// VCFor returns the conventional VC for traffic from host src to host dst,
+// the one numbering every fabric shares: VPI 0, VCI = 64 + src*256 + dst.
+// VCI space is 16 bits, so up to 255 hosts are addressable — far beyond the
+// paper's 8.
+func VCFor(src, dst int) VC { return VCForChan(src, dst, 0) }
+
+// VCForChan returns the VC carrying NCS channel ch from src to dst: the
+// channel ID becomes the VPI over the same VCI mesh, so every channel of a
+// host pair rides its own virtual circuit (the paper's one-QoS-per-VC
+// model, §4). Channel 0 is VCFor — the default channel rides the
+// pre-provisioned mesh.
+func VCForChan(src, dst int, ch uint16) VC {
+	return VC{VPI: uint8(ch), VCI: uint16(64 + src*256 + dst)}
+}
+
 // VC returns the header's virtual-channel identifier.
 func (h Header) VC() VC { return VC{VPI: h.VPI, VCI: h.VCI} }
 

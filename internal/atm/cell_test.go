@@ -25,6 +25,37 @@ func TestCellHeaderRoundtrip(t *testing.T) {
 	}
 }
 
+// TestVCNumbering: VCI = 64 + src*256 + dst with the channel as VPI,
+// channel 0 on the default mesh, and no two (src, dst, channel) triples of
+// an 8-host mesh sharing a VC.
+func TestVCNumbering(t *testing.T) {
+	vc := VCFor(2, 3)
+	if vc.VPI != 0 || vc.VCI != 64+2*256+3 {
+		t.Fatalf("vc = %+v", vc)
+	}
+	if cvc := VCForChan(2, 3, 9); cvc.VPI != 9 || cvc.VCI != vc.VCI {
+		t.Fatalf("channel vc = %+v", cvc)
+	}
+	if VCForChan(2, 3, 0) != vc {
+		t.Fatal("channel 0 must ride the default VC")
+	}
+	seen := map[VC]bool{}
+	for s := 0; s < 8; s++ {
+		for d := 0; d < 8; d++ {
+			for ch := uint16(0); ch < 4; ch++ {
+				if s == d {
+					continue
+				}
+				vc := VCForChan(s, d, ch)
+				if seen[vc] {
+					t.Fatalf("VC collision at %d->%d channel %d", s, d, ch)
+				}
+				seen[vc] = true
+			}
+		}
+	}
+}
+
 func TestCellSizeOnWire(t *testing.T) {
 	c := Cell{Header: Header{VCI: 42}}
 	if len(c.Bytes()) != 53 {

@@ -20,7 +20,7 @@ import (
 // picks rate pacing while a parallel solver next to it picks windowed,
 // reliable transfer. Each channel rides its own ATM virtual circuit in the
 // cell-level carriers (the channel ID becomes the VPI), so a rate-class
-// channel is policed by the network on its own VC.
+// channel's cells never share a circuit with another channel's.
 //
 // Thread.Send/Recv keep the paper's original single-protocol semantics by
 // running on the default channel (ID 0), which every process pair has

@@ -29,8 +29,8 @@ import (
 //     receive-from-(i-r) ring schedule otherwise.
 //
 // Every collective rides a caller-chosen channel (GroupConfig.Channel), so
-// a phase-synchronization group can pin its traffic to a high-priority,
-// policed VC while bulk halo exchange uses its own class — the per-channel
+// a phase-synchronization group can pin its traffic to a high-priority VC
+// while bulk halo exchange uses its own class — the per-channel
 // QoS story of Figure 5 extended to group communication. Fanout >= N
 // degenerates every operation to the *old linear algorithms, preserved
 // serial* — root-collected star barrier, one-Send-at-a-time broadcast and

@@ -75,8 +75,8 @@ const DefaultWindowSyncInterval = 50 * time.Millisecond
 // parallel/distributed application class in Figure 5 (bursty, loss-averse).
 //
 // The credit protocol is loss-proof by construction — it must be, because
-// the carriers the paper targets (ATM fabrics under GCRA policing) drop
-// cells, and a control frame is as mortal as a data frame. Instead of
+// the carriers the paper targets (ATM fabrics) drop cells, and a control
+// frame is as mortal as a data frame. Instead of
 // per-delivery credit pulses (where one lost pulse permanently shrinks the
 // window), the receiver advertises its *cumulative* delivered count in
 // every tagFlowAck payload. Credits are therefore idempotent and

@@ -21,9 +21,9 @@ type Node struct {
 // InList reports whether the node is currently linked into some list.
 func (n *Node) InList() bool { return n.list != nil }
 
-// List is a doubly-linked queue with O(1) push/pop at both ends and O(1)
-// removal of an interior node. It is not safe for concurrent use; the MTS
-// scheduler serializes all access.
+// List is a doubly-linked queue with O(1) push at both ends, O(1) pop at
+// the head and O(1) removal of an interior node. It is not safe for
+// concurrent use; the MTS scheduler serializes all access.
 type List struct {
 	root Node // sentinel; root.next = head, root.prev = tail
 	size int
@@ -127,60 +127,6 @@ func (l *List) PopFront() *Node {
 		n.Remove()
 	}
 	return n
-}
-
-// PopBack removes and returns the tail node, or nil if empty.
-func (l *List) PopBack() *Node {
-	n := l.Back()
-	if n != nil {
-		n.Remove()
-	}
-	return n
-}
-
-// RotateFrontToBack moves the head node to the tail, implementing the
-// round-robin step of the paper's per-priority circular queue. It returns
-// the node that was rotated, or nil if the list has fewer than one element.
-func (l *List) RotateFrontToBack() *Node {
-	if l.size <= 1 {
-		return l.Front()
-	}
-	n := l.PopFront()
-	l.PushBack(n)
-	return n
-}
-
-// Do calls f on each node value from head to tail. f must not modify the
-// list; use Collect if the loop body needs to relink nodes.
-func (l *List) Do(f func(*Node)) {
-	if l.size == 0 {
-		return
-	}
-	for n := l.root.next; n != &l.root; n = n.next {
-		f(n)
-	}
-}
-
-// Collect returns the linked nodes head-to-tail as a slice. The slice is a
-// snapshot; mutating the list afterwards is safe.
-func (l *List) Collect() []*Node {
-	out := make([]*Node, 0, l.size)
-	l.Do(func(n *Node) { out = append(out, n) })
-	return out
-}
-
-// Find returns the first node for which pred returns true, or nil. This is
-// the blocked-queue search the paper optimizes with the doubly linked list.
-func (l *List) Find(pred func(*Node) bool) *Node {
-	if l.size == 0 {
-		return nil
-	}
-	for n := l.root.next; n != &l.root; n = n.next {
-		if pred(n) {
-			return n
-		}
-	}
-	return nil
 }
 
 // CheckInvariants verifies ring consistency: following next from the

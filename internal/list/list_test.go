@@ -19,7 +19,9 @@ func newElem(id int) *elem {
 
 func ids(l *List) []int {
 	var out []int
-	l.Do(func(n *Node) { out = append(out, n.Value.(*elem).id) })
+	for n := l.Front(); n != nil && n != &l.root; n = n.next {
+		out = append(out, n.Value.(*elem).id)
+	}
 	return out
 }
 
@@ -31,7 +33,7 @@ func TestEmptyList(t *testing.T) {
 	if l.Front() != nil || l.Back() != nil {
 		t.Fatal("Front/Back of empty list should be nil")
 	}
-	if l.PopFront() != nil || l.PopBack() != nil {
+	if l.PopFront() != nil {
 		t.Fatal("Pop of empty list should be nil")
 	}
 	if !l.CheckInvariants() {
@@ -57,11 +59,8 @@ func TestPushPopOrder(t *testing.T) {
 	if n := l.PopFront(); n.Value.(*elem).id != 0 {
 		t.Fatalf("PopFront = %d, want 0", n.Value.(*elem).id)
 	}
-	if n := l.PopBack(); n.Value.(*elem).id != 4 {
-		t.Fatalf("PopBack = %d, want 4", n.Value.(*elem).id)
-	}
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", l.Len())
+	if l.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", l.Len())
 	}
 }
 
@@ -101,53 +100,6 @@ func TestInteriorRemove(t *testing.T) {
 	nodes[2].Remove()
 	if l.Len() != 4 {
 		t.Fatal("double remove corrupted length")
-	}
-}
-
-func TestRotateFrontToBack(t *testing.T) {
-	l := New()
-	for i := 0; i < 3; i++ {
-		l.PushBack(&newElem(i).node)
-	}
-	n := l.RotateFrontToBack()
-	if n.Value.(*elem).id != 0 {
-		t.Fatalf("rotated %d, want 0", n.Value.(*elem).id)
-	}
-	got := ids(l)
-	want := []int{1, 2, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestRotateSingleAndEmpty(t *testing.T) {
-	l := New()
-	if l.RotateFrontToBack() != nil {
-		t.Fatal("rotate of empty list should be nil")
-	}
-	e := newElem(7)
-	l.PushBack(&e.node)
-	if n := l.RotateFrontToBack(); n.Value.(*elem).id != 7 {
-		t.Fatal("rotate of singleton should return the element")
-	}
-	if l.Len() != 1 {
-		t.Fatal("rotate of singleton changed length")
-	}
-}
-
-func TestFind(t *testing.T) {
-	l := New()
-	for i := 0; i < 8; i++ {
-		l.PushBack(&newElem(i).node)
-	}
-	n := l.Find(func(n *Node) bool { return n.Value.(*elem).id == 5 })
-	if n == nil || n.Value.(*elem).id != 5 {
-		t.Fatal("Find failed to locate element 5")
-	}
-	if l.Find(func(n *Node) bool { return false }) != nil {
-		t.Fatal("Find of absent element should be nil")
 	}
 }
 
@@ -217,8 +169,10 @@ func TestQuickRandomOps(t *testing.T) {
 					model[i].node.Remove()
 					model = append(model[:i], model[i+1:]...)
 				}
-			case 4: // Rotate
-				l.RotateFrontToBack()
+			case 4: // Round-robin step, as mts rotates a ready ring
+				if n := l.PopFront(); n != nil {
+					l.PushBack(n)
+				}
 				if len(model) > 1 {
 					model = append(model[1:], model[0])
 				}

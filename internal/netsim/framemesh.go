@@ -21,7 +21,7 @@ type FrameMeshConfig struct {
 // NewFrameMesh builds n hosts star-wired through one output-queued switch at
 // *frame* granularity: a whole wire frame is one transmission unit, routed
 // by Unit.DstHost instead of a provisioned VC. The cell-granular NewATMLAN
-// cannot serve thousand-host meshes — its VCFor numbering addresses at most
+// cannot serve thousand-host meshes — its atm.VCFor numbering addresses at most
 // 255 hosts and its full VC mesh is O(n²) routes — while this fabric keeps
 // O(n) links, no VC table, and one delivery event per frame, which is what
 // lets a 1024-proc virtual mesh stay cheap. Serialization on the sender's

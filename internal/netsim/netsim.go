@@ -155,10 +155,6 @@ type Switch struct {
 	latency time.Duration
 	table   map[atm.VC]*Link
 	dropped int64
-	// police holds per-VC usage parameter control (GCRA); non-conforming
-	// cells are discarded and counted in policed.
-	police  map[atm.VC]*atm.GCRA
-	policed int64
 }
 
 // NewSwitch creates an empty switch.
@@ -174,27 +170,12 @@ func (s *Switch) Route(vc atm.VC, out *Link) { s.table[vc] = out }
 // is released. Idempotent.
 func (s *Switch) Unroute(vc atm.VC) { delete(s.table, vc) }
 
-// Police installs usage parameter control on a VC: cells beyond the GCRA
-// contract are discarded (drop policy; real switches may instead tag CLP).
-func (s *Switch) Police(vc atm.VC, g *atm.GCRA) {
-	if s.police == nil {
-		s.police = make(map[atm.VC]*atm.GCRA)
-	}
-	s.police[vc] = g
-}
-
 // Dropped returns the number of cells discarded for want of a route.
 func (s *Switch) Dropped() int64 { return s.dropped }
 
-// Policed returns the number of cells discarded by UPC enforcement.
-func (s *Switch) Policed() int64 { return s.policed }
-
-// Deliver implements Port: an arriving cell is policed, then forwarded.
+// Deliver implements Port: an arriving cell is forwarded along its VC's
+// route.
 func (s *Switch) Deliver(u Unit) {
-	if g, ok := s.police[u.VC]; ok && !g.Conforms(time.Duration(s.eng.Now())) {
-		s.policed++
-		return
-	}
 	out, ok := s.table[u.VC]
 	if !ok {
 		s.dropped++
@@ -458,22 +439,6 @@ func (hp hostPort) Deliver(u Unit) {
 	}
 }
 
-// VCFor returns the conventional VC used for traffic from host src to host
-// dst in generated topologies: VPI 0, VCI = 64 + src*256 + dst. VCI space
-// is 16 bits, so up to 255 hosts are addressable — far beyond the paper's 8.
-func VCFor(src, dst int) atm.VC {
-	return atm.VC{VPI: 0, VCI: uint16(64 + src*256 + dst)}
-}
-
-// VCForChan returns the VC carrying NCS channel ch from src to dst: the
-// channel ID becomes the VPI over the same VCI mesh, so every channel of a
-// host pair rides its own virtual circuit (the paper's one-QoS-per-VC
-// model, §4). Channel 0 is identical to VCFor — the default channel rides
-// the pre-provisioned mesh.
-func VCForChan(src, dst int, ch uint16) atm.VC {
-	return atm.VC{VPI: uint8(ch), VCI: uint16(64 + src*256 + dst)}
-}
-
 // InstallChannelRoutes provisions the full-mesh routes for channel ch's
 // VPI on a single-switch ATM LAN, mirroring what NewATMLAN installs for
 // the default mesh (VPI 0). Call once per explicit channel ID in use; a
@@ -503,8 +468,8 @@ func (n *Network) InstallChannelRoute(a, b int, ch uint16) {
 		return
 	}
 	sw := n.switches[0]
-	sw.Route(VCForChan(a, b, ch), n.down[b])
-	sw.Route(VCForChan(b, a, ch), n.down[a])
+	sw.Route(atm.VCForChan(a, b, ch), n.down[b])
+	sw.Route(atm.VCForChan(b, a, ch), n.down[a])
 }
 
 // RemoveChannelRoute releases the pair of directed routes installed by
@@ -518,8 +483,8 @@ func (n *Network) RemoveChannelRoute(a, b int, ch uint16) {
 		return
 	}
 	sw := n.switches[0]
-	sw.Unroute(VCForChan(a, b, ch))
-	sw.Unroute(VCForChan(b, a, ch))
+	sw.Unroute(atm.VCForChan(a, b, ch))
+	sw.Unroute(atm.VCForChan(b, a, ch))
 }
 
 // NewEthernetLAN builds the paper's comparison platform: n hosts on one
@@ -570,7 +535,7 @@ func NewATMLAN(eng *sim.Engine, n int, cfg ATMLANConfig) *Network {
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			if s != d {
-				sw.Route(VCFor(s, d), down[d])
+				sw.Route(atm.VCFor(s, d), down[d])
 			}
 		}
 	}
@@ -631,7 +596,7 @@ func NewATMWAN(eng *sim.Engine, halfN int, cfg ATMWANConfig) *Network {
 			if s == d {
 				continue
 			}
-			vc := VCFor(s, d)
+			vc := atm.VCFor(s, d)
 			if site(s) == site(d) {
 				sw(site(s)).Route(vc, down[d])
 				continue

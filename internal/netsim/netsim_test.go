@@ -117,8 +117,8 @@ func TestATMLANParallelPaths(t *testing.T) {
 	net.AttachHost(3, col3)
 	// Disjoint pairs 0->2 and 1->3 proceed in parallel on a switch —
 	// unlike the Ethernet case above, both arrive at 1 s.
-	net.PathFor(0).Send(Unit{WireBytes: 1000, DstHost: 2, VC: VCFor(0, 2)})
-	net.PathFor(1).Send(Unit{WireBytes: 1000, DstHost: 3, VC: VCFor(1, 3)})
+	net.PathFor(0).Send(Unit{WireBytes: 1000, DstHost: 2, VC: atm.VCFor(0, 2)})
+	net.PathFor(1).Send(Unit{WireBytes: 1000, DstHost: 3, VC: atm.VCFor(1, 3)})
 	eng.Run()
 	if len(col2.times) != 1 || len(col3.times) != 1 {
 		t.Fatalf("deliveries: %d,%d", len(col2.times), len(col3.times))
@@ -137,8 +137,8 @@ func TestATMLANFanInQueuesOnDownlink(t *testing.T) {
 	net.AttachHost(2, col)
 	// Both senders target host 2: uplinks are parallel but the downlink
 	// serializes, so arrivals are 2s and 3s.
-	net.PathFor(0).Send(Unit{WireBytes: 1000, DstHost: 2, VC: VCFor(0, 2)})
-	net.PathFor(1).Send(Unit{WireBytes: 1000, DstHost: 2, VC: VCFor(1, 2)})
+	net.PathFor(0).Send(Unit{WireBytes: 1000, DstHost: 2, VC: atm.VCFor(0, 2)})
+	net.PathFor(1).Send(Unit{WireBytes: 1000, DstHost: 2, VC: atm.VCFor(1, 2)})
 	eng.Run()
 	if col.times[0] != vclock.Time(2*time.Second) || col.times[1] != vclock.Time(3*time.Second) {
 		t.Fatalf("arrivals %v,%v; want 2s,3s", col.times[0].Seconds(), col.times[1].Seconds())
@@ -155,7 +155,7 @@ func TestATMWANCrossSiteTrunk(t *testing.T) {
 	net := NewATMWAN(eng, 2, cfg) // hosts 0,1 site A; 2,3 site B
 	col := &collector{eng: eng}
 	net.AttachHost(3, col)
-	net.PathFor(0).Send(Unit{WireBytes: 125, DstHost: 3, VC: VCFor(0, 3)})
+	net.PathFor(0).Send(Unit{WireBytes: 125, DstHost: 3, VC: atm.VCFor(0, 3)})
 	eng.Run()
 	if len(col.units) != 1 {
 		t.Fatal("cross-site unit not delivered")
@@ -177,7 +177,7 @@ func TestATMWANSameSiteAvoidsTrunk(t *testing.T) {
 	net := NewATMWAN(eng, 2, cfg)
 	col := &collector{eng: eng}
 	net.AttachHost(1, col)
-	net.PathFor(0).Send(Unit{WireBytes: 125, DstHost: 1, VC: VCFor(0, 1)})
+	net.PathFor(0).Send(Unit{WireBytes: 125, DstHost: 1, VC: atm.VCFor(0, 1)})
 	eng.Run()
 	want := vclock.Time(2 * time.Millisecond)
 	if col.times[0] != want {
@@ -197,18 +197,38 @@ func TestLinkUtilization(t *testing.T) {
 	}
 }
 
+// TestVCForDistinct: the full mesh of an 8-host ATM LAN gives every ordered
+// host pair its own VC, so a cell on atm.VCFor(s, d) reaches d and no other
+// host — two pairs sharing a VC would leave one of them misrouted.
 func TestVCForDistinct(t *testing.T) {
-	seen := map[atm.VC]bool{}
-	for s := 0; s < 8; s++ {
-		for d := 0; d < 8; d++ {
-			if s == d {
-				continue
+	const n = 8
+	eng := sim.NewEngine()
+	net := NewATMLAN(eng, n, ATMLANConfig{HostLinkBps: 100e6})
+	var got [n][]Unit
+	for h := 0; h < n; h++ {
+		h := h
+		net.AttachHost(h, PortFunc(func(u Unit) { got[h] = append(got[h], u) }))
+	}
+	sw := net.Switches()[0]
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s != d {
+				sw.Deliver(Unit{WireBytes: 53, SrcHost: s, DstHost: d, VC: atm.VCFor(s, d)})
 			}
-			vc := VCFor(s, d)
-			if seen[vc] {
-				t.Fatalf("VC collision at %d->%d", s, d)
+		}
+	}
+	eng.Run()
+	if d := sw.Dropped(); d != 0 {
+		t.Fatalf("switch dropped %d cells of the full mesh", d)
+	}
+	for h := 0; h < n; h++ {
+		if len(got[h]) != n-1 {
+			t.Fatalf("host %d received %d cells, want %d", h, len(got[h]), n-1)
+		}
+		for _, u := range got[h] {
+			if u.DstHost != h || u.VC != atm.VCFor(u.SrcHost, h) {
+				t.Fatalf("host %d received the cell for %d->%d on VC %+v", h, u.SrcHost, u.DstHost, u.VC)
 			}
-			seen[vc] = true
 		}
 	}
 }
@@ -228,10 +248,10 @@ func TestChannelRoutePairInstallRemove(t *testing.T) {
 	}
 	sw := net.Switches()[0]
 	net.InstallChannelRoute(0, 1, 5)
-	sw.Deliver(Unit{WireBytes: 53, DstHost: 1, VC: VCForChan(0, 1, 5)})
-	sw.Deliver(Unit{WireBytes: 53, DstHost: 0, VC: VCForChan(1, 0, 5)})
+	sw.Deliver(Unit{WireBytes: 53, DstHost: 1, VC: atm.VCForChan(0, 1, 5)})
+	sw.Deliver(Unit{WireBytes: 53, DstHost: 0, VC: atm.VCForChan(1, 0, 5)})
 	// The pair (0,2) was never provisioned for channel 5.
-	sw.Deliver(Unit{WireBytes: 53, DstHost: 2, VC: VCForChan(0, 2, 5)})
+	sw.Deliver(Unit{WireBytes: 53, DstHost: 2, VC: atm.VCForChan(0, 2, 5)})
 	eng.Run()
 	if len(got[0]) != 1 || len(got[1]) != 1 || len(got[2]) != 0 {
 		t.Fatalf("deliveries = %d,%d,%d; want 1,1,0", len(got[0]), len(got[1]), len(got[2]))
@@ -240,8 +260,8 @@ func TestChannelRoutePairInstallRemove(t *testing.T) {
 		t.Fatalf("switch dropped %d, want 1 (the unprovisioned pair)", d)
 	}
 	net.RemoveChannelRoute(0, 1, 5)
-	sw.Deliver(Unit{WireBytes: 53, DstHost: 1, VC: VCForChan(0, 1, 5)})
-	sw.Deliver(Unit{WireBytes: 53, DstHost: 0, VC: VCForChan(1, 0, 5)})
+	sw.Deliver(Unit{WireBytes: 53, DstHost: 1, VC: atm.VCForChan(0, 1, 5)})
+	sw.Deliver(Unit{WireBytes: 53, DstHost: 0, VC: atm.VCForChan(1, 0, 5)})
 	eng.Run()
 	if len(got[0]) != 1 || len(got[1]) != 1 {
 		t.Fatal("cells delivered after the channel's routes were removed")
@@ -250,7 +270,7 @@ func TestChannelRoutePairInstallRemove(t *testing.T) {
 		t.Fatalf("switch dropped %d, want 3 after teardown", d)
 	}
 	// The default mesh (channel 0) is untouched by per-channel teardown.
-	sw.Deliver(Unit{WireBytes: 53, DstHost: 1, VC: VCFor(0, 1)})
+	sw.Deliver(Unit{WireBytes: 53, DstHost: 1, VC: atm.VCFor(0, 1)})
 	eng.Run()
 	if len(got[1]) != 2 {
 		t.Fatal("default-mesh VC no longer routed after channel teardown")

@@ -94,13 +94,6 @@ type SimATM struct {
 	// the fabric).
 	blackhole atomic.Bool
 
-	// vcTx is per-VC transmit state: cell accounting plus the optional
-	// GCRA policer enforcing the VC's traffic contract at the UNI. NCS
-	// channels map onto VCs (channel ID = VPI), so attaching a policer to
-	// a rate-class channel's VC polices that channel at the cell layer.
-	vcTx        map[atm.VC]*vcTxState
-	policedCell int64
-
 	// cellScratch is reused across Send calls: path.Send boxes each Cell
 	// by value, so the slice is dead the moment the drain loop finishes,
 	// before any park point is reached.
@@ -125,7 +118,6 @@ func NewSimATM(node *sim.Node, net *netsim.Network, host int, cfg Config) *SimAT
 		outBufs: mts.NewSemaphore(node.RT(), cfg.NumBuffers),
 		reasm:   make(map[atm.VC]*atm.Reassembler),
 		asm:     make(map[atm.VC]*wire.Assembler),
-		vcTx:    make(map[atm.VC]*vcTxState),
 	}
 	if cfg.RxDropRate > 0 {
 		a.dropRNG = rand.New(rand.NewSource(cfg.RxDropSeed))
@@ -133,48 +125,6 @@ func NewSimATM(node *sim.Node, net *netsim.Network, host int, cfg Config) *SimAT
 	net.AttachHost(host, netsim.PortFunc(a.deliverCell))
 	return a
 }
-
-// vcTxState is one VC's transmit-side queue accounting and policing.
-type vcTxState struct {
-	gcra      *atm.GCRA
-	cellsSent int64
-	policed   int64
-}
-
-func (a *SimATM) vcState(vc atm.VC) *vcTxState {
-	st := a.vcTx[vc]
-	if st == nil {
-		st = &vcTxState{}
-		a.vcTx[vc] = st
-	}
-	return st
-}
-
-// PoliceVC attaches a GCRA policer to a transmit VC: cells beyond the
-// contract are discarded at the adapter (UPC at the UNI, drop policy) and
-// counted. A frame that loses a cell fails CRC at the receiver — exactly
-// the loss the NCS error-control tier exists to recover.
-func (a *SimATM) PoliceVC(vc atm.VC, g *atm.GCRA) {
-	a.vcState(vc).gcra = g
-}
-
-// PoliceChannel is PoliceVC addressed by (destination, NCS channel): it
-// polices the VC that channel's traffic toward dst rides.
-func (a *SimATM) PoliceChannel(dst transport.ProcID, ch wire.ChannelID, g *atm.GCRA) {
-	a.PoliceVC(netsim.VCForChan(a.host, int(dst), uint16(ch)), g)
-}
-
-// VCStats reports per-VC transmit accounting: cells sent and cells
-// discarded by the VC's policer.
-func (a *SimATM) VCStats(vc atm.VC) (cellsSent, policed int64) {
-	if st := a.vcTx[vc]; st != nil {
-		return st.cellsSent, st.policed
-	}
-	return 0, 0
-}
-
-// PolicedCells returns the total cells discarded by per-VC policing.
-func (a *SimATM) PolicedCells() int64 { return a.policedCell }
 
 // Proc implements transport.Endpoint.
 func (a *SimATM) Proc() transport.ProcID { return transport.ProcID(a.host) }
@@ -220,8 +170,7 @@ func (a *SimATM) Send(t *mts.Thread, m *transport.Message) {
 
 	// Each NCS channel rides its own VC (channel ID = VPI); the default
 	// channel uses the pre-provisioned VPI-0 mesh.
-	vc := netsim.VCForChan(a.host, int(m.To), uint16(m.Channel))
-	vcs := a.vcState(vc)
+	vc := atm.VCForChan(a.host, int(m.To), uint16(m.Channel))
 	path := a.net.PathFor(a.host)
 	// The chunk buffer is per-Send (another thread's Send may interleave
 	// at the park points below); the marshal buffer likewise.
@@ -247,33 +196,13 @@ func (a *SimATM) Send(t *mts.Thread, m *transport.Message) {
 		a.cellScratch = cells[:0]
 		var lastTx = a.eng.Now()
 		for ci := range cells {
-			cell := cells[ci]
-			// UPC: a cell beyond the VC's contract is discarded at the
-			// adapter. The receiver's AAL5 CRC then rejects the frame —
-			// the cell-layer loss NCS error control recovers from.
-			// Conformance is judged at the cell's scheduled wire
-			// departure (the uplink paces cells serially), not at the
-			// enqueue instant — a contract at the link's own cell rate
-			// must conform exactly.
-			if vcs.gcra != nil {
-				depart := a.eng.Now()
-				if free := path.FreeAt(); free > depart {
-					depart = free
-				}
-				if !vcs.gcra.Conforms(time.Duration(depart)) {
-					vcs.policed++
-					a.policedCell++
-					continue
-				}
-			}
 			lastTx = path.Send(netsim.Unit{
 				WireBytes: atm.CellSize,
 				DstHost:   int(m.To),
 				VC:        vc,
-				Payload:   cell,
+				Payload:   cells[ci],
 			})
 			a.cellsSent++
-			vcs.cellsSent++
 		}
 		// The buffer frees when its last cell has left the adapter.
 		if lastTx > a.eng.Now() {
@@ -302,8 +231,8 @@ func (a *SimATM) BindChannel(peer transport.ProcID, ch wire.ChannelID) {
 
 // UnbindChannel implements transport.ChannelRouter: the released call's VC
 // routes leave the switch (in-flight cells are discarded there, as a real
-// fabric does after release) and the adapter drops its per-VC transmit
-// accounting and reassembly state so channel churn cannot accrete it.
+// fabric does after release) and the adapter drops the channel's receive
+// reassembly state so channel churn cannot accrete it.
 func (a *SimATM) UnbindChannel(peer transport.ProcID, ch wire.ChannelID) {
 	if ch == 0 {
 		return
@@ -311,9 +240,7 @@ func (a *SimATM) UnbindChannel(peer transport.ProcID, ch wire.ChannelID) {
 	if a.net.Kind() == "nynet-lan" {
 		a.net.RemoveChannelRoute(a.host, int(peer), uint16(ch))
 	}
-	tx := netsim.VCForChan(a.host, int(peer), uint16(ch))
-	rx := netsim.VCForChan(int(peer), a.host, uint16(ch))
-	delete(a.vcTx, tx)
+	rx := atm.VCForChan(int(peer), a.host, uint16(ch))
 	delete(a.reasm, rx)
 	delete(a.asm, rx)
 }

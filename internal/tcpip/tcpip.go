@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/atm"
 	"repro/internal/mts"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -160,7 +161,7 @@ func (e *SimTCP) Send(t *mts.Thread, m *transport.Message) {
 			WireBytes: hi - lo + e.cost.FrameOverhead,
 			SrcHost:   e.host,
 			DstHost:   int(m.To),
-			VC:        netsim.VCFor(e.host, int(m.To)),
+			VC:        atm.VCFor(e.host, int(m.To)),
 			Payload:   frag,
 		})
 	}

@@ -161,7 +161,7 @@ type trainSeed struct {
 // each to its delivery count, so the fuzz target's reference is known to
 // deliver at all.
 func trainSeeds() map[string]trainSeed {
-	vc := VCFor(0, 1)
+	vc := atm.VCFor(0, 1)
 	small := func(seq uint32) []byte { return messageCells(vc, seq, body(byte('a'+seq), 300)) }
 
 	badHEC := small(1)
@@ -171,9 +171,9 @@ func trainSeeds() map[string]trainSeed {
 
 	var interleaved []byte
 	trains := [][]byte{
-		messageCells(VCForChan(0, 1, 0), 1, body('x', 300)),
-		messageCells(VCForChan(0, 1, 3), 2, body('y', 1000)),
-		messageCells(VCForChan(0, 1, 7), 3, body('z', 5000)),
+		messageCells(atm.VCForChan(0, 1, 0), 1, body('x', 300)),
+		messageCells(atm.VCForChan(0, 1, 3), 2, body('y', 1000)),
+		messageCells(atm.VCForChan(0, 1, 7), 3, body('z', 5000)),
 	}
 	for len(trains[0])+len(trains[1])+len(trains[2]) > 0 {
 		for i, tr := range trains {

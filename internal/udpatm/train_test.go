@@ -118,8 +118,8 @@ func wantDelivered(t *testing.T, got []string, want ...[]byte) {
 // switch, not just the first cell of the datagram.
 func TestTrainInterleavedVCs(t *testing.T) {
 	a, b := body('a', 300), body('b', 200)
-	fa := frameFor(t, VCForChan(0, 1, 0), 1, a)
-	fb := frameFor(t, VCForChan(0, 1, 5), 2, b)
+	fa := frameFor(t, atm.VCForChan(0, 1, 0), 1, a)
+	fb := frameFor(t, atm.VCForChan(0, 1, 5), 2, b)
 	var dgram []byte
 	for len(fa) > 0 || len(fb) > 0 {
 		if len(fa) > 0 {
@@ -140,7 +140,7 @@ func TestTrainInterleavedVCs(t *testing.T) {
 // of a three-frame train costs exactly its own frame. bad_cells counts the
 // rejected cell and the frame that then fails its CRC.
 func TestTrainCorruptHECMidTrain(t *testing.T) {
-	vc := VCFor(0, 1)
+	vc := atm.VCFor(0, 1)
 	x, y, z := body('x', 300), body('y', 300), body('z', 300)
 	fx, fy, fz := frameFor(t, vc, 1, x), frameFor(t, vc, 2, y), frameFor(t, vc, 3, z)
 	fy[2*atm.CellSize+4] ^= 0x04 // HEC octet of y's third cell
@@ -159,7 +159,7 @@ func TestTrainCorruptHECMidTrain(t *testing.T) {
 // may open with that frame's end-of-frame cell; reassembly state carries
 // across the boundary.
 func TestTrainFrameSpansDatagrams(t *testing.T) {
-	vc := VCFor(0, 1)
+	vc := atm.VCFor(0, 1)
 	x, y := body('x', 300), body('y', 100)
 	fx, fy := frameFor(t, vc, 1, x), frameFor(t, vc, 2, y)
 	last := len(fx) - atm.CellSize
@@ -176,7 +176,7 @@ func TestTrainFrameSpansDatagrams(t *testing.T) {
 // frame on its VC down with it (their cells run together and fail CRC —
 // AAL5 has no other way to notice) and nothing more.
 func TestTrainTruncatedFrame(t *testing.T) {
-	vc := VCFor(0, 1)
+	vc := atm.VCFor(0, 1)
 	x, y, z := body('x', 300), body('y', 100), body('z', 100)
 	d1 := frameFor(t, vc, 1, x)[:2*atm.CellSize]
 	d2 := append(frameFor(t, vc, 2, y), frameFor(t, vc, 3, z)...)
@@ -234,7 +234,6 @@ func TestCountersReadableWhileTrafficFlows(t *testing.T) {
 		var lastRecv, lastSent int64
 		for {
 			recv, sent := epB.CellsReceived(), epA.CellsSent()
-			epA.VCStats(VCForChan(0, 1, 2))
 			if recv < lastRecv || sent < lastSent || epB.BadCells() != 0 {
 				t.Errorf("counters went backwards or bad: recv %d→%d sent %d→%d bad %d",
 					lastRecv, recv, lastSent, sent, epB.BadCells())
@@ -256,9 +255,8 @@ func TestCountersReadableWhileTrafficFlows(t *testing.T) {
 	close(stop)
 	poller.Wait()
 
-	vcSent, _ := epA.VCStats(VCForChan(0, 1, 2))
-	if sent, recv := epA.CellsSent(), epB.CellsReceived(); sent == 0 || sent != recv || vcSent != sent {
-		t.Fatalf("cells sent %d (on the channel's VC %d), received %d", sent, vcSent, recv)
+	if sent, recv := epA.CellsSent(), epB.CellsReceived(); sent == 0 || sent != recv {
+		t.Fatalf("cells sent %d, received %d", sent, recv)
 	}
 }
 
@@ -387,7 +385,7 @@ func TestTrainsAreWholeFramesInOrder(t *testing.T) {
 			ch := wire.ChannelID(i % 2 * 5)
 			data := body(byte('a'+i), []int{100_000, 300, 8140, 8141, 0, 40_000}[i%6])
 			h.send(ch, data)
-			vc := VCForChan(0, 1, ch)
+			vc := atm.VCForChan(0, 1, uint16(ch))
 			want[vc] = append(want[vc], string(data))
 			frames += framesOf(len(data))
 		}
@@ -416,26 +414,6 @@ func TestTrainsAreWholeFramesInOrder(t *testing.T) {
 	}
 }
 
-// TestHighPriorityPassesOpenTrain: a frame on a higher-priority VC enqueued
-// behind a low-priority VC's open train leaves first.
-func TestHighPriorityPassesOpenTrain(t *testing.T) {
-	h := newTxHarness(t)
-	h.ep.ConfigureChannel(1, 1, 0, nil)
-	h.ep.ConfigureChannel(1, 2, 7, nil)
-	h.send(1, body('l', 20_000))
-	h.send(2, body('h', 100))
-	h.send(1, body('l', 100))
-	go h.ep.writeLoop()
-	dgrams := h.datagrams(framesOf(20_000) + 2)
-	if vcOf(dgrams[0]) != VCForChan(0, 1, 2) {
-		t.Fatalf("first datagram is VC %v's, want the priority-7 VC %v", vcOf(dgrams[0]), VCForChan(0, 1, 2))
-	}
-	if len(dgrams) != 2 {
-		t.Fatalf("%d datagrams, want 2: the low-priority VC's four frames fit one train", len(dgrams))
-	}
-	h.ep.Close()
-}
-
 // TestCloseWritesOpenTrain: Close drains every accepted frame, and a train
 // that never filled counts.
 func TestCloseWritesOpenTrain(t *testing.T) {
@@ -457,7 +435,7 @@ func TestCloseWritesOpenTrain(t *testing.T) {
 	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
-	got := h.messages(h.datagrams(2))[VCFor(0, 1)]
+	got := h.messages(h.datagrams(2))[atm.VCFor(0, 1)]
 	if len(got) != 2 || got[0] != string(body('x', 300)) || got[1] != string(body('y', 300)) {
 		t.Fatalf("after Close the peer holds %d messages, want x then y", len(got))
 	}

@@ -14,9 +14,9 @@
 // open train, a pooled buffer of the MTU's size that is never regrown; a
 // train closes when the next whole frame would not fit. Trains are formed
 // here, at enqueue, under the lock that orders the frames; the writer
-// goroutine pops whole trains, highest-priority VC first, polices their
-// cells and writes each as one datagram. Nothing else holds a payload byte on the
-// way: no marshal buffer, no chunk buffer, no buffer per frame.
+// goroutine pops whole trains and writes each as one datagram. Nothing else
+// holds a payload byte on the way: no marshal buffer, no chunk buffer, no
+// buffer per frame.
 //
 // The receiver works a train at a time too: the reader resolves a VC's
 // reassembly state once per run of same-VC cells and hands the run, still
@@ -48,7 +48,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/atm"
 	"repro/internal/list"
@@ -56,19 +55,6 @@ import (
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
-
-// VCFor mirrors internal/netsim's conventional VC numbering so traces from
-// both fabrics read the same: VPI 0, VCI = 64 + src*256 + dst.
-func VCFor(src, dst transport.ProcID) atm.VC {
-	return atm.VC{VPI: 0, VCI: uint16(64 + int(src)*256 + int(dst))}
-}
-
-// VCForChan maps an NCS channel onto its own VC, mirroring
-// netsim.VCForChan: the channel ID becomes the VPI over the same VCI mesh.
-// Channel 0 is identical to VCFor.
-func VCForChan(src, dst transport.ProcID, ch wire.ChannelID) atm.VC {
-	return atm.VC{VPI: uint8(ch), VCI: uint16(64 + int(src)*256 + int(dst))}
-}
 
 // MaxChunk is the message payload carried per AAL5 frame. The frame's
 // cells (MaxChunk/48 · 53 bytes ≈ 9 KB) stay well under the UDP datagram
@@ -94,14 +80,9 @@ type train struct {
 	frames int
 }
 
-// vcTx is one VC's transmit queue: cell trains awaiting the writer, the VC's
-// drain priority, and the optional GCRA policer enforcing the VC's traffic
-// contract at the emulated UNI.
+// vcTx is one VC's transmit queue: cell trains awaiting the writer.
 type vcTx struct {
-	vc   atm.VC
-	prio int
-	gcra *atm.GCRA
-	dst  *net.UDPAddr
+	dst *net.UDPAddr
 
 	// closed holds the trains no further frame fits; open, when its buf is
 	// non-nil, is the newest train, which enqueueFrames is still extending
@@ -110,10 +91,6 @@ type vcTx struct {
 	closed list.FIFO[train]
 	open   train
 	frames int
-
-	// Written by the writer goroutine without txMu (see writeLoop).
-	cellsSent atomic.Int64
-	policed   atomic.Int64
 }
 
 // vcRx is one VC's receive state: cell reassembly (AAL5 frames) feeding
@@ -139,28 +116,19 @@ type Endpoint struct {
 	mu  sync.Mutex
 	seq uint32
 
-	// Transmit side: per-VC queues drained by a single writer goroutine,
-	// highest priority first (FIFO within a VC). NCS channels map onto
-	// VCs (channel ID = VPI), so a channel's priority and traffic
-	// contract are enforced here, at the cell layer. Send blocks once
-	// maxQueuedFrames are outstanding (spaceCond) — the backpressure the
-	// old synchronous write loop provided implicitly — and Close drains
-	// the queues before closing the socket (writerDone).
+	// Transmit side: per-VC queues drained by a single writer goroutine
+	// (FIFO within a VC). NCS channels map onto VCs (channel ID = VPI).
+	// Send blocks once maxQueuedFrames are outstanding (spaceCond) — the
+	// backpressure the old synchronous write loop provided implicitly —
+	// and Close drains the queues before closing the socket (writerDone).
 	txMu       sync.Mutex
 	txCond     *sync.Cond // work available
 	spaceCond  *sync.Cond // queue space available
-	queues     []*vcTx    // creation order; stable tie-break for equal priority
+	queues     []*vcTx    // creation order, the writer's drain order
 	txByVC     map[atm.VC]*vcTx
 	queued     int // frames across all VC queues
 	txClosed   bool
 	writerDone chan struct{}
-	epoch      time.Time // GCRA clock origin
-	// linkClock emulates the cell clock of the physical link a real
-	// adapter would pace cells onto (nominal TAXI rate): it advances one
-	// cell time per transmitted cell, and GCRA conformance is judged at
-	// each cell's modeled departure — not at the datagram burst instant —
-	// mirroring nic.SimATM. Touched only by the writer goroutine.
-	linkClock time.Duration
 
 	// Receive-side per-VC state, touched only by the reader goroutine.
 	rx map[atm.VC]*vcRx
@@ -168,8 +136,8 @@ type Endpoint struct {
 	// Receive-side fault injection (guarded by mu): each arriving datagram
 	// — one AAL5 frame, data or control alike — is dropped independently
 	// with rxDropRate probability from the seeded generator, emulating a
-	// lossy fabric beyond what GCRA policing at the UNI produces. Chaos
-	// tests use it to prove NCS flow/error control recover end to end.
+	// lossy fabric. Chaos tests use it to prove NCS flow/error control
+	// recover end to end.
 	rxDropRate float64
 	rxDropRNG  *rand.Rand
 	rxDropped  int64
@@ -230,7 +198,6 @@ func newEndpoint(n *Network, proc transport.ProcID, rt *mts.Runtime, conn *net.U
 		conn:       conn,
 		txByVC:     make(map[atm.VC]*vcTx),
 		writerDone: make(chan struct{}),
-		epoch:      time.Now(),
 		rx:         make(map[atm.VC]*vcRx),
 		closed:     make(chan struct{}),
 	}
@@ -340,32 +307,13 @@ func (e *Endpoint) addrOf(p transport.ProcID) *net.UDPAddr {
 	return nil
 }
 
-// ConfigureChannel sets the drain priority (0..7, higher drained first)
-// and optional GCRA traffic contract of the VC that carries NCS channel ch
-// toward dst. Call before traffic flows on the channel; cells beyond the
-// contract are discarded at the emulated UNI (drop policy) — a frame that
-// loses a cell fails AAL5 CRC at the receiver, exactly the loss the NCS
-// error-control tier recovers.
-func (e *Endpoint) ConfigureChannel(dst transport.ProcID, ch wire.ChannelID, prio int, g *atm.GCRA) {
-	e.ConfigureVC(VCForChan(e.proc, dst, ch), prio, g)
-}
-
-// ConfigureVC is ConfigureChannel for an explicit VC.
-func (e *Endpoint) ConfigureVC(vc atm.VC, prio int, g *atm.GCRA) {
-	e.txMu.Lock()
-	defer e.txMu.Unlock()
-	q := e.queue(vc)
-	q.prio = prio
-	q.gcra = g
-}
-
 // BindChannel implements transport.ChannelRouter. The UDP fabric has no
 // switch tables to program — the per-VC transmit queue materializes lazily
 // on first send — so connecting a signaled call needs no work here.
 func (e *Endpoint) BindChannel(peer transport.ProcID, ch wire.ChannelID) {}
 
 // UnbindChannel implements transport.ChannelRouter: a released call's
-// transmit queue is dropped so channel churn cannot accrete per-VC state.
+// transmit queue is dropped so channel churn cannot accrete transmit state.
 // Only the transmit side is touched (under txMu); receive-side reassembly
 // state belongs to the reader goroutine and is not released here. Its worst
 // case is one partial CPCS-PDU (up to 64 KB) plus one partial message (up to
@@ -377,7 +325,7 @@ func (e *Endpoint) UnbindChannel(peer transport.ProcID, ch wire.ChannelID) {
 	if ch == 0 {
 		return
 	}
-	vc := VCForChan(e.proc, peer, ch)
+	vc := atm.VCForChan(int(e.proc), int(peer), uint16(ch))
 	e.txMu.Lock()
 	defer e.txMu.Unlock()
 	q, ok := e.txByVC[vc]
@@ -393,23 +341,11 @@ func (e *Endpoint) UnbindChannel(peer transport.ProcID, ch wire.ChannelID) {
 	}
 }
 
-// VCStats reports a transmit VC's accounting: cells handed to the kernel
-// and cells discarded by the VC's policer.
-func (e *Endpoint) VCStats(vc atm.VC) (cellsSent, policed int64) {
-	e.txMu.Lock()
-	defer e.txMu.Unlock()
-	if q, ok := e.txByVC[vc]; ok {
-		return q.cellsSent.Load(), q.policed.Load()
-	}
-	return 0, 0
-}
-
-// queue returns vc's transmit queue, creating it at default priority.
-// Callers hold txMu.
+// queue returns vc's transmit queue, creating it. Callers hold txMu.
 func (e *Endpoint) queue(vc atm.VC) *vcTx {
 	q, ok := e.txByVC[vc]
 	if !ok {
-		q = &vcTx{vc: vc}
+		q = &vcTx{}
 		e.txByVC[vc] = q
 		e.queues = append(e.queues, q)
 	}
@@ -419,8 +355,7 @@ func (e *Endpoint) queue(vc atm.VC) *vcTx {
 // Send implements transport.Endpoint: the message is chunked, each chunk
 // segmented into AAL5 cells, and each frame is laid onto the open cell train
 // of its VC — the VC the message's channel rides. A single writer drains the
-// VCs highest-priority first, a train per datagram, policing each VC's cells
-// against its GCRA contract. The message is fully serialized before Send
+// VCs, a train per datagram. The message is fully serialized before Send
 // returns, so the caller may reuse m and m.Data; a train's buffer recycles
 // once the kernel has copied the datagram.
 func (e *Endpoint) Send(t *mts.Thread, m *transport.Message) {
@@ -468,7 +403,7 @@ func (e *Endpoint) enqueueFrames(m *transport.Message, dst *net.UDPAddr) {
 	e.mu.Unlock()
 
 	var hb [wire.MaxHeaderSize]byte
-	vc := VCForChan(m.From, m.To, m.Channel)
+	vc := atm.VCForChan(int(m.From), int(m.To), uint16(m.Channel))
 	ck := wire.NewChunkerRuns(m.AppendHeader(hb[:0]), m.Data, m.Seq, MaxChunk)
 	e.txMu.Lock()
 	defer e.txMu.Unlock()
@@ -531,33 +466,24 @@ const maxQueuedFrames = 256
 // link.
 const maxTrainBytes = 60 * 1024
 
-// nominalLinkBps is the modeled physical-link rate the GCRA departure
-// clock paces cells at: the 140 Mbps TAXI interface of the paper's
-// testbed. cellWireTime is one 53-octet cell's serialization time on it.
-const nominalLinkBps = 140e6
-
-var cellWireTime = time.Duration(atm.CellSize * 8 * int64(time.Second) / int64(nominalLinkBps))
-
-// pickQueue returns the highest-priority non-empty transmit queue
-// (creation order breaks ties). Callers hold txMu.
+// pickQueue returns the first non-empty transmit queue in creation order.
+// Callers hold txMu.
 func (e *Endpoint) pickQueue() *vcTx {
-	var best *vcTx
 	for _, q := range e.queues {
-		if q.frames > 0 && (best == nil || q.prio > best.prio) {
-			best = q
+		if q.frames > 0 {
+			return q
 		}
 	}
-	return best
+	return nil
 }
 
 // writeLoop is the single transmit drain: it services per-VC queues in
-// priority order, a whole train at a time — the oldest closed one, else the
-// open one as it stands — applies the VC's GCRA policer cell by cell, and
-// writes what survives as one UDP datagram. The cells ride back to back
-// exactly as a real adapter would clock them out, and AAL5 end-of-frame
-// markers keep the frame boundaries. It exits — signalling writerDone — only
-// once the endpoint is closed *and* the queues are drained, so Close never
-// loses accepted frames.
+// creation order, a whole train at a time — the oldest closed one, else the
+// open one as it stands — and writes it as one UDP datagram. The cells ride
+// back to back exactly as a real adapter would clock them out, and AAL5
+// end-of-frame markers keep the frame boundaries. It exits — signalling
+// writerDone — only once the endpoint is closed *and* the queues are
+// drained, so Close never loses accepted frames.
 func (e *Endpoint) writeLoop() {
 	defer close(e.writerDone)
 	e.txMu.Lock()
@@ -587,55 +513,21 @@ func (e *Endpoint) writeLoop() {
 				e.maxTrain = cells
 			}
 		}
-		gcra := q.gcra
 		dst := q.dst
 		e.txMu.Unlock()
 
-		dgram := tr.buf.B
-		kept := len(dgram) / atm.CellSize
-		dropped := 0
-		if gcra != nil {
-			// UPC: compact conforming cells forward, discard the rest.
-			// Each cell is judged at its modeled wire departure on the
-			// nominal link — cells of one datagram leave one cell time
-			// apart, so a contract at or above the link's own cell rate
-			// conforms exactly (mirrors nic.SimATM's departure clock).
-			now := time.Since(e.epoch)
-			if e.linkClock < now {
-				e.linkClock = now
-			}
-			w := 0
-			for off := 0; off+atm.CellSize <= len(dgram); off += atm.CellSize {
-				depart := e.linkClock
-				e.linkClock += cellWireTime
-				if !gcra.Conforms(depart) {
-					dropped++
-					continue
-				}
-				if w != off {
-					copy(dgram[w:w+atm.CellSize], dgram[off:off+atm.CellSize])
-				}
-				w += atm.CellSize
-			}
-			dgram = dgram[:w]
-			kept = w / atm.CellSize
-		}
 		// Account before the write: once the kernel has the datagram the
 		// peer may act on it, and whoever learns of its arrival must already
 		// find its cells counted.
-		q.cellsSent.Add(int64(kept))
-		q.policed.Add(int64(dropped))
-		e.cellsSent.Add(int64(kept))
-		if len(dgram) > 0 {
-			if _, err := e.conn.WriteToUDP(dgram, dst); err != nil {
-				select {
-				case <-e.closed:
-					// Not handed to the kernel after all.
-					q.cellsSent.Add(-int64(kept))
-					e.cellsSent.Add(-int64(kept))
-				default:
-					panic("udpatm: write: " + err.Error())
-				}
+		cells := int64(len(tr.buf.B) / atm.CellSize)
+		e.cellsSent.Add(cells)
+		if _, err := e.conn.WriteToUDP(tr.buf.B, dst); err != nil {
+			select {
+			case <-e.closed:
+				// Not handed to the kernel after all.
+				e.cellsSent.Add(-cells)
+			default:
+				panic("udpatm: write: " + err.Error())
 			}
 		}
 		wire.PutBuf(tr.buf)

@@ -10,6 +10,8 @@ import (
 	"repro/internal/atm"
 	"repro/internal/core"
 	"repro/internal/mts"
+	"repro/internal/netsim"
+	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -223,23 +225,41 @@ func TestDuplicateProcRejected(t *testing.T) {
 	}
 }
 
+// TestVCForMatchesNetsimConvention: the cells udpatm writes carry the VC
+// the simulated ATM fabric routes for the same host pair and channel —
+// VPI = channel, VCI = 64 + src*256 + dst — so a cell off the UDP wire,
+// handed to netsim's switch, reaches its destination host.
 func TestVCForMatchesNetsimConvention(t *testing.T) {
-	vc := VCFor(2, 3)
-	if vc.VPI != 0 || vc.VCI != 64+2*256+3 {
-		t.Fatalf("vc = %+v", vc)
+	h := newTxHarness(t)
+	go h.ep.writeLoop()
+	h.send(0, body('d', 100))
+	h.send(9, body('c', 100))
+	dgrams := h.datagrams(2)
+	if err := h.ep.Close(); err != nil {
+		t.Fatal(err)
 	}
-	cvc := VCForChan(2, 3, 9)
-	if cvc.VPI != 9 || cvc.VCI != vc.VCI {
-		t.Fatalf("channel vc = %+v", cvc)
+	want := map[atm.VC]bool{{VPI: 0, VCI: 64 + 0*256 + 1}: true, {VPI: 9, VCI: 64 + 0*256 + 1}: true}
+	eng := sim.NewEngine()
+	lan := netsim.NewATMLAN(eng, 2, netsim.ATMLANConfig{HostLinkBps: 100e6})
+	lan.InstallChannelRoute(0, 1, 9)
+	arrived := 0
+	lan.AttachHost(1, netsim.PortFunc(func(netsim.Unit) { arrived++ }))
+	for _, d := range dgrams {
+		vc := vcOf(d)
+		if !want[vc] {
+			t.Fatalf("datagram on VC %+v, want one of %v", vc, want)
+		}
+		delete(want, vc)
+		lan.Switches()[0].Deliver(netsim.Unit{WireBytes: atm.CellSize, DstHost: 1, VC: vc})
 	}
-	if VCForChan(2, 3, 0) != vc {
-		t.Fatal("channel 0 must ride the default VC")
+	eng.Run()
+	if len(want) != 0 || arrived != 2 {
+		t.Fatalf("VCs never written: %v; %d of 2 cells routed to host 1", want, arrived)
 	}
 }
 
 // TestChannelRidesOwnVCOverUDP: a nonzero-channel message reassembles on
-// its own VC and the per-VC accounting sees it there, not on the default
-// mesh.
+// its own VC at the receiver, and the default mesh's VC never sees a cell.
 func TestChannelRidesOwnVCOverUDP(t *testing.T) {
 	net := NewNetwork()
 	rtA, rtB := newRT("a"), newRT("b")
@@ -271,120 +291,23 @@ func TestChannelRidesOwnVCOverUDP(t *testing.T) {
 	if got == nil || got.Channel != 6 || len(got.Data) != 20000 {
 		t.Fatalf("channel-6 message not delivered intact: %+v", got)
 	}
-	if cells, _ := epA.VCStats(VCForChan(0, 1, 6)); cells == 0 {
-		t.Fatal("no cells accounted on the channel's VC")
+	// Close joins the reader, the only goroutine that touches rx.
+	epB.Close()
+	if epB.rx[atm.VCForChan(0, 1, 6)] == nil {
+		t.Fatal("no reassembly state on the channel's VC")
 	}
-	if cells, _ := epA.VCStats(VCFor(0, 1)); cells != 0 {
-		t.Fatalf("%d cells leaked onto the default VC", cells)
-	}
-}
-
-// TestConformingContractOverUDP: a contract at the nominal link's own
-// cell rate must pass a full frame burst untouched — conformance is
-// judged at each cell's modeled wire departure, not at the datagram
-// burst instant.
-func TestConformingContractOverUDP(t *testing.T) {
-	net := NewNetwork()
-	rtA, rtB := newRT("a"), newRT("b")
-	epA, _ := net.Attach(0, rtA)
-	defer epA.Close()
-	epB, _ := net.Attach(1, rtB)
-	defer epB.Close()
-	epA.SetHandler(func(m *transport.Message) {})
-
-	// ~330k cells/s is the 140 Mbps link's own cell rate; a small burst
-	// tolerance suffices because departures are paced by the link clock.
-	epA.ConfigureChannel(1, 8, 0, atm.NewGCRA(400000, 4))
-	var got *transport.Message
-	var waiter *mts.Thread
-	epB.SetHandler(func(m *transport.Message) {
-		got = m
-		rtB.Unblock(waiter, false)
-	})
-	waiter = rtB.Create("waiter", mts.PrioDefault, func(th *mts.Thread) {
-		if got == nil {
-			th.Park("msg")
-		}
-	})
-	rtA.Create("sender", mts.PrioDefault, func(th *mts.Thread) {
-		epA.Send(th, &transport.Message{From: 0, To: 1, Channel: 8, Data: make([]byte, 20000)})
-	})
-	done := make(chan struct{}, 2)
-	go func() { rtA.Run(); done <- struct{}{} }()
-	go func() { rtB.Run(); done <- struct{}{} }()
-	<-done
-	<-done
-	if _, policed := epA.VCStats(VCForChan(0, 1, 8)); policed != 0 {
-		t.Fatalf("conforming traffic policed: %d cells", policed)
-	}
-	if got == nil || len(got.Data) != 20000 {
-		t.Fatal("conforming message not delivered intact")
+	if epB.rx[atm.VCFor(0, 1)] != nil {
+		t.Fatal("cells leaked onto the default VC")
 	}
 }
 
-// TestPolicedChannelOverUDP: a channel whose traffic exceeds its GCRA
-// contract loses cells at the emulated UNI; a conforming message on the
-// default VC sails through untouched.
-func TestPolicedChannelOverUDP(t *testing.T) {
-	net := NewNetwork()
-	rtA, rtB := newRT("a"), newRT("b")
-	epA, _ := net.Attach(0, rtA)
-	defer epA.Close()
-	epB, _ := net.Attach(1, rtB)
-	defer epB.Close()
-	epA.SetHandler(func(m *transport.Message) {})
-
-	// 100 cells/s with a 2-cell burst: a 20 KB burst (400+ cells back to
-	// back) is mostly non-conforming.
-	epA.ConfigureChannel(1, 4, 5, atm.NewGCRA(100, 2))
-
-	var gotDefault *transport.Message
-	var gotPoliced bool
-	var waiter *mts.Thread
-	epB.SetHandler(func(m *transport.Message) {
-		if m.Channel == 4 {
-			gotPoliced = true
-			return
-		}
-		gotDefault = m
-		rtB.Unblock(waiter, false)
-	})
-	waiter = rtB.Create("waiter", mts.PrioDefault, func(th *mts.Thread) {
-		if gotDefault == nil {
-			th.Park("msg")
-		}
-	})
-	rtA.Create("sender", mts.PrioDefault, func(th *mts.Thread) {
-		// The policed burst first (its VC has higher priority, so the
-		// writer drains it before the default frame below).
-		epA.Send(th, &transport.Message{From: 0, To: 1, Channel: 4, Data: make([]byte, 20000)})
-		epA.Send(th, &transport.Message{From: 0, To: 1, Data: []byte("conforming")})
-	})
-	done := make(chan struct{}, 2)
-	go func() { rtA.Run(); done <- struct{}{} }()
-	go func() { rtB.Run(); done <- struct{}{} }()
-	<-done
-	<-done
-	if gotDefault == nil || string(gotDefault.Data) != "conforming" {
-		t.Fatalf("default-channel message lost: %+v", gotDefault)
-	}
-	if _, policed := epA.VCStats(VCForChan(0, 1, 4)); policed == 0 {
-		t.Fatal("policer never fired on the over-contract channel")
-	}
-	if gotPoliced {
-		t.Fatal("over-contract message survived cell-level policing intact")
-	}
-}
-
-// TestWindowRecoveryOverPolicedUDP is the real-mode chaos variant of the
+// TestWindowRecoveryOverLossyUDP is the real-mode chaos variant of the
 // credit protocol test: a windowed go-back-N channel runs over genuine
-// AAL5 cells with its VC GCRA-policed at both emulated UNIs (bursts beyond
-// the contract lose cells, so whole frames fail CRC) *and* seeded random
-// frame loss at both receivers — destroying data, credit advertisements,
-// and acks alike. Nothing is protected; the cumulative-credit protocol
-// plus the window-sync timer must keep the window open until every
-// message lands.
-func TestWindowRecoveryOverPolicedUDP(t *testing.T) {
+// AAL5 cells with seeded random frame loss at both receivers — destroying
+// data, credit advertisements, and acks alike. Nothing is protected; the
+// cumulative-credit protocol plus the window-sync timer must keep the
+// window open until every message lands.
+func TestWindowRecoveryOverLossyUDP(t *testing.T) {
 	const (
 		chID = 3
 		n    = 60
@@ -402,11 +325,7 @@ func TestWindowRecoveryOverPolicedUDP(t *testing.T) {
 		eps[i] = ep
 		procs[i] = core.New(core.Config{ID: core.ProcID(i), RT: rt, Endpoint: ep})
 	}
-	// A contract tight enough that go-back-N's full-window retransmission
-	// bursts (8 × ~7 cells back to back) overrun it, plus 25% random frame
-	// loss on both receive sides.
-	eps[0].ConfigureChannel(1, chID, 0, atm.NewGCRA(5e4, 30))
-	eps[1].ConfigureChannel(0, chID, 0, atm.NewGCRA(5e4, 30))
+	// 25% random frame loss on both receive sides.
 	eps[0].SetRecvDropRate(0.25, 7)
 	eps[1].SetRecvDropRate(0.25, 8)
 
@@ -457,9 +376,8 @@ func TestWindowRecoveryOverPolicedUDP(t *testing.T) {
 	if eps[0].RecvDropped()+eps[1].RecvDropped() == 0 {
 		t.Fatal("fault injection never dropped a frame — test proves nothing")
 	}
-	_, policed0 := eps[0].VCStats(VCForChan(0, 1, chID))
-	t.Logf("drops: rx %d+%d frames, %d cells policed at the sender UNI; %d retransmissions",
-		eps[0].RecvDropped(), eps[1].RecvDropped(), policed0,
+	t.Logf("drops: rx %d+%d frames; %d retransmissions",
+		eps[0].RecvDropped(), eps[1].RecvDropped(),
 		ch0.Error().(*core.GoBackN).Retransmissions())
 }
 
