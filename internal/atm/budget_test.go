@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/budget"
 )
 
 // budgetGo is the toolchain the compiler budgets below were taken on. Inline
@@ -22,9 +24,10 @@ const budgetGo = "go1.24.0"
 //   - no CALL runtime.memmove on copyPayload's lines, on amd64, 386 and
 //     arm64 (a [48]byte assignment or a constant-48 copy would be one; the
 //     caps differ by GOARCH);
-//   - the arguments of both assembly kernels, foldBlocks and moveFoldCells,
-//     do not escape (without //go:noescape every payload they read would
-//     move to the heap).
+//   - the pointer arguments of the three assembly kernels, foldBlocks,
+//     foldSegment and foldReassemble, do not escape (without //go:noescape
+//     every payload they read, and the accumulator and headers they carry,
+//     would move to the heap).
 func TestCompilerBudget(t *testing.T) {
 	goBin := budgetToolchain(t)
 	cp := sourceLines(t, "cell.go", "func copyPayload(")
@@ -48,8 +51,9 @@ func TestCompilerBudget(t *testing.T) {
 
 	out := goBuild(t, goBin, "amd64", "-gcflags=-m=2")
 	for _, k := range []struct{ decl, params string }{
-		{"func foldBlocks(", "p"},
-		{"func moveFoldCells(", "dst src"},
+		{"func foldBlocks(", "acc p"},
+		{"func foldSegment(", "acc dst src h"},
+		{"func foldReassemble(", "acc dst src h"},
 	} {
 		at := sourceLines(t, "crc_amd64.go", k.decl).from
 		for _, p := range strings.Fields(k.params) {
@@ -59,7 +63,7 @@ func TestCompilerBudget(t *testing.T) {
 			}
 		}
 	}
-	cost := regexp.MustCompile(`can inline (copyPayload|crcMoveCells|foldCells) with cost (\d+)`)
+	cost := regexp.MustCompile(`can inline (copyPayload|foldRun|accOf) with cost (\d+)`)
 	for _, m := range cost.FindAllStringSubmatch(out, -1) {
 		t.Logf("%s: inline cost %s", m[1], m[2])
 	}
@@ -125,4 +129,51 @@ func sourceLines(t *testing.T, file, decl string) lineSpan {
 	}
 	t.Fatalf("%s: no %q", file, decl)
 	return s
+}
+
+// TestSARBudget pins, under -tags budget, what one 8,184-octet frame cut
+// as udpatm cuts it (chunk header, message header, body: 171 cells) costs
+// each side in exact counts. With the fold no octet goes through the CRC
+// table loop on either side: the kernels fold every payload octet and
+// reduce once per frame. The portable path, where hash/crc32 has no kernel
+// for it (ieeeKernel false), takes every octet the CRC covers through the
+// table loop: the PDU short of its CRC field on send, all of it on
+// receive. Send copies each payload octet once; receive moves every cell
+// payload, pad and trailer included, once.
+func TestSARBudget(t *testing.T) {
+	if !budget.Enabled {
+		t.Skip("exact counts need -tags budget")
+	}
+	vc := VC{VCI: 100}
+	runs := [][]byte{patterned(8), patterned(44), patterned(8184 - 52)}
+	const pdu = 171 * PayloadSize
+	for _, path := range cellPaths() {
+		path.run(func() {
+			r := NewReassembler(vc)
+			wire, _ := AppendCellRuns(nil, vc, runs...)
+			r.PushWire(wire) // the reassembly buffer grows once
+			budget.Reset()
+			wire, _ = AppendCellRuns(wire[:0], vc, runs...)
+			sendTable, sendCopied := budget.Read(budget.TableOctets), budget.Read(budget.SendCopied)
+			budget.Reset()
+			if _, _, done, err := r.PushWire(wire); !done || err != nil {
+				t.Fatalf("%s: done=%v err=%v", path.name, done, err)
+			}
+			recvTable, recvCopied := budget.Read(budget.TableOctets), budget.Read(budget.RecvCopied)
+			t.Logf("%s: table-loop octets send %d, receive %d; octets copied send %d, receive %d",
+				path.name, sendTable, recvTable, sendCopied, recvCopied)
+			wantSend, wantRecv := int64(0), int64(0)
+			if !path.fold {
+				wantSend, wantRecv = pdu-4, pdu
+			}
+			if (path.fold || !ieeeKernel) && (sendTable != wantSend || recvTable != wantRecv) {
+				t.Errorf("%s: table-loop octets per frame: send %d, receive %d; want %d, %d",
+					path.name, sendTable, recvTable, wantSend, wantRecv)
+			}
+			if sendCopied != 8184 || recvCopied != pdu {
+				t.Errorf("%s: octets copied per frame: send %d, receive %d; want 8184, %d",
+					path.name, sendCopied, recvCopied, pdu)
+			}
+		})
+	}
 }

@@ -13,6 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+
+	"repro/internal/budget"
 )
 
 // Cell geometry.
@@ -214,22 +216,22 @@ const maxReassembly = (MaxPDU + trailerSize + PayloadSize - 1) / PayloadSize * P
 // a whole number of cell payloads — and the one walker that lays it into
 // cells. The payload is given as runs, consecutive pieces that need not be
 // contiguous in memory (a chunk header built on the stack, then a slice of
-// the caller's message), and the CRC is a running register the walker
-// advances over each cell as it lays it — the adapter's "special hardware
+// the caller's message), so no contiguous PDU buffer is ever materialized.
+// The walker only places octets; the CRC is a running accumulator the
+// caller advances as it lays the cells — the adapter's "special hardware
 // for AAL CRC" computes it as the cells stream out — so no payload octet is
-// read twice and no contiguous PDU buffer is ever materialized.
+// read twice.
 type pdu struct {
 	runs  [][]byte
-	n     int    // payload octets: the trailer's Length field
-	cells int    // cells in the PDU
-	crc   uint32 // raw CRC register over the octets laid so far
+	n     int // payload octets: the trailer's Length field
+	cells int // cells in the PDU
 
 	// The walker's position: the next payload octet, as (run, offset).
 	run, off int
 }
 
 func newPDU(runs ...[]byte) (pdu, error) {
-	p := pdu{runs: runs, crc: ^uint32(0)}
+	p := pdu{runs: runs}
 	for _, r := range runs {
 		p.n += len(r)
 	}
@@ -244,8 +246,7 @@ func newPDU(runs ...[]byte) (pdu, error) {
 // current run — every cell of a long run but the one that straddles into
 // the next — as one span of k cells, and steps past it. Such a cell is
 // never the last, since payload precedes pad and trailer. k is 0 for the
-// cells fill lays. The span is not yet in the CRC: the caller folds it as
-// it lays it.
+// cells fill lays.
 func (p *pdu) whole() (span []byte, k int) {
 	for p.run < len(p.runs) && p.off == len(p.runs[p.run]) {
 		p.run, p.off = p.run+1, 0
@@ -259,12 +260,12 @@ func (p *pdu) whole() (span []byte, k int) {
 	return r[:k*PayloadSize], k
 }
 
-// fill writes the PayloadSize octets of the next cell into dst and folds
-// them into the CRC: the cell's stretch of payload, drawn from as many runs
-// as it spans, then zeros, and — in the last cell — the trailer, folded up
-// to its CRC field, which then takes the complemented register. The last
-// cell is the first one the payload leaves room for a trailer in (the pad
-// is shorter than a cell); fill reports whether this was it.
+// fill writes the PayloadSize octets of the next cell into dst: the cell's
+// stretch of payload, drawn from as many runs as it spans, then zeros, and
+// — in the last cell — the trailer's Length; UU and CPI stay zero, and the
+// CRC field is left to segmentCells, which folds the cell up to it. The
+// last cell is the first one the payload leaves room for a trailer in (the
+// pad is shorter than a cell); fill reports whether this was it.
 func (p *pdu) fill(dst []byte) (last bool) {
 	dst = dst[:PayloadSize]
 	n := 0
@@ -276,15 +277,12 @@ func (p *pdu) fill(dst []byte) (last bool) {
 		}
 		p.run, p.off = p.run+1, 0
 	}
+	budget.Add(budget.SendCopied, n)
 	clear(dst[n:])
 	if n > PayloadSize-trailerSize {
-		p.crc = foldCells(p.crc, dst)
 		return false
 	}
-	// UU and CPI stay zero.
 	binary.BigEndian.PutUint16(dst[PayloadSize-6:], uint16(p.n))
-	p.crc = crcTable(p.crc, dst[:PayloadSize-4])
-	binary.BigEndian.PutUint32(dst[PayloadSize-4:], ^p.crc)
 	return true
 }
 
@@ -292,11 +290,11 @@ func (p *pdu) fill(dst []byte) (last bool) {
 // the given VC to cells, returning the extended slice. The last cell
 // carries the end-of-frame PT indication. An empty payload is legal
 // (pure-pad PDU). Passing a scratch slice (cells[:0]) makes segmentation
-// allocation-free once the slice has grown to the working set. The cells
-// inside one run take one crcUpdate over their span, then a copyPayload
-// each: two passes where AppendCellRuns makes one, kept on this
-// decoded-cell path (the adapter model, atmtrace) because a Cell is a Go
-// struct, not wire octets at a byte stride.
+// allocation-free once the slice has grown to the working set. A Cell is a
+// Go struct, not wire octets at the cell stride, so this decoded-cell path
+// (the adapter model, atmtrace) folds a run's cells in place (foldRun) and
+// moves them after, and lays each cell fill writes in a wire-form scratch
+// cell that segmentCells closes.
 func SegmentInto(cells []Cell, vc VC, payload []byte) ([]Cell, error) {
 	p, err := newPDU(payload)
 	if err != nil {
@@ -304,9 +302,13 @@ func SegmentInto(cells []Cell, vc VC, payload []byte) ([]Cell, error) {
 	}
 	cells = slices.Grow(cells, p.cells)
 	h := Header{VPI: vc.VPI, VCI: vc.VCI}
+	hdrs := headersOf(vc)
+	acc := accOf(^uint32(0))
+	var w [CellSize]byte
 	for last := false; !last; {
 		if s, k := p.whole(); k > 0 {
-			p.crc = crcUpdate(p.crc, s)
+			foldRun(&acc, s)
+			budget.Add(budget.SendCopied, len(s))
 			for ; k > 0; k-- {
 				cells = append(cells, Cell{Header: h})
 				copyPayload(cells[len(cells)-1].Payload[:], s)
@@ -314,10 +316,12 @@ func SegmentInto(cells []Cell, vc VC, payload []byte) ([]Cell, error) {
 			}
 			continue
 		}
-		cells = append(cells, Cell{Header: h})
-		c := &cells[len(cells)-1]
-		if last = p.fill(c.Payload[:]); last {
-			c.Header.PT = ptAAL5End
+		last = p.fill(w[HeaderSize:])
+		segmentCells(&acc, w[:], nil, 0, &hdrs, last)
+		cells = append(cells, Cell{Header: h, Payload: [PayloadSize]byte(w[HeaderSize:])})
+		budget.Add(budget.SendCopied, PayloadSize)
+		if last {
+			cells[len(cells)-1].Header.PT = ptAAL5End
 		}
 	}
 	return cells, nil
@@ -343,42 +347,52 @@ func AppendCells(dst []byte, vc VC, payload []byte) ([]byte, error) {
 // cells are those of the runs' concatenation, which is never built. A sender
 // that frames a message (a header it just encoded, then bytes it was handed)
 // serializes straight from where the pieces lie. The runs are only read.
+// It computes the VC's two headers on every call; a sender that keeps a VC
+// keeps a Segmenter, which computes them once.
 func AppendCellRuns(dst []byte, vc VC, runs ...[]byte) ([]byte, error) {
+	s := NewSegmenter(vc)
+	return s.AppendCellRuns(dst, runs...)
+}
+
+// Segmenter lays AAL5 frames onto one VC. It holds the VC's two wire
+// headers — the one every cell of a frame carries but the last, and the
+// end-of-frame one — computed, HEC included, once.
+type Segmenter struct {
+	hdrs cellHeaders
+}
+
+// NewSegmenter returns the segmenter for vc.
+func NewSegmenter(vc VC) Segmenter { return Segmenter{hdrs: headersOf(vc)} }
+
+// headersOf computes vc's two wire headers: GFC 0, CLP 0, PT 0 and the
+// AAL5 end-of-frame PT.
+func headersOf(vc VC) (h cellHeaders) {
+	for eof := range h {
+		// A VC's fields always fit, and PT is 0 or 1: wire cannot fail.
+		h[eof], _ = Header{VPI: vc.VPI, VCI: vc.VCI, PT: uint8(eof)}.wire()
+	}
+	return h
+}
+
+// AppendCellRuns is the package function AppendCellRuns on s's VC.
+func (s *Segmenter) AppendCellRuns(dst []byte, runs ...[]byte) ([]byte, error) {
 	p, err := newPDU(runs...)
 	if err != nil {
 		return nil, err
 	}
-	// Two headers serve the whole frame: every cell but the last, and the
-	// end-of-frame cell. The cells inside one run are laid as a batch: one
-	// crcMoveCells call that moves and folds their payloads, then a fixed
-	// 5-octet header store per cell. The stores come second because the
-	// move has by then brought the cells' lines into cache; made first,
-	// into a train buffer not touched lately, each paid a miss of its own.
-	// fill lays and folds the rest.
-	hdr, err := Header{VPI: vc.VPI, VCI: vc.VCI}.wire()
-	if err != nil {
-		return nil, err
-	}
-	end, err := Header{VPI: vc.VPI, VCI: vc.VCI, PT: ptAAL5End}.wire()
-	if err != nil {
-		return nil, err
-	}
+	// Each call to segmentCells takes the cells wholly inside one run, then
+	// the cell fill lays after them — one that straddles into the next run,
+	// or the frame's last — and stores every header as it goes. A frame
+	// cut as udpatm cuts one (chunk header, message header, body) is three
+	// calls: two straddling cells, then the body's cells with the last.
 	dst = slices.Grow(dst, p.cells*CellSize)
+	acc := accOf(^uint32(0))
 	for last := false; !last; {
 		at := len(dst)
-		if s, k := p.whole(); k > 0 {
-			dst = dst[:at+k*CellSize]
-			p.crc = crcMoveCells(p.crc, dst[at+HeaderSize:], s, CellSize, PayloadSize, k)
-			for c := at; c < len(dst); c += CellSize {
-				*(*[HeaderSize]byte)(dst[c:]) = hdr
-			}
-			continue
-		}
-		dst = dst[:at+CellSize]
-		if last = p.fill(dst[at+HeaderSize:]); last {
-			hdr = end
-		}
-		*(*[HeaderSize]byte)(dst[at:]) = hdr
+		span, k := p.whole()
+		dst = dst[:at+(k+1)*CellSize]
+		last = p.fill(dst[at+k*CellSize+HeaderSize:])
+		segmentCells(&acc, dst[at:], span, k, &s.hdrs, last)
 	}
 	return dst, nil
 }
@@ -389,7 +403,8 @@ func AppendCellRuns(dst []byte, vc VC, runs ...[]byte) ([]byte, error) {
 // array move inline only up to 16 octets on amd64 and 8 on 386 and arm64.
 // So the payload moves as six 8-octet words: inline on all three, and on
 // amd64 level with three 16-octet vector moves. SegmentInto makes one per
-// cell of a run, and crcMoveThenUpdate one per payload it moves.
+// cell of a run, and the portable path of segmentCells and
+// reassembleCells one per payload it moves.
 func copyPayload(dst, src []byte) {
 	d, s := (*[PayloadSize]byte)(dst), (*[PayloadSize]byte)(src)
 	*(*[8]byte)(d[0:]) = *(*[8]byte)(s[0:])
@@ -411,8 +426,8 @@ func CellCount(n int) int {
 // SBA-200's i960 keeps).
 //
 // Cells enter either decoded (Push) or in wire form, a run at a time
-// (PushWire); both feed the same append/finish core, so every frame gets
-// the same checks whichever way its cells arrived, and the two may be
+// (PushWire); both feed the same frame and the same finish, so every frame
+// gets the same checks whichever way its cells arrived, and the two may be
 // mixed on one Reassembler.
 type Reassembler struct {
 	vc      VC
@@ -420,24 +435,25 @@ type Reassembler struct {
 	active  bool
 	dropped int
 
-	// crc is the raw CRC register over buf[:folded], the part of the frame
-	// under assembly that run has already folded as it moved it in; finish
-	// folds the rest. Both reset when add opens a frame.
-	crc    uint32
+	// acc is the frame's CRC over buf[:folded], the part PushWire's kernel
+	// folded as it moved it in; cells that came by Push wait past folded
+	// for the next kernel call or for finish. Both reset when a frame
+	// opens.
+	acc    crcAcc
 	folded int
 
-	// verified is the last wire header PushWire passed through the HEC and
-	// VC checks (valid once haveVerified). A header byte-identical to it is
-	// known good — the one shortcut the receive path takes, worth taking
-	// because every cell of a frame but the last carries the same header.
-	// PushWire's same-header run compares against it.
-	verified     [HeaderSize]byte
-	haveVerified bool
+	// hdrs are the wire headers known good on this VC, [0] for a cell
+	// inside a frame and [1] for an end-of-frame cell: at first the VC's
+	// own two, then whichever header of each kind last passed the HEC and
+	// VC checks. A header byte-identical to one of them is known good —
+	// the one shortcut the receive path takes, and it covers every cell of
+	// a frame, so a frame costs no HEC computation.
+	hdrs cellHeaders
 }
 
 // NewReassembler returns a reassembler for the given VC.
 func NewReassembler(vc VC) *Reassembler {
-	return &Reassembler{vc: vc}
+	return &Reassembler{vc: vc, hdrs: headersOf(vc)}
 }
 
 // Dropped returns how many partially-assembled frames were discarded due to
@@ -466,20 +482,28 @@ func (r *Reassembler) Push(c Cell) (payload []byte, done bool, err error) {
 	if c.Header.VC() != r.vc {
 		return nil, false, fmt.Errorf("%w: cell for VC %v pushed to reassembler for %v", ErrVC, c.Header.VC(), r.vc)
 	}
-	return r.add(c.Payload[:], c.Header.EndOfFrame())
+	r.open()
+	if len(r.buf) >= maxReassembly {
+		return r.drop(ErrTooLong)
+	}
+	r.buf = append(r.buf, c.Payload[:]...)
+	budget.Add(budget.RecvCopied, PayloadSize)
+	if c.Header.EndOfFrame() {
+		return r.finish(foldRun(&r.acc, r.buf[r.folded:]))
+	}
+	return nil, false, nil
 }
 
 // PushWire is Push for cells still in wire form: it consumes 53-octet cells
 // from the front of src — a datagram's cell train, say — until one
 // completes a frame, one is rejected, or fewer than CellSize octets remain,
 // and returns the octets consumed. Each header is verified exactly as
-// DecodeCell would (a header byte-identical to the last one this
-// reassembler verified is known good; anything else goes through HEC) and
-// each payload is appended straight from src, with no Cell value built.
-// The cells between a frame's first and its end-of-frame cell carry the
-// first one's header, so PushWire takes them as a same-header run (see
-// run): a 5-octet compare per cell, then one call that moves the run's
-// payloads and folds them into the frame's CRC.
+// DecodeCell would (a header byte-identical to one this reassembler knows
+// good is good; anything else goes through HEC) and each payload is
+// appended straight from src, with no Cell value built. A frame's cells
+// repeat one header up to its end-of-frame cell, which carries the other,
+// so run takes a whole frame in one kernel pass: header compares, the
+// payloads' move and the CRC, checked once against the AAL5 residue.
 //
 // A cell with a corrupt header is consumed and reported as ErrHEC; frame
 // errors (ErrCRC, ErrLength, ErrTooLong) are reported on the cell that
@@ -489,104 +513,90 @@ func (r *Reassembler) Push(c Cell) (payload []byte, done bool, err error) {
 func (r *Reassembler) PushWire(src []byte) (n int, payload []byte, done bool, err error) {
 	for len(src)-n >= CellSize {
 		cell := src[n : n+CellSize]
-		eof, herr := r.verify(cell)
-		if herr == ErrVC {
-			return n, nil, false, herr
+		if h := [HeaderSize]byte(cell); h != r.hdrs[0] && h != r.hdrs[1] {
+			if err = r.verify(cell); err != nil {
+				if err != ErrVC {
+					n += CellSize
+				}
+				return n, nil, false, err
+			}
 		}
-		n += CellSize
-		if herr != nil {
-			return n, nil, false, herr
+		r.open()
+		if len(r.buf) >= maxReassembly {
+			payload, done, err = r.drop(ErrTooLong)
+			return n + CellSize, payload, done, err
 		}
-		if payload, done, err = r.add(cell[HeaderSize:], eof); done || err != nil {
+		k, crc, eof := r.run(src[n:])
+		if n += k * CellSize; eof {
+			payload, done, err = r.finish(crc)
 			return n, payload, done, err
-		}
-		// run's own first test, made here so that a frame whose next cell
-		// breaks the run (a two-cell frame, say) pays no call.
-		if len(src)-n >= CellSize && [HeaderSize]byte(src[n:]) == r.verified {
-			n += r.run(src[n:])
 		}
 	}
 	return n, nil, false, nil
 }
 
-// run is PushWire's same-header run. PushWire calls it once add has taken a
-// cell that did not end the frame, so the frame is active and r.verified is
-// that cell's header, not end-of-frame. The cells at the front of src that
-// repeat that header would each pass verify by identity and be appended by
-// add; run counts them, as many as keep the frame short of maxReassembly,
-// and takes them in one crcMoveCells call that moves their payloads into
-// the buffer and folds them on the way, after folding the part of the frame
-// still pending (its first cell, and any that came by Push). It returns the
-// octets consumed. The first cell with another header is left to verify
-// and add, as is the cell the bound refuses. The buffer grows as append
-// grows it, once per run.
-func (r *Reassembler) run(src []byte) (n int) {
-	hdr := r.verified
-	k, room := 0, (maxReassembly-len(r.buf))/PayloadSize
-	for ; k < room && len(src)-n >= CellSize && [HeaderSize]byte(src[n:]) == hdr; k++ {
-		n += CellSize
+// run is PushWire's kernel pass. PushWire calls it on an open frame with
+// room for a cell, and with src's first cell carrying one of r.hdrs, so it
+// takes at least that cell: reassembleCells takes the cells carrying
+// hdrs[0], as many as keep the frame short of maxReassembly, and the
+// end-of-frame cell after them if it carries hdrs[1], after folding what
+// Push left pending. It returns the cells taken and, with eof, the register
+// over the whole frame. The first cell with another header is left to
+// PushWire, as is the cell the bound refuses. The buffer grows as append
+// grows it, a call per growth, so a buffer that has held a VC's frames
+// takes the next in one call.
+func (r *Reassembler) run(src []byte) (k int, crc uint32, eof bool) {
+	if len(r.buf) > r.folded {
+		foldRun(&r.acc, r.buf[r.folded:])
 	}
-	if k == 0 {
-		return 0
+	n := min(len(src)/CellSize, (maxReassembly-len(r.buf))/PayloadSize)
+	for {
+		if cap(r.buf)-len(r.buf) < PayloadSize {
+			r.buf = slices.Grow(r.buf, PayloadSize)
+		}
+		at := len(r.buf)
+		m := min(n-k, (cap(r.buf)-at)/PayloadSize)
+		j, c, e := reassembleCells(&r.acc, r.buf[at:cap(r.buf)], src[k*CellSize:], m, &r.hdrs)
+		r.buf = r.buf[:at+j*PayloadSize]
+		r.folded = len(r.buf)
+		if k += j; e || j < m || k == n {
+			return k, c, e
+		}
 	}
-	r.crc = foldCells(r.crc, r.buf[r.folded:])
-	buf := slices.Grow(r.buf, k*PayloadSize)
-	at := len(buf)
-	buf = buf[:at+k*PayloadSize]
-	r.crc = crcMoveCells(r.crc, buf[at:], src[HeaderSize:], PayloadSize, CellSize, k)
-	r.buf, r.folded = buf, len(buf)
-	return n
 }
 
 // verify checks the wire header at the front of cell — HEC, then VC — and
-// reports whether it marks the end of a frame.
-func (r *Reassembler) verify(cell []byte) (eof bool, _ error) {
-	hdr := [HeaderSize]byte(cell)
-	if !r.haveVerified || hdr != r.verified {
-		var h Header
-		if err := h.decode(cell); err != nil {
-			return false, err
-		}
-		if h.VC() != r.vc {
-			return false, ErrVC
-		}
-		r.verified, r.haveVerified = hdr, true
+// makes it the known header of its kind.
+func (r *Reassembler) verify(cell []byte) error {
+	var h Header
+	if err := h.decode(cell); err != nil {
+		return err
 	}
-	// PT occupies bits 3..1 of the fourth octet.
-	return hdr[3]>>1&ptAAL5End != 0, nil
+	if h.VC() != r.vc {
+		return ErrVC
+	}
+	r.hdrs[h.PT&ptAAL5End] = [HeaderSize]byte(cell)
+	return nil
 }
 
-// add is the reassembly core both entry points share: it appends one cell
-// payload to the frame under assembly and finishes the frame on its
-// end-of-frame cell.
-func (r *Reassembler) add(p []byte, eof bool) (payload []byte, done bool, err error) {
+// open starts a frame unless one is under assembly.
+func (r *Reassembler) open() {
 	if !r.active {
 		r.buf = r.buf[:0]
 		r.active = true
-		r.crc, r.folded = ^uint32(0), 0
+		r.acc, r.folded = accOf(^uint32(0)), 0
 	}
-	if len(r.buf) >= maxReassembly {
-		return r.drop(ErrTooLong)
-	}
-	r.buf = append(r.buf, p...)
-	if eof {
-		return r.finish()
-	}
-	return nil, false, nil
 }
 
-// finish verifies the assembled CPCS-PDU — CRC-32, length, pad fits the
-// last cell — and returns its payload. The CRC register already covers
-// buf[:folded]; finish folds the rest up to the CRC field: on PushWire's
-// path the end-of-frame cell (and, in a frame too short for a run, its
-// first), for a frame that came by Push all of it.
-func (r *Reassembler) finish() (payload []byte, done bool, err error) {
+// finish verifies the assembled CPCS-PDU — its register over every octet,
+// CRC field included, must be the AAL5 residue; the length must fit, with
+// the pad inside the last cell — and returns its payload.
+func (r *Reassembler) finish(crc uint32) (payload []byte, done bool, err error) {
 	pdu := r.buf
-	tr := pdu[len(pdu)-trailerSize:]
-	n := int(binary.BigEndian.Uint16(tr[2:]))
-	if ^crcUpdate(r.crc, pdu[r.folded:len(pdu)-4]) != binary.BigEndian.Uint32(tr[4:]) {
+	if crc != aal5Residue {
 		return r.drop(ErrCRC)
 	}
+	n := int(binary.BigEndian.Uint16(pdu[len(pdu)-6:]))
 	// Pad must fit within the final cell (otherwise the sender mis-framed).
 	if n > len(pdu)-trailerSize || len(pdu)-(n+trailerSize) >= PayloadSize {
 		return r.drop(ErrLength)

@@ -6,6 +6,8 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
+
+	"repro/internal/budget"
 )
 
 // The AAL5 CRC-32 uses the IEEE 802.3 generator P but shifts message bits
@@ -15,11 +17,12 @@ import (
 //	U(c, M) = (c·x^(8n) + M·x^32) mod P
 //
 // — no preset, no complement, splittable anywhere. Three kernels compute
-// it, chosen by GOARCH and run length.
+// it: on amd64 the fold, elsewhere crcUpdate's choice by GOARCH and run
+// length between the reflected kernel and the table loop.
 //
-// On amd64 a long run folds with carry-less multiplication in natural bit
-// order (crcFold, crc_amd64.s; Gopal et al., "Fast CRC Computation for
-// Generic Polynomials Using PCLMULQDQ Instruction", Intel, 2009). PSHUFB
+// On amd64 a run folds with carry-less multiplication in natural bit order
+// (crc_amd64.s; Gopal et al., "Fast CRC Computation for Generic
+// Polynomials Using PCLMULQDQ Instruction", Intel, 2009). PSHUFB
 // loads each 16-octet block big-endian, so its first bit is x^127, and c
 // enters as bits 96-127 of the first block: c·x^(8n) is c·x^(8n-32) times
 // the x^32 every message bit gets. A 128-bit remainder A = H·x^64 + L moves
@@ -28,12 +31,15 @@ import (
 // shift-by-one fix-up. Four accumulators move 512 bits per step (x^512,
 // x^576), then merge, and the blocks left over fold in 128 bits at a time
 // (x^128, x^192); foldK holds these constants, derived from aal5Poly at
-// start-up. The kernel returns the remainder V, and the table loop
-// finishes U(0, V) = V·x^32 mod P and the run's last few octets: 16 octets
-// of table loop in place of a Barrett step. PCLMULQDQ and SSSE3 are not in
-// the amd64 baseline, so a CPUID probe (leaf 1, ECX bits 1 and 9) sets
-// hasFold once; without them every run takes the table loop, which the
-// reflected path below only ran level with there.
+// start-up. The kernel ends with a remainder V, and one Barrett step
+// reduces it to U(0, V) = V·x^32 mod P: V·x^32 is H·(x^96 mod P) ⊕ L·x^32
+// once H folds, at most 96 bits; its top 32 bits fold by x^64 to leave S,
+// at most 64 bits; and S mod P is S ⊕ floor(S / P)·P with floor(S / P) =
+// floor(floor(S / x^32)·μ / x^32) for μ = floor(x^64 / P), four
+// PCLMULQDQs in all. PCLMULQDQ and SSSE3 are not in the amd64 baseline, so
+// a CPUID probe (leaf 1, ECX bits 1 and 9) sets hasFold once; without them
+// the portable path runs, every run on the table loop, which the reflected
+// path below only ran level with there.
 //
 // On a 2-vCPU Xeon host under Go 1.24, an 8 KB run folds in 0.36-0.56 µs
 // and 1 KB in 58-79 ns, against 4.6-6.2 µs and 0.63-0.79 µs on the table
@@ -67,20 +73,27 @@ import (
 // the table loop. crcReflected is portable, so the tests hold it to the
 // definition on amd64 too.
 //
-// The shipped cell loops, AppendCellRuns and PushWire's same-header run,
-// make no separate CRC pass over the payloads they move. They move a batch
-// of cell payloads between a contiguous run and the 53-octet cell stride,
-// and crcMoveCells advances the register over the batch in that same move.
-// On amd64 with the fold that is one assembly kernel, moveFoldCells: each
-// 16-octet block is stored to its destination as loaded and folded as it
-// passes, six accumulators two payloads apart (x^768, x^832), merged to
-// three one payload apart (x^384, x^448) and to one 128 bits apart (x^128,
-// x^192); its remainder finishes on the table loop as crcFold's does, and
-// foldK holds all eight constants. So every payload octet is read once on
-// each side of the link. Elsewhere, and on amd64 without PCLMULQDQ,
-// crcMoveThenUpdate moves the payloads and then makes one crcUpdate over
-// the contiguous side of the move — the run on send, the reassembly buffer
-// on receive — so a long batch still reaches hash/crc32's kernel where the
+// The shipped cell loops, AppendCellRuns and PushWire's run, make no
+// separate CRC pass over the payloads they move, and take a frame in one
+// kernel pass per side. On amd64 with the fold, segmentCells' kernel
+// (foldSegment) moves a batch of payloads from a contiguous run into
+// 53-octet cells and stores each cell's header beside it, and
+// reassembleCells' kernel (foldReassemble) compares each cell's header
+// and moves its payload into the frame buffer; both fold each 16-octet
+// block as it passes, six accumulators two payloads apart (x^768, x^832),
+// merged to three one payload apart (x^384, x^448) and to one 128 bits
+// apart (x^128, x^192). Between calls a frame's CRC is carried as the
+// 128-bit accumulator (crcAcc), so only the frame's end reduces. The send
+// side folds the last cell up to its CRC field: two blocks, then the
+// 12-octet tail as one block shifted by x^96 (x^96, x^160), then the
+// reduction, and stores the complemented register in the field. The
+// receive side folds the end-of-frame cell whole, CRC field included, and
+// compares the register to the AAL5 residue (aal5Residue). So every
+// payload octet is read once on each side of the link and none goes
+// through the table loop. Elsewhere, and on amd64 without PCLMULQDQ, the
+// portable path moves the payloads and then makes one crcUpdate over the
+// contiguous side of the move — the run on send, the reassembly buffer on
+// receive — so a long batch still reaches hash/crc32's kernel where the
 // GOARCH has one: 48 octets at a time it would never leave the table loop.
 
 // aal5Poly is the AAL5 CRC-32 generator (I.363.5), processed MSB-first.
@@ -133,21 +146,20 @@ func init() {
 // crcUpdate advances the raw AAL5 CRC-32 register crc over p. It applies
 // neither the all-ones preset nor the final complement, so a CRC can be
 // streamed over several runs (payload, pad, trailer) without materializing
-// them contiguously.
+// them contiguously. It is the portable path's kernel: the fold path never
+// calls it.
 func crcUpdate(crc uint32, p []byte) uint32 {
-	if hasFold && len(p) >= foldMin {
-		return crcFold(crc, p)
-	}
 	if ieeeKernel && len(p) >= reflectMin {
 		return crcReflected(crc, p)
 	}
 	return crcTable(crc, p)
 }
 
-// crcTable is the slicing-by-8 kernel: every short run, every tail, the
-// fold's remainder, and every run on a GOARCH with neither the fold nor
-// ieeeKernel.
+// crcTable is the slicing-by-8 kernel: the portable path's short runs and
+// the reflected kernel's tails, and every run on a GOARCH with neither the
+// fold nor ieeeKernel.
 func crcTable(crc uint32, p []byte) uint32 {
+	budget.Add(budget.TableOctets, len(p))
 	t := &aal5Tables
 	for len(p) >= 8 {
 		a := crc ^ binary.BigEndian.Uint32(p)
@@ -211,42 +223,107 @@ func reflect8(dst, src []byte) {
 	}
 }
 
-// crcMoveCells moves n cell payloads, src[i*srcStep:] to dst[i*dstStep:],
-// PayloadSize octets each, and advances the raw register crc over them read
-// back to back. One side is contiguous (its step is PayloadSize): the
-// send loop moves a run into cells, the receive run moves cells into the
-// frame buffer. With the fold it is one pass, each octet read once; without
-// it, crcMoveThenUpdate.
-func crcMoveCells(crc uint32, dst, src []byte, dstStep, srcStep, n int) uint32 {
+// crcAcc is a frame's CRC as the cell loops carry it from one call to the
+// next. On the fold path it is a 128-bit accumulator W = hi·x^64 + lo,
+// congruent modulo P to M·x^128 for M the message so far with the raw
+// register's preset as its first 32 bits: the value the next block XORs
+// into (file comment), so a fresh register c is c·x^96 and no call finishes
+// a remainder until the frame's last. Elsewhere lo holds the raw register.
+// The layout is the kernels': lo first.
+type crcAcc struct{ lo, hi uint64 }
+
+// accOf returns the accumulator whose raw register is crc.
+func accOf(crc uint32) crcAcc {
 	if hasFold {
-		return crcMoveFold(crc, dst, src, dstStep, srcStep, n)
+		return crcAcc{hi: uint64(crc) << 32}
 	}
-	return crcMoveThenUpdate(crc, dst, src, dstStep, srcStep, n)
+	return crcAcc{lo: uint64(crc)}
 }
 
-// crcMoveThenUpdate is crcMoveCells in two passes: it moves the payloads,
-// then makes one crcUpdate over the contiguous side, so a long run keeps
-// the reflected kernel where the GOARCH has one (a 48-octet update per
-// payload would hold every run to the table loop). It is portable, so the
-// tests hold it to the fold on amd64.
-func crcMoveThenUpdate(crc uint32, dst, src []byte, dstStep, srcStep, n int) uint32 {
+// aal5Residue is the raw register left by a valid frame folded whole, its
+// complemented CRC field included, from the all-ones preset: the AAL5
+// CRC-32 residue, so the receive side checks a frame without setting its
+// CRC field apart.
+const aal5Residue = 0xC704DD7B
+
+// cellHeaders are one VC's two wire headers: [0] for the cells inside a
+// frame, [1] for its end-of-frame cell, indexed by the PT bit that tells
+// them apart. The send side stores them, the receive side compares cells
+// to them.
+type cellHeaders [2][HeaderSize]byte
+
+// segmentCells lays n payloads from src, back to back, into the cells at
+// dst with h[0], then closes the call with the cell after them, whose
+// payload fill has already laid: unless last it takes h[0]; if last it is
+// the frame's end, whose CRC field receives the complemented register over
+// the frame and whose header is h[1]. acc advances over every payload
+// octet; after a last cell it is spent. With the fold it is one kernel
+// pass; elsewhere the payloads move and one crcUpdate follows over src.
+func segmentCells(acc *crcAcc, dst, src []byte, n int, h *cellHeaders, last bool) {
+	dst, src = dst[:(n+1)*CellSize], src[:n*PayloadSize]
+	budget.Add(budget.SendCopied, n*PayloadSize)
+	if hasFold {
+		foldSegment(acc, dst, src, n, h, last)
+		return
+	}
 	for i := 0; i < n; i++ {
-		copyPayload(dst[i*dstStep:], src[i*srcStep:])
+		c := dst[i*CellSize : (i+1)*CellSize]
+		*(*[HeaderSize]byte)(c) = h[0]
+		copyPayload(c[HeaderSize:], src[i*PayloadSize:])
 	}
-	if srcStep == PayloadSize {
-		return crcUpdate(crc, src[:n*PayloadSize])
+	crc := crcUpdate(uint32(acc.lo), src)
+	c := dst[n*CellSize:]
+	if !last {
+		*(*[HeaderSize]byte)(c) = h[0]
+		acc.lo = uint64(crcUpdate(crc, c[HeaderSize:]))
+		return
 	}
-	return crcUpdate(crc, dst[:n*PayloadSize])
+	*(*[HeaderSize]byte)(c) = h[1]
+	crc = crcUpdate(crc, c[HeaderSize:CellSize-4])
+	binary.BigEndian.PutUint32(c[CellSize-4:], ^crc)
 }
 
-// foldCells advances the raw register crc over p, whole cell payloads that
-// are already in place. With the fold it runs the move kernel with p as
-// both ends, which reads each octet once as crcFold would and takes a
-// single payload too (48 octets are under foldMin); elsewhere it is
-// crcUpdate.
-func foldCells(crc uint32, p []byte) uint32 {
+// reassembleCells takes the cells at the front of src, at most n, that
+// carry h[0], moving their payloads back to back into dst, and then the
+// one that stops them if it carries h[1], the frame's end; it returns how
+// many it took. acc advances over every payload octet; with eof, crc is
+// the raw register over the whole frame, CRC field included, and acc is
+// spent. With the fold it is one kernel pass, header compares included;
+// elsewhere the headers are compared a 4-octet word and an octet at a
+// time, the payloads move and one crcUpdate follows over dst.
+func reassembleCells(acc *crcAcc, dst, src []byte, n int, h *cellHeaders) (k int, crc uint32, eof bool) {
+	dst, src = dst[:n*PayloadSize], src[:n*CellSize]
 	if hasFold {
-		return crcMoveFold(crc, p, p, PayloadSize, PayloadSize, len(p)/PayloadSize)
+		k, crc, eof = foldReassemble(acc, dst, src, n, h)
+		budget.Add(budget.RecvCopied, k*PayloadSize)
+		return k, crc, eof
 	}
-	return crcUpdate(crc, p)
+	w, b := [4]byte(h[0][:]), h[0][4]
+	for ; k < n; k++ {
+		c := src[k*CellSize:]
+		if [4]byte(c) != w || c[4] != b {
+			break
+		}
+	}
+	if k < n && [HeaderSize]byte(src[k*CellSize:]) == h[1] {
+		k, eof = k+1, true
+	}
+	for i := 0; i < k; i++ {
+		copyPayload(dst[i*PayloadSize:], src[i*CellSize+HeaderSize:])
+	}
+	budget.Add(budget.RecvCopied, k*PayloadSize)
+	crc = crcUpdate(uint32(acc.lo), dst[:k*PayloadSize])
+	acc.lo = uint64(crc)
+	return k, crc, eof
+}
+
+// foldRun advances acc over p, whole cell payloads already in place, and
+// returns the raw register over the message so far. p must not be empty.
+func foldRun(acc *crcAcc, p []byte) uint32 {
+	if hasFold {
+		return foldBlocks(acc, p)
+	}
+	crc := crcUpdate(uint32(acc.lo), p)
+	acc.lo = uint64(crc)
+	return crc
 }

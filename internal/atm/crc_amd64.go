@@ -1,31 +1,25 @@
 package atm
 
-import "encoding/binary"
-
-// hasFold gates the fold kernel: PCLMULQDQ and SSSE3's PSHUFB are not in
+// hasFold gates the fold kernels: PCLMULQDQ and SSSE3's PSHUFB are not in
 // the amd64 baseline (GOAMD64=v1). Set once, from CPUID leaf 1 (ECX bits 1
-// and 9); without them every run takes the table loop.
+// and 9); without them every run takes the portable path. It is a
+// variable so that the tests and BenchmarkAAL5Paths can clear it for
+// their duration and run the portable path on this host.
 var hasFold = clmul()
 
-// foldMin is the shortest run crcUpdate sends through the fold kernel, and
-// the kernel's floor: it always loads four blocks. BenchmarkAAL5CRC
-// (crc_test.go) is its instrument; the host in crc.go's file comment, table
-// vs fold, ns per run: 64 B 36-49 vs 24-27, 96 B 55-76 vs 28-31, 128 B
-// 89-104 vs 29-32, 256 B 153-192 vs 28-38, 1 KB 629-785 vs 58-79, 8 KB
-// 4600-6200 vs 360-500. The fold wins by a third at its floor and the gap
-// only widens, so nothing is gained by a higher threshold. A cell payload
-// in place folds through moveFoldCells instead (foldCells); the end of a
-// frame's last cell stays on the table loop.
-const foldMin = 64
-
-// foldK holds the fold kernels' constants, x^n mod P for the generator P,
-// each pair low half first as the kernels load it: foldBlocks' 512-bit fold
-// (x^512, x^576), the 128-bit fold both kernels merge with (x^128, x^192),
-// and moveFoldCells' one-payload and two-payload folds (x^384, x^448;
-// x^768, x^832).
-var foldK = [8]uint64{
+// foldK holds the fold kernels' constants, each pair low half first as
+// the kernels load it: x^n mod P for foldBlocks' 512-bit fold (x^512,
+// x^576), the 128-bit fold every kernel merges with (x^128, x^192), the
+// cell kernels' one-payload and two-payload folds (x^384, x^448; x^768,
+// x^832) and the 96-bit fold of a last cell's 12-octet tail (x^96, x^160);
+// then the Barrett reduction's (x^64, x^96) mod P, and μ = floor(x^64 / P)
+// beside P itself. All are derived from aal5Poly at start-up.
+var foldK = [14]uint64{
 	xnModP(512), xnModP(576), xnModP(128), xnModP(192),
 	xnModP(384), xnModP(448), xnModP(768), xnModP(832),
+	xnModP(96), xnModP(160),
+	xnModP(64), xnModP(96),
+	barrettMu(), 1<<32 | aal5Poly,
 }
 
 // xnModP is x^n modulo the AAL5 generator: the register 1 (x^0) shifted n
@@ -42,54 +36,50 @@ func xnModP(n int) uint64 {
 	return uint64(r)
 }
 
-// foldBlocks (crc_amd64.s) folds p, a whole number of 16-octet blocks and at
-// least four of them, with the raw register crc as its first 32 bits, into
-// a 128-bit remainder hi·x^64 + lo congruent to the message modulo P.
-//
-//go:noescape
-func foldBlocks(crc uint32, p []byte) (hi, lo uint64)
+// barrettMu is floor(x^64 / P), a 33-bit quotient, by long division: each
+// step that finds x^(32+i) in the remainder sets bit i of the quotient and
+// subtracts P·x^i.
+func barrettMu() uint64 {
+	const p = 1<<32 | aal5Poly
+	var q uint64
+	rem := [2]uint64{0, 1} // x^64 as (low, high) words
+	for i := 32; i >= 0; i-- {
+		// Coefficient of x^(32+i) in rem.
+		bit := 32 + i
+		if rem[bit/64]>>(bit%64)&1 == 0 {
+			continue
+		}
+		q |= 1 << i
+		rem[0] ^= p << i
+		if i > 31 {
+			rem[1] ^= p >> (64 - i)
+		}
+	}
+	return q
+}
 
-// moveFoldCells (crc_amd64.s) moves n >= 1 cell payloads, src[i*srcStep:]
-// to dst[i*dstStep:], PayloadSize octets each, and folds them as it goes:
-// the payloads read back to back, with the raw register crc as their first
-// 32 bits, become a 128-bit remainder hi·x^64 + lo as foldBlocks' does.
+// foldBlocks (crc_amd64.s) folds p, a whole number of 16-octet blocks and
+// at least one, onto acc, stores the accumulator the next call continues
+// from and returns the raw register over the message so far.
 //
 //go:noescape
-func moveFoldCells(crc uint32, dst, src []byte, dstStep, srcStep, n int) (hi, lo uint64)
+func foldBlocks(acc *crcAcc, p []byte) uint32
+
+// foldSegment (crc_amd64.s) is segmentCells' kernel: n payloads move from
+// src into the cells of dst with h's first header and fold onto acc, and
+// the cell after them closes the call — a cell in place, or the frame's end
+// with its CRC field and h's second header.
+//
+//go:noescape
+func foldSegment(acc *crcAcc, dst, src []byte, n int, h *cellHeaders, last bool)
+
+// foldReassemble (crc_amd64.s) is reassembleCells' kernel: it takes the
+// cells at the front of src, up to n, that carry h's first header, and the
+// end-of-frame cell that may follow them, moving the payloads into dst and
+// folding them onto acc; at the frame's end it returns the register.
+//
+//go:noescape
+func foldReassemble(acc *crcAcc, dst, src []byte, n int, h *cellHeaders) (k int, crc uint32, eof bool)
 
 // clmul reports whether the CPU has PCLMULQDQ and SSSE3.
 func clmul() bool
-
-// crcFold is the fold kernel (math in crc.go's file comment): p's whole
-// 16-octet blocks fold to a 128-bit remainder, and the table loop finishes
-// that remainder and the last few octets. A run shorter than the kernel's
-// four blocks stays on the table loop, so any p is safe here.
-func crcFold(crc uint32, p []byte) uint32 {
-	if len(p) < 64 {
-		return crcTable(crc, p)
-	}
-	n := len(p) &^ 15
-	hi, lo := foldBlocks(crc, p[:n])
-	return crcTable(finishFold(hi, lo), p[n:])
-}
-
-// finishFold is U(0, V) for a kernel's remainder V = hi·x^64 + lo: 16
-// octets of table loop in place of a Barrett step.
-func finishFold(hi, lo uint64) uint32 {
-	var r [16]byte
-	binary.BigEndian.PutUint64(r[:], hi)
-	binary.BigEndian.PutUint64(r[8:], lo)
-	return crcTable(0, r[:])
-}
-
-// crcMoveFold is crcMoveCells' amd64 kernel. The assembly checks no
-// bounds, so the two checks here do: every payload it reads and writes
-// lies inside src and dst.
-func crcMoveFold(crc uint32, dst, src []byte, dstStep, srcStep, n int) uint32 {
-	if n <= 0 {
-		return crc
-	}
-	_ = dst[(n-1)*dstStep+PayloadSize-1]
-	_ = src[(n-1)*srcStep+PayloadSize-1]
-	return finishFold(moveFoldCells(crc, dst, src, dstStep, srcStep, n))
-}

@@ -4,18 +4,19 @@ package atm
 
 // Off amd64 there is no fold kernel: crcUpdate's long runs take the
 // reflected path where the standard library has a CRC kernel (ieeeKernel),
-// the table loop elsewhere.
-const (
-	hasFold = false
-	foldMin = 0
-)
+// the table loop elsewhere, and the cell loops take the portable path.
+const hasFold = false
 
-// crcFold is never reached off amd64; it keeps crcUpdate's one dispatch
+// The fold kernels are never reached off amd64; these keep the one
+// dispatch in segmentCells, reassembleCells and foldRun
 // compiling on every GOARCH.
-func crcFold(crc uint32, p []byte) uint32 { return crcTable(crc, p) }
 
-// crcMoveFold is never reached off amd64; it keeps crcMoveCells' one
-// dispatch compiling on every GOARCH.
-func crcMoveFold(crc uint32, dst, src []byte, dstStep, srcStep, n int) uint32 {
-	return crcMoveThenUpdate(crc, dst, src, dstStep, srcStep, n)
+func foldBlocks(acc *crcAcc, p []byte) uint32 { panic("atm: no fold kernel") }
+
+func foldSegment(acc *crcAcc, dst, src []byte, n int, h *cellHeaders, last bool) {
+	panic("atm: no fold kernel")
+}
+
+func foldReassemble(acc *crcAcc, dst, src []byte, n int, h *cellHeaders) (int, uint32, bool) {
+	panic("atm: no fold kernel")
 }

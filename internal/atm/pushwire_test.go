@@ -237,7 +237,9 @@ func setHeader(cell []byte, edit func(*Header)) {
 	copy(cell, w[:])
 }
 
-func TestPushWireCases(t *testing.T) {
+func TestPushWireCases(t *testing.T) { onPaths(t, testPushWireCases) }
+
+func testPushWireCases(t *testing.T) {
 	vc := VC{VCI: 100}
 	long, run := string(patterned(200)), string(patterned(1000))
 	want := map[string][]wireEvent{
@@ -269,10 +271,13 @@ func TestPushWireCases(t *testing.T) {
 	}
 }
 
-// TestPushWireHeaderIdentityRule: the only header PushWire accepts without
-// a HEC computation is one byte-identical to the last header it verified,
-// and a header that failed verification never becomes that header.
-func TestPushWireHeaderIdentityRule(t *testing.T) {
+// TestPushWireHeaderIdentityRule: the only headers PushWire accepts without
+// a HEC computation are byte-identical to one it knows good — the VC's own
+// two, or the last of each kind it verified — and a header that failed
+// verification never becomes one.
+func TestPushWireHeaderIdentityRule(t *testing.T) { onPaths(t, testPushWireHeaderIdentityRule) }
+
+func testPushWireHeaderIdentityRule(t *testing.T) {
 	vc := VC{VCI: 100}
 	frame, _ := AppendCells(nil, vc, patterned(200)) // 5 cells
 
@@ -308,9 +313,9 @@ func TestPushWireHeaderIdentityRule(t *testing.T) {
 		}
 	}
 
-	// Mid-way through a same-header run, a header that differs from the
-	// run's in any one of its 40 bits, HEC left stale, is refused: the run
-	// takes a header as the one it repeats only if every octet matches.
+	// Mid-way through a run, a header that differs from the run's in any
+	// one of its 40 bits, HEC left stale, is refused: the run takes a
+	// header as the one it repeats only if every octet matches.
 	long, _ := AppendCells(nil, vc, patterned(1000)) // 21 cells
 	for bit := 0; bit < 8*HeaderSize; bit++ {
 		src := append([]byte{}, long...)
@@ -327,7 +332,9 @@ func TestPushWireHeaderIdentityRule(t *testing.T) {
 // the cells before them into the CRC and must fold the Push cells before
 // its own. A bit flipped in any one of the frame's payloads, in any cell of
 // any stretch, still fails the frame.
-func TestPushAndPushWireShareOneFrame(t *testing.T) {
+func TestPushAndPushWireShareOneFrame(t *testing.T) { onPaths(t, testPushAndPushWireShareOneFrame) }
+
+func testPushAndPushWireShareOneFrame(t *testing.T) {
 	vc := VC{VCI: 100}
 	payload := patterned(1000)
 	frame, _ := AppendCells(nil, vc, payload) // 21 cells
@@ -391,6 +398,10 @@ func TestPushAndPushWireShareOneFrame(t *testing.T) {
 // ErrLength; none is delivered. The body sizes put an even and an odd
 // number of whole cells in each loop's batch, and the udpatm chunk size.
 func TestPushWireDetectsEveryPayloadBitFlip(t *testing.T) {
+	onPaths(t, testPushWireDetectsEveryPayloadBitFlip)
+}
+
+func testPushWireDetectsEveryPayloadBitFlip(t *testing.T) {
 	vc := VC{VCI: 100}
 	chunk, head := patterned(8), patterned(44)
 	for _, total := range []int{10*PayloadSize + 44, 11*PayloadSize + 44, 8184} {
@@ -421,7 +432,9 @@ func TestPushWireDetectsEveryPayloadBitFlip(t *testing.T) {
 // TestReassemblerBoundsFrame: a cell stream with no end-of-frame cell is
 // cut off at the longest legal CPCS-PDU — same drop, count and error from
 // Push and PushWire — while the longest legal frame still reassembles.
-func TestReassemblerBoundsFrame(t *testing.T) {
+func TestReassemblerBoundsFrame(t *testing.T) { onPaths(t, testReassemblerBoundsFrame) }
+
+func testReassemblerBoundsFrame(t *testing.T) {
 	vc := VC{VCI: 100}
 	if maxReassembly != CellCount(MaxPDU)*PayloadSize {
 		t.Fatalf("maxReassembly = %d, want CellCount(MaxPDU)*PayloadSize = %d", maxReassembly, CellCount(MaxPDU)*PayloadSize)
@@ -474,7 +487,9 @@ func TestReassemblerBoundsFrame(t *testing.T) {
 
 // TestSARZeroAllocs: the shipped datapath — AppendCells into a reused
 // buffer, PushWire over the wire cells — allocates nothing once warm.
-func TestSARZeroAllocs(t *testing.T) {
+func TestSARZeroAllocs(t *testing.T) { onPaths(t, testSARZeroAllocs) }
+
+func testSARZeroAllocs(t *testing.T) {
 	vc := VC{VCI: 100}
 	payload := patterned(8184)
 	r := NewReassembler(vc)
@@ -494,8 +509,8 @@ func TestSARZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestReassemblyBufferGrowth: the same-header run grows the reassembly
-// buffer the way append does, never to maxReassembly ahead of need, so a VC
+// TestReassemblyBufferGrowth: the run grows the reassembly buffer the way
+// append does, never to maxReassembly ahead of need, so a VC
 // that has carried one 8,184-octet frame holds about that much and not the
 // longest legal PDU.
 func TestReassemblyBufferGrowth(t *testing.T) {
@@ -515,7 +530,9 @@ func TestReassemblyBufferGrowth(t *testing.T) {
 // 171 cells, random corruption, random good headers that differ from their
 // frame's (only GFC, only CLP or only one PT bit changed, HEC recomputed),
 // random foreign cells — PushWire and DecodeCell+Push never diverge.
-func TestPushWireRandomTrains(t *testing.T) {
+func TestPushWireRandomTrains(t *testing.T) { onPaths(t, testPushWireRandomTrains) }
+
+func testPushWireRandomTrains(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	vc := VC{VCI: 100}
 	edits := []func(*Header){
@@ -550,14 +567,46 @@ func TestPushWireRandomTrains(t *testing.T) {
 	}
 }
 
+// TestLastCellBitFlips flips, one at a time, every bit of the last cell's
+// payload — body tail, pad, UU, CPI, Length, CRC — of frames whose payload
+// puts every pad length and every trailer placement in that cell, the HEC
+// left valid, and feeds each through PushWire and through DecodeCell+Push.
+// Both must refuse it with ErrCRC or ErrLength on the last cell, and
+// neither may deliver it.
+func TestLastCellBitFlips(t *testing.T) { onPaths(t, testLastCellBitFlips) }
+
+func testLastCellBitFlips(t *testing.T) {
+	vc := VC{VCI: 100}
+	for size := 0; size <= 3*PayloadSize; size++ {
+		frame, err := AppendCells(nil, vc, patterned(size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := len(frame)/CellSize - 1
+		for bit := 0; bit < 8*PayloadSize; bit++ {
+			at := last*CellSize + HeaderSize + bit/8
+			frame[at] ^= 0x80 >> (bit % 8)
+			evs := checkWireEquivalence(t, vc, frame)
+			frame[at] ^= 0x80 >> (bit % 8)
+			if len(evs) != 1 || evs[0].cell != last || (evs[0].err != ErrCRC && evs[0].err != ErrLength) {
+				t.Fatalf("%d octets, last cell payload bit %d flipped: %+v, want ErrCRC or ErrLength on cell %d", size, bit, evs, last)
+			}
+		}
+	}
+}
+
 // FuzzPushWire: arbitrary octets never panic PushWire, never grow the
 // reassembly buffer past its cap, and yield exactly the frames, errors and
-// Dropped() that DecodeCell + Push yield on the same input.
+// Dropped() that DecodeCell + Push yield on the same input, on each cell
+// path this host runs.
 //
 // The seed corpus in testdata/fuzz/FuzzPushWire is wireSeeds, one file per
-// case.
+// case, and frames with one bit of the last cell flipped (last-*): in the
+// pad, UU, CPI, Length and CRC.
 func FuzzPushWire(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src []byte) {
-		checkWireEquivalence(t, VC{VCI: 100}, src)
+		for _, path := range cellPaths() {
+			path.run(func() { checkWireEquivalence(t, VC{VCI: 100}, src) })
+		}
 	})
 }

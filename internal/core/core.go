@@ -92,6 +92,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/mts"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -645,6 +646,7 @@ func (t *Thread) recvIntoOn(buf []byte, ch ChannelID, tag int, from []Addr) (int
 		panic(fmt.Sprintf("core: RecvInto buffer (%d bytes) smaller than message (%d bytes)", len(buf), len(m.Data)))
 	}
 	n, src := copy(buf, m.Data), srcOf(m)
+	budget.Add(budget.RecvCopied, n)
 	m.Release()
 	return n, src
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -94,6 +95,7 @@ func (s *retainStore) keep(m *transport.Message) *transport.Message {
 		cp = &transport.Message{}
 	}
 	data := append(cp.Data[:0], m.Data...)
+	budget.Add(budget.SendCopied, len(data))
 	*cp = *m
 	cp.Data = data
 	return cp

@@ -9,7 +9,7 @@
 //
 // The send path serializes a message once. Send encodes the message header
 // into a stack array, wire.Chunker cuts header ++ payload into chunk frames
-// without copying them, and atm.AppendCellRuns lays each frame's cells —
+// without copying them, and the VC's atm.Segmenter lays each frame's cells —
 // folding the CRC as the pieces move into cells — straight onto the VC's
 // open train, a pooled buffer of the MTU's size that is never regrown; a
 // train closes when the next whole frame would not fit. Trains are formed
@@ -22,17 +22,17 @@
 // reassembly state once per run of same-VC cells and hands the run, still
 // in the datagram buffer, to atm.Reassembler.PushWire, which appends each
 // 48-octet payload straight from the buffer. Every header is still
-// HEC-verified — the one shortcut is identity: a header byte-identical to
-// the last one that reassembler verified is known good, so a frame costs
-// two HEC computations (its first and its end-of-frame cell), not one per
-// cell — and every frame still passes CRC-32, length and pad checks. The
-// cells between a frame's first and its last repeat one header, so
-// PushWire takes them as a same-header run: a 5-octet compare per cell,
-// then one call that moves the run's payloads and folds them into the
-// frame's CRC, so the end-of-frame check reads only the last cell. The
-// send side's cell loop is the same shape: the cells inside one run are a
-// fixed header store each and one move-and-fold call. Each payload octet
-// is read once per side.
+// HEC-verified — the one shortcut is identity: each VC's reassembler knows
+// two headers good, the one a frame's cells carry and its end-of-frame
+// one, and a header byte-identical to either needs no HEC, so a frame
+// costs none — and every frame still passes CRC-32, length and pad
+// checks. PushWire takes a frame as a run: a 4-octet and a 1-octet compare
+// per cell, the payload moved and folded into the frame's CRC in the same
+// pass, and the end-of-frame cell folded whole and checked against the
+// AAL5 residue. The send side is the same shape: each VC's transmit queue
+// keeps an atm.Segmenter, its two cell headers computed once, and the
+// cells inside one run are a header store each and one move-and-fold
+// pass. Each payload octet is read once per side.
 //
 // This substitutes for the paper's FORE SBA-200 + ATM switch fabric: the
 // cell framing, HEC protection, per-VC reassembly and CRC-32 verification
@@ -50,6 +50,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/atm"
+	"repro/internal/budget"
 	"repro/internal/list"
 	"repro/internal/mts"
 	"repro/internal/transport"
@@ -83,6 +84,7 @@ type train struct {
 // vcTx is one VC's transmit queue: cell trains awaiting the writer.
 type vcTx struct {
 	dst *net.UDPAddr
+	seg atm.Segmenter // the VC's two cell headers, computed once
 
 	// closed holds the trains no further frame fits; open, when its buf is
 	// non-nil, is the newest train, which enqueueFrames is still extending
@@ -345,7 +347,7 @@ func (e *Endpoint) UnbindChannel(peer transport.ProcID, ch wire.ChannelID) {
 func (e *Endpoint) queue(vc atm.VC) *vcTx {
 	q, ok := e.txByVC[vc]
 	if !ok {
-		q = &vcTx{}
+		q = &vcTx{seg: atm.NewSegmenter(vc)}
 		e.txByVC[vc] = q
 		e.queues = append(e.queues, q)
 	}
@@ -437,7 +439,7 @@ func (e *Endpoint) enqueueFrames(m *transport.Message, dst *net.UDPAddr) {
 		if q.open.buf == nil {
 			q.open.buf = wire.GetBuf(maxTrainBytes)
 		}
-		cells, err := atm.AppendCellRuns(q.open.buf.B, vc, ch[:], head, body)
+		cells, err := q.seg.AppendCellRuns(q.open.buf.B, ch[:], head, body)
 		if err != nil {
 			panic("udpatm: segment: " + err.Error())
 		}
@@ -620,6 +622,7 @@ func (e *Endpoint) deliverChunk(rx *vcRx, chunk []byte) bool {
 	// starts 64-byte aligned.
 	fb := wire.GetFrame(wire.HeaderLen(msgWire), len(msgWire))
 	fb.B = append(fb.B, msgWire...)
+	budget.Add(budget.RecvCopied, len(msgWire))
 	m, err := wire.UnmarshalPooled(fb)
 	if err != nil {
 		wire.PutBuf(fb)

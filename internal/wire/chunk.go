@@ -3,6 +3,8 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+
+	"repro/internal/budget"
 )
 
 // Chunk framing: a marshalled message larger than a carrier's frame payload
@@ -226,6 +228,7 @@ func (a *Assembler) Push(chunk []byte) (msg []byte, done bool, err error) {
 	}
 	a.next++
 	a.buf = append(a.buf, body...)
+	budget.Add(budget.RecvCopied, len(body))
 	if !h.Last {
 		return nil, false, nil
 	}
