@@ -1,6 +1,7 @@
 // Command atmtrace is an AAL5/cell inspector: it segments a payload into
 // ATM cells, dumps them, optionally injects corruption, and reassembles —
-// a debugging lens on the cell layer everything else rides on.
+// a debugging lens on the cell layer everything else rides on. It runs the
+// wire-form path the carriers ship: AppendCells, then PushWire.
 //
 // Usage:
 //
@@ -11,20 +12,32 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/atm"
 )
 
 func main() {
-	size := flag.Int("size", 96, "payload size in bytes (ignored if -text set)")
-	text := flag.String("text", "", "literal payload")
-	vpi := flag.Int("vpi", 0, "virtual path identifier")
-	vci := flag.Int("vci", 100, "virtual channel identifier")
-	corrupt := flag.Int("corrupt", -1, "cell index to corrupt before reassembly (-1 = none)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "atmtrace:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command on its arguments, writing the dump to w. A bad flag
+// exits as the flag package does.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("atmtrace", flag.ExitOnError)
+	size := fs.Int("size", 96, "payload size in bytes (ignored if -text set)")
+	text := fs.String("text", "", "literal payload")
+	vpi := fs.Int("vpi", 0, "virtual path identifier")
+	vci := fs.Int("vci", 100, "virtual channel identifier")
+	corrupt := fs.Int("corrupt", -1, "cell index to corrupt before reassembly (-1 = none)")
+	fs.Parse(args)
 
 	payload := []byte(*text)
 	if len(payload) == 0 {
@@ -35,35 +48,41 @@ func main() {
 	}
 	vc := atm.VC{VPI: uint8(*vpi), VCI: uint16(*vci)}
 
-	cells, err := atm.Segment(vc, payload)
+	cells, err := atm.AppendCells(nil, vc, payload)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "segment:", err)
-		os.Exit(1)
+		return fmt.Errorf("segment: %w", err)
 	}
-	fmt.Printf("payload %d bytes -> %d cells on VC %v (CPCS-PDU %d bytes incl. pad+trailer)\n\n",
-		len(payload), len(cells), vc, len(cells)*atm.PayloadSize)
+	n := len(cells) / atm.CellSize
+	if *corrupt >= n {
+		return fmt.Errorf("-corrupt %d: the frame has %d cells", *corrupt, n)
+	}
+	fmt.Fprintf(w, "payload %d bytes -> %d cells on VC %v (CPCS-PDU %d bytes incl. pad+trailer)\n\n",
+		len(payload), n, vc, n*atm.PayloadSize)
 
-	for i := range cells {
-		h := cells[i].Header
-		wire := cells[i].Bytes()
+	for i := 0; i < n; i++ {
+		cell := cells[i*atm.CellSize : (i+1)*atm.CellSize]
+		h, _ := atm.DecodeHeader(cell) // AppendCells' headers pass HEC
 		eof := " "
 		if h.EndOfFrame() {
 			eof = "*"
 		}
-		fmt.Printf("cell %2d %s vpi=%-3d vci=%-5d pt=%d clp=%-5v hec=%02x  payload[0:16]=% x\n",
-			i, eof, h.VPI, h.VCI, h.PT, h.CLP, wire[4], cells[i].Payload[:16])
+		fmt.Fprintf(w, "cell %2d %s vpi=%-3d vci=%-5d pt=%d clp=%-5v hec=%02x  payload[0:16]=% x\n",
+			i, eof, h.VPI, h.VCI, h.PT, h.CLP, cell[4], cell[atm.HeaderSize:atm.HeaderSize+16])
 	}
-	fmt.Println("\n(* = AAL5 end-of-frame indication in PT)")
+	fmt.Fprintln(w, "\n(* = AAL5 end-of-frame indication in PT)")
 
-	if *corrupt >= 0 && *corrupt < len(cells) {
-		fmt.Printf("\nflipping one payload bit in cell %d ...\n", *corrupt)
-		cells[*corrupt].Payload[7] ^= 0x10
+	if *corrupt >= 0 {
+		fmt.Fprintf(w, "\nflipping one payload bit in cell %d ...\n", *corrupt)
+		cells[*corrupt*atm.CellSize+atm.HeaderSize+7] ^= 0x10
 	}
 
-	out, err := atm.Reassemble(vc, cells)
+	// The cells are one frame, so PushWire takes them all and either
+	// completes it or rejects it at its last cell.
+	_, out, _, err := atm.NewReassembler(vc).PushWire(cells)
 	if err != nil {
-		fmt.Printf("reassembly: REJECTED (%v) — corruption detected by AAL5 CRC-32\n", err)
-		return
+		fmt.Fprintf(w, "reassembly: REJECTED (%v) — corruption detected by AAL5 CRC-32\n", err)
+		return nil
 	}
-	fmt.Printf("reassembly: OK, %d bytes recovered, payload intact=%v\n", len(out), string(out) == string(payload))
+	fmt.Fprintf(w, "reassembly: OK, %d bytes recovered, payload intact=%v\n", len(out), bytes.Equal(out, payload))
+	return nil
 }

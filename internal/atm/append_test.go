@@ -2,37 +2,8 @@ package atm
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 )
-
-// TestAppendCellsMatchesSegment: the zero-copy wire-form packer must emit
-// byte-for-byte what Segment + per-cell Bytes produce, across payload sizes
-// spanning the pad/trailer geometry.
-func TestAppendCellsMatchesSegment(t *testing.T) {
-	vc := VC{VPI: 3, VCI: 777}
-	rng := rand.New(rand.NewSource(21))
-	sizes := []int{0, 1, 39, 40, 41, 47, 48, 49, 95, 96, 1000, 8184}
-	for _, n := range sizes {
-		payload := make([]byte, n)
-		rng.Read(payload)
-		cells, err := Segment(vc, payload)
-		if err != nil {
-			t.Fatalf("n=%d: Segment: %v", n, err)
-		}
-		var want []byte
-		for i := range cells {
-			want = append(want, cells[i].Bytes()...)
-		}
-		got, err := AppendCells(nil, vc, payload)
-		if err != nil {
-			t.Fatalf("n=%d: AppendCells: %v", n, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("n=%d: AppendCells differs from Segment wire form", n)
-		}
-	}
-}
 
 // TestAppendCellsRoundtrip: wire-form cells decode and reassemble back to
 // the original payload.
@@ -66,53 +37,25 @@ func TestAppendCellsRoundtrip(t *testing.T) {
 	t.Fatal("frame never completed")
 }
 
-// TestSegmentIntoReusesSlice: segmentation into a scratch slice must not
-// allocate once the slice has grown to the working set.
-func TestSegmentIntoReusesSlice(t *testing.T) {
-	vc := VC{VCI: 5}
-	payload := make([]byte, 4096)
-	scratch, err := SegmentInto(nil, vc, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		cells, err := SegmentInto(scratch[:0], vc, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratch = cells[:0]
-	})
-	if avg > 0 {
-		t.Fatalf("SegmentInto allocates %.1f/op on a warm scratch slice, want 0", avg)
-	}
-}
+// TestReassemblerBufferReuse: the payload PushWire returns is valid until
+// the next PushWire, which reuses the same backing buffer.
+func TestReassemblerBufferReuse(t *testing.T) { onPaths(t, testReassemblerBufferReuse) }
 
-// TestReassemblerBufferReuse: the payload returned by Push is valid until
-// the next Push, which reuses the same backing buffer.
-func TestReassemblerBufferReuse(t *testing.T) {
+func testReassemblerBufferReuse(t *testing.T) {
 	vc := VC{VCI: 6}
-	first, _ := Segment(vc, bytes.Repeat([]byte{0xAA}, 100))
-	second, _ := Segment(vc, bytes.Repeat([]byte{0xBB}, 100))
+	first, _ := AppendCells(nil, vc, bytes.Repeat([]byte{0xAA}, 100))
+	second, _ := AppendCells(nil, vc, bytes.Repeat([]byte{0xBB}, 100))
 	r := NewReassembler(vc)
-	var got1 []byte
-	for _, c := range first {
-		if p, done, err := r.Push(c); err != nil {
-			t.Fatal(err)
-		} else if done {
-			got1 = p
-		}
+	_, got1, done, err := r.PushWire(first)
+	if err != nil || !done || got1[0] != 0xAA {
+		t.Fatalf("first frame: done=%v err=%v", done, err)
 	}
-	if got1 == nil || got1[0] != 0xAA {
-		t.Fatal("first frame missing")
+	_, got2, done, err := r.PushWire(second)
+	if err != nil || !done || got2[0] != 0xBB {
+		t.Fatalf("second frame: done=%v err=%v", done, err)
 	}
-	for _, c := range second {
-		if p, done, err := r.Push(c); err != nil {
-			t.Fatal(err)
-		} else if done {
-			if p[0] != 0xBB {
-				t.Fatal("second frame corrupt")
-			}
-		}
+	if &got1[0] != &got2[0] {
+		t.Fatal("second frame did not reuse the first frame's buffer")
 	}
 }
 

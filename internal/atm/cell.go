@@ -80,7 +80,6 @@ var (
 	ErrCRC        = errors.New("atm: AAL5 CRC-32 mismatch")
 	ErrLength     = errors.New("atm: AAL5 length field mismatch")
 	ErrTooLong    = errors.New("atm: AAL5 payload exceeds 65535 octets")
-	ErrNoFrame    = errors.New("atm: cell outside any frame")
 	ErrVC         = errors.New("atm: cell for another VC")
 )
 
@@ -286,59 +285,13 @@ func (p *pdu) fill(dst []byte) (last bool) {
 	return true
 }
 
-// SegmentInto builds the AAL5 CPCS-PDU for payload and appends its cells on
-// the given VC to cells, returning the extended slice. The last cell
-// carries the end-of-frame PT indication. An empty payload is legal
-// (pure-pad PDU). Passing a scratch slice (cells[:0]) makes segmentation
-// allocation-free once the slice has grown to the working set. A Cell is a
-// Go struct, not wire octets at the cell stride, so this decoded-cell path
-// (the adapter model, atmtrace) folds a run's cells in place (foldRun) and
-// moves them after, and lays each cell fill writes in a wire-form scratch
-// cell that segmentCells closes.
-func SegmentInto(cells []Cell, vc VC, payload []byte) ([]Cell, error) {
-	p, err := newPDU(payload)
-	if err != nil {
-		return nil, err
-	}
-	cells = slices.Grow(cells, p.cells)
-	h := Header{VPI: vc.VPI, VCI: vc.VCI}
-	hdrs := headersOf(vc)
-	acc := accOf(^uint32(0))
-	var w [CellSize]byte
-	for last := false; !last; {
-		if s, k := p.whole(); k > 0 {
-			foldRun(&acc, s)
-			budget.Add(budget.SendCopied, len(s))
-			for ; k > 0; k-- {
-				cells = append(cells, Cell{Header: h})
-				copyPayload(cells[len(cells)-1].Payload[:], s)
-				s = s[PayloadSize:]
-			}
-			continue
-		}
-		last = p.fill(w[HeaderSize:])
-		segmentCells(&acc, w[:], nil, 0, &hdrs, last)
-		cells = append(cells, Cell{Header: h, Payload: [PayloadSize]byte(w[HeaderSize:])})
-		budget.Add(budget.SendCopied, PayloadSize)
-		if last {
-			cells[len(cells)-1].Header.PT = ptAAL5End
-		}
-	}
-	return cells, nil
-}
-
-// Segment builds the AAL5 CPCS-PDU for payload and slices it into freshly
-// allocated cells on the given VC; SegmentInto is the reuse-friendly form.
-func Segment(vc VC, payload []byte) ([]Cell, error) {
-	return SegmentInto(nil, vc, payload)
-}
-
-// AppendCells segments payload exactly as SegmentInto but appends the
-// cells' 53-octet wire form directly onto dst — the shape the UDP fabric
-// wants (a datagram is a frame's cells laid end to end), with no
-// intermediate []Cell or per-cell Bytes allocation. dst grows at most
-// once, to the frame's full length. It is the one-run view of
-// AppendCellRuns.
+// AppendCells builds the AAL5 CPCS-PDU for payload and appends its cells
+// on vc, in their 53-octet wire form, onto dst: the last cell carries the
+// end-of-frame PT indication, and an empty payload is legal (a pure-pad
+// PDU). A frame's cells laid end to end are the shape both fabrics carry —
+// a UDP datagram, the adapter model's cells — with no Cell value built.
+// dst grows at most once, to the frame's full length. It is the one-run
+// view of AppendCellRuns.
 func AppendCells(dst []byte, vc VC, payload []byte) ([]byte, error) {
 	return AppendCellRuns(dst, vc, payload)
 }
@@ -402,9 +355,8 @@ func (s *Segmenter) AppendCellRuns(dst []byte, runs ...[]byte) ([]byte, error) {
 // constant PayloadSize octets, to a runtime.memmove call; it keeps an
 // array move inline only up to 16 octets on amd64 and 8 on 386 and arm64.
 // So the payload moves as six 8-octet words: inline on all three, and on
-// amd64 level with three 16-octet vector moves. SegmentInto makes one per
-// cell of a run, and the portable path of segmentCells and
-// reassembleCells one per payload it moves.
+// amd64 level with three 16-octet vector moves. The portable path of
+// segmentCells and reassembleCells makes one per payload it moves.
 func copyPayload(dst, src []byte) {
 	d, s := (*[PayloadSize]byte)(dst), (*[PayloadSize]byte)(src)
 	*(*[8]byte)(d[0:]) = *(*[8]byte)(s[0:])
@@ -415,7 +367,7 @@ func copyPayload(dst, src []byte) {
 	*(*[8]byte)(d[40:]) = *(*[8]byte)(s[40:])
 }
 
-// CellCount returns how many cells Segment will produce for a payload of n
+// CellCount returns how many cells AppendCells lays for a payload of n
 // octets; useful for link-time modelling.
 func CellCount(n int) int {
 	return (n + trailerSize + PayloadSize - 1) / PayloadSize
@@ -425,10 +377,10 @@ func CellCount(n int) int {
 // different VCs must go to different Reassemblers (the per-VC state the
 // SBA-200's i960 keeps).
 //
-// Cells enter either decoded (Push) or in wire form, a run at a time
-// (PushWire); both feed the same frame and the same finish, so every frame
-// gets the same checks whichever way its cells arrived, and the two may be
-// mixed on one Reassembler.
+// Cells enter in wire form, a run at a time (PushWire: the path udpatm and
+// the adapter model take), or decoded (Push); both feed the same frame and
+// the same finish, so every frame gets the same checks whichever way its
+// cells arrived, and the two may be mixed on one Reassembler.
 type Reassembler struct {
 	vc      VC
 	buf     []byte
@@ -610,23 +562,4 @@ func (r *Reassembler) drop(err error) ([]byte, bool, error) {
 	r.active = false
 	r.dropped++
 	return nil, false, err
-}
-
-// Reassemble is a convenience that reassembles a complete, ordered cell
-// slice into one payload.
-func Reassemble(vc VC, cells []Cell) ([]byte, error) {
-	r := NewReassembler(vc)
-	for i, c := range cells {
-		payload, done, err := r.Push(c)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			if i != len(cells)-1 {
-				return nil, fmt.Errorf("atm: frame ended at cell %d of %d", i, len(cells))
-			}
-			return payload, nil
-		}
-	}
-	return nil, ErrNoFrame
 }

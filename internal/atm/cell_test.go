@@ -2,7 +2,10 @@ package atm
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -105,21 +108,48 @@ func TestQuickHeaderRoundtrip(t *testing.T) {
 	}
 }
 
-func TestSegmentReassembleRoundtrip(t *testing.T) {
+// errNoFrame is reassembleTrain's report of a train that ends inside its
+// frame: PushWire holds such a frame open for cells still to come.
+var errNoFrame = errors.New("train ended inside a frame")
+
+// reassembleTrain takes a train of wire cells holding one frame through a
+// fresh reassembler's PushWire and returns the frame's payload, or the
+// error of the cell PushWire rejected, or errNoFrame.
+func reassembleTrain(vc VC, cells []byte) ([]byte, error) {
+	n, payload, done, err := NewReassembler(vc).PushWire(cells)
+	switch {
+	case err != nil:
+		return nil, err
+	case !done:
+		return nil, errNoFrame
+	case n != len(cells):
+		return nil, fmt.Errorf("frame ended at cell %d of %d", n/CellSize-1, len(cells)/CellSize)
+	}
+	return payload, nil
+}
+
+// flipPayloadBit flips bit of payload octet i of wire cell c in cells.
+func flipPayloadBit(cells []byte, c, i int, bit byte) {
+	cells[c*CellSize+HeaderSize+i] ^= bit
+}
+
+func TestSegmentReassembleRoundtrip(t *testing.T) { onPaths(t, testSegmentReassembleRoundtrip) }
+
+func testSegmentReassembleRoundtrip(t *testing.T) {
 	vc := VC{VPI: 2, VCI: 100}
 	for _, n := range []int{0, 1, 39, 40, 41, 47, 48, 49, 95, 96, 1000, 65535} {
 		payload := make([]byte, n)
 		for i := range payload {
 			payload[i] = byte(i * 7)
 		}
-		cells, err := Segment(vc, payload)
+		cells, err := AppendCells(nil, vc, payload)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if len(cells) != CellCount(n) {
-			t.Fatalf("n=%d: %d cells, CellCount says %d", n, len(cells), CellCount(n))
+		if len(cells) != CellCount(n)*CellSize {
+			t.Fatalf("n=%d: %d octets of cells, CellCount says %d cells", n, len(cells), CellCount(n))
 		}
-		got, err := Reassemble(vc, cells)
+		got, err := reassembleTrain(vc, cells)
 		if err != nil {
 			t.Fatalf("n=%d: reassemble: %v", n, err)
 		}
@@ -129,29 +159,42 @@ func TestSegmentReassembleRoundtrip(t *testing.T) {
 	}
 }
 
-func TestSegmentCellProperties(t *testing.T) {
+// TestSegmentCellProperties: every cell AppendCells lays passes HEC, rides
+// the frame's VC and carries the end-of-frame indication only if last.
+func TestSegmentCellProperties(t *testing.T) { onPaths(t, testSegmentCellProperties) }
+
+func testSegmentCellProperties(t *testing.T) {
 	vc := VC{VPI: 1, VCI: 5}
-	cells, err := Segment(vc, make([]byte, 100))
+	cells, err := AppendCells(nil, vc, make([]byte, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range cells {
-		if c.Header.VC() != vc {
-			t.Fatalf("cell %d on VC %v, want %v", i, c.Header.VC(), vc)
+	n := len(cells) / CellSize
+	for i := 0; i < n; i++ {
+		h, err := DecodeHeader(cells[i*CellSize:])
+		if err != nil {
+			t.Fatalf("cell %d: %v", i, err)
 		}
-		if c.Header.EndOfFrame() != (i == len(cells)-1) {
+		if h.VC() != vc {
+			t.Fatalf("cell %d on VC %v, want %v", i, h.VC(), vc)
+		}
+		if h.EndOfFrame() != (i == n-1) {
 			t.Fatalf("cell %d end-of-frame flag wrong", i)
 		}
 	}
 }
 
 func TestSegmentRejectsOversize(t *testing.T) {
-	if _, err := Segment(VC{}, make([]byte, MaxPDU+1)); err != ErrTooLong {
+	if _, err := AppendCells(nil, VC{}, make([]byte, MaxPDU+1)); err != ErrTooLong {
 		t.Fatalf("err = %v, want ErrTooLong", err)
 	}
 }
 
 func TestReassemblerDetectsPayloadCorruption(t *testing.T) {
+	onPaths(t, testReassemblerDetectsPayloadCorruption)
+}
+
+func testReassemblerDetectsPayloadCorruption(t *testing.T) {
 	vc := VC{VCI: 9}
 	payload := make([]byte, 500)
 	for i := range payload {
@@ -159,90 +202,118 @@ func TestReassemblerDetectsPayloadCorruption(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
-		cells, _ := Segment(vc, payload)
-		ci := rng.Intn(len(cells))
+		cells, _ := AppendCells(nil, vc, payload)
+		ci := rng.Intn(len(cells) / CellSize)
 		bi := rng.Intn(PayloadSize)
-		bit := byte(1) << rng.Intn(8)
-		cells[ci].Payload[bi] ^= bit
+		flipPayloadBit(cells, ci, bi, 1<<rng.Intn(8))
 		// A flip in the pad area also breaks the CRC since the CRC covers
 		// pad; a flip in the length/CRC trailer breaks length or CRC.
-		if _, err := Reassemble(vc, cells); err == nil {
+		if _, err := reassembleTrain(vc, cells); err == nil {
 			t.Fatalf("trial %d: corruption in cell %d byte %d not detected", trial, ci, bi)
 		}
 	}
 }
 
+// TestReassemblerRejectsForeignVC: a cell for another VC is refused with
+// ErrVC and not consumed, so the caller can hand it on.
 func TestReassemblerRejectsForeignVC(t *testing.T) {
 	r := NewReassembler(VC{VCI: 1})
-	c := Cell{Header: Header{VCI: 2}}
-	if _, _, err := r.Push(c); err == nil {
-		t.Fatal("foreign VC accepted")
+	cells, _ := AppendCells(nil, VC{VCI: 2}, nil)
+	if n, _, _, err := r.PushWire(cells); err != ErrVC || n != 0 {
+		t.Fatalf("foreign VC: n=%d err=%v, want 0, ErrVC", n, err)
 	}
 }
 
-func TestReassemblerTracksDrops(t *testing.T) {
+func TestReassemblerTracksDrops(t *testing.T) { onPaths(t, testReassemblerTracksDrops) }
+
+func testReassemblerTracksDrops(t *testing.T) {
 	vc := VC{VCI: 3}
-	cells, _ := Segment(vc, []byte("hello world"))
-	cells[0].Payload[0] ^= 0xFF
+	cells, _ := AppendCells(nil, vc, []byte("hello world"))
+	flipPayloadBit(cells, 0, 0, 0xFF)
 	r := NewReassembler(vc)
-	for _, c := range cells {
-		r.Push(c)
+	if _, _, _, err := r.PushWire(cells); err != ErrCRC {
+		t.Fatalf("err = %v, want ErrCRC", err)
 	}
 	if r.Dropped() != 1 {
 		t.Fatalf("dropped = %d, want 1", r.Dropped())
 	}
 }
 
-func TestReassembleDetectsLostLastCell(t *testing.T) {
+// TestReassembleDetectsLostLastCell: a frame that lost its end-of-frame
+// cell stays open, and the next frame's end finds the pair mis-framed.
+func TestReassembleDetectsLostLastCell(t *testing.T) { onPaths(t, testReassembleDetectsLostLastCell) }
+
+func testReassembleDetectsLostLastCell(t *testing.T) {
 	vc := VC{VCI: 8}
-	cells, _ := Segment(vc, make([]byte, 200))
-	if _, err := Reassemble(vc, cells[:len(cells)-1]); err != ErrNoFrame {
-		t.Fatalf("err = %v, want ErrNoFrame", err)
+	cells, _ := AppendCells(nil, vc, make([]byte, 200))
+	if _, err := reassembleTrain(vc, cells[:len(cells)-CellSize]); err != errNoFrame {
+		t.Fatalf("err = %v, want errNoFrame", err)
+	}
+	r := NewReassembler(vc)
+	r.PushWire(cells[:len(cells)-CellSize])
+	if _, _, done, err := r.PushWire(cells); done || err == nil || r.Dropped() != 1 {
+		t.Fatalf("next frame after a lost last cell: done=%v err=%v dropped=%d", done, err, r.Dropped())
 	}
 }
 
 func TestReassembleDetectsLostMiddleCell(t *testing.T) {
+	onPaths(t, testReassembleDetectsLostMiddleCell)
+}
+
+func testReassembleDetectsLostMiddleCell(t *testing.T) {
 	vc := VC{VCI: 8}
-	cells, _ := Segment(vc, make([]byte, 500))
-	trunc := append(append([]Cell{}, cells[:2]...), cells[3:]...)
-	if _, err := Reassemble(vc, trunc); err == nil {
+	cells, _ := AppendCells(nil, vc, make([]byte, 500))
+	trunc := slices.Delete(cells, 2*CellSize, 3*CellSize)
+	if _, err := reassembleTrain(vc, trunc); err == nil {
 		t.Fatal("lost middle cell not detected")
 	}
 }
 
+// TestBackToBackFramesOneReassembler: one reassembler takes five frames of
+// growing size, each handed over alone and then all five as one train.
 func TestBackToBackFramesOneReassembler(t *testing.T) {
+	onPaths(t, testBackToBackFramesOneReassembler)
+}
+
+func testBackToBackFramesOneReassembler(t *testing.T) {
 	vc := VC{VCI: 11}
 	r := NewReassembler(vc)
+	var payloads [][]byte
+	var train []byte
 	for frame := 0; frame < 5; frame++ {
 		payload := bytes.Repeat([]byte{byte(frame)}, 100+frame*48)
-		cells, _ := Segment(vc, payload)
-		var got []byte
-		for _, c := range cells {
-			p, done, err := r.Push(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if done {
-				got = p
-			}
+		cells, _ := AppendCells(nil, vc, payload)
+		if _, got, done, err := r.PushWire(cells); err != nil || !done || !bytes.Equal(got, payload) {
+			t.Fatalf("frame %d: done=%v err=%v", frame, done, err)
 		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("frame %d corrupted", frame)
+		payloads = append(payloads, payload)
+		train = append(train, cells...)
+	}
+	for frame, payload := range payloads {
+		n, got, done, err := r.PushWire(train)
+		if err != nil || !done || !bytes.Equal(got, payload) {
+			t.Fatalf("train frame %d: done=%v err=%v", frame, done, err)
 		}
+		train = train[n:]
+	}
+	if len(train) != 0 {
+		t.Fatalf("%d octets of the train left over", len(train))
 	}
 }
 
-func TestQuickSegmentReassemble(t *testing.T) {
+func TestQuickSegmentReassemble(t *testing.T) { onPaths(t, testQuickSegmentReassemble) }
+
+func testQuickSegmentReassemble(t *testing.T) {
 	vc := VC{VPI: 3, VCI: 77}
 	f := func(payload []byte) bool {
 		if len(payload) > MaxPDU {
 			payload = payload[:MaxPDU]
 		}
-		cells, err := Segment(vc, payload)
+		cells, err := AppendCells(nil, vc, payload)
 		if err != nil {
 			return false
 		}
-		got, err := Reassemble(vc, cells)
+		got, err := reassembleTrain(vc, cells)
 		return err == nil && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -250,7 +321,9 @@ func TestQuickSegmentReassemble(t *testing.T) {
 	}
 }
 
-func TestQuickSingleBitFlipDetected(t *testing.T) {
+func TestQuickSingleBitFlipDetected(t *testing.T) { onPaths(t, testQuickSingleBitFlipDetected) }
+
+func testQuickSingleBitFlipDetected(t *testing.T) {
 	vc := VC{VCI: 4}
 	f := func(payload []byte, cellIdx, byteIdx, bitIdx uint8) bool {
 		if len(payload) == 0 {
@@ -259,14 +332,13 @@ func TestQuickSingleBitFlipDetected(t *testing.T) {
 		if len(payload) > 4096 {
 			payload = payload[:4096]
 		}
-		cells, err := Segment(vc, payload)
+		cells, err := AppendCells(nil, vc, payload)
 		if err != nil {
 			return false
 		}
-		ci := int(cellIdx) % len(cells)
-		bi := int(byteIdx) % PayloadSize
-		cells[ci].Payload[bi] ^= 1 << (bitIdx % 8)
-		_, err = Reassemble(vc, cells)
+		ci := int(cellIdx) % (len(cells) / CellSize)
+		flipPayloadBit(cells, ci, int(byteIdx)%PayloadSize, 1<<(bitIdx%8))
+		_, err = reassembleTrain(vc, cells)
 		return err != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -32,8 +32,9 @@ type Unit struct {
 	DstHost int
 	// VC is the ATM virtual channel; zero value for Ethernet frames.
 	VC atm.VC
-	// Payload carries the upper layer's unit (e.g. an atm.Cell or a
-	// message fragment descriptor).
+	// Payload carries the upper layer's unit (e.g. a pointer to a 53-octet
+	// wire cell, or a message fragment descriptor). A pointer boxes into
+	// the interface without an allocation.
 	Payload any
 }
 

@@ -94,11 +94,6 @@ type SimATM struct {
 	// the fabric).
 	blackhole atomic.Bool
 
-	// cellScratch is reused across Send calls: path.Send boxes each Cell
-	// by value, so the slice is dead the moment the drain loop finishes,
-	// before any park point is reached.
-	cellScratch []atm.Cell
-
 	cellsSent int64
 	msgsSent  int64
 	rxFrames  int64
@@ -187,20 +182,19 @@ func (a *SimATM) Send(t *mts.Thread, m *transport.Message) {
 		// Host copy into the mapped kernel buffer (holds the CPU).
 		a.node.Compute(t, time.Duration(len(chunk))*a.cfg.HostCopyPerByte)
 		// The NIC takes over: segment and clock cells onto the uplink.
-		// path.Send boxes each cell by value, so the scratch slice is
-		// free for reuse as soon as the drain loop ends.
-		cells, err := atm.SegmentInto(a.cellScratch[:0], vc, chunk)
+		// Each unit points at its cell in the chunk's wire buffer, so the
+		// buffer is fresh per chunk: cells in flight still read it.
+		cells, err := atm.AppendCells(nil, vc, chunk)
 		if err != nil {
 			panic("nic: segment: " + err.Error())
 		}
-		a.cellScratch = cells[:0]
 		var lastTx = a.eng.Now()
-		for ci := range cells {
+		for off := 0; off < len(cells); off += atm.CellSize {
 			lastTx = path.Send(netsim.Unit{
 				WireBytes: atm.CellSize,
 				DstHost:   int(m.To),
 				VC:        vc,
-				Payload:   cells[ci],
+				Payload:   (*[atm.CellSize]byte)(cells[off:]),
 			})
 			a.cellsSent++
 		}
@@ -251,25 +245,28 @@ func (a *SimATM) SetBlackhole(on bool) { a.blackhole.Store(on) }
 
 // deliverCell runs per arriving cell: the i960 reassembles AAL5 frames per
 // VC; completed frames feed the VC's chunk assembler, and a finished
-// message goes up to the handler.
+// message goes up to the handler. A cell reassembly rejects — a header
+// that fails HEC or names another VC, a frame whose CRC or length fails —
+// is counted and dropped, as udpatm drops it.
 func (a *SimATM) deliverCell(u netsim.Unit) {
 	if a.blackhole.Load() {
 		a.rxDropped++
 		return
 	}
-	cell, ok := u.Payload.(atm.Cell)
+	cell, ok := u.Payload.(*[atm.CellSize]byte)
 	if !ok {
 		panic("nic: foreign unit delivered to SimATM")
 	}
-	vc := cell.Header.VC()
+	vc := u.VC
 	r := a.reasm[vc]
 	if r == nil {
 		r = atm.NewReassembler(vc)
 		a.reasm[vc] = r
 	}
-	chunk, done, err := r.Push(cell)
+	_, chunk, done, err := r.PushWire(cell[:])
 	if err != nil {
-		panic("nic: reassembly: " + err.Error())
+		a.rxDropped++
+		return
 	}
 	if !done {
 		return
@@ -318,6 +315,8 @@ func (a *SimATM) deliverCell(u netsim.Unit) {
 	a.handler(m)
 }
 
-// RxDropped reports frames and messages discarded by fault injection or
-// loss-induced reassembly failure.
+// RxDropped reports what the adapter discarded: cells and frames AAL5
+// reassembly rejected (a header failing HEC, a CRC or length mismatch),
+// and frames and messages lost to fault injection or to loss-induced
+// reassembly failure.
 func (a *SimATM) RxDropped() int64 { return a.rxDropped }

@@ -183,6 +183,36 @@ func TestRecvSendCostArithmetic(t *testing.T) {
 	}
 }
 
+// TestSimATMDropsBadCells: a cell whose frame fails the AAL5 CRC and a cell
+// whose header fails HEC are counted in RxDropped and dropped, as udpatm
+// drops them, and the next message on the same VC still arrives.
+func TestSimATMDropsBadCells(t *testing.T) {
+	eng, nodes, eps := buildATMPair(4, 4096, 140e6)
+	var got *transport.Message
+	eps[1].SetHandler(func(m *transport.Message) { got = m })
+	vc := atm.VCFor(0, 1)
+	badCRC, _ := atm.AppendCells(nil, vc, []byte("one cell"))
+	badCRC[atm.HeaderSize] ^= 0x01
+	badHEC, _ := atm.AppendCells(nil, vc, []byte("one cell"))
+	badHEC[0] ^= 0x10
+	for _, cell := range [][]byte{badCRC, badHEC} {
+		eps[1].deliverCell(netsim.Unit{WireBytes: atm.CellSize, DstHost: 1, VC: vc, Payload: (*[atm.CellSize]byte)(cell)})
+	}
+	if d := eps[1].RxDropped(); d != 2 {
+		t.Fatalf("RxDropped = %d after two bad cells, want 2", d)
+	}
+	nodes[0].RT().Create("send", mts.PrioDefault, func(th *mts.Thread) {
+		eps[0].Send(th, &transport.Message{From: 0, To: 1, Tag: 9, Data: make([]byte, 3000)})
+	})
+	eng.Run()
+	if got == nil || got.Tag != 9 {
+		t.Fatalf("message after the bad cells not delivered: %+v", got)
+	}
+	if d := eps[1].RxDropped(); d != 2 {
+		t.Fatalf("RxDropped = %d after a clean message, want 2", d)
+	}
+}
+
 func TestChannelRidesOwnVC(t *testing.T) {
 	eng := sim.NewEngine()
 	net := netsim.NewATMLAN(eng, 2, netsim.ATMLANConfig{HostLinkBps: 140e6})
