@@ -52,10 +52,11 @@
 // goroutine hand-off per message rather than two. The scheduler in real
 // mode is no goroutine of its own: the thread that parks dispatches its
 // successor, or waits for the post itself (internal/mts). Which driver a
-// proc gets follows from its carrier: Mem and real TCP hand over raw frames
-// (transport.FrameCarrier) and get engine goroutines at lane counts above
-// one; udpatm, SimTCP and SimATM deliver decoded messages and get the
-// system-thread pair. Real TCP executes no socket write on a sending thread:
+// proc gets follows from its runtime and its carrier: Mem and real TCP hand
+// over raw frames (transport.FrameCarrier) and get engine goroutines at lane
+// counts above one — clock events instead when the runtime is virtual (a
+// sim node's, whose clock owns the timers and the CPU); udpatm, SimTCP and
+// SimATM deliver decoded messages and get the system-thread pair. Real TCP executes no socket write on a sending thread:
 // each connection has a transmit queue and a writer goroutine that puts
 // everything queued on the wire in one writev, and Send waits only at the
 // queue's high-water mark. Its frames arrive on the connection reader that
@@ -87,7 +88,7 @@
 //
 // The failure domain makes peer death a typed, bounded-latency event
 // rather than a hang: Config.Heartbeat arms a per-peer detector on the
-// channel-0 signaling band (all timers on the Config.After seam, so it
+// channel-0 signaling band (all timers on the runtime's After, so it
 // is deterministic under virtual time), and after Misses silent
 // intervals the peer is declared dead — every channel to it force-closes
 // through the drain machinery, parked sends, blocked receives, and

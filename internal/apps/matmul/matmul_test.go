@@ -13,7 +13,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tcpip"
 	"repro/internal/transport"
-	"repro/internal/work"
 )
 
 func TestMultiplyIdentity(t *testing.T) {
@@ -163,7 +162,7 @@ func TestSimModeElapsedPopulated(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		node := eng.NewNode(fmt.Sprintf("n%d", i))
 		ep := tcpip.NewSimTCP(node, net, i, cost)
-		procs[i] = p4.New(p4.Config{ID: p4.ProcID(i), RT: node.RT(), Endpoint: ep, Compute: work.Sim(node)})
+		procs[i] = p4.New(p4.Config{ID: p4.ProcID(i), RT: node.RT(), Endpoint: ep})
 	}
 	res := BuildP4(procs, Config{Dim: 16, Workers: 2, OpCost: time.Microsecond, Seed: 1})
 	eng.Run()

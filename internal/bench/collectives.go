@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mts"
 	"repro/internal/tcpip"
-	"repro/internal/work"
 )
 
 // The collectives experiment holds the logarithmic group operations'
@@ -46,8 +45,6 @@ func collectiveUs(op string, n, fanout, payload int) float64 {
 		procs[i] = core.New(core.Config{
 			ID: core.ProcID(i), RT: node.RT(),
 			Endpoint: tcpip.NewSimTCP(node, c.Net, i, pl.TCP),
-			Compute:  work.Sim(node),
-			After:    func(d time.Duration, fn func()) { c.Eng.Schedule(d, fn) },
 		})
 	}
 	members := groupMembers(n)

@@ -20,7 +20,6 @@ import (
 	"repro/internal/sonet"
 	"repro/internal/tcpip"
 	"repro/internal/trace"
-	"repro/internal/work"
 )
 
 // Platform models one of the paper's testbeds: the workstation class, the
@@ -166,7 +165,6 @@ func NewP4Cluster(pl Platform, n int, traced bool) (*Cluster, []*p4.Process) {
 			ID:       p4.ProcID(i),
 			RT:       node.RT(),
 			Endpoint: ep,
-			Compute:  work.Sim(node),
 			RecvCharge: func(t *mts.Thread, sz int) {
 				node.Compute(t, cost.RecvCost(sz))
 			},
@@ -195,10 +193,8 @@ func NewNCSCluster(pl Platform, n int, hsm bool, traced bool) (*Cluster, []*core
 	for i := 0; i < n; i++ {
 		node := c.Nodes[i]
 		cfg := core.Config{
-			ID:      core.ProcID(i),
-			RT:      node.RT(),
-			Compute: work.Sim(node),
-			After:   func(d time.Duration, fn func()) { c.Eng.Schedule(d, fn) },
+			ID: core.ProcID(i),
+			RT: node.RT(),
 		}
 		if hsm {
 			if !pl.ATM {

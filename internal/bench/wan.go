@@ -12,7 +12,6 @@ import (
 	"repro/internal/p4"
 	"repro/internal/sim"
 	"repro/internal/tcpip"
-	"repro/internal/work"
 )
 
 // The WAN experiment backs the paper's §3 motivation: "in wide area network
@@ -67,7 +66,6 @@ func WANSweep() []WANRow {
 			quantum := pl.PollQuantum
 			procs[i] = p4.New(p4.Config{
 				ID: p4.ProcID(i), RT: node.RT(), Endpoint: ep,
-				Compute: work.Sim(node),
 				RecvCharge: func(t *mts.Thread, sz int) {
 					node.Compute(t, cost.RecvCost(sz))
 				},
@@ -91,11 +89,9 @@ func WANSweep() []WANRow {
 			quantum := pl.PollQuantum
 			procs[i] = core.New(core.Config{
 				ID: core.ProcID(i), RT: node.RT(), Endpoint: ep,
-				Compute: work.Sim(node),
 				RecvCharge: func(t *mts.Thread, sz int) {
 					node.Compute(t, cost.RecvCost(sz))
 				},
-				After: func(d time.Duration, fn func()) { eng.Schedule(d, fn) },
 				ArrivalPollDelay: func() time.Duration {
 					if node.CPUActive() {
 						return 0

@@ -508,7 +508,7 @@ func (c *Channel) reopen() {
 // wrapTimer adapts a discipline timer callback to the channel's lane domain:
 // take the lane lock, run the callback, have whatever it queued serviced
 // (retransmissions, credit syncs), then drain the scheduler-domain
-// completions. Timer callbacks fire via Config.After, which is always a
+// completions. Timer callbacks fire via the runtime's After, always a
 // scheduler-domain context, so the drain is legal here. An error-control
 // give-up goes to the OnException observer, if any, after the unlock.
 func (c *Channel) wrapTimer(fn func() error) func() {

@@ -107,7 +107,7 @@ func buildChurnMesh(t *testing.T, n, cycles, msgs int, seed int64) *VirtualMesh 
 // TestChurnVirtual: 16 procs × 64 signaled calls each — 1024 full
 // open/transfer/close cycles — on the virtual-time mesh. Admission
 // pressure must produce typed rejections, every proc must quiesce with
-// zero leaked lifecycle state (including the VirtualTime-only timer and
+// zero leaked lifecycle state (including the virtual-only timer and
 // ring balances), and a second run from the same seed must reproduce the
 // timeline hash bit for bit.
 func TestChurnVirtual(t *testing.T) {

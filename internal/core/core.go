@@ -40,8 +40,8 @@
 // (drr.go), a per-lane flush wheel, demultiplexing and the scheduler-domain
 // drain — and every Proc runs it over at least one lane. What varies is the
 // lane's execution vehicle, its engineDriver, which New selects per Proc from
-// the carrier's capabilities and the hooks already in Config (there is nothing
-// to set):
+// the runtime's clock, the carrier's capabilities and the hooks already in
+// Config (there is nothing to set):
 //
 //   - Thread driver: the paper's exact model (§4, Figure 8) — one send and
 //     one receive system thread at top priority over a single lane. NCS_send
@@ -50,21 +50,23 @@
 //     be: a resolved lane count of 1 (the GOMAXPROCS=1 default), a carrier
 //     that is no transport.FrameCarrier (udpatm, SimTCP, SimATM), or a hook
 //     that assumes protocol work happens on a scheduler thread (RecvCharge,
-//     ArrivalPollDelay, a custom After without VirtualTime — the cost-model
-//     sim harnesses).
+//     ArrivalPollDelay — the cost-model sim harnesses).
 //   - Goroutine driver: each lane engine is a goroutine; senders service
 //     their lane inline, the delivering goroutine may run a short frame's
-//     receive pass itself; timers are whatever Config.After supplies (the
+//     receive pass itself; timers are the runtime's (Runtime.After; the
 //     package itself never touches the wall clock). Selected at lane counts
-//     above one on a frame carrier (Mem, real TCP). On real TCP the inline
-//     service ends at a connection's transmit queue: the carrier's writer
-//     goroutine executes the socket write, so the thread holding the proc's
-//     CPU token never spends it in the kernel's transmit path — the send
-//     blocks only the calling thread, never the process — and stands still
-//     only at that queue's high-water mark (lane.go, "Lock order").
-//   - Virtual driver (Config.VirtualTime, requires Config.After): the lane
-//     engines run as event callbacks on a discrete-event engine's clock — no
-//     lane goroutines at all. Events and the threads they dispatch execute
+//     above one on a frame carrier (Mem, real TCP) under a real-time
+//     runtime. On real TCP the inline service ends at a connection's
+//     transmit queue: the carrier's writer goroutine executes the socket
+//     write, so the thread holding the proc's CPU token never spends it in
+//     the kernel's transmit path — the send blocks only the calling thread,
+//     never the process — and stands still only at that queue's high-water
+//     mark (lane.go, "Lock order").
+//   - Virtual driver: the goroutine driver's place when the runtime is
+//     virtual (Runtime.Virtual: a sim node's runtime, whose clock is the
+//     node). The lane engines run as event callbacks on the discrete-event
+//     engine's clock — no lane goroutines at all, and every timer is an
+//     engine event too. Events and the threads they dispatch execute
 //     strictly one at a time in the engine's goroutine, ordered by the event
 //     queue's (time, seq) heap, so a run is deterministic: the same workload
 //     and seed reproduce the timeline byte for byte. Code in this package
@@ -96,7 +98,6 @@ import (
 	"repro/internal/mts"
 	"repro/internal/trace"
 	"repro/internal/transport"
-	"repro/internal/work"
 )
 
 // ProcID aliases the transport process identifier.
@@ -126,8 +127,6 @@ type Config struct {
 	RT *mts.Runtime
 	// Endpoint carries messages (SimTCP, SimATM, Mem, UDP).
 	Endpoint transport.Endpoint
-	// Compute executes application work (sim: charge cost; real: run fn).
-	Compute work.Compute
 	// RecvCharge, if set, is the host CPU cost of moving an n-byte message
 	// from the protocol stack to the application, charged at consume time.
 	RecvCharge func(t *mts.Thread, n int)
@@ -136,19 +135,6 @@ type Config struct {
 	Flow FlowControl
 	// Error selects the error-control discipline (nil = NoErrorControl).
 	Error ErrorControl
-	// After schedules fn after a delay in the scheduler domain; retransmit
-	// and rate timers use it. Defaults to RT.After (real time). Sim
-	// harnesses must pass the engine's virtual timer.
-	After func(d time.Duration, fn func())
-	// VirtualTime declares that the proc executes on a discrete-event loop:
-	// After is the simulation engine's virtual timer and every internal
-	// engine (lane steps, drain hand-offs) must ride
-	// it as clock events instead of goroutines, tickers, or Runtime.Post.
-	// This is what lets ring-fed lane engines run under a sim harness —
-	// N procs on one shared clock with a deterministic timeline — instead
-	// of falling back to the thread driver. Requires After; NewVirtualMesh
-	// sets both.
-	VirtualTime bool
 	// ArrivalPollDelay models Approach 1's receive discovery latency: the
 	// NCS receive system thread polls p4 underneath (§4.2 — NCS_recv is
 	// built on p4_messages_available/p4_recv), so a message that arrives
@@ -166,14 +152,13 @@ type Config struct {
 	// SendLanes and RecvLanes ask for a lane count (see lane.go): 0 defaults
 	// to min(GOMAXPROCS, 4), and the larger of the two resolved values is
 	// the count (each lane is a combined send/recv engine, run by its own
-	// goroutine or, under VirtualTime, as clock events). A resolved count
+	// goroutine or, on a virtual runtime, as clock events). A resolved count
 	// of 1 — always the case on a single-core GOMAXPROCS — builds one lane
 	// under the thread driver: the paper's two system threads, exactly. So
 	// does any count on an endpoint that is no transport.FrameCarrier (Mem,
 	// real TCP and SimMesh are; udpatm, SimTCP and SimATM are not), and any
 	// count beside a hook that assumes the protocol runs on a scheduler
-	// thread (RecvCharge, ArrivalPollDelay, a custom After without
-	// VirtualTime — the cost-model sim harnesses).
+	// thread (RecvCharge, ArrivalPollDelay — the cost-model sim harnesses).
 	SendLanes int
 	RecvLanes int
 	// Admission judges incoming signaled call setups (Proc.OpenCall at the
@@ -191,8 +176,8 @@ type Config struct {
 	// intervals, declares the peer dead — force-closing every channel to it
 	// and failing blocked senders, receivers, and collectives with the
 	// typed *PeerDeadError. Interval 0 disables detection (the default).
-	// All timers ride Config.After, so detection is deterministic under a
-	// VirtualTime mesh.
+	// All timers ride the runtime's After, so detection is deterministic on
+	// a virtual mesh.
 	Heartbeat Heartbeat
 }
 
@@ -239,6 +224,10 @@ type recvWaiter struct {
 // Proc is one NCS process.
 type Proc struct {
 	cfg Config
+	// after is the runtime's timer (Runtime.After), which retransmit, rate,
+	// flush and heartbeat timers ride; on a virtual runtime it also counts
+	// every arm and fire for Leaks.
+	after func(d time.Duration, fn func())
 
 	// store holds delivered-but-unclaimed data messages.
 	store   []*transport.Message
@@ -331,27 +320,16 @@ func New(cfg Config) *Proc {
 	if cfg.Endpoint.Proc() != cfg.ID {
 		panic(fmt.Sprintf("core: id %d != endpoint proc %d", cfg.ID, cfg.Endpoint.Proc()))
 	}
-	if cfg.Compute == nil {
-		cfg.Compute = work.Real()
-	}
-	customAfter := cfg.After != nil
-	if cfg.VirtualTime && !customAfter {
-		panic("core: VirtualTime requires Config.After (the engine's virtual timer)")
-	}
-	if cfg.After == nil {
-		cfg.After = cfg.RT.After
-	}
-	p := &Proc{cfg: cfg}
-	if cfg.VirtualTime {
+	p := &Proc{cfg: cfg, after: cfg.RT.After}
+	if cfg.RT.Virtual() {
 		// Virtual-time runs assert exact timer balance at quiesce
-		// (Proc.Leaks): wrap the injected timer so every arm and fire is
+		// (Proc.Leaks): wrap the runtime's timer so every arm and fire is
 		// counted. Real mode skips the wrap — the closure costs
 		// allocations the alloc-pinned hot paths cannot afford, and
 		// wall-clock timers legitimately outlive a sampling instant.
-		base := p.cfg.After
-		p.cfg.After = func(d time.Duration, fn func()) {
+		p.after = func(d time.Duration, fn func()) {
 			p.statTimersArmed.Add(1)
-			base(d, func() {
+			cfg.RT.After(d, func() {
 				p.statTimersFired.Add(1)
 				fn()
 			})
@@ -360,17 +338,16 @@ func New(cfg Config) *Proc {
 	// Ring-fed lane engines run outside the scheduler's threads, so they
 	// engage only when that is transparent: more than one resolved lane, a
 	// frame-capable carrier, and none of the hooks that assume all protocol
-	// work happens on a scheduler thread (receive charging, arrival polls). A
-	// custom After hook normally means a cost-model sim harness, unless the
-	// harness declares VirtualTime — then the lanes themselves run as events
-	// on that timer. Everything else gets one lane under the thread driver
-	// (see engineDriver in lane.go).
+	// work happens on a scheduler thread (receive charging, arrival polls).
+	// On a virtual runtime the lanes run as events on its clock. Everything
+	// else gets one lane under the thread driver (see engineDriver in
+	// lane.go).
 	lanes := resolveLanes(cfg.SendLanes)
 	if r := resolveLanes(cfg.RecvLanes); r > lanes {
 		lanes = r
 	}
 	fc, frames := cfg.Endpoint.(transport.FrameCarrier)
-	if lanes > 1 && frames && cfg.RecvCharge == nil && cfg.ArrivalPollDelay == nil && (!customAfter || cfg.VirtualTime) {
+	if lanes > 1 && frames && cfg.RecvCharge == nil && cfg.ArrivalPollDelay == nil {
 		p.initLanes(lanes, fc)
 	} else {
 		p.initThreadLane()
@@ -838,11 +815,12 @@ func (p *Proc) dispatchData(rt *mts.Thread, m *transport.Message) {
 // ---------------------------------------------------------------------------
 // Thread utilities
 
-// Compute runs application work through the mode hook, tracing it as
+// Compute runs application work in the runtime's mode (mts.Thread.Compute:
+// a virtual runtime charges cost, a real one runs fn), tracing it as
 // computation.
 func (t *Thread) Compute(cost time.Duration, fn func()) {
 	t.proc.traceThread(t, trace.Compute)
-	t.proc.cfg.Compute(t.mt, cost, fn)
+	t.mt.Compute(cost, fn)
 }
 
 // Yield is the paper's voluntary context switch.

@@ -11,7 +11,6 @@ import (
 	"repro/internal/tcpip"
 	"repro/internal/transport"
 	"repro/internal/vclock"
-	"repro/internal/work"
 )
 
 // simCluster builds n NCS processes over simulated TCP on a switched ATM
@@ -35,13 +34,11 @@ func simCluster(t *testing.T, n int, mk func(i int) (FlowControl, ErrorControl))
 			ID:       ProcID(i),
 			RT:       node.RT(),
 			Endpoint: ep,
-			Compute:  work.Sim(node),
 			RecvCharge: func(mt *mts.Thread, sz int) {
 				node.Compute(mt, cost.RecvCost(sz))
 			},
 			Flow:  fc,
 			Error: ec,
-			After: func(d time.Duration, fn func()) { eng.Schedule(d, fn) },
 		})
 	}
 	return eng, procs

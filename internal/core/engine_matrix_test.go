@@ -12,7 +12,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tcpip"
 	"repro/internal/transport"
-	"repro/internal/work"
 )
 
 // One protocol body, three drivers: every scenario below runs the same
@@ -113,9 +112,7 @@ func simtcpEnv(t *testing.T, n int, opt matrixOpt) *matrixCluster {
 		node := eng.NewNode(fmt.Sprintf("node%d", i))
 		cl.procs = append(cl.procs, New(Config{
 			ID: ProcID(i), RT: node.RT(), Endpoint: tcpip.NewSimTCP(node, net, i, cost),
-			Compute:    work.Sim(node),
 			RecvCharge: func(mt *mts.Thread, sz int) { node.Compute(mt, cost.RecvCost(sz)) },
-			After:      func(d time.Duration, fn func()) { eng.Schedule(d, fn) },
 			Flow:       opt.flow, Error: opt.errc, OnAccept: opt.onAccept, Heartbeat: opt.heartbeat,
 			SendLanes: 4, RecvLanes: 4, // the carrier decides, not the count
 		}))

@@ -231,7 +231,7 @@ func (g *GoBackN) armTimer() {
 	}
 	g.timerOn = true
 	g.progress = false
-	g.p.cfg.After(g.Timeout, g.fireFn)
+	g.p.after(g.Timeout, g.fireFn)
 }
 
 // timerFire returns a give-up report past MaxRetries (wrapTimer hands it on).

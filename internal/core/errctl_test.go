@@ -10,7 +10,6 @@ import (
 	"repro/internal/nic"
 	"repro/internal/sim"
 	"repro/internal/transport"
-	"repro/internal/work"
 )
 
 // TestGoBackNTimerMeasuresTimeWithoutProgress: a loss-free windowed stream
@@ -59,8 +58,10 @@ func TestGoBackNTimerMeasuresTimeWithoutProgress(t *testing.T) {
 // error-control discipline at zero allocations. One round is a 4 KB Send, its
 // RecvInto, the flush timer that carries the ack back and the discipline's
 // own timer firing: the retained copy, its bytes, the window's slide and the
-// timer callbacks all come from what the ack path gave back. Timers run on a test clock (fire everything armed, once per
-// round), because the real one allocates per arm.
+// timer callbacks all come from what the ack path gave back. Timers run on a
+// test clock swapped in for the runtime's (fire everything armed, once per
+// round), because the real one allocates per arm. One lane: the thread
+// driver, whose send and receive threads the rounds step.
 func TestErrorControlSendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool is leaky under the race detector; Mem's frames come from one")
@@ -72,7 +73,8 @@ func TestErrorControlSendAllocs(t *testing.T) {
 		after := func(_ time.Duration, fn func()) { armed = append(armed, fn) }
 		procs := [2]*Proc{}
 		for i := range procs {
-			procs[i] = New(Config{ID: ProcID(i), RT: rt, Endpoint: mem.Attach(ProcID(i), rt), After: after})
+			procs[i] = New(Config{ID: ProcID(i), RT: rt, Endpoint: mem.Attach(ProcID(i), rt), SendLanes: 1, RecvLanes: 1})
+			procs[i].after = after
 		}
 		cfg := func() ChannelConfig { return ChannelConfig{ID: 1, Flow: NewWindowFlow(8), Error: mk()} }
 		tx, rx := procs[0].Open(1, cfg()), procs[1].Open(0, cfg())
@@ -155,7 +157,10 @@ func TestErrorControlSendAllocs(t *testing.T) {
 
 // TestGoBackNOverLossyATM runs NCS error control above the raw ATM-API
 // path with adapter-level frame drops: the scenario the paper's error
-// control thread exists for (no TCP underneath to retransmit).
+// control thread exists for (no TCP underneath to retransmit). The procs
+// are built with no timer or compute wiring: a sim node's runtime is
+// virtual, so go-back-N's retransmit timer and the receiver's modeled
+// compute both ride the engine's clock.
 func TestGoBackNOverLossyATM(t *testing.T) {
 	eng := sim.NewEngine()
 	eng.SetMaxTime(time.Hour)
@@ -182,13 +187,13 @@ func TestGoBackNOverLossyATM(t *testing.T) {
 			ID:       ProcID(i),
 			RT:       node.RT(),
 			Endpoint: a,
-			Compute:  work.Sim(node),
 			Error:    NewGoBackN(4, 5*time.Millisecond),
-			After:    func(d time.Duration, fn func()) { eng.Schedule(d, fn) },
 		})
 	}
 	const msgs = 12
+	const burst = time.Millisecond
 	var got []int
+	var computed time.Duration
 	procs[0].TCreate("sender", mts.PrioDefault, func(th *Thread) {
 		for k := 0; k < msgs; k++ {
 			// Multi-chunk messages so drops hit interior frames too.
@@ -202,10 +207,18 @@ func TestGoBackNOverLossyATM(t *testing.T) {
 			data, _ := th.Recv(Any, Any)
 			got = append(got, int(data[0]))
 		}
+		start := eng.Now()
+		th.Compute(burst, func() { t.Error("modeled compute ran its real work") })
+		computed = eng.Now().Sub(start)
 	})
 	eng.Run()
 	if len(got) != msgs {
 		t.Fatalf("delivered %d of %d", len(got), msgs)
+	}
+	// The burst holds the CPU for its length; the system threads' own
+	// charges may run before the thread resumes, never inside the burst.
+	if computed < burst {
+		t.Errorf("a %v compute burst advanced virtual time by %v", burst, computed)
 	}
 	for i, v := range got {
 		if v != i {

@@ -14,8 +14,8 @@ import (
 //   - Detection: a heartbeat failure detector (Config.Heartbeat) rides the
 //     channel-0 signaling band. Every Interval the proc pings each peer it
 //     has channels to; a peer silent for Misses consecutive intervals is
-//     declared DEAD. All timers ride Config.After, so detection is
-//     deterministic under a VirtualTime mesh.
+//     declared DEAD. All timers ride the runtime's After, so detection is
+//     deterministic on a virtual mesh.
 //   - Teardown: peerDead steps every channel to the dead peer through the
 //     lifecycle table's peer-dead event (signal.go) — parked sends fail, error-
 //     control windows abandon instead of retransmitting into the void, VC
@@ -99,9 +99,9 @@ func (p *Proc) startHeartbeat() {
 			return
 		}
 		p.heartbeatTick()
-		p.cfg.After(hb.Interval, tick)
+		p.after(hb.Interval, tick)
 	}
-	p.cfg.After(hb.Interval, tick)
+	p.after(hb.Interval, tick)
 }
 
 // heartbeatTick is one detector pass: for every peer this proc currently

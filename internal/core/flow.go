@@ -82,10 +82,10 @@ const DefaultWindowSyncInterval = 50 * time.Millisecond
 // every tagFlowAck payload. Credits are therefore idempotent and
 // self-superseding: any later advertisement carries everything a lost one
 // did, and wire.SeqNewer ordering makes duplicates and reorderings
-// harmless. A periodic window-sync timer (cfg.After, so it ticks under
-// both real and virtual clocks) re-advertises the count on idle channels,
-// recovering even a lost *final* credit that no further delivery would
-// ever repair.
+// harmless. A periodic window-sync timer (the runtime's After, so it ticks
+// under both real and virtual clocks) re-advertises the count on idle
+// channels, recovering even a lost *final* credit that no further delivery
+// would ever repair.
 //
 // Flow control recovers lost credits, not lost data: a data message the
 // carrier eats is the error-control tier's to retransmit (compose with
@@ -251,7 +251,7 @@ func (w *WindowFlow) armSync() {
 		return
 	}
 	w.syncOn = true
-	w.c.p.cfg.After(w.SyncInterval, w.syncFn)
+	w.c.p.after(w.SyncInterval, w.syncFn)
 }
 
 // syncFire is the window-sync timer: re-advertise the cumulative count so
@@ -370,7 +370,7 @@ func (r *RateFlow) admit(m *transport.Message) bool {
 			wait = time.Microsecond
 		}
 		r.timerOn = true
-		r.c.p.cfg.After(wait, r.fireFn)
+		r.c.p.after(wait, r.fireFn)
 	}
 	return false
 }

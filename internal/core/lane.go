@@ -256,12 +256,12 @@ type lane struct {
 // event callbacks scheduled on the discrete-event loop's vclock heap, so a
 // whole mesh of procs shares one deterministic clock; the thread driver runs
 // one lane from the paper's two mts system threads. New picks: goroutine or
-// virtual (Config.VirtualTime) when more than one lane is resolved, the
+// virtual (Runtime.Virtual) when more than one lane is resolved, the
 // carrier is a transport.FrameCarrier and no hook in Config assumes the
-// protocol runs on a scheduler thread (RecvCharge, ArrivalPollDelay, a custom
-// After without VirtualTime); the thread driver otherwise. The per-lane
-// kick() is the hot-path half of the seam: producers call it after every ring
-// push, and it compiles down to a single nil check in real mode.
+// protocol runs on a scheduler thread (RecvCharge, ArrivalPollDelay); the
+// thread driver otherwise. The per-lane kick() is the hot-path half of the
+// seam: producers call it after every ring push, and it compiles down to a
+// single nil check in real mode.
 
 type engineDriver interface {
 	// start launches (goroutine: from laneLoop, on the runtime's first
@@ -292,15 +292,13 @@ func (goroutineDriver) stop(p *Proc) {
 // post is Runtime.Post: fn runs between dispatches.
 func (goroutineDriver) post(p *Proc, fn func()) { p.cfg.RT.Post(fn) }
 
-// virtualDriver runs lane engines as events on the injected Clock: a kick
+// virtualDriver runs lane engines as events on the runtime's clock: a kick
 // schedules one zero-delay step on the vclock heap, and the step body runs
 // in the simulation engine's single goroutine. No lane goroutines exist, so
 // every lane mutex is uncontended and execution order is fully determined
 // by the event queue's (time, seq) order — the determinism contract of
-// core.NewVirtualMesh.
-type virtualDriver struct {
-	after func(d time.Duration, fn func())
-}
+// core.NewVirtualMesh. Its events ride Proc.after, so Leaks counts them.
+type virtualDriver struct{}
 
 func (d *virtualDriver) start(ln *lane) {
 	ln.vd = d
@@ -314,7 +312,7 @@ func (d *virtualDriver) stop(p *Proc) {
 
 // post is a zero-delay clock event: nothing ever drains the Post queue
 // under a virtual-time loop — the sim engine only Dispatches.
-func (d *virtualDriver) post(p *Proc, fn func()) { d.after(0, fn) }
+func (d *virtualDriver) post(p *Proc, fn func()) { p.after(0, fn) }
 
 // threadDriver is the paper's own execution vehicle (§4, Figure 8): one send
 // and one receive system thread at top priority, over a single lane. It is
@@ -425,7 +423,7 @@ func (d *threadDriver) deliver(m *transport.Message) {
 			// underlying p4 poll would notice it. An earlier wake (a
 			// later arrival during compute, or a natural switch) finds
 			// this message too — polls inspect the whole queue.
-			p.cfg.After(delay, func() { p.wakeIfIdle(d.recv, "recv idle") })
+			p.after(delay, func() { p.wakeIfIdle(d.recv, "recv idle") })
 			return
 		}
 	}
@@ -460,7 +458,7 @@ func (d *threadDriver) recvLoop(rt *mts.Thread) {
 // so this is one predictable branch on the hot path.
 func (ln *lane) kick() {
 	if ln.vd != nil && ln.stepArmed.CompareAndSwap(false, true) {
-		ln.vd.after(0, ln.stepFn)
+		ln.p.after(0, ln.stepFn)
 	}
 }
 
@@ -656,9 +654,9 @@ func (p *Proc) initLanes(n int, fc transport.FrameCarrier) {
 	}
 	fc.SetFrameHandler(p.routeFrame)
 	p.laneThread = p.cfg.RT.Create(fmt.Sprintf("ncs%d-lanes", p.cfg.ID), mts.PrioSystem, p.laneLoop)
-	if p.cfg.VirtualTime {
+	if p.cfg.RT.Virtual() {
 		// A step event has to be wired before the first frame can arrive.
-		p.laneDriver = &virtualDriver{after: p.cfg.After}
+		p.laneDriver = &virtualDriver{}
 		p.startEngines()
 	} else {
 		// Goroutines can wait until the runtime first runs the lanes'
@@ -1043,10 +1041,10 @@ func (ln *lane) armWheelLocked() {
 	}
 	ln.wheelOn = true
 	ln.p.flushTimers.Add(1)
-	ln.p.cfg.After(d, ln.wheelFn)
+	ln.p.after(d, ln.wheelFn)
 }
 
-// wheelFire is the lane flush wheel (scheduler domain, via Config.After):
+// wheelFire is the lane flush wheel (scheduler domain, via Runtime.After):
 // every channel whose piggyback window expired flushes standalone whatever
 // control no data frame of its own carried while the window ran.
 func (ln *lane) wheelFire() {
@@ -1409,7 +1407,7 @@ func (p *Proc) mayShutdown() bool {
 // somebody has to keep the runtime alive for them; the thread driver's send
 // and receive threads do that for themselves.
 func (p *Proc) laneLoop(st *mts.Thread) {
-	if !p.cfg.VirtualTime {
+	if !p.cfg.RT.Virtual() {
 		p.startEngines()
 	}
 	for !p.mayShutdown() {

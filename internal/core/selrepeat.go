@@ -111,7 +111,7 @@ func (s *SelectiveRepeat) admit(m *transport.Message) {
 
 func (s *SelectiveRepeat) armTimer(seq uint32) {
 	s.timers.Push(seq)
-	s.p.cfg.After(s.Timeout, s.fireFn)
+	s.p.after(s.Timeout, s.fireFn)
 }
 
 // timerFire returns a give-up report past MaxRetries (wrapTimer hands it on).

@@ -38,8 +38,8 @@ import (
 // drain. Every transition is balance-counted (channels opened == closed, VCs
 // bound == released, ...) so churn scenarios can assert zero leaked state;
 // see Proc.Lifecycle and Proc.Leaks. Everything here runs in the scheduler
-// domain — frames arrive through the lane drain, timers ride Config.After —
-// so it is deterministic under a VirtualTime mesh, and only Channel.state,
+// domain — frames arrive through the lane drain, timers ride the runtime's
+// After — so it is deterministic on a virtual mesh, and only Channel.state,
 // which lane engines read, needs to be atomic.
 
 // Signaling control tags (continuing the reserved negative tag space of
@@ -241,7 +241,7 @@ func (p *Proc) sigStep(c *Channel, ev sigEvent, cause CallCause) {
 // and RELEASE retries and the drain poll.
 func (p *Proc) sigAfter(c *Channel, d time.Duration, fn func()) {
 	st, at := c.state.Load(), c.attempt
-	p.cfg.After(d, func() {
+	p.after(d, func() {
 		if c.state.Load() == st && c.attempt == at {
 			fn()
 		}
@@ -384,7 +384,7 @@ type CallConfig struct {
 // AdmissionPolicy is the callee-side seam judging incoming SETUPs; a nil
 // Config.Admission admits everything. Admit runs in the callee's scheduler
 // domain, so implementations need no locking; now is the scheduler clock
-// (virtual under a VirtualTime mesh), injected so policies never touch the
+// (virtual on a virtual mesh), injected so policies never touch the
 // wall clock. Admit returning false rejects the call with the given cause
 // (CauseNone maps to CauseAdmissionDenied).
 type AdmissionPolicy interface {
@@ -939,8 +939,8 @@ type LifecycleStats struct {
 	SetupsSent, SetupsAccepted, SetupsRejected, SetupRetries int64
 	// VCsBound / VCsReleased count per-call VC route installs/removals.
 	VCsBound, VCsReleased int64
-	// TimersArmed / TimersFired count every Config.After scheduling and
-	// firing (VirtualTime procs only; zero in real mode).
+	// TimersArmed / TimersFired count every timer the proc schedules on its
+	// runtime and every firing (virtual runtimes only; zero in real mode).
 	TimersArmed, TimersFired int64
 	// RingPushed / RingDrained count lane MPSC ring entries (zero under the
 	// thread driver, which has no ring).
@@ -993,8 +993,8 @@ func (p *Proc) Lifecycle() LifecycleStats {
 }
 
 // Leaks reports every unbalanced lifecycle counter at quiesce (empty =
-// nothing leaked). The timer and ring balances are asserted only under
-// VirtualTime, where quiesce is exact: a real-mode proc may legitimately
+// nothing leaked). The timer and ring balances are asserted only on a
+// virtual runtime, where quiesce is exact: a real-mode proc may legitimately
 // hold armed wall-clock timers and in-transit ring entries at any sampling
 // instant.
 func (p *Proc) Leaks() []string {
@@ -1006,7 +1006,7 @@ func (p *Proc) Leaks() []string {
 	if st.VCsBound != st.VCsReleased {
 		leaks = append(leaks, fmt.Sprintf("VCs bound %d != released %d", st.VCsBound, st.VCsReleased))
 	}
-	if p.cfg.VirtualTime {
+	if p.cfg.RT.Virtual() {
 		if st.TimersArmed != st.TimersFired {
 			leaks = append(leaks, fmt.Sprintf("timers armed %d != fired %d", st.TimersArmed, st.TimersFired))
 		}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/nic"
 	"repro/internal/sim"
 	"repro/internal/transport"
-	"repro/internal/work"
 )
 
 // sigCluster builds n real-mode procs over mem with a per-proc Config hook
@@ -351,8 +350,6 @@ func TestSignaledCallOverSimATM(t *testing.T) {
 			ID:       ProcID(i),
 			RT:       node.RT(),
 			Endpoint: a,
-			Compute:  work.Sim(node),
-			After:    func(d time.Duration, fn func()) { eng.Schedule(d, fn) },
 		}
 		if i == 1 {
 			cfg.OnAccept = serveCalls(msgs)

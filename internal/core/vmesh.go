@@ -9,16 +9,16 @@ import (
 	"repro/internal/sim"
 	"repro/internal/sonet"
 	"repro/internal/transport"
-	"repro/internal/work"
 )
 
 // This file is the virtual-time mesh harness: N procs — several lanes, DRR,
 // piggybacked control and all — executing on one discrete-event loop
 // with a shared clock. It is how the modeled scaling results at N ∈ {64,
-// 256, 1024} are produced: lane engines run as vclock events (Config.
-// VirtualTime + the engineDriver seam in lane.go), frames travel as
-// cost-model events on a frame-granular NYNET fabric (netsim.NewFrameMesh
-// via transport.SimMesh), and every timer rides the engine's virtual timer.
+// 256, 1024} are produced: lane engines run as vclock events (each node's
+// runtime is virtual, and the engineDriver seam in lane.go picks the virtual
+// driver), frames travel as cost-model events on a frame-granular NYNET
+// fabric (netsim.NewFrameMesh via transport.SimMesh), and every timer rides
+// the engine's virtual timer.
 //
 // Determinism contract: a virtual mesh has no lane goroutines — events and
 // the threads they dispatch execute strictly one at a time in the engine's
@@ -100,23 +100,19 @@ func NewVirtualMesh(n int, seed int64, cfg VirtualMeshConfig) *VirtualMesh {
 	fabric := netsim.NewFrameMesh(eng, n, net)
 	mesh := transport.NewSimMesh(fabric)
 	vm := &VirtualMesh{Eng: eng, Net: fabric, Seed: seed}
-	after := func(d time.Duration, fn func()) { eng.Schedule(d, fn) }
 	for i := 0; i < n; i++ {
 		node := eng.NewNode(fmt.Sprintf("vp%d", i))
 		p := New(Config{
-			ID:          ProcID(i),
-			RT:          node.RT(),
-			Endpoint:    mesh.Attach(i),
-			Compute:     work.Sim(node),
-			After:       after,
-			VirtualTime: true,
-			SendLanes:   lanes,
-			RecvLanes:   lanes,
-			Flow:        cfg.Flow,
-			Error:       cfg.Error,
-			Admission:   cfg.Admission,
-			OnAccept:    cfg.OnAccept,
-			Heartbeat:   cfg.Heartbeat,
+			ID:        ProcID(i),
+			RT:        node.RT(),
+			Endpoint:  mesh.Attach(i),
+			SendLanes: lanes,
+			RecvLanes: lanes,
+			Flow:      cfg.Flow,
+			Error:     cfg.Error,
+			Admission: cfg.Admission,
+			OnAccept:  cfg.OnAccept,
+			Heartbeat: cfg.Heartbeat,
 		})
 		vm.Nodes = append(vm.Nodes, node)
 		vm.Procs = append(vm.Procs, p)

@@ -43,7 +43,9 @@
 //   - Dispatch()/DispatchThread(): single-step primitives used by the
 //     discrete-event simulation engine (internal/sim), which interleaves
 //     thread execution with virtual-time network events. The caller holds the
-//     token between steps; a parking thread hands it straight back.
+//     token between steps; a parking thread hands it straight back. Such a
+//     runtime is virtual: its Clock is a Platform (the sim node), which also
+//     owns its timers (After) and its CPU (Thread.Compute).
 //
 // The two drivers share the switch accounting and must not be mixed on one
 // Runtime at the same time.
@@ -161,7 +163,9 @@ func (t *Thread) BlockReason() string { return t.blockReason }
 type Config struct {
 	// Name labels the runtime in panics and dumps (e.g. "node3").
 	Name string
-	// Clock supplies time; defaults to a RealClock.
+	// Clock supplies time; defaults to a RealClock. A Clock that is also a
+	// Platform makes the runtime virtual: its timers and its CPU are the
+	// platform's (see Platform).
 	Clock vclock.Clock
 	// IdleTimeout bounds how long Run sleeps with every thread blocked and
 	// nothing posted. A watchdog looks once per IdleTimeout and reports a
@@ -174,11 +178,27 @@ type Config struct {
 	OnSwitch func(t *Thread)
 }
 
+// Platform is the machine a virtual runtime runs on: a discrete-event
+// workstation (internal/sim's Node) that supplies the runtime's clock, its
+// timers and its CPU. A runtime whose Config.Clock is a Platform runs in
+// virtual time: After schedules on the platform, and Thread.Compute charges
+// the platform's CPU instead of running the work.
+type Platform interface {
+	vclock.Clock
+	// After runs fn once d has elapsed on the platform's clock, in the
+	// goroutine that drives the platform (the scheduler domain).
+	After(d time.Duration, fn func())
+	// Compute holds the platform's CPU for d on behalf of t, the current
+	// thread, and returns when the burst is over.
+	Compute(t *Thread, d time.Duration)
+}
+
 // Runtime is the per-process scheduler: the paper's "run-time system" that
 // realizes threads within a conventional process.
 type Runtime struct {
-	name  string
-	clock vclock.Clock
+	name     string
+	clock    vclock.Clock
+	platform Platform // nil for a real-time runtime
 
 	ready   [NumPriorities]list.List
 	blocked list.List
@@ -234,9 +254,11 @@ func New(cfg Config) *Runtime {
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.NewRealClock()
 	}
+	platform, _ := cfg.Clock.(Platform)
 	rt := &Runtime{
 		name:        cfg.Name,
 		clock:       cfg.Clock,
+		platform:    platform,
 		parked:      make(chan struct{}, 1),
 		done:        make(chan string, 1),
 		wake:        make(chan bool, 1),
@@ -254,6 +276,10 @@ func (rt *Runtime) Clock() vclock.Clock { return rt.clock }
 
 // Now is shorthand for Clock().Now().
 func (rt *Runtime) Now() vclock.Time { return rt.clock.Now() }
+
+// Virtual reports whether the runtime runs in virtual time: its Clock is a
+// Platform, which owns its timers and its CPU.
+func (rt *Runtime) Virtual() bool { return rt.platform != nil }
 
 // Switches returns the number of context switches performed.
 func (rt *Runtime) Switches() int { return rt.switches }
@@ -531,8 +557,9 @@ func (rt *Runtime) Unblock(t *Thread, front bool) bool {
 // and one that waited for queue space while that thread held the CPU would
 // deadlock the process. What bounds the queue is its producers: a carrier
 // posts one drain per batch of arrivals and waits at its own cap
-// (transport.Inbox), a lane one drain at a time. In sim mode, the engine
-// never needs Post because events already fire in its goroutine.
+// (transport.Inbox), a lane one drain at a time. A virtual runtime's timers
+// fire in the platform's goroutine, which drives the runtime itself, so
+// they never Post.
 func (rt *Runtime) Post(fn func()) {
 	rt.postMu.Lock()
 	rt.postQ = append(rt.postQ, fn)
@@ -545,21 +572,36 @@ func (rt *Runtime) Post(fn func()) {
 	}
 }
 
-// After runs fn in the scheduler domain once d of real time has elapsed: a
-// Go timer Posts it, so it executes where a Post function does. Only
-// meaningful under a real clock; the sim engine provides virtual-time timers
-// instead.
+// After runs fn in the scheduler domain once d has elapsed on the runtime's
+// clock. A virtual runtime schedules it on its Platform; a real one has a Go
+// timer Post it, so it executes where a Post function does.
 func (rt *Runtime) After(d time.Duration, fn func()) {
+	if rt.platform != nil {
+		rt.platform.After(d, fn)
+		return
+	}
 	time.AfterFunc(d, func() { rt.Post(fn) })
 }
 
-// Sleep blocks the current thread for d of real time. Sim-mode code should
-// use the engine's virtual Sleep instead.
+// Sleep blocks the current thread for d on the runtime's clock without
+// holding the CPU: the runtime's other threads run meanwhile.
 func (t *Thread) Sleep(d time.Duration) {
 	t.mustBeCurrent("Sleep")
 	rt := t.rt
 	rt.After(d, func() { rt.Unblock(t, false) })
 	t.Park("sleep")
+}
+
+// Compute executes a unit of application work, so one application source
+// runs in both execution modes: a real runtime runs fn (nil when there is
+// no real work) and ignores cost; a virtual one charges cost as a burst on
+// its Platform's CPU and skips fn.
+func (t *Thread) Compute(cost time.Duration, fn func()) {
+	if p := t.rt.platform; p != nil {
+		p.Compute(t, cost)
+	} else if fn != nil {
+		fn()
+	}
 }
 
 // Run executes threads until all have finished: the paper's NCS_start. It

@@ -160,6 +160,36 @@ func TestSleep(t *testing.T) {
 	}
 }
 
+// TestComputeRealRunsFnIgnoresCost: a real runtime runs the work and does
+// not charge its modeled cost.
+func TestComputeRealRunsFnIgnoresCost(t *testing.T) {
+	rt := newTestRT()
+	if rt.Virtual() {
+		t.Fatal("a runtime on the default clock reports virtual time")
+	}
+	ran := false
+	rt.Create("w", PrioDefault, func(th *Thread) {
+		th.Compute(time.Hour, func() { ran = true })
+	})
+	start := time.Now()
+	rt.Run()
+	if !ran {
+		t.Fatal("fn not run")
+	}
+	if time.Since(start) > time.Second {
+		t.Fatal("Compute charged the cost")
+	}
+}
+
+// TestComputeRealNilFn: a model-only Compute (no real work) is a no-op.
+func TestComputeRealNilFn(t *testing.T) {
+	rt := newTestRT()
+	rt.Create("w", PrioDefault, func(th *Thread) {
+		th.Compute(0, nil) // must not panic
+	})
+	rt.Run()
+}
+
 func TestDeadlockPanics(t *testing.T) {
 	rt := New(Config{Name: "dl", IdleTimeout: 30 * time.Millisecond})
 	rt.Create("stuck", PrioDefault, func(th *Thread) { th.Park("never") })

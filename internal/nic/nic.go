@@ -247,7 +247,8 @@ func (a *SimATM) SetBlackhole(on bool) { a.blackhole.Store(on) }
 // VC; completed frames feed the VC's chunk assembler, and a finished
 // message goes up to the handler. A cell reassembly rejects — a header
 // that fails HEC or names another VC, a frame whose CRC or length fails —
-// is counted and dropped, as udpatm drops it.
+// is counted and dropped, as udpatm drops it, and so is a valid frame too
+// short to carry a chunk header.
 func (a *SimATM) deliverCell(u netsim.Unit) {
 	if a.blackhole.Load() {
 		a.rxDropped++
@@ -294,7 +295,9 @@ func (a *SimATM) deliverCell(u netsim.Unit) {
 	a.rxDropped += asm.Dropped() - before
 	if err != nil {
 		if err == wire.ErrChunkShort {
-			panic("nic: chunk shorter than header")
+			// A frame too short to carry a chunk header is peer input,
+			// counted and dropped like any frame reassembly rejects.
+			a.rxDropped++
 		}
 		// Stray or gap chunk: the message cannot be completed here.
 		return
@@ -317,6 +320,6 @@ func (a *SimATM) deliverCell(u netsim.Unit) {
 
 // RxDropped reports what the adapter discarded: cells and frames AAL5
 // reassembly rejected (a header failing HEC, a CRC or length mismatch),
-// and frames and messages lost to fault injection or to loss-induced
+// frames too short for a chunk header, and frames and messages lost to fault injection or to loss-induced
 // reassembly failure.
 func (a *SimATM) RxDropped() int64 { return a.rxDropped }

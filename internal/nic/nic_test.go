@@ -12,7 +12,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/vclock"
-	"repro/internal/work"
 )
 
 func defaultCfg() Config {
@@ -183,9 +182,10 @@ func TestRecvSendCostArithmetic(t *testing.T) {
 	}
 }
 
-// TestSimATMDropsBadCells: a cell whose frame fails the AAL5 CRC and a cell
-// whose header fails HEC are counted in RxDropped and dropped, as udpatm
-// drops them, and the next message on the same VC still arrives.
+// TestSimATMDropsBadCells: a cell whose frame fails the AAL5 CRC, a cell
+// whose header fails HEC and a valid AAL5 frame too short to hold a chunk
+// header are counted in RxDropped and dropped, as udpatm drops them, and the
+// next message on the same VC still arrives.
 func TestSimATMDropsBadCells(t *testing.T) {
 	eng, nodes, eps := buildATMPair(4, 4096, 140e6)
 	var got *transport.Message
@@ -195,11 +195,12 @@ func TestSimATMDropsBadCells(t *testing.T) {
 	badCRC[atm.HeaderSize] ^= 0x01
 	badHEC, _ := atm.AppendCells(nil, vc, []byte("one cell"))
 	badHEC[0] ^= 0x10
-	for _, cell := range [][]byte{badCRC, badHEC} {
+	short, _ := atm.AppendCells(nil, vc, []byte{1, 2, 3, 4})
+	for _, cell := range [][]byte{badCRC, badHEC, short} {
 		eps[1].deliverCell(netsim.Unit{WireBytes: atm.CellSize, DstHost: 1, VC: vc, Payload: (*[atm.CellSize]byte)(cell)})
 	}
-	if d := eps[1].RxDropped(); d != 2 {
-		t.Fatalf("RxDropped = %d after two bad cells, want 2", d)
+	if d := eps[1].RxDropped(); d != 3 {
+		t.Fatalf("RxDropped = %d after three bad frames, want 3", d)
 	}
 	nodes[0].RT().Create("send", mts.PrioDefault, func(th *mts.Thread) {
 		eps[0].Send(th, &transport.Message{From: 0, To: 1, Tag: 9, Data: make([]byte, 3000)})
@@ -208,8 +209,8 @@ func TestSimATMDropsBadCells(t *testing.T) {
 	if got == nil || got.Tag != 9 {
 		t.Fatalf("message after the bad cells not delivered: %+v", got)
 	}
-	if d := eps[1].RxDropped(); d != 2 {
-		t.Fatalf("RxDropped = %d after a clean message, want 2", d)
+	if d := eps[1].RxDropped(); d != 3 {
+		t.Fatalf("RxDropped = %d after a clean message, want 3", d)
 	}
 }
 
@@ -295,8 +296,6 @@ func TestWindowRecoveryOverLossyATM(t *testing.T) {
 			ID:       core.ProcID(i),
 			RT:       node.RT(),
 			Endpoint: eps[i],
-			Compute:  work.Sim(node),
-			After:    func(d time.Duration, fn func()) { eng.Schedule(d, fn) },
 		})
 	}
 	mkWin := func() *core.WindowFlow {

@@ -21,7 +21,6 @@ import (
 	"repro/internal/mts"
 	"repro/internal/trace"
 	"repro/internal/transport"
-	"repro/internal/work"
 )
 
 // Any is the p4 wildcard for type and source (-1).
@@ -38,8 +37,6 @@ type Config struct {
 	RT *mts.Runtime
 	// Endpoint carries messages.
 	Endpoint transport.Endpoint
-	// Compute executes application work (sim: charge cost; real: run fn).
-	Compute work.Compute
 	// RecvCharge, if set, is the CPU cost of pulling an n-byte message out
 	// of the protocol stack, charged to the receiving thread at consume
 	// time. The sim harness wires this to the TCP cost model.
@@ -82,9 +79,6 @@ type recvWait struct {
 func New(cfg Config) *Process {
 	if cfg.Endpoint.Proc() != cfg.ID {
 		panic(fmt.Sprintf("p4: id %d != endpoint proc %d", cfg.ID, cfg.Endpoint.Proc()))
-	}
-	if cfg.Compute == nil {
-		cfg.Compute = work.Real()
 	}
 	p := &Process{cfg: cfg}
 	cfg.Endpoint.SetHandler(p.deliver)
@@ -195,10 +189,11 @@ func (p *Process) Recv(t *mts.Thread, typ *int, from *ProcID) []byte {
 // the paper's p4_messages_available.
 func (p *Process) MessagesAvailable() bool { return len(p.queue) > 0 }
 
-// Compute runs application work through the mode hook, tracing it.
+// Compute runs application work in the runtime's mode (mts.Thread.Compute:
+// a virtual runtime charges cost, a real one runs fn), tracing it.
 func (p *Process) Compute(t *mts.Thread, cost time.Duration, fn func()) {
 	p.setTrace(trace.Compute)
-	p.cfg.Compute(t, cost, fn)
+	t.Compute(cost, fn)
 }
 
 func (p *Process) match(tag int, from ProcID) int {

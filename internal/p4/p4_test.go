@@ -10,7 +10,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tcpip"
 	"repro/internal/transport"
-	"repro/internal/work"
 )
 
 // memGroup builds n real-mode p4 processes over a Mem transport.
@@ -153,7 +152,7 @@ func TestRecvBlocksWholeProcess(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		nodes[i] = eng.NewNode(fmt.Sprintf("n%d", i))
 		ep := tcpip.NewSimTCP(nodes[i], net, i, cost)
-		procs[i] = New(Config{ID: ProcID(i), RT: nodes[i].RT(), Endpoint: ep, Compute: work.Sim(nodes[i])})
+		procs[i] = New(Config{ID: ProcID(i), RT: nodes[i].RT(), Endpoint: ep})
 	}
 	procs[0].Go(func(th *mts.Thread) {
 		// Delay, then send: the receiver's CPU must be idle meanwhile.
@@ -181,7 +180,7 @@ func TestBlockedRecvPenaltyCharged(t *testing.T) {
 		nodes[i] = eng.NewNode(fmt.Sprintf("n%d", i))
 		ep := tcpip.NewSimTCP(nodes[i], net, i, cost)
 		procs[i] = New(Config{
-			ID: ProcID(i), RT: nodes[i].RT(), Endpoint: ep, Compute: work.Sim(nodes[i]),
+			ID: ProcID(i), RT: nodes[i].RT(), Endpoint: ep,
 			BlockedRecvPenalty: func(t *mts.Thread) { nodes[i].Compute(t, penalty) },
 		})
 	}

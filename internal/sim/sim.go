@@ -95,6 +95,8 @@ func (e *Engine) Cancel(ev *vclock.Event) { e.queue.Cancel(ev) }
 // Nodes returns all nodes in creation order.
 func (e *Engine) Nodes() []*Node { return e.nodes }
 
+var _ mts.Platform = (*Node)(nil)
+
 // Node is a simulated workstation: one CPU, one cooperative thread runtime.
 type Node struct {
 	eng  *Engine
@@ -109,10 +111,12 @@ type Node struct {
 	busy time.Duration
 }
 
-// NewNode adds a workstation to the simulation.
+// NewNode adds a workstation to the simulation. The node is its runtime's
+// clock, which makes the runtime virtual (mts.Platform): its timers are
+// engine events and Thread.Compute charges the node's CPU.
 func (e *Engine) NewNode(name string) *Node {
 	n := &Node{eng: e, id: len(e.nodes), name: name}
-	n.rt = mts.New(mts.Config{Name: name, Clock: e.clock})
+	n.rt = mts.New(mts.Config{Name: name, Clock: n})
 	e.nodes = append(e.nodes, n)
 	return n
 }
@@ -128,6 +132,12 @@ func (n *Node) RT() *mts.Runtime { return n.rt }
 
 // Engine returns the owning engine.
 func (n *Node) Engine() *Engine { return n.eng }
+
+// Now returns the engine's virtual time (mts.Platform).
+func (n *Node) Now() vclock.Time { return n.eng.Now() }
+
+// After runs fn after virtual duration d as an engine event (mts.Platform).
+func (n *Node) After(d time.Duration, fn func()) { n.eng.Schedule(d, fn) }
 
 // BusyTime returns accumulated CPU busy time.
 func (n *Node) BusyTime() time.Duration { return n.busy }
@@ -164,16 +174,6 @@ func (n *Node) Compute(t *mts.Thread, d time.Duration) {
 		n.rt.Unblock(t, true)
 	})
 	t.Park("compute")
-}
-
-// Sleep parks the thread for virtual duration d without holding the CPU
-// (e.g. a pacing delay); other threads of the node run meanwhile.
-func (n *Node) Sleep(t *mts.Thread, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	n.eng.Schedule(d, func() { n.rt.Unblock(t, false) })
-	t.Park("vsleep")
 }
 
 // dispatchable reports whether the node can give its CPU to a thread now.

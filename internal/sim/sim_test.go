@@ -69,7 +69,7 @@ func TestSleepDoesNotHoldCPU(t *testing.T) {
 	n := e.NewNode("n0")
 	var otherRanAt vclock.Time = -1
 	n.RT().Create("sleeper", mts.PrioDefault, func(th *mts.Thread) {
-		n.Sleep(th, 10*time.Second)
+		th.Sleep(10 * time.Second)
 	})
 	n.RT().Create("other", mts.PrioDefault, func(th *mts.Thread) {
 		otherRanAt = e.Now()
@@ -77,6 +77,42 @@ func TestSleepDoesNotHoldCPU(t *testing.T) {
 	e.Run()
 	if otherRanAt != 0 {
 		t.Fatalf("other ran at %v, want 0 (during the sleep)", otherRanAt.Seconds())
+	}
+}
+
+// TestThreadComputeChargesCostSkipsFn: a node's runtime is virtual, so
+// Thread.Compute charges the cost to the node's CPU and never runs fn.
+func TestThreadComputeChargesCostSkipsFn(t *testing.T) {
+	e := NewEngine()
+	n := e.NewNode("n0")
+	ran := false
+	n.RT().Create("w", mts.PrioDefault, func(th *mts.Thread) {
+		th.Compute(3*time.Second, func() { ran = true })
+	})
+	e.Run()
+	if ran {
+		t.Fatal("Compute ran fn in virtual time")
+	}
+	if e.Now() != vclock.Time(3*time.Second) || n.BusyTime() != 3*time.Second {
+		t.Fatalf("virtual time = %vs, busy = %v, want 3s and 3s", e.Now().Seconds(), n.BusyTime())
+	}
+}
+
+// TestRuntimeAfterIsVirtual: a node's runtime reports virtual time, and its
+// After is an engine event, not a wall-clock timer.
+func TestRuntimeAfterIsVirtual(t *testing.T) {
+	e := NewEngine()
+	n := e.NewNode("n0")
+	if !n.RT().Virtual() {
+		t.Fatal("node runtime is not virtual")
+	}
+	var firedAt vclock.Time = -1
+	n.RT().Create("w", mts.PrioDefault, func(th *mts.Thread) {
+		n.RT().After(time.Hour, func() { firedAt = e.Now() })
+	})
+	e.Run()
+	if firedAt != vclock.Time(time.Hour) {
+		t.Fatalf("timer fired at %vs, want 3600s", firedAt.Seconds())
 	}
 }
 
