@@ -381,16 +381,30 @@ func CellCount(n int) int {
 // the adapter model take), or decoded (Push); both feed the same frame and
 // the same finish, so every frame gets the same checks whichever way its
 // cells arrived, and the two may be mixed on one Reassembler.
+//
+// A frame is assembled in the reassembler's own buffer unless the caller
+// lends it a place (Lend): then the frame's octets land where the caller
+// wants them — udpatm lends the spot in the message frame its chunk belongs
+// at, so the payload moves from the datagram to the message once. Every
+// check is taken relative to the start of the frame, wherever it lies.
 type Reassembler struct {
 	vc      VC
-	buf     []byte
 	active  bool
 	dropped int
 
-	// acc is the frame's CRC over buf[:folded], the part PushWire's kernel
-	// folded as it moved it in; cells that came by Push wait past folded
-	// for the next kernel call or for finish. Both reset when a frame
-	// opens.
+	// buf[base:] is the frame under assembly, or the last one finished or
+	// dropped. With lent set, buf is a caller's buffer, the frame opened
+	// at its length, and own keeps the reassembler's own buffer; the lend
+	// ends with the frame. Otherwise buf is the own buffer and base is 0.
+	buf  []byte
+	base int
+	own  []byte
+	lent bool
+
+	// acc is the frame's CRC over its first folded octets, the part
+	// PushWire's kernel folded as it moved it in; cells that came by Push
+	// wait past folded for the next kernel call or for finish. Both reset
+	// when a frame opens.
 	acc    crcAcc
 	folded int
 
@@ -412,20 +426,46 @@ func NewReassembler(vc VC) *Reassembler {
 // errors.
 func (r *Reassembler) Dropped() int { return r.dropped }
 
-// Buffered returns how many octets the reassembly buffer holds: the frame
-// under assembly, or the last one finished or dropped until the next cell
-// starts another. ErrTooLong keeps it within CellCount(MaxPDU) cell payloads.
-func (r *Reassembler) Buffered() int { return len(r.buf) }
+// Buffered returns how many octets of frame the reassembler holds: the
+// frame under assembly, or the last one finished or dropped in its own
+// buffer until the next cell starts another. ErrTooLong keeps it within
+// CellCount(MaxPDU) cell payloads.
+func (r *Reassembler) Buffered() int { return len(r.buf) - r.base }
+
+// Lend places the next frame in the caller's buffer: it opens at
+// buf[len(buf):] and fills buf's spare capacity, so a payload the caller
+// would copy out of the reassembler lands where it is going instead. The
+// lend covers that one frame; with none, a frame opens in the
+// reassembler's own buffer, exactly as if Lend did not exist. Lend takes
+// effect only between frames — after an ErrHEC or ErrVC return a frame may
+// still be open — and reports whether it did; a refused lend leaves the
+// open frame where it is.
+//
+// The frame's cells, pad and trailer overwrite what lies past len(buf). A
+// frame that outgrows the spare capacity moves, with one copy of what it
+// holds so far, to the reassembler's own buffer and finishes there; buf's
+// octets before len(buf) are never touched, and the returned payload is
+// wherever the frame finished.
+func (r *Reassembler) Lend(buf []byte) bool {
+	if r.active {
+		return false
+	}
+	if !r.lent {
+		r.own = r.buf
+	}
+	r.buf, r.base, r.lent = buf, len(buf), true
+	return true
+}
 
 // Push adds the next cell. When the cell completes a frame, Push returns the
 // verified payload (done=true). Cells for other VCs are rejected with an
 // error wrapping ErrVC.
 //
-// The returned payload aliases the reassembler's internal buffer and is
-// valid only until the next Push or PushWire: the buffer grows once to the
-// VC's working set and is then reused for every frame (the per-VC buffer
-// recycling the SBA-200's i960 does in hardware). Callers that retain the
-// payload must copy it.
+// The returned payload aliases the frame's buffer — the reassembler's own,
+// or the one lent for it — and is valid only until the next Lend, Push or
+// PushWire: the own buffer grows once to the VC's working set and is then
+// reused for every frame (the per-VC buffer recycling the SBA-200's i960
+// does in hardware). Callers that retain the payload must copy it.
 //
 // A frame longer than any legal CPCS-PDU (no end-of-frame cell within
 // CellCount(MaxPDU) cells) is dropped with ErrTooLong, so a mis-framed or
@@ -435,13 +475,14 @@ func (r *Reassembler) Push(c Cell) (payload []byte, done bool, err error) {
 		return nil, false, fmt.Errorf("%w: cell for VC %v pushed to reassembler for %v", ErrVC, c.Header.VC(), r.vc)
 	}
 	r.open()
-	if len(r.buf) >= maxReassembly {
+	if r.Buffered() >= maxReassembly {
 		return r.drop(ErrTooLong)
 	}
+	r.reserve()
 	r.buf = append(r.buf, c.Payload[:]...)
 	budget.Add(budget.RecvCopied, PayloadSize)
 	if c.Header.EndOfFrame() {
-		return r.finish(foldRun(&r.acc, r.buf[r.folded:]))
+		return r.finish(foldRun(&r.acc, r.buf[r.base+r.folded:]))
 	}
 	return nil, false, nil
 }
@@ -459,9 +500,10 @@ func (r *Reassembler) Push(c Cell) (payload []byte, done bool, err error) {
 //
 // A cell with a corrupt header is consumed and reported as ErrHEC; frame
 // errors (ErrCRC, ErrLength, ErrTooLong) are reported on the cell that
-// raised them, as from Push. A cell for another VC is not consumed: n stops
-// short of it and err is ErrVC, so the caller can hand src[n:] to that VC's
-// reassembler. After any return the caller continues with src[n:].
+// raised them, as from Push, and end the frame. A cell for another VC is
+// not consumed: n stops short of it and err is ErrVC, so the caller can
+// hand src[n:] to that VC's reassembler. ErrHEC and ErrVC leave a frame
+// under assembly open. After any return the caller continues with src[n:].
 func (r *Reassembler) PushWire(src []byte) (n int, payload []byte, done bool, err error) {
 	for len(src)-n >= CellSize {
 		cell := src[n : n+CellSize]
@@ -474,7 +516,7 @@ func (r *Reassembler) PushWire(src []byte) (n int, payload []byte, done bool, er
 			}
 		}
 		r.open()
-		if len(r.buf) >= maxReassembly {
+		if r.Buffered() >= maxReassembly {
 			payload, done, err = r.drop(ErrTooLong)
 			return n + CellSize, payload, done, err
 		}
@@ -495,26 +537,39 @@ func (r *Reassembler) PushWire(src []byte) (n int, payload []byte, done bool, er
 // Push left pending. It returns the cells taken and, with eof, the register
 // over the whole frame. The first cell with another header is left to
 // PushWire, as is the cell the bound refuses. The buffer grows as append
-// grows it, a call per growth, so a buffer that has held a VC's frames
-// takes the next in one call.
+// grows it, a call per growth, so a buffer that has held a VC's frames —
+// or a lent one with room for the frame — takes the next in one call.
 func (r *Reassembler) run(src []byte) (k int, crc uint32, eof bool) {
-	if len(r.buf) > r.folded {
-		foldRun(&r.acc, r.buf[r.folded:])
+	if len(r.buf) > r.base+r.folded {
+		foldRun(&r.acc, r.buf[r.base+r.folded:])
 	}
-	n := min(len(src)/CellSize, (maxReassembly-len(r.buf))/PayloadSize)
+	n := min(len(src)/CellSize, (maxReassembly-r.Buffered())/PayloadSize)
 	for {
-		if cap(r.buf)-len(r.buf) < PayloadSize {
-			r.buf = slices.Grow(r.buf, PayloadSize)
-		}
+		r.reserve()
 		at := len(r.buf)
 		m := min(n-k, (cap(r.buf)-at)/PayloadSize)
 		j, c, e := reassembleCells(&r.acc, r.buf[at:cap(r.buf)], src[k*CellSize:], m, &r.hdrs)
 		r.buf = r.buf[:at+j*PayloadSize]
-		r.folded = len(r.buf)
+		r.folded = r.Buffered()
 		if k += j; e || j < m || k == n {
 			return k, c, e
 		}
 	}
+}
+
+// reserve makes room in the frame for one more cell payload. A lent buffer
+// that is full ends the lend: the frame so far moves to the own buffer,
+// which then grows as append grows it.
+func (r *Reassembler) reserve() {
+	if cap(r.buf)-len(r.buf) >= PayloadSize {
+		return
+	}
+	if r.lent {
+		frame := r.buf[r.base:]
+		r.buf, r.base, r.lent = append(r.own[:0], frame...), 0, false
+		budget.Add(budget.RecvCopied, len(frame))
+	}
+	r.buf = slices.Grow(r.buf, PayloadSize)
 }
 
 // verify checks the wire header at the front of cell — HEC, then VC — and
@@ -534,7 +589,7 @@ func (r *Reassembler) verify(cell []byte) error {
 // open starts a frame unless one is under assembly.
 func (r *Reassembler) open() {
 	if !r.active {
-		r.buf = r.buf[:0]
+		r.buf = r.buf[:r.base]
 		r.active = true
 		r.acc, r.folded = accOf(^uint32(0)), 0
 	}
@@ -544,7 +599,7 @@ func (r *Reassembler) open() {
 // CRC field included, must be the AAL5 residue; the length must fit, with
 // the pad inside the last cell — and returns its payload.
 func (r *Reassembler) finish(crc uint32) (payload []byte, done bool, err error) {
-	pdu := r.buf
+	pdu := r.buf[r.base:]
 	if crc != aal5Residue {
 		return r.drop(ErrCRC)
 	}
@@ -553,13 +608,22 @@ func (r *Reassembler) finish(crc uint32) (payload []byte, done bool, err error) 
 	if n > len(pdu)-trailerSize || len(pdu)-(n+trailerSize) >= PayloadSize {
 		return r.drop(ErrLength)
 	}
-	r.active = false
+	r.close()
 	return pdu[:n], true, nil
 }
 
 // drop discards the frame under assembly.
 func (r *Reassembler) drop(err error) ([]byte, bool, error) {
-	r.active = false
+	r.close()
 	r.dropped++
 	return nil, false, err
+}
+
+// close ends the frame under assembly, and with it any lend: the next
+// frame opens in the own buffer unless the caller lends another place.
+func (r *Reassembler) close() {
+	r.active = false
+	if r.lent {
+		r.buf, r.base, r.lent = r.own, 0, false
+	}
 }

@@ -133,9 +133,36 @@ func viaPush(r *Reassembler, src []byte) (evs []wireEvent) {
 // viaPushWire feeds src through PushWire the way a receiver does: continue
 // with src[n:] after every return, stepping over a foreign-VC cell.
 func viaPushWire(t testing.TB, r *Reassembler, src []byte) (evs []wireEvent) {
+	return viaLentPushWire(t, r, src, -1)
+}
+
+// lentPrefix is what a lent buffer holds before the place a frame opens
+// at: octets the frame must never touch.
+var lentPrefix = []byte("caller's octets")
+
+// viaLentPushWire is viaPushWire lending, before every call, a place with
+// room octets of spare capacity past lentPrefix, as udpatm lends the
+// spot in its message frame; room < 0 lends none. A lend is refused while a
+// frame is open, and a frame that outgrows its room finishes in the
+// reassembler's own buffer, so the events must be exactly viaPushWire's.
+func viaLentPushWire(t testing.TB, r *Reassembler, src []byte, room int) (evs []wireEvent) {
+	var place []byte
+	if room >= 0 {
+		place = append(make([]byte, 0, len(lentPrefix)+room), lentPrefix...)
+	}
 	off := 0
 	for len(src)-off >= CellSize {
+		if room >= 0 && !r.active {
+			if !r.Lend(place) {
+				t.Fatal("Lend refused between frames")
+			}
+		} else if room >= 0 && r.Lend(nil) {
+			t.Fatal("Lend took effect on an open frame")
+		}
 		n, p, done, err := r.PushWire(src[off:])
+		if place != nil && !bytes.Equal(place, lentPrefix) {
+			t.Fatalf("a lent frame wrote over the %d octets before its place", len(place))
+		}
 		if n%CellSize != 0 || n > len(src)-off {
 			t.Fatalf("PushWire consumed %d of %d octets", n, len(src)-off)
 		}
@@ -151,8 +178,8 @@ func viaPushWire(t testing.TB, r *Reassembler, src []byte) (evs []wireEvent) {
 		case n == 0:
 			t.Fatal("PushWire made no progress")
 		}
-		if len(r.buf) > maxReassembly {
-			t.Fatalf("reassembly buffer holds %d octets, cap is %d", len(r.buf), maxReassembly)
+		if r.Buffered() > maxReassembly {
+			t.Fatalf("reassembly buffer holds %d octets, cap is %d", r.Buffered(), maxReassembly)
 		}
 	}
 	return evs
@@ -169,6 +196,17 @@ func checkWireEquivalence(t testing.TB, vc VC, src []byte) []wireEvent {
 	}
 	if rp.Dropped() != rw.Dropped() {
 		t.Fatalf("Dropped: PushWire %d, Push %d", rw.Dropped(), rp.Dropped())
+	}
+	// Lent places with no room, with room for 5 cells and a half, and with
+	// room for any frame in src.
+	for _, room := range []int{0, 5*PayloadSize + 24, len(src)} {
+		rl := NewReassembler(vc)
+		if lent := viaLentPushWire(t, rl, src, room); !slices.Equal(lent, want) {
+			t.Fatalf("PushWire with %d octets lent saw %+v\nDecodeCell+Push saw %+v", room, lent, want)
+		}
+		if rl.Dropped() != rp.Dropped() {
+			t.Fatalf("Dropped: PushWire with %d octets lent %d, Push %d", room, rl.Dropped(), rp.Dropped())
+		}
 	}
 	return got
 }

@@ -22,8 +22,9 @@ const (
 	// payloads AAL5 segmentation moves, an error-control retention copy.
 	SendCopied
 	// RecvCopied counts payload octets a receive path copied: AAL5
-	// reassembly, chunk assembly, a carrier's hand-off frame, the copy
-	// into a RecvInto buffer.
+	// reassembly (and a lent frame that outgrew its place), chunk
+	// assembly of a chunk that was not gathered in place, the move of a
+	// message into a larger frame, the copy into a RecvInto buffer.
 	RecvCopied
 
 	numCounters

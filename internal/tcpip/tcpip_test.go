@@ -9,6 +9,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/vclock"
+	"repro/internal/wire"
 )
 
 func TestChecksumKnownVectors(t *testing.T) {
@@ -100,6 +101,30 @@ func TestSimTCPDelivers(t *testing.T) {
 	}
 	if eps[0].MsgsSent() != 1 || eps[0].BytesSent() != 5000 {
 		t.Fatalf("stats: %d msgs %d bytes", eps[0].MsgsSent(), eps[0].BytesSent())
+	}
+}
+
+// TestSimTCPDropsUndecodableFrame: a message whose bytes arrive corrupted
+// fails to decode; it is counted in RxDropped and dropped, never a panic,
+// and the endpoint goes on delivering.
+func TestSimTCPDropsUndecodableFrame(t *testing.T) {
+	cost := CostModel{PerMessage: time.Millisecond, MTU: 1460}
+	eng, _, nodes, eps := buildPair(t, cost)
+	delivered := 0
+	eps[1].SetHandler(func(m *transport.Message) { delivered++ })
+	eps[0].SetHandler(func(m *transport.Message) {})
+	bad := wire.GetBuf(64)
+	bad.B = append(bad.B, "not a marshalled message"...)
+	eps[1].deliverFrame(netsim.Unit{Payload: &msgFrag{src: 0, last: true, buf: bad}})
+	if eps[1].RxDropped() != 1 || delivered != 0 {
+		t.Fatalf("after a corrupt frame: RxDropped %d, delivered %d; want 1 and 0", eps[1].RxDropped(), delivered)
+	}
+	nodes[0].RT().Create("send", mts.PrioDefault, func(th *mts.Thread) {
+		eps[0].Send(th, &transport.Message{From: 0, To: 1, Data: make([]byte, 100)})
+	})
+	eng.Run()
+	if delivered != 1 || eps[1].RxDropped() != 1 {
+		t.Fatalf("after a valid message: delivered %d, RxDropped %d; want 1 and 1", delivered, eps[1].RxDropped())
 	}
 }
 

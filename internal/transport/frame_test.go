@@ -93,3 +93,25 @@ func TestFramePayloadAligned(t *testing.T) {
 		t.Fatalf("SimMesh delivered %d of %d frames", got, len(ms))
 	}
 }
+
+// TestSimMeshDropsUndecodableFrame: a frame that fails to decode at a proc
+// with a message handler is counted in RxDropped and dropped, never a panic,
+// and the endpoint goes on delivering.
+func TestSimMeshDropsUndecodableFrame(t *testing.T) {
+	eng := sim.NewEngine()
+	mesh := NewSimMesh(netsim.NewFrameMesh(eng, 2, netsim.FrameMeshConfig{HostLinkBps: 1e9}))
+	a, b := mesh.Attach(0), mesh.Attach(1)
+	delivered := 0
+	b.SetHandler(func(m *Message) { delivered++ })
+	bad := wire.GetBuf(64)
+	bad.B = append(bad.B, "not a marshalled message"...)
+	b.deliverUnit(netsim.Unit{Payload: bad})
+	if b.RxDropped() != 1 || delivered != 0 {
+		t.Fatalf("after a corrupt frame: RxDropped %d, delivered %d; want 1 and 0", b.RxDropped(), delivered)
+	}
+	a.Send(nil, &Message{From: 0, To: 1, Data: []byte("ok")})
+	eng.Run()
+	if delivered != 1 || b.RxDropped() != 1 {
+		t.Fatalf("after a valid frame: delivered %d, RxDropped %d; want 1 and 1", delivered, b.RxDropped())
+	}
+}

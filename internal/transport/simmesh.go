@@ -65,12 +65,18 @@ func (sm *SimMesh) Attach(h int) *SimMeshEndpoint {
 // the simulation engine's goroutine (events, or threads it dispatched), so
 // no locking is needed anywhere.
 type SimMeshEndpoint struct {
-	sm      *SimMesh
-	host    int
-	seq     uint32
-	handler Handler
-	frameH  FrameHandler
+	sm        *SimMesh
+	host      int
+	seq       uint32
+	handler   Handler
+	frameH    FrameHandler
+	rxDropped int64
 }
+
+// RxDropped returns how many arriving frames failed to decode and were
+// dropped. A frame for a lane proc goes to its frame handler undecoded,
+// and core counts what it refuses there.
+func (e *SimMeshEndpoint) RxDropped() int64 { return e.rxDropped }
 
 // Proc implements Endpoint.
 func (e *SimMeshEndpoint) Proc() ProcID { return ProcID(e.host) }
@@ -111,7 +117,9 @@ func (e *SimMeshEndpoint) deliverUnit(u netsim.Unit) {
 	m, err := Unmarshal(fb.B)
 	wire.PutBuf(fb)
 	if err != nil {
-		panic("transport: simmesh frame failed to decode: " + err.Error())
+		// Peer input: counted and dropped, as the ATM carriers do.
+		e.rxDropped++
+		return
 	}
 	e.handler(m)
 }

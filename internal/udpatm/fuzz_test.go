@@ -44,16 +44,60 @@ func crc32MSB(p []byte) uint32 {
 	return ^crc
 }
 
+// refChunks is chunk assembly from the definition of chunk framing, not
+// with wire.Assembler: a chunk's 8-octet header is its message's sequence,
+// its index and a flag octet whose low bit marks the last chunk. A message
+// is the bodies of chunks 0, 1, ... of one sequence, up to the last one. A
+// chunk of another sequence abandons the partial message; a chunk that does
+// not carry the next index, or would take the message past wire.MaxFrame,
+// abandons it too; a chunk other than 0 with no message open is refused.
+type refChunks struct {
+	msg    []byte
+	seq    uint32
+	next   int
+	active bool
+}
+
+// push adds one chunk and returns the message it completed, if any.
+func (c *refChunks) push(chunk []byte) (msg []byte, done bool) {
+	if len(chunk) < wire.ChunkHeaderSize {
+		return nil, false
+	}
+	seq, index := binary.BigEndian.Uint32(chunk), int(binary.BigEndian.Uint16(chunk[4:]))
+	if c.active && seq != c.seq {
+		c.active = false
+	}
+	if !c.active {
+		if index != 0 {
+			return nil, false
+		}
+		c.active, c.seq, c.next, c.msg = true, seq, 0, c.msg[:0]
+	}
+	body := chunk[wire.ChunkHeaderSize:]
+	if index != c.next || len(c.msg)+len(body) > wire.MaxFrame {
+		c.active = false
+		return nil, false
+	}
+	c.next++
+	c.msg = append(c.msg, body...)
+	if chunk[6]&1 == 0 {
+		return nil, false
+	}
+	c.active = false
+	return c.msg, true
+}
+
 // refReceive is what the reader must deliver for a cell stream, written from
-// the definitions rather than with atm's reassembler: each cell HEC-checked
-// on its own (a corrupt one is skipped), each VC's CPCS-PDU collected until
-// its end-of-frame cell or until it would outgrow maxPDUOctets (then
-// dropped), each PDU checked against crc32MSB, its length and its pad, then
-// chunk-assembled and decoded. It returns the messages, each re-marshalled.
+// the definitions rather than with atm's reassembler or wire's assembler:
+// each cell HEC-checked on its own (a corrupt one is skipped), each VC's
+// CPCS-PDU collected until its end-of-frame cell or until it would outgrow
+// maxPDUOctets (then dropped), each PDU checked against crc32MSB, its length
+// and its pad, then chunk-assembled by refChunks and decoded. It returns the
+// messages, each re-marshalled.
 func refReceive(cells []byte) (msgs []string) {
 	type vcState struct {
 		pdu []byte
-		asm wire.Assembler
+		asm refChunks
 	}
 	vcs := map[atm.VC]*vcState{}
 	for ; len(cells) >= atm.CellSize; cells = cells[atm.CellSize:] {
@@ -81,8 +125,8 @@ func refReceive(cells []byte) (msgs []string) {
 			n+8 > len(pdu) || len(pdu)-(n+8) >= atm.PayloadSize {
 			continue
 		}
-		msg, done, err := v.asm.Push(pdu[:n])
-		if err != nil || !done {
+		msg, done := v.asm.push(pdu[:n])
+		if !done {
 			continue
 		}
 		if m, err := wire.Unmarshal(msg); err == nil {
@@ -105,17 +149,40 @@ func checkReceiveTrain(t *testing.T, dgram []byte, repeat uint8) []string {
 	dgram = dgram[:min(len(dgram), 64<<10)/atm.CellSize*atm.CellSize]
 	rounds := 1 + int(repeat%8)
 
-	rt := mts.New(mts.Config{Name: "fuzz"})
-	e := newEndpoint(NewNetwork(), 1, rt, nil)
 	var got []string
-	e.SetHandler(func(m *transport.Message) {
+	readDirect(func(m *transport.Message) {
 		b := m.MarshalAppend(nil)
 		if _, err := wire.Unmarshal(b); err != nil || m.WireSize() > wire.MaxFrame {
 			t.Errorf("delivered a %d-octet message that does not decode again: %v", m.WireSize(), err)
 		}
 		got = append(got, string(b))
 		m.Release()
+	}, func(e *Endpoint) {
+		for i := 0; i < rounds; i++ {
+			e.receiveTrain(dgram)
+			for vc, rx := range e.rx {
+				if n := rx.reasm.Buffered(); n > maxPDUOctets {
+					t.Fatalf("datagram %d: VC %v's reassembly buffer holds %d octets, bound %d", i, vc, n, maxPDUOctets)
+				}
+			}
+		}
 	})
+
+	if want := refReceive(bytes.Repeat(dgram, rounds)); !slices.Equal(got, want) {
+		t.Fatalf("%d datagrams of %d cells: the reader delivered %d messages, the reference %d (or their contents differ)",
+			rounds, len(dgram)/atm.CellSize, len(got), len(want))
+	}
+	return got
+}
+
+// readDirect runs feed against a fresh endpoint that has no socket — feed
+// hands datagrams to receiveTrain, as the reader would — and returns the
+// endpoint once every message it delivered has gone to h, which runs in the
+// runtime's scheduler domain and must release each one.
+func readDirect(h transport.Handler, feed func(e *Endpoint)) *Endpoint {
+	rt := mts.New(mts.Config{Name: "direct"})
+	e := newEndpoint(NewNetwork(), 1, rt, nil)
+	e.SetHandler(h)
 	// The keeper holds Run open until the last drain; finished and the
 	// keeper's state are only touched in the scheduler domain.
 	finished := false
@@ -126,26 +193,14 @@ func checkReceiveTrain(t *testing.T, dgram []byte, repeat uint8) []string {
 	})
 	done := make(chan struct{})
 	go func() { rt.Run(); close(done) }()
-	for i := 0; i < rounds; i++ {
-		e.receiveTrain(dgram)
-		for vc, rx := range e.rx {
-			if n := rx.reasm.Buffered(); n > maxPDUOctets {
-				t.Fatalf("datagram %d: VC %v's reassembly buffer holds %d octets, bound %d", i, vc, n, maxPDUOctets)
-			}
-		}
-	}
+	feed(e)
 	// Posted after every drain the reader's Puts posted, so it runs last.
 	rt.Post(func() {
 		finished = true
 		rt.Unblock(keeper, false)
 	})
 	<-done
-
-	if want := refReceive(bytes.Repeat(dgram, rounds)); !slices.Equal(got, want) {
-		t.Fatalf("%d datagrams of %d cells: the reader delivered %d messages, the reference %d (or their contents differ)",
-			rounds, len(dgram)/atm.CellSize, len(got), len(want))
-	}
-	return got
+	return e
 }
 
 // trainSeed is one datagram for FuzzReceiveTrain, with how many times it

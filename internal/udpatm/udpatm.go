@@ -20,8 +20,16 @@
 //
 // The receiver works a train at a time too: the reader resolves a VC's
 // reassembly state once per run of same-VC cells and hands the run, still
-// in the datagram buffer, to atm.Reassembler.PushWire, which appends each
-// 48-octet payload straight from the buffer. Every header is still
+// in the datagram buffer, to atm.Reassembler.PushWire, which moves each
+// 48-octet payload straight from the buffer into the message frame the
+// consumer will read: before each frame the VC's wire.Assembler gives the
+// place its chunk belongs (Place) and the reassembler is lent it, so the
+// chunk header lands over the last 8 octets of the message so far — saved,
+// and restored when the chunk commits — and the body where the message
+// needs it. Committing the chunk copies nothing, and the finished frame,
+// laid out with its payload 64-byte aligned, goes to the consumer whole. A
+// received payload octet is copied twice in all: into the message frame,
+// and out of it by RecvInto. Every header is still
 // HEC-verified — the one shortcut is identity: each VC's reassembler knows
 // two headers good, the one a frame's cells carry and its end-of-frame
 // one, and a header byte-identical to either needs no HEC, so a frame
@@ -50,7 +58,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/atm"
-	"repro/internal/budget"
 	"repro/internal/list"
 	"repro/internal/mts"
 	"repro/internal/transport"
@@ -96,7 +103,8 @@ type vcTx struct {
 }
 
 // vcRx is one VC's receive state: cell reassembly (AAL5 frames) feeding
-// chunk assembly (messages). Both tiers reuse grow-once buffers.
+// chunk assembly (messages). The reassembler gathers each frame straight
+// into the assembler's message frame, so its own buffer stays empty.
 type vcRx struct {
 	reasm *atm.Reassembler
 	asm   wire.Assembler
@@ -318,8 +326,10 @@ func (e *Endpoint) BindChannel(peer transport.ProcID, ch wire.ChannelID) {}
 // transmit queue is dropped so channel churn cannot accrete transmit state.
 // Only the transmit side is touched (under txMu); receive-side reassembly
 // state belongs to the reader goroutine and is not released here. Its worst
-// case is one partial CPCS-PDU (up to 64 KB) plus one partial message (up to
-// wire.MaxFrame) per VC the reader has ever seen a valid header for, and
+// case is one partial message frame (up to wire.MaxFrame), which the
+// CPCS-PDU under assembly is gathered into, plus — only for a PDU longer
+// than the room it was lent, which no peer of this package sends — that
+// PDU (up to 64 KB), per VC the reader has ever seen a valid header for, and
 // nothing caps how many VCs that is. The queue is left in place if frames
 // are still pending — the writer drains every accepted frame (the Close
 // guarantee), and a reused channel ID maps back onto the same VC anyway.
@@ -560,10 +570,19 @@ func (e *Endpoint) readLoop() {
 	}
 }
 
+// chunkFrame is the most reassembly room a chunk frame from a peer of this
+// package takes: MaxChunk's frame, chunk header, pad and trailer, is 171
+// cell payloads. The reader lends each frame that much room in the message
+// frame; a longer one, which no peer here sends, finishes in the
+// reassembler's own buffer and is copied in.
+var chunkFrame = atm.CellCount(wire.ChunkHeaderSize+MaxChunk) * atm.PayloadSize
+
 // receiveTrain validates and reassembles one datagram's cells. The VC's
 // receive state resolves once per run of same-VC cells — in the common
-// case once per datagram — and the run is reassembled in place by PushWire;
-// completed frames go on to deliverChunk.
+// case once per datagram — and the run is reassembled in place by PushWire,
+// each frame gathered at the spot in the message frame its chunk belongs
+// (wire.Assembler.Place, lent to the reassembler); completed frames go on
+// to deliverChunk.
 func (e *Endpoint) receiveTrain(train []byte) {
 	var rx *vcRx
 	for len(train) >= atm.CellSize {
@@ -579,6 +598,7 @@ func (e *Endpoint) receiveTrain(train []byte) {
 				e.rx[h.VC()] = rx
 			}
 		}
+		rx.reasm.Lend(rx.asm.Place(chunkFrame)) // refused while a frame is open
 		n, chunk, done, err := rx.reasm.PushWire(train)
 		train = train[n:]
 		// Count before delivering: whoever learns a message arrived must
@@ -596,33 +616,33 @@ func (e *Endpoint) receiveTrain(train []byte) {
 		case err == atm.ErrVC:
 			rx = nil // the next cell opens another VC's run
 		case err != nil:
+			// A frame that failed at the place leaves it out: the next
+			// frame lands there too, and Push restores what they overwrote.
 			e.badCells.Add(1)
 		}
 	}
 }
 
 // deliverChunk runs per reassembled AAL5 frame: chunk assembly on the
-// frame's VC; a completed message is decoded (copying its payload out of
-// the reused assembly buffer) into the Inbox. It reports false
-// if the chunk or the message it completed was malformed, or if the message
-// would have outgrown wire.MaxFrame.
+// frame's VC, and a completed message is decoded into the Inbox. The frame
+// was gathered in place, so committing the chunk copies nothing; the
+// message frame, laid out as wire.GetFrame lays one so the payload the
+// consumer copies out starts 64-byte aligned, travels with the message,
+// and the consumer recycles it (RecvInto, control handlers). A received
+// payload octet is copied twice on its way to the application: from the
+// datagram into the message frame (the reassembler), and out of it
+// (RecvInto). deliverChunk reports false if the chunk or the message it
+// completed was malformed, or if the message would have outgrown
+// wire.MaxFrame.
 func (e *Endpoint) deliverChunk(rx *vcRx, chunk []byte) bool {
-	msgWire, done, err := rx.asm.Push(chunk)
+	_, done, err := rx.asm.Push(chunk)
 	if err != nil {
 		return false
 	}
 	if !done {
 		return true
 	}
-	// Copy the completed message out of the reused assembly buffer into a
-	// pooled frame that travels with it; the consumer recycles it
-	// (RecvInto, control handlers), so the reassembly tail stops feeding
-	// the allocator. The frame is laid out for the header length its flags
-	// announce (wire.GetFrame), so the payload the consumer copies out
-	// starts 64-byte aligned.
-	fb := wire.GetFrame(wire.HeaderLen(msgWire), len(msgWire))
-	fb.B = append(fb.B, msgWire...)
-	budget.Add(budget.RecvCopied, len(msgWire))
+	fb := rx.asm.Take()
 	m, err := wire.UnmarshalPooled(fb)
 	if err != nil {
 		wire.PutBuf(fb)

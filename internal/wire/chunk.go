@@ -155,8 +155,24 @@ func (c *Chunker) Next(dst []byte) (chunk []byte, ok bool) {
 }
 
 // Assembler rebuilds marshalled messages from a stream of chunk frames.
-// One Assembler serves one ordered stream (one VC); its buffer grows once
-// and is reused for every subsequent message on the stream.
+// One Assembler serves one ordered stream (one VC). It builds each message
+// in a message frame laid out as GetFrame lays one, so the payload starts
+// PayloadAlign-aligned, and Take hands that frame, message and all, to the
+// consumer (UnmarshalPooled); a frame not taken is reused for the next
+// message. The frame is sized from the stream's last message and grows, with
+// one copy of the message so far, when a message outgrows it.
+//
+// A chunk reaches the frame one of two ways, and Push commits it either way,
+// with one set of checks. A carrier that reassembles its frames gathers the
+// chunk in place: Place gives it the spot the next chunk goes — the chunk
+// header over the last ChunkHeaderSize octets of the message so far, which
+// the assembler saves and Push restores, and the body right after them —
+// and the carrier's frame lands there (udpatm lends it to atm.Reassembler),
+// so the body is already where the message needs it. Push copies any other
+// chunk into place: that is how a caller holding a chunk in a buffer of its
+// own uses the assembler — nic's adapter model, which copies each message
+// out again with Unmarshal and so gains nothing from gathering, and the
+// codec benchmarks, which time exactly that copy.
 //
 // The assembler is strict: a chunk whose sequence differs from the message
 // under assembly abandons that message (counted in Dropped), a chunk index
@@ -169,21 +185,44 @@ func (c *Chunker) Next(dst []byte) (chunk []byte, ok bool) {
 // index cannot wrap — a message has at most 65,536 chunks, and the chunk
 // after index 65,535 is a gap.
 type Assembler struct {
-	buf     []byte
+	// fb is the message frame, nil until a chunk needs one and after Take.
+	// fb.B runs from where GetFrame began it, and its capacity is the
+	// frame's: the message under assembly, or the last one completed, is
+	// fb.B[at:at+n]. The frame is laid out for a lay-octet header at
+	// at = ChunkHeaderSize, which leaves room for chunk 0's header before
+	// the message.
+	fb    *Buf
+	lay   int
+	at, n int
+
+	// hdr and last are the header length and the length of the stream's
+	// last message: the next message's frame is laid out and sized by them.
+	hdr, last int
+
+	// saved is what fb.B[savedAt:] held before Place gave it out as the
+	// next chunk header's spot; placed while the place is out, until Push.
+	saved   [ChunkHeaderSize]byte
+	savedAt int
+	placed  bool
+
 	seq     uint32
 	next    int // index the next chunk must carry; 1<<16 once it cannot
 	active  bool
 	dropped int64
 }
 
+// placeTail is how far past a message's predicted end Place keeps room, for
+// the carrier's framing of its last chunk: AAL5 lays up to 55 octets of pad
+// and trailer after a chunk.
+const placeTail = 64
+
 // Dropped returns how many partially-assembled messages were abandoned.
 func (a *Assembler) Dropped() int64 { return a.dropped }
 
 // Reset discards any partial message without counting a drop.
 func (a *Assembler) Reset() {
-	a.buf = a.buf[:0]
 	a.active = false
-	a.next = 0
+	a.next, a.n = 0, 0
 }
 
 func (a *Assembler) abandon() {
@@ -191,13 +230,94 @@ func (a *Assembler) abandon() {
 	a.Reset()
 }
 
-// Push adds the next chunk frame. When the chunk completes a message, Push
-// returns the marshalled bytes with done=true; the returned slice is valid
-// only until the next Push or Reset (decode or copy before continuing —
-// Unmarshal copies). A nil error with done=false means the chunk was
-// absorbed into a partial message.
+// frame returns the message frame to its capacity.
+func (a *Assembler) frame() []byte { return a.fb.B[:cap(a.fb.B)] }
+
+// atFor returns where a message with an hdrLen-octet header starts in the
+// frame: past room for a chunk header, where its payload lands on a
+// PayloadAlign boundary.
+func (a *Assembler) atFor(hdrLen int) int {
+	return ChunkHeaderSize + (a.lay-hdrLen)&(PayloadAlign-1)
+}
+
+// begin opens a message with an hdrLen-octet header in the frame, laying a
+// frame yet to be drawn out for it.
+func (a *Assembler) begin(hdrLen int) {
+	if a.fb == nil {
+		a.lay = hdrLen
+	}
+	a.at, a.n = a.atFor(hdrLen), 0
+}
+
+// grow replaces the frame by one with capacity for end: at least the
+// predicted message, and twice the old frame up to MaxFrame. The message
+// so far moves into it, to the same offset. The old frame is returned,
+// for the caller to release once nothing it holds is needed.
+func (a *Assembler) grow(end int) (old *Buf) {
+	size := max(end, a.at+a.last+placeTail)
+	if a.fb != nil {
+		size = max(size, min(2*cap(a.fb.B), MaxFrame))
+	}
+	old, a.fb = a.fb, GetFrame(a.lay+ChunkHeaderSize, size)
+	if old != nil {
+		copy(a.frame()[a.at:], old.B[a.at:a.at+a.n])
+		budget.Add(budget.RecvCopied, a.n)
+	}
+	return old
+}
+
+// Place returns the place the next chunk goes, for a carrier to gather it
+// there: the chunk's frame opens at the end of the returned slice — its
+// chunk header over the last ChunkHeaderSize octets of the message so far,
+// which Place saves — and has the slice's spare capacity: room octets,
+// unless the message is predicted to end sooner (before the stream's first
+// message there is nothing to predict by, and the frame is the largest
+// pooled one). The place stays out until Push takes the next chunk, which
+// restores the saved octets first. So a frame that lands there and fails —
+// its CRC, its length, its size — costs nothing: the next frame lands at
+// the same place, Place returning it again, and the octets are back by the
+// time the chunk it carries commits. A carrier may ask before every frame
+// it might start.
+func (a *Assembler) Place(room int) []byte {
+	if !a.placed {
+		if !a.active {
+			a.begin(max(a.hdr, HeaderSize))
+		}
+		end := a.at + a.n - ChunkHeaderSize + room
+		switch {
+		case a.n < a.last:
+			end = min(end, a.at+a.last+placeTail)
+		case a.last == 0:
+			end = max(end, MaxPooled-PayloadAlign)
+		}
+		if a.fb == nil || cap(a.fb.B) < end {
+			PutBuf(a.grow(end))
+		}
+		a.savedAt = a.at + a.n - ChunkHeaderSize
+		a.saved = [ChunkHeaderSize]byte(a.frame()[a.savedAt:])
+		a.placed = true
+	}
+	return a.fb.B[:a.savedAt]
+}
+
+// restore takes the place back, putting the octets it saved where a chunk
+// header gathered there may have overwritten them.
+func (a *Assembler) restore() {
+	if a.placed {
+		copy(a.frame()[a.savedAt:], a.saved[:])
+		a.placed = false
+	}
+}
+
+// Push adds the next chunk frame: one gathered at Place's place, or one
+// anywhere else, which Push copies there. When the chunk completes a
+// message, Push returns the marshalled bytes with done=true; they stay in
+// the frame, valid until the next Place, Push or Reset, unless Take hands
+// the frame over. A nil error with done=false means the chunk was absorbed
+// into a partial message.
 func (a *Assembler) Push(chunk []byte) (msg []byte, done bool, err error) {
 	h, err := ParseChunkHeader(chunk)
+	a.restore() // chunk's header is read; its octets go back to the message
 	if err != nil {
 		return nil, false, err
 	}
@@ -206,6 +326,7 @@ func (a *Assembler) Push(chunk []byte) (msg []byte, done bool, err error) {
 		// so the new message assembles cleanly.
 		a.abandon()
 	}
+	body := chunk[ChunkHeaderSize:]
 	if !a.active {
 		if h.Index != 0 {
 			// Mid-message start: the head chunk was lost; skip the rest.
@@ -214,24 +335,50 @@ func (a *Assembler) Push(chunk []byte) (msg []byte, done bool, err error) {
 		a.active = true
 		a.seq = h.Seq
 		a.next = 0
-		a.buf = a.buf[:0]
+		a.hdr = HeaderLen(body)
+		a.begin(a.hdr) // a body gathered for another header length moves
 	}
 	if int(h.Index) != a.next {
 		// Interior chunk lost: the message cannot be completed.
 		a.abandon()
 		return nil, false, ErrChunkGap
 	}
-	body := chunk[ChunkHeaderSize:]
-	if len(body) > MaxFrame-len(a.buf) {
+	if len(body) > MaxFrame-a.n {
 		a.abandon()
 		return nil, false, ErrChunkLarge
 	}
 	a.next++
-	a.buf = append(a.buf, body...)
-	budget.Add(budget.RecvCopied, len(body))
+	a.settle(body)
 	if !h.Last {
 		return nil, false, nil
 	}
 	a.active = false
-	return a.buf, true, nil
+	a.last = a.n
+	return a.fb.B[a.at : a.at+a.n], true, nil
+}
+
+// settle appends body to the message: a body gathered in place is already
+// there, and any other is copied in, into a larger frame if need be.
+func (a *Assembler) settle(body []byte) {
+	at, end := a.at+a.n, a.at+a.n+len(body)
+	if a.fb == nil || cap(a.fb.B) < end {
+		old := a.grow(end)
+		defer PutBuf(old) // body may lie in it
+	}
+	if dst := a.frame()[at:end]; len(body) > 0 && &dst[0] != &body[0] {
+		copy(dst, body)
+		budget.Add(budget.RecvCopied, len(body))
+	}
+	a.n += len(body)
+}
+
+// Take hands over the frame of the message the last Push completed, with
+// B that message: the consumer owns it (UnmarshalPooled; its Release puts
+// the frame back). Call it only when that Push reported done. The next
+// message gets a frame of its own.
+func (a *Assembler) Take() *Buf {
+	fb := a.fb
+	fb.B = fb.B[a.at : a.at+a.n]
+	a.fb, a.n = nil, 0
+	return fb
 }

@@ -23,8 +23,8 @@ func TestAssemblerIndexWrap(t *testing.T) {
 	if _, done, err := a.Push(chunk); done || err != ErrChunkGap {
 		t.Fatalf("wrapped index: done=%v err=%v, want ErrChunkGap", done, err)
 	}
-	if a.Dropped() != 1 || len(a.buf) != 0 {
-		t.Fatalf("after the wrap: dropped %d, %d octets buffered; want 1 and 0", a.Dropped(), len(a.buf))
+	if a.Dropped() != 1 || a.n != 0 {
+		t.Fatalf("after the wrap: dropped %d, %d octets buffered; want 1 and 0", a.Dropped(), a.n)
 	}
 	// The stream goes on: the next message assembles.
 	want := bytes.Repeat([]byte{7}, 300)
@@ -52,8 +52,8 @@ func TestAssemblerSizeBound(t *testing.T) {
 	if _, done, err := a.Push(big); done || err != ErrChunkLarge {
 		t.Fatalf("oversized message: done=%v err=%v, want ErrChunkLarge", done, err)
 	}
-	if a.Dropped() != 1 || len(a.buf) != 0 || cap(a.buf) > 1<<20 {
-		t.Fatalf("dropped %d, buffer len %d cap %d: want the message abandoned uncopied", a.Dropped(), len(a.buf), cap(a.buf))
+	if a.Dropped() != 1 || a.n != 0 || cap(a.fb.B) > 1<<20 {
+		t.Fatalf("dropped %d, message %d octets, frame cap %d: want the message abandoned uncopied", a.Dropped(), a.n, cap(a.fb.B))
 	}
 }
 
@@ -61,11 +61,44 @@ func TestAssemblerSizeBound(t *testing.T) {
 // to wrap the chunk index twice.
 const maxGarbagePushes = 1 << 17
 
+// How a chunk reaches the assembler in FuzzAssembler: handed to Push from
+// the caller's buffer; gathered at Place's place, as a carrier lent the
+// place gathers it, then pushed; or gathered there by a frame that then
+// fails — its chunk header garbled — and never reaches Push.
+const (
+	byPush = iota
+	byPlace
+	byFailedFrame
+)
+
+// deliver hands chunk to a the way mode says, and returns what Push returned
+// (nothing for a failed frame). A place with less spare room than the chunk
+// is what a carrier's frame outgrows: the chunk is pushed from elsewhere.
+func deliver(a *Assembler, chunk []byte, mode int) (msg []byte, done bool, err error) {
+	if mode == byPush {
+		return a.Push(chunk)
+	}
+	p := a.Place(len(chunk))
+	if cap(p)-len(p) < len(chunk) {
+		return a.Push(bytes.Clone(chunk))
+	}
+	at := p[len(p) : len(p)+len(chunk)]
+	copy(at, chunk)
+	if mode == byFailedFrame {
+		for i := 0; i < min(len(at), ChunkHeaderSize); i++ {
+			at[i] ^= 0xA5
+		}
+		return nil, false, nil
+	}
+	return a.Push(at)
+}
+
 // pushGarbage feeds a the chunks g encodes, checking the assembler's bounds
 // after each. g is a run of records: a two-octet repeat count r, a length
 // octet n and n octets of chunk. The chunk is pushed r+1 times, its index
 // field (when it has one) stepping by one each time, so a short input
-// reaches index 65,535 and wraps.
+// reaches index 65,535 and wraps. The chunk header's reserved octet, which
+// the assembler ignores, picks how each copy is delivered.
 func pushGarbage(t *testing.T, a *Assembler, g []byte) {
 	pushes := 0
 	var scratch [255]byte
@@ -76,27 +109,33 @@ func pushGarbage(t *testing.T, a *Assembler, g []byte) {
 		chunk := scratch[:n]
 		copy(chunk, g[:n])
 		g = g[n:]
+		mode := byPush
+		if n >= ChunkHeaderSize {
+			mode = int(chunk[7]) % 3
+		}
 		for r := 0; r <= reps && pushes < maxGarbagePushes; r++ {
 			if r > 0 && n >= ChunkHeaderSize {
 				binary.BigEndian.PutUint16(chunk[4:], binary.BigEndian.Uint16(chunk[4:])+1)
 			}
 			pushes++
-			msg, done, err := a.Push(chunk)
-			if len(a.buf) > MaxFrame || len(msg) > MaxFrame {
-				t.Fatalf("assembler holds %d octets, returned %d; bound %d", len(a.buf), len(msg), MaxFrame)
+			msg, done, err := deliver(a, chunk, mode)
+			if a.n > MaxFrame || len(msg) > MaxFrame {
+				t.Fatalf("assembler holds %d octets, returned %d; bound %d", a.n, len(msg), MaxFrame)
 			}
 			// An accepted index-0 chunk begins a message: it is all there is.
-			if err == nil && !done && chunk[4] == 0 && chunk[5] == 0 && len(a.buf) != n-ChunkHeaderSize {
-				t.Fatalf("index 0 accepted as the continuation of a %d-octet message", len(a.buf)-(n-ChunkHeaderSize))
+			if mode != byFailedFrame && err == nil && !done && chunk[4] == 0 && chunk[5] == 0 && a.n != n-ChunkHeaderSize {
+				t.Fatalf("index 0 accepted as the continuation of a %d-octet message", a.n-(n-ChunkHeaderSize))
 			}
 		}
 	}
 }
 
-// FuzzAssembler: arbitrary chunk sequences never panic the assembler nor
-// make it buffer past its bounds, and a message cut by NewChunkerRuns — any
-// head/body split, any chunk payload — and pushed in order comes back
-// byte-identical, right after whatever the garbage left behind.
+// FuzzAssembler: arbitrary chunk sequences, pushed or gathered in place,
+// never panic the assembler nor make it buffer past its bounds, and a
+// message cut by NewChunkerRuns — any head/body split, any chunk payload —
+// comes back byte-identical, right after whatever the garbage left behind,
+// with its chunks pushed and gathered in a mix seq picks and frames that
+// fail at the place in between.
 func FuzzAssembler(f *testing.F) {
 	f.Fuzz(func(t *testing.T, garbage, msg []byte, split, maxPayload uint16, seq uint32) {
 		var a Assembler
@@ -114,13 +153,19 @@ func FuzzAssembler(f *testing.F) {
 			if !ok {
 				t.Fatal("the last chunk did not complete the message")
 			}
-			got, done, err := a.Push(chunk)
+			if (i+int(seq))%3 == 0 {
+				deliver(&a, chunk, byFailedFrame)
+			}
+			got, done, err := deliver(&a, chunk, (i+int(seq>>2))%2)
 			if err != nil || done != (i == ck.NumChunks()-1) {
 				t.Fatalf("chunk %d of %d: done=%v err=%v", i, ck.NumChunks(), done, err)
 			}
 			if done {
 				if !bytes.Equal(got, msg) {
 					t.Fatalf("reassembled %d octets differ from the %d sent", len(got), len(msg))
+				}
+				if fb := a.Take(); !bytes.Equal(fb.B, msg) {
+					t.Fatalf("the frame Take hands over holds %d octets, not the %d-octet message", len(fb.B), len(msg))
 				}
 				return
 			}

@@ -12,7 +12,8 @@
 // codec is append-style throughout — MarshalAppend and Chunker.Next write
 // into caller-provided buffers (AppendHeader and Chunker.Parts go one
 // further and hand a carrier the pieces, so it copies the payload only into
-// its own frames), Assembler reuses one grow-once buffer per stream, and
+// its own frames), Assembler builds each message in the pooled frame the
+// consumer decodes (a carrier can gather the chunks into it in place), and
 // GetBuf/PutBuf recycle backing arrays through sync.Pool size classes — so a
 // steady-state send → segment → reassemble → deliver cycle allocates (almost)
 // nothing. The one copy a receive cannot avoid, the payload out to the
