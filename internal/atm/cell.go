@@ -206,6 +206,10 @@ const trailerSize = 8
 // MaxPDU is the largest AAL5 payload (16-bit length field).
 const MaxPDU = 65535
 
+// MaxTail is the most a CPCS-PDU lays past its payload: pad to the cell
+// boundary (at most PayloadSize-1 octets) and the trailer.
+const MaxTail = PayloadSize - 1 + trailerSize
+
 // maxReassembly is the longest CPCS-PDU (payload ++ pad ++ trailer) a
 // legal frame can occupy; a cell stream that runs past it without an
 // end-of-frame cell is mis-framed or hostile.

@@ -3,6 +3,7 @@ package udpatm
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/atm"
@@ -16,7 +17,9 @@ import (
 // message needs it. These tests hold the cases where a frame does not simply
 // land and commit: a frame that fails, a message abandoned mid-frame, a
 // header length the frame was not laid out for, and a frame larger than the
-// room it was lent. Their names match CI's 386 udpatm line.
+// room it was lent. A VC is lent no place before it has completed a message,
+// so each test opens its VC with one (opener); the last test holds that rule.
+// Their names match CI's 386 udpatm line.
 
 // chunkFrames returns the AAL5 frames, each in wire cells, that carry m on
 // vc, one per chunk, exactly as enqueueFrames would cut them.
@@ -43,6 +46,13 @@ func pattern(seed byte, n int) []byte {
 		b[i] = byte(i*7) + seed
 	}
 	return b
+}
+
+// opener returns a short message, and its cells on vc, for a test to open
+// vc's stream with: the messages after it are gathered in place.
+func opener(vc atm.VC) (*transport.Message, []byte) {
+	m := &transport.Message{From: 0, To: 1, Seq: 100, Data: pattern(9, 200), HasCredit: true, Credit: 1}
+	return m, bytes.Join(chunkFrames(vc, m), nil)
 }
 
 // delivered is one message as the reader handed it over.
@@ -95,6 +105,7 @@ func checkDelivered(t *testing.T, got []delivered, want ...*transport.Message) {
 // that ends without a chunk gives the octets back.
 func TestReceiveTrainInFrameFailedFrameRetried(t *testing.T) {
 	vc := atm.VCFor(0, 1)
+	op, opCells := opener(vc)
 	m := &transport.Message{From: 0, To: 1, Seq: 1, Data: pattern(1, 16<<10)}
 	frames := chunkFrames(vc, m)
 
@@ -107,11 +118,11 @@ func TestReceiveTrainInFrameFailedFrameRetried(t *testing.T) {
 		runaway = append(runaway, frames[1][:atm.CellSize]...)
 	}
 	for name, bad := range map[string][]byte{"crc": badCRC, "too-long": runaway} {
-		got, e := receiveInFrame(frames[0], bad, frames[1], frames[2])
+		got, e := receiveInFrame(opCells, frames[0], bad, frames[1], frames[2])
 		if e.BadCells() == 0 {
 			t.Errorf("%s: the failed frame was not counted", name)
 		}
-		checkDelivered(t, got, m)
+		checkDelivered(t, got, op, m)
 	}
 }
 
@@ -124,21 +135,24 @@ func TestReceiveTrainInFrameSequenceChange(t *testing.T) {
 	m1 := &transport.Message{From: 0, To: 1, Seq: 1, Data: pattern(1, 16<<10)}
 	m2 := &transport.Message{From: 0, To: 1, Seq: 2, Data: pattern(2, 3000)}
 	m3 := &transport.Message{From: 0, To: 1, Seq: 3, Data: pattern(3, 16<<10)}
-	got, e := receiveInFrame(chunkFrames(vc, m1)[0], messageCells(vc, 2, m2.Data), messageCells(vc, 3, m3.Data))
-	checkDelivered(t, got, m2, m3)
+	op, opCells := opener(vc)
+	got, e := receiveInFrame(opCells, chunkFrames(vc, m1)[0], messageCells(vc, 2, m2.Data), messageCells(vc, 3, m3.Data))
+	checkDelivered(t, got, op, m2, m3)
 	if d := e.rx[vc].asm.Dropped(); d != 1 {
 		t.Errorf("assembler dropped %d messages, want message 1", d)
 	}
 }
 
 // TestReceiveTrainInFrameHeaderRealign: consecutive messages on one VC with
-// different header lengths (no control word, a credit and an ack, a credit).
-// The frame is laid out for the last message's header before the next
-// message's first cell shows its own; every delivered payload must still
-// start aligned.
+// different header lengths (a credit, no control word, a credit and an ack,
+// a credit). The frame is laid out for the last message's header before the
+// next message's first cell shows its own; every delivered payload must
+// still start aligned.
 func TestReceiveTrainInFrameHeaderRealign(t *testing.T) {
 	vc := atm.VCFor(0, 1)
+	op, _ := opener(vc)
 	msgs := []*transport.Message{
+		op,
 		{From: 0, To: 1, Seq: 1, Data: pattern(1, 16<<10)},
 		{From: 0, To: 1, Seq: 2, Data: pattern(2, 16<<10), HasCredit: true, Credit: 5, HasAck: true, Ack: 6},
 		{From: 0, To: 1, Seq: 3, Data: pattern(3, 300), HasCredit: true, Credit: 7},
@@ -155,9 +169,9 @@ func TestReceiveTrainInFrameHeaderRealign(t *testing.T) {
 
 // TestReceiveTrainInFrameOversizePDU: a peer sends a message as one chunk in
 // one PDU, longer than the room the reader lent it — after a short message,
-// which sizes the next frame small, and as a VC's first message, whose frame
-// is the largest pooled one. The frame finishes in the reassembler's own
-// buffer; the message is delivered byte-identical and aligned.
+// which sizes the next frame small, and after a long one, past the most a
+// chunk frame of this package takes. The frame finishes in the reassembler's
+// own buffer; the message is delivered byte-identical and aligned.
 func TestReceiveTrainInFrameOversizePDU(t *testing.T) {
 	vc := atm.VCFor(0, 1)
 	// oneChunk cuts m into a single chunk and its one frame.
@@ -177,8 +191,44 @@ func TestReceiveTrainInFrameOversizePDU(t *testing.T) {
 
 	got, _ := receiveInFrame(oneChunk(short), oneChunk(long))
 	checkDelivered(t, got, short, long)
-	got, _ = receiveInFrame(oneChunk(longest), messageCells(vc, 4, pattern(4, 100)))
-	checkDelivered(t, got, longest, &transport.Message{From: 0, To: 1, Seq: 4, Data: pattern(4, 100)})
+	got, _ = receiveInFrame(oneChunk(long), oneChunk(longest), messageCells(vc, 4, pattern(4, 100)))
+	checkDelivered(t, got, long, longest, &transport.Message{From: 0, To: 1, Seq: 4, Data: pattern(4, 100)})
+}
+
+// TestReceiveTrainInFrameFreshVCsHoldOneCell: one cell with a valid header on
+// each of a thousand VCs the reader has never seen, none completing a frame.
+// A VC that has completed no message is lent no place, so each holds the one
+// cell payload its reassembler took and no message frame: the reader's
+// memory grows by what the cells carried, not by a frame per VC.
+func TestReceiveTrainInFrameFreshVCsHoldOneCell(t *testing.T) {
+	const vcs = 1000
+	var dgram []byte
+	for i := 0; i < vcs; i++ {
+		cells, err := atm.AppendCells(nil, atm.VC{VPI: 1, VCI: uint16(1000 + i)}, pattern(byte(i), 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dgram = append(dgram, cells[:atm.CellSize]...) // not the end of its frame
+	}
+	var before, after runtime.MemStats
+	e := readDirect(func(m *transport.Message) { m.Release() }, func(e *Endpoint) {
+		runtime.ReadMemStats(&before)
+		e.receiveTrain(dgram)
+		runtime.ReadMemStats(&after)
+	})
+	if len(e.rx) != vcs {
+		t.Fatalf("%d VCs opened, want %d", len(e.rx), vcs)
+	}
+	for vc, rx := range e.rx {
+		if n := rx.reasm.Buffered(); n != atm.PayloadSize {
+			t.Fatalf("VC %v's reassembler holds %d octets, want the one cell's %d", vc, n, atm.PayloadSize)
+		}
+	}
+	// A VC's receive state and its one cell take under 2 KB; a frame sized
+	// for a chunk or a message, not for the cell that came, would not.
+	if per := (after.TotalAlloc - before.TotalAlloc) / vcs; per > 2<<10 {
+		t.Errorf("the reader allocated %d octets per fresh VC, want under 2 KB", per)
+	}
 }
 
 // BenchmarkReceiveTrain times the reader's side of stream_udpatm's traffic:

@@ -29,7 +29,10 @@
 // needs it. Committing the chunk copies nothing, and the finished frame,
 // laid out with its payload 64-byte aligned, goes to the consumer whole. A
 // received payload octet is copied twice in all: into the message frame,
-// and out of it by RecvInto. Every header is still
+// and out of it by RecvInto. A VC's first message, and a frame longer than
+// its place, land in the reassembler's own buffer and are copied in: a
+// message frame is sized by what the VC has delivered, never by what a
+// cell claims. Every header is still
 // HEC-verified — the one shortcut is identity: each VC's reassembler knows
 // two headers good, the one a frame's cells carry and its end-of-frame
 // one, and a header byte-identical to either needs no HEC, so a frame
@@ -103,8 +106,10 @@ type vcTx struct {
 }
 
 // vcRx is one VC's receive state: cell reassembly (AAL5 frames) feeding
-// chunk assembly (messages). The reassembler gathers each frame straight
-// into the assembler's message frame, so its own buffer stays empty.
+// chunk assembly (messages). Once the VC has completed a message, the
+// reassembler gathers each frame straight into the assembler's message
+// frame; its own buffer takes the VC's first message and any frame longer
+// than the place it was lent.
 type vcRx struct {
 	reasm *atm.Reassembler
 	asm   wire.Assembler
@@ -326,13 +331,14 @@ func (e *Endpoint) BindChannel(peer transport.ProcID, ch wire.ChannelID) {}
 // transmit queue is dropped so channel churn cannot accrete transmit state.
 // Only the transmit side is touched (under txMu); receive-side reassembly
 // state belongs to the reader goroutine and is not released here. Its worst
-// case is one partial message frame (up to wire.MaxFrame), which the
-// CPCS-PDU under assembly is gathered into, plus — only for a PDU longer
-// than the room it was lent, which no peer of this package sends — that
-// PDU (up to 64 KB), per VC the reader has ever seen a valid header for, and
-// nothing caps how many VCs that is. The queue is left in place if frames
-// are still pending — the writer drains every accepted frame (the Close
-// guarantee), and a reused channel ID maps back onto the same VC anyway.
+// case is one partial CPCS-PDU (up to 64 KB) in the reassembler's own
+// buffer plus one message frame (up to wire.MaxFrame), per VC the reader
+// has ever seen a valid header for, and nothing caps how many VCs that is;
+// a message frame is drawn only for a VC that has completed a message, and
+// grows with the octets the VC has delivered. The queue is left in place if
+// frames are still pending — the writer drains every accepted frame (the
+// Close guarantee), and a reused channel ID maps back onto the same VC
+// anyway.
 func (e *Endpoint) UnbindChannel(peer transport.ProcID, ch wire.ChannelID) {
 	if ch == 0 {
 		return
@@ -573,8 +579,9 @@ func (e *Endpoint) readLoop() {
 // chunkFrame is the most reassembly room a chunk frame from a peer of this
 // package takes: MaxChunk's frame, chunk header, pad and trailer, is 171
 // cell payloads. The reader lends each frame that much room in the message
-// frame; a longer one, which no peer here sends, finishes in the
-// reassembler's own buffer and is copied in.
+// frame, or up to the predicted end of the message; a longer one finishes
+// in the reassembler's own buffer and is copied in. So do a VC's frames
+// until it has completed a message: until then Place lends nothing.
 var chunkFrame = atm.CellCount(wire.ChunkHeaderSize+MaxChunk) * atm.PayloadSize
 
 // receiveTrain validates and reassembles one datagram's cells. The VC's
@@ -598,7 +605,9 @@ func (e *Endpoint) receiveTrain(train []byte) {
 				e.rx[h.VC()] = rx
 			}
 		}
-		rx.reasm.Lend(rx.asm.Place(chunkFrame)) // refused while a frame is open
+		if p := rx.asm.Place(chunkFrame, atm.MaxTail); p != nil {
+			rx.reasm.Lend(p) // refused while a frame is open
+		}
 		n, chunk, done, err := rx.reasm.PushWire(train)
 		train = train[n:]
 		// Count before delivering: whoever learns a message arrived must
@@ -633,7 +642,8 @@ func (e *Endpoint) receiveTrain(train []byte) {
 // datagram into the message frame (the reassembler), and out of it
 // (RecvInto). deliverChunk reports false if the chunk or the message it
 // completed was malformed, or if the message would have outgrown
-// wire.MaxFrame.
+// wire.MaxFrame. (A VC's first message, and a frame longer than its place,
+// are copied in once more, by Push.)
 func (e *Endpoint) deliverChunk(rx *vcRx, chunk []byte) bool {
 	_, done, err := rx.asm.Push(chunk)
 	if err != nil {

@@ -168,11 +168,14 @@ func (c *Chunker) Next(dst []byte) (chunk []byte, ok bool) {
 // header over the last ChunkHeaderSize octets of the message so far, which
 // the assembler saves and Push restores, and the body right after them —
 // and the carrier's frame lands there (udpatm lends it to atm.Reassembler),
-// so the body is already where the message needs it. Push copies any other
-// chunk into place: that is how a caller holding a chunk in a buffer of its
-// own uses the assembler — nic's adapter model, which copies each message
-// out again with Unmarshal and so gains nothing from gathering, and the
-// codec benchmarks, which time exactly that copy.
+// so the body is already where the message needs it. Place gives no spot
+// before the stream has completed a message: until then nothing shows how
+// large a frame the stream's traffic needs, and the chunks come off the
+// network. Push copies any other chunk into place: that is how a stream's
+// first message arrives, and how a caller holding a chunk in a buffer of
+// its own uses the assembler — nic's adapter model, which copies each
+// message out again with Unmarshal and so gains nothing from gathering, and
+// the codec benchmarks, which time exactly that copy.
 //
 // The assembler is strict: a chunk whose sequence differs from the message
 // under assembly abandons that message (counted in Dropped), a chunk index
@@ -211,11 +214,6 @@ type Assembler struct {
 	dropped int64
 }
 
-// placeTail is how far past a message's predicted end Place keeps room, for
-// the carrier's framing of its last chunk: AAL5 lays up to 55 octets of pad
-// and trailer after a chunk.
-const placeTail = 64
-
 // Dropped returns how many partially-assembled messages were abandoned.
 func (a *Assembler) Dropped() int64 { return a.dropped }
 
@@ -249,17 +247,14 @@ func (a *Assembler) begin(hdrLen int) {
 	a.at, a.n = a.atFor(hdrLen), 0
 }
 
-// grow replaces the frame by one with capacity for end: at least the
-// predicted message, and twice the old frame up to MaxFrame. The message
-// so far moves into it, to the same offset. The old frame is returned,
-// for the caller to release once nothing it holds is needed.
-func (a *Assembler) grow(end int) (old *Buf) {
-	size := max(end, a.at+a.last+placeTail)
-	if a.fb != nil {
-		size = max(size, min(2*cap(a.fb.B), MaxFrame))
-	}
+// grow replaces the frame by one of capacity size. The message so far
+// moves into it, to the same offset; a message not yet begun has nothing
+// to move, and its offset, realigned for its header, may lie past the old
+// frame. The old frame is returned, for the caller to release once nothing
+// it holds is needed.
+func (a *Assembler) grow(size int) (old *Buf) {
 	old, a.fb = a.fb, GetFrame(a.lay+ChunkHeaderSize, size)
-	if old != nil {
+	if old != nil && a.n > 0 {
 		copy(a.frame()[a.at:], old.B[a.at:a.at+a.n])
 		budget.Add(budget.RecvCopied, a.n)
 	}
@@ -269,29 +264,35 @@ func (a *Assembler) grow(end int) (old *Buf) {
 // Place returns the place the next chunk goes, for a carrier to gather it
 // there: the chunk's frame opens at the end of the returned slice — its
 // chunk header over the last ChunkHeaderSize octets of the message so far,
-// which Place saves — and has the slice's spare capacity: room octets,
-// unless the message is predicted to end sooner (before the stream's first
-// message there is nothing to predict by, and the frame is the largest
-// pooled one). The place stays out until Push takes the next chunk, which
-// restores the saved octets first. So a frame that lands there and fails —
-// its CRC, its length, its size — costs nothing: the next frame lands at
-// the same place, Place returning it again, and the octets are back by the
-// time the chunk it carries commits. A carrier may ask before every frame
-// it might start.
-func (a *Assembler) Place(room int) []byte {
+// which Place saves — and has the slice's spare capacity. room is the most
+// a carrier frame takes, and tail the most it lays past the chunk it
+// carries (its pad and trailer). The frame is drawn for the message the
+// stream's last one predicts, tail included; past that, it grows to leave
+// room octets spare, but to no more than twice what the message holds, so
+// the memory a stream holds follows the octets it has delivered. Before
+// the stream's first message completes, Place returns nil and the carrier
+// keeps the chunk in a buffer of its own. A frame that outgrows its place
+// is the carrier's to finish elsewhere; Push copies its chunk in.
+//
+// The place stays out until Push takes the next chunk, which restores the
+// saved octets first. So a frame that lands there and fails — its CRC, its
+// length, its size — costs nothing: the next frame lands at the same place,
+// Place returning it again, and the octets are back by the time the chunk
+// it carries commits. A carrier may ask before every frame it might start.
+func (a *Assembler) Place(room, tail int) []byte {
+	if a.last == 0 {
+		return nil
+	}
 	if !a.placed {
 		if !a.active {
-			a.begin(max(a.hdr, HeaderSize))
+			a.begin(a.hdr)
 		}
-		end := a.at + a.n - ChunkHeaderSize + room
-		switch {
-		case a.n < a.last:
-			end = min(end, a.at+a.last+placeTail)
-		case a.last == 0:
-			end = max(end, MaxPooled-PayloadAlign)
+		want := a.at + a.last + tail
+		if a.n >= a.last {
+			want = min(a.at+a.n-ChunkHeaderSize+room, 2*(a.at+a.n))
 		}
-		if a.fb == nil || cap(a.fb.B) < end {
-			PutBuf(a.grow(end))
+		if a.fb == nil || cap(a.fb.B) < want {
+			PutBuf(a.grow(want))
 		}
 		a.savedAt = a.at + a.n - ChunkHeaderSize
 		a.saved = [ChunkHeaderSize]byte(a.frame()[a.savedAt:])
@@ -362,8 +363,11 @@ func (a *Assembler) Push(chunk []byte) (msg []byte, done bool, err error) {
 func (a *Assembler) settle(body []byte) {
 	at, end := a.at+a.n, a.at+a.n+len(body)
 	if a.fb == nil || cap(a.fb.B) < end {
-		old := a.grow(end)
-		defer PutBuf(old) // body may lie in it
+		size := max(end, a.at+a.last)
+		if a.fb != nil {
+			size = max(size, min(2*cap(a.fb.B), MaxFrame))
+		}
+		defer PutBuf(a.grow(size)) // body may lie in the old frame
 	}
 	if dst := a.frame()[at:end]; len(body) > 0 && &dst[0] != &body[0] {
 		copy(dst, body)

@@ -57,6 +57,44 @@ func TestAssemblerSizeBound(t *testing.T) {
 	}
 }
 
+// TestAssemblerPlaceFollowsDelivered: a stream that has completed no message
+// is given no place and draws no frame, however a carrier asks; after a
+// short message, a message outgrowing it in small chunks, each gathered in
+// place, grows the frame with what it holds, not by the room the carrier
+// asks for.
+func TestAssemblerPlaceFollowsDelivered(t *testing.T) {
+	const room, tail = 8 << 10, 55
+	var a Assembler
+	if p := a.Place(room, tail); p != nil || a.fb != nil {
+		t.Fatalf("fresh stream: a place of %d octets, frame drawn %v; want neither", cap(p), a.fb != nil)
+	}
+	head := AppendChunkHeader(nil, ChunkHeader{Seq: 1})
+	if _, _, err := a.Push(append(head, make([]byte, HeaderSize)...)); err != nil {
+		t.Fatal(err)
+	}
+	if p := a.Place(room, tail); p != nil {
+		t.Fatalf("stream with a partial message: a place of %d octets; want none", cap(p))
+	}
+	last := AppendChunkHeader(nil, ChunkHeader{Seq: 1, Index: 1, Last: true})
+	if _, done, err := a.Push(last); !done || err != nil {
+		t.Fatalf("closing chunk: done=%v err=%v", done, err)
+	}
+
+	want := bytes.Repeat([]byte{5}, 2000)
+	for i, c := range chunkAndCollect(want, 2, 40) {
+		p := a.Place(room, tail)
+		if held := max(2*(a.at+a.n), a.at+a.last+tail); cap(a.fb.B) > 2*(PayloadAlign+held) {
+			t.Fatalf("chunk %d: frame of %d octets for a %d-octet message so far", i, cap(a.fb.B), a.n)
+		}
+		at := p[len(p) : len(p)+len(c)]
+		copy(at, c)
+		msg, done, err := a.Push(at)
+		if err != nil || done && !bytes.Equal(msg, want) {
+			t.Fatalf("chunk %d: done=%v err=%v", i, done, err)
+		}
+	}
+}
+
 // maxGarbagePushes bounds the chunks one FuzzAssembler input pushes: enough
 // to wrap the chunk index twice.
 const maxGarbagePushes = 1 << 17
@@ -72,14 +110,19 @@ const (
 )
 
 // deliver hands chunk to a the way mode says, and returns what Push returned
-// (nothing for a failed frame). A place with less spare room than the chunk
-// is what a carrier's frame outgrows: the chunk is pushed from elsewhere.
+// (nothing for a failed frame). No place (a stream that has completed no
+// message), or one with less spare room than the chunk, is one a carrier's
+// frame outgrows: it finishes elsewhere, and the chunk is pushed from there,
+// or, for a failed frame, never reaches the assembler.
 func deliver(a *Assembler, chunk []byte, mode int) (msg []byte, done bool, err error) {
 	if mode == byPush {
 		return a.Push(chunk)
 	}
-	p := a.Place(len(chunk))
+	p := a.Place(len(chunk), 0) // the test's frames are the bare chunks
 	if cap(p)-len(p) < len(chunk) {
+		if mode == byFailedFrame {
+			return nil, false, nil
+		}
 		return a.Push(bytes.Clone(chunk))
 	}
 	at := p[len(p) : len(p)+len(chunk)]
@@ -140,6 +183,15 @@ func FuzzAssembler(f *testing.F) {
 	f.Fuzz(func(t *testing.T, garbage, msg []byte, split, maxPayload uint16, seq uint32) {
 		var a Assembler
 		pushGarbage(t, &a, garbage)
+		if a.last == 0 {
+			// No place before a completed message: complete one, so the
+			// message below can be gathered in place.
+			a.Reset()
+			warm := AppendChunkHeader(nil, ChunkHeader{Seq: seq - 1, Last: true})
+			if _, done, err := a.Push(append(warm, make([]byte, HeaderSize)...)); !done || err != nil {
+				t.Fatalf("one-chunk message: done=%v err=%v", done, err)
+			}
+		}
 		if a.active && a.seq == seq {
 			seq++ // the same sequence would continue the garbage's message
 		}
