@@ -68,6 +68,7 @@ func run() error {
 		{"collectives", "tree vs linear group ops, modeled, N = 4, 8, 16", text(func() string { return bench.RenderCollectives(bench.Collectives()) })},
 		{"churn", "256 procs, 1,024 signaled calls under admission overload", text(func() string { return bench.RenderChurn(bench.Churn()) })},
 		{"faults", "64 procs, one host killed: detection latency, teardown", text(func() string { return bench.RenderFaults(bench.Faults()) })},
+		{"arq", "go-back-N goodput and retransmissions by timeout and frame loss", text(func() string { return bench.RenderARQ(bench.ARQSweep()) })},
 		{"mesh", "live channel pair (-weights)", func() error { return mesh(*weights) }},
 		{"scale1k", "virtual-time scale sweep (-n, -seed)", func() error { return scale1k(*meshN, *seed) }},
 	}

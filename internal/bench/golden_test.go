@@ -32,6 +32,7 @@ var (
 	scale256Once    = sync.OnceValue(func() ScaleResult { return Scale(256, 7) })
 	churnOnce       = sync.OnceValue(Churn)
 	faultsOnce      = sync.OnceValue(Faults)
+	arqOnce         = sync.OnceValue(ARQSweep)
 )
 
 func TestGoldenModeledOutput(t *testing.T) {
@@ -61,6 +62,7 @@ func TestGoldenModeledOutput(t *testing.T) {
 		{"scale", func() string { return RenderScale(Scale(64, 7)) + "\n" + RenderScale(scale256Once()) }},
 		{"churn", func() string { return RenderChurn(churnOnce()) }},
 		{"faults", func() string { return RenderFaults(faultsOnce()) }},
+		{"arq", func() string { return RenderARQ(arqOnce()) }},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -102,6 +104,12 @@ func TestModeledFloors(t *testing.T) {
 		t.Fatalf("no collectives row %s N=%d", op, n)
 		return 0
 	}
+	arqShort := 0 // ARQ rows that lost a message or gave up on the live peer
+	for _, r := range arqOnce() {
+		if r.Delivered != r.Msgs || r.GiveUps != 0 {
+			arqShort++
+		}
+	}
 	for _, f := range []struct {
 		what string
 		ok   bool
@@ -119,6 +127,7 @@ func TestModeledFloors(t *testing.T) {
 		{"faults typed deaths == procs", faults.TypedDeaths == faults.Procs, faults.TypedDeaths},
 		{"faults detection p99 <= (Misses+2)*Interval", faults.DetectP99Us <= faults.BoundUs, faults.DetectP99Us},
 		{"faults rerun reproduces its timeline", faultsAgain == faults.Timeline, faultsAgain},
+		{"arq rows short of full delivery or with a give-up == 0", arqShort == 0, arqShort},
 	} {
 		if !f.ok {
 			t.Errorf("%s: got %v", f.what, f.got)

@@ -134,12 +134,12 @@ type Channel struct {
 	// Pending reverse-direction control: the receiver role's credit
 	// advertisement and error-control acks wait here for the channel's next
 	// data frame toward the peer to piggyback on (attachPiggy) or for the
-	// lane's flush wheel, whichever comes first. pendCredit is cumulative (a
-	// newer value supersedes); pendAcks holds at most one word under
-	// go-back-N (cumulative) and a short burst under selective repeat.
+	// lane's flush wheel, whichever comes first. Both words are cumulative:
+	// a newer value supersedes a queued one.
 	pendCredit   uint32
 	pendCreditOn bool
-	pendAcks     []uint32
+	pendAck      uint32
+	pendAckOn    bool
 
 	// Flush-wheel state (owning lane's lock): flushOn marks an entry in the
 	// wheel, flushAt its deadline.
@@ -432,15 +432,11 @@ func (c *Channel) queueCredit(v uint32) {
 	c.armFlush()
 }
 
-// queueAck files an error-control acknowledgement. Cumulative acks
-// (go-back-N) supersede the queued word; selective acks (selective repeat)
-// append, and the flush path batches them into one frame.
-func (c *Channel) queueAck(v uint32, cumulative bool) {
-	if cumulative && len(c.pendAcks) > 0 {
-		c.pendAcks[len(c.pendAcks)-1] = v
-	} else {
-		c.pendAcks = append(c.pendAcks, v)
-	}
+// queueAck files the error tier's cumulative acknowledgement, which
+// supersedes a queued one, like queueCredit.
+func (c *Channel) queueAck(v uint32) {
+	c.pendAck = v
+	c.pendAckOn = true
 	c.armFlush()
 }
 
@@ -460,10 +456,10 @@ func (c *Channel) armFlush() {
 }
 
 // flushCtrl sends whatever control is still pending as standalone frames:
-// one credit advertisement and one (possibly multi-word) ack frame. No-op
-// when a data frame already carried everything. The caller holds the lane
-// lock and is responsible for having the lane serviced afterwards (the
-// frames are queued, not yet transmitted).
+// one credit advertisement and one ack. No-op when a data frame already
+// carried everything. The caller holds the lane lock and is responsible for
+// having the lane serviced afterwards (the frames are queued, not yet
+// transmitted).
 func (c *Channel) flushCtrl() {
 	ln := c.ln
 	if c.pendCreditOn {
@@ -473,11 +469,11 @@ func (c *Channel) flushCtrl() {
 		ln.pushCtrlLocked(c.peer, c.id, tagFlowAck, nil, c.pendCredit)
 		c.flow.creditSent(c.pendCredit)
 	}
-	if len(c.pendAcks) > 0 {
+	if c.pendAckOn {
+		c.pendAckOn = false
 		c.ctrlStandalone++
 		ln.ctrlStandaloneL++
-		ln.pushCtrlLocked(c.peer, c.id, tagGBNAck, nil, c.pendAcks...)
-		c.pendAcks = c.pendAcks[:0]
+		ln.pushCtrlLocked(c.peer, c.id, tagGBNAck, nil, c.pendAck)
 	}
 }
 
@@ -523,8 +519,8 @@ func (c *Channel) wrapTimer(fn func() error) func() {
 }
 
 // attachPiggy moves pending control onto a departing data frame: the
-// credit word and the oldest queued ack ride for free. Runs in the service
-// pass immediately before the frame is handed to the carrier.
+// credit word and the ack ride for free. Runs in the service pass
+// immediately before the frame is handed to the carrier.
 // Slots a previous transmission already occupied are skipped (a go-back-N
 // retransmission re-sends the exact bytes it carried the first time).
 func (c *Channel) attachPiggy(m *transport.Message) {
@@ -536,10 +532,9 @@ func (c *Channel) attachPiggy(m *transport.Message) {
 		ln.ctrlPiggyL++
 		c.flow.creditSent(c.pendCredit)
 	}
-	if n := len(c.pendAcks); n > 0 && !m.HasAck {
-		m.Ack, m.HasAck = c.pendAcks[0], true
-		copy(c.pendAcks, c.pendAcks[1:])
-		c.pendAcks = c.pendAcks[:n-1]
+	if c.pendAckOn && !m.HasAck {
+		m.Ack, m.HasAck = c.pendAck, true
+		c.pendAckOn = false
 		c.ctrlPiggy++
 		ln.ctrlPiggyL++
 	}

@@ -184,10 +184,9 @@ func gated(c *Channel) bool {
 	return c.sq.Size() > 0 && !c.inSched
 }
 
-// TestCloseFailsGatedSends: a thread blocked in Send because one of the four
-// gates — window credit, rate tokens, a full go-back-N or selective-repeat
-// window — is holding its request back must not hang when the channel
-// closes. Close fails the gated send, whose Send returns the typed
+// TestCloseFailsGatedSends: a thread blocked in Send because one of the
+// three gates — window credit, rate tokens, a full go-back-N window — is
+// holding its request back must not hang when the channel closes. Close fails the gated send, whose Send returns the typed
 // ChannelClosedError, and a send after the close returns the same — each
 // exactly once, with nothing on the give-up observer but give-ups. The peer
 // runs neither discipline, so it never credits or acks: only Close can
@@ -204,11 +203,6 @@ func TestCloseFailsGatedSends(t *testing.T) {
 			g := NewGoBackN(1, 5*time.Millisecond)
 			g.MaxRetries = 3
 			return ChannelConfig{Error: g}
-		}},
-		{"selective-repeat", func() ChannelConfig {
-			s := NewSelectiveRepeat(1, 5*time.Millisecond)
-			s.MaxRetries = 3
-			return ChannelConfig{Error: s}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -385,8 +385,8 @@ func (p *Proc) Received() int64 { return p.received.Load() }
 
 // OnException installs an observer of error-control give-ups (paper §3.1,
 // "Exception Handling"): fn gets one report, outside the lane lock, each
-// time go-back-N or selective repeat abandons messages (Abandoned). The
-// default is none. It stays only because bench/ counts give-ups through it.
+// time go-back-N abandons messages (Abandoned). The default is none. It
+// stays only because bench/ counts give-ups through it.
 func (p *Proc) OnException(fn func(error)) { p.giveUp = fn }
 
 // Thread is one NCS user thread: the handle the application body receives.

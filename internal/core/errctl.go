@@ -34,15 +34,15 @@ type ErrorControl interface {
 	// admit stamps and retains m for transmission; room was true.
 	admit(m *transport.Message)
 	// onData inspects an arriving data message; it returns false to
-	// suppress delivery (duplicate or out-of-order under go-back-N).
+	// suppress delivery (a duplicate, or an arrival past a hole, which
+	// go-back-N keeps for the in-order flush).
 	onData(m *transport.Message) bool
 	// onControl consumes this discipline's control messages (acks).
 	onControl(m *transport.Message)
-	// onAck consumes one acknowledgement word, whether it arrived in a
+	// onAck consumes one cumulative acknowledgement word — the highest
+	// in-order sequence the peer has received — whether it arrived in a
 	// standalone control frame (onControl routes each payload word here)
-	// or piggybacked on a reverse-direction data frame. Its meaning is
-	// discipline-defined: cumulative under go-back-N, selective under
-	// selective repeat.
+	// or piggybacked on a reverse-direction data frame.
 	onAck(v uint32)
 	// pending reports in-flight messages still awaiting acknowledgement;
 	// the process's system threads stay alive while it is non-zero.
@@ -69,16 +69,16 @@ func (NoErrorControl) onAck(uint32)                   {}
 func (NoErrorControl) pending() int                   { return 0 }
 func (NoErrorControl) abandon()                       {}
 
-// retainStore keeps the private copies an error-control discipline holds
-// for retransmission, one store per channel, for both disciplines. The copy
-// itself is the contract's price — Send lets the caller reuse its buffer the
-// moment the first transmission is serialized, and collective hot paths
-// (BcastInto, Gather's pack buffer) do exactly that, so an aliased
-// retransmission would carry the *next* operation's bytes under the old
-// sequence number — but the Message and the bytes it lands in are recycled:
-// the ack path refills a freelist that admission draws from, so a loss-free
-// stream allocates nothing per message. Channels without error control pay
-// nothing. Callers hold the lane lock.
+// retainStore keeps the private copies go-back-N holds for retransmission,
+// one store per channel. The copy itself is the contract's price — Send
+// lets the caller reuse its buffer the moment the first transmission is
+// serialized, and collective hot paths (BcastInto, Gather's pack buffer) do
+// exactly that, so an aliased retransmission would carry the *next*
+// operation's bytes under the old sequence number — but the Message and the
+// bytes it lands in are recycled: the ack path refills a freelist that
+// admission draws from, so a loss-free stream allocates nothing per
+// message. Channels without error control pay nothing. Callers hold the
+// lane lock.
 type retainStore struct {
 	ch *Channel
 	// free holds acknowledged copies, at most window of them.
@@ -132,9 +132,16 @@ func (s *retainStore) resend(m *transport.Message) {
 
 // GoBackN is sliding-window ARQ with cumulative acks and a retransmission
 // timer, per channel. ESeq numbers start at 1; an ack carries the highest
-// in-order sequence received.
+// in-order sequence received. It goes back only as far as the hole: the
+// receiver keeps what arrives inside its window past a lost frame and
+// releases the run in order once the hole fills, and the sender resends only
+// the oldest unacked frame — when the timer finds no progress, and at once
+// when an ack slides the window but stops short of what was outstanding at
+// that timeout, since such a partial ack names the next hole (TCP NewReno's
+// rule, RFC 6582).
 type GoBackN struct {
-	// Window bounds in-flight messages on the channel.
+	// Window bounds in-flight messages on the channel, and what the
+	// receiver holds past a hole.
 	Window int
 	// Timeout is the retransmission timer.
 	Timeout time.Duration
@@ -151,6 +158,9 @@ type GoBackN struct {
 	base    uint32               // oldest unacked
 	unacked []*transport.Message // in-flight copies, base..nextSeq-1
 	store   retainStore
+	// recover is nextSeq at the last timeout: an ack that leaves base short
+	// of it is partial.
+	recover uint32
 	// The timer measures time without progress: progress records that an
 	// ack slid the window since the timer was armed, and a fire that finds
 	// it set only re-arms.
@@ -160,8 +170,11 @@ type GoBackN struct {
 	// it so a dead peer cannot keep the process alive forever.
 	stall int
 
-	// Receiver side.
+	// Receiver side: expected is the next in-order sequence; buffered holds
+	// arrivals past a hole inside [expected, expected+Window), made on the
+	// first one.
 	expected uint32
+	buffered map[uint32]*transport.Message
 
 	// fireFn is the pre-bound, lane-wrapped timer callback, so each re-arm
 	// schedules without a fresh closure.
@@ -212,6 +225,7 @@ func (g *GoBackN) init(c *Channel) {
 	g.store = retainStore{ch: c, window: g.Window}
 	g.nextSeq = 1
 	g.base = 1
+	g.recover = 1
 	g.expected = 1
 	g.fireFn = c.wrapTimer(g.timerFire)
 }
@@ -242,9 +256,9 @@ func (g *GoBackN) timerFire() error {
 	}
 	if g.progress {
 		// Acks slid the window while the timer ran: nothing has waited a
-		// Timeout yet. Resending the window here is what a loss-free bulk
-		// stream used to pay every Timeout — a window of frames the
-		// receiver reassembles, checks and discards.
+		// Timeout yet. Resending here is what a loss-free bulk stream used
+		// to pay every Timeout — frames the receiver reassembles, checks
+		// and discards.
 		g.armTimer()
 		return nil
 	}
@@ -258,36 +272,81 @@ func (g *GoBackN) timerFire() error {
 		g.p.checkShutdownWake()
 		return fmt.Errorf("go-back-N: gave up on %d messages to proc %d (channel %d)", gaveUp, g.ch.peer, g.ch.id)
 	}
-	// Go-back-N: re-queue every unacked message.
-	for _, m := range g.unacked {
-		g.retrans++
-		g.store.resend(m)
-	}
+	// Resend only the oldest frame: the receiver kept what arrived past it,
+	// and the acks that follow name any further hole.
+	g.resendBase()
+	g.recover = g.nextSeq
 	g.armTimer()
 	return nil
 }
 
+// resendBase re-queues the oldest unacked frame.
+func (g *GoBackN) resendBase() {
+	g.retrans++
+	g.store.resend(g.unacked[0])
+}
+
 func (g *GoBackN) onData(m *transport.Message) bool {
 	if m.ESeq == 0 {
-		// Peer not running error control (mixed configuration): accept.
+		// Peer not running error control (mixed configuration), or a held
+		// arrival the flush released: accept.
 		return true
 	}
-	switch {
-	case m.ESeq == g.expected:
+	if m.ESeq != g.expected {
+		// A duplicate, or an arrival past a hole: re-ack the last in-order
+		// sequence so the sender learns where the hole is.
+		g.hold(m)
+		g.sendAck(g.expected - 1)
+		return false
+	}
+	g.expected++
+	if len(g.buffered) > 0 {
+		g.flush()
+	}
+	g.sendAck(g.expected - 1)
+	return true
+}
+
+// hold keeps an arrival past a hole for the in-order flush when it falls
+// inside the receive window [expected, expected+Window) — an honest sender
+// with the same window never transmits past it, so at most Window-1 are
+// held — and releases anything else: a frame beyond the window, or a copy of
+// one delivered or already held, which will never be read.
+func (g *GoBackN) hold(m *transport.Message) {
+	if _, dup := g.buffered[m.ESeq]; dup || m.ESeq-g.expected >= uint32(g.Window) {
+		m.Release()
+		return
+	}
+	if g.buffered == nil {
+		g.buffered = make(map[uint32]*transport.Message)
+	}
+	// Ownership, and the pooled buffer, stay with the message until
+	// delivery. Its piggybacked control words were applied on arrival: clear
+	// them so the flush's pass through processLocked does not apply them
+	// twice.
+	m.HasCredit, m.HasAck = false, false
+	g.buffered[m.ESeq] = m
+}
+
+// flush releases the held run the in-order arrival joined to the stream. It
+// goes back through the channel's receive level ahead of anything already
+// waiting there — a later arrival queued in rxq could otherwise match the
+// advanced expected sequence and leapfrog it — with each ESeq cleared so
+// onData passes it through.
+func (g *GoBackN) flush() {
+	var run []*transport.Message
+	for {
+		m, ok := g.buffered[g.expected]
+		if !ok {
+			break
+		}
+		delete(g.buffered, g.expected)
 		g.expected++
-		g.sendAck(g.expected - 1)
-		return true
-	case wire.SeqNewer(g.expected, m.ESeq):
-		// Duplicate: re-ack so the sender's window slides. The frame will
-		// never be read, so its pooled buffer recycles here.
-		g.sendAck(g.expected - 1)
-		m.Release()
-		return false
-	default:
-		// Gap: discard and re-ack the last in-order sequence.
-		g.sendAck(g.expected - 1)
-		m.Release()
-		return false
+		m.ESeq = 0
+		run = append(run, m)
+	}
+	if len(run) > 0 {
+		g.ch.ln.requeueRxLocked(g.ch, run)
 	}
 }
 
@@ -295,7 +354,7 @@ func (g *GoBackN) onData(m *transport.Message) bool {
 // the channel's flush timer): being cumulative, a newer value simply
 // supersedes a queued one, so a burst of arrivals costs one ack frame.
 func (g *GoBackN) sendAck(upTo uint32) {
-	g.ch.queueAck(upTo, true)
+	g.ch.queueAck(upTo)
 }
 
 func (g *GoBackN) onControl(m *transport.Message) {
@@ -322,6 +381,13 @@ func (g *GoBackN) onAck(acked uint32) {
 	g.base += uint32(n)
 	g.stall = 0
 	g.progress = true
+	if wire.SeqNewer(g.recover, g.base) {
+		// A partial ack: the new oldest frame was outstanding at the last
+		// timeout, and the receiver still lacks it.
+		g.resendBase()
+	} else {
+		g.recover = g.base
+	}
 	g.ch.reopen()
 	g.p.checkShutdownWake()
 }

@@ -145,9 +145,8 @@ func TestErrorControlSendAllocs(t *testing.T) {
 		return avg
 	}
 	for name, mk := range map[string]func() ErrorControl{
-		"none":             func() ErrorControl { return nil },
-		"go-back-n":        func() ErrorControl { return NewGoBackN(8, time.Second) },
-		"selective-repeat": func() ErrorControl { return NewSelectiveRepeat(8, time.Second) },
+		"none":      func() ErrorControl { return nil },
+		"go-back-n": func() ErrorControl { return NewGoBackN(8, time.Second) },
 	} {
 		if got := measure(mk); got != 0 {
 			t.Errorf("%s: %.0f allocations per 4 KB round, want 0", name, got)
@@ -231,52 +230,146 @@ func TestGoBackNOverLossyATM(t *testing.T) {
 }
 
 // TestGiveUpObserved: a default-configured proc whose peer exits without
-// ever acknowledging (it runs no error control) gives up on its last message
-// under either discipline, counts it in Abandoned and terminates without a
-// panic. With a recording OnException installed, the observer sees one
-// report per give-up.
+// ever acknowledging (it runs no error control) gives up on its last
+// message, counts it in Abandoned and terminates without a panic. With a
+// recording OnException installed, the observer sees one report per
+// give-up.
 func TestGiveUpObserved(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		mk        func() ErrorControl
-		abandoned func(ErrorControl) int64
-	}{
-		{"go-back-n", func() ErrorControl {
+	for _, observe := range []bool{false, true} {
+		observe := observe
+		t.Run(fmt.Sprintf("go-back-n/observer=%v", observe), func(t *testing.T) {
+			procs := realCluster(t, 2, transport.NewMem(), nil)
 			g := NewGoBackN(4, 5*time.Millisecond)
 			g.MaxRetries = 2
-			return g
-		}, func(ec ErrorControl) int64 { return ec.(*GoBackN).Abandoned() }},
-		{"selective-repeat", func() ErrorControl {
-			s := NewSelectiveRepeat(4, 5*time.Millisecond)
-			s.MaxRetries = 2
-			return s
-		}, func(ec ErrorControl) int64 { return ec.(*SelectiveRepeat).Abandoned() }},
-	} {
-		for _, observe := range []bool{false, true} {
-			tc, observe := tc, observe
-			t.Run(fmt.Sprintf("%s/observer=%v", tc.name, observe), func(t *testing.T) {
-				procs := realCluster(t, 2, transport.NewMem(), nil)
-				tx := procs[0].Open(1, ChannelConfig{ID: 1, Error: tc.mk()})
-				rx := procs[1].Open(0, ChannelConfig{ID: 1})
-				var reports []error
-				if observe {
-					procs[0].OnException(func(err error) { reports = append(reports, err) })
-				}
-				procs[0].TCreate("tx", mts.PrioDefault, func(th *Thread) {
-					if err := tx.Send(th, 0, []byte("last")); err != nil {
-						t.Errorf("send: %v", err)
-					}
-				})
-				procs[1].TCreate("rx", mts.PrioDefault, func(th *Thread) { rx.Recv(th, Any) })
-				runReal(procs)
-				n := tc.abandoned(tx.Error())
-				if n < 1 {
-					t.Fatalf("Abandoned() = %d, want >= 1", n)
-				}
-				if observe && int64(len(reports)) != n {
-					t.Fatalf("observer saw %d reports for %d give-ups: %v", len(reports), n, reports)
+			tx := procs[0].Open(1, ChannelConfig{ID: 1, Error: g})
+			rx := procs[1].Open(0, ChannelConfig{ID: 1})
+			var reports []error
+			if observe {
+				procs[0].OnException(func(err error) { reports = append(reports, err) })
+			}
+			procs[0].TCreate("tx", mts.PrioDefault, func(th *Thread) {
+				if err := tx.Send(th, 0, []byte("last")); err != nil {
+					t.Errorf("send: %v", err)
 				}
 			})
+			procs[1].TCreate("rx", mts.PrioDefault, func(th *Thread) { rx.Recv(th, Any) })
+			runReal(procs)
+			n := tx.Error().(*GoBackN).Abandoned()
+			if n < 1 {
+				t.Fatalf("Abandoned() = %d, want >= 1", n)
+			}
+			if observe && int64(len(reports)) != n {
+				t.Fatalf("observer saw %d reports for %d give-ups: %v", len(reports), n, reports)
+			}
+		})
+	}
+}
+
+// TestGoBackNInOrderDeliveryDespiteBuffering: heavy loss makes the receiver
+// hold deep runs of arrivals past a hole, and the stream still comes out
+// whole and in order.
+func TestGoBackNInOrderDeliveryDespiteBuffering(t *testing.T) {
+	mem := transport.NewMem()
+	mem.SetDropRate(0.4, 7)
+	procs := realCluster(t, 2, mem, func(i int) (FlowControl, ErrorControl) {
+		return nil, NewGoBackN(6, 15*time.Millisecond)
+	})
+	const n = 20
+	var got []int
+	procs[0].TCreate("sender", mts.PrioDefault, func(th *Thread) {
+		for k := 0; k < n; k++ {
+			th.Send(0, 1, []byte{byte(k)})
 		}
+	})
+	procs[1].TCreate("recv", mts.PrioDefault, func(th *Thread) {
+		for k := 0; k < n; k++ {
+			data, _ := th.Recv(Any, Any)
+			got = append(got, int(data[0]))
+		}
+	})
+	runReal(procs)
+	if len(got) != n {
+		t.Fatalf("received %d of %d", len(got), n)
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("order broken at %d: %v", i, got)
+		}
+	}
+	if mem.Dropped() == 0 {
+		t.Fatal("no loss injected — test proves nothing")
+	}
+}
+
+// TestGoBackNWindowBoundsBuffer: the receive side holds only arrivals past a
+// hole inside [expected, expected+Window). A frame at expected+Window is
+// released and leaves nothing held, while reordering inside the window
+// still comes out in sequence order. The ack pending throughout is one
+// cumulative word: the last in-order sequence.
+func TestGoBackNWindowBoundsBuffer(t *testing.T) {
+	const window = 4
+	mem := transport.NewMem()
+	procs := realCluster(t, 2, mem, nil)
+	procs[0].Open(1, ChannelConfig{ID: 1, Error: NewGoBackN(window, time.Second)})
+	g := NewGoBackN(window, time.Second)
+	c := procs[1].Open(0, ChannelConfig{ID: 1, Error: g})
+	msgs := map[uint32]*transport.Message{}
+	data := func(seq uint32) *transport.Message {
+		msgs[seq] = &transport.Message{From: 0, To: 1, Channel: 1, ESeq: seq}
+		return msgs[seq]
+	}
+
+	ln := c.lockLane()
+	if g.onData(data(1+window)) || len(g.buffered) != 0 || c.pendAck != 0 {
+		t.Fatalf("frame at expected+Window: %d held, ack %d; want none held, ack 0", len(g.buffered), c.pendAck)
+	}
+	for _, seq := range []uint32{3, 2} {
+		if g.onData(data(seq)) {
+			t.Fatalf("out-of-order seq %d delivered", seq)
+		}
+	}
+	if !g.onData(data(1)) {
+		t.Fatal("in-order seq 1 not delivered")
+	}
+	if g.expected != 4 || len(g.buffered) != 0 {
+		t.Fatalf("after the gap filled: expected %d, %d held; want 4, 0", g.expected, len(g.buffered))
+	}
+	for _, seq := range []uint32{2, 3} {
+		if ln.rxq.empty() {
+			t.Fatalf("held seq %d not flushed", seq)
+		}
+		if it := ln.rxq.pop(); it.m != msgs[seq] || it.m.ESeq != 0 {
+			t.Fatalf("flushed out of order, or with its ESeq kept, at seq %d", seq)
+		}
+	}
+	if !c.pendAckOn || c.pendAck != 3 {
+		t.Fatalf("pending ack %d (queued %v), want 3", c.pendAck, c.pendAckOn)
+	}
+	if g.onData(data(4+window)) || len(g.buffered) != 0 || c.pendAck != 3 {
+		t.Fatal("the window did not slide with expected")
+	}
+	ln.mu.Unlock()
+
+	for _, p := range procs {
+		p.TCreate("noop", mts.PrioDefault, func(*Thread) {})
+	}
+	runReal(procs)
+}
+
+// TestGoBackNValidation: a window under one or a timeout that is not
+// positive is refused at construction.
+func TestGoBackNValidation(t *testing.T) {
+	for _, bad := range []struct {
+		window  int
+		timeout time.Duration
+	}{{0, time.Second}, {8, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewGoBackN(%d, %v) accepted", bad.window, bad.timeout)
+				}
+			}()
+			NewGoBackN(bad.window, bad.timeout)
+		}()
 	}
 }

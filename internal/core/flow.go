@@ -89,9 +89,8 @@ const DefaultWindowSyncInterval = 50 * time.Millisecond
 //
 // Flow control recovers lost credits, not lost data: a data message the
 // carrier eats is the error-control tier's to retransmit (compose with
-// GoBackN or SelectiveRepeat on lossy fabrics). Once error control
-// redelivers it, the receiver's cumulative count advances and the window
-// reopens.
+// GoBackN on lossy fabrics). Once error control redelivers it, the
+// receiver's cumulative count advances and the window reopens.
 //
 // Advertisements ride the data plane when they can: between forced
 // advertisements the cumulative count waits on the channel for a
@@ -390,9 +389,8 @@ func (r *RateFlow) creditSent(uint32)              {}
 func (r *RateFlow) shutdown()                      {}
 
 // forEachCtrlWord iterates the 4-byte words of a control payload in order.
-// Flush frames batch several acknowledgements into one frame (selective
-// repeat's ack bursts); cumulative consumers are word-order insensitive
-// anyway.
+// This end sends one word per frame; a peer may pack several, and the
+// cumulative consumers are word-order insensitive.
 func forEachCtrlWord(m *transport.Message, fn func(uint32)) {
 	for b := m.Data; len(b) >= 4; b = b[4:] {
 		fn(wire.Uint32(b))

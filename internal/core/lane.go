@@ -206,9 +206,9 @@ type lane struct {
 	// Per-lane freelists recycle the per-call bookkeeping structs of the
 	// send hot path, so lanes never contend on recycling. dataFree holds
 	// sender-side data Message structs: every carrier serializes before Send
-	// returns and both error-control disciplines buffer private copies, so
-	// once flushRunLocked has handed a data frame to the endpoint nothing
-	// references the struct and it can carry the next Send.
+	// returns and go-back-N buffers private copies, so once flushRunLocked
+	// has handed a data frame to the endpoint nothing references the struct
+	// and it can carry the next Send.
 	reqFree  []*sendReq
 	ctrlFree []*transport.Message
 	dataFree []*transport.Message
@@ -520,11 +520,9 @@ func (ln *lane) putDataMsg(m *transport.Message) {
 // the lane's control level: head, if any, then words as uint32s. The message
 // and its payload buffer recycle once the endpoint has serialized them. Flow-
 // and error-control payloads are *cumulative* counters (credit
-// advertisements, cumulative acks) compared wrap-safely with wire.SeqNewer at
-// the receiver, so those control frames survive lossy carriers: any later
-// frame supersedes a dropped one; an ack burst (selective repeat) travels as
-// several words in one frame, which consumers iterate with forEachCtrlWord.
-// The caller has the lane serviced afterwards.
+// advertisements, acks) compared wrap-safely with wire.SeqNewer at the
+// receiver, so those control frames survive lossy carriers: any later frame
+// supersedes a dropped one. The caller has the lane serviced afterwards.
 func (ln *lane) pushCtrlLocked(to ProcID, ch ChannelID, tag int, head []byte, words ...uint32) {
 	m := ln.getCtrlMsg()
 	m.From = ln.p.cfg.ID
@@ -951,9 +949,9 @@ func (ln *lane) processLocked() {
 	}
 }
 
-// requeueRxLocked re-queues in-order flushes from a buffering discipline
-// (selective repeat) ahead of anything already waiting at the channel's
-// level, so release order equals sequence order.
+// requeueRxLocked re-queues the run a go-back-N receiver held past a hole
+// ahead of anything already waiting at the channel's level, so release
+// order equals sequence order.
 func (ln *lane) requeueRxLocked(c *Channel, flushed []*transport.Message) {
 	items := ln.rxScratch[:0]
 	for _, m := range flushed {
@@ -1139,11 +1137,10 @@ func (ln *lane) flushRunLocked(run []*sendReq) []*sendReq {
 // closing under queued sends — failSendsLocked files the cause with the
 // sending thread first): its sender's completion is
 // delivered and the request and its pooled message return to the freelists
-// (the endpoint serialized the message, and the error-control disciplines
-// buffer private copies for retransmission, so nothing references either
-// anymore). How the completion travels is the driver's: a sender still
-// inside laneSend on this lane (done) observes the flag before parking, so no
-// wakeup is needed; under the thread driver the caller is in the scheduler
+// (the endpoint serialized the message, and go-back-N buffers private
+// copies for retransmission, so nothing references either anymore). How the
+// completion travels is the driver's: a sender still inside laneSend on this
+// lane (done) observes the flag before parking, so no wakeup is needed; under the thread driver the caller is in the scheduler
 // domain, so a parked sender is unblocked on the spot — when *its* run has
 // reached the carrier, not at the end of the pass (Figure 4's overlap: it
 // computes while the next frame transmits); otherwise the wakeup is deferred

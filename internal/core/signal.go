@@ -353,8 +353,8 @@ const sigDrainPoll = 200 * time.Microsecond
 // the setup handshake's retry budget. The Flow/Error instances configure
 // *this* end; their parameters travel in the SETUP so the callee builds
 // matching disciplines (only the built-in disciplines — WindowFlow,
-// RateFlow, GoBackN, SelectiveRepeat, or none — can travel; anything else
-// fails with CauseUnsupported).
+// RateFlow, GoBackN, or none — can travel; anything else, or a GoBackN
+// window above maxCallErrWindow, fails with CauseUnsupported).
 type CallConfig struct {
 	// ID requests a specific channel ID (1..MaxChannelID); 0 lets the
 	// caller pick the lowest free ID toward the peer.
@@ -564,9 +564,15 @@ func sigJitter(a, b, c uint32, span time.Duration) time.Duration {
 // SigMessage: [priority, weight, flowKind, flowA, flowB, errKind, errA,
 // errB]. flowKind 0 = none, 1 = window (A = Window, B = SyncInterval µs),
 // 2 = rate (A = bytes/s, B = bucket bytes); errKind 0 = none, 1 =
-// go-back-N, 2 = selective repeat (A = Window, B = Timeout µs). A 9th
+// go-back-N (A = Window, B = Timeout µs); any other kind is refused. A 9th
 // word follows with the calling-party thread index (Channel.PeerThread),
 // and a 10th, reserved: sent as 0, ignored on receipt.
+
+// maxCallErrWindow caps the go-back-N window a SETUP may ask of the callee.
+// The callee's receiver holds up to Window-1 frames that arrive past a
+// hole, so the caller's window word is a claim on the callee's memory; every
+// caller in this module asks for 8 or less.
+const maxCallErrWindow = 256
 
 func encodeCallWords(cfg CallConfig) ([8]uint32, bool) {
 	var w [8]uint32
@@ -593,10 +599,6 @@ func encodeCallWords(cfg CallConfig) ([8]uint32, bool) {
 		w[5] = 1
 		w[6] = satU32(float64(ec.Window))
 		w[7] = satU32(float64(ec.Timeout / time.Microsecond))
-	case *SelectiveRepeat:
-		w[5] = 2
-		w[6] = satU32(float64(ec.Window))
-		w[7] = satU32(float64(ec.Timeout / time.Microsecond))
 	default:
 		return w, false
 	}
@@ -607,7 +609,8 @@ func encodeCallWords(cfg CallConfig) ([8]uint32, bool) {
 // arrive from the carrier and are treated as hostile: anything out of
 // range refuses the call instead of reaching a constructor. A weight or
 // window word must fit an int on every GOARCH — 2^31 is negative on a
-// 32-bit callee.
+// 32-bit callee — and an error-control window must not pass
+// maxCallErrWindow.
 func decodeCallWords(w []uint32) (prio, weight int, fc FlowControl, ec ErrorControl, ok bool) {
 	if len(w) < 8 || w[0] >= NumChannelPriorities || w[1] > math.MaxInt32 {
 		return 0, 0, nil, nil, false
@@ -636,15 +639,10 @@ func decodeCallWords(w []uint32) (prio, weight int, fc FlowControl, ec ErrorCont
 	case 0:
 		ec = NoErrorControl{}
 	case 1:
-		if !count(w[6]) || w[7] < 1 {
+		if w[6] < 1 || w[6] > maxCallErrWindow || w[7] < 1 {
 			return 0, 0, nil, nil, false
 		}
 		ec = NewGoBackN(int(w[6]), time.Duration(w[7])*time.Microsecond)
-	case 2:
-		if !count(w[6]) || w[7] < 1 {
-			return 0, 0, nil, nil, false
-		}
-		ec = NewSelectiveRepeat(int(w[6]), time.Duration(w[7])*time.Microsecond)
 	default:
 		return 0, 0, nil, nil, false
 	}

@@ -258,7 +258,7 @@ func TestOpenCallTimeout(t *testing.T) {
 
 // TestSendAfterCloseTyped: a send on a closed signaled channel returns the
 // same typed *ChannelClosedError regardless of discipline (windowed, rate,
-// go-back-N, selective repeat) and driver (thread at lanes=1, goroutine at
+// go-back-N) and driver (thread at lanes=1, goroutine at
 // lanes=4), and nothing reaches the give-up observer.
 func TestSendAfterCloseTyped(t *testing.T) {
 	cases := []struct {
@@ -268,7 +268,6 @@ func TestSendAfterCloseTyped(t *testing.T) {
 		{"window", func() CallConfig { return CallConfig{Flow: NewWindowFlow(4)} }},
 		{"rate", func() CallConfig { return CallConfig{Flow: NewRateFlow(1e6, 8192)} }},
 		{"gbn", func() CallConfig { return CallConfig{Error: NewGoBackN(4, 50*time.Millisecond)} }},
-		{"sr", func() CallConfig { return CallConfig{Error: NewSelectiveRepeat(4, 50*time.Millisecond)} }},
 	}
 	for _, lanes := range []int{1, 4} {
 		for _, tc := range cases {

@@ -229,6 +229,29 @@ func refusalCases() []refusalCase {
 			rejects: []CallCause{CauseUnsupported},
 		},
 		{
+			// A go-back-N window is a claim on the callee's receive buffer:
+			// above maxCallErrWindow the callee refuses it.
+			name: "gbn-window-above-cap",
+			dial: func(th *Thread, _ *sigTap) error {
+				_, err := th.proc.OpenCall(th, 1, CallConfig{Error: NewGoBackN(maxCallErrWindow+1, time.Millisecond)})
+				byeAndWait(th)
+				return err
+			},
+			wantErr: wantOpenErr(CauseUnsupported),
+			rejects: []CallCause{CauseUnsupported},
+		},
+		{
+			// Error-control kind 2 was selective repeat, which is gone: the
+			// callee refuses it like any unknown kind.
+			name: "error-kind-2",
+			dial: func(th *Thread, _ *sigTap) error {
+				sendSig(th, 1, tagSigSetup, atm.SigSetup, 1001, 5, 0, 0, 0, 0, 0, 2, 8, 1000, 0, 0)
+				byeAndWait(th)
+				return nil
+			},
+			rejects: []CallCause{CauseUnsupported},
+		},
+		{
 			// A go-back-N timeout under a microsecond travels as 0, which
 			// the callee refuses.
 			name: "gbn-timeout-0",

@@ -571,7 +571,9 @@ func setupFrame(words ...uint32) []byte {
 
 // TestCallWordsRange: a hostile SETUP's count words are refused, not handed
 // to a constructor, on every GOARCH — 2^31 is a negative int on a 32-bit
-// callee — and in-range words still decode.
+// callee — as are an error-control window above maxCallErrWindow and an
+// error-control kind other than none or go-back-N; in-range words still
+// decode.
 func TestCallWordsRange(t *testing.T) {
 	const big = 1 << 31
 	for _, tc := range []struct {
@@ -581,11 +583,12 @@ func TestCallWordsRange(t *testing.T) {
 	}{
 		{"window-2^31", []uint32{0, 0, 1, big, 0, 0, 0, 0}, false},
 		{"gbn-window-2^31", []uint32{0, 0, 0, 0, 0, 1, big, 1}, false},
-		{"sr-window-2^31", []uint32{0, 0, 0, 0, 0, 2, big, 1}, false},
+		{"gbn-window-above-cap", []uint32{0, 0, 0, 0, 0, 1, maxCallErrWindow + 1, 1}, false},
+		{"error-kind-2", []uint32{0, 0, 0, 0, 0, 2, 8, 1}, false},
 		{"weight-2^31", []uint32{0, big, 0, 0, 0, 0, 0, 0}, false},
 		{"priority-2^31", []uint32{big, 0, 0, 0, 0, 0, 0, 0}, false},
 		{"priority-8", []uint32{NumChannelPriorities, 0, 0, 0, 0, 0, 0, 0}, false},
-		{"max-in-range", []uint32{7, math.MaxInt32, 1, math.MaxInt32, 1, 2, math.MaxInt32, 1}, true},
+		{"max-in-range", []uint32{7, math.MaxInt32, 1, math.MaxInt32, 1, 1, maxCallErrWindow, 1}, true},
 	} {
 		_, _, _, _, ok := decodeCallWords(tc.words)
 		if ok != tc.ok {

@@ -51,7 +51,8 @@ type VirtualMeshConfig struct {
 	// so kill suites are deterministic.
 	Heartbeat Heartbeat
 	// Net overrides the fabric parameters; zero fields default to the NYNET
-	// calibration (TAXI host links, 10 µs propagation and switch latency).
+	// calibration (TAXI host links, 10 µs propagation and switch latency,
+	// no loss).
 	Net netsim.FrameMeshConfig
 	// MaxTime bounds the simulated horizon (default 1h) so a deadlocked
 	// workload fails instead of looping.
@@ -71,7 +72,8 @@ type VirtualMesh struct {
 // NewVirtualMesh builds an n-proc virtual-time mesh. The seed does not
 // perturb the harness itself — it seeds the workload streams handed out by
 // Rand, which is where run-to-run variation (payload sizes, traffic order)
-// must come from for the determinism contract to be testable.
+// must come from for the determinism contract to be testable, and the
+// fabric's drops when cfg.Net.Loss is set.
 func NewVirtualMesh(n int, seed int64, cfg VirtualMeshConfig) *VirtualMesh {
 	if n < 2 {
 		panic("core: a virtual mesh needs at least two procs")
@@ -98,6 +100,9 @@ func NewVirtualMesh(n int, seed int64, cfg VirtualMeshConfig) *VirtualMesh {
 	eng := sim.NewEngine()
 	eng.SetMaxTime(maxTime)
 	fabric := netsim.NewFrameMesh(eng, n, net)
+	if net.Loss > 0 {
+		fabric.SeedLoss(seed)
+	}
 	mesh := transport.NewSimMesh(fabric)
 	vm := &VirtualMesh{Eng: eng, Net: fabric, Seed: seed}
 	for i := 0; i < n; i++ {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/netsim"
 )
 
 // vmeshRingWorkload drives a seeded neighbor-ring exchange on a virtual
@@ -77,6 +79,48 @@ func TestVirtualMeshDisciplines(t *testing.T) {
 	b := vmeshRingWorkload(t, 16, 3, 8, cfg)
 	if a != b {
 		t.Fatalf("same seed diverged under disciplines:\n  run1 %s\n  run2 %s", a, b)
+	}
+}
+
+// TestVirtualMeshLoss: the fabric's random drops (FrameMeshConfig.Loss) draw
+// from the mesh seed. A go-back-N stream that consults no workload stream
+// arrives whole and in order, replays its timeline byte for byte under the
+// same seed, and moves under another.
+func TestVirtualMeshLoss(t *testing.T) {
+	const msgs = 100
+	run := func(seed int64) (string, int64) {
+		vm := NewVirtualMesh(2, seed, VirtualMeshConfig{
+			Error: NewGoBackN(8, 5*time.Millisecond),
+			Net:   netsim.FrameMeshConfig{Loss: 0.05},
+		})
+		vm.Procs[0].TCreate("tx", 5, func(th *Thread) {
+			for k := 0; k < msgs; k++ {
+				th.Send(0, 1, append(make([]byte, 1023), byte(k)))
+			}
+		})
+		vm.Procs[1].TCreate("rx", 5, func(th *Thread) {
+			for k := 0; k < msgs; k++ {
+				if data, _ := th.Recv(Any, 0); data[len(data)-1] != byte(k) {
+					t.Errorf("seed %d: position %d carries message %d", seed, k, data[len(data)-1])
+					return
+				}
+			}
+		})
+		vm.Run()
+		if got := vm.Procs[1].Received(); got != msgs {
+			t.Fatalf("seed %d: received %d of %d", seed, got, msgs)
+		}
+		return vm.TimelineHash(), vm.Net.FaultDrops()
+	}
+	a, drops := run(1)
+	if drops == 0 {
+		t.Fatal("Loss 0.05 dropped nothing — test proves nothing")
+	}
+	if b, _ := run(1); a != b {
+		t.Fatalf("same seed diverged under loss:\n  run1 %s\n  run2 %s", a, b)
+	}
+	if c, _ := run(2); a == c {
+		t.Fatalf("different seeds dropped alike: timeline %s", a)
 	}
 }
 

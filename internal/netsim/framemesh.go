@@ -16,6 +16,10 @@ type FrameMeshConfig struct {
 	HostLinkProp time.Duration
 	// SwitchLatency is the per-frame forwarding latency through the fabric.
 	SwitchLatency time.Duration
+	// Loss is the probability that a frame is dropped as it leaves its
+	// sender, drawn per frame from the network's seeded loss source
+	// (SeedLoss) and counted in FaultDrops. Zero draws nothing.
+	Loss float64
 }
 
 // NewFrameMesh builds n hosts star-wired through one output-queued switch at
@@ -33,7 +37,10 @@ func NewFrameMesh(eng *sim.Engine, n int, cfg FrameMeshConfig) *Network {
 	if n < 1 {
 		panic("netsim: frame mesh needs at least one host")
 	}
-	net := &Network{eng: eng, kind: "frame-mesh", receive: make([]Port, n)}
+	net := &Network{eng: eng, kind: "frame-mesh", receive: make([]Port, n), loss: cfg.Loss}
+	if cfg.Loss > 0 {
+		net.SeedLoss(0)
+	}
 	down := make([]*Link, n)
 	for h := 0; h < n; h++ {
 		down[h] = NewLink(eng, LinkConfig{

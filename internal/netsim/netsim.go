@@ -13,6 +13,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"repro/internal/atm"
@@ -323,7 +324,15 @@ type Network struct {
 	killed     map[int]bool
 	cut        map[[2]int]bool
 	faultDrops int64
+	// loss is the per-unit drop probability, drawn from lossRand at the send
+	// side (faultPath); zero draws nothing.
+	loss     float64
+	lossRand *rand.Rand
 }
+
+// SeedLoss reseeds the draws behind FrameMeshConfig.Loss, so a seeded
+// harness replays the same drops.
+func (n *Network) SeedLoss(seed int64) { n.lossRand = rand.New(rand.NewSource(seed)) }
 
 // KillHost crashes host h: every unit to or from it is silently dropped
 // until ReviveHost. Idempotent.
@@ -361,12 +370,12 @@ func (n *Network) ScheduleFlap(a, b int, after, dur time.Duration) {
 }
 
 // FaultDrops returns the number of units discarded by crash/partition
-// injection.
+// injection and by random loss.
 func (n *Network) FaultDrops() int64 { return n.faultDrops }
 
-// faultPath wraps a host's transmit path with the crash/partition check:
-// the wrapper knows the true transmitting host, which the unit itself may
-// not carry (cell-granular NICs leave SrcHost zero).
+// faultPath wraps a host's transmit path with the crash/partition check and
+// the random loss draw: the wrapper knows the true transmitting host, which
+// the unit itself may not carry (cell-granular NICs leave SrcHost zero).
 type faultPath struct {
 	n     *Network
 	src   int
@@ -375,7 +384,8 @@ type faultPath struct {
 
 func (fp faultPath) Send(u Unit) vclock.Time {
 	n := fp.n
-	if n.killed[fp.src] || n.killed[u.DstHost] || n.cut[[2]int{fp.src, u.DstHost}] {
+	if n.killed[fp.src] || n.killed[u.DstHost] || n.cut[[2]int{fp.src, u.DstHost}] ||
+		n.loss > 0 && n.lossRand.Float64() < n.loss {
 		n.faultDrops++
 		// Nothing serializes: the transmitter is free immediately.
 		return fp.inner.FreeAt()

@@ -454,8 +454,8 @@ func TestCellTrainsCoalesce(t *testing.T) {
 }
 
 // TestRetainedCopiesSurviveBufferReuse: Send lets the caller reuse its buffer
-// the moment it returns, and the error-control disciplines recycle the
-// private copies they retransmit from. Under frame loss in both directions a
+// the moment it returns, and go-back-N recycles the private copies it
+// retransmits from. Under frame loss in both directions a
 // sender overwrites its one buffer with the next sequence's pattern right
 // after every Send; every message delivered must still carry, in every
 // octet, the pattern of its own sequence number — a retransmission that
@@ -475,80 +475,66 @@ func TestRetainedCopiesSurviveBufferReuse(t *testing.T) {
 	// so that a receiver stalled under the race detector is waited for, not
 	// given up on (the tail's give-up after the receiver has left takes as
 	// long).
-	for name, mk := range map[string]func() core.ErrorControl{
-		"go-back-n": func() core.ErrorControl {
-			g := core.NewGoBackN(8, 4*time.Millisecond)
-			g.MaxRetries = 250
-			return g
-		},
-		"selective-repeat": func() core.ErrorControl {
-			s := core.NewSelectiveRepeat(8, 4*time.Millisecond)
-			s.MaxRetries = 250
-			return s
-		},
-	} {
-		net := NewNetwork()
-		var procs [2]*core.Proc
-		var eps [2]*Endpoint
-		for i := range procs {
-			rt := newRT(fmt.Sprintf("%s%d", name, i))
-			ep, err := net.Attach(transport.ProcID(i), rt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ep.Close()
-			eps[i] = ep
-			procs[i] = core.New(core.Config{ID: core.ProcID(i), RT: rt, Endpoint: ep})
+	mk := func() core.ErrorControl {
+		g := core.NewGoBackN(8, 4*time.Millisecond)
+		g.MaxRetries = 250
+		return g
+	}
+	net := NewNetwork()
+	var procs [2]*core.Proc
+	var eps [2]*Endpoint
+	for i := range procs {
+		rt := newRT(fmt.Sprintf("go-back-n%d", i))
+		ep, err := net.Attach(transport.ProcID(i), rt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		eps[0].SetRecvDropRate(0.1, 11)
-		eps[1].SetRecvDropRate(0.1, 12)
-		ch0 := procs[0].Open(1, core.ChannelConfig{ID: chID, Error: mk()})
-		ch1 := procs[1].Open(0, core.ChannelConfig{ID: chID, Error: mk()})
+		defer ep.Close()
+		eps[i] = ep
+		procs[i] = core.New(core.Config{ID: core.ProcID(i), RT: rt, Endpoint: ep})
+	}
+	eps[0].SetRecvDropRate(0.1, 11)
+	eps[1].SetRecvDropRate(0.1, 12)
+	ch0 := procs[0].Open(1, core.ChannelConfig{ID: chID, Error: mk()})
+	ch1 := procs[1].Open(0, core.ChannelConfig{ID: chID, Error: mk()})
 
-		procs[0].TCreate("send", mts.PrioDefault, func(th *core.Thread) {
-			buf := make([]byte, size)
-			for k := 0; k < n; k++ {
-				for i := range buf {
-					buf[i] = byte(k)
-				}
-				ch0.Send(th, 0, buf)
+	procs[0].TCreate("send", mts.PrioDefault, func(th *core.Thread) {
+		buf := make([]byte, size)
+		for k := 0; k < n; k++ {
+			for i := range buf {
+				buf[i] = byte(k)
 			}
-		})
-		delivered := 0
-		procs[1].TCreate("recv", mts.PrioDefault, func(th *core.Thread) {
-			buf := make([]byte, size)
-			for k := 0; k < n; k++ {
-				got, _ := ch1.RecvInto(th, buf, core.Any)
-				if got != size {
-					t.Errorf("%s: message %d is %d octets, want %d", name, k, got, size)
+			ch0.Send(th, 0, buf)
+		}
+	})
+	delivered := 0
+	procs[1].TCreate("recv", mts.PrioDefault, func(th *core.Thread) {
+		buf := make([]byte, size)
+		for k := 0; k < n; k++ {
+			got, _ := ch1.RecvInto(th, buf, core.Any)
+			if got != size {
+				t.Errorf("message %d is %d octets, want %d", k, got, size)
+				return
+			}
+			for i, b := range buf {
+				if b != byte(k) {
+					t.Errorf("message %d carries %#02x at octet %d, want its own sequence's %#02x", k, b, i, byte(k))
 					return
 				}
-				for i, b := range buf {
-					if b != byte(k) {
-						t.Errorf("%s: message %d carries %#02x at octet %d, want its own sequence's %#02x", name, k, b, i, byte(k))
-						return
-					}
-				}
-				delivered++
 			}
-		})
-		done := make(chan struct{}, 2)
-		for _, p := range procs {
-			p := p
-			go func() { p.Start(); done <- struct{}{} }()
+			delivered++
 		}
-		<-done
-		<-done
-		var retrans int64
-		switch ec := ch0.Error().(type) {
-		case *core.GoBackN:
-			retrans = ec.Retransmissions()
-		case *core.SelectiveRepeat:
-			retrans = ec.Retransmissions()
-		}
-		if delivered != n || retrans == 0 {
-			t.Fatalf("%s: delivered %d of %d with %d retransmissions; want all, and loss to have forced some", name, delivered, n, retrans)
-		}
-		t.Logf("%s: %d messages, %d frames dropped, %d retransmissions", name, n, eps[0].RecvDropped()+eps[1].RecvDropped(), retrans)
+	})
+	done := make(chan struct{}, 2)
+	for _, p := range procs {
+		p := p
+		go func() { p.Start(); done <- struct{}{} }()
 	}
+	<-done
+	<-done
+	retrans := ch0.Error().(*core.GoBackN).Retransmissions()
+	if delivered != n || retrans == 0 {
+		t.Fatalf("delivered %d of %d with %d retransmissions; want all, and loss to have forced some", delivered, n, retrans)
+	}
+	t.Logf("%d messages, %d frames dropped, %d retransmissions", n, eps[0].RecvDropped()+eps[1].RecvDropped(), retrans)
 }

@@ -66,9 +66,8 @@ type Message struct {
 	// error-control acknowledgement — so steady bidirectional traffic needs
 	// no standalone control frames. HasCredit/HasAck gate each word's
 	// presence on the wire; an absent word costs nothing (the v2 header
-	// size). Both values are consumed with wrap-safe SeqNewer semantics by
-	// the flow tier (the error tier's ack may be cumulative or selective,
-	// per discipline), so a piggybacked word lost with its data frame is
+	// size). Both values are cumulative and consumed with wrap-safe
+	// SeqNewer semantics, so a piggybacked word lost with its data frame is
 	// simply superseded by a later one.
 	Credit, Ack       uint32
 	HasCredit, HasAck bool
