@@ -1,17 +1,17 @@
 // Command ncsbench regenerates the paper's evaluation — Tables 1-3 and the
 // reproducible figures, printed side by side with the published numbers —
 // and the repo's own modeled experiments. Everything it prints except
-// fig3's ns/KB column, micro and mesh is a pure function of the code, held
-// byte for byte by internal/bench's TestGoldenModeledOutput.
+// fig3's ns/KB column and micro is a pure function of the code, held byte
+// for byte by internal/bench's TestGoldenModeledOutput.
 //
 // Usage:
 //
 //	ncsbench -experiment all          # everything (default)
 //	ncsbench -experiment table1       # one experiment; -h lists them all
-//	ncsbench -experiment mesh -weights 6,1
+//	ncsbench -experiment qos
 //	ncsbench -experiment scale1k -n 1024 -seed 7
 //
-// A failed experiment (bad -n or -weights, a diverged determinism rerun)
+// A failed experiment (a bad -n, a diverged determinism rerun)
 // prints to stderr and exits 1; an unknown experiment or flag exits 2.
 //
 // All table/figure numbers are produced by the virtual-time discrete-event
@@ -41,7 +41,6 @@ func main() {
 func run() error {
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention profile to this file (lane mu hot spots)")
 	blockProfile := flag.String("blockprofile", "", "write a blocking profile to this file (ring sleeps, scheduler waits)")
-	weights := flag.String("weights", "", "mesh: comma-separated DRR weights assigned round-robin to the channels (default priority+1)")
 	meshN := flag.Int("n", 1024, "scale1k: number of procs on the virtual-time event loop")
 	seed := flag.Int64("seed", 7, "scale1k: workload seed (same -n and -seed reproduce every timeline hash byte for byte)")
 
@@ -69,7 +68,7 @@ func run() error {
 		{"churn", "256 procs, 1,024 signaled calls under admission overload", text(func() string { return bench.RenderChurn(bench.Churn()) })},
 		{"faults", "64 procs, one host killed: detection latency, teardown", text(func() string { return bench.RenderFaults(bench.Faults()) })},
 		{"arq", "go-back-N goodput and retransmissions by timeout and frame loss", text(func() string { return bench.RenderARQ(bench.ARQSweep()) })},
-		{"mesh", "live channel pair (-weights)", func() error { return mesh(*weights) }},
+		{"qos", "lane send scheduler: ping beside bulk, and two channels' shares", text(func() string { return bench.RenderQoS(bench.QoS()) })},
 		{"scale1k", "virtual-time scale sweep (-n, -seed)", func() error { return scale1k(*meshN, *seed) }},
 	}
 	help := "which experiment to run: all, or one of"

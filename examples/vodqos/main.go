@@ -132,7 +132,7 @@ func main() {
 			name, s.Flow, s.Error, s.Sent, float64(s.BytesSent)/1024, s.Received, float64(s.BytesReceived)/1024)
 		if s.Lane >= 0 {
 			// Sharded mode: the lane scheduler's view of this channel.
-			fmt.Printf(" [lane %d, weight %d]", s.Lane, s.Weight)
+			fmt.Printf(" [lane %d]", s.Lane)
 		}
 		fmt.Println()
 	}
@@ -143,8 +143,8 @@ func main() {
 		}
 		fmt.Printf("%s lanes:\n", name)
 		for _, l := range ls {
-			fmt.Printf("  lane %d: %d channels, piggy share %4.1f%%, %d DRR rounds\n",
-				l.Lane, l.Channels, 100*l.PiggyShare, l.DRRRounds)
+			fmt.Printf("  lane %d: %d channels, piggy share %4.1f%%\n",
+				l.Lane, l.Channels, 100*l.PiggyShare)
 		}
 	}
 	fmt.Printf("VOD stream: %d frames at %.0f fps target while %d MB of lossy bulk traffic shared the proc pair\n",

@@ -33,6 +33,7 @@ var (
 	churnOnce       = sync.OnceValue(Churn)
 	faultsOnce      = sync.OnceValue(Faults)
 	arqOnce         = sync.OnceValue(ARQSweep)
+	qosOnce         = sync.OnceValue(QoS)
 )
 
 func TestGoldenModeledOutput(t *testing.T) {
@@ -63,6 +64,7 @@ func TestGoldenModeledOutput(t *testing.T) {
 		{"churn", func() string { return RenderChurn(churnOnce()) }},
 		{"faults", func() string { return RenderFaults(faultsOnce()) }},
 		{"arq", func() string { return RenderARQ(arqOnce()) }},
+		{"qos", func() string { return RenderQoS(qosOnce()) }},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -110,6 +112,8 @@ func TestModeledFloors(t *testing.T) {
 			arqShort++
 		}
 	}
+	qos := qosOnce()
+	soloBulk, mixed, equal := qos.Mix[1], qos.Mix[2], qos.Share[0]
 	for _, f := range []struct {
 		what string
 		ok   bool
@@ -128,6 +132,9 @@ func TestModeledFloors(t *testing.T) {
 		{"faults detection p99 <= (Misses+2)*Interval", faults.DetectP99Us <= faults.BoundUs, faults.DetectP99Us},
 		{"faults rerun reproduces its timeline", faultsAgain == faults.Timeline, faultsAgain},
 		{"arq rows short of full delivery or with a give-up == 0", arqShort == 0, arqShort},
+		{"qos ping kept running beside the bulk stream", mixed.Pings > 0, mixed.Pings},
+		{"qos bulk goodput beside the ping >= 0.95x alone", mixed.BulkMBps >= 0.95*soloBulk.BulkMBps, mixed.BulkMBps},
+		{"qos equal-priority channels each >= 0.4 of the deliveries", min(equal.Share[0], equal.Share[1]) >= 0.4, equal.Share},
 	} {
 		if !f.ok {
 			t.Errorf("%s: got %v", f.what, f.got)

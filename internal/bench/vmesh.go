@@ -13,9 +13,9 @@ import (
 )
 
 // The virtual-mesh experiments are what the virtual-time execution mode
-// exists for: N procs — sharded lanes, DRR, piggybacked control, signaling, failure
-// detection and all — on one deterministic discrete-event loop
-// (core.NewVirtualMesh). Every number is modeled, and each run's timeline
+// exists for: N procs — sharded lanes, the priority pop, piggybacked control,
+// signaling, failure detection and all — on one deterministic discrete-event
+// loop (core.NewVirtualMesh). Every number is modeled, and each run's timeline
 // hash is the determinism contract: the same parameters reproduce it byte
 // for byte on any host.
 

@@ -72,13 +72,6 @@ type ChannelConfig struct {
 	// for the channel's life, so several busy channels to one peer share a
 	// lane unless pinned apart. Moot on a single-lane proc.
 	Lane int
-	// Weight is the channel's deficit-round-robin service weight within its
-	// lane: each round a backlogged channel earns Weight quanta of
-	// transmission, so two channels sharing a lane split bandwidth
-	// Weight-proportionally instead of the higher priority starving the
-	// lower. 0 selects Priority+1, so by default higher priority also means
-	// a larger share.
-	Weight int
 }
 
 // chanKey indexes a Proc's channel table: peer and channel ID packed into one
@@ -99,7 +92,6 @@ type Channel struct {
 	peer     ProcID
 	id       ChannelID
 	priority int
-	weight   int // DRR weight within the lane (Priority+1 by default)
 	flow     FlowControl
 	errc     ErrorControl
 
@@ -146,14 +138,13 @@ type Channel struct {
 	flushOn bool
 	flushAt time.Duration
 
-	// DRR state (owning lane's lock): sq is the channel's FIFO of queued
-	// sends, whose head waits there while flow or error control refuses it;
-	// rq holds the error-control retransmissions, which bypass that gate;
-	// deficit is the byte deficit, inSched membership in the lane
-	// scheduler's active ring (see drr.go).
+	// Scheduler state (owning lane's lock): sq is the channel's FIFO of
+	// queued sends, whose head waits there while flow or error control
+	// refuses it; rq holds the error-control retransmissions, which bypass
+	// that gate; inSched is membership in the lane scheduler's ring for the
+	// channel's priority (see sched.go).
 	sq      list.FIFO[*sendReq]
 	rq      list.FIFO[*sendReq]
-	deficit int64
 	inSched bool
 
 	// rawReqs counts the error-control discipline's retransmission requests
@@ -190,10 +181,6 @@ type ChannelStats struct {
 	CtrlPiggybacked, CtrlStandalone int64
 	// CtrlCoalesced is always zero: see LaneStats.
 	CtrlCoalesced int64
-	// Weight is the channel's DRR service weight and Deficit its current
-	// byte deficit in the lane scheduler.
-	Weight  int
-	Deficit int64
 	// Lane is the index of the lane serving the channel, fixed at open.
 	Lane int
 	// Flow and Error name the channel's disciplines.
@@ -208,7 +195,7 @@ func (p *Proc) Open(peer ProcID, cfg ChannelConfig) *Channel {
 	if cfg.ID == 0 || cfg.ID > MaxChannelID {
 		panic(fmt.Sprintf("core: channel ID must be 1..%d (0 is the default channel)", MaxChannelID))
 	}
-	return p.addChannel(peer, cfg.ID, chanStatic, cfg.Priority, cfg.Lane, cfg.Weight, cfg.Flow, cfg.Error)
+	return p.addChannel(peer, cfg.ID, chanStatic, cfg.Priority, cfg.Lane, cfg.Flow, cfg.Error)
 }
 
 // DefaultChannel returns the implicit channel 0 toward peer, creating it on
@@ -225,7 +212,7 @@ func (p *Proc) DefaultChannel(peer ProcID) *Channel {
 	if ec == nil {
 		ec = NoErrorControl{}
 	}
-	return p.addChannel(peer, 0, chanStatic, 0, 0, 0, fc.fork(), ec.fork())
+	return p.addChannel(peer, 0, chanStatic, 0, 0, fc.fork(), ec.fork())
 }
 
 // addChannel builds a channel in lifecycle state st and publishes it; nil
@@ -235,15 +222,9 @@ func (p *Proc) DefaultChannel(peer ProcID) *Channel {
 // race to create the same default channel; the loser's channel is
 // discarded and the winner's returned. Explicit duplicate Opens still
 // panic.
-func (p *Proc) addChannel(peer ProcID, id ChannelID, st uint32, prio, laneHint, weight int, fc FlowControl, ec ErrorControl) *Channel {
+func (p *Proc) addChannel(peer ProcID, id ChannelID, st uint32, prio, laneHint int, fc FlowControl, ec ErrorControl) *Channel {
 	if prio < 0 || prio >= NumChannelPriorities {
 		panic(fmt.Sprintf("core: channel priority must be 0..%d", NumChannelPriorities-1))
-	}
-	if weight < 0 {
-		panic("core: channel weight must be >= 0 (0 selects Priority+1)")
-	}
-	if weight == 0 {
-		weight = prio + 1
 	}
 	if fc == nil {
 		fc = NoFlowControl{}
@@ -252,7 +233,7 @@ func (p *Proc) addChannel(peer ProcID, id ChannelID, st uint32, prio, laneHint, 
 		ec = NoErrorControl{}
 	}
 	ln := p.lanes[p.laneIndex(peer, laneHint)]
-	c := &Channel{p: p, peer: peer, id: id, priority: prio, weight: weight, flow: fc, errc: ec, ln: ln}
+	c := &Channel{p: p, peer: peer, id: id, priority: prio, flow: fc, errc: ec, ln: ln}
 	c.state.Store(st)
 	ln.mu.Lock()
 	ln.chans = append(ln.chans, c)
@@ -404,10 +385,9 @@ func (c *Channel) Stats() ChannelStats {
 		Sent: c.sent, Received: c.received,
 		BytesSent: c.bytesSent, BytesReceived: c.bytesReceived,
 		CtrlPiggybacked: c.ctrlPiggy, CtrlStandalone: c.ctrlStandalone,
-		Deficit: c.deficit,
 	}
 	ln.mu.Unlock()
-	st.Weight, st.Lane = c.weight, ln.idx
+	st.Lane = ln.idx
 	st.Flow, st.Error = c.flow.Name(), c.errc.Name()
 	return st
 }
@@ -478,7 +458,7 @@ func (c *Channel) flushCtrl() {
 }
 
 // admit is the gate on the head of the channel's send queue, run by the lane
-// scheduler before it charges the deficit: error control must have window
+// scheduler when the channel's turn comes: error control must have window
 // room, then flow control must admit m (charging its credit or tokens), and
 // error control stamps and retains it. A discipline that refuses reopens the
 // channel once its state changes.
@@ -592,10 +572,10 @@ func (c *Channel) TryRecv(t *Thread, fromThread int) (data []byte, from Addr, ok
 // prioQueue fans one logical queue into per-priority head-indexed FIFOs:
 // push files an item under its level, pop drains the highest occupied
 // level first. This is how a lane's receive side services higher-priority
-// channels ahead of bulk traffic (its send side is laneSched, drr.go). A
-// bitmask tracks which levels are occupied, so the hot-path empty/pop pair
-// is O(1) (bits.Len16 finds the highest set bit) instead of scanning all
-// nine levels on every iteration.
+// channels ahead of bulk traffic, as its send side (laneSched, sched.go)
+// does. A bitmask tracks which levels are occupied, so the hot-path
+// empty/pop pair is O(1) (bits.Len16 finds the highest set bit) instead of
+// scanning all nine levels on every iteration.
 type prioQueue[T any] struct {
 	lvl  [numSendLevels]list.FIFO[T]
 	mask uint16 // bit i set ⇔ lvl[i] non-empty

@@ -35,13 +35,13 @@
 // # Threading model
 //
 // There is one send/recv protocol implementation — the lane code in lane.go:
-// admission, control piggybacked on its own channel's data, deficit round
-// robin across a lane's channels under strictly-first control traffic
-// (drr.go), a per-lane flush wheel, demultiplexing and the scheduler-domain
-// drain — and every Proc runs it over at least one lane. What varies is the
-// lane's execution vehicle, its engineDriver, which New selects per Proc from
-// the runtime's clock, the carrier's capabilities and the hooks already in
-// Config (there is nothing to set):
+// admission, control piggybacked on its own channel's data, the paper's
+// strict priority pop across a lane's channels under strictly-first control
+// traffic (sched.go), a per-lane flush wheel, demultiplexing and the
+// scheduler-domain drain — and every Proc runs it over at least one lane.
+// What varies is the lane's execution vehicle, its engineDriver, which New
+// selects per Proc from the runtime's clock, the carrier's capabilities and
+// the hooks already in Config (there is nothing to set):
 //
 //   - Thread driver: the paper's exact model (§4, Figure 8) — one send and
 //     one receive system thread at top priority over a single lane. NCS_send
@@ -77,7 +77,7 @@
 // when it is opened: a channel runs on the lane its peer hashes to, or on the
 // one ChannelConfig.Lane names, for life. Several busy channels to one peer
 // therefore share a lane unless pinned apart. Proc.LaneStats reports the
-// per-lane view: piggyback share, DRR rounds and engine passes.
+// per-lane view: piggyback share and engine passes.
 //
 // NewVirtualMesh builds the standard virtual-mode arrangement — N procs on
 // one engine over a frame-granular fabric — and TimelineHash fingerprints

@@ -322,7 +322,7 @@ func TestGateRetransmitPassesFullWindow(t *testing.T) {
 
 // matrixPriority: with a bulk (priority 0) and an urgent (priority 7)
 // message staged on one lane, bulk first, one service puts the urgent one on
-// the wire first — under DRR too, whoever runs the pass.
+// the wire first, whoever runs the pass.
 func matrixPriority(t *testing.T, env matrixEnv) {
 	cl := env.build(t, 2, matrixOpt{})
 	low0 := cl.procs[0].Open(1, ChannelConfig{ID: 1, Priority: 0, Lane: 1})

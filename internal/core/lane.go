@@ -174,8 +174,8 @@ type lane struct {
 	mu sync.Mutex
 
 	// pending is the lane's send scheduler — control strictly first, then
-	// deficit round robin across the lane's data channels (see drr.go);
-	// rxq is its receive priority queue.
+	// the data channels by strict priority, round robin within a level (see
+	// sched.go); rxq is its receive priority queue.
 	pending laneSched
 	rxq     prioQueue[rxItem]
 
@@ -557,14 +557,14 @@ type LaneStats struct {
 	CtrlPiggybacked int64
 	CtrlStandalone  int64
 	PiggyShare      float64
-	// DRRRounds counts completed deficit-round-robin rounds of the lane's
-	// send scheduler.
-	DRRRounds int64
-	// CtrlCoalesced (here and in ChannelStats), MigratedOut and Steals are
-	// always zero: a control word rides only its own channel's frames and
-	// lane placement is static. The four fields stay only because
-	// bench/ncs.go reads them, and leave with core.ctrl_coalesced_share,
-	// core.migrations and core.steals in the next benchmark PR.
+	// DRRRounds, CtrlCoalesced (here and in ChannelStats), MigratedOut and
+	// Steals are always zero: the send scheduler is a strict priority pop
+	// with no rounds, a control word rides only its own channel's frames and
+	// lane placement is static. The fields stay only because bench/ncs.go
+	// reads them, and leave with core.drr_rounds_per_msg,
+	// core.ctrl_coalesced_share, core.migrations and core.steals in the next
+	// benchmark change.
+	DRRRounds     int64
 	CtrlCoalesced int64
 	MigratedOut   int64
 	Steals        int64
@@ -586,7 +586,6 @@ func (p *Proc) LaneStats() []LaneStats {
 			Channels:        len(ln.chans),
 			CtrlPiggybacked: ln.ctrlPiggyL,
 			CtrlStandalone:  ln.ctrlStandaloneL,
-			DRRRounds:       ln.pending.rounds,
 			EnginePasses:    ln.enginePasses,
 			InlinePasses:    ln.inlinePasses,
 		}
@@ -991,13 +990,13 @@ func (ln *lane) leave() {
 }
 
 // serviceLocked is the send protocol body, one pass: drain what the lane's
-// send scheduler lets leave (control first, then DRR across the channels
-// whose heads flow and error control admit) through piggyback attachment and
-// same-destination batching — requests accumulate into same-destination runs
-// that go to the carrier through transport.BatchSender in one call when it
-// offers batching, so per-message carrier costs (locks, wakeups, syscalls)
-// amortize across the burst. A gated head never blocks the pass: its channel
-// simply sits out until a discipline reopens it.
+// send scheduler lets leave (control first, then by priority across the
+// channels whose heads flow and error control admit) through piggyback
+// attachment and same-destination batching — requests accumulate into
+// same-destination runs that go to the carrier through transport.BatchSender
+// in one call when it offers batching, so per-message carrier costs (locks,
+// wakeups, syscalls) amortize across the burst. A gated head never blocks
+// the pass: its channel simply sits out until a discipline reopens it.
 func (ln *lane) serviceLocked() {
 	p := ln.p
 	run := ln.sendRun[:0]
@@ -1194,9 +1193,9 @@ func (ln *lane) failSendsLocked(c *Channel) {
 
 // detachChanLocked strips a finalizing channel out of every lane structure
 // it participates in: queued sends fail (failSendsLocked), queued
-// retransmissions retire silently — no user send failed — the DRR ring
-// forgets it, and it leaves the lane's channel list. Caller holds ln.mu; the
-// channel must already be in the CLOSED state.
+// retransmissions retire silently — no user send failed — the scheduler's
+// ring forgets it, and it leaves the lane's channel list. Caller holds ln.mu;
+// the channel must already be in the CLOSED state.
 func (ln *lane) detachChanLocked(c *Channel) {
 	ln.failSendsLocked(c)
 	for c.rq.Size() > 0 {

@@ -359,10 +359,9 @@ type CallConfig struct {
 	// ID requests a specific channel ID (1..MaxChannelID); 0 lets the
 	// caller pick the lowest free ID toward the peer.
 	ID ChannelID
-	// Priority, Lane, Weight: as ChannelConfig.
+	// Priority and Lane: as ChannelConfig.
 	Priority int
 	Lane     int
-	Weight   int
 	// Flow and Error select the disciplines, as ChannelConfig.
 	Flow  FlowControl
 	Error ErrorControl
@@ -482,7 +481,7 @@ func (p *Proc) OpenCall(t *Thread, peer ProcID, cfg CallConfig) (*Channel, error
 	// reach the peer.
 	delete(p.deadPeers, peer)
 	delete(p.hbPeers, peer)
-	c := p.addChannel(peer, id, chanOpening, cfg.Priority, cfg.Lane, cfg.Weight, cfg.Flow, cfg.Error)
+	c := p.addChannel(peer, id, chanOpening, cfg.Priority, cfg.Lane, cfg.Flow, cfg.Error)
 	p.sigRefSeq++
 	c.sigRef = p.sigRefSeq
 	c.call = &sigCall{cfg: cfg, caller: t}
@@ -561,12 +560,14 @@ func sigJitter(a, b, c uint32, span time.Duration) time.Duration {
 // QoS parameter encoding
 //
 // A SETUP carries the call's QoS as 8 uint32 words after the marshalled
-// SigMessage: [priority, weight, flowKind, flowA, flowB, errKind, errA,
-// errB]. flowKind 0 = none, 1 = window (A = Window, B = SyncInterval µs),
-// 2 = rate (A = bytes/s, B = bucket bytes); errKind 0 = none, 1 =
-// go-back-N (A = Window, B = Timeout µs); any other kind is refused. A 9th
-// word follows with the calling-party thread index (Channel.PeerThread),
-// and a 10th, reserved: sent as 0, ignored on receipt.
+// SigMessage: [priority, reserved, flowKind, flowA, flowB, errKind, errA,
+// errB]. Word 1 once carried a scheduler weight: it is sent as 0, and a
+// non-zero one is refused. flowKind 0 = none, 1 = window (A = Window, B =
+// SyncInterval µs), 2 = rate (A = bytes/s, B = bucket bytes); errKind 0 =
+// none, 1 = go-back-N (A = Window, B = Timeout µs); any other kind is
+// refused. A 9th word follows with the calling-party thread index
+// (Channel.PeerThread), and a 10th, reserved: sent as 0, ignored on
+// receipt.
 
 // maxCallErrWindow caps the go-back-N window a SETUP may ask of the callee.
 // The callee's receiver holds up to Window-1 frames that arrive past a
@@ -577,7 +578,6 @@ const maxCallErrWindow = 256
 func encodeCallWords(cfg CallConfig) ([8]uint32, bool) {
 	var w [8]uint32
 	w[0] = uint32(cfg.Priority)
-	w[1] = uint32(cfg.Weight)
 	switch fc := cfg.Flow.(type) {
 	case nil:
 	case NoFlowControl:
@@ -607,46 +607,46 @@ func encodeCallWords(cfg CallConfig) ([8]uint32, bool) {
 
 // decodeCallWords is the callee's reading of a SETUP's QoS words, which
 // arrive from the carrier and are treated as hostile: anything out of
-// range refuses the call instead of reaching a constructor. A weight or
-// window word must fit an int on every GOARCH — 2^31 is negative on a
-// 32-bit callee — and an error-control window must not pass
-// maxCallErrWindow.
-func decodeCallWords(w []uint32) (prio, weight int, fc FlowControl, ec ErrorControl, ok bool) {
-	if len(w) < 8 || w[0] >= NumChannelPriorities || w[1] > math.MaxInt32 {
-		return 0, 0, nil, nil, false
+// range refuses the call instead of reaching a constructor. A window word
+// must fit an int on every GOARCH — 2^31 is negative on a 32-bit callee —
+// an error-control window must not pass maxCallErrWindow, and the reserved
+// word must be 0.
+func decodeCallWords(w []uint32) (prio int, fc FlowControl, ec ErrorControl, ok bool) {
+	if len(w) < 8 || w[0] >= NumChannelPriorities || w[1] != 0 {
+		return 0, nil, nil, false
 	}
-	prio, weight = int(w[0]), int(w[1])
+	prio = int(w[0])
 	count := func(v uint32) bool { return v >= 1 && v <= math.MaxInt32 }
 	switch w[2] {
 	case 0:
 		fc = NoFlowControl{}
 	case 1:
 		if !count(w[3]) {
-			return 0, 0, nil, nil, false
+			return 0, nil, nil, false
 		}
 		f := NewWindowFlow(int(w[3]))
 		f.SyncInterval = time.Duration(w[4]) * time.Microsecond
 		fc = f
 	case 2:
 		if w[3] == 0 || w[4] == 0 {
-			return 0, 0, nil, nil, false
+			return 0, nil, nil, false
 		}
 		fc = NewRateFlow(float64(w[3]), float64(w[4]))
 	default:
-		return 0, 0, nil, nil, false
+		return 0, nil, nil, false
 	}
 	switch w[5] {
 	case 0:
 		ec = NoErrorControl{}
 	case 1:
 		if w[6] < 1 || w[6] > maxCallErrWindow || w[7] < 1 {
-			return 0, 0, nil, nil, false
+			return 0, nil, nil, false
 		}
 		ec = NewGoBackN(int(w[6]), time.Duration(w[7])*time.Microsecond)
 	default:
-		return 0, 0, nil, nil, false
+		return 0, nil, nil, false
 	}
-	return prio, weight, fc, ec, true
+	return prio, fc, ec, true
 }
 
 // satU32 converts a parameter to its SETUP word, saturating at both ends.
@@ -793,12 +793,12 @@ func (p *Proc) onSetup(from ProcID, id ChannelID, sig atm.SigMessage, words [10]
 			return
 		}
 	}
-	prio, weight, fc, ec, ok := decodeCallWords(words[:nw])
+	prio, fc, ec, ok := decodeCallWords(words[:nw])
 	if !ok {
 		p.rejectSetup(from, sig, CauseUnsupported)
 		return
 	}
-	c := p.addChannel(from, id, chanOpen, prio, 0, weight, fc, ec)
+	c := p.addChannel(from, id, chanOpen, prio, 0, fc, ec)
 	c.sigRef = sig.CallRef
 	c.peerThread = int(words[8])
 	p.statSetupsAccepted.Add(1)

@@ -252,6 +252,17 @@ func refusalCases() []refusalCase {
 			rejects: []CallCause{CauseUnsupported},
 		},
 		{
+			// Word 1 once carried a scheduler weight and is now reserved:
+			// sent as 0, and a SETUP that sets it draws REJECT.
+			name: "weight-word-nonzero",
+			dial: func(th *Thread, _ *sigTap) error {
+				sendSig(th, 1, tagSigSetup, atm.SigSetup, 1002, 6, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0)
+				byeAndWait(th)
+				return nil
+			},
+			rejects: []CallCause{CauseUnsupported},
+		},
+		{
 			// A go-back-N timeout under a microsecond travels as 0, which
 			// the callee refuses.
 			name: "gbn-timeout-0",

@@ -571,9 +571,9 @@ func setupFrame(words ...uint32) []byte {
 
 // TestCallWordsRange: a hostile SETUP's count words are refused, not handed
 // to a constructor, on every GOARCH — 2^31 is a negative int on a 32-bit
-// callee — as are an error-control window above maxCallErrWindow and an
-// error-control kind other than none or go-back-N; in-range words still
-// decode.
+// callee — as are an error-control window above maxCallErrWindow, an
+// error-control kind other than none or go-back-N and a non-zero reserved
+// word (word 1, once a scheduler weight); in-range words still decode.
 func TestCallWordsRange(t *testing.T) {
 	const big = 1 << 31
 	for _, tc := range []struct {
@@ -585,12 +585,13 @@ func TestCallWordsRange(t *testing.T) {
 		{"gbn-window-2^31", []uint32{0, 0, 0, 0, 0, 1, big, 1}, false},
 		{"gbn-window-above-cap", []uint32{0, 0, 0, 0, 0, 1, maxCallErrWindow + 1, 1}, false},
 		{"error-kind-2", []uint32{0, 0, 0, 0, 0, 2, 8, 1}, false},
-		{"weight-2^31", []uint32{0, big, 0, 0, 0, 0, 0, 0}, false},
+		{"reserved-2^31", []uint32{0, big, 0, 0, 0, 0, 0, 0}, false},
+		{"reserved-1", []uint32{0, 1, 0, 0, 0, 0, 0, 0}, false},
 		{"priority-2^31", []uint32{big, 0, 0, 0, 0, 0, 0, 0}, false},
 		{"priority-8", []uint32{NumChannelPriorities, 0, 0, 0, 0, 0, 0, 0}, false},
-		{"max-in-range", []uint32{7, math.MaxInt32, 1, math.MaxInt32, 1, 1, maxCallErrWindow, 1}, true},
+		{"max-in-range", []uint32{7, 0, 1, math.MaxInt32, 1, 1, maxCallErrWindow, 1}, true},
 	} {
-		_, _, _, _, ok := decodeCallWords(tc.words)
+		_, _, _, ok := decodeCallWords(tc.words)
 		if ok != tc.ok {
 			t.Errorf("%s: decode ok = %v, want %v", tc.name, ok, tc.ok)
 		}
@@ -600,7 +601,7 @@ func TestCallWordsRange(t *testing.T) {
 // FuzzCallWords drives the callee's SETUP decode — parseSig, then
 // decodeCallWords, exactly as onSigMsg and onSetup run them — with a
 // marshalled atm.SigMessage followed by up to 10 words. It never panics;
-// whatever it accepts has its priority in range and a weight >= 0; and
+// whatever it accepts has its priority in range and its reserved word 0; and
 // re-encoding an accepted configuration decodes to the same one.
 func FuzzCallWords(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -608,21 +609,21 @@ func FuzzCallWords(f *testing.F) {
 		if err != nil {
 			return
 		}
-		prio, weight, fc, ec, ok := decodeCallWords(words[:nw])
+		prio, fc, ec, ok := decodeCallWords(words[:nw])
 		if !ok {
 			return
 		}
-		if prio < 0 || prio >= NumChannelPriorities || weight < 0 {
-			t.Fatalf("accepted priority %d, weight %d", prio, weight)
+		if prio < 0 || prio >= NumChannelPriorities || words[1] != 0 {
+			t.Fatalf("accepted priority %d, reserved word %d", prio, words[1])
 		}
-		again, ok := encodeCallWords(CallConfig{Priority: prio, Weight: weight, Flow: fc, Error: ec})
+		again, ok := encodeCallWords(CallConfig{Priority: prio, Flow: fc, Error: ec})
 		if !ok {
 			t.Fatalf("accepted disciplines %T/%T do not encode", fc, ec)
 		}
-		prio2, weight2, fc2, ec2, ok := decodeCallWords(again[:])
-		if !ok || prio2 != prio || weight2 != weight || !reflect.DeepEqual(fc2, fc) || !reflect.DeepEqual(ec2, ec) {
-			t.Fatalf("round trip of %v: got (%d, %d, %+v, %+v, %v), want (%d, %d, %+v, %+v)",
-				words[:8], prio2, weight2, fc2, ec2, ok, prio, weight, fc, ec)
+		prio2, fc2, ec2, ok := decodeCallWords(again[:])
+		if !ok || prio2 != prio || !reflect.DeepEqual(fc2, fc) || !reflect.DeepEqual(ec2, ec) {
+			t.Fatalf("round trip of %v: got (%d, %+v, %+v, %v), want (%d, %+v, %+v)",
+				words[:8], prio2, fc2, ec2, ok, prio, fc, ec)
 		}
 	})
 }

@@ -11,14 +11,14 @@ import (
 	"repro/internal/transport"
 )
 
-// This file is the virtual-time mesh harness: N procs — several lanes, DRR,
-// piggybacked control and all — executing on one discrete-event loop
-// with a shared clock. It is how the modeled scaling results at N ∈ {64,
-// 256, 1024} are produced: lane engines run as vclock events (each node's
-// runtime is virtual, and the engineDriver seam in lane.go picks the virtual
-// driver), frames travel as cost-model events on a frame-granular NYNET
-// fabric (netsim.NewFrameMesh via transport.SimMesh), and every timer rides
-// the engine's virtual timer.
+// This file is the virtual-time mesh harness: N procs — several lanes, the
+// priority pop, piggybacked control and all — executing on one
+// discrete-event loop with a shared clock. It is how the modeled scaling
+// results at N ∈ {64, 256, 1024} are produced: lane engines run as vclock
+// events (each node's runtime is virtual, and the engineDriver seam in
+// lane.go picks the virtual driver), frames travel as cost-model events on
+// a frame-granular NYNET fabric (netsim.NewFrameMesh via transport.SimMesh),
+// and every timer rides the engine's virtual timer.
 //
 // Determinism contract: a virtual mesh has no lane goroutines — events and
 // the threads they dispatch execute strictly one at a time in the engine's

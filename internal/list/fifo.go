@@ -14,8 +14,20 @@ type FIFO[T any] struct {
 // Size returns the number of queued elements.
 func (f *FIFO[T]) Size() int { return len(f.q) - f.head }
 
-// Push appends v to the tail.
-func (f *FIFO[T]) Push(v T) { f.q = append(f.q, v) }
+// Push appends v to the tail. When the backing array is full and at least
+// half of it is the popped prefix, the live elements slide to the front
+// first, so a queue that never drains to empty under steady traffic reuses
+// its array instead of growing it without bound. A slide moves at most as
+// many elements as were popped since the last one: amortized O(1).
+func (f *FIFO[T]) Push(v T) {
+	if n := len(f.q); n == cap(f.q) && f.head > 0 && 2*f.head >= n {
+		live := copy(f.q, f.q[f.head:])
+		clear(f.q[live:])
+		f.q = f.q[:live]
+		f.head = 0
+	}
+	f.q = append(f.q, v)
+}
 
 // Pop removes and returns the head element; the vacated slot is zeroed so
 // the backing array does not pin popped values. Callers check Size first.
