@@ -8,8 +8,8 @@
 //	go test -tags budget ./internal/atm ./internal/wire ./internal/udpatm ./internal/core
 //
 // Under the default build Add is an empty function the compiler inlines
-// away, Enabled is false and every Read is 0, so the instrumented sites
-// cost nothing.
+// away, Enabled is false and every Read is 0, and Mutex is sync.Mutex
+// itself, so the instrumented sites cost nothing.
 package budget
 
 // Counter names one counted quantity.
@@ -26,6 +26,12 @@ const (
 	// assembly of a chunk that was not gathered in place, the move of a
 	// message into a larger frame, the copy into a RecvInto buffer.
 	RecvCopied
+	// Locks counts mutex acquisitions through a Mutex: a Lock, or a TryLock
+	// that succeeds.
+	Locks
+	// PoolDraws counts buffers drawn from wire's size-classed pools
+	// (GetBuf, and GetFrame through it).
+	PoolDraws
 
 	numCounters
 )

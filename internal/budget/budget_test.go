@@ -18,6 +18,19 @@ func TestCounters(t *testing.T) {
 			t.Errorf("counter %d = %d, want %d", c, got, n)
 		}
 	}
+	var mu Mutex
+	mu.Lock()
+	if mu.TryLock() {
+		t.Fatal("TryLock of a held Mutex succeeded")
+	}
+	mu.Unlock()
+	if !mu.TryLock() {
+		t.Fatal("TryLock of a free Mutex failed")
+	}
+	mu.Unlock()
+	if want := map[bool]int64{true: 2}[Enabled]; Read(Locks) != want {
+		t.Errorf("Locks = %d after a Lock and a successful TryLock, want %d", Read(Locks), want)
+	}
 	Reset()
 	for c := Counter(0); c < numCounters; c++ {
 		if got := Read(c); got != 0 {

@@ -2,6 +2,11 @@
 
 package budget
 
+import "sync"
+
+// Mutex is sync.Mutex; the budget build counts its acquisitions in Locks.
+type Mutex = sync.Mutex
+
 // Enabled reports whether this build counts.
 const Enabled = false
 

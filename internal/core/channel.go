@@ -74,17 +74,6 @@ type ChannelConfig struct {
 	Lane int
 }
 
-// chanKey indexes a Proc's channel table: peer and channel ID packed into one
-// word, which the table hashes in one step. (A {peer, id} struct key has
-// padding, so it hashes field by field: 2.5x the cost of a lookup, and a send
-// and an arrival each make one.) Injective for every peer below 2^47 in
-// magnitude; a frame can only name 32-bit ones.
-type chanKey uint64
-
-func keyOf(peer ProcID, id ChannelID) chanKey {
-	return chanKey(uint64(peer)<<16 | uint64(id))
-}
-
 // Channel is one open (local proc → peer proc, class) pipe with its own
 // flow control, error control, priority, and counters.
 type Channel struct {
@@ -219,10 +208,11 @@ func (p *Proc) DefaultChannel(peer ProcID) *Channel {
 // disciplines select none. The channel is fully initialized — lane pinned,
 // disciplines init'd — *before* it enters the table: a foreign goroutine
 // (routeFrame) may resolve it the instant it is visible. Two goroutines may
-// race to create the same default channel; the loser's channel is
-// discarded and the winner's returned. Explicit duplicate Opens still
-// panic.
+// race to create the same default channel; the table's writer lock decides,
+// the loser's channel is discarded and the winner's returned. Explicit
+// duplicate Opens still panic, and so does a peer the table cannot index.
 func (p *Proc) addChannel(peer ProcID, id ChannelID, st uint32, prio, laneHint int, fc FlowControl, ec ErrorControl) *Channel {
+	mustPeerInRange(peer)
 	if prio < 0 || prio >= NumChannelPriorities {
 		panic(fmt.Sprintf("core: channel priority must be 0..%d", NumChannelPriorities-1))
 	}
@@ -243,12 +233,12 @@ func (p *Proc) addChannel(peer ProcID, id ChannelID, st uint32, prio, laneHint i
 	}
 	fc.init(c)
 	ec.init(c)
-	if exist, dup := p.channels.LoadOrStore(keyOf(peer, id), c); dup {
+	if exist := p.channels.add(c); exist != nil {
 		ln.mu.Lock()
 		ln.removeChanLocked(c)
 		ln.mu.Unlock()
 		if id == 0 {
-			return exist.(*Channel)
+			return exist
 		}
 		panic(fmt.Sprintf("core(proc %d): channel %d to proc %d already open", p.cfg.ID, id, peer))
 	}
@@ -265,10 +255,7 @@ func (p *Proc) addChannel(peer ProcID, id ChannelID, st uint32, prio, laneHint i
 
 // openChannel returns the channel (peer, id) if it is in the table, else nil.
 func (p *Proc) openChannel(peer ProcID, id ChannelID) *Channel {
-	if v, ok := p.channels.Load(keyOf(peer, id)); ok {
-		return v.(*Channel)
-	}
-	return nil
+	return p.channels.load(peer, id)
 }
 
 // Close tears the channel down from this end; call it from a thread of

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -118,14 +119,17 @@ type Group struct {
 	inBarrier bool
 
 	// addrScratch and idxScratch are per-op scratch (member-thread only);
-	// packBuf is Gather's concatenation buffer; laneScratch dedupes the
-	// lanes a fan-out touched; held keeps Reduce's received
+	// packBuf is Gather's concatenation buffer; laneScratch lists the lanes
+	// a fan-out touches, fanReqs and fanDone the requests it staged on the
+	// lane in hand and their done flags; held keeps Reduce's received
 	// messages until the fold is done. All retain capacity across calls so
 	// steady-state collectives allocate nothing beyond payloads.
 	addrScratch []Addr
 	idxScratch  []int
 	packBuf     []byte
 	laneScratch []*lane
+	fanReqs     []*sendReq
+	fanDone     []bool
 	held        []*wireMessage
 
 	// lane is the group's trace timeline (empty without a Tracer): Comm
@@ -331,12 +335,16 @@ func (g *Group) traceIdle() {
 // across the whole fan and lets the carrier's batch path see the run; the
 // payload must stay stable until the wakeup, which is exactly what the single
 // park guarantees (every copy is serialized before the last request
-// retires). Every copy is staged on its channel's lane (under that lane's
-// lock, from the lane freelists), then each touched lane is serviced once —
-// so a lane sees its whole share of the fan as one burst. fanLeft is
-// scheduler-domain state, decremented by the drains this thread runs inline
-// (runDrain), that post behind its park, or by the send system thread. A
-// fan unwinds with its typed error (sendErr, or the close sweep's).
+// retires). Each touched lane is taken once, in first-touch order: its
+// copies are staged from its freelists in idxs order and serviced in the
+// same hold, so a lane sees its whole share of the fan as one burst. A copy
+// the service hands to the carrier retires inline through its done flag,
+// as laneSend's request does; one still queued (gated by a discipline, or
+// waiting for the send system thread) retires later through the fans
+// out-queue. fanLeft is scheduler-domain state, decremented here, by the
+// drains this thread runs inline (runDrain), that post behind its park, or
+// by the send system thread. A fan unwinds with its typed error (sendErr,
+// or the close sweep's).
 func (g *Group) fanSend(t *Thread, tag int, idxs []int, datas [][]byte, shared []byte) {
 	if len(idxs) == 0 {
 		return
@@ -350,43 +358,61 @@ func (g *Group) fanSend(t *Thread, tag int, idxs []int, datas [][]byte, shared [
 	p.traceThread(t, trace.Idle)
 	t.fanLeft = len(idxs)
 	lanes := g.laneScratch[:0]
-	for pos, ki := range idxs {
-		c := g.chans[ki]
-		ln := c.lockLane()
-		m := ln.getDataMsg()
-		m.From = p.cfg.ID
-		m.To = c.peer
-		m.FromThread = t.idx
-		m.ToThread = g.members[ki].Thread
-		m.Tag = tag
-		m.Channel = c.id
-		if datas != nil {
-			m.Data = datas[pos]
-		} else {
-			m.Data = shared
-		}
-		req := ln.getReq()
-		req.m = m
-		req.ch = c
-		req.fan = t
-		ln.pending.push(req)
-		ln.mu.Unlock()
-		seen := false
-		for _, l := range lanes {
-			if l == ln {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+	for _, ki := range idxs {
+		if ln := g.chans[ki].ln; !slices.Contains(lanes, ln) {
 			lanes = append(lanes, ln)
 		}
 	}
 	g.laneScratch = lanes
+	if cap(g.fanDone) < len(idxs) {
+		g.fanDone = make([]bool, len(idxs))
+	}
+	reqs := g.fanReqs[:0]
 	for _, ln := range lanes {
 		ln.mu.Lock()
-		ln.leave()
+		reqs = reqs[:0]
+		done := g.fanDone[:0]
+		for pos, ki := range idxs {
+			c := g.chans[ki]
+			if c.ln != ln {
+				continue
+			}
+			m := ln.getDataMsg()
+			m.From = p.cfg.ID
+			m.To = c.peer
+			m.FromThread = t.idx
+			m.ToThread = g.members[ki].Thread
+			m.Tag = tag
+			m.Channel = c.id
+			if datas != nil {
+				m.Data = datas[pos]
+			} else {
+				m.Data = shared
+			}
+			req := ln.getReq()
+			req.m = m
+			req.ch = c
+			done = append(done, false)
+			req.done = &done[len(done)-1]
+			reqs = append(reqs, req)
+			ln.pending.push(req)
+		}
+		ln.service()
+		for i, req := range reqs {
+			if done[i] {
+				// Handed to the carrier: the request is already recycled.
+				t.fanLeft--
+			} else {
+				// Still queued: completion comes later, under this lock, and
+				// reaches this thread through the fans out-queue.
+				req.done = nil
+				req.fan = t
+			}
+			reqs[i] = nil
+		}
+		ln.unlockDrain()
 	}
+	g.fanReqs = reqs[:0]
 	for t.fanLeft > 0 {
 		t.mt.Park("ncs send")
 	}

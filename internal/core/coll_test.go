@@ -501,3 +501,49 @@ func TestCollectiveTraceLanes(t *testing.T) {
 		}
 	}
 }
+
+// TestFanGatedCopyWakesOnce: a fan-out whose copy to one member is held by
+// flow control (window 1, already spent) while its copy to the other leaves
+// at once. The free copy retires inline; the held one leaves when the
+// member's credit reopens the window, and reaches the fanning thread through
+// the fans out-queue. The thread parks once, wakes exactly once, and its
+// fan count ends at zero — on the virtual driver (two lanes, so the copies
+// sit on different lanes) and on the thread driver.
+func TestFanGatedCopyWakesOnce(t *testing.T) {
+	for _, lanes := range []int{1, 2} {
+		lanes := lanes
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			vm := NewVirtualMesh(3, 1, VirtualMeshConfig{Lanes: lanes, Flow: NewWindowFlow(1)})
+			members := collGroup(3)
+			payload := []byte("fanned")
+			var wakes int
+			fanLeft := -1
+			got := make([]string, 3)
+			for i, p := range vm.Procs {
+				i, p := i, p
+				p.TCreate("m", mts.PrioDefault, func(th *Thread) {
+					g := p.NewGroup(members, GroupConfig{})
+					if i != 0 {
+						if i == 1 {
+							th.RecvTagged(5, 0, 0)
+						}
+						got[i] = string(g.Bcast(th, 0, nil))
+						return
+					}
+					th.SendTagged(5, 0, 1, []byte("spends the window"))
+					before := th.mt.Dispatches()
+					g.Bcast(th, 0, payload)
+					wakes = th.mt.Dispatches() - before
+					fanLeft = th.fanLeft
+				})
+			}
+			vm.Run()
+			if wakes != 1 || fanLeft != 0 {
+				t.Fatalf("fanning thread woke %d times with fanLeft %d, want 1 and 0", wakes, fanLeft)
+			}
+			if got[1] != string(payload) || got[2] != string(payload) {
+				t.Fatalf("members got %q and %q, want %q", got[1], got[2], payload)
+			}
+		})
+	}
+}

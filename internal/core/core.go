@@ -89,7 +89,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -246,13 +245,14 @@ type Proc struct {
 	// asserts.
 	flushTimers atomic.Int64
 
-	// channels holds every open channel, chanKey → *Channel. Default
-	// channels (ID 0) are created lazily from the Config templates; explicit
-	// channels come from Open. Every send and every arriving frame looks a
-	// channel up, foreign goroutines included (routeFrame), and a sync.Map
-	// read takes no lock and writes nothing shared; channel *state* is
-	// guarded by the owning lane's mutex.
-	channels sync.Map
+	// channels holds every open channel, indexed by peer and channel ID
+	// (chantable.go). Default channels (ID 0) are created lazily from the
+	// Config templates; explicit channels come from Open and signaling.
+	// Every send and every arriving frame looks a channel up, foreign
+	// goroutines included (routeFrame): a read takes no lock, hashes nothing
+	// and writes nothing shared; channel *state* is guarded by the owning
+	// lane's mutex.
+	channels chanTable
 
 	threads  []*Thread
 	userLive int
@@ -468,22 +468,16 @@ func (p *Proc) userDone() {
 	p.shutdownFn()
 }
 
-// channelsOrdered snapshots the channel table in (peer, id) order. Shutdown
-// walks channels through state-changing steps (flushCtrl, discipline
-// shutdown) whose relative order decides when each channel's last frames hit
-// the wire; iterating the map directly would make that order — and with it
-// the virtual-time timeline — depend on Go's randomized map iteration.
+// channelsOrdered snapshots the channel table in (peer, id) order, the
+// order the table is indexed in. Shutdown walks channels through
+// state-changing steps (flushCtrl, discipline shutdown) whose relative order
+// decides when each channel's last frames hit the wire, so that order — and
+// with it the virtual-time timeline — must not depend on anything else.
 func (p *Proc) channelsOrdered() []*Channel {
 	var chans []*Channel
-	p.channels.Range(func(_, v any) bool {
-		chans = append(chans, v.(*Channel))
+	p.channels.each(func(c *Channel) bool {
+		chans = append(chans, c)
 		return true
-	})
-	sort.Slice(chans, func(i, j int) bool {
-		if chans[i].peer != chans[j].peer {
-			return chans[i].peer < chans[j].peer
-		}
-		return chans[i].id < chans[j].id
 	})
 	return chans
 }
@@ -550,7 +544,16 @@ func (t *Thread) SendTagged(tag int, toThread int, toProc ProcID, data []byte) e
 // toward the peer (the pre-provisioned default mesh), through the lane of
 // the peer's default channel.
 func (p *Proc) sendProcCtrl(to ProcID, tag int, head []byte, words ...uint32) {
-	ln := p.DefaultChannel(to).lockLane()
+	var ln *lane
+	if peerInRange(to) {
+		ln = p.DefaultChannel(to).lockLane()
+	} else {
+		// A peer the channel table cannot index (a SETUP's REJECT, a
+		// RELEASE's RELEASE COMPLETE): the lane its default channel would
+		// hash to, with no channel made.
+		ln = p.lanes[p.laneIndex(to, 0)]
+		ln.mu.Lock()
+	}
 	ln.pushCtrlLocked(to, 0, tag, head, words...)
 	ln.leave()
 }

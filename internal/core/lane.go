@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/list"
 	"repro/internal/mts"
 	"repro/internal/ring"
@@ -83,13 +83,14 @@ import (
 // rounds, in which a limit of 8 KB (the 8 KB class inline too) read
 // 56.0-59.2.
 //
-// Lock order. The channel table (Proc.channels, a sync.Map) takes no lock to
-// read: routeFrame and every send resolve a channel with a load. Its writers
-// (addChannel, finalizeChannel) hold its internal lock for one store, never
-// across a lane.mu, so it may be used under a lane.mu and no lane.mu is ever
-// awaited under it. Under lane.mu, Post and ring operations never block; the
-// one thing that can is the carrier's Send (flushRunLocked), and what is
-// sound there depends on the carrier:
+// Lock order. The channel table (Proc.channels, indexed by peer then channel
+// ID, chantable.go) takes no lock to read: routeFrame and every send resolve
+// a channel with atomic loads. Its writers (addChannel, finalizeChannel)
+// hold its writer lock for one check-and-store (and the copy of a level that
+// grows), never across a lane.mu, so it may be used under a lane.mu and no
+// lane.mu is ever awaited under it. Under lane.mu, Post and ring operations
+// never block; the one thing that can is the carrier's Send
+// (flushRunLocked), and what is sound there depends on the carrier:
 //
 //   - A carrier that delivers in the sender's goroutine and never blocks
 //     (Mem; SimMesh under virtual time is single-goroutine anyway). Send
@@ -171,7 +172,7 @@ type lane struct {
 	// mu guards everything below it, plus all state of every channel
 	// pinned to this lane (discipline windows, piggyback words, flush
 	// flags).
-	mu sync.Mutex
+	mu budget.Mutex
 
 	// pending is the lane's send scheduler — control strictly first, then
 	// the data channels by strict priority, round robin within a level (see
@@ -600,12 +601,14 @@ func (p *Proc) LaneStats() []LaneStats {
 
 // laneIndex picks the lane for a channel: an explicit ChannelConfig.Lane
 // pins it (1-based, wrapped), otherwise the peer hash spreads channels so
-// traffic to different peers lands on different lanes.
+// traffic to different peers lands on different lanes. The hash is taken in
+// uint32, so a negative peer (a frame's From is peer input) picks a lane
+// where an int is 32 bits too.
 func (p *Proc) laneIndex(peer ProcID, hint int) int {
 	if hint > 0 {
 		return (hint - 1) % len(p.lanes)
 	}
-	return int(uint32(peer)) % len(p.lanes)
+	return int(uint32(peer) % uint32(len(p.lanes)))
 }
 
 // buildLanes allocates the proc's n lanes, without an execution vehicle yet.
@@ -679,9 +682,11 @@ func chanAddressed(tag int) bool { return !isSigTag(tag) }
 // deliverer is a carrier's reader, which may not take the lane lock that
 // registration needs (see "Lock order"): it only looks the table up, and a
 // channel-0 item it leaves unresolved is the engine's (adoptFirstContact).
+// A peer outside the table's range resolves nothing, so its frame counts as
+// stray data or late control.
 func (p *Proc) frameChannel(peer ProcID, id ChannelID) *Channel {
 	c := p.openChannel(peer, id)
-	if c == nil && id == 0 && !p.readerDelivers {
+	if c == nil && id == 0 && !p.readerDelivers && peerInRange(peer) {
 		c = p.DefaultChannel(peer)
 	}
 	return c
@@ -725,7 +730,7 @@ func (p *Proc) routeFrame(fb *wire.Buf) {
 func (p *Proc) adoptFirstContact(items []rxItem) {
 	for i := range items {
 		it := &items[i]
-		if it.c == nil && it.m.Channel == 0 && chanAddressed(it.m.Tag) {
+		if it.c == nil && it.m.Channel == 0 && chanAddressed(it.m.Tag) && peerInRange(it.m.From) {
 			it.c = p.DefaultChannel(it.m.From)
 		}
 	}
@@ -982,11 +987,21 @@ func (ln *lane) service() {
 // leave ends a scheduler-domain entry into the lane (a thread's, a timer's,
 // channel teardown's; caller holds ln.mu): whatever the entry queued is
 // serviced, the lock released, and the completions that are due run here, in
-// the caller's context.
+// the caller's context — with none queued there is no drain to run, as in
+// laneSend.
 func (ln *lane) leave() {
 	ln.service()
+	ln.unlockDrain()
+}
+
+// unlockDrain releases ln.mu (held by the caller) and runs the completions
+// the entry queued, if any.
+func (ln *lane) unlockDrain() {
+	queued := ln.outQueuedLocked()
 	ln.mu.Unlock()
-	ln.runDrain()
+	if queued {
+		ln.runDrain()
+	}
 }
 
 // serviceLocked is the send protocol body, one pass: drain what the lane's
@@ -1374,13 +1389,10 @@ func (p *Proc) mayShutdown() bool {
 	if !p.closing.Load() {
 		return false
 	}
-	acked := true
-	p.channels.Range(func(_, v any) bool {
-		c := v.(*Channel)
+	acked := p.channels.each(func(c *Channel) bool {
 		ln := c.lockLane()
-		acked = c.errc.pending() == 0
-		ln.mu.Unlock()
-		return acked
+		defer ln.mu.Unlock()
+		return c.errc.pending() == 0
 	})
 	if !acked {
 		return false

@@ -453,6 +453,7 @@ func (p *Proc) OpenCall(t *Thread, peer ProcID, cfg CallConfig) (*Channel, error
 	if peer == p.cfg.ID {
 		panic("core: cannot open a signaled channel to self")
 	}
+	mustPeerInRange(peer)
 	if cfg.SetupTimeout <= 0 {
 		cfg.SetupTimeout = DefaultSetupTimeout
 	}
@@ -756,7 +757,8 @@ func (p *Proc) onSigMsg(m *transport.Message) {
 // ---------------------------------------------------------------------------
 // Callee side
 
-// onSetup judges one incoming call: channel ID, proc state, duplicate
+// onSetup judges one incoming call: channel ID and calling peer (one the
+// channel table cannot index is refused), proc state, duplicate
 // call, admission policy, QoS decode (the first nw of words are present; a
 // SETUP short of the 8 QoS words fails it) — then allocates the channel,
 // born OPEN, binds its VC and answers CONNECT before OnAccept runs. Any
@@ -766,7 +768,7 @@ func (p *Proc) onSetup(from ProcID, id ChannelID, sig atm.SigMessage, words [10]
 	// record so its new call is monitored with a fresh grace period.
 	delete(p.deadPeers, from)
 	delete(p.hbPeers, from)
-	if id == 0 || id > MaxChannelID {
+	if id == 0 || id > MaxChannelID || !peerInRange(from) {
 		p.rejectSetup(from, sig, CauseUnsupported)
 		return
 	}
@@ -893,7 +895,7 @@ func (p *Proc) finalizeChannel(c *Channel, from uint32) {
 	c.flow.shutdown()
 	ln.detachChanLocked(c)
 	ln.leave()
-	p.channels.Delete(keyOf(c.peer, c.id))
+	p.channels.remove(c)
 	if from >= chanOpen {
 		p.statClosed.Add(1)
 		p.statVCRel.Add(1)

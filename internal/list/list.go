@@ -1,6 +1,8 @@
 // Package list implements the intrusive doubly-linked queue structures the
 // paper uses for the NCS_MTS scheduler (Figure 9): a circular ready ring per
-// priority level and a doubly-linked blocked queue.
+// priority level and a doubly-linked blocked queue. The scheduler (package
+// mts) now keeps a 16-bit occupancy mask beside the rings, one bit per
+// non-empty ring, so a pick reads the mask instead of probing ring heads.
 //
 // The lists are intrusive: elements embed a Node and are linked in place, so
 // moving a thread between the blocked queue and a ready ring is O(1) with no

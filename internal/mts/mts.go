@@ -53,12 +53,14 @@ package mts
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/list"
 	"repro/internal/vclock"
 )
@@ -200,8 +202,13 @@ type Runtime struct {
 	clock    vclock.Clock
 	platform Platform // nil for a real-time runtime
 
-	ready   [NumPriorities]list.List
-	blocked list.List
+	// ready holds the runnable threads, one ring per priority (Figure 9);
+	// readyMask has bit i set while ready[i] is non-empty, so a pick reads
+	// the lowest set bit instead of probing the rings. Every edit of a ring
+	// goes through readyPush or unready, which keep the two in step.
+	ready     [NumPriorities]list.List
+	readyMask uint16
+	blocked   list.List
 
 	threads []*Thread
 	live    int // threads not yet Done
@@ -220,7 +227,7 @@ type Runtime struct {
 
 	// postQ is the external queue: Post appends under postMu, the dispatcher
 	// swaps it out whole and runs it.
-	postMu    sync.Mutex
+	postMu    budget.Mutex
 	postQ     []func()
 	postSpare []func() // recycled drain buffer, so steady state allocates nothing
 
@@ -321,28 +328,41 @@ func (rt *Runtime) Create(name string, prio int, body func(*Thread)) *Thread {
 	t.node.Value = t
 	rt.threads = append(rt.threads, t)
 	rt.live++
-	rt.ready[prio].PushBack(&t.node)
+	rt.readyPush(t, false)
 	return t
 }
 
 // HasRunnable reports whether any thread is ready to run.
-func (rt *Runtime) HasRunnable() bool {
-	for i := range rt.ready {
-		if !rt.ready[i].Empty() {
-			return true
-		}
+func (rt *Runtime) HasRunnable() bool { return rt.readyMask != 0 }
+
+// nextRunnable removes and returns the next thread by priority + RR order:
+// the head of the ring of readyMask's lowest set bit.
+func (rt *Runtime) nextRunnable() *Thread {
+	if rt.readyMask == 0 {
+		return nil
 	}
-	return false
+	t := rt.ready[bits.TrailingZeros16(rt.readyMask)].Front().Value.(*Thread)
+	rt.unready(t)
+	return t
 }
 
-// nextRunnable removes and returns the next thread by priority + RR order.
-func (rt *Runtime) nextRunnable() *Thread {
-	for i := range rt.ready {
-		if n := rt.ready[i].PopFront(); n != nil {
-			return n.Value.(*Thread)
-		}
+// readyPush puts t on its priority's ready ring, at the head if front.
+func (rt *Runtime) readyPush(t *Thread, front bool) {
+	if front {
+		rt.ready[t.prio].PushFront(&t.node)
+	} else {
+		rt.ready[t.prio].PushBack(&t.node)
 	}
-	return nil
+	rt.readyMask |= 1 << t.prio
+}
+
+// unready unlinks t from whichever queue holds it (a ready ring, the blocked
+// queue, or none) and clears its ring's bit if that left the ring empty.
+func (rt *Runtime) unready(t *Thread) {
+	t.node.Remove()
+	if rt.ready[t.prio].Empty() {
+		rt.readyMask &^= 1 << t.prio
+	}
 }
 
 // Dispatch runs the next runnable thread until it parks, yields, or exits.
@@ -368,7 +388,7 @@ func (rt *Runtime) DispatchThread(t *Thread) {
 	if t.state != StateRunnable {
 		panic(fmt.Sprintf("mts(%s): DispatchThread of %s thread %q", rt.name, t.state, t.name))
 	}
-	t.node.Remove()
+	rt.unready(t)
 	rt.runThread(t)
 }
 
@@ -508,7 +528,7 @@ func (t *Thread) park() {
 func (t *Thread) Yield() {
 	t.mustBeCurrent("Yield")
 	t.state = StateRunnable
-	t.rt.ready[t.prio].PushBack(&t.node)
+	t.rt.readyPush(t, false)
 	t.park()
 }
 
@@ -536,11 +556,7 @@ func (rt *Runtime) Unblock(t *Thread, front bool) bool {
 	t.node.Remove()
 	t.state = StateRunnable
 	t.blockReason = ""
-	if front {
-		rt.ready[t.prio].PushFront(&t.node)
-	} else {
-		rt.ready[t.prio].PushBack(&t.node)
-	}
+	rt.readyPush(t, front)
 	return true
 }
 
@@ -709,7 +725,7 @@ func (rt *Runtime) Kill() {
 		if t.state == StateDone || !t.spawned {
 			if t.state != StateDone {
 				// Never ran: just retire it.
-				t.node.Remove()
+				rt.unready(t)
 				t.state = StateDone
 				rt.live--
 			}
@@ -718,7 +734,7 @@ func (rt *Runtime) Kill() {
 		if t.state == StateRunning {
 			panic("mts: Kill with a thread running")
 		}
-		t.node.Remove()
+		rt.unready(t)
 		t.killed = true
 		t.gate <- struct{}{}
 		<-rt.parked

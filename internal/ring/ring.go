@@ -17,14 +17,14 @@
 // successive consumers are ordered by happens-before.
 package ring
 
-import "sync"
+import "repro/internal/budget"
 
 // MPSC is a multi-producer single-consumer queue of T. Producers call Push
 // or ClaimOrPush from any goroutine; the engine alternates Drain and Sleep.
 // Two backing slices are swapped between producer and consumer so
 // steady-state operation reuses their capacity and allocates nothing.
 type MPSC[T any] struct {
-	mu    sync.Mutex
+	mu    budget.Mutex
 	buf   []T // producer side: pending items
 	spare []T // consumer side: recycled after each Drain
 

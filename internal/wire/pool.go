@@ -1,11 +1,20 @@
 package wire
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/budget"
+)
 
 // Buf is a pooled byte buffer. B is the working slice; Append into it and
 // write the result back (wb.B = m.MarshalAppend(wb.B)). The wrapper struct
 // travels with the bytes through the pool so a steady-state Get/Put cycle
 // allocates nothing.
+//
+// A Buf also carries the Message that UnmarshalPooled decodes its frame
+// into, so a received frame costs one pool draw (GetFrame) and one return
+// (Release, through PutBuf) in all: the header struct rides with the bytes
+// it describes instead of coming from a pool of its own.
 //
 // B need not start at the first byte of the buffer's backing array: a
 // GetFrame buffer begins past a pad, so that the payload of the frame it
@@ -17,6 +26,9 @@ type Buf struct {
 	// arr is the backing array as drawn, from its first byte, with len 0;
 	// nil for a buffer too large for any class, which is never pooled.
 	arr []byte
+	// msg is the decoded frame UnmarshalPooled hands out; zero whenever the
+	// Buf is not lent out as a received message.
+	msg Message
 }
 
 // Size classes: powers of two from 64 B to 64 KB. Buffers outside the range
@@ -61,6 +73,7 @@ func classFor(n int) int {
 // a chunk into cells. A buffer that will be decoded as one received frame
 // (UnmarshalPooled) comes from GetFrame instead.
 func GetBuf(capacity int) *Buf {
+	budget.Add(budget.PoolDraws, 1)
 	c := classFor(capacity)
 	if c < 0 {
 		return &Buf{B: make([]byte, 0, capacity)}

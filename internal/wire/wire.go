@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // ProcID identifies a process (one per simulated/emulated workstation).
@@ -73,8 +72,8 @@ type Message struct {
 	HasCredit, HasAck bool
 	Data              []byte
 
-	// pooled, when non-nil, is the pooled buffer Data aliases
-	// (UnmarshalPooled); Release returns it to the pool.
+	// pooled, when non-nil, is the pooled buffer Data aliases and whose
+	// msg this Message is (UnmarshalPooled); Release returns it to the pool.
 	pooled *Buf
 }
 
@@ -320,28 +319,25 @@ func Unmarshal(b []byte) (*Message, error) {
 	return m, nil
 }
 
-// msgPool recycles decoded Message structs on the pooled delivery path:
-// UnmarshalPooled draws from it and Release returns to it, so a steady
-// RecvInto loop allocates neither the frame buffer nor the Message header
-// struct. Messages whose payload the application keeps (plain Recv) are
-// simply never Released and fall to the garbage collector with their data.
-var msgPool = sync.Pool{New: func() any { return &Message{} }}
-
 // UnmarshalPooled decodes a wire message that takes ownership of the
-// *pooled* buffer backing it: Data aliases the buffer past the header with
-// no copy, and Release hands the buffer — and the Message struct itself —
-// back to their pools once the payload has been consumed. This is the
+// *pooled* buffer backing it: the Message is the one the buffer carries
+// (Buf.msg), Data aliases the buffer past the header with no copy, and
+// Release hands the buffer — Message and all — back to its pool once the
+// payload has been consumed. A received frame therefore costs one pool draw
+// and one return. This is the
 // delivery path of every carrier that stages each arriving message in its
 // own pooled frame (the in-process Mem mesh and SimMesh, the real-TCP
 // reader, the UDP/ATM reassembly tail), each laid out by GetFrame so Data
 // starts 64-byte aligned: a consumer that copies the payload out —
 // RecvInto, control handlers — closes the loop, so steady-state receive
-// traffic stops allocating at all.
+// traffic stops allocating at all. Messages whose payload the application
+// keeps (plain Recv) are simply never Released and fall to the garbage
+// collector with their buffer.
 func UnmarshalPooled(fb *Buf) (*Message, error) {
 	if err := checkWire(fb.B); err != nil {
 		return nil, err
 	}
-	m := msgPool.Get().(*Message)
+	m := &fb.msg
 	off := decodeHeader(m, fb.B)
 	if len(fb.B) > off {
 		m.Data = fb.B[off:]
@@ -350,10 +346,10 @@ func UnmarshalPooled(fb *Buf) (*Message, error) {
 	return m, nil
 }
 
-// Release recycles the message's pooled backing buffer and struct, if
-// pooled; the message and its Data are invalid afterwards. Only the
-// consumer that owns the message may call it, and only once the payload
-// has been copied out or will never be read (a control frame, a
+// Release recycles the message's pooled buffer, which the message itself
+// lives in, if pooled; the message and its Data are invalid afterwards.
+// Only the consumer that owns the message may call it, and only once the
+// payload has been copied out or will never be read (a control frame, a
 // suppressed duplicate). Messages without a pooled buffer ignore it, so
 // the call is safe on every owning path.
 func (m *Message) Release() {
@@ -363,5 +359,4 @@ func (m *Message) Release() {
 	fb := m.pooled
 	*m = Message{}
 	PutBuf(fb)
-	msgPool.Put(m)
 }
