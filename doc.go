@@ -109,9 +109,10 @@
 // schedule over an agreed member list and pins every collective —
 // Barrier, Bcast/BcastInto, Gather, Reduce, AllToAll — to a chosen
 // channel, so a synchronization phase rides a high-priority VC of its own
-// while bulk exchange keeps its own class. GroupConfig.Fanout >= N
-// degenerates to the old serial linear algorithms, preserved as the A/B
-// baseline. The p4, MPI and PVM filters are one adapter under three
+// while bulk exchange keeps its own class. GroupConfig.Fanout >= N makes
+// the tree the flat star under member 0 and the barrier root-collected,
+// the A/B baseline; both shapes send through one fan-out, of which a
+// single Send is the one-copy case. The p4, MPI and PVM filters are one adapter under three
 // argument mappings; it routes MPI's and PVM's collectives through a Group
 // cached per member list. Every receive — point-to-point, filter, collective — matches
 // through one unexported pattern (thread, process, tag, channel, with -1

@@ -12,8 +12,10 @@ import (
 
 // The collectives experiment holds the logarithmic group operations'
 // algorithmic claim: barrier, broadcast and all-to-all at N ∈ {4, 8, 16},
-// each in tree form (binomial, Fanout 0) and linear form (Fanout >= N, the
-// serial root-collected baseline), over simulated TCP on the calibrated
+// each in tree form (binomial, Fanout 0) and linear form (Fanout >= N: the
+// flat star under member 0 and the root-collected barrier, on the same
+// fan-out plumbing; all-to-all has one body for both, so its two columns
+// agree), over simulated TCP on the calibrated
 // NYNET ATM LAN. Every workstation's link and CPU is modeled independently,
 // so the tree's parallel hops count; how fast the same operations run on
 // this host's cores is bench/'s coll_mem_n8 workload, not this table.

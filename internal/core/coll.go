@@ -25,21 +25,19 @@ import (
 //   - Bcast/Gather/Reduce: a q-nomial tree (binomial at the default q = 2),
 //     children ordered largest-subtree-first so every informed process is
 //     sending at every step of the critical path.
-//   - AllToAll: pairwise exchange — an XOR schedule when N is a power of
-//     two (each round is a perfect matching), a send-to-(i+r)/
-//     receive-from-(i-r) ring schedule otherwise.
+//   - AllToAll: every member fans its N-1 copies out at once, then collects
+//     the N-1 it is sent in arrival order.
 //
 // Every collective rides a caller-chosen channel (GroupConfig.Channel), so
 // a phase-synchronization group can pin its traffic to a high-priority VC
 // while bulk halo exchange uses its own class — the per-channel
-// QoS story of Figure 5 extended to group communication. Fanout >= N
-// degenerates every operation to the *old linear algorithms, preserved
-// serial* — root-collected star barrier, one-Send-at-a-time broadcast and
-// exchange, exactly the pre-tree code paths — which is how the scale
-// benches A/B the rewrite against its baseline on identical plumbing.
-// (Tree mode additionally fan-batches its hops: all of a node's copies
-// are enqueued before one park, so the carrier sees the burst; that
-// batching is part of what the A/B measures.)
+// QoS story of Figure 5 extended to group communication. Fanout >= N makes
+// the q-nomial tree the flat star under member 0 — one-hop broadcast,
+// gather and reduce, and the root-collected star barrier in place of
+// dissemination — which is how the scale benches A/B the topologies. Both
+// shapes send alike: every send is a fan-out (fanSend), all of a member's
+// copies for a step enqueued before one park so the carrier sees the burst,
+// and a single copy is a fan of one.
 //
 // Collective messages are ordinary data messages in a reserved high tag
 // band (collTagBase), so they obey the channel's flow control, error
@@ -76,10 +74,10 @@ type GroupConfig struct {
 	// be open to every other member, with compatible disciplines on both
 	// ends, before NewGroup.
 	Channel ChannelID
-	// Fanout is the tree radix q: 0 selects 2 (binomial tree and combining
-	// barrier); values >= len(members) degenerate to the serial linear
-	// algorithms (root-collected star barrier, one-Send-at-a-time
-	// broadcast) — the O(N) baseline the benches measure the trees against.
+	// Fanout is the tree radix q: 0 selects 2 (binomial tree and
+	// dissemination barrier); values >= len(members) make the tree the flat
+	// star under member 0 and the barrier root-collected — the O(N)
+	// baseline the benches measure the trees against.
 	Fanout int
 }
 
@@ -96,7 +94,8 @@ type Group struct {
 	chID    ChannelID
 	chans   []*Channel // per member index; nil at self
 	radix   int
-	linear  bool
+	// linear (Fanout >= N) picks the star barrier over dissemination.
+	linear bool
 
 	// q-nomial tree in relative-rank space (rank = (index - root) mod N):
 	// relParent[r] is r's parent, relKids[r] its children largest-subtree-
@@ -111,19 +110,12 @@ type Group struct {
 	barSend [][]int
 	barRecv [][]int
 
-	// AllToAll pairwise schedule: xor selects the perfect-matching XOR
-	// schedule (N a power of two); otherwise the ring offsets are computed
-	// per round.
-	xor bool
-
-	inBarrier bool
-
 	// addrScratch and idxScratch are per-op scratch (member-thread only);
 	// packBuf is Gather's concatenation buffer; laneScratch lists the lanes
 	// a fan-out touches, fanReqs and fanDone the requests it staged on the
-	// lane in hand and their done flags; held keeps Reduce's received
-	// messages until the fold is done. All retain capacity across calls so
-	// steady-state collectives allocate nothing beyond payloads.
+	// lane in hand and their inline completion flags; held keeps Reduce's
+	// received messages until the fold is done. All retain capacity across
+	// calls so steady-state collectives allocate nothing beyond payloads.
 	addrScratch []Addr
 	idxScratch  []int
 	packBuf     []byte
@@ -193,7 +185,6 @@ func (p *Proc) NewGroup(members []Addr, cfg GroupConfig) *Group {
 	if !g.linear {
 		g.buildBarrier(n)
 	}
-	g.xor = n&(n-1) == 0 && !g.linear
 	if p.cfg.Tracer != nil {
 		g.lane = fmt.Sprintf("%s/coll g%d ch%d", p.cfg.TraceName, p.groupSeq, cfg.Channel)
 		p.groupSeq++
@@ -206,7 +197,7 @@ func (p *Proc) NewGroup(members []Addr, cfg GroupConfig) *Group {
 // digit (all of them for the root) and j = 1..q-1, enumerated highest k
 // first — largest subtree first, which keeps every informed node busy on
 // the broadcast critical path. With q >= N this is a flat star under
-// rank 0: the linear baseline.
+// rank 0: the linear baseline, star barrier included.
 func (g *Group) buildTree(n int) {
 	q := g.radix
 	var pow []int
@@ -329,22 +320,17 @@ func (g *Group) traceIdle() {
 // Fan-out send
 
 // fanSend transmits one message per member index in idxs — the shared
-// payload when datas is nil, datas[pos] otherwise — enqueuing every copy
-// before parking the caller *once* until the last one has been handed to the
-// carrier. Compared with serial Sends this amortizes the park/unpark pair
-// across the whole fan and lets the carrier's batch path see the run; the
-// payload must stay stable until the wakeup, which is exactly what the single
-// park guarantees (every copy is serialized before the last request
-// retires). Each touched lane is taken once, in first-touch order: its
-// copies are staged from its freelists in idxs order and serviced in the
-// same hold, so a lane sees its whole share of the fan as one burst. A copy
-// the service hands to the carrier retires inline through its done flag,
-// as laneSend's request does; one still queued (gated by a discipline, or
-// waiting for the send system thread) retires later through the fans
-// out-queue. fanLeft is scheduler-domain state, decremented here, by the
-// drains this thread runs inline (runDrain), that post behind its park, or
-// by the send system thread. A fan unwinds with its typed error (sendErr,
-// or the close sweep's).
+// payload when datas is nil, datas[i] for member i otherwise — enqueuing
+// every copy before parking the caller *once* until the last one has been
+// handed to the carrier: laneSend's staging and settling, per copy.
+// Compared with serial Sends this amortizes the park/unpark pair across the
+// whole fan and lets the carrier's batch path see the run; the payload must
+// stay stable until the wakeup, which is exactly what the single park
+// guarantees (every copy is serialized before the last request retires).
+// Each touched lane is taken once, in first-touch order: its copies are
+// staged from its freelists in idxs order and serviced in the same hold, so
+// a lane sees its whole share of the fan as one burst. A fan unwinds with
+// its typed error (sendErr, or the close sweep's).
 func (g *Group) fanSend(t *Thread, tag int, idxs []int, datas [][]byte, shared []byte) {
 	if len(idxs) == 0 {
 		return
@@ -354,8 +340,7 @@ func (g *Group) fanSend(t *Thread, tag int, idxs []int, datas [][]byte, shared [
 			panic(err)
 		}
 	}
-	p := g.p
-	p.traceThread(t, trace.Idle)
+	g.p.traceThread(t, trace.Idle)
 	t.fanLeft = len(idxs)
 	lanes := g.laneScratch[:0]
 	for _, ki := range idxs {
@@ -364,73 +349,40 @@ func (g *Group) fanSend(t *Thread, tag int, idxs []int, datas [][]byte, shared [
 		}
 	}
 	g.laneScratch = lanes
-	if cap(g.fanDone) < len(idxs) {
+	if len(g.fanDone) < len(idxs) {
 		g.fanDone = make([]bool, len(idxs))
 	}
 	reqs := g.fanReqs[:0]
 	for _, ln := range lanes {
 		ln.mu.Lock()
 		reqs = reqs[:0]
-		done := g.fanDone[:0]
-		for pos, ki := range idxs {
+		for _, ki := range idxs {
 			c := g.chans[ki]
 			if c.ln != ln {
 				continue
 			}
-			m := ln.getDataMsg()
-			m.From = p.cfg.ID
-			m.To = c.peer
-			m.FromThread = t.idx
-			m.ToThread = g.members[ki].Thread
-			m.Tag = tag
-			m.Channel = c.id
+			data := shared
 			if datas != nil {
-				m.Data = datas[pos]
-			} else {
-				m.Data = shared
+				data = datas[ki]
 			}
-			req := ln.getReq()
-			req.m = m
-			req.ch = c
-			done = append(done, false)
-			req.done = &done[len(done)-1]
-			reqs = append(reqs, req)
-			ln.pending.push(req)
+			reqs = append(reqs, ln.stageLocked(t, c, tag, g.members[ki].Thread, data, &g.fanDone[len(reqs)]))
 		}
 		ln.service()
 		for i, req := range reqs {
-			if done[i] {
-				// Handed to the carrier: the request is already recycled.
-				t.fanLeft--
-			} else {
-				// Still queued: completion comes later, under this lock, and
-				// reaches this thread through the fans out-queue.
-				req.done = nil
-				req.fan = t
-			}
+			t.settleLocked(req, g.fanDone[i])
 			reqs[i] = nil
 		}
 		ln.unlockDrain()
 	}
 	g.fanReqs = reqs[:0]
-	for t.fanLeft > 0 {
-		t.mt.Park("ncs send")
-	}
-	p.traceThread(t, trace.Compute)
-	if err := t.sendErr; err != nil {
-		t.sendErr = nil
+	if err := t.awaitSends(len(idxs)); err != nil {
 		panic(err)
 	}
-	p.sent.Add(int64(len(idxs)))
 }
 
-// sendTo is one serial send to member i. A Group op keeps its result list,
-// so a failed send unwinds the thread with the typed error, as a doomed
-// receive does.
+// sendTo is one send to member i: a fan of one.
 func (g *Group) sendTo(t *Thread, i, tag int, data []byte) {
-	if err := g.chans[i].SendTagged(t, tag, g.members[i].Thread, data); err != nil {
-		panic(err)
-	}
+	g.fanSend(t, tag, []int{i}, nil, data)
 }
 
 // kidIdxs maps the tree children of rank rel (rooted at root) to member
@@ -468,24 +420,6 @@ func (g *Group) recvMember(t *Thread, tag, i int) *wireMessage {
 // wireMessage aliases the transport message type for coll.go signatures.
 type wireMessage = wire.Message
 
-// sendAll transmits tag plus payload(s) to each member index: fan-batched
-// in tree mode (every copy enqueued before one park), one serial Send per
-// destination in linear mode — the pre-tree code's exact shape, preserved
-// as the A/B baseline.
-func (g *Group) sendAll(t *Thread, tag int, idxs []int, datas [][]byte, shared []byte) {
-	if !g.linear {
-		g.fanSend(t, tag, idxs, datas, shared)
-		return
-	}
-	for pos, ki := range idxs {
-		d := shared
-		if datas != nil {
-			d = datas[pos]
-		}
-		g.sendTo(t, ki, tag, d)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Barrier
 
@@ -497,16 +431,11 @@ func (g *Group) sendAll(t *Thread, tag int, idxs []int, datas [][]byte, shared [
 // member thread on every member; only that thread blocks.
 func (g *Group) Barrier(t *Thread) {
 	g.checkCaller(t)
-	if g.inBarrier {
-		panic("core: concurrent Barrier calls on the same group")
-	}
-	g.inBarrier = true
 	if g.linear {
 		g.starBarrier(t)
 	} else {
 		g.dissemBarrier(t)
 	}
-	g.inBarrier = false
 	g.traceIdle()
 }
 
@@ -526,29 +455,23 @@ func (g *Group) dissemBarrier(t *Thread) {
 	}
 }
 
-// starBarrier is the linear baseline: the root-collected protocol of the
-// original barrier, serial release loop included.
+// starBarrier is the linear baseline, the root-collected protocol of the
+// original barrier over the q-nomial tables (at q >= N the star under member
+// 0): the root collects every arrival, then releases them all in one fan.
 func (g *Group) starBarrier(t *Thread) {
 	n := len(g.members)
-	if g.self == 0 {
-		g.traceRound("bar", 0, n-1)
-		all := g.idxScratch[:0]
-		for i := 1; i < n; i++ {
-			all = append(all, i)
-		}
-		g.idxScratch = all
-		g.collectAnyOf(t, collTag(collOpBarrier, 0), all, func(_ int, m *wireMessage) {
-			m.Release()
-		})
-		g.traceRound("bar", 1, n-1)
-		for i := 1; i < n; i++ {
-			g.sendTo(t, i, collTag(collOpRelease, 0), nil)
-		}
+	if g.self != 0 {
+		g.traceRound("bar", 0, 1)
+		g.sendTo(t, 0, collTag(collOpBarrier, 0), nil)
+		g.recvMember(t, collTag(collOpRelease, 0), 0).Release()
 		return
 	}
-	g.traceRound("bar", 0, 1)
-	g.sendTo(t, 0, collTag(collOpBarrier, 0), nil)
-	g.recvMember(t, collTag(collOpRelease, 0), 0).Release()
+	g.traceRound("bar", 0, n-1)
+	g.collectAnyOf(t, collTag(collOpBarrier, 0), g.kidIdxs(0, 0), func(_ int, m *wireMessage) {
+		m.Release()
+	})
+	g.traceRound("bar", 1, n-1)
+	g.fanSend(t, collTag(collOpRelease, 0), g.kidIdxs(0, 0), nil, nil)
 }
 
 // ---------------------------------------------------------------------------
@@ -567,7 +490,7 @@ func (g *Group) Bcast(t *Thread, root int, data []byte) []byte {
 	}
 	kids := g.kidIdxs(rel, root)
 	g.traceRound("bcast", 0, g.relSub[rel])
-	g.sendAll(t, collTag(collOpBcast, 0), kids, nil, data)
+	g.fanSend(t, collTag(collOpBcast, 0), kids, nil, data)
 	g.traceIdle()
 	return data
 }
@@ -588,7 +511,7 @@ func (g *Group) BcastInto(t *Thread, root int, buf []byte) int {
 	}
 	kids := g.kidIdxs(rel, root)
 	g.traceRound("bcast", 0, g.relSub[rel])
-	g.sendAll(t, collTag(collOpBcast, 0), kids, nil, buf[:n])
+	g.fanSend(t, collTag(collOpBcast, 0), kids, nil, buf[:n])
 	g.traceIdle()
 	return n
 }
@@ -696,12 +619,9 @@ func releaseAll(held []*wireMessage) {
 
 // AllToAll performs the many-to-many exchange: data[i] goes to member i,
 // and the result holds one payload from each member (data[self] is
-// returned in place). The tree groups run a pairwise-exchange schedule —
-// XOR perfect matchings when N is a power of two, a ring schedule
-// otherwise — so every round moves N/2 disjoint pairs concurrently instead
-// of posting N-1 sends and draining receives in member order. Linear
-// groups keep the old shape (fan out all sends, then collect in order) as
-// the baseline.
+// returned in place). Every member fans its N-1 copies out at once, then
+// collects the N-1 it is sent in arrival order, so a slow member delays
+// only its own entry. Tree and Fanout >= N groups run the same body.
 func (g *Group) AllToAll(t *Thread, data [][]byte) [][]byte {
 	g.checkCaller(t)
 	n := len(g.members)
@@ -710,40 +630,18 @@ func (g *Group) AllToAll(t *Thread, data [][]byte) [][]byte {
 	}
 	out := make([][]byte, n)
 	out[g.self] = data[g.self]
-	if g.linear {
-		idxs := g.idxScratch[:0]
-		for i := range g.members {
-			if i != g.self {
-				idxs = append(idxs, i)
-			}
+	others := g.idxScratch[:0]
+	for i := range g.members {
+		if i != g.self {
+			others = append(others, i)
 		}
-		g.idxScratch = idxs
-		datas := make([][]byte, 0, n-1)
-		for _, i := range idxs {
-			datas = append(datas, data[i])
-		}
-		g.traceRound("a2a", 0, n-1)
-		g.sendAll(t, collTag(collOpA2A, 0), idxs, datas, nil)
-		for _, i := range idxs {
-			out[i] = g.recvMember(t, collTag(collOpA2A, 0), i).Data
-		}
-		g.traceIdle()
-		return out
 	}
-	for r := 1; r < n; r++ {
-		var sendTo, recvFrom int
-		if g.xor {
-			sendTo = g.self ^ r
-			recvFrom = sendTo
-		} else {
-			sendTo = (g.self + r) % n
-			recvFrom = (g.self - r + n) % n
-		}
-		tag := collTag(collOpA2A, r)
-		g.traceRound("a2a", r, 1)
-		g.sendTo(t, sendTo, tag, data[sendTo])
-		out[recvFrom] = g.recvMember(t, tag, recvFrom).Data
-	}
+	g.idxScratch = others
+	g.traceRound("a2a", 0, n-1)
+	g.fanSend(t, collTag(collOpA2A, 0), others, data, nil)
+	g.collectAnyOf(t, collTag(collOpA2A, 0), others, func(i int, m *wireMessage) {
+		out[i] = m.Data
+	})
 	g.traceIdle()
 	return out
 }

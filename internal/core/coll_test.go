@@ -132,12 +132,13 @@ func TestGroupGatherReduce(t *testing.T) {
 	}
 }
 
-// TestGroupAllToAll covers the XOR perfect-matching schedule (power of
-// two), the ring schedule (odd N), and the linear baseline.
+// TestGroupAllToAll: every member fans its copies out and collects its
+// share in arrival order, for N a power of two and not, on a tree group and
+// on a Fanout >= N group alike (the two shapes run one body).
 func TestGroupAllToAll(t *testing.T) {
 	for _, tc := range []struct {
 		n, fanout int
-	}{{4, 0}, {5, 0}, {4, 64}} {
+	}{{4, 0}, {5, 0}, {4, 64}, {5, 64}} {
 		tc := tc
 		t.Run(fmt.Sprintf("n=%d/fanout=%d", tc.n, tc.fanout), func(t *testing.T) {
 			n := tc.n

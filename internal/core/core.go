@@ -185,25 +185,19 @@ type sendReq struct {
 	m *transport.Message
 	// ch is the channel the message travels on; nil for control traffic.
 	ch *Channel
-	// caller is parked until a service pass finishes the transfer; nil
-	// for internally generated traffic (acks, retransmissions).
-	caller *Thread
 	// raw marks a retransmission: the message was already stamped (it must
 	// keep its original sequence), so it bypasses admission.
 	raw bool
 	// ctrl marks a pooled control message that returns to the control
 	// freelist once the endpoint has serialized it.
 	ctrl bool
-	// fan, when non-nil, marks one request of a fan-out send: the thread
-	// parked once for the whole fan and wakes when every member request has
-	// flushed (or failed), since the shared payload must stay stable until
-	// the last copy is serialized.
-	fan *Thread
-	// done, when non-nil, is the inline-send completion flag
-	// (Thread.sendDone): the sender is still inside laneSend holding the
-	// lane lock, so completion just sets the flag instead of waking anyone.
-	// Mutually exclusive with caller (see laneSend).
+	// done, while its sender still holds the lane lock (stageLocked to
+	// settleLocked), is the request's inline completion flag: a flush sets
+	// it and nobody needs waking. A request still queued at settle has
+	// fan set instead — its sender parks until Thread.fanLeft reaches 0 —
+	// and one nobody waits for (acks, retransmissions) has neither.
 	done *bool
+	fan  *Thread
 }
 
 // recvWaiter is a thread parked in recvAnyOf. pat.from is the waiter's own
@@ -398,12 +392,13 @@ type Thread struct {
 	// meant to release, so NCS_block/NCS_unblock pairs cannot lose a
 	// wakeup regardless of scheduling order.
 	blockPermit bool
-	// fanLeft counts this thread's in-flight fan-out requests (coll.go's
-	// fanSend); the thread parks until the last one is retired.
+	// fanLeft counts this thread's requests still queued (a Send is a fan
+	// of one, coll.go's fanSend a fan of many); the thread parks until the
+	// last one is retired.
 	fanLeft int
-	// sendDone is the inline-send completion flag (laneSend): a
-	// thread has at most one outstanding send, so one reusable field
-	// avoids a per-send heap escape. Written only under the lane lock.
+	// sendDone is laneSend's inline completion flag: a thread has at most
+	// one outstanding Send, so one reusable field avoids a per-send heap
+	// escape. Written only under the lane lock.
 	sendDone bool
 	// sendErr is why the close sweep failed this thread's send or fan-out
 	// (failSendsLocked), written under the lane lock before the wakeup.
@@ -558,10 +553,12 @@ func (p *Proc) sendProcCtrl(to ProcID, tag int, head []byte, words ...uint32) {
 	ln.leave()
 }
 
-// fanDone retires one request of a fan-out send (coll.go's fanSend): the
-// owning thread parks once for the whole fan and wakes when the last
-// request has been handed to the carrier — or failed at teardown. Scheduler
-// domain.
+// fanDone retires one queued request of a Send or a fan-out: the owning
+// thread parks once for the whole fan and wakes when the last request has
+// been handed to the carrier — or failed at teardown. Scheduler domain. A
+// thread that retires its own last request in an inline drain is still
+// running, so its Unblock is a no-op and it finds the count at 0 instead of
+// parking.
 func (p *Proc) fanDone(t *Thread) {
 	t.fanLeft--
 	if t.fanLeft == 0 {
@@ -854,11 +851,10 @@ func (t *Thread) Unblock(other *Thread) {
 
 // Bcast sends data to every address in list: the paper's NCS_bcast
 // (1-to-many group communication). Transfers are queued in list order.
-// This is the linear O(N) path — the
-// sender serializes one copy per destination; Group.Bcast is the
-// logarithmic tree alternative (and degenerates to this shape at
-// Fanout >= N, which is how the scale benches A/B the two). It returns the
-// failed sends' errors joined.
+// This is the linear O(N) path — the sender serializes one copy per
+// destination, one Send each; Group.Bcast is the logarithmic tree
+// alternative, whose copies at each hop leave as one fan-out. It returns
+// the failed sends' errors joined.
 func (t *Thread) Bcast(list []Addr, data []byte) (err error) {
 	for _, a := range list {
 		err = errors.Join(err, t.Send(a.Thread, a.Proc, data))

@@ -234,6 +234,48 @@ func TestPeerCrashFaultMidCollective(t *testing.T) {
 	}
 }
 
+// TestBarrierAfterPeerDeath: a Barrier that a member's death unwinds with
+// *PeerDeadError leaves the group usable, so the survivors' next Barrier
+// fails the same typed way (it panicked with a plain string while a guard
+// flag, set for the first Barrier, was never cleared on the unwind).
+func TestBarrierAfterPeerDeath(t *testing.T) {
+	const n, victim = 3, 2
+	mem := transport.NewMem()
+	procs := sigCluster(t, n, mem, func(i int, cfg *Config) {
+		cfg.Heartbeat = hbCfg()
+	})
+	members := collGroup(n)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	errs := make([][2]*PeerDeadError, n)
+	for i := 0; i < n; i++ {
+		i := i
+		procs[i].TCreate("m", mts.PrioDefault, func(th *Thread) {
+			g := procs[i].NewGroup(members, GroupConfig{})
+			g.Barrier(th) // warm every member channel so the detector monitors them
+			if i == victim {
+				wg.Done() // crash point: the carrier kills this proc now
+				return
+			}
+			for k := range errs[i] {
+				errs[i][k] = recoverDead(func() { g.Barrier(th) })
+			}
+		})
+	}
+	go func() {
+		wg.Wait()
+		mem.KillHost(victim)
+	}()
+	runReal(procs)
+	for _, i := range []int{0, 1} {
+		for k, err := range errs[i] {
+			if err == nil || err.Peer != victim {
+				t.Errorf("proc %d barrier %d: error = %v, want PeerDeadError for proc %d", i, k+1, err, victim)
+			}
+		}
+	}
+}
+
 // TestPeerCrashFaultMidSetup: the callee dies before the SETUP handshake
 // can complete. The failure detector (armed by OpenCall's own channel
 // entry) outruns the setup retry budget, so the caller gets a fail-fast

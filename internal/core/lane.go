@@ -48,7 +48,7 @@ import (
 //     Channel.wrapTimer.
 //   - Scheduler domain: thread wakeups, receive matching (waiters/store)
 //     and signaling state. Lane code never calls them directly — it
-//     appends to the lane's out-queues (wake/fans/deliver) and a drain
+//     appends to the lane's out-queues (fans/deliver) and a drain
 //     runs them: inline when the caller is already in the scheduler
 //     domain, otherwise via Runtime.Post, which runs between dispatches
 //     (it queues the drain and, only if the proc has gone to sleep with
@@ -224,13 +224,11 @@ type lane struct {
 	// Appended under mu, swapped out whole by a drain. drainPosted collapses
 	// redundant Post calls into one pending drain: queueDrainLocked sets it,
 	// a drain's swap clears it, so it is set only while work is queued.
-	wake        []*mts.Thread
 	fans        []*Thread
 	deliver     []*transport.Message
 	drainPosted bool
 
 	// Spare swap buffers (scheduler-domain only, see runDrain).
-	spareWake    []*mts.Thread
 	spareFans    []*Thread
 	spareDeliver []*transport.Message
 
@@ -874,7 +872,7 @@ func (ln *lane) queueDrainLocked() bool {
 
 // outQueuedLocked reports whether the out-queues hold scheduler-domain work.
 func (ln *lane) outQueuedLocked() bool {
-	return len(ln.wake) != 0 || len(ln.fans) != 0 || len(ln.deliver) != 0
+	return len(ln.fans) != 0 || len(ln.deliver) != 0
 }
 
 // processLocked is the receive protocol body: demultiplex everything queued
@@ -1149,33 +1147,25 @@ func (ln *lane) flushRunLocked(run []*sendReq) []*sendReq {
 
 // retireLocked ends a request's life, transmitted or failed (a channel
 // closing under queued sends — failSendsLocked files the cause with the
-// sending thread first): its sender's completion is
-// delivered and the request and its pooled message return to the freelists
-// (the endpoint serialized the message, and go-back-N buffers private
-// copies for retransmission, so nothing references either anymore). How the
-// completion travels is the driver's: a sender still inside laneSend on this
-// lane (done) observes the flag before parking, so no wakeup is needed; under the thread driver the caller is in the scheduler
-// domain, so a parked sender is unblocked on the spot — when *its* run has
-// reached the carrier, not at the end of the pass (Figure 4's overlap: it
-// computes while the next frame transmits); otherwise the wakeup is deferred
-// to the drain.
+// sending thread first): its sender's completion is delivered and the
+// request and its pooled message return to the freelists (the endpoint
+// serialized the message, and go-back-N buffers private copies for
+// retransmission, so nothing references either anymore). A sender still
+// holding the lane lock (done) reads the flag when it settles, so no wakeup
+// is needed. A parked sender's (fan) count travels by driver: under the
+// thread driver the caller is in the scheduler domain, so it is decremented
+// on the spot — the sender wakes when *its* run has reached the carrier, not
+// at the end of the pass (Figure 4's overlap: it computes while the next
+// frame transmits); otherwise the drain decrements it.
 func (ln *lane) retireLocked(req *sendReq) {
-	p := ln.p
 	if req.raw {
 		req.ch.rawReqs-- // the retained bytes it aliased are free again
 	}
-	switch {
-	case req.done != nil:
+	if req.done != nil {
 		*req.done = true
-	case req.caller == nil:
-	case ln.td != nil:
-		p.cfg.RT.Unblock(req.caller.mt, false)
-	default:
-		ln.wake = append(ln.wake, req.caller.mt)
-	}
-	if req.fan != nil {
+	} else if req.fan != nil {
 		if ln.td != nil {
-			p.fanDone(req.fan)
+			ln.p.fanDone(req.fan)
 		} else {
 			ln.fans = append(ln.fans, req.fan)
 		}
@@ -1197,9 +1187,7 @@ func (ln *lane) retireLocked(req *sendReq) {
 func (ln *lane) failSendsLocked(c *Channel) {
 	for c.sq.Size() > 0 {
 		req := c.sq.Pop()
-		if t := req.caller; t != nil {
-			t.sendErr = c.closedErr()
-		} else if req.fan != nil {
+		if req.fan != nil {
 			req.fan.sendErr = c.closedErr()
 		}
 		ln.retireLocked(req)
@@ -1232,19 +1220,20 @@ func (ln *lane) removeChanLocked(c *Channel) {
 	}
 }
 
-// laneSend is the Thread.Send/Channel.Send body — the paper's NCS_send:
-// build the message and request from the lane's freelists, enqueue, and have
-// the lane serviced. If the request flushed during an inline service (the
-// common, uncongested case under the goroutine and virtual drivers) the
-// thread never parks — the send completes in the caller's own time slice,
-// which is where the single-core speedup over a park/dispatch/park cycle
-// comes from. If a discipline gated it, the thread parks and the eventual
-// flush (engine or timer) wakes it through the drain. Under the thread
-// driver service only wakes the send system thread, so the request is never
-// done here: the caller parks per message until the send thread has put its
-// run on the wire, and other threads of the process run meanwhile — the
-// overlap mechanism of Figure 4. It returns sendErr's cause for a send that
-// cannot start, and the close sweep's for a parked one it failed.
+// laneSend is the Thread.Send/Channel.Send body — the paper's NCS_send, a
+// fan-out of one: stage the request from the lane's freelists, have the
+// lane serviced, settle, and park until it is on the wire. If the request
+// flushed during an inline service (the common, uncongested case under the
+// goroutine and virtual drivers) the thread never parks — the send
+// completes in the caller's own time slice, which is where the single-core
+// speedup over a park/dispatch/park cycle comes from. If a discipline gated
+// it, the thread parks and the eventual flush (engine or timer) retires it
+// through the drain. Under the thread driver service only wakes the send
+// system thread, so the request is never done here: the caller parks per
+// message until the send thread has put its run on the wire, and other
+// threads of the process run meanwhile — the overlap mechanism of Figure 4.
+// It returns sendErr's cause for a send that cannot start, and the close
+// sweep's for a parked one it failed.
 func (c *Channel) laneSend(t *Thread, tag, toThread int, data []byte) error {
 	p := c.p
 	if err := c.sendErr(); err != nil {
@@ -1252,8 +1241,19 @@ func (c *Channel) laneSend(t *Thread, tag, toThread int, data []byte) error {
 	}
 	p.traceThread(t, trace.Idle)
 	ln := c.lockLane()
+	t.fanLeft = 1
+	req := ln.stageLocked(t, c, tag, toThread, data, &t.sendDone)
+	ln.service()
+	t.settleLocked(req, t.sendDone)
+	ln.unlockDrain()
+	return t.awaitSends(1)
+}
+
+// stageLocked builds one data request for c from the lane's freelists and
+// queues it, with done as its inline completion flag (caller holds ln.mu).
+func (ln *lane) stageLocked(t *Thread, c *Channel, tag, toThread int, data []byte, done *bool) *sendReq {
 	m := ln.getDataMsg()
-	m.From = p.cfg.ID
+	m.From = ln.p.cfg.ID
 	m.To = c.peer
 	m.FromThread = t.idx
 	m.ToThread = toThread
@@ -1263,43 +1263,41 @@ func (c *Channel) laneSend(t *Thread, tag, toThread int, data []byte) error {
 	req := ln.getReq()
 	req.m = m
 	req.ch = c
-	t.sendDone = false
-	req.done = &t.sendDone
+	*done = false
+	req.done = done
 	ln.pending.push(req)
-	ln.service()
-	done := t.sendDone
-	if !done {
-		// Still queued for the send thread, or gated by a discipline:
-		// completion happens under this same lock later, so clearing the flag
-		// pointer and installing the parked caller here is race-free. An
-		// engine may flush it before this thread reaches Park, in which case
-		// the wakeup surfaces either through drain's self-wake detection
-		// below or, after the park, through a Posted drain — which runs only
-		// between dispatches, i.e. strictly after the park takes effect (as
-		// does the send system thread).
+	return req
+}
+
+// settleLocked accounts for a staged request once the lane has been serviced
+// (caller still holds ln.mu). One the service handed to the carrier is
+// already retired and recycled, so it only leaves t's count; one still
+// queued — gated by a discipline, or waiting for the send system thread —
+// retires later under this same lock, so swapping its flag for t here is
+// race-free, and its completion reaches t through fanDone. An engine may
+// flush it before t parks: the count then reads 0 when t looks.
+func (t *Thread) settleLocked(req *sendReq, done bool) {
+	if done {
+		t.fanLeft--
+	} else {
 		req.done = nil
-		req.caller = t
+		req.fan = t
 	}
-	queued := ln.outQueuedLocked()
-	ln.mu.Unlock()
-	// The inline service may have completed other requests (gated sends
-	// whose credit arrived); finish that scheduler-domain work in this
-	// thread's context. With nothing queued there is no drain
-	// to run: what an engine queues after the unlock has a drain posted for
-	// it (its own, or one already pending), and a posted drain runs only once
-	// this thread has parked.
-	if queued && ln.drain(t.mt) {
-		done = true
-	}
-	if !done {
+}
+
+// awaitSends parks t until every request it settled has been retired, then
+// returns the close sweep's cause if one failed, else counts n sent.
+func (t *Thread) awaitSends(n int) error {
+	for t.fanLeft > 0 {
 		t.mt.Park("ncs send")
 	}
+	p := t.proc
 	p.traceThread(t, trace.Compute)
 	if err := t.sendErr; err != nil {
 		t.sendErr = nil
 		return err
 	}
-	p.sent.Add(1)
+	p.sent.Add(int64(n))
 	return nil
 }
 
@@ -1307,23 +1305,18 @@ func (c *Channel) laneSend(t *Thread, tag, toThread int, data []byte) error {
 // Scheduler-domain drain
 
 // runDrain moves the lane's deferred scheduler-domain work into the
-// scheduler: deliver data to waiters/store, route signaling, wake send
-// callers, retire fan requests. Runs only in the scheduler
-// domain (a thread or timer inline, or Post between dispatches).
+// scheduler: deliver data to waiters/store, route signaling, retire queued
+// send requests. Runs only in the scheduler domain (a thread or timer
+// inline, or Post between dispatches).
 func (ln *lane) runDrain() { ln.drain(nil) }
 
-// drain is runDrain on behalf of a running thread. It detects a self-wake: a
-// thread draining inline on its own send path passes its own mts thread, and
-// a wakeup addressed to it is reported through the return value instead of a
-// no-op Unblock (the thread is still running — it has not parked yet — so
-// Unblock would lose the wakeup and the thread would park forever). self
-// carries at most one pending wakeup, because a thread has at most one
-// outstanding send. And self is the thread Config.RecvCharge bills for a
-// message handed to a parked receiver: that hook only exists under the thread
-// driver, where the receive system thread is the one drain that ever finds a
-// delivery queued (it drains right behind its own processLocked, and nobody
-// else runs that), so the charge — a Park, taken with the lock released —
-// lands on the thread the paper gives the stack-to-application copy to.
+// drain is runDrain on behalf of a running system thread: self is the thread
+// Config.RecvCharge bills for a message handed to a parked receiver. That
+// hook only exists under the thread driver, where the receive system thread
+// is the one drain that ever finds a delivery queued (it drains right behind
+// its own processLocked, and nobody else runs that), so the charge — a Park,
+// taken with the lock released — lands on the thread the paper gives the
+// stack-to-application copy to.
 //
 // One swap. The queues are taken whole and drainPosted is cleared in the same
 // hold, so drainPosted set means work is queued: whatever lands after the swap
@@ -1337,18 +1330,17 @@ func (ln *lane) runDrain() { ln.drain(nil) }
 // thread parked in its charge is overtaken the same way. The spare swap buffers
 // are therefore *claimed* (nil'd) while in use so a nested drain allocates
 // fresh scratch instead of aliasing the batch being processed.
-func (ln *lane) drain(self *mts.Thread) (selfWoken bool) {
+func (ln *lane) drain(self *mts.Thread) {
 	p := ln.p
 	ln.mu.Lock()
 	if !ln.outQueuedLocked() {
 		ln.mu.Unlock()
-		return false
+		return
 	}
-	wake, fans, del := ln.wake, ln.fans, ln.deliver
-	ln.wake = ln.spareWake[:0]
+	fans, del := ln.fans, ln.deliver
 	ln.fans = ln.spareFans[:0]
 	ln.deliver = ln.spareDeliver[:0]
-	ln.spareWake, ln.spareFans, ln.spareDeliver = nil, nil, nil
+	ln.spareFans, ln.spareDeliver = nil, nil
 	ln.drainPosted = false
 	ln.mu.Unlock()
 
@@ -1361,22 +1353,12 @@ func (ln *lane) drain(self *mts.Thread) (selfWoken bool) {
 		}
 		del[i] = nil
 	}
-	for i, t := range wake {
-		if t == self {
-			selfWoken = true
-		} else {
-			p.cfg.RT.Unblock(t, false)
-		}
-		wake[i] = nil
-	}
 	for i, f := range fans {
 		p.fanDone(f)
 		fans[i] = nil
 	}
-	ln.spareWake = wake[:0]
 	ln.spareFans = fans[:0]
 	ln.spareDeliver = del[:0]
-	return selfWoken
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -384,5 +385,81 @@ func TestChannelTableAtScale(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(10_000, lookup); avg != 0 {
 		t.Fatalf("a channel lookup among %d channels allocates %v, want 0", peers, avg)
+	}
+}
+
+// TestSendGatedWakesOnce is the single-Send counterpart of
+// TestFanGatedCopyWakesOnce: a Send is a fan-out of one. A Send held by
+// flow control (window 1, already spent) parks once, wakes exactly once
+// when the peer's credit reopens the window, and leaves the thread's count
+// at zero. A Send parked under the channel's Close instead returns the
+// close sweep's *ChannelClosedError. Both run on the virtual mesh, at one
+// lane (the thread driver, where every Send parks) and at two (the virtual
+// driver, where only the gated one does).
+func TestSendGatedWakesOnce(t *testing.T) {
+	for _, lanes := range []int{1, 2} {
+		lanes := lanes
+		t.Run(fmt.Sprintf("lanes=%d/credit", lanes), func(t *testing.T) {
+			vm := NewVirtualMesh(2, 1, VirtualMeshConfig{Lanes: lanes, Flow: NewWindowFlow(1)})
+			wakes, fanLeft := -1, -1
+			var got []string
+			vm.Procs[0].TCreate("s", mts.PrioDefault, func(th *Thread) {
+				if err := th.SendTagged(5, 0, 1, []byte("spends the window")); err != nil {
+					t.Errorf("first send: %v", err)
+				}
+				before := th.mt.Dispatches()
+				if err := th.SendTagged(6, 0, 1, []byte("gated")); err != nil {
+					t.Errorf("gated send: %v", err)
+				}
+				wakes = th.mt.Dispatches() - before
+				fanLeft = th.fanLeft
+			})
+			vm.Procs[1].TCreate("r", mts.PrioDefault, func(th *Thread) {
+				for _, tag := range []int{5, 6} {
+					data, _ := th.RecvTagged(tag, 0, 0)
+					got = append(got, string(data))
+				}
+			})
+			vm.Run()
+			if wakes != 1 || fanLeft != 0 {
+				t.Fatalf("sending thread woke %d times with fanLeft %d, want 1 and 0", wakes, fanLeft)
+			}
+			if len(got) != 2 || got[1] != "gated" {
+				t.Fatalf("receiver got %q, want the gated message second", got)
+			}
+		})
+		t.Run(fmt.Sprintf("lanes=%d/close", lanes), func(t *testing.T) {
+			vm := NewVirtualMesh(2, 1, VirtualMeshConfig{Lanes: lanes})
+			// The peer end runs no discipline, so it never credits: only
+			// Close can release the second Send.
+			ch0 := vm.Procs[0].Open(1, ChannelConfig{ID: 1, Flow: NewWindowFlow(1)})
+			ch1 := vm.Procs[1].Open(0, ChannelConfig{ID: 1})
+			var sendErr error
+			fanLeft := -1
+			vm.Procs[0].TCreate("blocked", mts.PrioDefault, func(th *Thread) {
+				if err := ch0.Send(th, 0, []byte("passes the gate")); err != nil {
+					t.Errorf("first send: %v", err)
+				}
+				sendErr = ch0.Send(th, 0, []byte("gated"))
+				fanLeft = th.fanLeft
+			})
+			vm.Procs[0].TCreate("closer", mts.PrioDefault, func(th *Thread) {
+				for !gated(ch0) {
+					th.mt.Sleep(time.Millisecond)
+				}
+				ch0.Close()
+			})
+			vm.Procs[1].TCreate("r", mts.PrioDefault, func(th *Thread) {
+				ch1.Recv(th, Any) // only the first message ever arrives
+			})
+			vm.Run()
+			var cce *ChannelClosedError
+			if !errors.As(sendErr, &cce) || cce.ID != 1 || cce.Peer != 1 {
+				t.Fatalf("gated send returned %v, want *ChannelClosedError for channel 1 to proc 1", sendErr)
+			}
+			if fanLeft != 0 {
+				t.Fatalf("fanLeft %d after the failed send, want 0", fanLeft)
+			}
+		})
 	}
 }
