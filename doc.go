@@ -52,11 +52,16 @@
 // goroutine hand-off per message rather than two. The scheduler in real
 // mode is no goroutine of its own: the thread that parks dispatches its
 // successor, or waits for the post itself (internal/mts). Which driver a
-// proc gets follows from its runtime and its carrier: Mem and real TCP hand
-// over raw frames (transport.FrameCarrier) and get engine goroutines at lane
-// counts above one — clock events instead when the runtime is virtual (a
-// sim node's, whose clock owns the timers and the CPU); udpatm, SimTCP and
-// SimATM deliver decoded messages and get the system-thread pair. Real TCP executes no socket write on a sending thread:
+// proc gets follows from its runtime and its carrier: Mem, real TCP and
+// udpatm hand over raw frames (transport.FrameCarrier) and get engine
+// goroutines at lane counts above one — clock events instead when the
+// runtime is virtual (a sim node's, whose clock owns the timers and the
+// CPU); SimTCP and SimATM deliver decoded messages, charge and park the
+// thread they are handed, and get the system-thread pair. udpatm's reader
+// passes a reassembled message on only once its wire header checks out,
+// and its Send waits only for its own writer goroutine, which never waits on
+// a peer, so its reader may run passes as Mem's senders do. Real TCP
+// executes no socket write on a sending thread:
 // each connection has a transmit queue and a writer goroutine that puts
 // everything queued on the wire in one writev, and Send waits only at the
 // queue's high-water mark. Its frames arrive on the connection reader that

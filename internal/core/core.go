@@ -48,14 +48,14 @@
 //     enqueues, wakes the send thread and parks only the caller; the send
 //     thread hands itself to the carrier. Selected whenever the others cannot
 //     be: a resolved lane count of 1 (the GOMAXPROCS=1 default), a carrier
-//     that is no transport.FrameCarrier (udpatm, SimTCP, SimATM), or a hook
+//     that is no transport.FrameCarrier (SimTCP, SimATM), or a hook
 //     that assumes protocol work happens on a scheduler thread (RecvCharge,
 //     ArrivalPollDelay — the cost-model sim harnesses).
 //   - Goroutine driver: each lane engine is a goroutine; senders service
 //     their lane inline, the delivering goroutine may run a short frame's
 //     receive pass itself; timers are the runtime's (Runtime.After; the
 //     package itself never touches the wall clock). Selected at lane counts
-//     above one on a frame carrier (Mem, real TCP) under a real-time
+//     above one on a frame carrier (Mem, real TCP, udpatm) under a real-time
 //     runtime. On real TCP the inline service ends at a connection's
 //     transmit queue: the carrier's writer goroutine executes the socket
 //     write, so the thread holding the proc's CPU token never spends it in
@@ -155,7 +155,7 @@ type Config struct {
 	// of 1 — always the case on a single-core GOMAXPROCS — builds one lane
 	// under the thread driver: the paper's two system threads, exactly. So
 	// does any count on an endpoint that is no transport.FrameCarrier (Mem,
-	// real TCP and SimMesh are; udpatm, SimTCP and SimATM are not), and any
+	// real TCP, udpatm and SimMesh are; SimTCP and SimATM are not), and any
 	// count beside a hook that assumes the protocol runs on a scheduler
 	// thread (RecvCharge, ArrivalPollDelay — the cost-model sim harnesses).
 	SendLanes int
@@ -307,9 +307,11 @@ type Proc struct {
 	statBadControl, statStrayData        atomic.Int64
 }
 
-// New builds an NCS process: the paper's NCS_init. System threads (send,
-// receive, and whatever the flow/error controllers need) are created
-// immediately at the highest priority.
+// New builds an NCS process: the paper's NCS_init. Its system threads are
+// created immediately at the highest priority: the paper's send and receive
+// pair under the thread driver, or the lanes' keeper thread when the lane
+// engines run (on a frame carrier — Mem, real TCP, udpatm, SimMesh — at
+// more than one lane).
 func New(cfg Config) *Proc {
 	if cfg.Endpoint.Proc() != cfg.ID {
 		panic(fmt.Sprintf("core: id %d != endpoint proc %d", cfg.ID, cfg.Endpoint.Proc()))

@@ -12,6 +12,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tcpip"
 	"repro/internal/transport"
+	"repro/internal/udpatm"
 )
 
 // One protocol body, three drivers: every scenario below runs the same
@@ -28,8 +29,8 @@ type matrixOpt struct {
 	onAccept  func(*Channel)
 	heartbeat Heartbeat
 	// loss is the carrier's independent drop probability; dropFirst drops
-	// exactly the first data frame instead. Only Mem can lose frames; the
-	// simulated fabrics run the same disciplines lossless.
+	// exactly the first data frame instead. Mem can do both and udpatm only
+	// the first; the simulated fabrics run the same disciplines lossless.
 	loss      float64
 	dropFirst bool
 }
@@ -128,10 +129,55 @@ func vmeshEnv(t *testing.T, n int, opt matrixOpt) *matrixCluster {
 	return cl.collect()
 }
 
+// udpatmEnv is the real-socket cell carrier: AAL5 over UDP loopback, whose
+// frames come in on the endpoint's reader goroutine — decoded into its Inbox
+// at one lane, handed to the lane engine as raw frames above.
+func udpatmEnv(lanes int) func(t *testing.T, n int, opt matrixOpt) *matrixCluster {
+	return func(t *testing.T, n int, opt matrixOpt) *matrixCluster {
+		if opt.dropFirst {
+			t.Skip("udpatm loses frames at random (SetRecvDropRate), not by class: it cannot lose exactly the first data frame")
+		}
+		netw := udpatm.NewNetwork()
+		eps := make([]*udpatm.Endpoint, n)
+		cl := &matrixCluster{}
+		for i := 0; i < n; i++ {
+			rt := mts.New(mts.Config{Name: fmt.Sprintf("node%d", i), IdleTimeout: 10 * time.Second})
+			ep, err := netw.Attach(ProcID(i), rt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ep.Close() })
+			if opt.loss > 0 {
+				ep.SetRecvDropRate(opt.loss, int64(7+i))
+			}
+			eps[i] = ep
+			cl.procs = append(cl.procs, New(Config{
+				ID: ProcID(i), RT: rt, Endpoint: ep,
+				Flow: opt.flow, Error: opt.errc, OnAccept: opt.onAccept, Heartbeat: opt.heartbeat,
+				SendLanes: lanes, RecvLanes: lanes,
+			}))
+		}
+		// A blackhole drops what arrives at an endpoint, whoever sent it, so
+		// cutting a host off from its one peer takes both receive sides.
+		// Only the two-proc scenarios kill a host.
+		if n == 2 {
+			cl.kill = func(int) {
+				for _, ep := range eps {
+					ep.SetBlackhole(true)
+				}
+			}
+		}
+		cl.run = func() { runReal(cl.procs) }
+		return cl.collect()
+	}
+}
+
 var matrixEnvs = []matrixEnv{
 	{"thread/mem", "thread", memEnv(1)},
 	{"thread/simtcp", "thread", simtcpEnv},
+	{"thread/udpatm", "thread", udpatmEnv(1)},
 	{"goroutine/mem", "goroutine", memEnv(2)},
+	{"goroutine/udpatm", "goroutine", udpatmEnv(2)},
 	{"virtual/mesh", "virtual", vmeshEnv},
 }
 
@@ -508,7 +554,9 @@ func matrixGroup(t *testing.T, env matrixEnv) {
 	for i := range members {
 		members[i] = Addr{Proc: ProcID(i)}
 	}
-	phase := make([]int, n)
+	// Atomic: a socket carrier's frames order the members' rounds, but the
+	// kernel between them is no happens-before edge the race detector sees.
+	phase := make([]atomic.Int32, n)
 	sum := func(acc, next []byte) []byte { return []byte{acc[0] + next[0]} }
 	for i, p := range cl.procs {
 		i := i
@@ -526,11 +574,11 @@ func matrixGroup(t *testing.T, env matrixEnv) {
 				if res := g.Reduce(th, root, []byte{byte(i + 1)}, sum); i == root && (len(res) != 1 || res[0] != n*(n+1)/2) {
 					t.Errorf("round %d: reduce = %v, want %d", r, res, n*(n+1)/2)
 				}
-				phase[i] = r
+				phase[i].Store(int32(r))
 				g.Barrier(th)
 				for j := range phase {
-					if phase[j] != r {
-						t.Errorf("member %d left barrier %d with member %d at %d", i, r, j, phase[j])
+					if pj := phase[j].Load(); pj != int32(r) {
+						t.Errorf("member %d left barrier %d with member %d at %d", i, r, j, pj)
 					}
 				}
 				g.Barrier(th)

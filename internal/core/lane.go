@@ -26,9 +26,10 @@ import (
 // Who executes a lane is the engineDriver's business, not the protocol's.
 // There are three (see "Engine drivers" below): the thread driver — the
 // paper's own two system threads over a single lane, for carriers that
-// charge or park the thread they are handed and for a resolved lane count of
-// one — the goroutine driver (one engine goroutine per lane, senders
-// servicing inline) and the virtual driver (lane engines as events on a
+// charge or park the thread they are handed (SimTCP, SimATM) and for a
+// resolved lane count of one — the goroutine driver (one engine goroutine
+// per lane, senders servicing inline; the real-mode frame carriers Mem, real
+// TCP and udpatm) and the virtual driver (lane engines as events on a
 // discrete-event clock). What differs between them is confined to three
 // functions of this file, and is execution only — the protocol's timing is
 // the same under all three: who runs a service pass (lane.service), which
@@ -127,6 +128,15 @@ import (
 //     0.5 µs of a 25 µs rpc_tcp round trip (measured, four pairs, when sends
 //     still wrote inline); a receive-only inline pass would win it back and
 //     is not built.
+//   - A carrier whose Send waits only for a goroutine of its own that never
+//     waits back, and whose frames arrive on a reader goroutine (udpatm: at
+//     its queue limit Send waits for its writer, whose UDP writes to a full
+//     socket drop the datagram rather than block). Nothing that holds a
+//     lane.mu across its Send waits on a peer or on a lane, so its reader
+//     is treated as Mem's senders are: it may run an inline pass (whose
+//     sends may wait for the writer in turn) and may register a default
+//     channel on first contact. It declares no ReaderDelivery.
+//     TestRingShiftOverUDPATM is the four-proc ring above over cells.
 //
 // Everything else that takes lane.mu — engines, timers, the drain, sending
 // threads — may wait for it, and behind a blocking carrier waits at most for

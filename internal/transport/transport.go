@@ -4,14 +4,16 @@
 // buffers — lives in internal/wire; this package re-exports the message
 // types so carriers and the NCS core share one vocabulary.
 //
-// The real-mode carriers (Mem, real TCP, udpatm) hand decoded messages to a
-// proc's scheduler one way: each embeds an Inbox, whose one bounded queue
+// The real-mode carriers (Mem, real TCP, udpatm) hand a proc at one lane
+// decoded messages one way: each embeds an Inbox, whose one bounded queue
 // and one pre-bound drain carry them into the destination runtime's
-// scheduler domain, where the Handler runs.
+// scheduler domain, where the Handler runs. All three are FrameCarriers
+// too, and a proc on lane engines takes their raw frames instead.
 //
 // Implementations:
 //   - Mem (this package): real-mode in-process transport with optional
-//     loss/latency injection.
+//     loss/latency injection; a FrameCarrier whose frames arrive in the
+//     sender's goroutine.
 //   - internal/tcpip.SimTCP: the simulated TCP/IP path used for the paper's
 //     Approach-1 benchmarks (NSM tier).
 //   - internal/tcpip.TCPEndpoint: the same tier over real TCP loopback
@@ -19,8 +21,11 @@
 //     readers (ReaderDelivery).
 //   - internal/nic.SimATM: the simulated ATM-API path (HSM tier,
 //     Approach 2).
-//   - internal/udpatm.UDP: AAL5 cells over UDP loopback, the "fake ATM
-//     transport over UDP" of the reproduction brief.
+//   - internal/udpatm.Endpoint: AAL5 cells over UDP loopback, the "fake ATM
+//     transport over UDP" of the reproduction brief; a FrameCarrier whose
+//     reassembled frames arrive on its datagram reader, and which needs no
+//     ReaderDelivery: its Send waits only for its own writer, which waits
+//     for nobody.
 package transport
 
 import (
@@ -127,15 +132,15 @@ type FrameHandler func(fb *wire.Buf)
 // Untrusted frames. The handler decodes without a second opinion: a frame
 // that fails wire.Unmarshal is a bug to it, and it panics. Mem and SimMesh
 // hand over frames they marshalled themselves. A carrier that reads bytes a
-// peer produced (real TCP) must therefore pass a frame on only after
+// peer produced (real TCP, udpatm) must therefore pass a frame on only after
 // wire.PeekHeader has accepted its header for the frame's length — the same
 // check the decoder makes — and after whatever the connection lets it verify
 // about the addresses; what fails is the carrier's to drop and count, and
 // the handler never sees it.
 //
-// Mem, SimMesh and the real-TCP endpoint implement it; udpatm, SimTCP and
+// Mem, SimMesh, the real-TCP endpoint and udpatm implement it; SimTCP and
 // SimATM do not: they deliver through Handler and are sent to by the NCS
-// send system thread, which the two cost-model carriers charge and park.
+// send system thread, which they charge and park.
 type FrameCarrier interface {
 	SetFrameHandler(h FrameHandler)
 }

@@ -142,22 +142,16 @@ func refReceive(cells []byte) (msgs []string) {
 // specification: every message the Inbox delivers decodes within
 // wire.MaxFrame, no VC's reassembly buffer holds more than maxPDUOctets after
 // any datagram, and the deliveries are exactly refReceive's over the same
-// cells, so a frame whose CRC is wrong never delivers. It returns the
-// deliveries, each re-marshalled.
+// cells, so a frame whose CRC is wrong never delivers. The same datagrams
+// then go to a second endpoint with a frame handler installed, the lane
+// engines' path: every frame it is handed must pass wire.UnmarshalPooled,
+// and it must get the same messages, and count the same bad cells, as the
+// Handler. It returns the deliveries, each re-marshalled.
 func checkReceiveTrain(t *testing.T, dgram []byte, repeat uint8) []string {
 	t.Helper()
 	dgram = dgram[:min(len(dgram), 64<<10)/atm.CellSize*atm.CellSize]
 	rounds := 1 + int(repeat%8)
-
-	var got []string
-	readDirect(func(m *transport.Message) {
-		b := m.MarshalAppend(nil)
-		if _, err := wire.Unmarshal(b); err != nil || m.WireSize() > wire.MaxFrame {
-			t.Errorf("delivered a %d-octet message that does not decode again: %v", m.WireSize(), err)
-		}
-		got = append(got, string(b))
-		m.Release()
-	}, func(e *Endpoint) {
+	feed := func(e *Endpoint) {
 		for i := 0; i < rounds; i++ {
 			e.receiveTrain(dgram)
 			for vc, rx := range e.rx {
@@ -166,11 +160,40 @@ func checkReceiveTrain(t *testing.T, dgram []byte, repeat uint8) []string {
 				}
 			}
 		}
-	})
+	}
+
+	var got []string
+	e := readDirect(func(m *transport.Message) {
+		b := m.MarshalAppend(nil)
+		if _, err := wire.Unmarshal(b); err != nil || m.WireSize() > wire.MaxFrame {
+			t.Errorf("delivered a %d-octet message that does not decode again: %v", m.WireSize(), err)
+		}
+		got = append(got, string(b))
+		m.Release()
+	}, feed)
 
 	if want := refReceive(bytes.Repeat(dgram, rounds)); !slices.Equal(got, want) {
 		t.Fatalf("%d datagrams of %d cells: the reader delivered %d messages, the reference %d (or their contents differ)",
 			rounds, len(dgram)/atm.CellSize, len(got), len(want))
+	}
+
+	var frames []string
+	fe := frameDirect(func(fb *wire.Buf) {
+		m, err := wire.UnmarshalPooled(fb)
+		if err != nil {
+			t.Fatalf("handed the frame handler a %d-octet frame that fails to decode: %v", len(fb.B), err)
+		}
+		if m.WireSize() > wire.MaxFrame {
+			t.Errorf("handed the frame handler a %d-octet message, past wire.MaxFrame", m.WireSize())
+		}
+		frames = append(frames, string(m.MarshalAppend(nil)))
+		m.Release()
+	}, feed)
+	if !slices.Equal(frames, got) {
+		t.Fatalf("the frame handler got %d messages, the Handler %d (or their contents differ)", len(frames), len(got))
+	}
+	if fe.BadCells() != e.BadCells() {
+		t.Fatalf("the frame path counted %d bad cells, the Handler path %d", fe.BadCells(), e.BadCells())
 	}
 	return got
 }
@@ -200,6 +223,17 @@ func readDirect(h transport.Handler, feed func(e *Endpoint)) *Endpoint {
 		rt.Unblock(keeper, false)
 	})
 	<-done
+	return e
+}
+
+// frameDirect is readDirect for the frame path: feed runs against a fresh
+// endpoint with no socket and fh installed as its frame handler, which is
+// called on feed's goroutine, during receiveTrain, and must release each
+// frame it is handed.
+func frameDirect(fh transport.FrameHandler, feed func(e *Endpoint)) *Endpoint {
+	e := newEndpoint(NewNetwork(), 1, mts.New(mts.Config{Name: "direct"}), nil)
+	e.SetFrameHandler(fh)
+	feed(e)
 	return e
 }
 

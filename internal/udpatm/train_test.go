@@ -17,9 +17,15 @@ import (
 
 // messageCells builds the AAL5 frames (wire cells, end to end) that carry a
 // message from proc 0 to proc 1 on vc, exactly as enqueueFrames would.
-func messageCells(vc atm.VC, seq uint32, data []byte) (cells []byte) {
+func messageCells(vc atm.VC, seq uint32, data []byte) []byte {
 	m := &transport.Message{From: 0, To: 1, Seq: seq, Data: data}
-	ck := wire.NewChunker(m.MarshalAppend(nil), seq, MaxChunk)
+	return frameCells(vc, seq, m.MarshalAppend(nil))
+}
+
+// frameCells is the cells that carry one message frame, whatever its bytes:
+// chunked as message seq, each chunk an AAL5 frame on vc.
+func frameCells(vc atm.VC, seq uint32, frame []byte) (cells []byte) {
+	ck := wire.NewChunker(frame, seq, MaxChunk)
 	for {
 		chunk, ok := ck.Next(nil)
 		if !ok {

@@ -115,11 +115,22 @@ type vcRx struct {
 	asm   wire.Assembler
 }
 
-// Endpoint is one process's ATM-over-UDP attachment. Its reader decodes
-// each reassembled message into the transport.Inbox, which carries it into
-// the runtime's scheduler domain; a reader that finds the inbox full waits,
-// and datagrams queue in the socket meanwhile (and drop once its buffer is
-// full, a loss NCS error control recovers).
+// Endpoint is one process's ATM-over-UDP attachment. Its reader delivers
+// each reassembled message one of two ways. With a frame handler installed
+// (SetFrameHandler: a proc on lane engines) it hands over the message frame
+// itself, on the reader goroutine, once the frame's wire header checks out.
+// Otherwise (SetHandler: a proc at one lane, under its send and receive
+// system threads) it decodes the message into the transport.Inbox, which
+// carries it into the runtime's scheduler domain. A reader that finds the
+// inbox full, or whose handler is busy, reads nothing meanwhile: datagrams
+// queue in the socket and drop once its buffer is full, a loss NCS error
+// control recovers.
+//
+// The carrier needs no transport.ReaderDelivery: Send waits only at
+// maxQueuedFrames, and only for the endpoint's own writer goroutine, which
+// waits for nobody (a UDP write to a full socket buffer drops the datagram
+// rather than block). So a reader that runs the lane engine's pass, and
+// sends from it, can always finish.
 type Endpoint struct {
 	transport.Inbox
 	net  *Network
@@ -147,6 +158,10 @@ type Endpoint struct {
 
 	// Receive-side per-VC state, touched only by the reader goroutine.
 	rx map[atm.VC]*vcRx
+
+	// frameH, when set, replaces the Inbox path: the reader hands each
+	// completed message frame to it (SetFrameHandler).
+	frameH atomic.Pointer[transport.FrameHandler]
 
 	// Receive-side fault injection (guarded by mu): each arriving datagram
 	// — one AAL5 frame, data or control alike — is dropped independently
@@ -177,7 +192,8 @@ type Endpoint struct {
 }
 
 // Attach creates an endpoint for proc bound to an ephemeral loopback port.
-// Deliveries enter rt's scheduler domain through the endpoint's Inbox.
+// Deliveries enter rt's scheduler domain through the endpoint's Inbox unless
+// a frame handler is installed.
 func (n *Network) Attach(proc transport.ProcID, rt *mts.Runtime) (*Endpoint, error) {
 	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -224,7 +240,8 @@ func newEndpoint(n *Network, proc transport.ProcID, rt *mts.Runtime, conn *net.U
 
 // Close writes every frame Send accepted, closes the Inbox — releasing what
 // is queued and a reader waiting in it — and the socket, and returns once the
-// reader has exited. Idempotent.
+// reader has exited: no frame handler call is in progress or begins after
+// that. Idempotent.
 func (e *Endpoint) Close() error {
 	select {
 	case <-e.closed:
@@ -248,6 +265,15 @@ func (e *Endpoint) Close() error {
 
 // Proc implements transport.Endpoint.
 func (e *Endpoint) Proc() transport.ProcID { return e.proc }
+
+// SetFrameHandler implements transport.FrameCarrier. Must be installed
+// before any peer sends. The handler runs on the reader goroutine, and only
+// with a frame whose wire header has passed wire.PeekHeader, so its decode
+// cannot fail; a frame that fails the check is dropped and counted in
+// BadCells.
+func (e *Endpoint) SetFrameHandler(h transport.FrameHandler) {
+	e.frameH.Store(&h)
+}
 
 // SetRecvDropRate makes the endpoint drop each arriving AAL5 frame (one
 // UDP datagram) independently with the given probability, using a
@@ -633,17 +659,18 @@ func (e *Endpoint) receiveTrain(train []byte) {
 }
 
 // deliverChunk runs per reassembled AAL5 frame: chunk assembly on the
-// frame's VC, and a completed message is decoded into the Inbox. The frame
-// was gathered in place, so committing the chunk copies nothing; the
-// message frame, laid out as wire.GetFrame lays one so the payload the
-// consumer copies out starts 64-byte aligned, travels with the message,
-// and the consumer recycles it (RecvInto, control handlers). A received
-// payload octet is copied twice on its way to the application: from the
-// datagram into the message frame (the reassembler), and out of it
-// (RecvInto). deliverChunk reports false if the chunk or the message it
-// completed was malformed, or if the message would have outgrown
-// wire.MaxFrame. (A VC's first message, and a frame longer than its place,
-// are copied in once more, by Push.)
+// frame's VC, and a completed message goes to the frame handler when one is
+// installed — the message frame itself, once wire.PeekHeader has accepted
+// its header — or is decoded into the Inbox. The frame was gathered in
+// place, so committing the chunk copies nothing; the message frame, laid out
+// as wire.GetFrame lays one so the payload the consumer copies out starts
+// 64-byte aligned, travels with the message, and the consumer recycles it
+// (RecvInto, control handlers). A received payload octet is copied twice on
+// its way to the application: from the datagram into the message frame (the
+// reassembler), and out of it (RecvInto). deliverChunk reports false if the
+// chunk or the message it completed was malformed, or if the message would
+// have outgrown wire.MaxFrame. (A VC's first message, and a frame longer
+// than its place, are copied in once more, by Push.)
 func (e *Endpoint) deliverChunk(rx *vcRx, chunk []byte) bool {
 	_, done, err := rx.asm.Push(chunk)
 	if err != nil {
@@ -653,6 +680,16 @@ func (e *Endpoint) deliverChunk(rx *vcRx, chunk []byte) bool {
 		return true
 	}
 	fb := rx.asm.Take()
+	if hp := e.frameH.Load(); hp != nil {
+		// The handler decodes without a second opinion and panics on a
+		// frame that fails to: pass on only a header it will accept.
+		if _, _, err := wire.PeekHeader(fb.B, len(fb.B)); err != nil {
+			wire.PutBuf(fb)
+			return false
+		}
+		(*hp)(fb)
+		return true
+	}
 	m, err := wire.UnmarshalPooled(fb)
 	if err != nil {
 		wire.PutBuf(fb)
